@@ -17,11 +17,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestAllocsPerBroadcastBudget pins the headline number the perf gate
-// also checks: one warmed 48-core, 96-line OC-Bcast simulation — chip
-// acquisition, barrier, broadcast, release — must stay within 500 heap
-// allocations (the seed code performed ~2268; the hot-path overhaul
-// brought it under 200).
+// TestAllocsPerBroadcastBudget pins the hot-path allocation budget: one
+// warmed 48-core, 96-line OC-Bcast simulation — chip acquisition,
+// barrier, broadcast, release — must stay within 500 heap allocations
+// (the seed code performed ~2268; the hot-path overhaul brought it under
+// 200). Allocations per public-API op are the benchmark's allocs_per_op
+// (bench/README.md).
 func TestAllocsPerBroadcastBudget(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	run := func() {

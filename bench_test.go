@@ -198,7 +198,7 @@ func BenchmarkOCReduceModel(b *testing.B) {
 // pooled chips with persistent goroutines recycle every per-run
 // structure, so steady state allocates only the handful of result and
 // bookkeeping values outside the simulation proper (budget pinned at
-// 500 by TestAllocsPerBroadcastBudget and the CI perf gate).
+// 500 by TestAllocsPerBroadcastBudget).
 func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		harness.MeanLatency(cfg(), harness.Alg{Name: "oc", K: 7}, scc.NumCores, 96, 1)

@@ -9,23 +9,25 @@
 //	ocbench fig-allreduce        # one-sided vs two-sided allreduce (§7)
 //	ocbench scale                # model vs simulation on 48..384-core meshes
 //	ocbench overlap              # non-blocking overlap sweep (fig-overlap)
-//	ocbench perf                 # wall-clock simulator throughput -> BENCH_simperf.json
 //	ocbench tune                 # decision tables + auto-selection regret -> BENCH_simperf.json
 //	ocbench -verify tune         # gate the checked-in crossover table (CI)
 //	ocbench apps                 # whole-app kernel replay: default vs auto -> BENCH_simperf.json
 //	ocbench -verify apps         # gate the checked-in apps table (CI)
 //	ocbench serving              # multi-tenant serving sweep: load vs latency -> BENCH_simperf.json
 //	ocbench -verify serving      # gate the checked-in serving table + determinism double-run (CI)
-//	ocbench -verify perf         # hot-path perf gate (allocs + throughput) vs the checked-in baseline (CI)
 //	ocbench trace -op allreduce  # run one traced collective -> Perfetto JSON + text summary
 //
 // Flags:
 //
 //	-effort N        scale repetition counts (default 2)
+//	-verify          tune/apps/serving: gate the checked-in table, simulate nothing
 //	-no-contention   disable the MPB-port contention model
 //	-no-cache        disable the L1 model for private-memory reads
 //	-cpuprofile F    write a CPU profile of the whole run to F (go tool pprof)
 //	-memprofile F    write a heap profile at exit to F
+//
+// Host time of the simulator (wall-clock, allocations, memory) is not
+// measured here: that is bench/ (see bench/README.md).
 package main
 
 import (
@@ -92,17 +94,9 @@ func main() {
 	effort := flag.Int("effort", 2, "repetition-count multiplier (>=1)")
 	noContention := flag.Bool("no-contention", false, "disable the MPB contention model")
 	noCache := flag.Bool("no-cache", false, "disable the L1 cache model")
-	regretMax := flag.Float64("regret-max", 5, "tune: max auto-selection regret in percent before failing")
-	verify := flag.Bool("verify", false, "tune/perf: gate against the checked-in BENCH_simperf.json")
-	allocMax := flag.Float64("alloc-max-pct", 2, "perf -verify: max allocs-per-simulation drift in percent")
-	wallMax := flag.Float64("wall-max-pct", 50, "perf -verify: max wall-clock-per-simulation slowdown in percent")
-	allocCap := flag.Float64("alloc-cap", 500, "perf -verify: absolute allocs-per-simulation budget")
-	floorPct := flag.Float64("simsps-floor-pct", 50, "perf -verify: min simulations/sec as a percent of the baseline")
-	appsMin := flag.Float64("apps-min-speedup", 0.99, "apps: min whole-app auto/default speedup before failing")
-	servingMin := flag.Float64("serving-min-ratio", 0.99, "serving: min auto/default saturation-throughput ratio before failing")
+	verify := flag.Bool("verify", false, "tune/apps/serving: gate the checked-in BENCH_simperf.json table without simulating")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	perfLabel := flag.String("perf-label", "dev", "perf: history-entry label (use the PR name; a matching entry is replaced)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -122,6 +116,16 @@ func main() {
 		exit(2)
 	}
 
+	for _, p := range pinnedTables {
+		if args[0] == p.cmd {
+			if err := p.run(cfg, *effort, *verify); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				exit(1)
+			}
+			return
+		}
+	}
+
 	var names []string
 	switch args[0] {
 	case "list":
@@ -129,62 +133,13 @@ func main() {
 		for _, e := range harness.Registry() {
 			fmt.Printf("  %-10s %s\n", e.Name, e.Desc)
 		}
-		fmt.Printf("  %-10s %s\n", "perf", "wall-clock simulator throughput -> BENCH_simperf.json")
-		fmt.Printf("  %-10s %s\n", "tune", "decision tables + auto-selection regret gate -> BENCH_simperf.json")
-		fmt.Printf("  %-10s %s\n", "apps", "whole-app kernel replay speedup gate -> BENCH_simperf.json")
-		fmt.Printf("  %-10s %s\n", "serving", "multi-tenant serving sweep + saturation gate -> BENCH_simperf.json")
+		for _, p := range pinnedTables {
+			fmt.Printf("  %-10s %s -> %s\n", p.cmd, p.desc, benchFile)
+		}
 		fmt.Printf("  %-10s %s\n", "trace", "run one collective with tracing on -> Perfetto JSON + summary")
-		return
-	case "perf":
-		err := error(nil)
-		if *verify {
-			err = runPerfVerify(cfg, *allocMax, *wallMax, *allocCap, *floorPct)
-		} else {
-			err = runPerf(cfg, *effort, *perfLabel)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
 		return
 	case "trace":
 		if err := runTrace(args[1:], *noContention); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		return
-	case "tune":
-		err := error(nil)
-		if *verify {
-			err = runTuneVerify(*regretMax)
-		} else {
-			err = runTune(cfg, *effort, *regretMax)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		return
-	case "apps":
-		err := error(nil)
-		if *verify {
-			err = runAppsVerify(*appsMin)
-		} else {
-			err = runApps(cfg, *effort, *appsMin)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		return
-	case "serving":
-		err := error(nil)
-		if *verify {
-			err = runServingVerify(cfg, *servingMin)
-		} else {
-			err = runServing(cfg, *effort, *servingMin)
-		}
-		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(1)
 		}
@@ -223,7 +178,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `ocbench — regenerate the SPAA'12 OC-Bcast paper's tables and figures
 
-usage: ocbench [flags] list | all | <experiment>...
+usage: ocbench [flags] list | all | <experiment>... | tune | apps | serving | trace [trace flags]
 
 `)
 	flag.PrintDefaults()

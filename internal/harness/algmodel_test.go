@@ -96,18 +96,18 @@ func TestMeasureAlgMatchesVariantRunner(t *testing.T) {
 func TestCrossoverTableRendering(t *testing.T) {
 	pts := []CrossoverPoint{
 		{
-			Topo: scc.SCC(), Op: algsel.OpAllReduce, Lines: 16,
-			Auto: algsel.Choice{Alg: "rabenseifner"}, AutoUs: 122.4,
-			Best: algsel.Choice{Alg: "rabenseifner"}, BestUs: 122.4, RegretPct: 0,
+			Mesh: "6x4", Cores: 48, Op: algsel.OpAllReduce, Lines: 16,
+			Auto: "rabenseifner", AutoUs: 122.4,
+			Best: "rabenseifner", BestUs: 122.4, RegretPct: 0,
 		},
 		{
-			Topo: scc.Mesh(16, 12), Op: algsel.OpBcast, Lines: 1,
-			Auto: algsel.Choice{Alg: "oc", K: 7, ChunkLines: 48}, AutoUs: 11.85,
-			Best: algsel.Choice{Alg: "binomial"}, BestUs: 11.59, RegretPct: 2.29,
+			Mesh: meshName(scc.Mesh(16, 12)), Cores: 384, Op: algsel.OpBcast, Lines: 1,
+			Auto: algsel.Choice{Alg: "oc", K: 7, ChunkLines: 48}.String(), AutoUs: 11.85,
+			Best: "binomial", BestUs: 11.59, RegretPct: 2.29,
 		},
 	}
 	s := CrossoverTable(pts).String()
-	for _, want := range []string{"fig-crossover", "rabenseifner", "oc(k=7,chunk=48)", "binomial", "+2.29", "384"} {
+	for _, want := range []string{"fig-crossover", "rabenseifner", "oc(k=7,chunk=48)", "binomial", "+2.29", "16x12", "384"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("crossover table missing %q:\n%s", want, s)
 		}

@@ -41,12 +41,16 @@ func TestReplayKernelsDeterministic(t *testing.T) {
 func TestAppsSweepShardingInvariance(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	par := AppsSweep(cfg, 1)
+	topo := AppsMeshes(1)[0] // the quick tier sweeps one mesh
 
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	for _, p := range par {
 		var tr *workload.Trace
-		for _, k := range workload.Kernels(p.Topo.NumCores()) {
+		if p.Mesh != meshName(topo) || p.Cores != topo.NumCores() {
+			t.Fatalf("sweep cell on %s (%d cores), want %s", p.Mesh, p.Cores, topo)
+		}
+		for _, k := range workload.Kernels(p.Cores) {
 			if k.Name == p.Kernel {
 				tr = k.Trace
 			}
@@ -54,10 +58,10 @@ func TestAppsSweepShardingInvariance(t *testing.T) {
 		if tr == nil {
 			t.Fatalf("sweep reported unknown kernel %q", p.Kernel)
 		}
-		if seq := MeasureApp(cfg, p.Topo, tr, ""); seq != p.DefaultUs {
+		if seq := MeasureApp(cfg, topo, tr, ""); seq != p.DefaultUs {
 			t.Errorf("%s default: parallel %v vs sequential %v µs", p.Kernel, p.DefaultUs, seq)
 		}
-		if seq := MeasureApp(cfg, p.Topo, tr, "auto"); seq != p.AutoUs {
+		if seq := MeasureApp(cfg, topo, tr, "auto"); seq != p.AutoUs {
 			t.Errorf("%s auto: parallel %v vs sequential %v µs", p.Kernel, p.AutoUs, seq)
 		}
 	}

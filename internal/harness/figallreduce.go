@@ -32,13 +32,9 @@ func MeasureAllReduce(cfg scc.Config, variant string, k, n, lines, reps int) []f
 	return measureCollective(cfg, variant, k, n, lines, reps, false)
 }
 
-// MeasureReduce is MeasureAllReduce without the broadcast half: OC-Reduce
-// vs the two-sided binomial reduction (variant "hybrid" is identical to
-// "twosided" here).
-func MeasureReduce(cfg scc.Config, variant string, k, n, lines, reps int) []float64 {
-	return measureCollective(cfg, variant, k, n, lines, reps, true)
-}
-
+// measureCollective is MeasureAllReduce, or with reduceOnly the same
+// without the broadcast half: OC-Reduce vs the two-sided binomial
+// reduction (variant "hybrid" is then identical to "twosided").
 func measureCollective(cfg scc.Config, variant string, k, n, lines, reps int, reduceOnly bool) []float64 {
 	if reps <= 0 {
 		reps = 3
@@ -127,14 +123,6 @@ func measureCollective(cfg scc.Config, variant string, k, n, lines, reps int, re
 // MeanAllReduceGrid, so single points and sweeps share the same runner.
 func MeanAllReduce(cfg scc.Config, variant string, k, n, lines, reps int) float64 {
 	return MeanAllReduceGrid(cfg, n, []AllReduceCell{{Variant: variant, K: k, Lines: lines, Reps: reps}})[0]
-}
-
-// MeanReduce averages MeasureReduce. Like MeanAllReduce, it is the
-// one-cell case of MeanAllReduceGrid (with ReduceOnly set).
-func MeanReduce(cfg scc.Config, variant string, k, n, lines, reps int) float64 {
-	return MeanAllReduceGrid(cfg, n, []AllReduceCell{
-		{Variant: variant, K: k, Lines: lines, Reps: reps, ReduceOnly: true},
-	})[0]
 }
 
 func mean(ls []float64) float64 {

@@ -36,16 +36,18 @@ func AppsMeshes(effort int) []scc.Topology {
 }
 
 // AppPoint is one cell of the application sweep: one kernel on one mesh,
-// replayed under both algorithm-resolution modes.
+// replayed under both algorithm-resolution modes. Its json form is the
+// committed schema of BENCH_simperf.json's apps.cells.
 type AppPoint struct {
-	Kernel  string
-	Topo    scc.Topology
-	Records int
+	Kernel  string `json:"kernel"`
+	Mesh    string `json:"mesh"`
+	Cores   int    `json:"cores"`
+	Records int    `json:"records"`
 	// DefaultUs and AutoUs are the whole-app makespans under
 	// Options.Algorithm "" and "auto"; Speedup = DefaultUs / AutoUs.
-	DefaultUs float64
-	AutoUs    float64
-	Speedup   float64
+	DefaultUs float64 `json:"default_us"`
+	AutoUs    float64 `json:"auto_us"`
+	Speedup   float64 `json:"speedup"`
 }
 
 // MeasureApp replays one kernel trace on a fresh public System and
@@ -100,7 +102,8 @@ func AppsSweep(cfg scc.Config, effort int) []AppPoint {
 		c := cells[i]
 		p := AppPoint{
 			Kernel:    c.kernel.Name,
-			Topo:      c.topo,
+			Mesh:      meshName(c.topo),
+			Cores:     c.topo.NumCores(),
 			Records:   len(c.kernel.Trace.Records),
 			DefaultUs: lat[i],
 			AutoUs:    lat[i+1],
@@ -132,13 +135,8 @@ func AppsTable(pts []AppPoint) *Table {
 		},
 	}
 	for _, p := range pts {
-		tbl.AddRow(
-			p.Kernel,
-			fmt.Sprintf("%dx%d", p.Topo.W, p.Topo.H), fmt.Sprint(p.Topo.NumCores()),
-			fmt.Sprint(p.Records),
-			fmt.Sprintf("%.2f", p.DefaultUs), fmt.Sprintf("%.2f", p.AutoUs),
-			fmt.Sprintf("%.3fx", p.Speedup),
-		)
+		tbl.AddRow(p.Kernel, p.Mesh, p.Cores, p.Records,
+			p.DefaultUs, p.AutoUs, fmt.Sprintf("%.3fx", p.Speedup))
 	}
 	return tbl
 }

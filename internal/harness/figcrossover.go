@@ -88,28 +88,21 @@ func MeasureAlg(cfg scc.Config, a *algsel.Algorithm, ch algsel.Choice, n, lines,
 	return out
 }
 
-// AlgLatency is one algorithm's showing in a crossover cell.
-type AlgLatency struct {
-	Choice  algsel.Choice
-	SimUs   float64
-	ModelUs float64
-}
-
-// CrossoverPoint is one cell of the crossover sweep.
+// CrossoverPoint is one cell of the crossover sweep. Its json form is
+// the committed schema of BENCH_simperf.json's crossover.cells.
 type CrossoverPoint struct {
-	Topo  scc.Topology
-	Op    algsel.Op
-	Lines int
-	// Algs holds every modeled algorithm's simulated latency at its
-	// tuned choice, in registry (name) order.
-	Algs []AlgLatency
-	// Auto is the plan's pick; AutoUs its simulated latency; BestUs the
-	// cell's minimum; RegretPct = 100·(AutoUs/BestUs − 1).
-	Auto      algsel.Choice
-	AutoUs    float64
-	Best      algsel.Choice
-	BestUs    float64
-	RegretPct float64
+	Mesh  string    `json:"mesh"`
+	Cores int       `json:"cores"`
+	Op    algsel.Op `json:"op"`
+	Lines int       `json:"lines"`
+	// Auto is the plan's pick and Best the cell's fastest algorithm, both
+	// at their tuned choice (algsel.Choice.String); AutoUs and BestUs
+	// their simulated latencies; RegretPct = 100·(AutoUs/BestUs − 1).
+	Auto      string  `json:"auto"`
+	AutoUs    float64 `json:"auto_us"`
+	Best      string  `json:"best"`
+	BestUs    float64 `json:"best_us"`
+	RegretPct float64 `json:"regret_pct"`
 }
 
 // CrossoverOps are the operations the sweep covers: the ones with at
@@ -166,30 +159,26 @@ func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 		cfg2.Topo = c.topo
 		p := c.topo.NumCores()
 		plan := algsel.TuneCached(cfg.Params, c.topo, p, base)
-		pt := CrossoverPoint{Topo: c.topo, Op: c.op, Lines: c.lines}
 		auto, ok := plan.Choose(c.op, c.lines)
 		if !ok {
 			// CrossoverOps only lists operations with modeled algorithms,
 			// so a missing decision table is a wiring bug, not data.
 			panic(fmt.Sprintf("harness: no decision table for swept op %s", c.op))
 		}
-		pt.Auto = auto
+		pt := CrossoverPoint{Mesh: meshName(c.topo), Cores: p, Op: c.op, Lines: c.lines, Auto: auto.String()}
+		// Every modeled algorithm is simulated at its tuned choice, in
+		// registry (name) order.
 		for _, a := range algsel.For(c.op) {
 			ch, ok := algsel.BestChoiceFor(mdl, c.topo, p, base, a, c.lines)
 			if !ok {
 				continue
 			}
-			al := AlgLatency{
-				Choice:  ch,
-				SimUs:   mean(MeasureAlg(cfg2, a, ch, p, c.lines, reps)),
-				ModelUs: a.Model(mdl, c.topo, p, c.lines, ch).Microseconds(),
+			simUs := mean(MeasureAlg(cfg2, a, ch, p, c.lines, reps))
+			if pt.BestUs == 0 || simUs < pt.BestUs {
+				pt.Best, pt.BestUs = ch.String(), simUs
 			}
-			pt.Algs = append(pt.Algs, al)
-			if pt.BestUs == 0 || al.SimUs < pt.BestUs {
-				pt.Best, pt.BestUs = al.Choice, al.SimUs
-			}
-			if al.Choice == pt.Auto {
-				pt.AutoUs = al.SimUs
+			if ch == auto {
+				pt.AutoUs = simUs
 			}
 		}
 		if pt.AutoUs == 0 {
@@ -198,11 +187,11 @@ func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 			// this exact size. Simulate the auto pick itself — regret
 			// must price what auto would actually run, never default to
 			// a silently passing zero.
-			a, found := algsel.Lookup(c.op, pt.Auto.Alg)
+			a, found := algsel.Lookup(c.op, auto.Alg)
 			if !found {
-				panic(fmt.Sprintf("harness: plan picked unregistered algorithm %q for %s", pt.Auto.Alg, c.op))
+				panic(fmt.Sprintf("harness: plan picked unregistered algorithm %q for %s", auto.Alg, c.op))
 			}
-			pt.AutoUs = mean(MeasureAlg(cfg2, a, pt.Auto, p, c.lines, reps))
+			pt.AutoUs = mean(MeasureAlg(cfg2, a, auto, p, c.lines, reps))
 		}
 		pt.RegretPct = 100 * (pt.AutoUs/pt.BestUs - 1)
 		return pt
@@ -231,13 +220,8 @@ func CrossoverTable(pts []CrossoverPoint) *Table {
 		},
 	}
 	for _, p := range pts {
-		tbl.AddRow(
-			fmt.Sprintf("%dx%d", p.Topo.W, p.Topo.H), fmt.Sprint(p.Topo.NumCores()),
-			string(p.Op), fmt.Sprint(p.Lines),
-			p.Auto.String(), fmt.Sprintf("%.2f", p.AutoUs),
-			p.Best.String(), fmt.Sprintf("%.2f", p.BestUs),
-			fmt.Sprintf("%+.2f", p.RegretPct),
-		)
+		tbl.AddRow(p.Mesh, p.Cores, string(p.Op), p.Lines,
+			p.Auto, p.AutoUs, p.Best, p.BestUs, fmt.Sprintf("%+.2f", p.RegretPct))
 	}
 	return tbl
 }

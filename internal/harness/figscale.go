@@ -21,6 +21,10 @@ func ScaleMeshes() []scc.Topology {
 	}
 }
 
+// meshName is the "WxH" label of a topology in tables and in
+// BENCH_simperf.json.
+func meshName(t scc.Topology) string { return fmt.Sprintf("%dx%d", t.W, t.H) }
+
 // ScalePoint is one cell of the scaling sweep: a collective on one
 // topology, simulated and predicted by the closed-form model with
 // topology-derived hop terms.
@@ -93,7 +97,7 @@ func FigScale(cfg scc.Config, effort int) *Table {
 	}
 	for _, p := range pts {
 		tbl.AddRow(
-			fmt.Sprintf("%dx%d", p.Topo.W, p.Topo.H), fmt.Sprint(p.Topo.NumCores()), p.Op,
+			meshName(p.Topo), fmt.Sprint(p.Topo.NumCores()), p.Op,
 			fmt.Sprint(p.Lines),
 			fmt.Sprintf("%.2f", p.SimUs),
 			fmt.Sprintf("%.2f", p.ModelUs),

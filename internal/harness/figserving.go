@@ -117,28 +117,34 @@ func MeasureServe(cfg scc.Config, topo scc.Topology, load float64, algorithm str
 }
 
 // ServeCell is one cell of the serving sweep: one mesh at one offered
-// load under one algorithm-resolution mode.
+// load under one algorithm-resolution mode. Its json form is the
+// committed schema of BENCH_simperf.json's serving.cells.
 type ServeCell struct {
-	Topo scc.Topology
-	Load float64
-	// Mode is Options.Algorithm: "" (paper defaults) or "auto".
-	Mode string
+	Mesh  string  `json:"mesh"`
+	Cores int     `json:"cores"`
+	Load  float64 `json:"load"`
+	// Mode names Options.Algorithm: "default" (the paper defaults, "")
+	// or "auto".
+	Mode string `json:"mode"`
 	// ThroughputRps is the aggregate completed-requests-per-second;
 	// P50Us/P99Us the aggregate completion-latency percentiles.
-	ThroughputRps float64
-	P50Us, P99Us  float64
-	Completed     int
-	Rejected      int
+	ThroughputRps float64 `json:"throughput_rps"`
+	P50Us         float64 `json:"p50_us"`
+	P99Us         float64 `json:"p99_us"`
+	Completed     int     `json:"completed"`
+	Rejected      int     `json:"rejected"`
 }
 
-// ServeSaturation is the per-mesh summary the acceptance gate reads:
-// each mode's peak throughput over the load axis and their ratio.
+// ServeSaturation is the per-mesh summary the acceptance gate reads
+// (BENCH_simperf.json's serving.meshes): each mode's saturation — peak
+// over the load axis — aggregate throughput, and Ratio = AutoRps /
+// DefaultRps.
 type ServeSaturation struct {
-	Topo scc.Topology
-	// DefaultRps and AutoRps are the saturation (peak over loads)
-	// aggregate throughputs; Ratio = AutoRps / DefaultRps.
-	DefaultRps, AutoRps float64
-	Ratio               float64
+	Mesh       string  `json:"mesh"`
+	Cores      int     `json:"cores"`
+	DefaultRps float64 `json:"default_sat_rps"`
+	AutoRps    float64 `json:"auto_sat_rps"`
+	Ratio      float64 `json:"ratio"`
 }
 
 // ServingSweep serves the canonical mix over every (mesh, load, mode)
@@ -166,8 +172,12 @@ func ServingSweep(cfg scc.Config, effort int) []ServeCell {
 	cells := make([]ServeCell, len(jobs))
 	for i, j := range jobs {
 		r := results[i]
+		mode := j.mode
+		if mode == "" {
+			mode = "default"
+		}
 		cells[i] = ServeCell{
-			Topo: j.topo, Load: j.load, Mode: j.mode,
+			Mesh: meshName(j.topo), Cores: j.topo.NumCores(), Load: j.load, Mode: mode,
 			ThroughputRps: r.ThroughputRps, P50Us: r.P50Us, P99Us: r.P99Us,
 			Completed: r.Completed, Rejected: r.Rejected,
 		}
@@ -178,14 +188,13 @@ func ServingSweep(cfg scc.Config, effort int) []ServeCell {
 // Saturation reduces sweep cells to the per-mesh acceptance summary.
 func Saturation(cells []ServeCell) []ServeSaturation {
 	var out []ServeSaturation
-	idx := map[[2]int]int{}
+	idx := map[string]int{}
 	for _, c := range cells {
-		key := [2]int{c.Topo.W, c.Topo.H}
-		i, ok := idx[key]
+		i, ok := idx[c.Mesh]
 		if !ok {
 			i = len(out)
-			idx[key] = i
-			out = append(out, ServeSaturation{Topo: c.Topo})
+			idx[c.Mesh] = i
+			out = append(out, ServeSaturation{Mesh: c.Mesh, Cores: c.Cores})
 		}
 		if c.Mode == "auto" {
 			if c.ThroughputRps > out[i].AutoRps {
@@ -226,17 +235,8 @@ func ServingTable(cells []ServeCell) *Table {
 		},
 	}
 	for _, c := range cells {
-		mode := c.Mode
-		if mode == "" {
-			mode = "default"
-		}
-		tbl.AddRow(
-			fmt.Sprintf("%dx%d", c.Topo.W, c.Topo.H), fmt.Sprint(c.Topo.NumCores()),
-			fmt.Sprintf("%gx", c.Load), mode,
-			fmt.Sprintf("%.0f", c.ThroughputRps),
-			fmt.Sprintf("%.2f", c.P50Us), fmt.Sprintf("%.2f", c.P99Us),
-			fmt.Sprint(c.Completed), fmt.Sprint(c.Rejected),
-		)
+		tbl.AddRow(c.Mesh, c.Cores, fmt.Sprintf("%gx", c.Load), c.Mode,
+			fmt.Sprintf("%.0f", c.ThroughputRps), c.P50Us, c.P99Us, c.Completed, c.Rejected)
 	}
 	return tbl
 }
@@ -252,11 +252,8 @@ func SaturationTable(sats []ServeSaturation) *Table {
 		},
 	}
 	for _, s := range sats {
-		tbl.AddRow(
-			fmt.Sprintf("%dx%d", s.Topo.W, s.Topo.H), fmt.Sprint(s.Topo.NumCores()),
-			fmt.Sprintf("%.0f", s.DefaultRps), fmt.Sprintf("%.0f", s.AutoRps),
-			fmt.Sprintf("%.3fx", s.Ratio),
-		)
+		tbl.AddRow(s.Mesh, s.Cores, fmt.Sprintf("%.0f", s.DefaultRps), fmt.Sprintf("%.0f", s.AutoRps),
+			fmt.Sprintf("%.3fx", s.Ratio))
 	}
 	return tbl
 }

@@ -129,10 +129,9 @@ func MeanAllReduceGrid(cfg scc.Config, n int, cells []AllReduceCell) []float64 {
 }
 
 // DefaultSweepCells is the canonical Fig8a-style (size × algorithm)
-// sweep used to measure the parallel harness itself — by ocbench perf
-// (BENCH_simperf.json's sweep numbers) and BenchmarkSweepParallel. The
-// workload is fixed (including its repetition count) so the two agree
-// and cross-commit comparisons measure hot-path changes only.
+// sweep BenchmarkSweepParallel uses to measure the parallel harness
+// itself. The workload is fixed (including its repetition count) so
+// cross-commit comparisons measure hot-path changes only.
 func DefaultSweepCells() []LatencyCell {
 	algs := []Alg{{Name: "oc", K: 2}, {Name: "oc", K: 7}, {Name: "oc", K: 47}, {Name: "binomial"}}
 	var cells []LatencyCell

@@ -75,12 +75,12 @@ func TestServeChipDeterminism(t *testing.T) {
 
 func TestServingSaturationShape(t *testing.T) {
 	cells := []ServeCell{
-		{Topo: scc.SCC(), Load: 1, Mode: "", ThroughputRps: 100},
-		{Topo: scc.SCC(), Load: 4, Mode: "", ThroughputRps: 90},
-		{Topo: scc.SCC(), Load: 1, Mode: "auto", ThroughputRps: 105},
-		{Topo: scc.SCC(), Load: 4, Mode: "auto", ThroughputRps: 95},
-		{Topo: scc.Mesh(16, 12), Load: 1, Mode: "", ThroughputRps: 50},
-		{Topo: scc.Mesh(16, 12), Load: 1, Mode: "auto", ThroughputRps: 50},
+		{Mesh: "6x4", Cores: 48, Load: 1, Mode: "default", ThroughputRps: 100},
+		{Mesh: "6x4", Cores: 48, Load: 4, Mode: "default", ThroughputRps: 90},
+		{Mesh: "6x4", Cores: 48, Load: 1, Mode: "auto", ThroughputRps: 105},
+		{Mesh: "6x4", Cores: 48, Load: 4, Mode: "auto", ThroughputRps: 95},
+		{Mesh: "16x12", Cores: 384, Load: 1, Mode: "default", ThroughputRps: 50},
+		{Mesh: "16x12", Cores: 384, Load: 1, Mode: "auto", ThroughputRps: 50},
 	}
 	sats := Saturation(cells)
 	if len(sats) != 2 {
@@ -89,7 +89,7 @@ func TestServingSaturationShape(t *testing.T) {
 	if sats[0].DefaultRps != 100 || sats[0].AutoRps != 105 || sats[0].Ratio != 1.05 {
 		t.Fatalf("48-core saturation %+v", sats[0])
 	}
-	if sats[1].Ratio != 1 {
-		t.Fatalf("384-core ratio %v, want 1", sats[1].Ratio)
+	if sats[1].Mesh != "16x12" || sats[1].Cores != 384 || sats[1].Ratio != 1 {
+		t.Fatalf("384-core saturation %+v, want ratio 1", sats[1])
 	}
 }

@@ -88,7 +88,7 @@ func TestWaitU64WakesAtEffectiveTime(t *testing.T) {
 	e.Run(func(p *sim.Proc) {
 		switch p.ID() {
 		case 0:
-			m.WaitU64(p, 9, func(v uint64) bool { return v >= 7 })
+			m.WaitU64GE(p, 9, 7)
 			wokeAt = p.Now()
 		case 1:
 			p.Advance(2 * sim.Microsecond)
@@ -114,7 +114,7 @@ func TestWaitU64AlreadySatisfiedButPending(t *testing.T) {
 	m.WriteLine(0, line, 10*sim.Microsecond) // pending, lands at 10µs
 	var wokeAt sim.Time
 	e.Run(func(p *sim.Proc) {
-		m.WaitU64(p, 0, func(v uint64) bool { return v >= 1 })
+		m.WaitU64GE(p, 0, 1)
 		wokeAt = p.Now()
 	})
 	if wokeAt != 10*sim.Microsecond {
@@ -129,7 +129,7 @@ func TestWaitU64SkipsNonSatisfyingWrites(t *testing.T) {
 	e.Run(func(p *sim.Proc) {
 		switch p.ID() {
 		case 0:
-			m.WaitU64(p, 0, func(v uint64) bool { return v >= 3 })
+			m.WaitU64GE(p, 0, 3)
 			wokeAt = p.Now()
 		case 1:
 			for seq := byte(1); seq <= 3; seq++ {

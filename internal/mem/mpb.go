@@ -15,7 +15,7 @@
 // record covers a whole contiguous bulk transfer (base effective time
 // plus a constant per-line stride), so an m-line RMA op costs one pending
 // record instead of m per-line map entries. WriteLines/ReadLinesInto are
-// the bulk entry points; WriteLine/ReadLine/ReadInto remain as the
+// the bulk entry points; WriteLine/ReadLine remain as the
 // single-line special case.
 package mem
 
@@ -90,11 +90,10 @@ type MPB struct {
 	wait u64Wait
 }
 
-// Wait-comparison selectors for the closure-free WaitU64 variants.
+// Wait-comparison selectors of WaitU64GE/WaitU64EQ.
 const (
-	waitPred uint8 = iota // arbitrary predicate (allocates a closure)
-	waitGE                // value ≥ threshold
-	waitEQ                // value == threshold
+	waitGE uint8 = iota // value ≥ threshold
+	waitEQ              // value == threshold
 )
 
 // u64Wait is an MPB's embedded flag-wait condition. Reusing it across
@@ -107,12 +106,11 @@ type u64Wait struct {
 	line   int
 	op     uint8
 	val    uint64
-	pred   func(uint64) bool
 	active bool
 }
 
 func (w *u64Wait) Holds() bool {
-	_, ok := w.m.satisfiedAt(w.line, w.p.Now(), w.op, w.val, w.pred)
+	_, ok := w.m.satisfiedAt(w.line, w.p.Now(), w.op, w.val)
 	return ok
 }
 
@@ -422,13 +420,6 @@ func (m *MPB) ReadLine(line int, t sim.Time) []byte {
 	return out
 }
 
-// ReadInto copies the line visible at time t into dst (≥32 bytes).
-func (m *MPB) ReadInto(dst []byte, line int, t sim.Time) {
-	m.checkLine(line)
-	m.settle(line, t)
-	copy(dst[:scc.CacheLine], m.data[line*scc.CacheLine:])
-}
-
 // ReadLinesInto copies n consecutive lines starting at line0 into dst
 // (≥ n×32 bytes), where line line0+i is read as visible at t0+i·stride —
 // the per-line read times of a bulk RMA op whose per-line cost is
@@ -618,25 +609,20 @@ func (m *MPB) ProbeU64(line int, t sim.Time) uint64 {
 	return m.peekU64At(line, t)
 }
 
-// holdsOp evaluates one wait comparison: the GE/EQ fast forms compare
-// inline (no closure anywhere on their path); waitPred defers to pred.
-func holdsOp(v uint64, op uint8, val uint64, pred func(uint64) bool) bool {
-	switch op {
-	case waitGE:
-		return v >= val
-	case waitEQ:
+// holdsOp evaluates one wait comparison.
+func holdsOp(v uint64, op uint8, val uint64) bool {
+	if op == waitEQ {
 		return v == val
-	default:
-		return pred(v)
 	}
+	return v >= val
 }
 
-// satisfiedAt returns the earliest time ≥ now at which the (op, val,
-// pred) comparison holds for the line's leading uint64, considering the
+// satisfiedAt returns the earliest time ≥ now at which the (op, val)
+// comparison holds for the line's leading uint64, considering the
 // settled state and pending writes in effective-time order. ok is false
 // if no current or pending state satisfies it.
-func (m *MPB) satisfiedAt(line int, now sim.Time, op uint8, val uint64, pred func(uint64) bool) (sim.Time, bool) {
-	if holdsOp(m.peekU64At(line, now), op, val, pred) {
+func (m *MPB) satisfiedAt(line int, now sim.Time, op uint8, val uint64) (sim.Time, bool) {
+	if holdsOp(m.peekU64At(line, now), op, val) {
 		return now, true
 	}
 	left := m.pendCnt[line]
@@ -648,7 +634,7 @@ func (m *MPB) satisfiedAt(line int, now sim.Time, op uint8, val uint64, pred fun
 			continue
 		}
 		eff := x.effAt(line)
-		if eff > now && holdsOp(m.peekU64At(line, eff), op, val, pred) {
+		if eff > now && holdsOp(m.peekU64At(line, eff), op, val) {
 			// eff ≤ now is already folded into peekU64At(now) above.
 			return eff, true
 		}
@@ -659,37 +645,29 @@ func (m *MPB) satisfiedAt(line int, now sim.Time, op uint8, val uint64, pred fun
 	return 0, false
 }
 
-// WaitU64 blocks process p until pred holds for the line's leading uint64,
+// WaitU64GE blocks process p until the line's leading uint64 is ≥ val,
 // and returns with p's clock at (no earlier than) the effective time of
 // the write that satisfied it. It is the simulator's flag-poll primitive:
 // the process sleeps instead of burning virtual time spinning — matching
 // the paper's assumption that no time elapses between a flag being set
 // and observed, up to the final poll read the caller charges separately.
-//
-// Sequence-number waits should use WaitU64GE/WaitU64EQ, which skip the
-// per-call predicate closure.
-func (m *MPB) WaitU64(p *sim.Proc, line int, pred func(uint64) bool) {
-	m.waitOp(p, line, waitPred, 0, pred)
-}
-
-// WaitU64GE blocks until the line's leading uint64 is ≥ val. The whole
-// path is closure-free: the comparison is carried as (op, val) scalars
-// in the MPB's embedded wait record.
+// The whole path is closure-free: the comparison is carried as (op, val)
+// scalars in the MPB's embedded wait record.
 func (m *MPB) WaitU64GE(p *sim.Proc, line int, val uint64) {
-	m.waitOp(p, line, waitGE, val, nil)
+	m.waitOp(p, line, waitGE, val)
 }
 
 // WaitU64EQ blocks until the line's leading uint64 is == val (the
 // RCCE-style handshake wait), closure-free like WaitU64GE.
 func (m *MPB) WaitU64EQ(p *sim.Proc, line int, val uint64) {
-	m.waitOp(p, line, waitEQ, val, nil)
+	m.waitOp(p, line, waitEQ, val)
 }
 
-func (m *MPB) waitOp(p *sim.Proc, line int, op uint8, val uint64, pred func(uint64) bool) {
+func (m *MPB) waitOp(p *sim.Proc, line int, op uint8, val uint64) {
 	m.checkLine(line)
 	key := m.watchKey(line)
 	for {
-		if te, ok := m.satisfiedAt(line, p.Now(), op, val, pred); ok {
+		if te, ok := m.satisfiedAt(line, p.Now(), op, val); ok {
 			p.AdvanceTo(te)
 			return
 		}
@@ -699,24 +677,23 @@ func (m *MPB) waitOp(p *sim.Proc, line int, op uint8, val uint64, pred func(uint
 			// embedded record (not a path the RCCE layers take); fall
 			// back to a one-shot condition.
 			p.Block(key, func() bool {
-				_, ok := m.satisfiedAt(line, p.Now(), op, val, pred)
+				_, ok := m.satisfiedAt(line, p.Now(), op, val)
 				return ok
 			})
 			continue
 		}
-		w.m, w.p, w.line, w.op, w.val, w.pred = m, p, line, op, val, pred
+		w.m, w.p, w.line, w.op, w.val = m, p, line, op, val
 		w.active = true
 		p.BlockCond(key, w)
 		w.active = false
-		w.pred = nil
 	}
 }
 
 // Reset returns the MPB to its freshly constructed state — zeroed lines,
 // no pending writes, idle port, empty access history — while keeping
 // every warm buffer: extent records and their line buffers move to the
-// free list, access-log slices are truncated in place, and map buckets
-// survive, so a pooled chip's next simulation allocates nothing here.
+// free list and access-log slices are truncated in place, so a pooled
+// chip's next simulation allocates nothing here.
 func (m *MPB) Reset() {
 	for w, mask := range m.dirty {
 		for mask != 0 {

@@ -20,7 +20,7 @@ func (m *MPB) WaitSatisfiedAt(line int, now sim.Time, eq bool, val uint64) (te s
 	if eq {
 		op = waitEQ
 	}
-	return m.satisfiedAt(line, now, op, val, nil)
+	return m.satisfiedAt(line, now, op, val)
 }
 
 // ArmWait registers p as blocked on the line's watch key with the same
@@ -42,7 +42,7 @@ func (m *MPB) ArmWait(p *sim.Proc, line int, eq bool, val uint64) (embedded bool
 		p.MachineBlock(key, &oneShotWait{m: m, p: p, line: line, op: op, val: val})
 		return false
 	}
-	w.m, w.p, w.line, w.op, w.val, w.pred = m, p, line, op, val, nil
+	w.m, w.p, w.line, w.op, w.val = m, p, line, op, val
 	w.active = true
 	p.MachineBlock(key, w)
 	return true
@@ -55,7 +55,6 @@ func (m *MPB) ArmWait(p *sim.Proc, line int, eq bool, val uint64) (embedded bool
 func (m *MPB) DisarmWait(embedded bool) {
 	if embedded {
 		m.wait.active = false
-		m.wait.pred = nil
 	}
 }
 
@@ -70,6 +69,6 @@ type oneShotWait struct {
 }
 
 func (c *oneShotWait) Holds() bool {
-	_, ok := c.m.satisfiedAt(c.line, c.p.Now(), c.op, c.val, nil)
+	_, ok := c.m.satisfiedAt(c.line, c.p.Now(), c.op, c.val)
 	return ok
 }

@@ -84,7 +84,7 @@ type CoreAttribution struct {
 // span is open. The cursor starts at 0 and ends at the core's last
 // event, so a core's buckets always sum exactly to its Total.
 //
-// Emitters put the span structure to work: waiting ops (WaitFlag) open
+// Emitters put the span structure to work: waiting ops (WaitFlagGE/EQ) open
 // their span *before* blocking and close it after waking, so blocked
 // time lands in BucketWait; transfer ops open after argument validation
 // and close at completion, so queueing inside the op is charged to the

@@ -103,9 +103,6 @@ func (c *Chip) SetObserver(r *obs.Recorder) {
 	c.Engine.SetObserver(r)
 }
 
-// Observer returns the attached recorder, or nil when tracing is off.
-func (c *Chip) Observer() *obs.Recorder { return c.obs }
-
 // ResourceUsage snapshots the utilization counters of the chip's FIFO
 // servers — every MPB port, plus each directed mesh link when the
 // detailed NoC model is on. Port rows are present even with the
@@ -147,14 +144,6 @@ func (c *Chip) Cache(i int) *mem.Cache { return c.caches[i] }
 
 // Mesh returns the detailed NoC model, or nil in analytic mode.
 func (c *Chip) Mesh() *noc.Mesh { return c.mesh }
-
-// FlushCaches empties every core's L1 model (between experiment
-// iterations, mirroring the paper's fresh-offset methodology).
-func (c *Chip) FlushCaches() {
-	for _, ca := range c.caches {
-		ca.Flush()
-	}
-}
 
 // Run executes body on every core concurrently in virtual time. A Chip
 // supports one Run per construction or Reset; use AcquireChipN /

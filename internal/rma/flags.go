@@ -3,7 +3,6 @@ package rma
 import (
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Flags are single-cache-line synchronization variables living in MPBs.
@@ -23,42 +22,15 @@ func (c *Core) SetFlag(dst, line int, value uint64) {
 	c.opPost(f)
 }
 
-// ReadFlag reads the flag in line `line` of core src's MPB, charging one
-// line read C^mpb_r(d).
-func (c *Core) ReadFlag(src, line int) uint64 {
-	o := c.beginSpan("flag.read", obs.BucketFlag,
-		obs.Arg{Key: "src", Val: int64(src)}, obs.Arg{Key: "line", Val: int64(line)})
-	d := c.distMPB(src)
-	t0 := c.Now()
-	srcPort := c.reservePort(src, t0, 1, false)
-	t := t0 + c.CMpbR(d)
-	delay := c.finishOp(t, srcPort, sim.Duration(d)*c.chip.Cfg.Params.Lhop, 0)
-	_ = delay
-	v := c.chip.MPB(src).PeekU64(line, c.Now())
-	c.counters().MPBReadLines++
-	c.endSpan(o)
-	return v
-}
-
-// WaitFlag blocks until the flag in this core's own MPB line satisfies
-// pred, then charges one local read C^mpb_r(1) — the final successful
-// poll. Earlier unsuccessful polls cost no virtual time, matching the
-// paper's modelling assumption that flag checking overlaps the wait.
-// Sequence-number comparisons should use WaitFlagGE/WaitFlagEQ, whose
-// wait path allocates nothing.
-func (c *Core) WaitFlag(line int, pred func(uint64) bool) uint64 {
-	// The span opens before the wait so blocked time lands in its bucket.
-	o := c.beginSpan("flag.wait", obs.BucketWait,
-		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
-	own := c.chip.MPB(c.id)
-	own.WaitU64(c.proc, line, pred)
-	return c.finishFlagWait(o, own, line)
-}
-
-// WaitFlagGE blocks until the flag is ≥ seq (the common case: flags carry
-// monotonically increasing chunk sequence numbers). The comparison rides
-// in the MPB's reusable wait record — no closure per call.
+// WaitFlagGE blocks until the flag in this core's own MPB line is ≥ seq
+// (flags carry monotonically increasing chunk sequence numbers), then
+// charges one local read C^mpb_r(1) — the final successful poll. Earlier
+// unsuccessful polls cost no virtual time, matching the paper's
+// modelling assumption that flag checking overlaps the wait. The
+// comparison rides in the MPB's reusable wait record — no closure per
+// call.
 func (c *Core) WaitFlagGE(line int, seq uint64) uint64 {
+	// The span opens before the wait so blocked time lands in its bucket.
 	o := c.beginSpan("flag.wait", obs.BucketWait,
 		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
 	own := c.chip.MPB(c.id)
@@ -119,12 +91,6 @@ func (c *Core) ProbeFlagGE(line int, seq uint64) bool {
 	}
 	c.counters().FlagPolls++
 	return false
-}
-
-// LocalFlag reads a flag from the core's own MPB without charging time —
-// for assertions and tests only.
-func (c *Core) LocalFlag(line int) uint64 {
-	return c.chip.MPB(c.id).PeekU64(line, c.Now())
 }
 
 // WriteLocalLine stores a full line into the core's own MPB, charging a

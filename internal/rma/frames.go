@@ -174,13 +174,6 @@ func (c *Core) Exec(f sim.Frame) { c.proc.Exec(f) }
 // clock, pushes the core's opFrame as a child, and returns StepCall
 // for the caller to propagate.
 
-// CallPutMPBToMPB is PutMPBToMPB as a child frame.
-func (c *Core) CallPutMPBToMPB(dst, dstLine, srcLine, m int) sim.StepStatus {
-	c.putMPBPre(&c.opf, dst, dstLine, srcLine, m)
-	c.proc.Call(&c.opf)
-	return sim.StepCall
-}
-
 // CallPutMemToMPB is PutMemToMPB as a child frame.
 func (c *Core) CallPutMemToMPB(dst, dstLine, srcAddr, m int) sim.StepStatus {
 	c.putMemPre(&c.opf, dst, dstLine, srcAddr, m)

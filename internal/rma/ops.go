@@ -75,7 +75,7 @@ func (c *Core) opCompletion(analytic, portFinish sim.Time, tail sim.Duration, me
 }
 
 // finishOp is opCompletion plus the clock advance — the epilogue of the
-// ops that have no framed form (GetMPBCombine, ReadFlag, TryFlagGE).
+// ops that have no framed form (GetMPBCombine, PutLine, ReadLineBytes).
 func (c *Core) finishOp(analytic, portFinish sim.Time, tail sim.Duration, meshFinish sim.Time) sim.Duration {
 	completion, delay := c.opCompletion(analytic, portFinish, tail, meshFinish)
 	c.proc.AdvanceTo(completion)

@@ -78,11 +78,6 @@ func AcquireChipN(cfg scc.Config, n int) *Chip {
 	return c
 }
 
-// AcquireChip is AcquireChipN for every core of cfg's topology.
-func AcquireChip(cfg scc.Config) *Chip {
-	return AcquireChipN(cfg, cfg.Topology().NumCores())
-}
-
 // ReleaseChip resets c and parks it for reuse. A chip that cannot be
 // reset (mid-run or panicked) or that exceeds the per-key bound is
 // dropped instead — never parked dirty.

@@ -210,9 +210,6 @@ func (e *Engine) N() int { return len(e.procs) }
 // Run; the engine and its processes emit scheduling instants to it.
 func (e *Engine) SetObserver(r *obs.Recorder) { e.obs = r }
 
-// Observer returns the attached recorder, or nil when tracing is off.
-func (e *Engine) Observer() *obs.Recorder { return e.obs }
-
 // Proc returns process i.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
@@ -250,8 +247,8 @@ func (e *Engine) Run(body func(p *Proc)) {
 
 // Reset re-arms a cleanly completed engine for another Run, keeping
 // every warm structure — process goroutines (parked on their resume
-// channels), the run-queue array, and the watcher map with its drained
-// per-key slices — so repeated simulations allocate nothing in the
+// channels), the run-queue array, and the per-space watcher slices
+// (drained in place) — so repeated simulations allocate nothing in the
 // scheduler. It reports false (and does nothing) if the engine is
 // mid-run or its last Run panicked: such an engine has goroutines parked
 // at arbitrary points and must be abandoned.

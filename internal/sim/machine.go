@@ -25,9 +25,6 @@ func SetInline(enabled bool) (prev bool) {
 	return
 }
 
-// InlineEnabled reports the current package-wide inline default.
-func InlineEnabled() bool { return inlineExec }
-
 // StepStatus is what a Frame.Step reports back to the machine driver:
 // how the section's clock position changed and whether it is done.
 type StepStatus uint8
@@ -142,19 +139,15 @@ const (
 // is NOT re-queued — the caller fuses the re-queue with its next pop
 // (runQueue.pushPop) — so every non-Done status must be followed by the
 // matching queue operation. own says the calling goroutine is the
-// proc's own body goroutine (the Exec entry path), which determines how
-// a panicking frame is routed — see stepTop. A foreign-goroutine panic
-// is recorded like a body panic and reported as machineDone so the
-// caller unwinds without touching the dead proc again.
-// runMachine steps the proc's frame stack until the section completes
-// or the proc must give up the token. A panic on the proc's own body
-// goroutine (own) propagates so it unwinds through Exec into runBody's
-// deferred recover — identical accounting to a body panic. A panic
-// while stepping a foreign proc's frames cannot reach that proc's
-// (parked) goroutine, so one deferred recover per stint (not per step)
-// accounts it exactly as runBody would: mark the proc done, record the
-// panic for Run to re-raise, report machineDone; the parked goroutine
-// is abandoned, as any panicked run's goroutines are.
+// proc's own body goroutine (the Exec entry path): a panic there
+// propagates so it unwinds through Exec into runBody's deferred
+// recover — identical accounting to a body panic. A panic while
+// stepping a foreign proc's frames cannot reach that proc's (parked)
+// goroutine, so one deferred recover per stint (not per step) accounts
+// it exactly as runBody would: mark the proc done, record the panic for
+// Run to re-raise, and report machineDone so the caller unwinds without
+// touching the dead proc again; the parked goroutine is abandoned, as
+// any panicked run's goroutines are.
 func (p *Proc) runMachine(own bool) (st machineStatus) {
 	if own {
 		return p.machineSteps()
