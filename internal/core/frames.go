@@ -5,12 +5,12 @@ import (
 	"repro/internal/sim"
 )
 
-// This file holds the inline state-machine form of the OC-Bcast chunk
-// pipeline (a sim.Frame): runRoot and runNonRoot expressed as a program
-// counter over the same rma Call* ops the blocking bodies issue. The
-// blocking bodies in occast.go remain the executable spec — the
-// equivalence suite pins both byte-identical — and Bcast branches on
-// Core.Inline after validation, fencing and tree construction.
+// This file holds the OC-Bcast chunk pipeline of §4 itself, as a
+// sim.Frame state machine: the root's and a non-root's side of the
+// pipeline as a program counter over rma Call* ops. It is the
+// pipeline's only form — Bcast validates, fences, builds the tree, fills
+// the broadcaster's embedded frame and Execs it; the committed digests
+// (internal/harness/testdata/mode_digests.json) pin the timings.
 
 // bcastFrame program counter values. The r* states walk the root's
 // pipeline, the n* states a non-root's; a frame uses one family only.
@@ -68,6 +68,8 @@ func (f *bcastFrame) Step(proc *sim.Proc) sim.StepStatus {
 				f.pc = rFinal
 				continue
 			}
+			// Reuse the buffer only after every child consumed the chunk
+			// that previously occupied it.
 			if f.ch >= f.nb && f.i < len(f.t.Children) {
 				f.i++
 				return c.CallWaitFlagGE(cfg.doneLine(f.i-1), f.seq(f.ch-f.nb))
@@ -87,6 +89,9 @@ func (f *bcastFrame) Step(proc *sim.Proc) sim.StepStatus {
 			f.i = 0
 			f.pc = rDoneWait
 		case rFinal:
+			// The root frees its MPB: poll all k done flags for the final
+			// chunk (flags are monotone, so the last chunk's sequence
+			// covers all earlier ones) — the k=47 polling cost of §5.2.3.
 			if f.i < len(f.t.Children) {
 				f.i++
 				return c.CallWaitFlagGE(cfg.doneLine(f.i-1), f.seq(f.nchunks-1))
@@ -109,6 +114,9 @@ func (f *bcastFrame) Step(proc *sim.Proc) sim.StepStatus {
 				return c.CallSetFlag(f.t.NotifyFwd[f.i-1], cfg.notifyLine(), f.seq(f.ch))
 			}
 			if cfg.LeafDirect && f.t.IsLeaf() {
+				// §5.4 optimization: a leaf serves nobody, so it pulls the
+				// chunk straight into private memory and releases the
+				// parent's buffer — one MPB pass saved per chunk.
 				m, buf, chunkAddr := f.chunk(cfg)
 				f.pc = nLeafDone
 				return c.CallGetMPBToMem(f.t.Parent, buf, chunkAddr, m)
@@ -119,6 +127,8 @@ func (f *bcastFrame) Step(proc *sim.Proc) sim.StepStatus {
 			f.pc = nAdvance
 			return c.CallSetFlag(f.t.Parent, cfg.doneLine(f.t.ChildIdx), f.seq(f.ch))
 		case nDoneWait:
+			// Intermediate nodes must not overwrite a buffer their own
+			// children are still reading.
 			if !f.t.IsLeaf() && f.ch >= f.nb && f.i < len(f.t.Children) {
 				f.i++
 				return c.CallWaitFlagGE(cfg.doneLine(f.i-1), f.seq(f.ch-f.nb))

@@ -70,7 +70,7 @@ func (b *Broadcaster) Announce(addr, lines int) {
 	t := b.buildTree(root)
 	b.activate(t, root, addr, lines)
 	b.lastRoot = root // activation hands every core fresh matching state
-	b.runRoot(t, addr, lines)
+	b.run(t, addr, lines)
 }
 
 // HandleAnnounce blocks until this core is activated by an MPMD
@@ -88,6 +88,6 @@ func (b *Broadcaster) HandleAnnounce() (root, addr, lines int) {
 	// Forward the activation down my subtree before touching data, so
 	// the whole tree wakes in parallel.
 	b.activate(t, root, addr, lines)
-	b.runNonRoot(t, addr, lines)
+	b.run(t, addr, lines)
 	return root, addr, lines
 }

@@ -102,9 +102,9 @@ type Broadcaster struct {
 	fenceSeq uint64
 	fencer   Fencer // optional shared quiesce (SetFence)
 
-	// frame is the reusable inline state machine for the chunk pipeline
-	// (see frames.go), used instead of runRoot/runNonRoot when the
-	// engine latched inline execution.
+	// frame is the reusable state machine for the chunk pipeline (see
+	// frames.go) that Bcast fills and Execs; one suffices because a core
+	// runs at most one broadcast at a time.
 	frame bcastFrame
 }
 
@@ -212,22 +212,21 @@ func (b *Broadcaster) Bcast(root, addr, lines int) {
 	}
 	b.lastRoot = root
 	t := b.buildTree(root)
-	if c.Inline() {
-		pc := nNotifyWait
-		if t.Rank == 0 {
-			pc = rDoneWait
-		}
-		b.frame = bcastFrame{b: b, t: t, addr: addr, lines: lines,
-			nchunks: (lines + b.cfg.BufLines - 1) / b.cfg.BufLines,
-			nb:      b.cfg.numBuffers(), pc: pc}
-		c.Exec(&b.frame)
-		return
-	}
+	b.run(t, addr, lines)
+}
+
+// run executes this core's side of the chunk pipeline as tree node t —
+// the root's if t.Rank is 0, else an intermediate node's or leaf's (see
+// frames.go) — and advances the flag-sequence base.
+func (b *Broadcaster) run(t Tree, addr, lines int) {
+	pc := nNotifyWait
 	if t.Rank == 0 {
-		b.runRoot(t, addr, lines)
-	} else {
-		b.runNonRoot(t, addr, lines)
+		pc = rDoneWait
 	}
+	b.frame = bcastFrame{b: b, t: t, addr: addr, lines: lines,
+		nchunks: (lines + b.cfg.BufLines - 1) / b.cfg.BufLines,
+		nb:      b.cfg.numBuffers(), pc: pc}
+	b.core.Exec(&b.frame)
 }
 
 // buildTree constructs this core's tree node, applying the ablation
@@ -244,92 +243,4 @@ func (b *Broadcaster) buildTree(root int) Tree {
 		}
 	}
 	return t
-}
-
-// runRoot executes the root's side of the chunk pipeline and advances the
-// flag-sequence base.
-func (b *Broadcaster) runRoot(t Tree, addr, lines int) {
-	c, cfg := b.core, b.cfg
-	nchunks := (lines + cfg.BufLines - 1) / cfg.BufLines
-	nb := cfg.numBuffers()
-	seq := func(ch int) uint64 { return b.base + uint64(ch) + 1 }
-
-	for ch := 0; ch < nchunks; ch++ {
-		m := lines - ch*cfg.BufLines
-		if m > cfg.BufLines {
-			m = cfg.BufLines
-		}
-		buf := cfg.bufLine(ch)
-		// Reuse the buffer only after every child consumed the chunk
-		// that previously occupied it.
-		if ch >= nb {
-			for i := range t.Children {
-				c.WaitFlagGE(cfg.doneLine(i), seq(ch-nb))
-			}
-		}
-		c.PutMemToMPB(c.ID(), buf, addr+ch*cfg.BufLines*scc.CacheLine, m)
-		for _, child := range t.NotifyOwn {
-			c.SetFlag(child, cfg.notifyLine(), seq(ch))
-		}
-	}
-
-	// The root frees its MPB: poll all k done flags for the final chunk
-	// (flags are monotone, so the last chunk's sequence covers all
-	// earlier ones). This is the k=47 polling cost noted in §5.2.3.
-	for i := range t.Children {
-		c.WaitFlagGE(cfg.doneLine(i), seq(nchunks-1))
-	}
-	b.base += uint64(nchunks)
-}
-
-// runNonRoot executes an intermediate node's or leaf's side of the chunk
-// pipeline and advances the flag-sequence base.
-func (b *Broadcaster) runNonRoot(t Tree, addr, lines int) {
-	c, cfg := b.core, b.cfg
-	nchunks := (lines + cfg.BufLines - 1) / cfg.BufLines
-	nb := cfg.numBuffers()
-	seq := func(ch int) uint64 { return b.base + uint64(ch) + 1 }
-
-	for ch := 0; ch < nchunks; ch++ {
-		m := lines - ch*cfg.BufLines
-		if m > cfg.BufLines {
-			m = cfg.BufLines
-		}
-		chunkAddr := addr + ch*cfg.BufLines*scc.CacheLine
-		buf := cfg.bufLine(ch)
-
-		// Wait to learn the chunk is in the parent's MPB.
-		c.WaitFlagGE(cfg.notifyLine(), seq(ch))
-		// (i) Forward the notification to siblings below me in the
-		// parent's binary notification tree.
-		for _, sib := range t.NotifyFwd {
-			c.SetFlag(sib, cfg.notifyLine(), seq(ch))
-		}
-		if cfg.LeafDirect && t.IsLeaf() {
-			// §5.4 optimization: a leaf serves nobody, so it pulls the
-			// chunk straight into private memory and releases the
-			// parent's buffer — one MPB pass saved per chunk.
-			c.GetMPBToMem(t.Parent, buf, chunkAddr, m)
-			c.SetFlag(t.Parent, cfg.doneLine(t.ChildIdx), seq(ch))
-			continue
-		}
-		// Intermediate nodes must not overwrite a buffer their own
-		// children are still reading.
-		if !t.IsLeaf() && ch >= nb {
-			for i := range t.Children {
-				c.WaitFlagGE(cfg.doneLine(i), seq(ch-nb))
-			}
-		}
-		// (ii) Pull the chunk parent-MPB -> own MPB.
-		c.GetMPBToMPB(t.Parent, buf, buf, m)
-		// (iii) Tell the parent this chunk is consumed.
-		c.SetFlag(t.Parent, cfg.doneLine(t.ChildIdx), seq(ch))
-		// (iv) Wake my own subtree.
-		for _, child := range t.NotifyOwn {
-			c.SetFlag(child, cfg.notifyLine(), seq(ch))
-		}
-		// (v) Drain the chunk to private off-chip memory.
-		c.GetMPBToMem(c.ID(), buf, chunkAddr, m)
-	}
-	b.base += uint64(nchunks)
 }

@@ -6,8 +6,10 @@ import "repro/internal/sim"
 // waits: inline frames (sim.Frame) cannot sit in waitOp's blocking
 // loop, so they drive the same satisfiedAt / embedded-record machinery
 // through explicit check / arm / disarm steps and carry the loop in
-// their own program counter. The goroutine form in waitOp remains the
-// executable spec; the equivalence tests pin both byte-identical.
+// their own program counter. Both forms are production — waitOp serves
+// blocking bodies (user closures, occoll), these steps serve rma's
+// CallWaitFlag* — and internal/rma's TestBlockingCallTwins pins them
+// against each other.
 
 // WaitSatisfiedAt is one waitOp loop iteration's satisfaction check:
 // the earliest time ≥ now at which the line's leading uint64 compares

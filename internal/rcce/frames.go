@@ -5,13 +5,12 @@ import (
 	"repro/internal/sim"
 )
 
-// This file holds the inline state-machine forms of the RCCE protocol
-// bodies (sim.Frame implementations): Barrier's gather-release tree and
-// the chunked Send/Recv/SendRecv handshakes, each expressed as a
-// program counter over the same rma Call* ops the blocking bodies
-// issue. The blocking bodies in rcce.go remain the executable spec —
-// the equivalence suite pins both byte-identical — and every Port
-// method branches on Core.Inline at entry.
+// This file holds the RCCE protocols themselves, as sim.Frame state
+// machines: Barrier's gather-release tree and the chunked
+// Send/Recv/SendRecv handshakes, each a program counter over rma Call*
+// ops. It is their only form — the Port methods in rcce.go validate,
+// fill the port's embedded frame and Exec it; the committed digests
+// (internal/harness/testdata/mode_digests.json) pin the timings.
 
 // barrierFrame program counter values.
 const (

@@ -42,10 +42,10 @@ type Port struct {
 	epoch     uint64         // barrier epoch
 	shape     int            // root of the last rooted collective, -1 before the first
 
-	// bar and two are the port's reusable inline state machines (see
-	// frames.go), used instead of the blocking bodies when the engine
-	// latched inline execution. One of each suffices: a core runs at
-	// most one barrier or two-sided call at a time.
+	// bar and two are the port's reusable state machines (see
+	// frames.go) that Barrier and Send/Recv/SendRecv fill and Exec. One
+	// of each suffices: a core runs at most one barrier or two-sided
+	// call at a time.
 	bar barrierFrame
 	two twoFrame
 }
@@ -128,27 +128,8 @@ func (p *Port) Send(dst int, addr, lines int) {
 		panic("rcce: send to self")
 	}
 	checkMsg(addr, lines)
-	if p.core.Inline() {
-		p.two = twoFrame{p: p, op: twoSend, pc: sLoop, dst: dst, sendAddr: addr, sendLines: lines}
-		p.core.Exec(&p.two)
-		return
-	}
-	me := p.core.ID()
-	for off := 0; off < lines; off += PayloadLines {
-		m := lines - off
-		if m > PayloadLines {
-			m = PayloadLines
-		}
-		p.sendSeq[dst]++
-		seq := p.sendSeq[dst]
-		// Stage the chunk in my own MPB: local put, distance 1.
-		p.core.PutMemToMPB(me, 0, addr+off*scc.CacheLine, m)
-		// Tell the receiver the chunk is ready.
-		p.core.SetFlag(dst, lineSent, tag(me, seq))
-		// Wait for the consumption ack before overwriting the buffer.
-		want := tag(dst, seq)
-		p.core.WaitFlagEQ(lineReady, want)
-	}
+	p.two = twoFrame{p: p, op: twoSend, pc: sLoop, dst: dst, sendAddr: addr, sendLines: lines}
+	p.core.Exec(&p.two)
 }
 
 // Recv receives `lines` cache lines from core src into this core's
@@ -159,24 +140,8 @@ func (p *Port) Recv(src int, addr, lines int) {
 		panic("rcce: recv from self")
 	}
 	checkMsg(addr, lines)
-	if p.core.Inline() {
-		p.two = twoFrame{p: p, op: twoRecv, pc: rLoop, src: src, recvAddr: addr, recvLines: lines}
-		p.core.Exec(&p.two)
-		return
-	}
-	me := p.core.ID()
-	for off := 0; off < lines; off += PayloadLines {
-		m := lines - off
-		if m > PayloadLines {
-			m = PayloadLines
-		}
-		p.recvSeq[src]++
-		seq := p.recvSeq[src]
-		want := tag(src, seq)
-		p.core.WaitFlagEQ(lineSent, want)
-		p.core.GetMPBToMem(src, 0, addr+off*scc.CacheLine, m)
-		p.core.SetFlag(src, lineReady, tag(me, seq))
-	}
+	p.two = twoFrame{p: p, op: twoRecv, pc: rLoop, src: src, recvAddr: addr, recvLines: lines}
+	p.core.Exec(&p.two)
 }
 
 // turnTag marks a turn-grant value, disjoint from data-ack tags.
@@ -221,48 +186,10 @@ func (p *Port) SendRecv(dst, sendAddr, sendLines, src, recvAddr, recvLines int) 
 	}
 	checkMsg(sendAddr, sendLines)
 	checkMsg(recvAddr, recvLines)
-	if p.core.Inline() {
-		p.two = twoFrame{p: p, op: twoSendRecv, pc: xLoop,
-			dst: dst, sendAddr: sendAddr, sendLines: sendLines,
-			src: src, recvAddr: recvAddr, recvLines: recvLines}
-		p.core.Exec(&p.two)
-		return
-	}
-	me := p.core.ID()
-
-	sendOff, recvOff := 0, 0
-	for sendOff < sendLines || recvOff < recvLines {
-		var seq uint64
-		staged := false
-		if sendOff < sendLines {
-			m := sendLines - sendOff
-			if m > PayloadLines {
-				m = PayloadLines
-			}
-			p.sendSeq[dst]++
-			seq = p.sendSeq[dst]
-			p.core.PutMemToMPB(me, 0, sendAddr+sendOff*scc.CacheLine, m)
-			p.core.SetFlag(dst, lineSent, tag(me, seq))
-			sendOff += m
-			staged = true
-		}
-		if recvOff < recvLines {
-			m := recvLines - recvOff
-			if m > PayloadLines {
-				m = PayloadLines
-			}
-			p.recvSeq[src]++
-			want := tag(src, p.recvSeq[src])
-			p.core.WaitFlagEQ(lineSent, want)
-			p.core.GetMPBToMem(src, 0, recvAddr+recvOff*scc.CacheLine, m)
-			p.core.SetFlag(src, lineReady, tag(me, p.recvSeq[src]))
-			recvOff += m
-		}
-		if staged {
-			want := tag(dst, seq)
-			p.core.WaitFlagEQ(lineReady, want)
-		}
-	}
+	p.two = twoFrame{p: p, op: twoSendRecv, pc: xLoop,
+		dst: dst, sendAddr: sendAddr, sendLines: sendLines,
+		src: src, recvAddr: recvAddr, recvLines: recvLines}
+	p.core.Exec(&p.two)
 }
 
 // Barrier synchronizes all cores using a binary gather-release tree over
@@ -270,36 +197,6 @@ func (p *Port) SendRecv(dst, sendAddr, sendLines, src, recvAddr, recvLines int) 
 // reused across barriers (single writer per line per epoch, waits are ≥).
 func (p *Port) Barrier() {
 	p.epoch++
-	if p.core.Inline() {
-		p.bar = barrierFrame{p: p, pc: bWaitA}
-		p.core.Exec(&p.bar)
-		return
-	}
-	me := p.core.ID()
-	n := p.core.N()
-	left, right := 2*me+1, 2*me+2
-
-	// Gather: wait for children, then report to parent.
-	if left < n {
-		p.core.WaitFlagGE(lineBarrierChildA, p.epoch)
-	}
-	if right < n {
-		p.core.WaitFlagGE(lineBarrierChildB, p.epoch)
-	}
-	if me != 0 {
-		parent := (me - 1) / 2
-		childLine := lineBarrierChildA
-		if me == 2*parent+2 {
-			childLine = lineBarrierChildB
-		}
-		p.core.SetFlag(parent, childLine, p.epoch)
-		p.core.WaitFlagGE(lineBarrierRelease, p.epoch)
-	}
-	// Release downward.
-	if left < n {
-		p.core.SetFlag(left, lineBarrierRelease, p.epoch)
-	}
-	if right < n {
-		p.core.SetFlag(right, lineBarrierRelease, p.epoch)
-	}
+	p.bar = barrierFrame{p: p, pc: bWaitA}
+	p.core.Exec(&p.bar)
 }

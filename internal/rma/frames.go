@@ -16,10 +16,12 @@ import (
 // writes, remaining counters, span close), with the completion time
 // carried between them in the core's embedded opFrame. The blocking
 // entry points in ops.go/flags.go run pre → AdvanceTo → post on the
-// body goroutine; the Call* entry points push the same frame onto the
-// proc's machine stack so inline protocol frames (rcce, core) execute
-// the identical op without parking a goroutine. One source of truth,
-// two drivers — the equivalence suite pins them byte-identical.
+// body goroutine (user closures, occoll's request coroutines); the
+// Call* entry points push the same frame onto the proc's machine stack
+// so protocol frames (rcce, core) execute the identical op without
+// parking a goroutine. One source of truth, two drivers, both in
+// production — TestBlockingCallTwins runs one op sequence through each
+// and requires identical clocks, counters and switch counts.
 
 // opFrame opcodes: which post step (deferred writes + counters) runs
 // after the completion-time yield. opWait is the multi-state flag wait.
@@ -159,11 +161,6 @@ func (c *Core) opPost(f *opFrame) {
 	f.dst = nil
 	f.buf = nil
 }
-
-// Inline reports whether the engine driving this core latched inline
-// state-machine execution for the current run. Protocol layers branch
-// on it between Exec'ing a frame and the blocking body.
-func (c *Core) Inline() bool { return c.proc.InlineActive() }
 
 // Exec runs f as an inline machine section of this core's body — see
 // sim.Proc.Exec.

@@ -8,25 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// directHandoff is the package-wide default for newly created (or Reset)
-// engines: when true, a yielding process transfers control straight to
-// the next runnable process in one channel operation; when false, every
-// switch bounces through the engine goroutine (the classic two-hop
-// scheduler). Both modes admit processes in exactly the same (clock, id)
-// order — SetDirectHandoff exists so the equivalence suite can prove it.
-var directHandoff = true
-
-// SetDirectHandoff sets the scheduling mode every engine latches at the
-// start of its next Run (pooled engines included) and returns the
-// previous setting. Simulated timings are identical either way; only
-// wall-clock cost differs. It is a test knob, not a tuning parameter —
-// do not flip it concurrently with running simulations.
-func SetDirectHandoff(enabled bool) (prev bool) {
-	prev = directHandoff
-	directHandoff = enabled
-	return prev
-}
-
 // Engine is a deterministic virtual-time scheduler for a fixed set of
 // processes. It is single-threaded from the simulation's point of view:
 // although each process is a goroutine, exactly one runs at any instant,
@@ -37,26 +18,17 @@ func SetDirectHandoff(enabled bool) (prev bool) {
 // Scheduling uses direct handoff: the process that yields picks the next
 // runnable process off the run queue itself and passes the control token
 // in a single channel send, so a switch costs one goroutine wakeup
-// instead of a round-trip through a central goroutine. The engine
-// goroutine (the caller of Run) only arbitrates the cases a yielding
-// process cannot decide alone: an empty run queue (termination or
-// deadlock) and panic unwinding.
+// instead of a round-trip through a central goroutine. Protocol sections
+// written as Frames (see Proc.Exec) need no goroutine at all: whoever
+// holds the token steps them inline while picking the next process. The
+// engine goroutine (the caller of Run) only arbitrates the cases a
+// yielding process cannot decide alone: an empty run queue (termination
+// or deadlock) and panic unwinding.
 type Engine struct {
 	procs     []*Proc
 	started   bool
 	completed bool // last Run finished cleanly; required by Reset
 	finished  int
-
-	// handoff selects direct proc-to-proc control transfer (see
-	// SetDirectHandoff); latched from the package default at the start
-	// of every Run, so a pooled engine follows the current test knob no
-	// matter when it was built or reset.
-	handoff bool
-
-	// inline selects inline state-machine execution for procs that Exec
-	// frames (see SetInline); latched from the package default at the
-	// start of every Run, like handoff.
-	inline bool
 
 	// persistent makes process goroutines park between runs instead of
 	// exiting after one body (see SetPersistent). Only pooled engines
@@ -68,11 +40,10 @@ type Engine struct {
 	// resume channels between runs).
 	spawned bool
 
-	// engch returns the control token to the engine goroutine. In
-	// handoff mode it carries nil and is used only when the run queue is
-	// empty (termination/deadlock) or a process panicked; in classic
-	// mode every yield sends the yielding process through it.
-	engch chan *Proc
+	// engch returns the control token to the engine goroutine, which
+	// happens only when the run queue is empty (termination/deadlock)
+	// or a process panicked.
+	engch chan struct{}
 
 	// body is the current Run's process body; persistent process
 	// goroutines read it after being resumed.
@@ -103,10 +74,10 @@ type Engine struct {
 	obs *obs.Recorder
 
 	// switches counts slow-path context switches (yields that could not
-	// take the keepRunning fast path) across the engine's lifetime. Both
-	// scheduling modes produce the same count for the same workload — the
-	// equivalence tests assert exactly that — and the number is the
-	// scheduler's wall-clock cost driver, so benchmarks report it.
+	// take the keepRunning fast path) across the engine's lifetime. The
+	// count is a deterministic function of the workload — the committed
+	// digests pin it — and the number is the scheduler's wall-clock cost
+	// driver, so benchmarks report it.
 	switches int64
 
 	panicVal any // re-panicked on Run if a process panicked
@@ -192,10 +163,7 @@ type watcherEntry struct {
 
 // NewEngine creates an engine with n processes whose ids are 0..n-1.
 func NewEngine(n int) *Engine {
-	e := &Engine{
-		engch:   make(chan *Proc),
-		handoff: directHandoff,
-	}
+	e := &Engine{engch: make(chan struct{})}
 	e.procs = make([]*Proc, n)
 	for i := range e.procs {
 		e.procs[i] = newProc(e, i)
@@ -224,8 +192,6 @@ func (e *Engine) Run(body func(p *Proc)) {
 		panic("sim: Engine.Run called twice; Reset the engine (or create a new one) between runs")
 	}
 	e.started = true
-	e.handoff = directHandoff
-	e.inline = inlineExec
 	e.body = body
 	if !e.spawned {
 		for _, p := range e.procs {
@@ -286,12 +252,9 @@ func (e *Engine) Reset() bool {
 // loop drives the scheduler until every process has finished. It picks
 // the next process due a goroutine resume via nextToken — stepping any
 // inline machines on this goroutine along the way — hands it the
-// control token, and waits for the token to come back on engch. In
-// handoff mode the token circulates among the processes themselves and
-// returns only for termination, deadlock arbitration, or panic
-// unwinding; in classic mode it returns after every goroutine step (y
-// is then the process that just yielded, re-queued here if still
-// runnable).
+// control token, and waits for the token to come back on engch. The
+// token circulates among the processes themselves and returns only for
+// termination, deadlock arbitration, or panic unwinding.
 func (e *Engine) loop() {
 	for e.finished < len(e.procs) {
 		p := e.nextToken()
@@ -305,12 +268,9 @@ func (e *Engine) loop() {
 			e.reportDeadlock()
 		}
 		p.resume <- false
-		y := <-e.engch
+		<-e.engch
 		if e.panicVal != nil {
 			return
-		}
-		if y != nil && y.state == stateRunnable {
-			e.runq.push(y)
 		}
 	}
 }

@@ -2,29 +2,6 @@ package sim
 
 import "repro/internal/obs"
 
-// inlineExec is the package-wide default for newly started runs: when
-// true, protocol sections that expose explicit resume points (see
-// Proc.Exec) run as resumable state machines stepped directly on
-// whatever goroutine holds the control token — no channel send, no
-// goroutine park per yield — and every machine runnable at the head
-// timestamp drains in one scheduler pass. When false, Exec falls back
-// to the goroutine-per-proc scheduler, which stays around as the
-// executable spec. Both modes produce byte-identical simulated timings
-// and switch counts — SetInline exists so the equivalence suite can
-// prove it.
-var inlineExec = true
-
-// SetInline sets the execution mode every engine latches at the start
-// of its next Run (pooled engines included) and returns the previous
-// setting. Simulated timings are identical either way; only wall-clock
-// cost differs. It is a test knob, not a tuning parameter — do not
-// flip it concurrently with running simulations.
-func SetInline(enabled bool) (prev bool) {
-	prev = inlineExec
-	inlineExec = enabled
-	return
-}
-
 // StepStatus is what a Frame.Step reports back to the machine driver:
 // how the section's clock position changed and whether it is done.
 type StepStatus uint8
@@ -50,18 +27,13 @@ const (
 // Frame is one resumable section of a protocol: a state machine whose
 // Step method runs the code between two resume points and reports how
 // it left the clock. Step always executes on the goroutine holding the
-// control token (the engine's, or another proc's in direct-handoff
-// mode) — never concurrently with any other simulation code — so frame
-// state needs no synchronization, but Step must only touch simulation
-// state through p and the usual token-serialized structures.
+// control token (the engine's, the proc's own, or another proc's) —
+// never concurrently with any other simulation code — so frame state
+// needs no synchronization, but Step must only touch simulation state
+// through p and the usual token-serialized structures.
 type Frame interface {
 	Step(p *Proc) StepStatus
 }
-
-// InlineActive reports whether the engine driving p latched inline
-// execution for the current run. Protocol layers branch on it to choose
-// between Exec'ing a frame and running the equivalent blocking body.
-func (p *Proc) InlineActive() bool { return p.eng.inline }
 
 // Call pushes a child frame onto the proc's machine stack. Only valid
 // from within a Frame.Step that then returns StepCall.
@@ -76,13 +48,8 @@ func (p *Proc) Call(f Frame) { p.frames = append(p.frames, f) }
 // the entire section (instead of once per yield) while the section's
 // remaining steps run on whichever goroutine holds the token.
 //
-// Exec requires inline mode (callers branch on InlineActive) and must
-// not be called from within a frame — frames nest with Call.
+// Exec must not be called from within a frame — frames nest with Call.
 func (p *Proc) Exec(f Frame) {
-	e := p.eng
-	if !e.inline {
-		panic("sim: Exec without inline mode; gate callers on InlineActive")
-	}
 	if len(p.frames) != 0 {
 		panic("sim: Exec from within a machine; nest frames with Call")
 	}
@@ -95,31 +62,7 @@ func (p *Proc) Exec(f Frame) {
 	// The machine yielded or blocked: hand the token onward and park
 	// this goroutine until the machine's last frame completes. From
 	// here on other token holders step the machine via nextToken.
-	if e.handoff {
-		var next *Proc
-		if st == machineYield {
-			next = e.tokenFrom(p)
-		} else {
-			next = e.nextToken()
-		}
-		if next == p {
-			// The drain stepped the procs ahead of p inline — including
-			// p's own remaining frames — and p's section is complete:
-			// the token never left this goroutine, so just continue.
-			return
-		}
-		if next != nil {
-			next.resume <- false
-		} else {
-			e.engch <- nil
-		}
-	} else {
-		if st == machineYield {
-			e.runq.push(p)
-		}
-		e.engch <- nil
-	}
-	<-p.resume
+	p.yieldToken(st == machineYield)
 }
 
 // machineStatus is how a runMachine stint ended: the section completed

@@ -1,15 +1,32 @@
 package sim
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
 	"testing"
 )
 
-// Inline machine execution must be indistinguishable from the goroutine
-// scheduler — same traces, same clocks, same slow-path switch counts —
-// across both handoff modes. These tests drive the same randomized
-// workload handoff_test.go uses through a state-machine frame and
-// through the plain goroutine body, and compare every event.
+// The engine offers two surfaces for writing a proc's work — a blocking
+// body (Advance/BlockCond on the proc's goroutine) and an Exec'd Frame
+// stepped by whoever holds the control token — and they must be
+// indistinguishable: same traces, same clocks, same slow-path switch
+// counts. These tests drive one randomized stress workload through both
+// and compare every event, and pin the result to committed digests
+// (testdata/stress_digests.json), recorded when the engine still had
+// its classic two-hop scheduler and goroutine-only mode, with all four
+// combinations agreeing.
+
+// stressEv is one observation of the running process: who ran, at what
+// virtual time, at which step of its body.
+type stressEv struct {
+	id   int
+	now  Time
+	step int
+}
 
 // stressCtx is the shared state of one stress run: the trace, the
 // per-proc progress counters the blocking rendezvous reads, and the
@@ -23,9 +40,10 @@ type stressCtx struct {
 }
 
 // stressStep performs one loop iteration's post-advance work (identical
-// for the frame and the goroutine body): record the event, bump the
+// for the frame and the blocking body): record the event, bump the
 // counter, signal watchers. It reports whether step s is a rendezvous
-// step and, if so, which peer/threshold to wait for.
+// step — wait for the next proc to pass our progress, which is always
+// eventually satisfied — and, if so, which peer/threshold to wait for.
 func (c *stressCtx) stressStep(p *Proc, s int) (peer int, want uint64, blockNow bool) {
 	c.trace = append(c.trace, stressEv{id: p.ID(), now: p.now, step: s})
 	c.vals[p.ID()]++
@@ -41,8 +59,7 @@ func (c *stressCtx) stressStep(p *Proc, s int) (peer int, want uint64, blockNow 
 	return peer, want, true
 }
 
-// stressCond is the frame's reusable rendezvous condition (the machine
-// form of the closure the goroutine body passes to Block).
+// stressCond is the reusable rendezvous condition both forms block on.
 type stressCond struct {
 	c    *stressCtx
 	peer int
@@ -51,9 +68,9 @@ type stressCond struct {
 
 func (sc *stressCond) Holds() bool { return sc.c.vals[sc.peer] >= sc.want }
 
-// stressFrame is the state-machine transcription of runStress's body:
-// pc 0 advances, pc 1 records/signals and optionally blocks, matching
-// the goroutine form resume point for resume point.
+// stressFrame is the state-machine transcription of runStress's
+// blocking body: pc 0 advances, pc 1 records/signals and optionally
+// blocks, matching the body resume point for resume point.
 type stressFrame struct {
 	c    *stressCtx
 	rng  *rand.Rand
@@ -90,23 +107,20 @@ func (f *stressFrame) Step(p *Proc) StepStatus {
 	}
 }
 
-// runMachineStress executes the handoff_test.go stress workload in the
-// requested execution × scheduling mode and returns the trace and
-// slow-path switch count. inline runs the body as an Exec'd frame;
-// otherwise the goroutine form runs (Advance/BlockCond directly).
-func runMachineStress(seed int64, nproc, steps int, inline, handoff bool) ([]stressEv, int64) {
-	prevH := SetDirectHandoff(handoff)
-	defer SetDirectHandoff(prevH)
-	prevI := SetInline(inline)
-	defer SetInline(prevI)
-
+// runStress executes a randomized run-queue workload — procs advancing
+// by small random durations (often zero, so the (clock, id) tiebreak is
+// exercised constantly) and blocking on each other through watch keys —
+// and returns the full serialized execution trace plus the engine's
+// slow-path switch count. frame runs each proc's work as an Exec'd
+// stressFrame; otherwise the blocking body runs (Advance/BlockCond).
+func runStress(seed int64, nproc, steps int, frame bool) ([]stressEv, int64) {
 	e := NewEngine(nproc)
 	c := &stressCtx{e: e, vals: make([]uint64, nproc), nproc: nproc, steps: steps}
 	frames := make([]stressFrame, nproc)
 	conds := make([]stressCond, nproc)
 	e.Run(func(p *Proc) {
 		rng := rand.New(rand.NewSource(seed + int64(p.ID())*7919))
-		if p.InlineActive() {
+		if frame {
 			frames[p.ID()] = stressFrame{c: c, rng: rng}
 			p.Exec(&frames[p.ID()])
 			return
@@ -123,39 +137,113 @@ func runMachineStress(seed int64, nproc, steps int, inline, handoff bool) ([]str
 	return c.trace, e.Switches()
 }
 
-// TestMachineEquivalenceMatrix asserts all four execution × scheduling
-// modes — {inline, goroutine} × {handoff, classic} — produce identical
-// traces and slow-path switch counts on randomized workloads.
+// TestMachineEquivalenceMatrix asserts the blocking body and the Exec'd
+// frame produce identical traces (same procs, same clocks, same order)
+// and slow-path switch counts on randomized workloads.
 func TestMachineEquivalenceMatrix(t *testing.T) {
-	type mode struct {
-		name            string
-		inline, handoff bool
-	}
-	modes := []mode{
-		{"inline+handoff", true, true},
-		{"inline+classic", true, false},
-		{"goroutine+handoff", false, true},
-		{"goroutine+classic", false, false},
-	}
 	for seed := int64(1); seed <= 6; seed++ {
-		ref, refSw := runMachineStress(seed, 9, 120, modes[0].inline, modes[0].handoff)
-		for _, m := range modes[1:] {
-			got, gotSw := runMachineStress(seed, 9, 120, m.inline, m.handoff)
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d: %s trace length %d, %s %d",
-					seed, modes[0].name, len(ref), m.name, len(got))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("seed %d: trace diverges at event %d: %+v (%s) vs %+v (%s)",
-						seed, i, ref[i], modes[0].name, got[i], m.name)
-				}
-			}
-			if gotSw != refSw {
-				t.Errorf("seed %d: switch count %d (%s) vs %d (%s)",
-					seed, refSw, modes[0].name, gotSw, m.name)
+		body, bodySw := runStress(seed, 9, 120, false)
+		frame, frameSw := runStress(seed, 9, 120, true)
+		if len(frame) != len(body) {
+			t.Fatalf("seed %d: trace length %d (body) vs %d (frame)", seed, len(body), len(frame))
+		}
+		for i := range body {
+			if frame[i] != body[i] {
+				t.Fatalf("seed %d: trace diverges at event %d: %+v (body) vs %+v (frame)",
+					seed, i, body[i], frame[i])
 			}
 		}
+		if frameSw != bodySw {
+			t.Errorf("seed %d: switch count %d (body) vs %d (frame)", seed, bodySw, frameSw)
+		}
+	}
+}
+
+// TestHandoffDeterminism asserts the handoff scheduler is reproducible
+// run-to-run for the same seed.
+func TestHandoffDeterminism(t *testing.T) {
+	a, _ := runStress(42, 7, 100, false)
+	b, _ := runStress(42, 7, 100, false)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("trace diverges at event %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// stressDigest is one row of testdata/stress_digests.json: one seed of
+// the 9-proc, 120-step stress reduced to its trace length, the FNV-1a
+// hash of the (id, now, step) stream and the slow-path switch count.
+type stressDigest struct {
+	Seed     int64  `json:"seed"`
+	Events   int    `json:"events"`
+	FNV64    string `json:"fnv64"`
+	Switches int64  `json:"switches"`
+}
+
+func digestStress(seed int64, trace []stressEv, switches int64) stressDigest {
+	h := fnv.New64a()
+	var buf [24]byte
+	for _, ev := range trace {
+		binary.LittleEndian.PutUint64(buf[0:], uint64(ev.id))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(ev.now))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(ev.step))
+		h.Write(buf[:])
+	}
+	return stressDigest{Seed: seed, Events: len(trace), FNV64: fmt.Sprintf("%016x", h.Sum64()), Switches: switches}
+}
+
+// loadStressDigests decodes the committed digest file, refusing unknown
+// fields.
+func loadStressDigests(t *testing.T) []stressDigest {
+	t.Helper()
+	f, err := os.Open("testdata/stress_digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var rows []stressDigest
+	if err := dec.Decode(&rows); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestStressDigestSchema pins the committed file's shape — exactly the
+// six seeds 1..6 in order, every field filled — so a truncated or
+// hand-edited file cannot make TestStressDigests vacuous.
+func TestStressDigestSchema(t *testing.T) {
+	rows := loadStressDigests(t)
+	if len(rows) != 6 {
+		t.Fatalf("%d rows, want 6", len(rows))
+	}
+	for i, r := range rows {
+		if r.Seed != int64(i+1) || r.Events <= 0 || len(r.FNV64) != 16 || r.Switches <= 0 {
+			t.Errorf("row %d: %+v, want seed %d with events, a 16-digit fnv64 and switches all set", i, r, i+1)
+		}
+	}
+}
+
+// TestStressDigests replays every committed seed as a blocking body and
+// requires the exact recorded digest (TestMachineEquivalenceMatrix ties
+// the frame form to the same traces). On a mismatch it logs the table
+// this engine produces, as JSON, for inspection — a differing digest
+// means the schedule changed, which is a bug unless proven otherwise.
+func TestStressDigests(t *testing.T) {
+	var got []stressDigest
+	for _, want := range loadStressDigests(t) {
+		trace, sw := runStress(want.Seed, 9, 120, false)
+		d := digestStress(want.Seed, trace, sw)
+		if d != want {
+			t.Errorf("seed %d: got %+v, committed %+v", want.Seed, d, want)
+		}
+		got = append(got, d)
+	}
+	if t.Failed() {
+		out, _ := json.MarshalIndent(got, "", "  ")
+		t.Logf("digests this engine produces:\n%s", out)
 	}
 }
 
@@ -236,36 +324,32 @@ func (f *panicFrame) Step(p *Proc) StepStatus {
 	return StepYield
 }
 
-// TestMachinePanic asserts a panicking frame surfaces through Run in
-// both scheduling modes, whether the panic fires on the proc's own
-// goroutine (first step, inside Exec) or on a foreign token holder's
-// (a later step, reached via the drain loop).
+// TestMachinePanic asserts a panicking frame surfaces through Run,
+// whether the panic fires on the proc's own goroutine (first step,
+// inside Exec) or on a foreign token holder's (a later step, reached
+// via the drain loop).
 func TestMachinePanic(t *testing.T) {
-	for _, handoff := range []bool{true, false} {
-		for _, at := range []int{0, 3} {
-			func() {
-				prev := SetDirectHandoff(handoff)
-				defer SetDirectHandoff(prev)
-				defer func() {
-					if r := recover(); r != "frame boom" {
-						t.Errorf("handoff=%v at=%d: panic = %v, want frame boom", handoff, at, r)
-					}
-				}()
-				e := NewEngine(3)
-				frames := make([]panicFrame, 3)
-				e.Run(func(p *Proc) {
-					// Proc 1 panics; the others advance long enough that
-					// a foreign goroutine is holding the token when the
-					// late panic fires.
-					at := at
-					if p.ID() != 1 {
-						at = -1
-					}
-					frames[p.ID()] = panicFrame{n: 6, at: at}
-					p.Exec(&frames[p.ID()])
-				})
+	for _, at := range []int{0, 3} {
+		func() {
+			defer func() {
+				if r := recover(); r != "frame boom" {
+					t.Errorf("at=%d: panic = %v, want frame boom", at, r)
+				}
 			}()
-		}
+			e := NewEngine(3)
+			frames := make([]panicFrame, 3)
+			e.Run(func(p *Proc) {
+				// Proc 1 panics; the others advance long enough that
+				// a foreign goroutine is holding the token when the
+				// late panic fires.
+				at := at
+				if p.ID() != 1 {
+					at = -1
+				}
+				frames[p.ID()] = panicFrame{n: 6, at: at}
+				p.Exec(&frames[p.ID()])
+			})
+		}()
 	}
 }
 

@@ -116,12 +116,11 @@ func (p *Proc) runBody() {
 		}
 		p.state = stateDone
 		p.eng.finished++
-		if r != nil || !p.eng.handoff {
-			// Panic unwinding (any mode) and classic-mode finishes hand
-			// the token to the engine goroutine.
-			p.eng.engch <- nil
+		if r != nil {
+			// Panic unwinding hands the token to the engine goroutine.
+			p.eng.engch <- struct{}{}
 		} else {
-			p.passControl()
+			p.eng.sendToken(p.eng.nextToken())
 		}
 	}()
 	p.eng.body(p)
@@ -150,52 +149,45 @@ func (p *Proc) doYield() {
 	p.slowYield()
 }
 
-// slowYield relinquishes the control token and parks until it comes
-// back. In direct-handoff mode the yielding process re-queues itself
-// (if still runnable), pops the next runnable process and sends the
-// token straight to it — one channel operation per switch. Process ids
-// are unique, so after a failed keepRunning check the queue's top is
-// strictly ahead of p and the pop can never return p itself. In classic
-// mode the token goes back to the engine goroutine, which re-queues and
-// re-pops centrally (two channel operations per switch).
+// slowYield counts a slow-path switch and gives up the control token
+// (see yieldToken); p re-enters the run queue only if still runnable.
 func (p *Proc) slowYield() {
+	p.eng.switches++
+	p.yieldToken(p.state == stateRunnable)
+}
+
+// yieldToken relinquishes the control token and parks until it comes
+// back: the yielding process re-queues itself (if requeue — it is still
+// runnable), picks the next process due a goroutine resume — stepping
+// inline machines along the way, see nextToken — and sends the token
+// straight to it, one channel operation per switch. If the drain hands
+// p itself back (the machine procs ahead of it ran inline, or p's own
+// remaining frames completed), p still holds the token and the park is
+// skipped entirely.
+func (p *Proc) yieldToken(requeue bool) {
 	e := p.eng
-	e.switches++
-	if e.handoff {
-		var next *Proc
-		if p.state == stateRunnable {
-			next = e.tokenFrom(p)
-		} else {
-			next = e.nextToken()
-		}
-		if next == p {
-			// nextToken drained the machine procs that were ahead of p
-			// inline and p came out of the queue again: p still holds
-			// the token, so the park is skipped entirely.
-			return
-		}
-		if next != nil {
-			next.resume <- false
-		} else {
-			e.engch <- nil
-		}
+	var next *Proc
+	if requeue {
+		next = e.tokenFrom(p)
 	} else {
-		e.engch <- p
+		next = e.nextToken()
 	}
+	if next == p {
+		return
+	}
+	e.sendToken(next)
 	<-p.resume
 }
 
-// passControl sends the control token to the next process due a
-// goroutine resume (stepping inline machines along the way — see
-// nextToken), or to the engine goroutine when the run queue drains
-// (the engine then arbitrates termination vs deadlock) or a machine
-// frame panicked.
-func (p *Proc) passControl() {
-	e := p.eng
-	if next := e.nextToken(); next != nil {
+// sendToken passes the control token to next, or to the engine
+// goroutine when there is no next process: the run queue drained (the
+// engine then arbitrates termination vs deadlock) or a machine frame
+// panicked.
+func (e *Engine) sendToken(next *Proc) {
+	if next != nil {
 		next.resume <- false
 	} else {
-		e.engch <- nil
+		e.engch <- struct{}{}
 	}
 }
 

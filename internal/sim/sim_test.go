@@ -311,3 +311,68 @@ func TestRunQueueDoublePushPanics(t *testing.T) {
 	}()
 	q.push(e.procs[0])
 }
+
+// TestPersistentEngineReuse pins the pooled-engine lifecycle: parked
+// goroutines across Reset/Run cycles, identical behavior to a fresh
+// engine, and a clean Shutdown.
+func TestPersistentEngineReuse(t *testing.T) {
+	e := NewEngine(5)
+	e.SetPersistent(true)
+	body := func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			p.Advance(Duration(1 + p.ID()))
+		}
+	}
+	var finals [3][]Time
+	for run := 0; run < 3; run++ {
+		if run > 0 && !e.Reset() {
+			t.Fatal("Reset refused on a cleanly completed engine")
+		}
+		e.Run(body)
+		for _, p := range e.procs {
+			finals[run] = append(finals[run], p.now)
+		}
+	}
+	for run := 1; run < 3; run++ {
+		for i := range finals[0] {
+			if finals[run][i] != finals[0][i] {
+				t.Errorf("run %d proc %d final clock %v, want %v", run, i, finals[run][i], finals[0][i])
+			}
+		}
+	}
+	if !e.Shutdown() {
+		t.Error("Shutdown refused on an idle persistent engine")
+	}
+	// After Shutdown the engine spawns fresh goroutines and still works.
+	if !e.Reset() {
+		t.Fatal("Reset refused after Shutdown")
+	}
+	e.Run(body)
+	if !e.Shutdown() {
+		t.Error("second Shutdown refused")
+	}
+}
+
+// TestAdvanceYieldAllocFree pins the scheduler hot path: on a warmed
+// persistent engine, a full Reset+Run cycle of pure Advance traffic
+// performs zero heap allocations.
+func TestAdvanceYieldAllocFree(t *testing.T) {
+	e := NewEngine(4)
+	e.SetPersistent(true)
+	defer e.Shutdown()
+	body := func(p *Proc) {
+		for i := 0; i < 50; i++ {
+			p.Advance(Duration(1 + (p.ID()+i)%3))
+		}
+	}
+	e.Run(body) // warm: spawn goroutines, grow the run-queue heap
+	allocs := testing.AllocsPerRun(20, func() {
+		if !e.Reset() {
+			t.Fatal("Reset refused")
+		}
+		e.Run(body)
+	})
+	if allocs > 0 {
+		t.Errorf("Reset+Run of a warmed persistent engine allocates %.1f times per cycle, want 0", allocs)
+	}
+}

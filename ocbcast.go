@@ -32,6 +32,7 @@
 package ocbcast
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/algsel"
@@ -109,6 +110,28 @@ type System struct {
 	alg   string
 	plan  *algsel.Plan
 	obs   *obs.Recorder // non-nil iff Options.Trace
+	ran   bool          // the single Run is spent
+}
+
+// errAlreadyRan is what a second Run, Replay or Serve on one System
+// reports, instead of the engine-internal double-Run panic.
+var errAlreadyRan = errors.New("ocbcast: System already ran (a System supports a single Run)")
+
+// preflight reports why a Run-consuming entry point whose signature
+// promises an error cannot start: the System's single Run is spent, or
+// — when the call will use the one-sided family (needOC) — the
+// configured lanes leave occoll's layout no MPB room, which Run itself
+// only discovers as a panic on the first one-sided call.
+func (s *System) preflight(needOC bool) error {
+	if s.ran {
+		return errAlreadyRan
+	}
+	if needOC {
+		if err := occoll.Validate(s.occfg); err != nil {
+			return fmt.Errorf("ocbcast: one-sided collectives unavailable: %w", err)
+		}
+	}
+	return nil
 }
 
 // New builds a simulated chip. It panics on invalid options (consistent
@@ -208,8 +231,13 @@ func (s *System) Counters(core int) trace.CoreCounters {
 
 // Run executes body on every core concurrently in deterministic virtual
 // time. A System supports a single Run; build a new System per
-// simulation.
+// simulation (a second Run, Replay or Serve panics or errors with
+// "System already ran").
 func (s *System) Run(body func(c *Core)) {
+	if s.ran {
+		panic(errAlreadyRan.Error())
+	}
+	s.ran = true
 	colErr := occoll.Validate(s.occfg)
 	s.chip.Run(func(rc *rma.Core) {
 		port := rcce.NewPort(rc)

@@ -71,12 +71,21 @@ type ReplayStats struct {
 //
 // Replay consumes the System's single Run; build a fresh System per
 // replay. It returns an error for a trace that does not fit the chip
-// (unknown op, root outside the core count).
+// (unknown op, root outside the core count), for a trace with
+// overlapped records on a System whose Options.Channels leave the
+// one-sided family no MPB room, and for a System that already ran.
 func (s *System) Replay(t *Trace) (ReplayStats, error) {
 	if t == nil {
 		return ReplayStats{}, fmt.Errorf("ocbcast: Replay of a nil trace")
 	}
 	if err := t.ValidateFor(s.N()); err != nil {
+		return ReplayStats{}, err
+	}
+	overlapped := false
+	for _, r := range t.Records {
+		overlapped = overlapped || r.ComputeUs > 0
+	}
+	if err := s.preflight(overlapped); err != nil {
 		return ReplayStats{}, err
 	}
 	n := s.N()

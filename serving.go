@@ -78,9 +78,14 @@ func FormatServeSpec(cfg ServeConfig, streams []ServeStream) []byte {
 // end-of-run per-tenant summary counters — retrievable via Timeline.
 //
 // Serve consumes the System's single Run; build a fresh System per
-// serving run. Two Serves of the same mix on equal Systems produce
+// serving run (a second one is an error, as is a System whose
+// Options.Channels leave the one-sided family — which every Serve's
+// clock sync rides — no MPB room). Two Serves of the same mix on equal Systems produce
 // byte-identical ServeStats (ServeStats.Fingerprint compares them).
 func (s *System) Serve(cfg ServeConfig, streams []ServeStream) (ServeStats, error) {
+	if err := s.preflight(true); err != nil {
+		return ServeStats{}, err
+	}
 	channels := s.occfg.Channels
 	if channels < 1 {
 		channels = 1

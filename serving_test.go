@@ -2,6 +2,7 @@ package ocbcast_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	ocbcast "repro"
@@ -209,4 +210,69 @@ func TestServeValidation(t *testing.T) {
 	if _, err := sys.Serve(ocbcast.ServeConfig{}, nil); err == nil {
 		t.Fatal("empty mix accepted")
 	}
+}
+
+// TestRunConsumersReturnErrors: Replay and Serve promise an error, so
+// the two misuses that used to escape as panics from inside Run — an
+// MPB lane layout only the one-sided family rejects, and a second
+// Run-consuming call on one System — must come back as errors.
+func TestRunConsumersReturnErrors(t *testing.T) {
+	threeLanes := ocbcast.Options{Cores: 4, Channels: 3} // New accepts it; occoll's flag block does not fit
+	overlapped, err := ocbcast.ParseTrace([]byte("octrace v1\nallreduce 0 8 0 10\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocking, err := ocbcast.ParseTrace([]byte("octrace v1\nbcast 0 8 0 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := []ocbcast.ServeStream{{Tenant: "a", Reqs: []ocbcast.ServeRequest{{Op: workload.OpBcast, Lines: 1}}}}
+	replay := func(s *ocbcast.System) error { _, err := s.Replay(overlapped); return err }
+	serve := func(s *ocbcast.System) error { _, err := s.Serve(ocbcast.ServeConfig{}, mix); return err }
+
+	cases := []struct {
+		name  string
+		opts  ocbcast.Options
+		first func(*ocbcast.System) error // must succeed; nil = none
+		call  func(*ocbcast.System) error
+		want  string
+	}{
+		{"replay with a compute gap on an unfit lane layout", threeLanes, nil, replay, "one-sided collectives unavailable"},
+		{"serve on an unfit lane layout", threeLanes, nil, serve, "one-sided collectives unavailable"},
+		{"second replay", ocbcast.Options{Cores: 4}, replay, replay, "System already ran"},
+		{"second serve", ocbcast.Options{Cores: 4}, serve, serve, "System already ran"},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", tc.name, r)
+				}
+			}()
+			sys := ocbcast.New(tc.opts)
+			if tc.first != nil {
+				if err := tc.first(sys); err != nil {
+					t.Fatalf("%s: first call: %v", tc.name, err)
+				}
+			}
+			if err := tc.call(sys); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+			}
+		}()
+	}
+
+	// The unfit layout only matters to calls that use the one-sided
+	// family: a gap-free trace still replays on it.
+	if _, err := ocbcast.New(threeLanes).Replay(blocking); err != nil {
+		t.Errorf("gap-free replay on the three-lane chip: %v", err)
+	}
+	// Run has no error to return; it panics with the same text.
+	sys := ocbcast.New(ocbcast.Options{Cores: 4})
+	sys.Run(func(*ocbcast.Core) {})
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "ocbcast: System already ran") {
+			t.Errorf("second Run panicked with %q", r)
+		}
+	}()
+	sys.Run(func(*ocbcast.Core) {})
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	ocbcast "repro"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -119,52 +118,47 @@ func issueByHand(c *ocbcast.Core, t *workload.Trace, l workload.Layout) float64 
 // TestReplayConformance replays seeded random traces and issues the same
 // call sequences by hand on identical twin systems: every core's final
 // clock and every byte of the replay footprint must agree exactly, on
-// every mesh, in both scheduler modes.
+// every mesh.
 func TestReplayConformance(t *testing.T) {
-	for _, handoff := range []bool{false, true} {
-		for _, mesh := range conformanceMeshes {
-			w, h := mesh[0], mesh[1]
-			n := w * h * 2
-			records := 10
-			if n > 64 {
-				records = 6
-			}
-			name := fmt.Sprintf("handoff=%v/%dx%d", handoff, w, h)
-			t.Run(name, func(t *testing.T) {
-				prev := sim.SetDirectHandoff(handoff)
-				defer sim.SetDirectHandoff(prev)
-				for seed := int64(1); seed <= 3; seed++ {
-					tr := randomTrace(rand.New(rand.NewSource(seed*1000+int64(n))), n, records)
-					l := workload.LayoutFor(tr, n)
-					opts := ocbcast.Options{MeshWidth: w, MeshHeight: h}
+	for _, mesh := range conformanceMeshes {
+		w, h := mesh[0], mesh[1]
+		n := w * h * 2
+		records := 10
+		if n > 64 {
+			records = 6
+		}
+		t.Run(fmt.Sprintf("%dx%d", w, h), func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				tr := randomTrace(rand.New(rand.NewSource(seed*1000+int64(n))), n, records)
+				l := workload.LayoutFor(tr, n)
+				opts := ocbcast.Options{MeshWidth: w, MeshHeight: h}
 
-					replaySys := ocbcast.New(opts)
-					stage(replaySys, l)
-					st, err := replaySys.Replay(tr)
-					if err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
+				replaySys := ocbcast.New(opts)
+				stage(replaySys, l)
+				st, err := replaySys.Replay(tr)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+
+				handSys := ocbcast.New(opts)
+				stage(handSys, l)
+				finish := make([]float64, n)
+				handSys.Run(func(c *ocbcast.Core) {
+					finish[c.ID()] = issueByHand(c, tr, l)
+				})
+
+				for id := 0; id < n; id++ {
+					if st.FinishUs[id] != finish[id] {
+						t.Fatalf("seed %d core %d: replay finished at %v µs, hand-issued at %v µs",
+							seed, id, st.FinishUs[id], finish[id])
 					}
-
-					handSys := ocbcast.New(opts)
-					stage(handSys, l)
-					finish := make([]float64, n)
-					handSys.Run(func(c *ocbcast.Core) {
-						finish[c.ID()] = issueByHand(c, tr, l)
-					})
-
-					for id := 0; id < n; id++ {
-						if st.FinishUs[id] != finish[id] {
-							t.Fatalf("seed %d core %d: replay finished at %v µs, hand-issued at %v µs",
-								seed, id, st.FinishUs[id], finish[id])
-						}
-						got := replaySys.ReadPrivate(id, 0, l.TotalBytes())
-						want := handSys.ReadPrivate(id, 0, l.TotalBytes())
-						if !bytes.Equal(got, want) {
-							t.Fatalf("seed %d core %d: replayed buffers differ from hand-issued", seed, id)
-						}
+					got := replaySys.ReadPrivate(id, 0, l.TotalBytes())
+					want := handSys.ReadPrivate(id, 0, l.TotalBytes())
+					if !bytes.Equal(got, want) {
+						t.Fatalf("seed %d core %d: replayed buffers differ from hand-issued", seed, id)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
