@@ -7,8 +7,10 @@
 package ocbcast_test
 
 import (
+	"runtime"
 	"testing"
 
+	ocbcast "repro"
 	"repro/internal/algsel"
 	occore "repro/internal/core"
 	"repro/internal/harness"
@@ -132,4 +134,43 @@ func TestAllocsPerServeBudget(t *testing.T) {
 		t.Errorf("warmed 60-request serving run allocates %.0f times, budget 1200", allocs)
 	}
 	t.Logf("allocs per warmed serving run: %.0f", allocs)
+}
+
+// TestPerCoreAllocsFlatInChipSize pins the simulator's cost curve: a
+// fresh System running one barrier and one 96-line OC-Bcast must allocate
+// per core on a 384-core mesh what it allocates per core on the paper's
+// 48-core chip, in objects and in bytes, within 3 %. Per-core-id tables
+// inside per-core state (the MPB port accounting before the ledger) make
+// both ratios grow with the chip (1.09x objects and 1.58x bytes with
+// those tables; 1.01x for both without).
+func TestPerCoreAllocsFlatInChipSize(t *testing.T) {
+	perCore := func(opts ocbcast.Options) (objects, bytes float64) {
+		var n int
+		op := func() {
+			sys := ocbcast.New(opts)
+			n = sys.N()
+			sys.Run(func(c *ocbcast.Core) {
+				c.Barrier()
+				c.Broadcast(0, 0, 96)
+			})
+		}
+		// AllocsPerRun warms process-wide caches (tuning plans, runtime
+		// pools) with one extra call and pins GOMAXPROCS to 1.
+		objects = testing.AllocsPerRun(3, op)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		return objects / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	obj48, bytes48 := perCore(ocbcast.Options{})
+	obj384, bytes384 := perCore(ocbcast.Options{MeshWidth: 16, MeshHeight: 12})
+	t.Logf("per core: %.1f objects, %.0f bytes at 48 cores; %.1f objects (%.3fx), %.0f bytes (%.3fx) at 384",
+		obj48, bytes48, obj384, obj384/obj48, bytes384, bytes384/bytes48)
+	if obj384 > 1.03*obj48 {
+		t.Errorf("allocations per core grow with the chip: %.1f at 384 cores vs %.1f at 48 (%.3fx, limit 1.03x)", obj384, obj48, obj384/obj48)
+	}
+	if bytes384 > 1.03*bytes48 {
+		t.Errorf("allocated bytes per core grow with the chip: %.0f at 384 cores vs %.0f at 48 (%.3fx, limit 1.03x)", bytes384, bytes48, bytes384/bytes48)
+	}
 }

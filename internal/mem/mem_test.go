@@ -2,8 +2,12 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/scc"
 	"repro/internal/sim"
@@ -342,5 +346,195 @@ func TestMPBSweepPending(t *testing.T) {
 	// is the last-issued write, not the future-timestamped one.
 	if got := m.ReadLine(7, sim.Micros(2000)); !bytes.Equal(got, lineOf(0x33)) {
 		t.Fatalf("line 7 reads %x, want 33.. (sweep broke per-line issue order)", got[:4])
+	}
+}
+
+// TestPageIsExactlyPageBytes: a page must not carry bookkeeping, or the
+// allocator rounds it up to the next size class (9472 B for 8193).
+func TestPageIsExactlyPageBytes(t *testing.T) {
+	if got := unsafe.Sizeof(page{}); got != pageBytes {
+		t.Fatalf("sizeof(page) = %d, want %d", got, pageBytes)
+	}
+}
+
+// denseAccessTables is the port accounting portLedger replaced, kept as
+// the oracle: two tables indexed by core id, scanned in full for the
+// active count.
+type denseAccessTables struct {
+	lastAccess []sim.Time
+	accessLog  [][]sim.Time
+}
+
+const accessNever = sim.Time(-1 << 60)
+
+func (m *denseAccessTables) accessSlot(core int) {
+	for len(m.lastAccess) <= core {
+		m.lastAccess = append(m.lastAccess, accessNever)
+		m.accessLog = append(m.accessLog, nil)
+	}
+}
+
+func (m *denseAccessTables) NoteAccess(core int, t sim.Time, window sim.Duration) int {
+	m.accessSlot(core)
+	m.lastAccess[core] = t
+	log := m.accessLog[core]
+	i := 0
+	for i < len(log) && log[i]+window < t {
+		i++
+	}
+	if i > 0 {
+		n := copy(log, log[i:])
+		log = log[:n]
+	}
+	log = append(log, t)
+	m.accessLog[core] = log
+	return len(log)
+}
+
+func (m *denseAccessTables) ActiveAccessors(t sim.Time, window sim.Duration) int {
+	n := 0
+	for _, last := range m.lastAccess {
+		if last != accessNever && last+window >= t {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *denseAccessTables) Reset() {
+	for i := range m.lastAccess {
+		m.lastAccess[i] = accessNever
+		m.accessLog[i] = m.accessLog[i][:0]
+	}
+}
+
+// TestPortLedgerMatchesDenseTables drives the ledger and the dense
+// oracle with the same seeded streams of nondecreasing times and requires
+// identical (recent, active) at every step: sparse ids, bursts at one
+// timestamp, gaps landing exactly on the window edge (still live) and
+// one picosecond past it (expired), owner-style queries that record
+// nothing, and a Reset mid-stream followed by reuse.
+func TestPortLedgerMatchesDenseTables(t *testing.T) {
+	const window = 400 * sim.Microsecond
+	seeds := int64(40)
+	if testing.Short() {
+		seeds = 8 // the oracle's full-table scans are slow under -race
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		_, m := newTestMPB()
+		ref := &denseAccessTables{}
+		ids := make([]int, 1+rng.Intn(60))
+		for i := range ids {
+			ids[i] = rng.Intn(10001)
+		}
+		var now sim.Time
+		const steps = 3000
+		for step := 0; step < steps; step++ {
+			if step == steps/2 {
+				m.Reset()
+				ref.Reset()
+				now = 0
+			}
+			switch r := rng.Intn(100); {
+			case r < 40: // burst: same timestamp
+			case r < 80:
+				now += sim.Duration(rng.Int63n(int64(window) / 20))
+			case r < 88:
+				now += window // the oldest same-time record stays live
+			case r < 96:
+				now += window + 1 // and one picosecond later it is gone
+			default:
+				now += 3 * window // everything expires
+			}
+			if rng.Intn(5) == 0 {
+				m.accesses.expire(now, window)
+				if got, want := len(m.accesses.live), ref.ActiveAccessors(now, window); got != want {
+					t.Fatalf("seed %d step %d: owner query at %v: active = %d, oracle %d", seed, step, now, got, want)
+				}
+				continue
+			}
+			core := ids[rng.Intn(len(ids))]
+			recent, active := m.NoteAccess(core, now, window)
+			wantRecent := ref.NoteAccess(core, now, window)
+			wantActive := ref.ActiveAccessors(now, window)
+			if recent != wantRecent || active != wantActive {
+				t.Fatalf("seed %d step %d: core %d at %v: (recent, active) = (%d, %d), oracle (%d, %d)",
+					seed, step, core, now, recent, active, wantRecent, wantActive)
+			}
+		}
+	}
+}
+
+// TestPortLedgerRejectsDecreasingTime: the ledger's FIFO expiry is only
+// correct for nondecreasing times, so a violation must not pass silently.
+func TestPortLedgerRejectsDecreasingTime(t *testing.T) {
+	_, m := newTestMPB()
+	m.NoteAccess(1, 10*sim.Microsecond, sim.Microsecond)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an access earlier than the previous one did not panic")
+		}
+	}()
+	m.NoteAccess(2, 9*sim.Microsecond, sim.Microsecond)
+}
+
+// TestPortLedgerAllocFree: once its ring and accessor table have grown to
+// the window's traffic, the ledger allocates nothing — also across Reset.
+func TestPortLedgerAllocFree(t *testing.T) {
+	const window = 400 * sim.Microsecond
+	_, m := newTestMPB()
+	var now sim.Time
+	round := func() {
+		for i := 0; i < 200; i++ {
+			now += window / 64
+			m.NoteAccess(1+i%47, now, window)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("warmed ledger allocates %.1f objects per 200 accesses, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { m.Reset(); now = 0; round() }); allocs != 0 {
+		t.Fatalf("ledger allocates %.1f objects per Reset+200 accesses, want 0", allocs)
+	}
+}
+
+// TestPortLedgerFootprintIgnoresCoreID: one access from a very high core
+// id costs what one from core 1 costs (the dense tables appended id+1
+// entries to two slices).
+func TestPortLedgerFootprintIgnoresCoreID(t *testing.T) {
+	_, m := newTestMPB()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.NoteAccess(100000, sim.Microsecond, 400*sim.Microsecond)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1024 {
+		t.Fatalf("first access from core 100000 allocated %d bytes, want ≤ 1024", got)
+	}
+}
+
+// BenchmarkPortLedger measures one port access with `accessors` cores
+// hammering the port round-robin inside the window. ns/op must not depend
+// on maxid, the highest core id among them (the chip size).
+func BenchmarkPortLedger(b *testing.B) {
+	const window = 400 * sim.Microsecond
+	for _, accessors := range []int{7, 47} {
+		for _, maxid := range []int{47, 383} {
+			b.Run(fmt.Sprintf("accessors=%d/maxid=%d", accessors, maxid), func(b *testing.B) {
+				_, m := newTestMPB()
+				ids := make([]int, accessors)
+				for i := range ids {
+					ids[i] = maxid - i*(maxid/accessors)
+				}
+				var now sim.Time
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					now += sim.Microsecond
+					m.NoteAccess(ids[i%accessors], now, window)
+				}
+			})
+		}
 	}
 }

@@ -73,15 +73,9 @@ type MPB struct {
 	// contention point measured in Figure 4.
 	Port *sim.Resource
 
-	// lastAccess tracks when each core last touched this MPB's port
-	// (accessNever = not yet), for the active-accessor count that drives
-	// the §3.3 beyond-the-knee contention penalty. Indexed by core id
-	// and grown on demand: a flat scan of a few dozen entries beats the
-	// map iteration this used to be on the per-op hot path.
-	lastAccess []sim.Time
-	// accessLog keeps each core's access timestamps within the trailing
-	// window, to measure how *sustained* its pressure on the port is.
-	accessLog [][]sim.Time
+	// accesses records who touched the port within the trailing contention
+	// window, for §3.3's beyond-the-knee penalty.
+	accesses portLedger
 
 	// wait is the reusable wait condition for WaitU64*: in this codebase
 	// only the MPB's owner ever waits on its own MPB (flag waits are
@@ -174,52 +168,14 @@ func NewMPB(e *sim.Engine, owner, lines int, readSvc sim.Duration) *MPB {
 	}
 }
 
-// accessNever marks a core that has not touched this MPB's port. It is
-// far enough below any simulated time that last+window arithmetic
-// cannot reach a real timestamp.
-const accessNever = sim.Time(-1 << 60)
-
-// accessSlot ensures the access-tracking slices cover core.
-func (m *MPB) accessSlot(core int) {
-	for len(m.lastAccess) <= core {
-		m.lastAccess = append(m.lastAccess, accessNever)
-		m.accessLog = append(m.accessLog, nil)
-	}
-}
-
-// NoteAccess records that core touched this MPB's port at time t and
-// returns how many times it did so within the trailing window (including
-// this access) — the sustained-pressure measure behind the contention
-// penalty: a single burst (one OC-Bcast chunk) is not sustained; Figure
-// 4's back-to-back loops are.
-func (m *MPB) NoteAccess(core int, t sim.Time, window sim.Duration) int {
-	m.accessSlot(core)
-	m.lastAccess[core] = t
-	log := m.accessLog[core]
-	i := 0
-	for i < len(log) && log[i]+window < t {
-		i++
-	}
-	if i > 0 {
-		n := copy(log, log[i:])
-		log = log[:n]
-	}
-	log = append(log, t)
-	m.accessLog[core] = log
-	return len(log)
-}
-
-// ActiveAccessors counts distinct cores that touched the port within the
-// trailing window — the concurrency measure behind the paper's ~24-core
-// contention knee.
-func (m *MPB) ActiveAccessors(t sim.Time, window sim.Duration) int {
-	n := 0
-	for _, last := range m.lastAccess {
-		if last != accessNever && last+window >= t {
-			n++
-		}
-	}
-	return n
+// NoteAccess records that remote core touched this MPB's port at time t
+// (the owner's own accesses are not recorded) and returns recent, its
+// accesses within the trailing window including this one — a single burst
+// (one OC-Bcast chunk) is not sustained pressure, Figure 4's back-to-back
+// loops are — and active, the distinct cores in the window, which the
+// paper's ~24-core contention knee is measured against. See portLedger.
+func (m *MPB) NoteAccess(core int, t sim.Time, window sim.Duration) (recent, active int) {
+	return m.accesses.note(core, t, window)
 }
 
 // Owner reports the core id owning this MPB.
@@ -692,8 +648,8 @@ func (m *MPB) waitOp(p *sim.Proc, line int, op uint8, val uint64) {
 // Reset returns the MPB to its freshly constructed state — zeroed lines,
 // no pending writes, idle port, empty access history — while keeping
 // every warm buffer: extent records and their line buffers move to the
-// free list and access-log slices are truncated in place, so a pooled
-// chip's next simulation allocates nothing here.
+// free list and the access ledger keeps its ring and accessor table, so a
+// pooled chip's next simulation allocates nothing here.
 func (m *MPB) Reset() {
 	for w, mask := range m.dirty {
 		for mask != 0 {
@@ -715,9 +671,6 @@ func (m *MPB) Reset() {
 	m.settledAt = 0
 	m.sweepAt = 0
 	m.Port.Reset()
-	for i := range m.lastAccess {
-		m.lastAccess[i] = accessNever
-		m.accessLog[i] = m.accessLog[i][:0]
-	}
+	m.accesses = portLedger{ring: m.accesses.ring, live: m.accesses.live[:0]}
 	m.wait = u64Wait{}
 }

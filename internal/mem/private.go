@@ -17,10 +17,10 @@ import (
 // every core of the chip.
 type Private struct {
 	owner int
-	// pages is indexed by page number and grown on demand (nil = never
-	// written, reads as zeros). A flat slice keeps the per-op page
+	// pages is indexed by page number and grown on demand (nil data =
+	// never written, reads as zeros). A flat slice keeps the per-op page
 	// lookup off the map hash path.
-	pages []*page
+	pages []pageSlot
 	// dirty lists the page indices written since construction or the
 	// last Reset, so Reset zeroes only the bytes a run actually touched
 	// instead of every page ever allocated (a pooled chip accumulates
@@ -34,8 +34,12 @@ type Private struct {
 // matters because harness sweeps construct thousands of chips.
 const pageBytes = 8 * 1024
 
-type page struct {
-	data [pageBytes]byte
+// page is exactly pageBytes — one byte more would land in the 9472-byte
+// size class — so the dirty mark lives in its slot.
+type page [pageBytes]byte
+
+type pageSlot struct {
+	data *page
 	// dirty marks the page as written since the last Reset (it is then
 	// listed in Private.dirty exactly once).
 	dirty bool
@@ -66,10 +70,10 @@ func (p *Private) Read(dst []byte, addr, n int) {
 		}
 		var pp *page
 		if pg < len(p.pages) {
-			pp = p.pages[pg]
+			pp = p.pages[pg].data
 		}
 		if pp != nil {
-			copy(dst[:c], pp.data[off:off+c])
+			copy(dst[:c], pp[off:off+c])
 		} else {
 			for i := 0; i < c; i++ {
 				dst[i] = 0
@@ -87,12 +91,11 @@ func (p *Private) Write(addr int, src []byte) {
 	for len(src) > 0 {
 		pg, off := addr/pageBytes, addr%pageBytes
 		for len(p.pages) <= pg {
-			p.pages = append(p.pages, nil)
+			p.pages = append(p.pages, pageSlot{})
 		}
-		pp := p.pages[pg]
-		if pp == nil {
-			pp = &page{}
-			p.pages[pg] = pp
+		pp := &p.pages[pg]
+		if pp.data == nil {
+			pp.data = new(page)
 		}
 		if !pp.dirty {
 			pp.dirty = true
@@ -228,8 +231,8 @@ func (c *Cache) Len() int { return c.n }
 // the chip's high-water mark.
 func (p *Private) Reset() {
 	for _, pg := range p.dirty {
-		pp := p.pages[pg]
-		pp.data = [pageBytes]byte{}
+		pp := &p.pages[pg]
+		*pp.data = page{}
 		pp.dirty = false
 	}
 	p.dirty = p.dirty[:0]

@@ -111,12 +111,12 @@ func (c *Core) reservePort(owner int, t sim.Time, lines int, write bool) sim.Tim
 	// Only remote cores count toward the contention knee: the paper's
 	// "up to 24 cores accessing the same MPB" are remote accessors, and
 	// OC-Bcast with k = 24 (24 children + the owner's own staging puts)
-	// is explicitly within the safe region.
-	recent := 0
+	// is explicitly within the safe region. The owner's own accesses are
+	// neither recorded nor penalised, so they skip the ledger.
+	recent, active := 0, 0
 	if c.id != owner {
-		recent = mpb.NoteAccess(c.id, t, accessorWindow)
+		recent, active = mpb.NoteAccess(c.id, t, accessorWindow)
 	}
-	active := mpb.ActiveAccessors(t, accessorWindow)
 	finish := mpb.Port.ReserveDur(t, sim.Duration(int64(lines)*int64(svc)))
 	if c.id != owner && cp.Knee > 0 && esc > 1 && active > cp.Knee {
 		// Sustained-pressure ramp: the penalty fully applies only to

@@ -9,12 +9,12 @@ import (
 
 // Chip pool. Building a chip is the single largest allocation source of
 // a short simulation (~40% of a broadcast's heap traffic: MPB backing
-// stores, port servers, private-memory maps, counter slices), so harness
-// loops that run thousands of simulations acquire chips here instead of
-// constructing fresh ones. A released chip is Reset — which the
-// equivalence tests pin as observationally identical to a fresh chip —
-// and parked under a key derived from its exact configuration; Acquire
-// returns a parked chip only on a full key match.
+// stores, port servers and access ledgers, private-memory pages, counter
+// slices), so harness loops that run thousands of simulations acquire
+// chips here instead of constructing fresh ones. A released chip is Reset
+// — which the equivalence tests pin as observationally identical to a
+// fresh chip — and parked under a key derived from its exact
+// configuration; Acquire returns a parked chip only on a full key match.
 //
 // The pool is safe for concurrent use (ParallelMap shards acquire from
 // it simultaneously) and bounded per key, so sweeps over many topologies

@@ -2,6 +2,7 @@ package rma
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/scc"
@@ -336,5 +337,28 @@ func TestDetailedNoCMatchesAnalyticWhenIdle(t *testing.T) {
 	a, det := run(scc.NoCAnalytic), run(scc.NoCDetailed)
 	if a != det {
 		t.Fatalf("idle-mesh detailed mode changed latency: analytic %v vs detailed %v", a, det)
+	}
+}
+
+// BenchmarkReservePort measures one remote port reservation — ledger
+// access, FIFO booking, penalty formula — with seven accessors hammering
+// core 0's port from the chip's highest core ids. ns/op must not depend
+// on the size of the chip.
+func BenchmarkReservePort(b *testing.B) {
+	for _, dim := range [][2]int{{6, 4}, {16, 12}} {
+		chip := NewChip(scc.MeshConfig(dim[0], dim[1]))
+		var cores [7]Core
+		for i := range cores {
+			cores[i] = Core{chip: chip, id: chip.NCores - 1 - i}
+		}
+		var now sim.Time // one clock per chip: b.Run calls the body repeatedly
+		b.Run(fmt.Sprintf("cores=%d", chip.NCores), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now += sim.Microsecond
+				cores[i%len(cores)].reservePort(0, now, 1, i%2 == 0)
+			}
+		})
 	}
 }

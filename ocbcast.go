@@ -46,6 +46,7 @@ import (
 	"repro/internal/scc"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // CacheLineBytes is the SCC's transfer granularity (32 bytes).
@@ -303,7 +304,14 @@ func (c *Core) Now() sim.Time { return c.rma.Now() }
 func (c *Core) NowMicros() float64 { return c.rma.Now().Microseconds() }
 
 // Compute advances the core's clock by us microseconds of local work.
-func (c *Core) Compute(us float64) { c.rma.Compute(sim.Micros(us)) }
+// us must be finite and within [0, 1e9] (the cap traces also enforce);
+// anything else panics here rather than overflowing the virtual clock.
+func (c *Core) Compute(us float64) {
+	if !(us >= 0 && us <= workload.MaxGapUs) { // also rejects NaN
+		panic(fmt.Sprintf("ocbcast: Compute(%v): microseconds must be finite and in [0, %g]", us, workload.MaxGapUs))
+	}
+	c.rma.Compute(sim.Micros(us))
+}
 
 // Broadcast runs OC-Bcast: `lines` cache lines from root's private memory
 // at byte address addr to the same address on every core. All cores must

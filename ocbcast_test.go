@@ -3,6 +3,9 @@ package ocbcast_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	ocbcast "repro"
@@ -271,4 +274,23 @@ func TestOptionsValidation(t *testing.T) {
 		}
 	}()
 	ocbcast.New(ocbcast.Options{K: -1})
+}
+
+// TestComputeMisuseNamesTheValue: an unusable Compute argument is caught
+// at the call site with an ocbcast: message naming it — not deep in the
+// engine as "sim: negative Advance" after the float-to-clock conversion
+// has overflowed.
+func TestComputeMisuseNamesTheValue(t *testing.T) {
+	for _, us := range []float64{math.NaN(), math.Inf(1), 1e13, -1} {
+		sys := ocbcast.New(ocbcast.Options{Cores: 1})
+		sys.Run(func(c *ocbcast.Core) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if want := fmt.Sprintf("ocbcast: Compute(%v)", us); !strings.HasPrefix(msg, want) {
+					t.Errorf("Compute(%v) panicked with %q, want a message starting %q", us, msg, want)
+				}
+			}()
+			c.Compute(us)
+		})
+	}
 }
