@@ -39,16 +39,17 @@ func TestAllocsPerBroadcastBudget(t *testing.T) {
 }
 
 // TestAllocsPerOverlapRun pins the non-blocking lane protocol: a warmed
-// issue+progress+wait allreduce cycle (request frames, protocol
-// coroutine, lane records) must not regress to per-step allocation.
+// issue+progress+wait allreduce cycle (request frames, lane records and
+// their instruction buffers) must not regress to per-step allocation.
+// Measured 96 when the budget was set.
 func TestAllocsPerOverlapRun(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	cell := harness.OverlapCell{K: 7, Lines: 64, Overlap: true}
 	run := func() { harness.MeasureOverlap(cfg, 8, cell) }
 	run() // warm the chip pool
 	allocs := testing.AllocsPerRun(5, run)
-	if allocs > 400 {
-		t.Errorf("warmed overlap run allocates %.0f times, budget 400", allocs)
+	if allocs > 200 {
+		t.Errorf("warmed overlap run allocates %.0f times, budget 200", allocs)
 	}
 	t.Logf("allocs per warmed overlap run: %.0f", allocs)
 }

@@ -77,14 +77,14 @@ type MPB struct {
 	// window, for §3.3's beyond-the-knee penalty.
 	accesses portLedger
 
-	// wait is the reusable wait condition for WaitU64*: in this codebase
+	// wait is the reusable wait condition of the flag waits: in this codebase
 	// only the MPB's owner ever waits on its own MPB (flag waits are
 	// local polls), so one embedded record suffices; a concurrent second
 	// waiter falls back to a one-shot closure.
 	wait u64Wait
 }
 
-// Wait-comparison selectors of WaitU64GE/WaitU64EQ.
+// Wait-comparison selectors of the flag waits.
 const (
 	waitGE uint8 = iota // value ≥ threshold
 	waitEQ              // value == threshold
@@ -603,27 +603,19 @@ func (m *MPB) satisfiedAt(line int, now sim.Time, op uint8, val uint64) (sim.Tim
 
 // WaitU64GE blocks process p until the line's leading uint64 is ≥ val,
 // and returns with p's clock at (no earlier than) the effective time of
-// the write that satisfied it. It is the simulator's flag-poll primitive:
-// the process sleeps instead of burning virtual time spinning — matching
-// the paper's assumption that no time elapses between a flag being set
-// and observed, up to the final poll read the caller charges separately.
-// The whole path is closure-free: the comparison is carried as (op, val)
-// scalars in the MPB's embedded wait record.
+// the write that satisfied it. It is the simulator's flag-poll primitive
+// for a blocking body: the process sleeps instead of burning virtual
+// time spinning — matching the paper's assumption that no time elapses
+// between a flag being set and observed, up to the final poll read the
+// caller charges separately. The whole path is closure-free: the
+// comparison is carried as (op, val) scalars in the MPB's embedded wait
+// record. (rma's flag waits run the same loop as frame steps — see
+// wait_inline.go — and add the == comparison of the RCCE handshake.)
 func (m *MPB) WaitU64GE(p *sim.Proc, line int, val uint64) {
-	m.waitOp(p, line, waitGE, val)
-}
-
-// WaitU64EQ blocks until the line's leading uint64 is == val (the
-// RCCE-style handshake wait), closure-free like WaitU64GE.
-func (m *MPB) WaitU64EQ(p *sim.Proc, line int, val uint64) {
-	m.waitOp(p, line, waitEQ, val)
-}
-
-func (m *MPB) waitOp(p *sim.Proc, line int, op uint8, val uint64) {
 	m.checkLine(line)
 	key := m.watchKey(line)
 	for {
-		if te, ok := m.satisfiedAt(line, p.Now(), op, val); ok {
+		if te, ok := m.satisfiedAt(line, p.Now(), waitGE, val); ok {
 			p.AdvanceTo(te)
 			return
 		}
@@ -633,12 +625,12 @@ func (m *MPB) waitOp(p *sim.Proc, line int, op uint8, val uint64) {
 			// embedded record (not a path the RCCE layers take); fall
 			// back to a one-shot condition.
 			p.Block(key, func() bool {
-				_, ok := m.satisfiedAt(line, p.Now(), op, val)
+				_, ok := m.satisfiedAt(line, p.Now(), waitGE, val)
 				return ok
 			})
 			continue
 		}
-		w.m, w.p, w.line, w.op, w.val = m, p, line, op, val
+		w.m, w.p, w.line, w.op, w.val = m, p, line, waitGE, val
 		w.active = true
 		p.BlockCond(key, w)
 		w.active = false

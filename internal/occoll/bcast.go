@@ -18,71 +18,71 @@ func (x *Collectives) Bcast(root, addr, lines int) {
 // IBcast is the non-blocking Bcast: it issues the broadcast and returns a
 // Request to Test or Wait on while the core computes.
 func (x *Collectives) IBcast(root, addr, lines int) *Request {
-	return x.issue("IBcast", root, addr, lines, nil, runIBcast)
+	return x.issue(protoIBcast, root, addr, lines, nil)
 }
 
-func runIBcast(r *Request) { r.lane.bcastDown(r.tree, r.addr, r.lines) }
+var protoIBcast = &protocol{"IBcast", []stepFn{bcastDown}}
 
-// bcastDown is the OC-Bcast §4 chunk pipeline over the lane's own
-// flag lines (dnNotify/dnDone), with the §5.4 leaf-direct optimization
-// always on: a leaf pulls each chunk from its parent's MPB straight to
-// private memory. It delivers `lines` cache lines from the tree root's
-// addr to the same address everywhere.
-func (l *lane) bcastDown(t core.Tree, addr, lines int) {
-	x := l.x
-	c, cfg := x.core, x.cfg
-	n := x.nchunks(lines)
-	nb := x.numBuffers()
-	seq := func(ch int) uint64 { return uint64(ch) + 1 }
+// bcastDown broadcasts r.lines lines; bcastDownAll is the second half of
+// AllGather, broadcasting the P concatenated blocks.
+func bcastDown(r *Request, ch int) bool    { return bcastChunk(r, r.lines, ch) }
+func bcastDownAll(r *Request, ch int) bool { return bcastChunk(r, r.lines*r.tree.P, ch) }
 
-	if t.Rank == 0 {
-		for ch := 0; ch < n; ch++ {
-			m := x.chunkSpan(ch, lines)
-			buf := l.bufLine(ch)
-			if ch >= nb {
-				for i := range t.Children {
-					l.wait(l.dnDoneLine(i), seq(ch-nb))
-				}
-			}
-			c.PutMemToMPB(c.ID(), buf, addr+ch*cfg.BufLines*scc.CacheLine, m)
-			for _, child := range t.NotifyOwn {
-				c.SetFlag(child, l.dnNotifyLine(), seq(ch))
-			}
+// bcastChunk is one step — chunk ch — of the OC-Bcast §4 chunk pipeline
+// over the lane's own flag lines (dnNotify/dnDone), with the §5.4
+// leaf-direct optimization always on: a leaf pulls each chunk from its
+// parent's MPB straight to private memory. The pipeline delivers `lines`
+// cache lines from the tree root's addr to the same address everywhere.
+// Flags carry 1-based chunk sequence numbers.
+func bcastChunk(r *Request, lines, ch int) (more bool) {
+	l, t, x := r.lane, &r.tree, r.x
+	me, nb := x.core.ID(), x.numBuffers()
+	m := x.chunkSpan(ch, lines)
+	chunkAddr := r.addr + ch*x.cfg.BufLines*scc.CacheLine
+	buf, seq := l.bufLine(ch), uint64(ch)+1
+	last := ch == x.nchunks(lines)-1
+
+	switch {
+	case t.Rank == 0:
+		if ch >= nb {
+			l.waitChildrenDone(t, seq-uint64(nb))
 		}
-		for i := range t.Children {
-			l.wait(l.dnDoneLine(i), seq(n-1))
+		l.putMem(buf, chunkAddr, m)
+		for _, child := range t.NotifyOwn {
+			l.setFlag(child, l.dnNotifyLine(), seq)
 		}
-		return
-	}
-
-	for ch := 0; ch < n; ch++ {
-		m := x.chunkSpan(ch, lines)
-		chunkAddr := addr + ch*cfg.BufLines*scc.CacheLine
-		buf := l.bufLine(ch)
-
-		l.wait(l.dnNotifyLine(), seq(ch))
+	case t.IsLeaf():
+		l.wait(l.dnNotifyLine(), seq)
 		for _, sib := range t.NotifyFwd {
-			c.SetFlag(sib, l.dnNotifyLine(), seq(ch))
+			l.setFlag(sib, l.dnNotifyLine(), seq)
 		}
-		if t.IsLeaf() {
-			c.GetMPBToMem(t.Parent, buf, chunkAddr, m)
-			c.SetFlag(t.Parent, l.dnDoneLine(t.ChildIdx), seq(ch))
-			continue
+		l.getMem(t.Parent, buf, chunkAddr, m)
+		l.setFlag(t.Parent, l.dnDoneLine(t.ChildIdx), seq)
+	default:
+		l.wait(l.dnNotifyLine(), seq)
+		for _, sib := range t.NotifyFwd {
+			l.setFlag(sib, l.dnNotifyLine(), seq)
 		}
 		if ch >= nb {
-			for i := range t.Children {
-				l.wait(l.dnDoneLine(i), seq(ch-nb))
-			}
+			l.waitChildrenDone(t, seq-uint64(nb))
 		}
-		c.GetMPBToMPB(t.Parent, buf, buf, m)
-		c.SetFlag(t.Parent, l.dnDoneLine(t.ChildIdx), seq(ch))
+		l.getMPB(t.Parent, buf, m)
+		l.setFlag(t.Parent, l.dnDoneLine(t.ChildIdx), seq)
 		for _, child := range t.NotifyOwn {
-			c.SetFlag(child, l.dnNotifyLine(), seq(ch))
+			l.setFlag(child, l.dnNotifyLine(), seq)
 		}
-		c.GetMPBToMem(c.ID(), buf, chunkAddr, m)
+		l.getMem(me, buf, chunkAddr, m)
 	}
-	// Drain: my children must have consumed my last staged chunks.
+	if last {
+		// Drain: my children must have consumed my last staged chunks.
+		l.waitChildrenDone(t, seq)
+	}
+	return !last
+}
+
+// waitChildrenDone waits until every child consumed chunk seq.
+func (l *lane) waitChildrenDone(t *core.Tree, seq uint64) {
 	for i := range t.Children {
-		l.wait(l.dnDoneLine(i), seq(n-1))
+		l.wait(l.dnDoneLine(i), seq)
 	}
 }

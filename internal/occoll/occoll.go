@@ -14,7 +14,7 @@
 // and a non-blocking form: the blocking form is literally the
 // non-blocking form followed by an immediate Wait, so both share one
 // protocol implementation (see request.go for the progress engine that
-// advances issued requests).
+// advances issued requests, and for how a protocol is written).
 //
 // The MPB is laid out in Config.Channels independent *lanes*, each with
 // its own chunk buffers and flag block, so up to Channels collectives can
@@ -131,7 +131,7 @@ type Collectives struct {
 	core  *rma.Core
 	port  *rcce.Port
 	cfg   Config
-	lanes []*lane
+	lanes []lane
 
 	// reqs are the outstanding (issued, not yet completed) non-blocking
 	// requests in issue order; nissued counts every issue for the
@@ -141,10 +141,8 @@ type Collectives struct {
 	nissued  uint64
 	finished bool
 
-	// freeReqs recycles completed request frames — the struct and its
-	// resume/yield channel pair — so a loop of collectives stops
-	// allocating per issue (the protocol goroutine itself is respawned;
-	// exited goroutines are cheap, parked ones would pin the chip).
+	// freeReqs recycles completed request frames so a loop of
+	// collectives stops allocating per issue.
 	freeReqs []*Request
 }
 
@@ -155,10 +153,10 @@ func New(c *rma.Core, port *rcce.Port, cfg Config) *Collectives {
 	if err := Validate(cfg); err != nil {
 		panic(err)
 	}
-	x := &Collectives{core: c, port: port, cfg: cfg}
-	for i := 0; i < channels(cfg); i++ {
+	x := &Collectives{core: c, port: port, cfg: cfg, lanes: make([]lane, channels(cfg))}
+	for i := range x.lanes {
 		db, fb := laneLayout(cfg, i)
-		x.lanes = append(x.lanes, &lane{x: x, idx: i, dataBase: db, flagBase: fb})
+		x.lanes[i] = lane{x: x, idx: i, dataBase: db, flagBase: fb}
 	}
 	return x
 }
@@ -176,19 +174,20 @@ func (x *Collectives) Lanes() int { return len(x.lanes) }
 // assert their dispatch really used the fan-out they configured.
 func (x *Collectives) LaneIssues() []uint64 {
 	out := make([]uint64, len(x.lanes))
-	for i, l := range x.lanes {
-		out[i] = l.issues
+	for i := range x.lanes {
+		out[i] = x.lanes[i].issues
 	}
 	return out
 }
 
 // lane is one independent slice of the MPB layout: chunk buffers plus a
 // flag block. All cores use identical lane layouts, so a lane's line
-// numbers address the same protocol slot on every peer. Flag waits
-// forward to the occupying request (see lane.wait): blocking requests
-// wait with rma.WaitFlagGE (parking the simulated proc on the engine's
-// run queue); requests being advanced by Test/Progress poll with
-// rma.TryFlagGE and park the protocol coroutine instead.
+// numbers address the same protocol slot on every peer. The lane also
+// holds the instruction buffer of the request occupying it: protocol
+// steps append to it through the emitters below (wait, putMem, getMem,
+// getMPB, combine, setFlag — named after the rma ops they stand for, so
+// a step function reads like the loop body it replaces), and the request
+// frame runs what they appended (Request.Step).
 type lane struct {
 	x        *Collectives
 	idx      int
@@ -198,15 +197,33 @@ type lane struct {
 	// issues counts the non-blocking collectives this lane has carried
 	// (LaneIssues aggregates it for allocation accounting).
 	issues uint64
-	// dnUsed is streamDown's reusable slot-occupancy table.
-	dnUsed []occupant
+	// prog is the current pipeline step's instructions, allocated at the
+	// lane's first issue and reused for every step of every request.
+	prog []instr
+	// dnUsed is streamDown's reusable slot-occupancy table, one entry
+	// per chunk buffer (numBuffers is at most 2).
+	dnUsed *[2]occupant
 }
 
-// wait is the lane protocols' flag-wait hook; it dispatches to the
-// request occupying the lane. A method rather than a per-issue
-// `r.waitGE` method-value field: binding that closure allocated on
-// every issue.
-func (l *lane) wait(line int, seq uint64) { l.req.waitGE(line, seq) }
+func (l *lane) emit(op opcode, peer, line, m int, arg uint64) {
+	l.prog = append(l.prog, instr{op: op, m: uint8(m), line: uint16(line), peer: int32(peer), arg: arg})
+}
+
+// The emitters. wait: this core's flag `line` must reach seq before the
+// step goes on; setFlag writes seq into flag `line` of dst's MPB. putMem
+// stages m lines of private memory at addr into the own MPB slot; getMem
+// pulls m lines of src's slot to private memory at addr; getMPB pulls
+// them into the same slot of the own MPB; combine folds them into that
+// slot with the request's reduce op and then charges the arithmetic.
+func (l *lane) wait(line int, seq uint64)         { l.emit(opWait, 0, line, 0, seq) }
+func (l *lane) setFlag(dst, line int, seq uint64) { l.emit(opSetFlag, dst, line, 0, seq) }
+func (l *lane) putMem(slot, addr, m int)          { l.emit(opPutMem, 0, slot, m, uint64(addr)) }
+func (l *lane) getMem(src, slot, addr, m int)     { l.emit(opGetMem, src, slot, m, uint64(addr)) }
+func (l *lane) getMPB(src, slot, m int)           { l.emit(opGetMPB, src, slot, m, 0) }
+func (l *lane) combine(src, slot, m int) {
+	l.emit(opCombine, src, slot, m, 0)
+	l.emit(opCompute, 0, 0, m, 0)
+}
 
 // occupant records which child's transfer last staged into an MPB slot,
 // and its per-edge sequence number, for streamDown's occupancy waits.

@@ -1,10 +1,6 @@
 package occoll
 
-import (
-	"repro/internal/collective"
-	"repro/internal/core"
-	"repro/internal/scc"
-)
+import "repro/internal/scc"
 
 // Reduce combines every core's `lines` cache lines at addr with op; the
 // result lands at addr on the root. Unlike the two-sided binomial
@@ -22,10 +18,10 @@ func (x *Collectives) IReduce(root, addr, lines int, op ReduceOp) *Request {
 	if op == nil {
 		panic("occoll: nil reduce op")
 	}
-	return x.issue("IReduce", root, addr, lines, op, runIReduce)
+	return x.issue(protoIReduce, root, addr, lines, op)
 }
 
-func runIReduce(r *Request) { r.lane.reduceUp(r.tree, r.addr, r.lines, r.rop) }
+var protoIReduce = &protocol{"IReduce", []stepFn{reduceUp}}
 
 // AllReduce is OC-Reduce fused with an OC-Bcast of the result: both
 // halves share one propagation tree and the same double-buffered MPB
@@ -42,59 +38,53 @@ func (x *Collectives) IAllReduce(addr, lines int, op ReduceOp) *Request {
 	if op == nil {
 		panic("occoll: nil reduce op")
 	}
-	return x.issue("IAllReduce", 0, addr, lines, op, runIAllReduce)
+	return x.issue(protoIAllReduce, 0, addr, lines, op)
 }
 
-func runIAllReduce(r *Request) {
-	r.lane.reduceUp(r.tree, r.addr, r.lines, r.rop)
-	r.lane.bcastDown(r.tree, r.addr, r.lines)
-}
+var protoIAllReduce = &protocol{"IAllReduce", []stepFn{reduceUp, bcastDown}}
 
-// reduceUp runs the reduction pipeline toward the root. Per chunk, a
-// node stages its own contribution into its MPB slot, folds in each
-// child's staged chunk with rma.GetMPBCombine (waiting on the child's
-// upReady flag, acking with the child's upConsumed flag), then flags its
-// own parent. The root instead drains the fully combined chunk to
-// private memory. Flags carry 1-based chunk sequence numbers; slots are
-// reused double-buffered like OC-Bcast (§4.2).
-func (l *lane) reduceUp(t core.Tree, addr, lines int, op ReduceOp) {
+// reduceUp is one step — chunk ch — of the reduction pipeline toward the
+// root. Per chunk, a node stages its own contribution into its MPB slot,
+// folds in each child's staged chunk with rma.GetMPBCombine (waiting on
+// the child's upReady flag, acking with the child's upConsumed flag),
+// then flags its own parent. The root instead drains the fully combined
+// chunk to private memory. Flags carry 1-based chunk sequence numbers;
+// slots are reused double-buffered like OC-Bcast (§4.2).
+func reduceUp(r *Request, ch int) (more bool) {
+	l, t := r.lane, &r.tree
 	x := l.x
-	c, cfg := x.core, x.cfg
-	n := x.nchunks(lines)
-	nb := x.numBuffers()
-	seq := func(ch int) uint64 { return uint64(ch) + 1 }
+	me, nb := x.core.ID(), x.numBuffers()
+	m := x.chunkSpan(ch, r.lines)
+	off := r.addr + ch*x.cfg.BufLines*scc.CacheLine
+	buf, seq := l.bufLine(ch), uint64(ch)+1
+	last := ch == x.nchunks(r.lines)-1
 
-	for ch := 0; ch < n; ch++ {
-		m := x.chunkSpan(ch, lines)
-		off := addr + ch*cfg.BufLines*scc.CacheLine
-		buf := l.bufLine(ch)
-
-		// Reuse my accumulator slot only after my parent consumed the
-		// chunk that previously occupied it.
-		if t.Rank != 0 && ch >= nb {
-			l.wait(l.upConsumedLine(), seq(ch-nb))
-		}
-		// Stage my own contribution as the slot's accumulator.
-		c.PutMemToMPB(c.ID(), buf, off, m)
-		// Fold in each child's chunk, in child order (deterministic and,
-		// for the integer ops, exactly associative — results are
-		// byte-identical to the two-sided composition).
-		for i, child := range t.Children {
-			l.wait(l.upReadyLine(i), seq(ch))
-			c.GetMPBCombine(child, buf, buf, m, op)
-			c.Compute(collective.CombineCost(m))
-			c.SetFlag(child, l.upConsumedLine(), seq(ch))
-		}
-		if t.Rank == 0 {
-			// Root: land the fully combined chunk in private memory.
-			c.GetMPBToMem(c.ID(), buf, off, m)
-		} else {
-			c.SetFlag(t.Parent, l.upReadyLine(t.ChildIdx), seq(ch))
+	// Reuse my accumulator slot only after my parent consumed the chunk
+	// that previously occupied it.
+	if t.Rank != 0 && ch >= nb {
+		l.wait(l.upConsumedLine(), seq-uint64(nb))
+	}
+	// Stage my own contribution as the slot's accumulator.
+	l.putMem(buf, off, m)
+	// Fold in each child's chunk, in child order (deterministic and, for
+	// the integer ops, exactly associative — results are byte-identical
+	// to the two-sided composition).
+	for i, child := range t.Children {
+		l.wait(l.upReadyLine(i), seq)
+		l.combine(child, buf, m)
+		l.setFlag(child, l.upConsumedLine(), seq)
+	}
+	if t.Rank == 0 {
+		// Root: land the fully combined chunk in private memory.
+		l.getMem(me, buf, off, m)
+	} else {
+		l.setFlag(t.Parent, l.upReadyLine(t.ChildIdx), seq)
+		if last {
+			// Drain: my parent must have consumed my last staged chunks
+			// before I return (or hand the slots to AllReduce's
+			// broadcast half).
+			l.wait(l.upConsumedLine(), seq)
 		}
 	}
-	// Drain: my parent must have consumed my last staged chunks before I
-	// return (or hand the slots to AllReduce's broadcast half).
-	if t.Rank != 0 {
-		l.wait(l.upConsumedLine(), seq(n-1))
-	}
+	return !last
 }

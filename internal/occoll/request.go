@@ -1,11 +1,12 @@
 package occoll
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // The progress engine.
@@ -15,108 +16,120 @@ import (
 // validates the arguments, claims the next MPB lane round-robin, zeroes
 // the lane's flags, runs the begin barrier, and then starts the lane
 // protocol — the same pipelined k-ary state machine the blocking
-// operation runs — but parks it at the first flag wait whose flag has not
+// operation runs — but stops it at the first flag wait whose flag has not
 // arrived yet instead of blocking the simulated core.
 //
-// The parked protocol is advanced only when the core calls Progress,
+// The stopped protocol is advanced only when the core calls Progress,
 // Request.Test or Request.Wait (MPI-style: communication progresses
-// inside library calls). Progress and Test poll the pending flag with
-// rma.TryFlagGE — a failed probe costs no virtual time, a successful one
-// charges the same single C^mpb_r(1) poll read the blocking path charges
-// — and let the protocol run until its next unsatisfied wait. Wait
-// switches the protocol's waits to rma.WaitFlagGE, which parks the
-// simulated proc on the engine's run queue (internal/sim's indexed heap)
-// until a peer's flag write signals the watched MPB line; the blocking
-// collectives are exactly issue + Wait, which is why their simulated
-// timings are byte-identical to the pre-engine run-to-completion loops.
+// inside library calls). Progress and Test probe the pending flag with
+// rma.ProbeFlagGE — a failed probe costs no virtual time, a successful
+// one charges the same single C^mpb_r(1) poll read the blocking path
+// charges — and let the protocol run until its next unsatisfied wait.
+// Wait switches the protocol's waits to rma.CallWaitFlagGE, which parks
+// the simulated proc on the engine's run queue (internal/sim's indexed
+// heap) until a peer's flag write signals the watched MPB line; the
+// blocking collectives are exactly issue + Wait, which is why their
+// simulated timings are byte-identical to the pre-engine
+// run-to-completion loops.
 //
-// Each protocol runs on its own goroutine, but exactly one goroutine per
-// simulated core is ever runnable: control transfers synchronously
-// between the core's body function and a request's protocol through the
-// resume/yield channel pair, so the protocol is a resumable state machine
-// whose program counter is its goroutine stack. Determinism is untouched
-// — the simulated proc is embodied by exactly one goroutine at a time.
+// Mechanically a lane protocol is data-independent — every loop bound
+// and branch depends only on the tree, the message size and the Config,
+// never on a value read from an MPB — so it is written as a chain of
+// step functions, each appending the RMA ops of one pipeline step to the
+// lane's instruction buffer. The Request is the sim.Frame that
+// interprets the buffer, one rma Call* child frame per instruction: the
+// same frame machinery rcce and OC-Bcast run on, with no goroutine of
+// its own. Stopping at a wait is returning from Step with the program
+// counter still on it.
 
-// waitMode selects how a request protocol's flag waits behave.
-type waitMode int
+// stepFn appends the instructions of pipeline step `step` (0, 1, …) of
+// one protocol phase to r.lane's buffer and reports whether the phase
+// has more steps. A phase with nothing to do on this core (a leaf's
+// down-stream, the root's up-stream) emits nothing and reports false.
+type stepFn func(r *Request, step int) (more bool)
+
+// protocol is one collective's static program: its name and the phases
+// that run back to back on the lane (fused collectives chain two or
+// three — reduce→bcast, recv→streamDown, gatherRecv→gatherSend→bcast).
+type protocol struct {
+	name   string
+	phases []stepFn
+}
+
+// opcode selects the RMA op of one instr.
+type opcode uint8
 
 const (
-	// modeTry polls once with rma.TryFlagGE and parks the protocol
-	// coroutine (yielding back to the driver) when the flag has not
-	// arrived — the Test/Progress path.
-	modeTry waitMode = iota
-	// modeBlock waits with rma.WaitFlagGE, parking the simulated proc on
-	// the scheduler until the flag write arrives — the Wait path.
-	modeBlock
-	// modeAbort makes the protocol unwind with errAbandoned so its
-	// goroutine exits — Finish's cleanup for leaked requests.
-	modeAbort
+	opWait    opcode = iota // own flag `line` ≥ arg
+	opPutMem                // private arg.. → own MPB `line`.., m lines
+	opGetMem                // peer's MPB `line`.. → private arg.., m lines
+	opGetMPB                // peer's MPB `line`.. → own MPB `line`.., m lines
+	opCombine               // fold peer's MPB `line`.. into own `line`.. with r.rop
+	opCompute               // the combine arithmetic over m lines
+	opSetFlag               // peer's flag `line` = arg
 )
 
-// errAbandoned unwinds an abandoned protocol coroutine; it never escapes
-// the request (body swallows it).
-var errAbandoned = errors.New("occoll: request abandoned")
+// instr is one RMA op of a pipeline step, 16 bytes: MPB lines and chunk
+// sizes are below maxFlagLine (Validate), so they fit the narrow fields.
+type instr struct {
+	op   opcode
+	m    uint8
+	line uint16
+	peer int32
+	arg  uint64 // private byte address, or flag sequence number
+}
 
 // Request is the handle of one in-flight non-blocking collective. A
 // request must be completed — observed by exactly one successful Test or
 // one Wait — before the issuing core's body returns; the handle is dead
 // afterwards, and reusing it panics (see Wait and Test).
 type Request struct {
-	x    *Collectives
-	op   string
-	lane *lane
+	x     *Collectives
+	proto *protocol
+	lane  *lane
 
-	// The protocol program: a static per-operation function plus its
-	// arguments, carried in the frame (instead of a per-issue closure)
-	// so a warmed issue loop allocates nothing here.
-	run   func(*Request)
+	// The protocol's arguments, carried in the frame (instead of a
+	// per-issue closure) so a warmed issue loop allocates nothing here.
 	tree  core.Tree
 	addr  int
 	lines int
 	rop   ReduceOp
 
-	mode     waitMode
+	// phase/step name the next pipeline step to emit; pc is the next
+	// instruction of lane.prog to run. While the request is stopped on a
+	// flag (not done, not being Exec'ed), lane.prog[pc] is that wait.
+	phase, step, pc int32
+	// blocking selects how waits behave during the current Exec: park
+	// the simulated proc (Wait, lane reuse) or probe and stop
+	// (issue/Test/Progress).
+	blocking bool
+
 	done     bool // protocol locally complete (lane drained)
 	consumed bool // completion observed by Wait or a true Test
-
-	// pendLine/pendSeq describe the flag wait the protocol is parked on
-	// (valid while parked in modeTry).
-	pendLine int
-	pendSeq  uint64
 
 	// obsID is the request's async-span id when tracing is on (0 = off):
 	// the span runs from issue to protocol completion, overlapping other
 	// requests on the same core's track.
 	obsID int64
-
-	panicVal any
-	resume   chan struct{} // driver -> protocol: run
-	yield    chan struct{} // protocol -> driver: parked or finished
-
-	// start spawns the protocol coroutine: a zero-argument closure over
-	// the frame, built once per frame and kept across recycles. A go
-	// statement on a zero-arg func value allocates nothing, whereas
-	// `go f(r)` heap-allocates a hidden wrapper closure per issue.
-	start func()
 }
 
 // Op reports the name of the collective the request was issued by (e.g.
 // "IAllReduce"), for error messages and tests.
-func (r *Request) Op() string { return r.op }
+func (r *Request) Op() string { return r.proto.name }
 
 // issue starts a non-blocking collective: argument validation, lane
-// claim, begin (flag zeroing + barrier), then the protocol coroutine,
-// eagerly advanced to its first unsatisfied flag wait so communication
-// starts at issue time.
-func (x *Collectives) issue(op string, root, addr, lines int, rop ReduceOp, run func(*Request)) *Request {
+// claim, begin (flag zeroing + barrier), then the protocol, eagerly
+// advanced to its first unsatisfied flag wait so communication starts at
+// issue time.
+func (x *Collectives) issue(proto *protocol, root, addr, lines int, rop ReduceOp) *Request {
 	if x.finished {
-		panic(fmt.Sprintf("occoll: %s issued after its core finished", op))
+		panic(fmt.Sprintf("occoll: %s issued after its core finished", proto.name))
 	}
 	if !x.checkArgs(root, addr, lines) {
 		// Trivial 1-core chip: the collective is a completed no-op.
-		return &Request{x: x, op: op, done: true}
+		return &Request{x: x, proto: proto, done: true}
 	}
-	l := x.lanes[int(x.nissued)%len(x.lanes)]
+	l := &x.lanes[int(x.nissued)%len(x.lanes)]
 	x.nissued++
 	l.issues++
 	if l.req != nil && !l.req.done {
@@ -124,22 +137,27 @@ func (x *Collectives) issue(op string, root, addr, lines int, rop ReduceOp, run 
 		// local completion before reusing the lane. Deterministic and
 		// symmetric — every core drives its own previous request at the
 		// same issue index — so all cores still agree on lane contents.
-		l.req.drive()
+		l.req.exec(true)
 	}
 	r := x.newRequest()
-	r.x, r.op, r.lane = x, op, l
-	r.run, r.addr, r.lines, r.rop = run, addr, lines, rop
+	r.x, r.proto, r.lane = x, proto, l
+	r.addr, r.lines, r.rop = addr, lines, rop
 	if o := x.core.Obs(); o != nil {
 		r.obsID = o.AsyncID()
-		o.AsyncBegin(r.obsID, x.core.ID(), int64(x.core.Now()), "occoll", op,
+		o.AsyncBegin(r.obsID, x.core.ID(), int64(x.core.Now()), "occoll", proto.name,
 			obs.Arg{Key: "lane", Val: int64(l.idx)}, obs.Arg{Key: "lines", Val: int64(lines)})
 	}
 	l.req = r
+	if l.prog == nil {
+		// One buffer per lane that is ever used, sized for the longest
+		// step (reduceUp's: stage, four ops per child, hand up, drain).
+		l.prog = make([]instr, 0, 4*x.cfg.K+4)
+	}
+	l.prog = l.prog[:0]
 	r.tree = l.begin(root)
-	go r.start()
 	x.compactReqs() // keep the list bounded by in-flight requests
 	x.reqs = append(x.reqs, r)
-	r.advance(modeTry)
+	r.exec(false)
 	if o := x.core.Obs(); o != nil {
 		o.Counter(x.core.ID(), int64(x.core.Now()), "occoll", "inflight", int64(x.Outstanding()))
 	}
@@ -147,22 +165,16 @@ func (x *Collectives) issue(op string, root, addr, lines int, rop ReduceOp, run 
 }
 
 // newRequest returns a recycled request frame when one is free, else a
-// fresh one with its resume/yield channel pair. Recycled frames are
-// zeroed except for the channels; the caller fills x/op/lane.
+// fresh one; either way zeroed. The caller fills x/proto/lane.
 func (x *Collectives) newRequest() *Request {
 	if n := len(x.freeReqs); n > 0 {
 		r := x.freeReqs[n-1]
 		x.freeReqs[n-1] = nil
 		x.freeReqs = x.freeReqs[:n-1]
-		*r = Request{resume: r.resume, yield: r.yield, start: r.start}
+		*r = Request{}
 		return r
 	}
-	r := &Request{
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	r.start = func() { r.body() }
-	return r
+	return &Request{}
 }
 
 // reqFreeListMax bounds the free list; a serial issue/Wait loop keeps it
@@ -186,7 +198,7 @@ func (x *Collectives) compactReqs() {
 	for _, r := range x.reqs {
 		if !r.done || !r.consumed {
 			live = append(live, r)
-		} else if r.resume != nil && len(x.freeReqs) < reqFreeListMax {
+		} else if len(x.freeReqs) < reqFreeListMax {
 			x.freeReqs = append(x.freeReqs, r)
 		}
 	}
@@ -196,71 +208,68 @@ func (x *Collectives) compactReqs() {
 	x.reqs = live
 }
 
-// body is the protocol coroutine: it waits for the first resume, runs the
-// lane protocol, and hands control back marking the request done. A panic
-// inside the protocol (a programming error or a simulated deadlock being
-// torn down) is captured and re-raised on the driving goroutine.
-func (r *Request) body() {
-	<-r.resume
-	defer func() {
-		if p := recover(); p != nil && p != errAbandoned {
-			r.panicVal = p
-		}
-		r.done = true
-		// Emit before handing control back: after the yield send the
-		// driver goroutine may record, and the recorder is unlocked.
-		if o := r.x.core.Obs(); o != nil && r.obsID != 0 {
-			now := int64(r.x.core.Now())
-			o.AsyncEnd(r.obsID, r.x.core.ID(), now, "occoll", r.op)
-			o.Counter(r.x.core.ID(), now, "occoll", "inflight", int64(r.x.Outstanding()))
-		}
-		r.yield <- struct{}{}
-	}()
-	r.run(r)
+// exec runs the protocol as a machine section of the core's body until
+// it completes or — when not blocking — stops on a flag that has not
+// arrived. A panic inside the protocol (a programming error or a
+// simulated deadlock being torn down) unwinds like any frame's.
+func (r *Request) exec(blocking bool) {
+	r.blocking = blocking
+	r.x.core.Exec(r)
 }
 
-// advance transfers control to the protocol coroutine in the given wait
-// mode and returns when it parks on a flag or finishes.
-func (r *Request) advance(m waitMode) {
-	r.mode = m
-	r.resume <- struct{}{}
-	<-r.yield
-	if r.panicVal != nil {
-		p := r.panicVal
-		r.panicVal = nil
-		panic(p)
+// Step interprets the lane's instruction buffer: each instruction runs
+// as an rma child frame, and an exhausted buffer is refilled with the
+// protocol's next pipeline step. The protocol is complete when its last
+// phase has no more steps.
+func (r *Request) Step(*sim.Proc) sim.StepStatus {
+	l, c := r.lane, r.x.core
+	for int(r.pc) == len(l.prog) {
+		if int(r.phase) == len(r.proto.phases) {
+			r.complete()
+			return sim.StepDone
+		}
+		l.prog, r.pc = l.prog[:0], 0
+		if r.proto.phases[r.phase](r, int(r.step)) {
+			r.step++
+		} else {
+			r.phase, r.step = r.phase+1, 0
+		}
+	}
+	in := &l.prog[r.pc]
+	line, peer, m := int(in.line), int(in.peer), int(in.m)
+	if in.op == opWait && !r.blocking {
+		if !c.ProbeFlagGE(line, in.arg) {
+			return sim.StepDone // stopped, not done: pc stays on the wait
+		}
+		r.pc++
+		return c.CallPollFlag(line)
+	}
+	r.pc++
+	switch in.op {
+	case opWait:
+		return c.CallWaitFlagGE(line, in.arg)
+	case opPutMem:
+		return c.CallPutMemToMPB(c.ID(), line, int(in.arg), m)
+	case opGetMem:
+		return c.CallGetMPBToMem(peer, line, int(in.arg), m)
+	case opGetMPB:
+		return c.CallGetMPBToMPB(peer, line, line, m)
+	case opCombine:
+		return c.CallGetMPBCombine(peer, line, line, m, r.rop)
+	case opCompute:
+		return c.CallCompute(collective.CombineCost(m))
+	default: // opSetFlag
+		return c.CallSetFlag(peer, line, in.arg)
 	}
 }
 
-// waitGE is the lane's flag-wait hook while this request owns it. It runs
-// on the protocol coroutine: in modeBlock it simply blocks the simulated
-// proc like the classic run-to-completion loop did; in modeTry it polls
-// once and, if the flag has not arrived, parks the coroutine until the
-// driver's next advance (which may have switched the mode — a Wait after
-// some Progress calls finishes the protocol in modeBlock).
-func (r *Request) waitGE(line int, seq uint64) {
-	for {
-		switch r.mode {
-		case modeBlock:
-			r.x.core.WaitFlagGE(line, seq)
-			return
-		case modeAbort:
-			panic(errAbandoned)
-		}
-		if r.x.core.TryFlagGE(line, seq) {
-			return
-		}
-		r.pendLine, r.pendSeq = line, seq
-		r.yield <- struct{}{}
-		<-r.resume
-	}
-}
-
-// drive runs the protocol to completion with blocking waits, without
-// consuming the handle (used by Wait and by lane reuse at issue).
-func (r *Request) drive() {
-	for !r.done {
-		r.advance(modeBlock)
+// complete marks the protocol locally complete and closes its span.
+func (r *Request) complete() {
+	r.done = true
+	if o := r.x.core.Obs(); o != nil && r.obsID != 0 {
+		now := int64(r.x.core.Now())
+		o.AsyncEnd(r.obsID, r.x.core.ID(), now, "occoll", r.proto.name)
+		o.Counter(r.x.core.ID(), now, "occoll", "inflight", int64(r.x.Outstanding()))
 	}
 }
 
@@ -279,7 +288,9 @@ func (r *Request) drive() {
 // advance every outstanding request) and only Wait the last one.
 func (r *Request) Wait() {
 	r.checkUsable("Wait")
-	r.drive()
+	if !r.done {
+		r.exec(true)
+	}
 	r.consumed = true
 }
 
@@ -304,15 +315,15 @@ func (r *Request) Test() bool {
 // touching one after the issuing core's body returned.
 func (r *Request) checkUsable(method string) {
 	if r.x != nil && r.x.finished {
-		panic(fmt.Sprintf("occoll: %s on %s request after its core finished", method, r.op))
+		panic(fmt.Sprintf("occoll: %s on %s request after its core finished", method, r.Op()))
 	}
 	if r.consumed {
-		panic(fmt.Sprintf("occoll: %s on completed %s request (already observed by Wait or Test)", method, r.op))
+		panic(fmt.Sprintf("occoll: %s on completed %s request (already observed by Wait or Test)", method, r.Op()))
 	}
 }
 
 // Progress advances every outstanding request as far as it can go without
-// blocking: each parked protocol re-polls its pending flag and, when the
+// blocking: each stopped protocol re-probes its pending flag and, when the
 // flag has arrived, runs until its next unsatisfied wait (or completion).
 // Progress never blocks and — when nothing has arrived — costs no
 // simulated time, so a core can interleave it with Compute slices to
@@ -329,18 +340,18 @@ func (x *Collectives) Progress() {
 			advanced = advanced || r.consumed
 			continue
 		}
-		// Every live request is parked on (pendLine, pendSeq); probe the
-		// flag for free before paying the context switch into the
-		// protocol coroutine. The coroutine re-polls with TryFlagGE,
-		// which charges the successful poll read.
-		if !x.core.ProbeFlagGE(r.pendLine, r.pendSeq) {
+		// Every live request is stopped on the wait at its pc; probe the
+		// flag for free before entering the frame, which re-probes and
+		// charges the successful poll read.
+		pend := &r.lane.prog[r.pc]
+		if !x.core.ProbeFlagGE(int(pend.line), pend.arg) {
 			continue
 		}
 		if o := x.core.Obs(); o != nil {
 			o.Instant(x.core.ID(), int64(x.core.Now()), "occoll", "progress.resume",
-				obs.Arg{Key: "lane", Val: int64(r.lane.idx)}, obs.Arg{Key: "line", Val: int64(r.pendLine)})
+				obs.Arg{Key: "lane", Val: int64(r.lane.idx)}, obs.Arg{Key: "line", Val: int64(pend.line)})
 		}
-		r.advance(modeTry)
+		r.exec(false)
 		advanced = advanced || r.done
 	}
 	if advanced {
@@ -366,35 +377,20 @@ func (x *Collectives) Outstanding() int {
 // waiting on this core's lane flags with nobody left to progress the
 // protocol, and a completed-but-unobserved one is a latent bug, so
 // Finish panics descriptively instead of letting the chip corrupt MPB
-// state or deadlock obscurely — after unwinding any in-flight protocols'
-// coroutines, so a recovered panic leaks no goroutines. The public API
-// calls it when the SPMD body returns; after Finish, any use of the
-// engine or a request handle panics.
+// state or deadlock obscurely. A stopped request is plain data — nothing
+// to unwind, whether or not Finish is ever reached. The public API calls
+// it when the SPMD body returns; after Finish, any use of the engine or
+// a request handle panics.
 func (x *Collectives) Finish() {
 	x.finished = true
 	var leaked []string
 	for _, r := range x.reqs {
-		if r.consumed {
-			continue
-		}
-		leaked = append(leaked, r.Op())
-		if !r.done {
-			r.abort()
+		if !r.consumed {
+			leaked = append(leaked, r.Op())
 		}
 	}
 	if len(leaked) > 0 {
 		panic(fmt.Sprintf("occoll: core %d finished with %d unconsumed non-blocking request(s) %v: complete every request with Wait or a true Test before returning",
 			x.core.ID(), len(leaked), leaked))
 	}
-}
-
-// abort unwinds a parked protocol coroutine so its goroutine exits; the
-// request stays incomplete (done is set, but the lane protocol was cut
-// short — the chip is broken, which is why abort only runs on the way
-// into Finish's panic).
-func (r *Request) abort() {
-	r.mode = modeAbort
-	r.resume <- struct{}{}
-	<-r.yield
-	r.panicVal = nil
 }

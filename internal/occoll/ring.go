@@ -1,8 +1,6 @@
 package occoll
 
-import (
-	"repro/internal/scc"
-)
+import "repro/internal/scc"
 
 // AllGatherRing exchanges every core's `lines`-line block so all cores
 // hold all P blocks id-ordered at addr — like AllGather, but with a
@@ -22,15 +20,16 @@ func (x *Collectives) AllGatherRing(addr, lines int) {
 // exchange and returns a Request to Test or Wait on while the core
 // computes.
 func (x *Collectives) IAllGatherRing(addr, lines int) *Request {
-	return x.issue("IAllGatherRing", 0, addr, lines, nil, runIAllGatherRing)
+	return x.issue(protoIAllGatherRing, 0, addr, lines, nil)
 }
 
-func runIAllGatherRing(r *Request) { r.lane.ringAllGather(r.addr, r.lines) }
+var protoIAllGatherRing = &protocol{"IAllGatherRing", []stepFn{ringAllGather}}
 
-// ringAllGather runs the ring pipeline on the lane. Cores form a ring in
-// id order; transfers carry a global 1-based sequence number tr shared by
-// all cores, so slot rotation and flag sequences agree everywhere without
-// negotiation. Per transfer a core
+// ringAllGather is one step — one chunk transfer — of the ring pipeline
+// on the lane. Cores form a ring in id order; transfers carry a global
+// 1-based sequence number tr shared by all cores, so slot rotation and
+// flag sequences agree everywhere without negotiation. Per transfer a
+// core
 //
 //  1. waits (slot reuse) until its right neighbour acked the transfer
 //     that previously occupied the slot (own dnDone[0] ≥ tr−nb),
@@ -44,38 +43,34 @@ func runIAllGatherRing(r *Request) { r.lane.ringAllGather(r.addr, r.lines) }
 // Staging (2) never depends on the left neighbour, so the cycle of waits
 // around the ring is broken the same way a pipelined ring of sendrecvs
 // is: every core posts its "send" before blocking on its "receive".
-func (l *lane) ringAllGather(addr, lines int) {
-	x := l.x
-	c, cfg := x.core, x.cfg
-	p := c.N()
-	me := c.ID()
+func ringAllGather(r *Request, step int) (more bool) {
+	l, x := r.lane, r.x
+	p, me := x.core.N(), x.core.ID()
 	left, right := (me-1+p)%p, (me+1)%p
-	nb := x.numBuffers()
-	nchunks := x.nchunks(lines)
-	blockBytes := lines * scc.CacheLine
+	nb, nchunks := x.numBuffers(), x.nchunks(r.lines)
+	blockBytes := r.lines * scc.CacheLine
 
-	var tr uint64
-	for t := 0; t < p-1; t++ {
-		sendBlock := ((me-t)%p + p) % p
-		recvBlock := ((me-1-t)%p + p) % p
-		for chk := 0; chk < nchunks; chk++ {
-			m := x.chunkSpan(chk, lines)
-			off := chk * cfg.BufLines * scc.CacheLine
-			slot := l.slotLine(int(tr) % nb)
-			tr++
-			if tr > uint64(nb) {
-				l.wait(l.dnDoneLine(0), tr-uint64(nb))
-			}
-			c.PutMemToMPB(me, slot, addr+sendBlock*blockBytes+off, m)
-			c.SetFlag(right, l.dnNotifyLine(), tr)
-			l.wait(l.dnNotifyLine(), tr)
-			c.GetMPBToMem(left, slot, addr+recvBlock*blockBytes+off, m)
-			c.SetFlag(left, l.dnDoneLine(0), tr)
-		}
+	// Ring step t moves block me−t out and block me−1−t in, chunk by chunk.
+	t, chk := step/nchunks, step%nchunks
+	sendBlock := ((me-t)%p + p) % p
+	recvBlock := ((me-1-t)%p + p) % p
+	m := x.chunkSpan(chk, r.lines)
+	off := r.addr + chk*x.cfg.BufLines*scc.CacheLine
+	slot, tr := l.slotLine(step%nb), uint64(step)+1
+	last := step == (p-1)*nchunks-1
+
+	if step >= nb {
+		l.wait(l.dnDoneLine(0), tr-uint64(nb))
 	}
-	// Drain: the right neighbour must have consumed my last staged chunks
-	// before the lane is handed to the next collective.
-	if tr > 0 {
+	l.putMem(slot, off+sendBlock*blockBytes, m)
+	l.setFlag(right, l.dnNotifyLine(), tr)
+	l.wait(l.dnNotifyLine(), tr)
+	l.getMem(left, slot, off+recvBlock*blockBytes, m)
+	l.setFlag(left, l.dnDoneLine(0), tr)
+	if last {
+		// Drain: the right neighbour must have consumed my last staged
+		// chunks before the lane is handed to the next collective.
 		l.wait(l.dnDoneLine(0), tr)
 	}
+	return !last
 }

@@ -1,9 +1,6 @@
 package occoll
 
-import (
-	"repro/internal/core"
-	"repro/internal/scc"
-)
+import "repro/internal/scc"
 
 // Scatter distributes P `lines`-line blocks from the root: core i ends up
 // with the block stored at addr + i·lines·32 in the root's private
@@ -20,15 +17,10 @@ func (x *Collectives) Scatter(root, addr, lines int) {
 // IScatter is the non-blocking Scatter: it issues the distribution and
 // returns a Request to Test or Wait on while the core computes.
 func (x *Collectives) IScatter(root, addr, lines int) *Request {
-	return x.issue("IScatter", root, addr, lines, nil, runIScatter)
+	return x.issue(protoIScatter, root, addr, lines, nil)
 }
 
-func runIScatter(r *Request) {
-	if r.tree.Rank != 0 {
-		r.lane.recvSubtree(r.tree, r.addr, r.lines)
-	}
-	r.lane.streamDown(r.tree, r.addr, r.lines)
-}
+var protoIScatter = &protocol{"IScatter", []stepFn{recvSubtree, streamDown}}
 
 // Gather collects each core's `lines`-line block onto the root: core i's
 // block ends up at addr + i·lines·32 in the root's private memory. The
@@ -42,10 +34,10 @@ func (x *Collectives) Gather(root, addr, lines int) {
 // IGather is the non-blocking Gather: it issues the collection and
 // returns a Request to Test or Wait on while the core computes.
 func (x *Collectives) IGather(root, addr, lines int) *Request {
-	return x.issue("IGather", root, addr, lines, nil, runIGather)
+	return x.issue(protoIGather, root, addr, lines, nil)
 }
 
-func runIGather(r *Request) { r.lane.gatherUp(r.tree, r.addr, r.lines) }
+var protoIGather = &protocol{"IGather", []stepFn{gatherRecv, gatherSend}}
 
 // AllGather exchanges every core's block so all cores hold all P blocks,
 // id-ordered at addr: an OC-Gather onto core 0 fused with an OC-Bcast of
@@ -57,129 +49,135 @@ func (x *Collectives) AllGather(addr, lines int) {
 // IAllGather is the non-blocking AllGather: it issues the fused
 // gather+broadcast and returns a Request to Test or Wait on.
 func (x *Collectives) IAllGather(addr, lines int) *Request {
-	return x.issue("IAllGather", 0, addr, lines, nil, runIAllGather)
+	return x.issue(protoIAllGather, 0, addr, lines, nil)
 }
 
-func runIAllGather(r *Request) {
-	r.lane.gatherUp(r.tree, r.addr, r.lines)
-	r.lane.bcastDown(r.tree, r.addr, r.lines*r.tree.P)
+var protoIAllGather = &protocol{"IAllGather", []stepFn{gatherRecv, gatherSend, bcastDownAll}}
+
+// The scatter/gather streams move `lines`-line blocks in DFS preorder of
+// a subtree, each block chunked through double-buffered MPB slots. One
+// pipeline step is one chunk transfer; transfer sequence numbers are
+// per-edge and 1-based and slot rotation follows the transfer index, so
+// both ends of an edge agree without negotiation.
+
+// chunk locates transfer `step` of a stream carrying the blocks of
+// `ranks` in order: it is chunk step%nchunks of block step/nchunks. It
+// returns the private address of that chunk and its line count; ok is
+// false once the stream is exhausted.
+func (r *Request) chunk(ranks []int, step int) (chunkAddr, m int, ok bool) {
+	x, t := r.x, &r.tree
+	nc := x.nchunks(r.lines)
+	if step >= len(ranks)*nc {
+		return 0, 0, false
+	}
+	chk := step % nc
+	blockA := r.addr + rankID(ranks[step/nc], t.Root, t.P)*r.lines*scc.CacheLine
+	return blockA + chk*x.cfg.BufLines*scc.CacheLine, x.chunkSpan(chk, r.lines), true
 }
 
-// recvSubtree receives this node's subtree blocks from its parent, block
-// by block in DFS preorder, each block chunked through the parent's
-// double-buffered MPB slots and written to its final private address.
-// Transfer sequence numbers are per-edge and 1-based; slot rotation
-// follows the transfer index, so both ends agree without negotiation.
-func (l *lane) recvSubtree(t core.Tree, addr, lines int) {
-	x := l.x
-	c, cfg := x.core, x.cfg
-	nb := uint64(x.numBuffers())
-	blockBytes := lines * scc.CacheLine
-	var tr uint64
-	for _, r := range preorder(t.Rank, t.P, t.K) {
-		blockA := addr + rankID(r, t.Root, t.P)*blockBytes
-		for chk := 0; chk < x.nchunks(lines); chk++ {
-			m := x.chunkSpan(chk, lines)
-			slot := int(tr % nb)
-			tr++
-			l.wait(l.dnNotifyLine(), tr)
-			c.GetMPBToMem(t.Parent, l.slotLine(slot), blockA+chk*cfg.BufLines*scc.CacheLine, m)
-			c.SetFlag(t.Parent, l.dnDoneLine(t.ChildIdx), tr)
+// childTransfer locates step `step` of the per-child subtree streams,
+// which run one after the other in child order: child i's transfer tc
+// (0-based). ok is false once every child's stream is exhausted.
+func (r *Request) childTransfer(step int) (i, tc, chunkAddr, m int, ok bool) {
+	t := &r.tree
+	for i = range t.Children {
+		ranks := preorder(t.Rank*t.K+1+i, t.P, t.K)
+		if chunkAddr, m, ok = r.chunk(ranks, step); ok {
+			return i, step, chunkAddr, m, true
 		}
+		step -= len(ranks) * r.x.nchunks(r.lines)
 	}
+	return 0, 0, 0, 0, false
 }
 
-// streamDown stages each child's subtree blocks (DFS preorder) from this
-// node's private memory into its MPB slots and notifies the child, which
-// pulls them with one-sided gets. Slots are shared across the per-child
-// streams; an occupancy table delays each staging until the slot's
-// previous occupant was consumed, and a final drain leaves the MPB free.
-func (l *lane) streamDown(t core.Tree, addr, lines int) {
-	if t.IsLeaf() {
-		return
+// recvSubtree receives this node's subtree blocks from its parent, each
+// chunk pulled from the parent's MPB slot to its final private address.
+// The root receives nothing.
+func recvSubtree(r *Request, step int) (more bool) {
+	l, t := r.lane, &r.tree
+	chunkAddr, m, ok := r.chunk(preorder(t.Rank, t.P, t.K), step)
+	if t.Rank == 0 || !ok {
+		return false
 	}
-	x := l.x
-	c, cfg := x.core, x.cfg
-	nb := x.numBuffers()
-	blockBytes := lines * scc.CacheLine
-	// The occupancy table is lane-local scratch, reused across
-	// operations so the steady-state down-stream allocates nothing.
-	if cap(l.dnUsed) < nb {
-		l.dnUsed = make([]occupant, nb)
+	tr := uint64(step) + 1
+	l.wait(l.dnNotifyLine(), tr)
+	l.getMem(t.Parent, l.slotLine(step%l.x.numBuffers()), chunkAddr, m)
+	l.setFlag(t.Parent, l.dnDoneLine(t.ChildIdx), tr)
+	return true
+}
+
+// streamDown stages each child's subtree blocks from this node's private
+// memory into its MPB slots and notifies the child, which pulls them
+// with one-sided gets. Slots are shared across the per-child streams; an
+// occupancy table delays each staging until the slot's previous occupant
+// was consumed, and a final drain step leaves the MPB free.
+func streamDown(r *Request, step int) (more bool) {
+	l, t := r.lane, &r.tree
+	if t.IsLeaf() {
+		return false
+	}
+	nb := l.x.numBuffers()
+	if step == 0 {
+		// The occupancy table is lane-local scratch, reused across
+		// operations so the steady-state down-stream allocates nothing.
+		if l.dnUsed == nil {
+			l.dnUsed = new([2]occupant)
+		}
+		*l.dnUsed = [2]occupant{}
 	}
 	used := l.dnUsed[:nb]
-	for i := range used {
-		used[i] = occupant{}
-	}
-
-	for i, child := range t.Children {
-		childRank := t.Rank*t.K + 1 + i
-		var tc uint64
-		for _, r := range preorder(childRank, t.P, t.K) {
-			blockA := addr + rankID(r, t.Root, t.P)*blockBytes
-			for chk := 0; chk < x.nchunks(lines); chk++ {
-				m := x.chunkSpan(chk, lines)
-				s := int(tc % uint64(nb))
-				tc++
-				if used[s].seq > 0 {
-					l.wait(l.dnDoneLine(used[s].childIdx), used[s].seq)
-				}
-				c.PutMemToMPB(c.ID(), l.slotLine(s), blockA+chk*cfg.BufLines*scc.CacheLine, m)
-				c.SetFlag(child, l.dnNotifyLine(), tc)
-				used[s] = occupant{childIdx: i, seq: tc}
+	i, tc, chunkAddr, m, ok := r.childTransfer(step)
+	if !ok {
+		for _, u := range used {
+			if u.seq > 0 {
+				l.wait(l.dnDoneLine(u.childIdx), u.seq)
 			}
 		}
+		return false
 	}
-	for s := range used {
-		if used[s].seq > 0 {
-			l.wait(l.dnDoneLine(used[s].childIdx), used[s].seq)
-		}
+	s, seq := tc%nb, uint64(tc)+1
+	if used[s].seq > 0 {
+		l.wait(l.dnDoneLine(used[s].childIdx), used[s].seq)
 	}
+	l.putMem(l.slotLine(s), chunkAddr, m)
+	l.setFlag(t.Children[i], l.dnNotifyLine(), seq)
+	used[s] = occupant{childIdx: i, seq: seq}
+	return true
 }
 
-// gatherUp collects each child's subtree stream into final private
-// addresses with one-sided gets from the child's MPB, then (non-root)
-// streams this node's own subtree up through its MPB slots for the
-// parent. The trailing upConsumed wait drains the slots before return.
-func (l *lane) gatherUp(t core.Tree, addr, lines int) {
-	x := l.x
-	c, cfg := x.core, x.cfg
-	nb := uint64(x.numBuffers())
-	blockBytes := lines * scc.CacheLine
+// gatherRecv collects each child's subtree stream into final private
+// addresses with one-sided gets from the child's MPB.
+func gatherRecv(r *Request, step int) (more bool) {
+	l := r.lane
+	i, tc, chunkAddr, m, ok := r.childTransfer(step)
+	if !ok {
+		return false
+	}
+	child, seq := r.tree.Children[i], uint64(tc)+1
+	l.wait(l.upReadyLine(i), seq)
+	l.getMem(child, l.slotLine(tc%l.x.numBuffers()), chunkAddr, m)
+	l.setFlag(child, l.upConsumedLine(), seq)
+	return true
+}
 
-	for i, child := range t.Children {
-		childRank := t.Rank*t.K + 1 + i
-		var tc uint64
-		for _, r := range preorder(childRank, t.P, t.K) {
-			blockA := addr + rankID(r, t.Root, t.P)*blockBytes
-			for chk := 0; chk < x.nchunks(lines); chk++ {
-				m := x.chunkSpan(chk, lines)
-				s := int(tc % nb)
-				tc++
-				l.wait(l.upReadyLine(i), tc)
-				c.GetMPBToMem(child, l.slotLine(s), blockA+chk*cfg.BufLines*scc.CacheLine, m)
-				c.SetFlag(child, l.upConsumedLine(), tc)
-			}
-		}
-	}
+// gatherSend streams this node's own subtree (its block first,
+// descendants after) up through its MPB slots for the parent; the step
+// after the last transfer drains the slots. The root sends nothing.
+func gatherSend(r *Request, step int) (more bool) {
+	l, t := r.lane, &r.tree
 	if t.Rank == 0 {
-		return
+		return false
 	}
-	var tc uint64
-	for _, r := range preorder(t.Rank, t.P, t.K) {
-		blockA := addr + rankID(r, t.Root, t.P)*blockBytes
-		for chk := 0; chk < x.nchunks(lines); chk++ {
-			m := x.chunkSpan(chk, lines)
-			s := int(tc % nb)
-			tc++
-			if tc > nb {
-				l.wait(l.upConsumedLine(), tc-nb)
-			}
-			c.PutMemToMPB(c.ID(), l.slotLine(s), blockA+chk*cfg.BufLines*scc.CacheLine, m)
-			c.SetFlag(t.Parent, l.upReadyLine(t.ChildIdx), tc)
-		}
+	nb := l.x.numBuffers()
+	chunkAddr, m, ok := r.chunk(preorder(t.Rank, t.P, t.K), step)
+	if !ok {
+		l.wait(l.upConsumedLine(), uint64(step))
+		return false
 	}
-	if tc > 0 {
-		l.wait(l.upConsumedLine(), tc)
+	if step >= nb {
+		l.wait(l.upConsumedLine(), uint64(step+1-nb))
 	}
+	l.putMem(l.slotLine(step%nb), chunkAddr, m)
+	l.setFlag(t.Parent, l.upReadyLine(t.ChildIdx), uint64(step)+1)
+	return true
 }

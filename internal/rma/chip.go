@@ -237,14 +237,8 @@ func (c *Core) Chip() *Chip { return c.chip }
 
 // Compute advances the core's clock by d, modelling local computation.
 func (c *Core) Compute(d sim.Duration) {
-	if o := c.chip.obs; o != nil && d > 0 {
-		o.Begin(c.id, int64(c.proc.Now()), "rma", "compute", obs.BucketCompute,
-			obs.Arg{Key: "ps", Val: int64(d)}, obs.Arg{})
-		c.proc.Advance(d)
-		o.End(c.id, int64(c.proc.Now()))
-		return
-	}
-	c.proc.Advance(d)
+	c.computePre(&c.opf, d)
+	c.proc.Exec(&c.opf)
 }
 
 // Obs returns the chip's recorder, or nil when tracing is off. Layers

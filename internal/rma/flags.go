@@ -1,9 +1,6 @@
 package rma
 
-import (
-	"repro/internal/mem"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Flags are single-cache-line synchronization variables living in MPBs.
 // The SCC guarantees 32 B read/write atomicity, so a flag occupies one
@@ -16,10 +13,8 @@ import (
 // put whose payload is a register value, so no source read is charged:
 // completion = o^mpb_put + C^mpb_w(d).
 func (c *Core) SetFlag(dst, line int, value uint64) {
-	f := &c.opf
-	c.setFlagPre(f, dst, line, value)
-	c.proc.AdvanceTo(f.completion)
-	c.opPost(f)
+	c.setFlagPre(&c.opf, dst, line, value)
+	c.proc.Exec(&c.opf)
 }
 
 // WaitFlagGE blocks until the flag in this core's own MPB line is ≥ seq
@@ -28,63 +23,28 @@ func (c *Core) SetFlag(dst, line int, value uint64) {
 // unsuccessful polls cost no virtual time, matching the paper's
 // modelling assumption that flag checking overlaps the wait. The
 // comparison rides in the MPB's reusable wait record — no closure per
-// call.
+// call. It returns the flag's value.
 func (c *Core) WaitFlagGE(line int, seq uint64) uint64 {
-	// The span opens before the wait so blocked time lands in its bucket.
-	o := c.beginSpan("flag.wait", obs.BucketWait,
-		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
-	own := c.chip.MPB(c.id)
-	own.WaitU64GE(c.proc, line, seq)
-	return c.finishFlagWait(o, own, line)
+	c.waitPre(&c.opf, line, false, seq)
+	c.proc.Exec(&c.opf)
+	return c.opf.result
 }
 
 // WaitFlagEQ blocks until the flag is exactly seq — the RCCE handshake
 // wait — with the same closure-free path as WaitFlagGE.
 func (c *Core) WaitFlagEQ(line int, seq uint64) uint64 {
-	o := c.beginSpan("flag.wait", obs.BucketWait,
-		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
-	own := c.chip.MPB(c.id)
-	own.WaitU64EQ(c.proc, line, seq)
-	return c.finishFlagWait(o, own, line)
-}
-
-// finishFlagWait charges the final successful poll read and closes the
-// wait span: the common epilogue of every WaitFlag variant.
-func (c *Core) finishFlagWait(o *obs.Recorder, own *mem.MPB, line int) uint64 {
-	c.proc.Advance(c.CMpbR(1))
-	v := own.PeekU64(line, c.Now())
-	ctr := c.counters()
-	ctr.MPBReadLines++
-	ctr.FlagWaits++
-	c.endSpan(o)
-	return v
-}
-
-// TryFlagGE polls the flag in this core's own MPB line once, without
-// blocking. If the flag is ≥ seq it charges the one successful poll read
-// C^mpb_r(1) — exactly the final poll WaitFlagGE charges — and reports
-// true. A failed probe costs no virtual time (and has no memory side
-// effects at all), matching the modelling assumption that flag checking
-// overlaps the wait; it is the primitive under the non-blocking
-// collectives' Test/Progress path.
-func (c *Core) TryFlagGE(line int, seq uint64) bool {
-	if !c.ProbeFlagGE(line, seq) {
-		return false
-	}
-	o := c.beginSpan("flag.poll", obs.BucketWait,
-		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
-	c.proc.Advance(c.CMpbR(1))
-	ctr := c.counters()
-	ctr.MPBReadLines++
-	ctr.FlagWaits++
-	c.endSpan(o)
-	return true
+	c.waitPre(&c.opf, line, true, seq)
+	c.proc.Exec(&c.opf)
+	return c.opf.result
 }
 
 // ProbeFlagGE reports whether the flag in this core's own MPB line is
-// already ≥ seq, charging no virtual time either way — the cheap
-// pre-check the progress engine runs before context-switching into a
-// parked protocol. A false result counts as a failed poll.
+// already ≥ seq, charging no virtual time either way (and with no memory
+// side effects at all), matching the modelling assumption that flag
+// checking overlaps the wait. It is the primitive under the non-blocking
+// collectives' Test/Progress path: a false result counts as a failed
+// poll; after a true one the caller charges the successful poll read
+// with CallPollFlag.
 func (c *Core) ProbeFlagGE(line int, seq uint64) bool {
 	if c.chip.MPB(c.id).ProbeU64(line, c.Now()) >= seq {
 		return true

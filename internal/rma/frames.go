@@ -9,19 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the state-machine face of the RMA primitives. Every op
-// splits into a *pre* step (all side effects up to the completion-time
-// clock advance: span open, port reservations, mesh booking, source
-// reads, pre-yield counters) and a *post* step (deferred destination
-// writes, remaining counters, span close), with the completion time
-// carried between them in the core's embedded opFrame. The blocking
-// entry points in ops.go/flags.go run pre → AdvanceTo → post on the
-// body goroutine (user closures, occoll's request coroutines); the
-// Call* entry points push the same frame onto the proc's machine stack
-// so protocol frames (rcce, core) execute the identical op without
-// parking a goroutine. One source of truth, two drivers, both in
-// production — TestBlockingCallTwins runs one op sequence through each
-// and requires identical clocks, counters and switch counts.
+// This file is the one driver of the RMA primitives. Every op splits
+// into a *pre* step (all side effects up to the completion-time clock
+// advance: span open, port reservations, mesh booking, source reads,
+// pre-yield counters) and a *post* step (deferred destination writes,
+// remaining counters, span close), with the completion time carried
+// between them in the core's embedded opFrame. The blocking entry
+// points in ops.go/flags.go run pre and Exec the frame as a machine
+// section of the body; the Call* entry points run pre and push the same
+// frame as a child, so protocol frames (rcce, core, occoll's requests)
+// execute the identical op without parking a goroutine. One body and
+// one driver per op; script_test.go's TestOpScriptDigest pins a script
+// that touches every framed op, entered both ways, to recorded clocks,
+// counters and switch counts.
 
 // opFrame opcodes: which post step (deferred writes + counters) runs
 // after the completion-time yield. opWait is the multi-state flag wait.
@@ -30,7 +30,10 @@ const (
 	opPutMem
 	opGetMPB
 	opGetMem
+	opCombine
+	opCompute
 	opSetFlag
+	opPoll
 	opWait
 )
 
@@ -90,8 +93,9 @@ func (f *opFrame) Step(p *sim.Proc) sim.StepStatus {
 	return sim.StepDone
 }
 
-// stepWait mirrors waitOp's check/arm/wake loop plus finishFlagWait's
-// epilogue, state by state.
+// stepWait is the flag wait, state by state: the check/arm/wake loop of
+// mem.MPB.WaitU64GE over the MPB's explicit wait steps, then the final
+// successful poll read C^mpb_r(1) and the value read.
 func (f *opFrame) stepWait(p *sim.Proc) sim.StepStatus {
 	c := f.c
 	own := c.chip.MPB(c.id)
@@ -124,8 +128,7 @@ func (f *opFrame) stepWait(p *sim.Proc) sim.StepStatus {
 }
 
 // opPost applies the op's deferred writes and remaining counters and
-// closes its span — everything the blocking form does after its
-// AdvanceTo(completion).
+// closes its span — everything that follows the completion-time yield.
 func (c *Core) opPost(f *opFrame) {
 	ctr := c.counters()
 	switch f.op {
@@ -151,10 +154,18 @@ func (c *Core) opPost(f *opFrame) {
 		ctr.MPBReadLines += int64(f.m)
 		ctr.MemWriteLines += int64(f.m)
 		ctr.GetOps++
+	case opCombine:
+		f.dst.WriteLines(f.line, f.buf, f.m, f.eff0, f.stride)
+		ctr.MPBReadLines += int64(2 * f.m)
+		ctr.MPBWriteLines += int64(f.m)
+		ctr.GetOps++
 	case opSetFlag:
 		f.dst.WriteLine(f.line, c.flagBuf[:], f.eff0)
 		ctr.MPBWriteLines++
 		ctr.FlagSets++
+	case opPoll:
+		ctr.MPBReadLines++
+		ctr.FlagWaits++
 	}
 	c.endSpan(f.span)
 	f.span = nil
@@ -171,55 +182,98 @@ func (c *Core) Exec(f sim.Frame) { c.proc.Exec(f) }
 // clock, pushes the core's opFrame as a child, and returns StepCall
 // for the caller to propagate.
 
+// call pushes the core's (pre-filled) opFrame as a child frame.
+func (c *Core) call() sim.StepStatus {
+	c.proc.Call(&c.opf)
+	return sim.StepCall
+}
+
 // CallPutMemToMPB is PutMemToMPB as a child frame.
 func (c *Core) CallPutMemToMPB(dst, dstLine, srcAddr, m int) sim.StepStatus {
 	c.putMemPre(&c.opf, dst, dstLine, srcAddr, m)
-	c.proc.Call(&c.opf)
-	return sim.StepCall
+	return c.call()
 }
 
 // CallGetMPBToMPB is GetMPBToMPB as a child frame.
 func (c *Core) CallGetMPBToMPB(src, srcLine, dstLine, m int) sim.StepStatus {
 	c.getMPBPre(&c.opf, src, srcLine, dstLine, m)
-	c.proc.Call(&c.opf)
-	return sim.StepCall
+	return c.call()
 }
 
 // CallGetMPBToMem is GetMPBToMem as a child frame.
 func (c *Core) CallGetMPBToMem(src, srcLine, dstAddr, m int) sim.StepStatus {
 	c.getMemPre(&c.opf, src, srcLine, dstAddr, m)
-	c.proc.Call(&c.opf)
-	return sim.StepCall
+	return c.call()
+}
+
+// CallGetMPBCombine is GetMPBCombine as a child frame.
+func (c *Core) CallGetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src []byte)) sim.StepStatus {
+	c.combinePre(&c.opf, src, srcLine, dstLine, m, combine)
+	return c.call()
+}
+
+// CallCompute is Compute as a child frame.
+func (c *Core) CallCompute(d sim.Duration) sim.StepStatus {
+	c.computePre(&c.opf, d)
+	return c.call()
 }
 
 // CallSetFlag is SetFlag as a child frame.
 func (c *Core) CallSetFlag(dst, line int, value uint64) sim.StepStatus {
 	c.setFlagPre(&c.opf, dst, line, value)
-	c.proc.Call(&c.opf)
-	return sim.StepCall
+	return c.call()
 }
 
 // CallWaitFlagGE is WaitFlagGE as a child frame (the flag value lands
 // in the frame's result field; framed protocols don't consume it).
 func (c *Core) CallWaitFlagGE(line int, seq uint64) sim.StepStatus {
-	return c.callWait(line, false, seq)
+	c.waitPre(&c.opf, line, false, seq)
+	return c.call()
 }
 
 // CallWaitFlagEQ is WaitFlagEQ as a child frame.
 func (c *Core) CallWaitFlagEQ(line int, seq uint64) sim.StepStatus {
-	return c.callWait(line, true, seq)
+	c.waitPre(&c.opf, line, true, seq)
+	return c.call()
 }
 
-func (c *Core) callWait(line int, eq bool, val uint64) sim.StepStatus {
+// CallPollFlag charges the one successful poll read C^mpb_r(1) of a
+// flag the caller just saw arrive with ProbeFlagGE — exactly the final
+// poll a flag wait charges — as a child frame. Probe-then-poll is the
+// non-blocking collectives' Test/Progress path; a failed probe costs no
+// virtual time and never gets here.
+func (c *Core) CallPollFlag(line int) sim.StepStatus {
 	f := &c.opf
+	f.c, f.op, f.pc = c, opPoll, 0
+	f.span = c.beginSpan("flag.poll", obs.BucketWait,
+		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
+	f.completion = c.Now() + c.CMpbR(1)
+	return c.call()
+}
+
+// waitPre opens a flag wait: the frame's own state loop (stepWait) does
+// the rest.
+func (c *Core) waitPre(f *opFrame, line int, eq bool, val uint64) {
 	f.c, f.op, f.pc = c, opWait, wpCheck
 	f.line, f.eq, f.val = line, eq, val
 	// The span opens before the wait so blocked time lands in its
-	// bucket, exactly like WaitFlagGE/EQ.
+	// bucket.
 	f.span = c.beginSpan("flag.wait", obs.BucketWait,
 		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
-	c.proc.Call(f)
-	return sim.StepCall
+}
+
+// computePre is Compute up to the clock advance. Only a positive
+// duration gets a span.
+func (c *Core) computePre(f *opFrame, d sim.Duration) {
+	if d < 0 {
+		panic("rma: negative Compute")
+	}
+	f.c, f.op, f.pc = c, opCompute, 0
+	f.span = nil
+	if d > 0 {
+		f.span = c.beginSpan("compute", obs.BucketCompute, obs.Arg{Key: "ps", Val: int64(d)}, obs.Arg{})
+	}
+	f.completion = c.Now() + d
 }
 
 // setFlagPre is SetFlag up to the completion advance.

@@ -59,8 +59,8 @@ func checkLines(m int) {
 // finish; tail is the path cost from port back to the issuing core
 // (d·Lhop); meshFinish is the detailed-NoC clearing time (or 0). delay
 // is the extra completion beyond the analytic time, which shifts write
-// visibility accordingly. Pre steps store both in the opFrame; the
-// blocking driver advances to completion itself.
+// visibility accordingly. Pre steps store both in the opFrame, whose
+// Step advances the clock to completion.
 func (c *Core) opCompletion(analytic, portFinish sim.Time, tail sim.Duration, meshFinish sim.Time) (completion sim.Time, delay sim.Duration) {
 	completion = analytic
 	if c.chip.Cfg.Contention.Enabled && portFinish > 0 {
@@ -75,7 +75,8 @@ func (c *Core) opCompletion(analytic, portFinish sim.Time, tail sim.Duration, me
 }
 
 // finishOp is opCompletion plus the clock advance — the epilogue of the
-// ops that have no framed form (GetMPBCombine, PutLine, ReadLineBytes).
+// ops that never run inside a protocol frame and so have no framed form
+// (PutLine, ReadLineBytes).
 func (c *Core) finishOp(analytic, portFinish sim.Time, tail sim.Duration, meshFinish sim.Time) sim.Duration {
 	completion, delay := c.opCompletion(analytic, portFinish, tail, meshFinish)
 	c.proc.AdvanceTo(completion)
@@ -156,10 +157,8 @@ func unfairness(core int) float64 {
 // C^mpb_put(m, d) = o^mpb_put + m·C^mpb_r(1) + m·C^mpb_w(d). The last
 // line becomes visible d·Lhop before the operation completes (Formula 9).
 func (c *Core) PutMPBToMPB(dst, dstLine, srcLine, m int) {
-	f := &c.opf
-	c.putMPBPre(f, dst, dstLine, srcLine, m)
-	c.proc.AdvanceTo(f.completion)
-	c.opPost(f)
+	c.putMPBPre(&c.opf, dst, dstLine, srcLine, m)
+	c.proc.Exec(&c.opf)
 }
 
 // putMPBPre is PutMPBToMPB up to the completion advance.
@@ -199,10 +198,8 @@ func (c *Core) putMPBPre(f *opFrame, dst, dstLine, srcLine, m int) {
 // Cost: Formula 8, C^mem_put = o^mem_put + m·C^mem_r(dsrc) + m·C^mpb_w(ddst),
 // with L1-cached source lines read at (approximately) zero cost.
 func (c *Core) PutMemToMPB(dst, dstLine, srcAddr, m int) {
-	f := &c.opf
-	c.putMemPre(f, dst, dstLine, srcAddr, m)
-	c.proc.AdvanceTo(f.completion)
-	c.opPost(f)
+	c.putMemPre(&c.opf, dst, dstLine, srcAddr, m)
+	c.proc.Exec(&c.opf)
 }
 
 // putMemPre is PutMemToMPB up to the completion advance; the post step
@@ -271,10 +268,8 @@ type writeRun struct {
 // own MPB. Cost: Formula 11,
 // C^mpb_get = o^mpb_get + m·C^mpb_r(dsrc) + m·C^mpb_w(1).
 func (c *Core) GetMPBToMPB(src, srcLine, dstLine, m int) {
-	f := &c.opf
-	c.getMPBPre(f, src, srcLine, dstLine, m)
-	c.proc.AdvanceTo(f.completion)
-	c.opPost(f)
+	c.getMPBPre(&c.opf, src, srcLine, dstLine, m)
+	c.proc.Exec(&c.opf)
 }
 
 // getMPBPre is GetMPBToMPB up to the completion advance.
@@ -315,8 +310,16 @@ func (c *Core) getMPBPre(f *opFrame, src, srcLine, dstLine, m int) {
 // separately (one compute pass over the data), keeping the primitive's
 // cost purely communicational like the other ops.
 func (c *Core) GetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src []byte)) {
+	c.combinePre(&c.opf, src, srcLine, dstLine, m, combine)
+	c.proc.Exec(&c.opf)
+}
+
+// combinePre is GetMPBCombine up to the completion advance: the folded
+// lines are written back by the post step.
+func (c *Core) combinePre(f *opFrame, src, srcLine, dstLine, m int, combine func(dst, src []byte)) {
 	checkLines(m)
-	o := c.beginSpan("get.combine", obs.BucketMPB,
+	f.c, f.op, f.pc = c, opCombine, 0
+	f.span = c.beginSpan("get.combine", obs.BucketMPB,
 		obs.Arg{Key: "src", Val: int64(src)}, obs.Arg{Key: "lines", Val: int64(m)})
 	p := c.chip.Cfg.Params
 	d := c.distMPB(src)
@@ -352,13 +355,9 @@ func (c *Core) GetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src
 	if ownPortW > port {
 		port = ownPortW
 	}
-	delay := c.finishOp(t, port, sim.Duration(d)*p.Lhop, mesh)
-	own.WriteLines(dstLine, mine, m, ownRead0+c.LMpbW(1)+delay, step)
-	ctr := c.counters()
-	ctr.MPBReadLines += int64(2 * m)
-	ctr.MPBWriteLines += int64(m)
-	ctr.GetOps++
-	c.endSpan(o)
+	f.completion, f.delay = c.opCompletion(t, port, sim.Duration(d)*p.Lhop, mesh)
+	f.dst, f.line, f.m, f.buf = own, dstLine, m, mine
+	f.eff0, f.stride = ownRead0+c.LMpbW(1)+f.delay, step
 }
 
 // GetMPBToMem copies m cache lines from core src's MPB into this core's
@@ -368,10 +367,8 @@ func (c *Core) GetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src
 // Written lines populate the L1 model (write allocate), which is what
 // Formula 14 exploits for the binomial baseline's resends.
 func (c *Core) GetMPBToMem(src, srcLine, dstAddr, m int) {
-	f := &c.opf
-	c.getMemPre(f, src, srcLine, dstAddr, m)
-	c.proc.AdvanceTo(f.completion)
-	c.opPost(f)
+	c.getMemPre(&c.opf, src, srcLine, dstAddr, m)
+	c.proc.Exec(&c.opf)
 }
 
 // getMemPre is GetMPBToMem up to the completion advance; the post step
