@@ -1,9 +1,11 @@
-// Allocation-budget regression tests for the simulator hot paths. Each
-// budget pins a steady-state contract established by the
-// allocation-free-hot-path work: the numbers are deliberately loose
-// ceilings (2-3x current measurements), so they catch a regression that
-// reintroduces per-line or per-op allocation without flaking on noise
-// from runtime internals.
+// Allocation-budget regression tests for the simulator hot paths. The
+// warmed budgets (pooled chips) pin the steady-state contract of the
+// allocation-free-hot-path work at 1.3-1.4x what the runs measure — the
+// counts repeat exactly but for a handful of runtime-internal objects —
+// so they catch a regression that reintroduces per-line, per-op or
+// per-core allocation. TestPerCoreAllocsFlatInChipSize pins the cold
+// path, a fresh System per simulation, which is what the repository's
+// benchmark and every public-API user pay.
 package ocbcast_test
 
 import (
@@ -21,10 +23,10 @@ import (
 
 // TestAllocsPerBroadcastBudget pins the hot-path allocation budget: one
 // warmed 48-core, 96-line OC-Bcast simulation — chip acquisition,
-// barrier, broadcast, release — must stay within 500 heap allocations
-// (the seed code performed ~2268; the hot-path overhaul brought it under
-// 200). Allocations per public-API op are the benchmark's allocs_per_op
-// (bench/README.md).
+// barrier, broadcast, release — must stay within 150 heap allocations
+// (the seed code performed ~2268; 301 before per-core protocol state
+// stopped making maps and tables it never uses, 109 since). Allocations
+// per public-API op are the benchmark's allocs_per_op (bench/README.md).
 func TestAllocsPerBroadcastBudget(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	run := func() {
@@ -32,8 +34,8 @@ func TestAllocsPerBroadcastBudget(t *testing.T) {
 	}
 	run() // warm the chip pool
 	allocs := testing.AllocsPerRun(5, run)
-	if allocs > 500 {
-		t.Errorf("warmed MeasureBcast allocates %.0f times per broadcast, budget 500", allocs)
+	if allocs > 150 {
+		t.Errorf("warmed MeasureBcast allocates %.0f times per broadcast, budget 150", allocs)
 	}
 	t.Logf("allocs per warmed broadcast: %.0f", allocs)
 }
@@ -56,12 +58,11 @@ func TestAllocsPerOverlapRun(t *testing.T) {
 
 // TestAllocsPerReplayBudget pins the replay hot loop: a warmed
 // 1000-record mixed-op replay — every collective family, blocking and
-// overlapped records — on a pooled 8-core chip must stay within the same
-// 500-allocation budget as a single warmed broadcast. The entire
-// per-record path (replayer loop, algorithm dispatch, two-sided
-// handshakes and combines, non-blocking issue/test/wait) is
-// allocation-free in steady state; the budget covers only the per-run
-// fixtures (ports, engines, environments).
+// overlapped records — on a pooled 8-core chip must stay within 250
+// allocations (189 measured). The entire per-record path (replayer loop,
+// algorithm dispatch, two-sided handshakes and combines, non-blocking
+// issue/test/wait) is allocation-free in steady state; the budget covers
+// only the per-run fixtures (ports, engines, environments).
 func TestAllocsPerReplayBudget(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	const n, records = 8, 1000
@@ -80,8 +81,8 @@ func TestAllocsPerReplayBudget(t *testing.T) {
 	run := func() { harness.ReplayChip(cfg, n, tr) }
 	run() // warm the chip pool
 	allocs := testing.AllocsPerRun(3, run)
-	if allocs > 500 {
-		t.Errorf("warmed 1000-record replay allocates %.0f times, budget 500", allocs)
+	if allocs > 250 {
+		t.Errorf("warmed 1000-record replay allocates %.0f times, budget 250", allocs)
 	}
 	t.Logf("allocs per warmed 1000-record replay: %.0f (%.2f per record)", allocs, allocs/records)
 }
@@ -113,7 +114,7 @@ func TestTuneCacheHitAllocs(t *testing.T) {
 // accounting — must stay within budget. The scheduler replica allocates
 // everything up front (newSched) and the round loop is allocation-free;
 // the budget covers only per-run fixtures (ports, engines, replica
-// state, collected metrics).
+// state, collected metrics): 376 measured, 500 allowed.
 func TestAllocsPerServeBudget(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	const n = 8
@@ -131,20 +132,29 @@ func TestAllocsPerServeBudget(t *testing.T) {
 	run := func() { harness.ServeChip(cfg, n, scfg, streams) }
 	run() // warm the chip pool
 	allocs := testing.AllocsPerRun(3, run)
-	if allocs > 1200 {
-		t.Errorf("warmed 60-request serving run allocates %.0f times, budget 1200", allocs)
+	if allocs > 500 {
+		t.Errorf("warmed 60-request serving run allocates %.0f times, budget 500", allocs)
 	}
 	t.Logf("allocs per warmed serving run: %.0f", allocs)
 }
 
-// TestPerCoreAllocsFlatInChipSize pins the simulator's cost curve: a
-// fresh System running one barrier and one 96-line OC-Bcast must allocate
-// per core on a 384-core mesh what it allocates per core on the paper's
-// 48-core chip, in objects and in bytes, within 3 %. Per-core-id tables
-// inside per-core state (the MPB port accounting before the ledger) make
-// both ratios grow with the chip (1.09x objects and 1.58x bytes with
-// those tables; 1.01x for both without).
+// TestPerCoreAllocsFlatInChipSize pins the simulator's cost curve and the
+// cold path's absolute cost: a fresh System running one barrier and one
+// 96-line OC-Bcast must allocate per core on a 384-core mesh what it
+// allocates per core on the paper's 48-core chip, in objects and in
+// bytes, within 3 % — per-core-id tables inside per-core state (the MPB
+// port accounting before the ledger) make both ratios grow with the chip
+// (1.09x objects and 1.58x bytes with those tables; 1.01x for both
+// without) — and at either size no more than 20 objects per core (44.0
+// when every core's state was built one `new` at a time; 7.2 since chips
+// are arrays of values over shared backing: a resume channel, a goroutine, a data
+// page, an extent buffer, a scratch buffer, a residency table) nor more
+// than 28 750 bytes per core: 2 % over the 28 190 the one-object-at-a-
+// time construction cost, so that shared backing stays sized by demand.
+// A fixed reserve per core (16 extent records and 64 list slots each,
+// say) reads 31 300 here.
 func TestPerCoreAllocsFlatInChipSize(t *testing.T) {
+	const maxObjects, maxBytes = 20, 28750
 	perCore := func(opts ocbcast.Options) (objects, bytes float64) {
 		var n int
 		op := func() {
@@ -158,11 +168,17 @@ func TestPerCoreAllocsFlatInChipSize(t *testing.T) {
 		// AllocsPerRun warms process-wide caches (tuning plans, runtime
 		// pools) with one extra call and pins GOMAXPROCS to 1.
 		objects = testing.AllocsPerRun(3, op)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		op()
-		runtime.ReadMemStats(&after)
-		return objects / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		// Bytes: the smallest of three ops, since whatever else the
+		// process allocates meanwhile is counted too.
+		total := ^uint64(0)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			op()
+			runtime.ReadMemStats(&after)
+			total = min(total, after.TotalAlloc-before.TotalAlloc)
+		}
+		return objects / float64(n), float64(total) / float64(n)
 	}
 	obj48, bytes48 := perCore(ocbcast.Options{})
 	obj384, bytes384 := perCore(ocbcast.Options{MeshWidth: 16, MeshHeight: 12})
@@ -173,5 +189,16 @@ func TestPerCoreAllocsFlatInChipSize(t *testing.T) {
 	}
 	if bytes384 > 1.03*bytes48 {
 		t.Errorf("allocated bytes per core grow with the chip: %.0f at 384 cores vs %.0f at 48 (%.3fx, limit 1.03x)", bytes384, bytes48, bytes384/bytes48)
+	}
+	for _, m := range []struct {
+		cores          int
+		objects, bytes float64
+	}{{48, obj48, bytes48}, {384, obj384, bytes384}} {
+		if m.objects > maxObjects {
+			t.Errorf("a cold %d-core barrier+broadcast allocates %.1f objects per core, ceiling %d", m.cores, m.objects, maxObjects)
+		}
+		if m.bytes > maxBytes {
+			t.Errorf("a cold %d-core barrier+broadcast allocates %.0f bytes per core, ceiling %d", m.cores, m.bytes, maxBytes)
+		}
 	}
 }

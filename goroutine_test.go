@@ -18,7 +18,9 @@ import (
 // run left behind.
 func goroutinesAfterPanic(t *testing.T, withRequests bool) int {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	// Settle first: stragglers of an earlier test still exiting would
+	// otherwise count against this call's baseline only.
+	before := settledGoroutines()
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -35,7 +37,12 @@ func goroutinesAfterPanic(t *testing.T, withRequests bool) int {
 			c.Barrier() // never completes: core 0 is gone
 		})
 	}()
-	// Let goroutines that are on their way out finish exiting.
+	return settledGoroutines() - before
+}
+
+// settledGoroutines lets goroutines that are on their way out finish
+// exiting — until the count has not fallen for 50 ms — and returns it.
+func settledGoroutines() int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		time.Sleep(time.Millisecond)
@@ -43,7 +50,7 @@ func goroutinesAfterPanic(t *testing.T, withRequests bool) int {
 			n, i = m, 0
 		}
 	}
-	return n - before
+	return n
 }
 
 // TestPanicWithRequestsInFlightLeaksNoExtraGoroutines: System.Run never

@@ -105,7 +105,7 @@ func runEnv(t *testing.T, n int, body func(e *Env)) *rma.Chip {
 	base := core.DefaultConfig()
 	chip.Run(func(c *rma.Core) {
 		port := rcce.NewPort(c)
-		body(NewEnv(c, port, base, nil, nil))
+		body(NewEnv(collective.NewComm(port), base, nil, nil))
 	})
 	return chip
 }
@@ -132,7 +132,7 @@ func TestEveryRegisteredAlgorithmRuns(t *testing.T) {
 				args := Args{Root: 0, Addr: 0, Scratch: 1 << 16, Lines: lines, Reduce: collective.SumInt64}
 				base := core.DefaultConfig()
 				chip.Run(func(c *rma.Core) {
-					e := NewEnv(c, rcce.NewPort(c), base, nil, nil)
+					e := NewEnv(collective.NewComm(rcce.NewPort(c)), base, nil, nil)
 					alg.Run(e, Choice{Alg: alg.Name}, args)
 				})
 				verifyOp(t, chip, op, n, lines, payloads)

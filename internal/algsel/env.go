@@ -31,20 +31,31 @@ type Env struct {
 // ocKey identifies one resolved one-sided configuration.
 type ocKey struct{ k, chunk int }
 
-// NewEnv builds the environment for one core. defaultOC and defaultBC
-// may be nil; they are the instances to reuse when a choice resolves to
-// the base configuration — passing the public Core's own engine keeps
+// NewEnv builds the environment for one core over its collective layer
+// comm (and so comm's port and RMA core). defaultOC and defaultBC may be
+// nil; they are the instances to reuse when a choice resolves to the
+// base configuration — passing the public Core's own engine keeps
 // registry-routed calls byte-identical to the named methods.
-func NewEnv(c *rma.Core, port *rcce.Port, base core.Config,
+func NewEnv(comm *collective.Comm, base core.Config,
 	defaultOC *occoll.Collectives, defaultBC *core.Broadcaster) *Env {
+	e := new(Env)
+	e.Init(comm, base, defaultOC, defaultBC)
+	return e
+}
+
+// Init makes e the environment NewEnv describes in place, for callers
+// that hold their per-core state by value.
+func (e *Env) Init(comm *collective.Comm, base core.Config,
+	defaultOC *occoll.Collectives, defaultBC *core.Broadcaster) {
+	port := comm.Port()
 	if defaultBC != nil {
 		// In mixed one-/two-sided programs the broadcaster's private
 		// root-change fence lines alias RCCE's handshake lines; route its
 		// quiesce through the shared barrier epoch (see core.SetFence).
 		defaultBC.SetFence(port)
 	}
-	return &Env{
-		Core: c, Port: port, Comm: collective.NewComm(port), Base: base,
+	*e = Env{
+		Core: port.Core(), Port: port, Comm: comm, Base: base,
 		defaultOC: defaultOC, defaultBC: defaultBC,
 	}
 }

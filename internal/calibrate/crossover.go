@@ -138,7 +138,7 @@ func measureAlg(cfg scc.Config, base core.Config, alg *algsel.Algorithm, ch algs
 	ends := make([]sim.Time, p)
 	chip.Run(func(c *rma.Core) {
 		port := rcce.NewPort(c)
-		e := algsel.NewEnv(c, port, base, nil, nil)
+		e := algsel.NewEnv(collective.NewComm(port), base, nil, nil)
 		port.Barrier()
 		starts[c.ID()] = c.Now()
 		alg.Run(e, ch, algsel.Args{Root: 0, Addr: 0, Scratch: region, Lines: lines, Reduce: collective.SumInt64})

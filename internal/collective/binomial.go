@@ -24,8 +24,14 @@ type Comm struct {
 
 // NewComm creates the collective layer over a two-sided port.
 func NewComm(port *rcce.Port) *Comm {
-	return &Comm{port: port}
+	c := new(Comm)
+	c.Init(port)
+	return c
 }
+
+// Init makes c the collective layer over port in place, for callers
+// that hold their per-core state by value.
+func (c *Comm) Init(port *rcce.Port) { *c = Comm{port: port} }
 
 // Port exposes the underlying two-sided port.
 func (c *Comm) Port() *rcce.Port { return c.port }

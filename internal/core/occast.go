@@ -119,10 +119,18 @@ type Fencer interface{ Barrier() }
 // protocol (the public API rejects them, and a smaller MPB fails fast on
 // the first out-of-range line access).
 func NewBroadcaster(core *rma.Core, cfg Config) *Broadcaster {
+	b := new(Broadcaster)
+	b.Init(core, cfg)
+	return b
+}
+
+// Init makes b core's OC-Bcast state in place, for callers that hold
+// their per-core state by value. It panics on an invalid configuration.
+func (b *Broadcaster) Init(core *rma.Core, cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Broadcaster{core: core, cfg: cfg, lastRoot: -1}
+	*b = Broadcaster{core: core, cfg: cfg, lastRoot: -1}
 }
 
 // SetFence routes the root-change quiesce through f instead of the

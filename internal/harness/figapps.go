@@ -156,7 +156,7 @@ func ReplayChip(cfg scc.Config, n int, t *workload.Trace) float64 {
 	chip.Run(func(c *rma.Core) {
 		port := rcce.NewPort(c)
 		col := occoll.New(c, port, base)
-		env := algsel.NewEnv(c, port, base, col, occore.NewBroadcaster(c, base))
+		env := algsel.NewEnv(collective.NewComm(port), base, col, occore.NewBroadcaster(c, base))
 		r := envRunner{env: env, col: col}
 		res := workload.Replay(&r, t, l, workload.ReplayOptions{})
 		col.Finish()

@@ -57,7 +57,7 @@ func MeasureAlg(cfg scc.Config, a *algsel.Algorithm, ch algsel.Choice, n, lines,
 	base := occore.DefaultConfig()
 	chip.Run(func(c *rma.Core) {
 		port := rcce.NewPort(c)
-		e := algsel.NewEnv(c, port, base, nil, nil)
+		e := algsel.NewEnv(collective.NewComm(port), base, nil, nil)
 		for it := 0; it < reps; it++ {
 			port.Barrier()
 			starts[it][c.ID()] = c.Now()

@@ -286,7 +286,7 @@ func ServeChip(cfg scc.Config, n int, scfg serve.Config, streams []serve.Stream)
 	chip.Run(func(c *rma.Core) {
 		port := rcce.NewPort(c)
 		col := occoll.New(c, port, base)
-		env := algsel.NewEnv(c, port, base, col, occore.NewBroadcaster(c, base))
+		env := algsel.NewEnv(collective.NewComm(port), base, col, occore.NewBroadcaster(c, base))
 		r := &serveEnvRunner{envRunner: envRunner{env: env, col: col}, ctrl: l.CtrlAddr}
 		s := serve.Run(r, scfg, streams, l, board, nil)
 		col.Finish()

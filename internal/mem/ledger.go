@@ -16,7 +16,7 @@ import (
 // nondecreasing global time — so records expire strictly from the FIFO's
 // head; expire checks it. All calls must pass the same window.
 type portLedger struct {
-	ring    []portAccess // circular; len is zero or a power of two
+	ring    []portAccess // circular; len is a power of two
 	head, n int
 	live    []liveAccessor // cores with ≥ 1 record in ring, unordered
 	last    sim.Time       // latest time seen
@@ -54,12 +54,15 @@ func (l *portLedger) expire(t sim.Time, window sim.Duration) {
 
 // note records an access by core at time t and returns that core's
 // in-window access count (this one included) and the number of distinct
-// in-window accessors. The first-use capacities fit an OC-Bcast parent's
-// port (k = 7 children, a few accesses each per window) without regrowth.
-func (l *portLedger) note(core int, t sim.Time, window sim.Duration) (recent, active int) {
+// in-window accessors. The first ring and accessor table are windows of
+// the owning MPB's slab s; past them both grow by doubling.
+func (l *portLedger) note(core int, t sim.Time, window sim.Duration, s *Slab) (recent, active int) {
 	l.expire(t, window)
-	if l.n == len(l.ring) {
-		ring := make([]portAccess, max(32, 2*len(l.ring)))
+	switch {
+	case l.ring == nil:
+		l.ring, l.live = s.ring(), s.live()
+	case l.n == len(l.ring):
+		ring := make([]portAccess, 2*len(l.ring))
 		for i := 0; i < l.n; i++ {
 			ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
 		}
@@ -72,9 +75,6 @@ func (l *portLedger) note(core int, t sim.Time, window sim.Duration) (recent, ac
 			a.count++
 			return a.count, len(l.live)
 		}
-	}
-	if l.live == nil {
-		l.live = make([]liveAccessor, 0, 8)
 	}
 	l.live = append(l.live, liveAccessor{core, 1})
 	return 1, len(l.live)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -504,12 +503,14 @@ func TestPortLedgerAllocFree(t *testing.T) {
 // id costs what one from core 1 costs (the dense tables appended id+1
 // entries to two slices).
 func TestPortLedgerFootprintIgnoresCoreID(t *testing.T) {
-	_, m := newTestMPB()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m.NoteAccess(100000, sim.Microsecond, 400*sim.Microsecond)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1024 {
+	// The smallest of three readings: the process allocates in the
+	// background too (seen once as 6 KiB under -race).
+	got := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		_, m := newTestMPB()
+		got = min(got, allocatedBytes(func() { m.NoteAccess(100000, sim.Microsecond, 400*sim.Microsecond) }))
+	}
+	if got > 1024 {
 		t.Fatalf("first access from core 100000 allocated %d bytes, want ≤ 1024", got)
 	}
 }

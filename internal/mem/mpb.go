@@ -37,15 +37,22 @@ type MPB struct {
 	owner int // core id
 	lines int // capacity in cache lines
 	eng   *sim.Engine
-	data  []byte
+	// slab is the backing shared with the chip's other MPBs (its own
+	// for an MPB made by NewMPB): data, pendCnt, dirty and sweepBlocked
+	// below are this MPB's windows of it, and fresh extent records and
+	// the first capacity of pending, free and the port ledger come from
+	// it on first use.
+	slab *Slab
+	data []byte
 
 	// pending holds not-yet-visible write extents in issue order. The
 	// extents covering a given line form that line's write queue:
 	// writes are issued in nondecreasing time order, and each line
 	// folds its own prefix independently.
 	pending []*pendingExtent
-	// free recycles fully folded extents (and their line buffers) so the
-	// steady-state write path allocates nothing.
+	// free recycles fully folded extents (and the line buffers they have
+	// grown) so the steady-state write path allocates nothing. A record
+	// stays with the MPB that first took it from the slab.
 	free []*pendingExtent
 	// pendCnt counts, per line, the pending extents whose write to that
 	// line has not folded yet — an index over `pending` that lets the
@@ -61,7 +68,8 @@ type MPB struct {
 	// sweepPending, doubled after each sweep so a workload whose extents
 	// genuinely cannot fold yet pays amortized O(1) per write.
 	sweepAt int
-	// sweepBlocked is sweepPending's reusable per-line blocked bitmap.
+	// sweepBlocked is sweepPending's and settleRange's reusable per-line
+	// blocked bitmap.
 	sweepBlocked []uint64
 	// dirty marks lines whose backing bytes have been written (folded)
 	// since the last Reset, so Reset zeroes only those lines instead of
@@ -70,8 +78,8 @@ type MPB struct {
 	dirty []uint64
 
 	// Port is the FIFO server modelling the MPB's access port, the
-	// contention point measured in Figure 4.
-	Port *sim.Resource
+	// contention point measured in Figure 4 (PortName names it).
+	Port sim.Resource
 
 	// accesses records who touched the port within the trailing contention
 	// window, for §3.3's beyond-the-knee penalty.
@@ -114,59 +122,91 @@ func (w *u64Wait) Holds() bool {
 // settles independently, in its own prefix order); it is sized to the
 // extent (one bit per line) and recycled with it, so MPB capacity can
 // vary per topology without a compile-time bound.
+//
+// Records live in the slab's blocks and point into themselves (data at
+// line, applied at appliedArr), so they are only ever handled by pointer.
 type pendingExtent struct {
-	line0, n int
+	// line0, n and nApplied are line counts within one MPB; 32 bits
+	// each keep the record at 144 bytes.
+	line0, n int32
+	nApplied int32
 	eff0     sim.Time
 	stride   sim.Duration
-	data     []byte // n×32 bytes, owned by the MPB
-	applied  []uint64
+	// data is the n×32 payload bytes: the record's own line for a
+	// single-line extent — a flag write, five extents in six — and a
+	// heap buffer, kept across recycling, once the record has carried a
+	// longer one.
+	data    []byte
+	line    [scc.CacheLine]byte
+	applied []uint64
 	// appliedArr backs applied without a separate heap allocation for
 	// extents of up to 256 lines (any default-topology transfer); larger
 	// MPB shares fall back to an owned slice.
 	appliedArr [4]uint64
-	nApplied   int
 }
 
 func (x *pendingExtent) covers(line int) bool {
-	return line >= x.line0 && line < x.line0+x.n
+	return line >= int(x.line0) && line < int(x.line0+x.n)
 }
 
 func (x *pendingExtent) effAt(line int) sim.Time {
-	return x.eff0 + sim.Duration(line-x.line0)*x.stride
+	return x.eff0 + sim.Duration(line-int(x.line0))*x.stride
 }
 
 func (x *pendingExtent) lineData(line int) []byte {
-	off := (line - x.line0) * scc.CacheLine
+	off := (line - int(x.line0)) * scc.CacheLine
 	return x.data[off : off+scc.CacheLine]
 }
 
 func (x *pendingExtent) isApplied(line int) bool {
-	i := line - x.line0
+	i := line - int(x.line0)
 	return x.applied[i/64]&(1<<(i%64)) != 0
 }
 
 func (x *pendingExtent) markApplied(line int) {
-	i := line - x.line0
+	i := line - int(x.line0)
 	x.applied[i/64] |= 1 << (i % 64)
 	x.nApplied++
 }
 
 // NewMPB creates core owner's MPB of `lines` cache lines (the per-core
-// share from the chip's topology; 256 on the real SCC) backed by engine e.
+// share from the chip's topology; 256 on the real SCC) backed by engine
+// e, over a slab of its own. A chip holds its MPBs by value and runs
+// Init on each over one shared slab.
 func NewMPB(e *sim.Engine, owner, lines int, readSvc sim.Duration) *MPB {
-	if lines < 1 {
-		panic(fmt.Sprintf("mem: MPB[%d] capacity %d lines must be positive", owner, lines))
-	}
-	return &MPB{
-		owner:   owner,
-		lines:   lines,
-		eng:     e,
-		data:    make([]byte, lines*scc.CacheLine),
-		pendCnt: make([]uint32, lines),
-		dirty:   make([]uint64, (lines+63)/64),
-		Port:    sim.NewResource(fmt.Sprintf("mpb[%d]", owner), readSvc),
-	}
+	m := new(MPB)
+	m.Init(e, owner, readSvc, NewSlab(1, lines), 0)
+	return m
 }
+
+// Init makes m core owner's MPB in place, over window `slot` of slab s
+// (0 ≤ slot < the slab's MPB count, each slot used once). m points into
+// itself and must not be copied afterwards.
+func (m *MPB) Init(e *sim.Engine, owner int, readSvc sim.Duration, s *Slab, slot int) {
+	lines := s.lines
+	words := (lines + 63) / 64
+	bitmaps := window(s.bitmaps, slot, 2*words)
+	*m = MPB{
+		owner:        owner,
+		lines:        lines,
+		eng:          e,
+		slab:         s,
+		data:         window(s.data, slot, lines*scc.CacheLine),
+		pendCnt:      window(s.pendCnt, slot, lines),
+		dirty:        window(bitmaps, 0, words),
+		sweepBlocked: window(bitmaps, 1, words),
+	}
+	m.Port.Init(readSvc)
+}
+
+// window returns the i-th size-element window of s, capped at its own
+// length so an append can never run into the next one.
+func window[T any](s []T, i, size int) []T {
+	return s[i*size : (i+1)*size : (i+1)*size]
+}
+
+// PortName names the MPB's port in resource-usage reports.
+func (m *MPB) PortName() string { return fmt.Sprintf("mpb[%d]", m.owner) }
 
 // NoteAccess records that remote core touched this MPB's port at time t
 // (the owner's own accesses are not recorded) and returns recent, its
@@ -175,7 +215,7 @@ func NewMPB(e *sim.Engine, owner, lines int, readSvc sim.Duration) *MPB {
 // loops are — and active, the distinct cores in the window, which the
 // paper's ~24-core contention knee is measured against. See portLedger.
 func (m *MPB) NoteAccess(core int, t sim.Time, window sim.Duration) (recent, active int) {
-	return m.accesses.note(core, t, window)
+	return m.accesses.note(core, t, window, m.slab)
 }
 
 // Owner reports the core id owning this MPB.
@@ -277,12 +317,18 @@ func (m *MPB) recycle(x *pendingExtent) {
 	}
 	x.nApplied = 0
 	x.n = 0
+	if m.free == nil {
+		m.free = m.slab.list()
+	}
 	m.free = append(m.free, x)
 }
 
-// newExtent returns a recycled or fresh extent with room for n lines.
-// Both the data buffer and the applied bitmap are recycled, so the
-// steady-state write path allocates nothing.
+// newExtent returns a recycled extent with room for n lines, or a fresh
+// one from the slab when the MPB has none to recycle. A fresh record
+// costs no allocation of its own (the slab makes them a block at a
+// time), and none at all when it carries a single line; the data buffer
+// a longer extent needs and the applied bitmap are recycled with the
+// record, so the steady-state write path allocates nothing.
 func (m *MPB) newExtent(n int) *pendingExtent {
 	var x *pendingExtent
 	if k := len(m.free); k > 0 {
@@ -290,7 +336,8 @@ func (m *MPB) newExtent(n int) *pendingExtent {
 		m.free[k-1] = nil
 		m.free = m.free[:k-1]
 	} else {
-		x = &pendingExtent{}
+		x = m.slab.record()
+		x.data = x.line[:]
 	}
 	need := n * scc.CacheLine
 	if cap(x.data) < need {
@@ -314,7 +361,7 @@ func (m *MPB) newExtent(n int) *pendingExtent {
 	default:
 		x.applied = make([]uint64, words)
 	}
-	x.n = n
+	x.n = int32(n)
 	return x
 }
 
@@ -329,17 +376,11 @@ func (m *MPB) newExtent(n int) *pendingExtent {
 // the list (extents genuinely still in the future), keeping the
 // amortized cost per write O(1).
 func (m *MPB) sweepPending() {
-	words := (m.lines + 63) / 64
-	if cap(m.sweepBlocked) < words {
-		m.sweepBlocked = make([]uint64, words)
-	}
-	blocked := m.sweepBlocked[:words]
-	for i := range blocked {
-		blocked[i] = 0
-	}
+	blocked := m.sweepBlocked
+	clear(blocked)
 	completed := false
 	for _, x := range m.pending {
-		for line := x.line0; line < x.line0+x.n; line++ {
+		for line := int(x.line0); line < int(x.line0+x.n); line++ {
 			if blocked[line/64]&(1<<(line%64)) != 0 || x.isApplied(line) {
 				continue
 			}
@@ -413,17 +454,12 @@ func (m *MPB) settleRange(line0, n int, t0 sim.Time, stride sim.Duration) {
 	if todo == 0 {
 		return
 	}
-	words := (m.lines + 63) / 64
-	if cap(m.sweepBlocked) < words {
-		m.sweepBlocked = make([]uint64, words)
-	}
-	blocked := m.sweepBlocked[:words]
-	for i := range blocked {
-		blocked[i] = 0
-	}
+	blocked := m.sweepBlocked
+	clear(blocked)
 	completed := false
 	for _, x := range m.pending {
-		lo, hi := x.line0, x.line0+x.n
+		first, end := int(x.line0), int(x.line0+x.n)
+		lo, hi := first, end
 		if lo < line0 {
 			lo = line0
 		}
@@ -438,7 +474,7 @@ func (m *MPB) settleRange(line0, n int, t0 sim.Time, stride sim.Duration) {
 		// eff(line)−t(line) is affine in line, so checking both ends
 		// covers the middle; the blocked bits guard earlier future
 		// writes to any of its lines.
-		if lo == x.line0 && hi == x.line0+x.n && x.nApplied == 0 &&
+		if lo == first && hi == end && x.nApplied == 0 &&
 			rangeClear(blocked, lo, hi) &&
 			x.eff0 <= t0+sim.Duration(lo-line0)*stride &&
 			x.effAt(hi-1) <= t0+sim.Duration(hi-1-line0)*stride {
@@ -451,7 +487,7 @@ func (m *MPB) settleRange(line0, n int, t0 sim.Time, stride sim.Duration) {
 				m.dirty[line/64] |= 1 << (line % 64)
 				m.pendCnt[line]--
 			}
-			todo -= x.n
+			todo -= int(x.n)
 			completed = true
 			if todo == 0 {
 				break
@@ -504,10 +540,13 @@ func (m *MPB) WriteLines(line0 int, src []byte, n int, eff0 sim.Time, stride sim
 	m.checkLine(line0)
 	m.checkLine(line0 + n - 1)
 	x := m.newExtent(n)
-	x.line0 = line0
+	x.line0 = int32(line0)
 	x.eff0 = eff0
 	x.stride = stride
 	copy(x.data, src[:n*scc.CacheLine])
+	if m.pending == nil {
+		m.pending = m.slab.list()
+	}
 	m.pending = append(m.pending, x)
 	for i := line0; i < line0+n; i++ {
 		m.pendCnt[i]++
@@ -639,9 +678,10 @@ func (m *MPB) WaitU64GE(p *sim.Proc, line int, val uint64) {
 
 // Reset returns the MPB to its freshly constructed state — zeroed lines,
 // no pending writes, idle port, empty access history — while keeping
-// every warm buffer: extent records and their line buffers move to the
-// free list and the access ledger keeps its ring and accessor table, so a
-// pooled chip's next simulation allocates nothing here.
+// every warm buffer, whether it is a window of the slab or has outgrown
+// one: extent records and their line buffers move to the free list and
+// the access ledger keeps its ring and accessor table, so a pooled
+// chip's next simulation allocates nothing here.
 func (m *MPB) Reset() {
 	for w, mask := range m.dirty {
 		for mask != 0 {

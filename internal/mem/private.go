@@ -17,16 +17,24 @@ import (
 // every core of the chip.
 type Private struct {
 	owner int
-	// pages is indexed by page number and grown on demand (nil data =
-	// never written, reads as zeros). A flat slice keeps the per-op page
-	// lookup off the map hash path.
-	pages []pageSlot
-	// dirty lists the page indices written since construction or the
-	// last Reset, so Reset zeroes only the bytes a run actually touched
-	// instead of every page ever allocated (a pooled chip accumulates
-	// pages from all its past runs).
-	dirty []int
+	// pages is indexed by page number (nil data = never written, reads
+	// as zeros). A flat slice keeps the per-op page lookup off the map
+	// hash path. It starts on firstPages, which covers a 64 KiB
+	// footprint with no allocation beyond the data pages themselves, and
+	// a write beyond that moves it to the heap in one step (see slot).
+	pages      []pageSlot
+	firstPages [8]pageSlot
 }
+
+// PrivateBytes is the size of one core's private memory: addresses run
+// from 0 to PrivateBytes, and an access that reaches past it panics.
+// 1 GiB is of the order of a core's share of the real chip's DRAM and
+// far more than anything in this repository addresses (a 1 MiB broadcast
+// repeated at fresh offsets stays under 16 MiB), while it keeps a stray
+// address — a byte count passed for a line index, an uninitialised
+// offset — from silently growing the page table without bound: at the
+// limit the table is 2 MiB and a cache model's residency bitmap 4 MiB.
+const PrivateBytes = 1 << 30
 
 // pageBytes is the demand-allocation granularity. 8 KiB keeps the
 // zero-fill cost of a fresh chip proportional to the bytes actually
@@ -40,14 +48,26 @@ type page [pageBytes]byte
 
 type pageSlot struct {
 	data *page
-	// dirty marks the page as written since the last Reset (it is then
-	// listed in Private.dirty exactly once).
+	// dirty marks the page as written since construction or the last
+	// Reset, so Reset zeroes only the bytes a run actually touched
+	// instead of every page ever allocated (a pooled chip accumulates
+	// pages from all its past runs).
 	dirty bool
 }
 
-// NewPrivate creates core owner's private memory.
+// NewPrivate creates core owner's private memory. A chip holds its
+// cores' memories by value and runs Init on each.
 func NewPrivate(owner int) *Private {
-	return &Private{owner: owner}
+	p := new(Private)
+	p.Init(owner)
+	return p
+}
+
+// Init makes p core owner's (empty) private memory in place. p points
+// into itself and must not be copied afterwards.
+func (p *Private) Init(owner int) {
+	*p = Private{owner: owner}
+	p.pages = p.firstPages[:0]
 }
 
 // Owner reports the core id owning this memory.
@@ -57,6 +77,33 @@ func (p *Private) check(addr, n int) {
 	if addr < 0 || n < 0 {
 		panic(fmt.Sprintf("mem: private[%d] bad range addr=%d n=%d", p.owner, addr, n))
 	}
+	if addr > PrivateBytes || n > PrivateBytes-addr {
+		panic(fmt.Sprintf("mem: private[%d] access of %d bytes at address %d reaches past the %d-byte private memory",
+			p.owner, n, addr, PrivateBytes))
+	}
+}
+
+// slot returns page pg's slot for writing, extending the table to reach
+// it in one step: to pg+1 slots, or double the current capacity if that
+// is more, so a sequential fill stays amortised O(1) per page and a jump
+// to a far page costs one allocation of the size it needs.
+func (p *Private) slot(pg int) *pageSlot {
+	if pg >= len(p.pages) {
+		p.pages = growTo(p.pages, pg+1, 0)
+	}
+	return &p.pages[pg]
+}
+
+// growTo extends s, which never shrinks, to n elements (n > len(s)), the
+// new ones zero, reallocating at most once: to at least double the old
+// capacity and at least floor elements. (slices.Grow would do, but
+// allocates a temporary of the same size when built without
+// optimisation, as under -race.)
+func growTo[T any](s []T, n, floor int) []T {
+	if n > cap(s) {
+		s = append(make([]T, 0, max(n, 2*cap(s), floor)), s...)
+	}
+	return s[:n]
 }
 
 // Read copies n bytes starting at addr into dst.
@@ -90,17 +137,11 @@ func (p *Private) Write(addr int, src []byte) {
 	p.check(addr, len(src))
 	for len(src) > 0 {
 		pg, off := addr/pageBytes, addr%pageBytes
-		for len(p.pages) <= pg {
-			p.pages = append(p.pages, pageSlot{})
-		}
-		pp := &p.pages[pg]
+		pp := p.slot(pg)
 		if pp.data == nil {
 			pp.data = new(page)
 		}
-		if !pp.dirty {
-			pp.dirty = true
-			p.dirty = append(p.dirty, pg)
-		}
+		pp.dirty = true
 		c := copy(pp.data[off:], src)
 		src = src[c:]
 		addr += c
@@ -114,14 +155,15 @@ func (p *Private) Write(addr int, src []byte) {
 // within an experiment iteration because the paper's methodology already
 // defeats cross-iteration reuse by broadcasting from fresh offsets.
 //
-// Residency is a bitmap per address page (one word per 64 lines), so
-// marking a line on the RMA hot path allocates at most once per page
-// instead of once per map insert.
+// Residency is a bitmap per address page (one word per 64 lines), the
+// pages held by value in one flat table indexed by page number, so
+// marking a line on the RMA hot path allocates only when it reaches past
+// every address marked before.
 type Cache struct {
 	enabled bool
-	// pages is indexed by residency-page number, grown on demand like
-	// Private.pages.
-	pages []*cachePage
+	// pages is indexed by residency-page number and extended like
+	// Private.pages; its first allocation covers a 64 KiB footprint.
+	pages []cachePage
 	n     int
 }
 
@@ -137,20 +179,27 @@ type cachePage struct {
 // misses, which is the configuration used for OC-Bcast-only studies
 // (OC-Bcast gets no benefit from it either way — see DESIGN.md §4.3).
 func NewCache(enabled bool) *Cache {
-	return &Cache{enabled: enabled}
+	c := new(Cache)
+	c.Init(enabled)
+	return c
 }
 
+// Init makes c an empty cache model in place.
+func (c *Cache) Init(enabled bool) { *c = Cache{enabled: enabled} }
+
+// page returns the residency page covering a line, extending the table
+// to reach it in one step. Lines past the private memory's end panic,
+// like the Private access they would accompany.
 func (c *Cache) page(line int) *cachePage {
 	i := line / cacheLinesPerPage
-	for len(c.pages) <= i {
-		c.pages = append(c.pages, nil)
+	if i >= len(c.pages) {
+		if line >= PrivateBytes/scc.CacheLine {
+			panic(fmt.Sprintf("mem: cache line at address %d is past the %d-byte private memory",
+				line*scc.CacheLine, PrivateBytes))
+		}
+		c.pages = growTo(c.pages, i+1, 8) // first allocation: 64 KiB of addresses
 	}
-	pg := c.pages[i]
-	if pg == nil {
-		pg = &cachePage{}
-		c.pages[i] = pg
-	}
-	return pg
+	return &c.pages[i]
 }
 
 // Touch marks the cache line containing addr as resident.
@@ -211,11 +260,7 @@ func (c *Cache) Hit(addr int) bool {
 // the paper's fresh-offset methodology). Pages are kept and cleared so a
 // steady-state measurement loop stops allocating.
 func (c *Cache) Flush() {
-	for _, pg := range c.pages {
-		if pg != nil {
-			pg.bits = [cacheLinesPerPage / 64]uint64{}
-		}
-	}
+	clear(c.pages)
 	c.n = 0
 }
 
@@ -230,10 +275,10 @@ func (c *Cache) Len() int { return c.n }
 // already all-zero), so the cost scales with the run's footprint, not
 // the chip's high-water mark.
 func (p *Private) Reset() {
-	for _, pg := range p.dirty {
-		pp := &p.pages[pg]
-		*pp.data = page{}
-		pp.dirty = false
+	for i := range p.pages {
+		if pp := &p.pages[i]; pp.dirty {
+			*pp.data = page{}
+			pp.dirty = false
+		}
 	}
-	p.dirty = p.dirty[:0]
 }

@@ -87,7 +87,7 @@ func (m *Mesh) link(l scc.Link) *sim.Resource {
 	idx := m.linkIndex(l)
 	r := m.links[idx]
 	if r == nil {
-		r = sim.NewResource(l.String(), m.linkSvc)
+		r = sim.NewResource(m.linkSvc)
 		m.links[idx] = r
 	}
 	return r

@@ -128,10 +128,13 @@ func Validate(c Config) error {
 // inside Chip.Run, sharing the core's rcce.Port so barrier epochs stay
 // aligned with the program's own Barrier calls.
 type Collectives struct {
-	core  *rma.Core
-	port  *rcce.Port
-	cfg   Config
-	lanes []lane
+	core *rma.Core
+	port *rcce.Port
+	cfg  Config
+	// lanes is the lane table; the classic one-lane layout keeps it on
+	// firstLane instead of allocating.
+	lanes     []lane
+	firstLane [1]lane
 
 	// reqs are the outstanding (issued, not yet completed) non-blocking
 	// requests in issue order; nissued counts every issue for the
@@ -150,15 +153,28 @@ type Collectives struct {
 // configuration whose MPB layout does not fit (a programming error, like
 // core.NewBroadcaster).
 func New(c *rma.Core, port *rcce.Port, cfg Config) *Collectives {
+	x := new(Collectives)
+	x.Init(c, port, cfg)
+	return x
+}
+
+// Init makes x core c's one-sided collective state in place, for callers
+// that hold their per-core state by value (x points into itself and must
+// not be copied afterwards). It panics like New.
+func (x *Collectives) Init(c *rma.Core, port *rcce.Port, cfg Config) {
 	if err := Validate(cfg); err != nil {
 		panic(err)
 	}
-	x := &Collectives{core: c, port: port, cfg: cfg, lanes: make([]lane, channels(cfg))}
+	*x = Collectives{core: c, port: port, cfg: cfg}
+	if n := channels(cfg); n == 1 {
+		x.lanes = x.firstLane[:]
+	} else {
+		x.lanes = make([]lane, n)
+	}
 	for i := range x.lanes {
 		db, fb := laneLayout(cfg, i)
 		x.lanes[i] = lane{x: x, idx: i, dataBase: db, flagBase: fb}
 	}
-	return x
 }
 
 // numBuffers reports the lane chunk-buffer count for this core's config.

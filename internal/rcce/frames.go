@@ -139,8 +139,7 @@ func (f *twoFrame) Step(proc *sim.Proc) sim.StepStatus {
 				return sim.StepDone
 			}
 			f.m = chunkLines(f.sendLines - f.sendOff)
-			pt.sendSeq[f.dst]++
-			f.seq = pt.sendSeq[f.dst]
+			f.seq = next(&pt.sendSeq, f.dst)
 			f.pc = sFlag
 			return c.CallPutMemToMPB(me, 0, f.sendAddr+f.sendOff*scc.CacheLine, f.m)
 		case sFlag:
@@ -159,8 +158,7 @@ func (f *twoFrame) Step(proc *sim.Proc) sim.StepStatus {
 				return sim.StepDone
 			}
 			f.rm = chunkLines(f.recvLines - f.recvOff)
-			pt.recvSeq[f.src]++
-			f.seq = pt.recvSeq[f.src]
+			f.seq = next(&pt.recvSeq, f.src)
 			f.pc = rGet
 			return c.CallWaitFlagEQ(lineSent, tag(f.src, f.seq))
 		case rGet:
@@ -181,8 +179,7 @@ func (f *twoFrame) Step(proc *sim.Proc) sim.StepStatus {
 			f.staged = false
 			if f.sendOff < f.sendLines {
 				f.m = chunkLines(f.sendLines - f.sendOff)
-				pt.sendSeq[f.dst]++
-				f.seq = pt.sendSeq[f.dst]
+				f.seq = next(&pt.sendSeq, f.dst)
 				f.pc = xSendFlag
 				return c.CallPutMemToMPB(me, 0, f.sendAddr+f.sendOff*scc.CacheLine, f.m)
 			}
@@ -195,9 +192,8 @@ func (f *twoFrame) Step(proc *sim.Proc) sim.StepStatus {
 		case xSendDone:
 			if f.recvOff < f.recvLines {
 				f.rm = chunkLines(f.recvLines - f.recvOff)
-				pt.recvSeq[f.src]++
 				f.pc = xRecvGet
-				return c.CallWaitFlagEQ(lineSent, tag(f.src, pt.recvSeq[f.src]))
+				return c.CallWaitFlagEQ(lineSent, tag(f.src, next(&pt.recvSeq, f.src)))
 			}
 			f.pc = xAck
 		case xRecvGet:

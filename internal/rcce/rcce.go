@@ -34,7 +34,10 @@ const (
 type Port struct {
 	core *rma.Core
 	// Monotonic per-pair chunk sequence numbers. Chunk tags never
-	// repeat, so stale flag lines can never satisfy a future wait.
+	// repeat, so stale flag lines can never satisfy a future wait. Each
+	// table is made by the first call that counts in it (see next): a
+	// port that only runs barriers, or carries one-sided collectives,
+	// never makes one.
 	sendSeq   map[int]uint64 // per destination
 	recvSeq   map[int]uint64 // per source
 	turnGrant map[int]uint64 // send turns granted, per peer
@@ -56,14 +59,26 @@ type Port struct {
 // protocol — the public API rejects them up front, and a smaller MPB
 // fails fast on the first out-of-range line access.
 func NewPort(core *rma.Core) *Port {
-	return &Port{
-		core:      core,
-		sendSeq:   make(map[int]uint64),
-		recvSeq:   make(map[int]uint64),
-		turnGrant: make(map[int]uint64),
-		turnWait:  make(map[int]uint64),
-		shape:     -1,
+	p := new(Port)
+	p.Init(core)
+	return p
+}
+
+// Init makes p core's port in place, for callers that hold their ports
+// by value (one slice per chip) instead of allocating each with NewPort.
+func (p *Port) Init(core *rma.Core) {
+	*p = Port{core: core, shape: -1}
+}
+
+// next advances peer's counter in one of the port's per-peer sequence
+// tables — making the table on its first use — and returns the new
+// value: sequence numbers start at 1.
+func next(seqs *map[int]uint64, peer int) uint64 {
+	if *seqs == nil {
+		*seqs = make(map[int]uint64)
 	}
+	(*seqs)[peer]++
+	return (*seqs)[peer]
 }
 
 // Shape classes for SyncShape. Two consecutive collectives may skip the
@@ -154,15 +169,12 @@ func turnTag(peer int, seq uint64) uint64 {
 // peer's current ack writer (the parent in reduce/gather), so the line
 // keeps a single writer.
 func (p *Port) GrantTurn(peer int) {
-	p.turnGrant[peer]++
-	p.core.SetFlag(peer, lineReady, turnTag(p.core.ID(), p.turnGrant[peer]))
+	p.core.SetFlag(peer, lineReady, turnTag(p.core.ID(), next(&p.turnGrant, peer)))
 }
 
 // AwaitTurn blocks until peer grants this core a send turn.
 func (p *Port) AwaitTurn(peer int) {
-	p.turnWait[peer]++
-	want := turnTag(peer, p.turnWait[peer])
-	p.core.WaitFlagEQ(lineReady, want)
+	p.core.WaitFlagEQ(lineReady, turnTag(peer, next(&p.turnWait, peer)))
 }
 
 func checkMsg(addr, lines int) {

@@ -245,3 +245,69 @@ func TestSendCostStructure(t *testing.T) {
 		t.Fatalf("recv completed at %v, below structural lower bound %v", recvDone, lower)
 	}
 }
+
+// TestBarrierOnlyPortMakesNoMaps: the four per-peer sequence tables are
+// made by the first call that counts in them, so a port that only runs
+// barriers — or carries a one-sided collective — never allocates one,
+// while Send/Recv and the turn grants still number from 1.
+func TestBarrierOnlyPortMakesNoMaps(t *testing.T) {
+	chip := rma.NewChipN(scc.DefaultConfig(), 4)
+	ports := make([]Port, 4)
+	chip.Private(0).Write(0, fill(scc.CacheLine, 7))
+	chip.Run(func(c *rma.Core) {
+		p := &ports[c.ID()]
+		p.Init(c)
+		p.Barrier()
+		p.Barrier()
+		if p.sendSeq != nil || p.recvSeq != nil || p.turnGrant != nil || p.turnWait != nil {
+			t.Errorf("core %d: a barrier-only port made a sequence table", c.ID())
+		}
+		switch c.ID() {
+		case 0:
+			p.Send(1, 0, 1)
+			p.Send(1, 0, 1)
+			p.AwaitTurn(1)
+		case 1:
+			p.Recv(0, 0, 1)
+			p.Recv(0, 0, 1)
+			p.GrantTurn(0)
+		}
+	})
+	if got := ports[0].sendSeq[1]; got != 2 {
+		t.Errorf("two sends to core 1 left sequence number %d, want 2 (numbering starts at 1)", got)
+	}
+	if got := ports[1].recvSeq[0]; got != 2 {
+		t.Errorf("two receives from core 0 left sequence number %d, want 2", got)
+	}
+	if ports[0].turnWait[1] != 1 || ports[1].turnGrant[0] != 1 {
+		t.Errorf("turn tables read wait=%d grant=%d after one grant, want 1 and 1", ports[0].turnWait[1], ports[1].turnGrant[0])
+	}
+	if ports[0].recvSeq != nil || ports[1].sendSeq != nil || ports[2].sendSeq != nil || ports[3].recvSeq != nil {
+		t.Error("a port made a table for a direction it never used")
+	}
+	if got := next(new(map[int]uint64), 5); got != 1 {
+		t.Errorf("first sequence number is %d, want 1", got)
+	}
+}
+
+// BenchmarkSendRecvPair is one cold two-sided exchange: a fresh 2-core
+// chip, a port per core, a 96-line message one way and a 1-line reply.
+func BenchmarkSendRecvPair(b *testing.B) {
+	cfg := scc.DefaultConfig()
+	payload := fill(96*scc.CacheLine, 5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		chip := rma.NewChipN(cfg, 2)
+		chip.Private(0).Write(0, payload)
+		chip.Run(func(c *rma.Core) {
+			p := NewPort(c)
+			if c.ID() == 0 {
+				p.Send(1, 0, 96)
+				p.Recv(1, 128*scc.CacheLine, 1)
+			} else {
+				p.Recv(0, 0, 96)
+				p.Send(0, 0, 1)
+			}
+		})
+	}
+}

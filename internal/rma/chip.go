@@ -8,6 +8,7 @@ package rma
 import (
 	"fmt"
 
+	"repro/internal/alloc"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/obs"
@@ -18,22 +19,19 @@ import (
 
 // Chip is a fully assembled simulated SCC: engine, per-core MPBs and
 // private memories, cache models, optional detailed NoC, and counters.
+// Per-core state is held by value in one array of slots (the MPBs over
+// one shared slab of line storage, see mem.Slab), so building a chip
+// costs a fixed number of allocations plus one channel per core, and
+// what a core's first traffic needs comes from chip-level blocks.
 type Chip struct {
 	Cfg     scc.Config
 	Engine  *sim.Engine
 	NCores  int
 	topo    scc.Topology
-	mpbs    []*mem.MPB
-	privs   []*mem.Private
-	caches  []*mem.Cache
+	slots   []coreSlot
 	mesh    *noc.Mesh
 	Counter []trace.CoreCounters
-	ipi     []ipiState
 
-	// cores are the reusable per-proc handles Run passes to its body:
-	// one Core per proc, re-pointed each Run, so a reset chip's next
-	// simulation reuses each core's scratch and run-list buffers.
-	cores []Core
 	// runBody/runWrap let Run hand the engine one long-lived adapter
 	// closure instead of allocating a fresh one per simulation.
 	runBody func(core *Core)
@@ -49,6 +47,22 @@ type Chip struct {
 	// obs, when non-nil, receives the op-level timeline (put/get/flag
 	// spans, compute spans). Nil means tracing is off.
 	obs *obs.Recorder
+}
+
+// coreSlot is what a chip holds per core, by value: one array for the
+// chip instead of five objects per core. (Counter stays a slice of its
+// own because it is the chip's public counter table; coords and memDist
+// because every op reads another core's entry and a compact table keeps
+// those reads in a few cache lines.)
+type coreSlot struct {
+	mpb   mem.MPB
+	priv  mem.Private
+	cache mem.Cache
+	// core is the reusable per-proc handle Run passes to its body,
+	// re-pointed each Run, so a reset chip's next simulation reuses the
+	// core's scratch and run-list buffers.
+	core Core
+	ipi  ipiState
 }
 
 // NewChip builds a chip with every core of the configured topology (48
@@ -73,22 +87,19 @@ func NewChipN(cfg scc.Config, n int) *Chip {
 		Engine:  sim.NewEngine(n),
 		NCores:  n,
 		topo:    topo,
-		mpbs:    make([]*mem.MPB, n),
-		privs:   make([]*mem.Private, n),
-		caches:  make([]*mem.Cache, n),
+		slots:   alloc.Slice[coreSlot](n),
 		Counter: make([]trace.CoreCounters, n),
-		ipi:     make([]ipiState, n),
 		coords:  make([]scc.Coord, n),
 		memDist: make([]int, n),
 	}
-	for i := 0; i < n; i++ {
+	slab := mem.NewSlab(n, topo.MPBLines)
+	for i := range c.slots {
+		s := &c.slots[i]
+		s.mpb.Init(c.Engine, i, cfg.Contention.ReadSvc, slab, i)
+		s.priv.Init(i)
+		s.cache.Init(cfg.CacheEnabled)
 		c.coords[i] = topo.CoreCoord(i)
 		c.memDist[i] = topo.MemDistance(i)
-	}
-	for i := 0; i < n; i++ {
-		c.mpbs[i] = mem.NewMPB(c.Engine, i, topo.MPBLines, cfg.Contention.ReadSvc)
-		c.privs[i] = mem.NewPrivate(i)
-		c.caches[i] = mem.NewCache(cfg.CacheEnabled)
 	}
 	if cfg.NoC == scc.NoCDetailed {
 		c.mesh = noc.NewMesh(topo, cfg.LinkSvc)
@@ -110,10 +121,11 @@ func (c *Chip) SetObserver(r *obs.Recorder) {
 // since nothing books port time.
 func (c *Chip) ResourceUsage() []obs.ResUsage {
 	var out []obs.ResUsage
-	for _, m := range c.mpbs {
+	for i := range c.slots {
+		m := &c.slots[i].mpb
 		res, units, busy, queued := m.Port.Stats()
 		out = append(out, obs.ResUsage{
-			Class: obs.ResMPBPort, Name: m.Port.Name(),
+			Class: obs.ResMPBPort, Name: m.PortName(),
 			Reservations: res, Units: units,
 			Busy: int64(busy), Queued: int64(queued),
 		})
@@ -134,13 +146,13 @@ func (c *Chip) ResourceUsage() []obs.ResUsage {
 func (c *Chip) Topo() scc.Topology { return c.topo }
 
 // MPB returns core i's message passing buffer.
-func (c *Chip) MPB(i int) *mem.MPB { return c.mpbs[i] }
+func (c *Chip) MPB(i int) *mem.MPB { return &c.slots[i].mpb }
 
 // Private returns core i's private memory.
-func (c *Chip) Private(i int) *mem.Private { return c.privs[i] }
+func (c *Chip) Private(i int) *mem.Private { return &c.slots[i].priv }
 
 // Cache returns core i's L1 model.
-func (c *Chip) Cache(i int) *mem.Cache { return c.caches[i] }
+func (c *Chip) Cache(i int) *mem.Cache { return &c.slots[i].cache }
 
 // Mesh returns the detailed NoC model, or nil in analytic mode.
 func (c *Chip) Mesh() *noc.Mesh { return c.mesh }
@@ -149,12 +161,9 @@ func (c *Chip) Mesh() *noc.Mesh { return c.mesh }
 // supports one Run per construction or Reset; use AcquireChipN /
 // ReleaseChip (or Reset directly) to reuse a chip across simulations.
 func (c *Chip) Run(body func(core *Core)) {
-	if c.cores == nil {
-		c.cores = make([]Core, c.NCores)
-	}
 	if c.runWrap == nil {
 		c.runWrap = func(p *sim.Proc) {
-			core := &c.cores[p.ID()]
+			core := &c.slots[p.ID()].core
 			core.chip, core.proc, core.id = c, p, p.ID()
 			c.runBody(core)
 		}
@@ -173,14 +182,14 @@ func (c *Chip) Reset() bool {
 	if !c.Engine.Reset() {
 		return false
 	}
-	for i := 0; i < c.NCores; i++ {
-		c.mpbs[i].Reset()
-		c.privs[i].Reset()
-		c.caches[i].Flush()
+	for i := range c.slots {
+		s := &c.slots[i]
+		s.mpb.Reset()
+		s.priv.Reset()
+		s.cache.Flush()
+		s.ipi.deliveries = s.ipi.deliveries[:0]
+		s.ipi.consumed = 0
 		c.Counter[i] = trace.CoreCounters{}
-		st := &c.ipi[i]
-		st.deliveries = st.deliveries[:0]
-		st.consumed = 0
 	}
 	if c.mesh != nil {
 		// Detailed-NoC link servers carry reservation state; rebuilding

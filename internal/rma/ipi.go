@@ -34,7 +34,7 @@ func (c *Core) SendIPI(dst int) {
 	eff := t0 + p.OMpb + sim.Duration(d)*p.Lhop
 	c.proc.Advance(p.OMpb + sim.Duration(2*d)*p.Lhop)
 
-	st := &c.chip.ipi[dst]
+	st := &c.chip.slots[dst].ipi
 	st.deliveries = append(st.deliveries, eff)
 	c.chip.Engine.Signal(sim.WatchKey{Space: ipiWatchSpace, Line: dst}, eff)
 	c.endSpan(o)
@@ -46,7 +46,7 @@ func (c *Core) SendIPI(dst int) {
 // virtual time at which the handler began executing.
 func (c *Core) WaitIPI() sim.Time {
 	o := c.beginSpan("ipi.wait", obs.BucketWait, obs.Arg{}, obs.Arg{})
-	st := &c.chip.ipi[c.id]
+	st := &c.chip.slots[c.id].ipi
 	key := sim.WatchKey{Space: ipiWatchSpace, Line: c.id}
 	for {
 		if st.consumed < len(st.deliveries) {
@@ -66,7 +66,7 @@ func (c *Core) WaitIPI() sim.Time {
 // PendingIPIs reports how many delivered-but-unconsumed interrupts the
 // core has at its current virtual time (a non-blocking poll).
 func (c *Core) PendingIPIs() int {
-	st := &c.chip.ipi[c.id]
+	st := &c.chip.slots[c.id].ipi
 	n := 0
 	for i := st.consumed; i < len(st.deliveries); i++ {
 		if st.deliveries[i] <= c.Now() {

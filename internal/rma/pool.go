@@ -7,14 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Chip pool. Building a chip is the single largest allocation source of
-// a short simulation (~40% of a broadcast's heap traffic: MPB backing
-// stores, port servers and access ledgers, private-memory pages, counter
-// slices), so harness loops that run thousands of simulations acquire
-// chips here instead of constructing fresh ones. A released chip is Reset
-// — which the equivalence tests pin as observationally identical to a
-// fresh chip — and parked under a key derived from its exact
-// configuration; Acquire returns a parked chip only on a full key match.
+// Chip pool. A fresh chip is cheap in objects — NewChipN makes 15 and a
+// channel per core, and first traffic draws on chip-level blocks — but
+// not in bytes: every core's 8 KiB MPB share is allocated and zeroed up
+// front and its private-memory pages and extent buffers again as the
+// run touches them (28 KB per core for a barrier and one broadcast,
+// 10 MB on a 384-core chip), and every core's goroutine is spawned anew. Harness loops that run thousands of short simulations
+// acquire chips here instead and keep all of that warm. A released chip
+// is Reset — which the equivalence tests pin as observationally
+// identical to a fresh chip — and parked under a key derived from its
+// exact configuration; Acquire returns a parked chip only on a full key
+// match.
 //
 // The pool is safe for concurrent use (ParallelMap shards acquire from
 // it simultaneously) and bounded per key, so sweeps over many topologies

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/alloc"
 	"repro/internal/obs"
 )
 
@@ -25,7 +26,11 @@ import (
 // yielding process cannot decide alone: an empty run queue (termination
 // or deadlock) and panic unwinding.
 type Engine struct {
-	procs     []*Proc
+	// procs holds every process by value: one backing array per engine,
+	// with each process's watcher record and first frame-stack slots
+	// inline, so building an engine costs a handful of allocations plus
+	// one resume channel per process instead of several objects each.
+	procs     []Proc
 	started   bool
 	completed bool // last Run finished cleanly; required by Reset
 	finished  int
@@ -58,11 +63,17 @@ type Engine struct {
 	// watchers lists every blocked process with the key it waits on,
 	// bucketed by the key's space so a signal scans only the waiters of
 	// the space it touches — in practice 0 or 1 entries, since only an
-	// MPB's owning core ever waits on it. At most one entry exists per
-	// process across all buckets, so the total never exceeds N; within a
-	// bucket registration order is preserved on removal, so wake order
-	// matches the old per-key slices. Bucket backing arrays are retained
-	// across runs, so the steady-state block path allocates nothing.
+	// MPB's owning core ever waits on it. Spaces 0..N-1 (one per
+	// process: the MPB spaces) have a bucket each, and bucket N is shared
+	// by every other space (rma's interrupt keys), so the table's size
+	// follows the process count, not the largest space id. Every bucket
+	// starts as a one-entry window of a single engine-wide backing array
+	// and only a bucket that ever holds two waiters at once reallocates.
+	// At most one entry exists per process across all buckets, so the
+	// total never exceeds N; within a bucket registration order is
+	// preserved on removal, so wake order is registration order per key.
+	// Bucket arrays are retained across runs, so the steady-state block
+	// path allocates nothing.
 	watchers [][]watcherEntry
 	// nWatchers counts entries across all watcher buckets; the signal
 	// fast path bails on zero without touching the buckets at all.
@@ -115,8 +126,8 @@ func (e *Engine) Shutdown() bool {
 	if e.started && !e.completed {
 		return false
 	}
-	for _, p := range e.procs {
-		p.resume <- true
+	for i := range e.procs {
+		e.procs[i].resume <- true
 	}
 	e.spawned = false
 	return true
@@ -163,10 +174,18 @@ type watcherEntry struct {
 
 // NewEngine creates an engine with n processes whose ids are 0..n-1.
 func NewEngine(n int) *Engine {
-	e := &Engine{engch: make(chan struct{})}
-	e.procs = make([]*Proc, n)
+	e := &Engine{
+		engch:    make(chan struct{}),
+		procs:    alloc.Slice[Proc](n),
+		watchers: make([][]watcherEntry, n+1),
+	}
+	e.runq.heap = make([]*Proc, 0, n)
+	slots := make([]watcherEntry, n+1)
+	for i := range e.watchers {
+		e.watchers[i] = slots[i : i : i+1]
+	}
 	for i := range e.procs {
-		e.procs[i] = newProc(e, i)
+		e.procs[i].init(e, i)
 	}
 	return e
 }
@@ -179,7 +198,7 @@ func (e *Engine) N() int { return len(e.procs) }
 func (e *Engine) SetObserver(r *obs.Recorder) { e.obs = r }
 
 // Proc returns process i.
-func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
+func (e *Engine) Proc(i int) *Proc { return &e.procs[i] }
 
 // Run executes body(p) on every process concurrently in virtual time and
 // returns when all processes have finished. It panics if the simulation
@@ -194,12 +213,13 @@ func (e *Engine) Run(body func(p *Proc)) {
 	e.started = true
 	e.body = body
 	if !e.spawned {
-		for _, p := range e.procs {
-			p.spawn()
+		for i := range e.procs {
+			e.procs[i].spawn()
 		}
 		e.spawned = e.persistent
 	}
-	for _, p := range e.procs {
+	for i := range e.procs {
+		p := &e.procs[i]
 		p.state = stateRunnable
 		e.runq.push(p)
 	}
@@ -234,7 +254,8 @@ func (e *Engine) Reset() bool {
 		e.watchers[s] = ws[:0]
 	}
 	e.nWatchers = 0
-	for _, p := range e.procs {
+	for i := range e.procs {
+		p := &e.procs[i]
 		p.now = 0
 		p.state = stateNew
 		p.heapIdx = -1
@@ -302,13 +323,11 @@ func (e *Engine) SignalRange(space, line0, n int, eff0 Time, stride Duration) {
 // line range whose condition now holds, compacting the space's watcher
 // bucket in place (registration order preserved).
 func (e *Engine) signalScan(space, line0, n int, eff0 Time, stride Duration) {
-	if space >= len(e.watchers) {
-		return
-	}
-	ws := e.watchers[space]
+	bucket := e.bucketOf(space)
+	ws := e.watchers[bucket]
 	keep := 0
 	for idx, w := range ws {
-		if w.key.Line >= line0 && w.key.Line < line0+n {
+		if w.key.Space == space && w.key.Line >= line0 && w.key.Line < line0+n {
 			b := w.b
 			if b.cond.Holds() {
 				at := eff0 + Duration(w.key.Line-line0)*stride
@@ -335,7 +354,16 @@ func (e *Engine) signalScan(space, line0, n int, eff0 Time, stride Duration) {
 	for i := keep; i < len(ws); i++ {
 		ws[i] = watcherEntry{}
 	}
-	e.watchers[space] = ws[:keep]
+	e.watchers[bucket] = ws[:keep]
+}
+
+// bucketOf maps a watch key's space to its watcher bucket: the space's
+// own for 0..N-1, the shared last bucket for every other space.
+func (e *Engine) bucketOf(space int) int {
+	if n := len(e.procs); space < 0 || space >= n {
+		return n
+	}
+	return space
 }
 
 // addWatcher registers p as blocked on key with the given condition. A
@@ -346,10 +374,8 @@ func (e *Engine) addWatcher(key WatchKey, p *Proc, cond Cond) {
 	p.blockRec.p = p
 	p.blockRec.cond = cond
 	p.blockRec.wake = p.now
-	for key.Space >= len(e.watchers) {
-		e.watchers = append(e.watchers, nil)
-	}
-	e.watchers[key.Space] = append(e.watchers[key.Space], watcherEntry{key: key, b: &p.blockRec})
+	b := e.bucketOf(key.Space)
+	e.watchers[b] = append(e.watchers[b], watcherEntry{key: key, b: &p.blockRec})
 	e.nWatchers++
 }
 
@@ -359,8 +385,8 @@ func (e *Engine) addWatcher(key WatchKey, p *Proc, cond Cond) {
 // was doing — not just that it was blocked.
 func (e *Engine) reportDeadlock() {
 	var stuck []int
-	for _, p := range e.procs {
-		if p.state == stateBlocked {
+	for i := range e.procs {
+		if p := &e.procs[i]; p.state == stateBlocked {
 			stuck = append(stuck, p.id)
 		}
 	}

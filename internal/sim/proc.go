@@ -44,9 +44,13 @@ type Proc struct {
 	// frames is the proc's inline state-machine stack (see Exec/Call):
 	// non-empty exactly while the proc is inside a machine section, in
 	// which case schedulers step the top frame directly instead of
-	// resuming the goroutine. The backing array is retained across
-	// sections and runs, so steady-state Exec allocates nothing.
-	frames []Frame
+	// resuming the goroutine. It starts on frameSlots — a protocol frame
+	// with an rma op under it, the deepest any layer nests today — and
+	// moves to the heap if a section nests deeper; either way the backing
+	// array is retained across sections and runs, so Exec allocates
+	// nothing.
+	frames     []Frame
+	frameSlots [2]Frame
 
 	// wokeMachine marks that the machine blocked via MachineBlock and
 	// the next runMachine entry must emit the wake instant blockOn's
@@ -54,14 +58,18 @@ type Proc struct {
 	wokeMachine bool
 }
 
-func newProc(e *Engine, id int) *Proc {
-	return &Proc{
+// init prepares process id of engine e in place. A Proc points into
+// itself (frames into frameSlots, watcher entries at blockRec), so it
+// must never be copied afterwards.
+func (p *Proc) init(e *Engine, id int) {
+	*p = Proc{
 		id:      id,
 		eng:     e,
 		state:   stateNew,
 		heapIdx: -1,
 		resume:  make(chan bool),
 	}
+	p.frames = p.frameSlots[:0]
 }
 
 // ID reports the process id (0..N-1).

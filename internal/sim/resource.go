@@ -9,8 +9,11 @@ package sim
 // Because the engine schedules processes in global virtual-time order,
 // reservations arrive in nondecreasing time order and a simple
 // "next free time" register implements an exact FIFO queue.
+//
+// A Resource carries no name: whoever owns it (an MPB, a mesh link)
+// names it when usage is reported, so embedding one by value costs its
+// owner no allocation.
 type Resource struct {
-	name string
 	unit Duration // service time per unit
 	free Time     // next time the server is idle
 
@@ -22,15 +25,15 @@ type Resource struct {
 }
 
 // NewResource creates a FIFO resource with the given per-unit service time.
-func NewResource(name string, unit Duration) *Resource {
-	return &Resource{name: name, unit: unit}
+func NewResource(unit Duration) *Resource {
+	r := new(Resource)
+	r.Init(unit)
+	return r
 }
 
-// Name reports the resource's name.
-func (r *Resource) Name() string { return r.name }
-
-// Unit reports the per-unit service time.
-func (r *Resource) Unit() Duration { return r.unit }
+// Init makes r an idle resource with the given per-unit service time,
+// in place — for owners that embed a Resource by value.
+func (r *Resource) Init(unit Duration) { *r = Resource{unit: unit} }
 
 // Reserve books n service units starting no earlier than t and returns the
 // time service completes. The caller decides how to combine the result

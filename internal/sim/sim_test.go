@@ -128,6 +128,40 @@ func TestBlockAndSignal(t *testing.T) {
 	}
 }
 
+// TestForeignSpacesShareOneBucket: watch spaces outside 0..N-1 (rma's
+// interrupt keys sit at 1<<20) share the engine's last watcher bucket,
+// so the table keeps N+1 buckets however large the space id — it used to
+// grow one slot at a time up to it — and a signal still wakes only the
+// waiters of its own space.
+func TestForeignSpacesShareOneBucket(t *testing.T) {
+	e := NewEngine(3)
+	far, near := WatchKey{Space: 1 << 20, Line: 4}, WatchKey{Space: 7, Line: 4}
+	var farReady, nearReady bool
+	var woke [2]Time
+	e.Run(func(p *Proc) {
+		switch p.ID() {
+		case 0:
+			p.Block(far, func() bool { return farReady })
+			woke[0] = p.Now()
+		case 1:
+			p.Block(near, func() bool { return nearReady })
+			woke[1] = p.Now()
+		case 2:
+			p.Advance(Microsecond)
+			farReady, nearReady = true, true
+			e.Signal(near, 2*Microsecond) // must not wake the waiter on `far`
+			p.Advance(4 * Microsecond)
+			e.Signal(far, 9*Microsecond)
+		}
+	})
+	if woke != [2]Time{9 * Microsecond, 2 * Microsecond} {
+		t.Fatalf("waiters woke at %v, want [9µs 2µs]: a signal crossed spaces in the shared bucket", woke)
+	}
+	if len(e.watchers) != 4 {
+		t.Fatalf("%d watcher buckets after blocking on space %d, want 4", len(e.watchers), far.Space)
+	}
+}
+
 func TestBlockPredicateAlreadyTrue(t *testing.T) {
 	e := NewEngine(1)
 	e.Run(func(p *Proc) {
@@ -202,7 +236,7 @@ func TestProcPanicPropagates(t *testing.T) {
 }
 
 func TestResourceFIFO(t *testing.T) {
-	r := NewResource("port", 10*Nanosecond)
+	r := NewResource(10 * Nanosecond)
 	// Uncontended: starts immediately.
 	if got := r.Reserve(100*Nanosecond, 3); got != 130*Nanosecond {
 		t.Fatalf("first reserve finish = %v, want 130ns", got)
@@ -228,7 +262,7 @@ func TestResourceFIFO(t *testing.T) {
 }
 
 func TestResourceReserveDur(t *testing.T) {
-	r := NewResource("port", 10*Nanosecond)
+	r := NewResource(10 * Nanosecond)
 	if got := r.ReserveDur(0, 37*Nanosecond); got != 37*Nanosecond {
 		t.Fatalf("ReserveDur finish = %v, want 37ns", got)
 	}
@@ -249,7 +283,7 @@ func TestResourceReserveDur(t *testing.T) {
 // are nondecreasing and total busy time equals the sum of service demands.
 func TestResourceProperties(t *testing.T) {
 	f := func(units []uint8) bool {
-		r := NewResource("p", 3*Nanosecond)
+		r := NewResource(3 * Nanosecond)
 		var tm Time
 		var prevFinish Time
 		var total Duration
@@ -282,7 +316,8 @@ func TestRunQueueOrdering(t *testing.T) {
 	e := NewEngine(6)
 	clocks := []Time{30, 10, 20, 10, 5, 30}
 	var q runQueue
-	for i, p := range e.procs {
+	for i := range e.procs {
+		p := e.Proc(i)
 		p.now = clocks[i]
 		q.push(p)
 	}
@@ -303,13 +338,13 @@ func TestRunQueueOrdering(t *testing.T) {
 func TestRunQueueDoublePushPanics(t *testing.T) {
 	e := NewEngine(1)
 	var q runQueue
-	q.push(e.procs[0])
+	q.push(e.Proc(0))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double push did not panic")
 		}
 	}()
-	q.push(e.procs[0])
+	q.push(e.Proc(0))
 }
 
 // TestPersistentEngineReuse pins the pooled-engine lifecycle: parked
@@ -329,8 +364,8 @@ func TestPersistentEngineReuse(t *testing.T) {
 			t.Fatal("Reset refused on a cleanly completed engine")
 		}
 		e.Run(body)
-		for _, p := range e.procs {
-			finals[run] = append(finals[run], p.now)
+		for i := range e.procs {
+			finals[run] = append(finals[run], e.procs[i].now)
 		}
 	}
 	for run := 1; run < 3; run++ {

@@ -36,8 +36,10 @@ import (
 	"fmt"
 
 	"repro/internal/algsel"
+	"repro/internal/alloc"
 	"repro/internal/collective"
 	occore "repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/occoll"
@@ -51,6 +53,15 @@ import (
 
 // CacheLineBytes is the SCC's transfer granularity (32 bytes).
 const CacheLineBytes = scc.CacheLine
+
+// PrivateMemoryBytes is the size of each core's private off-chip memory:
+// WritePrivate/ReadPrivate, the per-core accessors and every collective
+// address private memory from 0 up to it, and an access that reaches past
+// it panics naming the core, the address and this limit (Replay and Serve
+// return an error for a layout that would). 1 GiB is of the order of a
+// core's share of the real chip's DRAM; it is address space, not host
+// memory — pages are only allocated when first written.
+const PrivateMemoryBytes = mem.PrivateBytes
 
 // MaxCores is the real SCC's core count — the capacity of the default
 // 6×4 topology. Larger meshes (MeshWidth × MeshHeight) raise the limit
@@ -135,6 +146,16 @@ func (s *System) preflight(needOC bool) error {
 	return nil
 }
 
+// fitsPrivate reports why a replay or serving layout of the given
+// per-core footprint cannot run: it reaches past private memory, which
+// the run itself would only discover as a panic on the first far access.
+func fitsPrivate(what string, bytes int) error {
+	if bytes > PrivateMemoryBytes {
+		return fmt.Errorf("ocbcast: %s needs %d bytes of private memory per core, a core has %d", what, bytes, PrivateMemoryBytes)
+	}
+	return nil
+}
+
 // New builds a simulated chip. It panics on invalid options (consistent
 // with misconfiguration being a programming error).
 func New(opts Options) *System {
@@ -213,7 +234,8 @@ func (s *System) Mesh() (w, h int) {
 }
 
 // WritePrivate stores bytes into core `core`'s private off-chip memory at
-// byte address addr, before or after Run.
+// byte address addr, before or after Run. The range must lie within
+// PrivateMemoryBytes.
 func (s *System) WritePrivate(core, addr int, data []byte) {
 	s.chip.Private(core).Write(addr, data)
 }
@@ -240,24 +262,33 @@ func (s *System) Run(body func(c *Core)) {
 	}
 	s.ran = true
 	colErr := occoll.Validate(s.occfg)
+	// Every core's handle and the protocol state behind it live in one
+	// slice for the run, so starting n cores allocates once, not 7n times.
+	cores := alloc.Slice[coreState](s.chip.NCores)
 	s.chip.Run(func(rc *rma.Core) {
-		port := rcce.NewPort(rc)
-		c := &Core{
+		st := &cores[rc.ID()]
+		st.port.Init(rc)
+		st.comm.Init(&st.port)
+		st.bc.Init(rc, s.occfg)
+		c := &st.handle
+		*c = Core{
 			rma:     rc,
-			port:    port,
-			comm:    collective.NewComm(port),
-			bc:      occore.NewBroadcaster(rc, s.occfg),
+			port:    &st.port,
+			comm:    &st.comm,
+			bc:      &st.bc,
 			colErr:  colErr,
+			env:     &st.env,
 			algName: s.alg,
 			plan:    s.plan,
 		}
 		if colErr == nil {
-			c.col = occoll.New(rc, port, s.occfg)
+			st.col.Init(rc, &st.port, s.occfg)
+			c.col = &st.col
 		}
-		// The registry environment shares the core's engine and
-		// broadcaster, so registry-routed calls are byte-identical to
-		// the fixed stacks under the default options.
-		c.env = algsel.NewEnv(rc, port, s.occfg, c.col, c.bc)
+		// The registry environment shares the core's collective layer,
+		// engine and broadcaster, so registry-routed calls are
+		// byte-identical to the fixed stacks under the default options.
+		st.env.Init(c.comm, s.occfg, c.col, c.bc)
 		body(c)
 		if c.col != nil {
 			// Leaked non-blocking requests panic descriptively here
@@ -278,6 +309,17 @@ type Core struct {
 	env     *algsel.Env
 	algName string
 	plan    *algsel.Plan
+}
+
+// coreState is one core's slot of a Run: the public handle and, by
+// value, every layer's per-core state the handle points at.
+type coreState struct {
+	handle Core
+	port   rcce.Port
+	comm   collective.Comm
+	bc     occore.Broadcaster
+	col    occoll.Collectives
+	env    algsel.Env
 }
 
 // occ returns the one-sided collective state, panicking with the layout

@@ -294,3 +294,29 @@ func TestComputeMisuseNamesTheValue(t *testing.T) {
 		})
 	}
 }
+
+// TestPrivateMemoryLimit: a stray private-memory address is caught at the
+// call — a panic naming the core, the address and the limit — instead of
+// growing the page table to reach it (one byte at 16 GiB took 127 ms and
+// 164 MiB; at 1 TiB, the host's memory), and the last valid byte still
+// works.
+func TestPrivateMemoryLimit(t *testing.T) {
+	sys := ocbcast.New(ocbcast.Options{Cores: 2})
+	sys.WritePrivate(1, ocbcast.PrivateMemoryBytes-1, []byte{7})
+	if got := sys.ReadPrivate(1, ocbcast.PrivateMemoryBytes-1, 1); got[0] != 7 {
+		t.Fatalf("last byte of private memory reads %d, want 7", got[0])
+	}
+	for _, addr := range []int{ocbcast.PrivateMemoryBytes, 1 << 34, 1 << 40} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, want := range []string{"private[1]", fmt.Sprint(addr), fmt.Sprint(ocbcast.PrivateMemoryBytes)} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("WritePrivate at %d panicked with %q, which does not mention %q", addr, msg, want)
+					}
+				}
+			}()
+			sys.WritePrivate(1, addr, []byte{1})
+		}()
+	}
+}

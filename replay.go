@@ -71,9 +71,10 @@ type ReplayStats struct {
 //
 // Replay consumes the System's single Run; build a fresh System per
 // replay. It returns an error for a trace that does not fit the chip
-// (unknown op, root outside the core count), for a trace with
-// overlapped records on a System whose Options.Channels leave the
-// one-sided family no MPB room, and for a System that already ran.
+// (unknown op, root outside the core count, a layout larger than
+// PrivateMemoryBytes), for a trace with overlapped records on a System
+// whose Options.Channels leave the one-sided family no MPB room, and for
+// a System that already ran.
 func (s *System) Replay(t *Trace) (ReplayStats, error) {
 	if t == nil {
 		return ReplayStats{}, fmt.Errorf("ocbcast: Replay of a nil trace")
@@ -90,6 +91,9 @@ func (s *System) Replay(t *Trace) (ReplayStats, error) {
 	}
 	n := s.N()
 	l := workload.LayoutFor(t, n)
+	if err := fitsPrivate("the trace's layout", l.TotalBytes()); err != nil {
+		return ReplayStats{}, err
+	}
 	res := make([]workload.Result, n)
 	s.Run(func(c *Core) {
 		res[c.ID()] = workload.Replay(replayCore{c}, t, l, workload.ReplayOptions{})

@@ -103,6 +103,9 @@ func (s *System) Serve(cfg ServeConfig, streams []ServeStream) (ServeStats, erro
 		return ServeStats{}, err
 	}
 	l := serve.LayoutFor(cfg, streams, s.N())
+	if err := fitsPrivate("the tenant mix's layout", l.TotalBytes()); err != nil {
+		return ServeStats{}, err
+	}
 	board := serve.NewBoard(streams)
 	var rep *serve.Sched
 	s.Run(func(c *Core) {

@@ -213,9 +213,10 @@ func TestServeValidation(t *testing.T) {
 }
 
 // TestRunConsumersReturnErrors: Replay and Serve promise an error, so
-// the two misuses that used to escape as panics from inside Run — an
-// MPB lane layout only the one-sided family rejects, and a second
-// Run-consuming call on one System — must come back as errors.
+// the misuses that would otherwise escape as panics from inside Run — an
+// MPB lane layout only the one-sided family rejects, a second
+// Run-consuming call on one System, a layout that reaches past private
+// memory — must come back as errors.
 func TestRunConsumersReturnErrors(t *testing.T) {
 	threeLanes := ocbcast.Options{Cores: 4, Channels: 3} // New accepts it; occoll's flag block does not fit
 	overlapped, err := ocbcast.ParseTrace([]byte("octrace v1\nallreduce 0 8 0 10\n"))
@@ -229,6 +230,15 @@ func TestRunConsumersReturnErrors(t *testing.T) {
 	mix := []ocbcast.ServeStream{{Tenant: "a", Reqs: []ocbcast.ServeRequest{{Op: workload.OpBcast, Lines: 1}}}}
 	replay := func(s *ocbcast.System) error { _, err := s.Replay(overlapped); return err }
 	serve := func(s *ocbcast.System) error { _, err := s.Serve(ocbcast.ServeConfig{}, mix); return err }
+	// A 32 MiB allgather block per core of 8, in five rotating regions,
+	// is a valid record that needs 1.25 GiB of each core's private memory.
+	huge, err := ocbcast.ParseTrace([]byte("octrace v1\nallgather 0 1048576 0 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hugeMix := []ocbcast.ServeStream{{Tenant: "a", Reqs: []ocbcast.ServeRequest{{Op: workload.OpAllGather, Lines: 1 << 20}}}}
+	replayHuge := func(s *ocbcast.System) error { _, err := s.Replay(huge); return err }
+	serveHuge := func(s *ocbcast.System) error { _, err := s.Serve(ocbcast.ServeConfig{}, hugeMix); return err }
 
 	cases := []struct {
 		name  string
@@ -241,6 +251,8 @@ func TestRunConsumersReturnErrors(t *testing.T) {
 		{"serve on an unfit lane layout", threeLanes, nil, serve, "one-sided collectives unavailable"},
 		{"second replay", ocbcast.Options{Cores: 4}, replay, replay, "System already ran"},
 		{"second serve", ocbcast.Options{Cores: 4}, serve, serve, "System already ran"},
+		{"replay of a layout larger than private memory", ocbcast.Options{Cores: 8}, nil, replayHuge, "bytes of private memory per core"},
+		{"serve of a layout larger than private memory", ocbcast.Options{Cores: 8}, nil, serveHuge, "bytes of private memory per core"},
 	}
 	for _, tc := range cases {
 		func() {
