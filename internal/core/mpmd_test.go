@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/rma"
@@ -98,6 +99,50 @@ func TestMPMDThenSPMD(t *testing.T) {
 		chip.Private(i).Read(g2, 8192, len(g2))
 		if !bytes.Equal(g1, p1) || !bytes.Equal(g2, p2) {
 			t.Fatalf("core %d corrupted in MPMD->SPMD sequence", i)
+		}
+	}
+}
+
+// TestMPMDDescriptorLineReserved: the activation descriptor's line is
+// not part of the broadcast layout. {K: 1, BufLines: 251} used to pass
+// Validate with its done flag on the descriptor line, where the
+// descriptor's first 8 bytes (root | lines<<32) satisfied an interior
+// node's done-wait before its child had consumed the buffer: with one
+// receiver late to HandleAnnounce, every core below it got corrupt
+// bytes and nothing panicked. The largest layouts that do fit must
+// deliver intact in that schedule.
+func TestMPMDDescriptorLineReserved(t *testing.T) {
+	err := Config{K: 1, BufLines: 251}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "MPMD descriptor line") {
+		t.Fatalf("a layout reaching the descriptor line must be rejected naming it, got %v", err)
+	}
+	const lines = 1200
+	payload := pattern(lines*scc.CacheLine, 7)
+	for _, cfg := range []Config{{K: 1, BufLines: 250}, {K: 3, BufLines: 124, DoubleBuffer: true}} {
+		if cfg.notifyLine()+cfg.K != descLine-1 {
+			t.Fatalf("%+v does not end right below the descriptor line", cfg)
+		}
+		for _, n := range []int{4, 8} {
+			chip := rma.NewChipN(scc.DefaultConfig(), n)
+			chip.Private(0).Write(0, payload)
+			chip.Run(func(c *rma.Core) {
+				b := NewBroadcaster(c, cfg)
+				if c.ID() == 0 {
+					b.Announce(0, lines)
+					return
+				}
+				if c.ID() == 2 {
+					c.Compute(5 * sim.Millisecond)
+				}
+				b.HandleAnnounce()
+			})
+			got := make([]byte, len(payload))
+			for i := 1; i < n; i++ {
+				chip.Private(i).Read(got, 0, len(got))
+				if !bytes.Equal(got, payload) {
+					t.Errorf("%+v on %d cores: core %d payload corrupted", cfg, n, i)
+				}
+			}
 		}
 	}
 }

@@ -44,7 +44,8 @@ func DefaultConfig() Config {
 }
 
 // Validate checks that the MPB layout fits: numBuffers·Moc data lines plus
-// 1 notify flag plus k done flags within the 256-line MPB.
+// 1 notify flag plus k done flags below the four reserved lines at the
+// top of the 256-line MPB.
 func (c Config) Validate() error {
 	if c.K < 1 {
 		return fmt.Errorf("occast: k=%d must be >= 1", c.K)
@@ -52,17 +53,13 @@ func (c Config) Validate() error {
 	if c.BufLines < 1 {
 		return fmt.Errorf("occast: BufLines=%d must be >= 1", c.BufLines)
 	}
-	nb := 1
-	if c.DoubleBuffer {
-		nb = 2
-	}
-	// Three lines at the top of the MPB are reserved for the
-	// root-change fence barrier.
-	avail := scc.MPBLinesPerCore - 3
-	need := nb*c.BufLines + 1 + c.K
-	if need > avail {
-		return fmt.Errorf("occast: layout needs %d MPB lines (buffers %d×%d + %d flags), only %d available",
-			need, nb, c.BufLines, c.K+1, avail)
+	// The top of the MPB is reserved: three flag lines for the
+	// root-change fence barrier and, below them, the MPMD activation
+	// descriptor (mpmd.go) — whose first bytes would otherwise satisfy a
+	// done-flag wait on the same line.
+	if need := c.notifyLine() + 1 + c.K; need > descLine {
+		return fmt.Errorf("occast: layout needs %d MPB lines (buffers %d×%d + %d flags), only the %d below the MPMD descriptor line and the three fence flags are available",
+			need, c.numBuffers(), c.BufLines, c.K+1, descLine)
 	}
 	return nil
 }
@@ -83,12 +80,9 @@ func (c Config) numBuffers() int {
 	return 1
 }
 
-// MPB line layout helpers.
-func (c Config) bufLine(chunk int) int {
-	return (chunk % c.numBuffers()) * c.BufLines
-}
-func (c Config) notifyLine() int    { return c.numBuffers() * c.BufLines }
-func (c Config) doneLine(i int) int { return c.numBuffers()*c.BufLines + 1 + i }
+// notifyLine is the notify flag's MPB line: the chunk buffers occupy the
+// lines below it, the K done flags the lines above.
+func (c Config) notifyLine() int { return c.numBuffers() * c.BufLines }
 
 // Broadcaster holds a core's persistent OC-Bcast state. Flag values are
 // chunk sequence numbers offset by a base that advances after every
@@ -102,10 +96,10 @@ type Broadcaster struct {
 	fenceSeq uint64
 	fencer   Fencer // optional shared quiesce (SetFence)
 
-	// frame is the reusable state machine for the chunk pipeline (see
-	// frames.go) that Bcast fills and Execs; one suffices because a core
-	// runs at most one broadcast at a time.
-	frame bcastFrame
+	// The broadcast in flight: this core's tree node and the message,
+	// which run fills and the chunk steps read.
+	t           Tree
+	addr, lines int
 }
 
 // Fencer is a chip-wide barrier the broadcaster can route its
@@ -159,30 +153,16 @@ func (b *Broadcaster) fence() {
 		return
 	}
 	b.fenceSeq++
-	c := b.core
-	me, n := c.ID(), c.N()
-	left, right := 2*me+1, 2*me+2
-	if left < n {
-		c.WaitFlagGE(fenceChildA, b.fenceSeq)
-	}
-	if right < n {
-		c.WaitFlagGE(fenceChildB, b.fenceSeq)
-	}
-	if me != 0 {
-		parent := (me - 1) / 2
-		line := fenceChildA
-		if me == 2*parent+2 {
-			line = fenceChildB
-		}
-		c.SetFlag(parent, line, b.fenceSeq)
-		c.WaitFlagGE(fenceRelease, b.fenceSeq)
-	}
-	if left < n {
-		c.SetFlag(left, fenceRelease, b.fenceSeq)
-	}
-	if right < n {
-		c.SetFlag(right, fenceRelease, b.fenceSeq)
-	}
+	b.core.Run((*fenceStep)(b))
+}
+
+// fenceStep is the private fence's step program: one step, the shared
+// gather-release tree over the three fence lines.
+type fenceStep Broadcaster
+
+func (f *fenceStep) EmitStep(p *rma.Prog, _ int) (more bool) {
+	p.TreeBarrier(f.core.ID(), f.core.N(), fenceChildA, fenceChildB, fenceRelease, f.fenceSeq)
+	return false
 }
 
 // Core returns the underlying RMA core handle.
@@ -191,18 +171,8 @@ func (b *Broadcaster) Core() *rma.Core { return b.core }
 // Bcast broadcasts `lines` cache lines from the root's private memory at
 // byte address addr into every other core's private memory at the same
 // address. All cores (root included) must call Bcast with matching
-// arguments, MPI style. It implements §4 in full:
-//
-// root, per chunk: wait for the chunk's buffer to be consumed (done
-// flags), put the chunk from private memory into its own MPB, notify the
-// first two children of its binary notification tree.
-//
-// non-root, per chunk: wait notifyFlag; (i) forward the notification
-// within the parent's notification tree; (ii) get the chunk from the
-// parent's MPB into its own MPB (waiting for its own buffer to be free
-// first, if it has children); (iii) set its doneFlag in the parent's MPB;
-// (iv) notify the first two of its own children; (v) get the chunk from
-// its MPB to private off-chip memory.
+// arguments, MPI style. It implements §4 in full (see
+// Pipeline.EmitChunk for the per-chunk steps of each tree role).
 func (b *Broadcaster) Bcast(root, addr, lines int) {
 	c := b.core
 	p := c.N()
@@ -224,17 +194,26 @@ func (b *Broadcaster) Bcast(root, addr, lines int) {
 }
 
 // run executes this core's side of the chunk pipeline as tree node t —
-// the root's if t.Rank is 0, else an intermediate node's or leaf's (see
-// frames.go) — and advances the flag-sequence base.
+// the root's if t.Rank is 0, else an intermediate node's or leaf's — and
+// advances the flag-sequence base.
 func (b *Broadcaster) run(t Tree, addr, lines int) {
-	pc := nNotifyWait
-	if t.Rank == 0 {
-		pc = rDoneWait
-	}
-	b.frame = bcastFrame{b: b, t: t, addr: addr, lines: lines,
-		nchunks: (lines + b.cfg.BufLines - 1) / b.cfg.BufLines,
-		nb:      b.cfg.numBuffers(), pc: pc}
-	b.core.Exec(&b.frame)
+	b.t, b.addr, b.lines = t, addr, lines
+	b.core.Run((*bcastStep)(b))
+	b.base += uint64((lines + b.cfg.BufLines - 1) / b.cfg.BufLines)
+}
+
+// bcastStep is the broadcast's step program: chunk by chunk, the shared
+// §4 pipeline over the standalone layout — buffers from line 0, the
+// monotonic sequence base, leaf-direct as configured, and only the root
+// polls its done flags once more at the end to free its MPB.
+type bcastStep Broadcaster
+
+func (b *bcastStep) EmitStep(p *rma.Prog, ch int) (more bool) {
+	pl := Pipeline{Tree: &b.t, Notify: b.cfg.notifyLine(),
+		NB: b.cfg.numBuffers(), BufLines: b.cfg.BufLines, Base: b.base,
+		LeafDirect: b.cfg.LeafDirect, Drain: b.t.Rank == 0,
+		Addr: b.addr, Lines: b.lines}
+	return pl.EmitChunk(p, ch)
 }
 
 // buildTree constructs this core's tree node, applying the ablation

@@ -69,6 +69,10 @@ type ReduceOp = collective.ReduceOp
 // the MPMD descriptor line is 252.
 const maxFlagLine = 250
 
+// Every lane line and chunk size rides in a step instruction's 16- and
+// 8-bit fields.
+const _ = uint8(maxFlagLine)
+
 // numBuffers reports the chunk-buffer count per lane: 2 with double
 // buffering, else 1. Every layout computation derives from this one
 // helper so buffer rotation and line layout cannot desynchronize.
@@ -199,10 +203,8 @@ func (x *Collectives) LaneIssues() []uint64 {
 // lane is one independent slice of the MPB layout: chunk buffers plus a
 // flag block. All cores use identical lane layouts, so a lane's line
 // numbers address the same protocol slot on every peer. The lane also
-// holds the instruction buffer of the request occupying it: protocol
-// steps append to it through the emitters below (wait, putMem, getMem,
-// getMPB, combine, setFlag — named after the rma ops they stand for, so
-// a step function reads like the loop body it replaces), and the request
+// holds the step program (rma.Prog) of the request occupying it:
+// protocol steps append to it through rma's emitters, and the request
 // frame runs what they appended (Request.Step).
 type lane struct {
 	x        *Collectives
@@ -213,32 +215,15 @@ type lane struct {
 	// issues counts the non-blocking collectives this lane has carried
 	// (LaneIssues aggregates it for allocation accounting).
 	issues uint64
-	// prog is the current pipeline step's instructions, allocated at the
-	// lane's first issue and reused for every step of every request.
-	prog []instr
+	// prog is the current pipeline step's instructions — and, while the
+	// request is stopped on a flag, that wait — sized at the lane's first
+	// issue and reused for every step of every request. It is the lane's
+	// own rather than the core's run program, so a stopped request keeps
+	// its step while the core runs other protocols.
+	prog rma.Prog
 	// dnUsed is streamDown's reusable slot-occupancy table, one entry
 	// per chunk buffer (numBuffers is at most 2).
 	dnUsed *[2]occupant
-}
-
-func (l *lane) emit(op opcode, peer, line, m int, arg uint64) {
-	l.prog = append(l.prog, instr{op: op, m: uint8(m), line: uint16(line), peer: int32(peer), arg: arg})
-}
-
-// The emitters. wait: this core's flag `line` must reach seq before the
-// step goes on; setFlag writes seq into flag `line` of dst's MPB. putMem
-// stages m lines of private memory at addr into the own MPB slot; getMem
-// pulls m lines of src's slot to private memory at addr; getMPB pulls
-// them into the same slot of the own MPB; combine folds them into that
-// slot with the request's reduce op and then charges the arithmetic.
-func (l *lane) wait(line int, seq uint64)         { l.emit(opWait, 0, line, 0, seq) }
-func (l *lane) setFlag(dst, line int, seq uint64) { l.emit(opSetFlag, dst, line, 0, seq) }
-func (l *lane) putMem(slot, addr, m int)          { l.emit(opPutMem, 0, slot, m, uint64(addr)) }
-func (l *lane) getMem(src, slot, addr, m int)     { l.emit(opGetMem, src, slot, m, uint64(addr)) }
-func (l *lane) getMPB(src, slot, m int)           { l.emit(opGetMPB, src, slot, m, 0) }
-func (l *lane) combine(src, slot, m int) {
-	l.emit(opCombine, src, slot, m, 0)
-	l.emit(opCompute, 0, 0, m, 0)
 }
 
 // occupant records which child's transfer last staged into an MPB slot,

@@ -1,6 +1,9 @@
 package occoll
 
-import "repro/internal/scc"
+import (
+	"repro/internal/collective"
+	"repro/internal/scc"
+)
 
 // Reduce combines every core's `lines` cache lines at addr with op; the
 // result lands at addr on the root. Unlike the two-sided binomial
@@ -52,7 +55,7 @@ var protoIAllReduce = &protocol{"IAllReduce", []stepFn{reduceUp, bcastDown}}
 // slots are reused double-buffered like OC-Bcast (§4.2).
 func reduceUp(r *Request, ch int) (more bool) {
 	l, t := r.lane, &r.tree
-	x := l.x
+	x, p := l.x, &l.prog
 	me, nb := x.core.ID(), x.numBuffers()
 	m := x.chunkSpan(ch, r.lines)
 	off := r.addr + ch*x.cfg.BufLines*scc.CacheLine
@@ -62,28 +65,29 @@ func reduceUp(r *Request, ch int) (more bool) {
 	// Reuse my accumulator slot only after my parent consumed the chunk
 	// that previously occupied it.
 	if t.Rank != 0 && ch >= nb {
-		l.wait(l.upConsumedLine(), seq-uint64(nb))
+		p.WaitGE(l.upConsumedLine(), seq-uint64(nb))
 	}
 	// Stage my own contribution as the slot's accumulator.
-	l.putMem(buf, off, m)
+	p.PutMem(buf, off, m)
 	// Fold in each child's chunk, in child order (deterministic and, for
 	// the integer ops, exactly associative — results are byte-identical
 	// to the two-sided composition).
 	for i, child := range t.Children {
-		l.wait(l.upReadyLine(i), seq)
-		l.combine(child, buf, m)
-		l.setFlag(child, l.upConsumedLine(), seq)
+		p.WaitGE(l.upReadyLine(i), seq)
+		p.Combine(child, buf, m)
+		p.Compute(collective.CombineCost(m))
+		p.SetFlag(child, l.upConsumedLine(), seq)
 	}
 	if t.Rank == 0 {
 		// Root: land the fully combined chunk in private memory.
-		l.getMem(me, buf, off, m)
+		p.GetMem(me, buf, off, m)
 	} else {
-		l.setFlag(t.Parent, l.upReadyLine(t.ChildIdx), seq)
+		p.SetFlag(t.Parent, l.upReadyLine(t.ChildIdx), seq)
 		if last {
 			// Drain: my parent must have consumed my last staged chunks
 			// before I return (or hand the slots to AllReduce's
 			// broadcast half).
-			l.wait(l.upConsumedLine(), seq)
+			p.WaitGE(l.upConsumedLine(), seq)
 		}
 	}
 	return !last

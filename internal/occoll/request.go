@@ -3,7 +3,6 @@ package occoll
 import (
 	"fmt"
 
-	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -25,7 +24,7 @@ import (
 // rma.ProbeFlagGE — a failed probe costs no virtual time, a successful
 // one charges the same single C^mpb_r(1) poll read the blocking path
 // charges — and let the protocol run until its next unsatisfied wait.
-// Wait switches the protocol's waits to rma.CallWaitFlagGE, which parks
+// Wait lets the protocol's waits run as they are — rma's flag wait parks
 // the simulated proc on the engine's run queue (internal/sim's indexed
 // heap) until a peer's flag write signals the watched MPB line; the
 // blocking collectives are exactly issue + Wait, which is why their
@@ -36,14 +35,16 @@ import (
 // and branch depends only on the tree, the message size and the Config,
 // never on a value read from an MPB — so it is written as a chain of
 // step functions, each appending the RMA ops of one pipeline step to the
-// lane's instruction buffer. The Request is the sim.Frame that
-// interprets the buffer, one rma Call* child frame per instruction: the
-// same frame machinery rcce and OC-Bcast run on, with no goroutine of
-// its own. Stopping at a wait is returning from Step with the program
-// counter still on it.
+// lane's step program through rma's emitters (internal/rma/prog.go) —
+// the same way rcce and OC-Bcast are written. Those run to completion
+// under rma.Core.Run; a Request is the one other sim.Frame that issues
+// a program's instructions (rma.Core.CallNext), because it must be able
+// to stop: it adds only the probing wait and the chaining of phases.
+// Stopping at a wait is returning from Step with the program still on
+// it.
 
 // stepFn appends the instructions of pipeline step `step` (0, 1, …) of
-// one protocol phase to r.lane's buffer and reports whether the phase
+// one protocol phase to r.lane's program and reports whether the phase
 // has more steps. A phase with nothing to do on this core (a leaf's
 // down-stream, the root's up-stream) emits nothing and reports false.
 type stepFn func(r *Request, step int) (more bool)
@@ -54,29 +55,6 @@ type stepFn func(r *Request, step int) (more bool)
 type protocol struct {
 	name   string
 	phases []stepFn
-}
-
-// opcode selects the RMA op of one instr.
-type opcode uint8
-
-const (
-	opWait    opcode = iota // own flag `line` ≥ arg
-	opPutMem                // private arg.. → own MPB `line`.., m lines
-	opGetMem                // peer's MPB `line`.. → private arg.., m lines
-	opGetMPB                // peer's MPB `line`.. → own MPB `line`.., m lines
-	opCombine               // fold peer's MPB `line`.. into own `line`.. with r.rop
-	opCompute               // the combine arithmetic over m lines
-	opSetFlag               // peer's flag `line` = arg
-)
-
-// instr is one RMA op of a pipeline step, 16 bytes: MPB lines and chunk
-// sizes are below maxFlagLine (Validate), so they fit the narrow fields.
-type instr struct {
-	op   opcode
-	m    uint8
-	line uint16
-	peer int32
-	arg  uint64 // private byte address, or flag sequence number
 }
 
 // Request is the handle of one in-flight non-blocking collective. A
@@ -93,12 +71,11 @@ type Request struct {
 	tree  core.Tree
 	addr  int
 	lines int
-	rop   ReduceOp
 
-	// phase/step name the next pipeline step to emit; pc is the next
-	// instruction of lane.prog to run. While the request is stopped on a
-	// flag (not done, not being Exec'ed), lane.prog[pc] is that wait.
-	phase, step, pc int32
+	// phase/step name the next pipeline step to emit. While the request
+	// is stopped on a flag (not done, not being Exec'ed), that wait is
+	// lane.prog's next instruction.
+	phase, step int32
 	// blocking selects how waits behave during the current Exec: park
 	// the simulated proc (Wait, lane reuse) or probe and stop
 	// (issue/Test/Progress).
@@ -141,19 +118,18 @@ func (x *Collectives) issue(proto *protocol, root, addr, lines int, rop ReduceOp
 	}
 	r := x.newRequest()
 	r.x, r.proto, r.lane = x, proto, l
-	r.addr, r.lines, r.rop = addr, lines, rop
+	r.addr, r.lines = addr, lines
 	if o := x.core.Obs(); o != nil {
 		r.obsID = o.AsyncID()
 		o.AsyncBegin(r.obsID, x.core.ID(), int64(x.core.Now()), "occoll", proto.name,
 			obs.Arg{Key: "lane", Val: int64(l.idx)}, obs.Arg{Key: "lines", Val: int64(lines)})
 	}
 	l.req = r
-	if l.prog == nil {
-		// One buffer per lane that is ever used, sized for the longest
-		// step (reduceUp's: stage, four ops per child, hand up, drain).
-		l.prog = make([]instr, 0, 4*x.cfg.K+4)
-	}
-	l.prog = l.prog[:0]
+	// One buffer per lane that is ever used, sized for the longest step
+	// (reduceUp's: stage, four ops per child, hand up, drain).
+	l.prog.Grow(4*x.cfg.K + 4)
+	l.prog.Reset()
+	l.prog.Fold = rop
 	r.tree = l.begin(root)
 	x.compactReqs() // keep the list bounded by in-flight requests
 	x.reqs = append(x.reqs, r)
@@ -217,50 +193,31 @@ func (r *Request) exec(blocking bool) {
 	r.x.core.Exec(r)
 }
 
-// Step interprets the lane's instruction buffer: each instruction runs
-// as an rma child frame, and an exhausted buffer is refilled with the
-// protocol's next pipeline step. The protocol is complete when its last
-// phase has no more steps.
+// Step issues the lane program's instructions, each as an rma child
+// frame, and refills the exhausted program with the protocol's next
+// pipeline step (one that emits nothing is skipped). The protocol is
+// complete when its last phase has no more steps.
 func (r *Request) Step(*sim.Proc) sim.StepStatus {
 	l, c := r.lane, r.x.core
-	for int(r.pc) == len(l.prog) {
+	for l.prog.Done() {
 		if int(r.phase) == len(r.proto.phases) {
 			r.complete()
 			return sim.StepDone
 		}
-		l.prog, r.pc = l.prog[:0], 0
+		l.prog.Reset()
 		if r.proto.phases[r.phase](r, int(r.step)) {
 			r.step++
 		} else {
 			r.phase, r.step = r.phase+1, 0
 		}
 	}
-	in := &l.prog[r.pc]
-	line, peer, m := int(in.line), int(in.peer), int(in.m)
-	if in.op == opWait && !r.blocking {
-		if !c.ProbeFlagGE(line, in.arg) {
-			return sim.StepDone // stopped, not done: pc stays on the wait
+	if line, seq, ok := l.prog.PendingWait(); ok && !r.blocking {
+		if !c.ProbeFlagGE(line, seq) {
+			return sim.StepDone // stopped, not done: the program stays on the wait
 		}
-		r.pc++
-		return c.CallPollFlag(line)
+		l.prog.Polled()
 	}
-	r.pc++
-	switch in.op {
-	case opWait:
-		return c.CallWaitFlagGE(line, in.arg)
-	case opPutMem:
-		return c.CallPutMemToMPB(c.ID(), line, int(in.arg), m)
-	case opGetMem:
-		return c.CallGetMPBToMem(peer, line, int(in.arg), m)
-	case opGetMPB:
-		return c.CallGetMPBToMPB(peer, line, line, m)
-	case opCombine:
-		return c.CallGetMPBCombine(peer, line, line, m, r.rop)
-	case opCompute:
-		return c.CallCompute(collective.CombineCost(m))
-	default: // opSetFlag
-		return c.CallSetFlag(peer, line, in.arg)
-	}
+	return c.CallNext(&l.prog)
 }
 
 // complete marks the protocol locally complete and closes its span.
@@ -340,16 +297,16 @@ func (x *Collectives) Progress() {
 			advanced = advanced || r.consumed
 			continue
 		}
-		// Every live request is stopped on the wait at its pc; probe the
-		// flag for free before entering the frame, which re-probes and
-		// charges the successful poll read.
-		pend := &r.lane.prog[r.pc]
-		if !x.core.ProbeFlagGE(int(pend.line), pend.arg) {
+		// Every live request is stopped on its program's pending wait;
+		// probe the flag for free before entering the frame, which
+		// re-probes and charges the successful poll read.
+		line, seq, _ := r.lane.prog.PendingWait()
+		if !x.core.ProbeFlagGE(line, seq) {
 			continue
 		}
 		if o := x.core.Obs(); o != nil {
 			o.Instant(x.core.ID(), int64(x.core.Now()), "occoll", "progress.resume",
-				obs.Arg{Key: "lane", Val: int64(r.lane.idx)}, obs.Arg{Key: "line", Val: int64(pend.line)})
+				obs.Arg{Key: "lane", Val: int64(r.lane.idx)}, obs.Arg{Key: "line", Val: int64(line)})
 		}
 		r.exec(false)
 		advanced = advanced || r.done

@@ -45,32 +45,32 @@ var protoIAllGatherRing = &protocol{"IAllGatherRing", []stepFn{ringAllGather}}
 // is: every core posts its "send" before blocking on its "receive".
 func ringAllGather(r *Request, step int) (more bool) {
 	l, x := r.lane, r.x
-	p, me := x.core.N(), x.core.ID()
-	left, right := (me-1+p)%p, (me+1)%p
+	p, n, me := &l.prog, x.core.N(), x.core.ID()
+	left, right := (me-1+n)%n, (me+1)%n
 	nb, nchunks := x.numBuffers(), x.nchunks(r.lines)
 	blockBytes := r.lines * scc.CacheLine
 
 	// Ring step t moves block me−t out and block me−1−t in, chunk by chunk.
 	t, chk := step/nchunks, step%nchunks
-	sendBlock := ((me-t)%p + p) % p
-	recvBlock := ((me-1-t)%p + p) % p
+	sendBlock := ((me-t)%n + n) % n
+	recvBlock := ((me-1-t)%n + n) % n
 	m := x.chunkSpan(chk, r.lines)
 	off := r.addr + chk*x.cfg.BufLines*scc.CacheLine
 	slot, tr := l.slotLine(step%nb), uint64(step)+1
-	last := step == (p-1)*nchunks-1
+	last := step == (n-1)*nchunks-1
 
 	if step >= nb {
-		l.wait(l.dnDoneLine(0), tr-uint64(nb))
+		p.WaitGE(l.dnDoneLine(0), tr-uint64(nb))
 	}
-	l.putMem(slot, off+sendBlock*blockBytes, m)
-	l.setFlag(right, l.dnNotifyLine(), tr)
-	l.wait(l.dnNotifyLine(), tr)
-	l.getMem(left, slot, off+recvBlock*blockBytes, m)
-	l.setFlag(left, l.dnDoneLine(0), tr)
+	p.PutMem(slot, off+sendBlock*blockBytes, m)
+	p.SetFlag(right, l.dnNotifyLine(), tr)
+	p.WaitGE(l.dnNotifyLine(), tr)
+	p.GetMem(left, slot, off+recvBlock*blockBytes, m)
+	p.SetFlag(left, l.dnDoneLine(0), tr)
 	if last {
 		// Drain: the right neighbour must have consumed my last staged
 		// chunks before the lane is handed to the next collective.
-		l.wait(l.dnDoneLine(0), tr)
+		p.WaitGE(l.dnDoneLine(0), tr)
 	}
 	return !last
 }

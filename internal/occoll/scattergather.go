@@ -94,15 +94,15 @@ func (r *Request) childTransfer(step int) (i, tc, chunkAddr, m int, ok bool) {
 // chunk pulled from the parent's MPB slot to its final private address.
 // The root receives nothing.
 func recvSubtree(r *Request, step int) (more bool) {
-	l, t := r.lane, &r.tree
+	l, t, p := r.lane, &r.tree, &r.lane.prog
 	chunkAddr, m, ok := r.chunk(preorder(t.Rank, t.P, t.K), step)
 	if t.Rank == 0 || !ok {
 		return false
 	}
 	tr := uint64(step) + 1
-	l.wait(l.dnNotifyLine(), tr)
-	l.getMem(t.Parent, l.slotLine(step%l.x.numBuffers()), chunkAddr, m)
-	l.setFlag(t.Parent, l.dnDoneLine(t.ChildIdx), tr)
+	p.WaitGE(l.dnNotifyLine(), tr)
+	p.GetMem(t.Parent, l.slotLine(step%l.x.numBuffers()), chunkAddr, m)
+	p.SetFlag(t.Parent, l.dnDoneLine(t.ChildIdx), tr)
 	return true
 }
 
@@ -112,7 +112,7 @@ func recvSubtree(r *Request, step int) (more bool) {
 // occupancy table delays each staging until the slot's previous occupant
 // was consumed, and a final drain step leaves the MPB free.
 func streamDown(r *Request, step int) (more bool) {
-	l, t := r.lane, &r.tree
+	l, t, p := r.lane, &r.tree, &r.lane.prog
 	if t.IsLeaf() {
 		return false
 	}
@@ -130,17 +130,17 @@ func streamDown(r *Request, step int) (more bool) {
 	if !ok {
 		for _, u := range used {
 			if u.seq > 0 {
-				l.wait(l.dnDoneLine(u.childIdx), u.seq)
+				p.WaitGE(l.dnDoneLine(u.childIdx), u.seq)
 			}
 		}
 		return false
 	}
 	s, seq := tc%nb, uint64(tc)+1
 	if used[s].seq > 0 {
-		l.wait(l.dnDoneLine(used[s].childIdx), used[s].seq)
+		p.WaitGE(l.dnDoneLine(used[s].childIdx), used[s].seq)
 	}
-	l.putMem(l.slotLine(s), chunkAddr, m)
-	l.setFlag(t.Children[i], l.dnNotifyLine(), seq)
+	p.PutMem(l.slotLine(s), chunkAddr, m)
+	p.SetFlag(t.Children[i], l.dnNotifyLine(), seq)
 	used[s] = occupant{childIdx: i, seq: seq}
 	return true
 }
@@ -148,15 +148,15 @@ func streamDown(r *Request, step int) (more bool) {
 // gatherRecv collects each child's subtree stream into final private
 // addresses with one-sided gets from the child's MPB.
 func gatherRecv(r *Request, step int) (more bool) {
-	l := r.lane
+	l, p := r.lane, &r.lane.prog
 	i, tc, chunkAddr, m, ok := r.childTransfer(step)
 	if !ok {
 		return false
 	}
 	child, seq := r.tree.Children[i], uint64(tc)+1
-	l.wait(l.upReadyLine(i), seq)
-	l.getMem(child, l.slotLine(tc%l.x.numBuffers()), chunkAddr, m)
-	l.setFlag(child, l.upConsumedLine(), seq)
+	p.WaitGE(l.upReadyLine(i), seq)
+	p.GetMem(child, l.slotLine(tc%l.x.numBuffers()), chunkAddr, m)
+	p.SetFlag(child, l.upConsumedLine(), seq)
 	return true
 }
 
@@ -164,20 +164,20 @@ func gatherRecv(r *Request, step int) (more bool) {
 // descendants after) up through its MPB slots for the parent; the step
 // after the last transfer drains the slots. The root sends nothing.
 func gatherSend(r *Request, step int) (more bool) {
-	l, t := r.lane, &r.tree
+	l, t, p := r.lane, &r.tree, &r.lane.prog
 	if t.Rank == 0 {
 		return false
 	}
 	nb := l.x.numBuffers()
 	chunkAddr, m, ok := r.chunk(preorder(t.Rank, t.P, t.K), step)
 	if !ok {
-		l.wait(l.upConsumedLine(), uint64(step))
+		p.WaitGE(l.upConsumedLine(), uint64(step))
 		return false
 	}
 	if step >= nb {
-		l.wait(l.upConsumedLine(), uint64(step+1-nb))
+		p.WaitGE(l.upConsumedLine(), uint64(step+1-nb))
 	}
-	l.putMem(l.slotLine(step%nb), chunkAddr, m)
-	l.setFlag(t.Parent, l.upReadyLine(t.ChildIdx), uint64(step)+1)
+	p.PutMem(l.slotLine(step%nb), chunkAddr, m)
+	p.SetFlag(t.Parent, l.upReadyLine(t.ChildIdx), uint64(step)+1)
 	return true
 }

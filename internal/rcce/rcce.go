@@ -45,12 +45,9 @@ type Port struct {
 	epoch     uint64         // barrier epoch
 	shape     int            // root of the last rooted collective, -1 before the first
 
-	// bar and two are the port's reusable state machines (see
-	// frames.go) that Barrier and Send/Recv/SendRecv fill and Exec. One
-	// of each suffices: a core runs at most one barrier or two-sided
-	// call at a time.
-	bar barrierFrame
-	two twoFrame
+	// xch is the two-sided call in flight (see exchange.go), which
+	// Send/Recv/SendRecv fill and run.
+	xch exchange
 }
 
 // NewPort wraps a core with two-sided communication state. The RCCE line
@@ -143,8 +140,8 @@ func (p *Port) Send(dst int, addr, lines int) {
 		panic("rcce: send to self")
 	}
 	checkMsg(addr, lines)
-	p.two = twoFrame{p: p, op: twoSend, pc: sLoop, dst: dst, sendAddr: addr, sendLines: lines}
-	p.core.Exec(&p.two)
+	p.xch = exchange{p: p, dst: dst, sendAddr: addr, sendLines: lines}
+	p.core.Run(&p.xch)
 }
 
 // Recv receives `lines` cache lines from core src into this core's
@@ -155,8 +152,8 @@ func (p *Port) Recv(src int, addr, lines int) {
 		panic("rcce: recv from self")
 	}
 	checkMsg(addr, lines)
-	p.two = twoFrame{p: p, op: twoRecv, pc: rLoop, src: src, recvAddr: addr, recvLines: lines}
-	p.core.Exec(&p.two)
+	p.xch = exchange{p: p, src: src, recvAddr: addr, recvLines: lines}
+	p.core.Run(&p.xch)
 }
 
 // turnTag marks a turn-grant value, disjoint from data-ack tags.
@@ -198,10 +195,10 @@ func (p *Port) SendRecv(dst, sendAddr, sendLines, src, recvAddr, recvLines int) 
 	}
 	checkMsg(sendAddr, sendLines)
 	checkMsg(recvAddr, recvLines)
-	p.two = twoFrame{p: p, op: twoSendRecv, pc: xLoop,
+	p.xch = exchange{p: p,
 		dst: dst, sendAddr: sendAddr, sendLines: sendLines,
 		src: src, recvAddr: recvAddr, recvLines: recvLines}
-	p.core.Exec(&p.two)
+	p.core.Run(&p.xch)
 }
 
 // Barrier synchronizes all cores using a binary gather-release tree over
@@ -209,6 +206,14 @@ func (p *Port) SendRecv(dst, sendAddr, sendLines, src, recvAddr, recvLines int) 
 // reused across barriers (single writer per line per epoch, waits are ≥).
 func (p *Port) Barrier() {
 	p.epoch++
-	p.bar = barrierFrame{p: p, pc: bWaitA}
-	p.core.Exec(&p.bar)
+	p.core.Run((*barrier)(p))
+}
+
+// barrier is Barrier's step program: one step, the shared gather-release
+// tree over the port's three barrier lines at the current epoch.
+type barrier Port
+
+func (b *barrier) EmitStep(p *rma.Prog, _ int) (more bool) {
+	p.TreeBarrier(b.core.ID(), b.core.N(), lineBarrierChildA, lineBarrierChildB, lineBarrierRelease, b.epoch)
+	return false
 }

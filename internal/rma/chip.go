@@ -93,8 +93,13 @@ func NewChipN(cfg scc.Config, n int) *Chip {
 		memDist: make([]int, n),
 	}
 	slab := mem.NewSlab(n, topo.MPBLines)
+	// One array holds every core's run-program window; the windows are
+	// capped so that a longer step moves that core's buffer to the heap
+	// instead of running into its neighbour's.
+	progs := make([]instr, n*progWindow)
 	for i := range c.slots {
 		s := &c.slots[i]
+		s.core.run.prog.ins = progs[i*progWindow : i*progWindow : (i+1)*progWindow]
 		s.mpb.Init(c.Engine, i, cfg.Contention.ReadSvc, slab, i)
 		s.priv.Init(i)
 		s.cache.Init(cfg.CacheEnabled)
@@ -217,6 +222,9 @@ type Core struct {
 	// opf is the core's reusable RMA-op state machine (see frames.go):
 	// one embedded instance suffices because ops never nest.
 	opf opFrame
+	// run is the frame that runs a step program to completion (see
+	// prog.go), with the program buffer it interprets.
+	run runFrame
 	// flagBuf stages SetFlag's one-line payload between the op's pre
 	// and post steps.
 	flagBuf [scc.CacheLine]byte

@@ -44,7 +44,7 @@ func (c *Core) WaitFlagEQ(line int, seq uint64) uint64 {
 // checking overlaps the wait. It is the primitive under the non-blocking
 // collectives' Test/Progress path: a false result counts as a failed
 // poll; after a true one the caller charges the successful poll read
-// with CallPollFlag.
+// (Prog.Polled).
 func (c *Core) ProbeFlagGE(line int, seq uint64) bool {
 	if c.chip.MPB(c.id).ProbeU64(line, c.Now()) >= seq {
 		return true

@@ -16,15 +16,18 @@ import (
 // remaining counters, span close), with the completion time carried
 // between them in the core's embedded opFrame. The blocking entry
 // points in ops.go/flags.go run pre and Exec the frame as a machine
-// section of the body; the Call* entry points run pre and push the same
-// frame as a child, so protocol frames (rcce, core, occoll's requests)
-// execute the identical op without parking a goroutine. One body and
-// one driver per op; script_test.go's TestOpScriptDigest pins a script
-// that touches every framed op, entered both ways, to recorded clocks,
-// counters and switch counts.
+// section of the body; Core.CallNext (prog.go) runs the pre of a step
+// program's next instruction and pushes the same frame as a child, so
+// every protocol (rcce, core, occoll) executes the identical op without
+// parking a goroutine. One body and one driver per op; script_test.go's
+// TestOpScriptDigest pins a script that touches every framed op,
+// entered both ways, to recorded clocks, counters and switch counts.
 
-// opFrame opcodes: which post step (deferred writes + counters) runs
-// after the completion-time yield. opWait is the multi-state flag wait.
+// Opcodes: which RMA op an instr of a step program stands for, and
+// which post step (deferred writes + counters) an opFrame runs after
+// the completion-time yield. opWait is the multi-state flag wait (≥ in
+// an instr); opWaitEQ exists in instrs only — its frame is an opWait
+// that compares for equality.
 const (
 	opPutMPB uint8 = iota
 	opPutMem
@@ -35,6 +38,7 @@ const (
 	opSetFlag
 	opPoll
 	opWait
+	opWaitEQ
 )
 
 // Wait-op program counter values (opFrame.pc when op == opWait).
@@ -177,78 +181,23 @@ func (c *Core) opPost(f *opFrame) {
 // sim.Proc.Exec.
 func (c *Core) Exec(f sim.Frame) { c.proc.Exec(f) }
 
-// The Call* entry points below are for use inside a sim.Frame.Step of
-// this core's own machine: each runs the op's pre step at the current
-// clock, pushes the core's opFrame as a child, and returns StepCall
-// for the caller to propagate.
-
-// call pushes the core's (pre-filled) opFrame as a child frame.
+// call pushes the core's (pre-filled) opFrame as a child frame of the
+// running machine and returns StepCall for the caller to propagate.
 func (c *Core) call() sim.StepStatus {
 	c.proc.Call(&c.opf)
 	return sim.StepCall
 }
 
-// CallPutMemToMPB is PutMemToMPB as a child frame.
-func (c *Core) CallPutMemToMPB(dst, dstLine, srcAddr, m int) sim.StepStatus {
-	c.putMemPre(&c.opf, dst, dstLine, srcAddr, m)
-	return c.call()
-}
-
-// CallGetMPBToMPB is GetMPBToMPB as a child frame.
-func (c *Core) CallGetMPBToMPB(src, srcLine, dstLine, m int) sim.StepStatus {
-	c.getMPBPre(&c.opf, src, srcLine, dstLine, m)
-	return c.call()
-}
-
-// CallGetMPBToMem is GetMPBToMem as a child frame.
-func (c *Core) CallGetMPBToMem(src, srcLine, dstAddr, m int) sim.StepStatus {
-	c.getMemPre(&c.opf, src, srcLine, dstAddr, m)
-	return c.call()
-}
-
-// CallGetMPBCombine is GetMPBCombine as a child frame.
-func (c *Core) CallGetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src []byte)) sim.StepStatus {
-	c.combinePre(&c.opf, src, srcLine, dstLine, m, combine)
-	return c.call()
-}
-
-// CallCompute is Compute as a child frame.
-func (c *Core) CallCompute(d sim.Duration) sim.StepStatus {
-	c.computePre(&c.opf, d)
-	return c.call()
-}
-
-// CallSetFlag is SetFlag as a child frame.
-func (c *Core) CallSetFlag(dst, line int, value uint64) sim.StepStatus {
-	c.setFlagPre(&c.opf, dst, line, value)
-	return c.call()
-}
-
-// CallWaitFlagGE is WaitFlagGE as a child frame (the flag value lands
-// in the frame's result field; framed protocols don't consume it).
-func (c *Core) CallWaitFlagGE(line int, seq uint64) sim.StepStatus {
-	c.waitPre(&c.opf, line, false, seq)
-	return c.call()
-}
-
-// CallWaitFlagEQ is WaitFlagEQ as a child frame.
-func (c *Core) CallWaitFlagEQ(line int, seq uint64) sim.StepStatus {
-	c.waitPre(&c.opf, line, true, seq)
-	return c.call()
-}
-
-// CallPollFlag charges the one successful poll read C^mpb_r(1) of a
-// flag the caller just saw arrive with ProbeFlagGE — exactly the final
-// poll a flag wait charges — as a child frame. Probe-then-poll is the
-// non-blocking collectives' Test/Progress path; a failed probe costs no
-// virtual time and never gets here.
-func (c *Core) CallPollFlag(line int) sim.StepStatus {
-	f := &c.opf
+// pollPre opens the one successful poll read C^mpb_r(1) of a flag the
+// caller just saw arrive with ProbeFlagGE — exactly the final poll a
+// flag wait charges. Probe-then-poll is the non-blocking collectives'
+// Test/Progress path (Prog.Polled); a failed probe costs no virtual
+// time and never gets here.
+func (c *Core) pollPre(f *opFrame, line int) {
 	f.c, f.op, f.pc = c, opPoll, 0
 	f.span = c.beginSpan("flag.poll", obs.BucketWait,
 		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
 	f.completion = c.Now() + c.CMpbR(1)
-	return c.call()
 }
 
 // waitPre opens a flag wait: the frame's own state loop (stepWait) does

@@ -11,10 +11,11 @@ import (
 
 // Every RMA op is one pre/post pair behind one frame, entered two ways:
 // a blocking entry point Execs the frame as its own machine section, a
-// Call* pushes it as a child of a protocol frame. This test runs one op
-// script through each on a 4-core chip and pins both to the clocks,
-// counters and switch count recorded when every op still had a
-// hand-written blocking body (all of which the Call* forms equalled).
+// protocol frame runs the pre step and pushes it as a child (what
+// Core.CallNext does for a step program's instruction). This test runs
+// one op script through each on a 4-core chip and pins both to the
+// clocks, counters and switch count recorded when every op still had a
+// hand-written blocking body (all of which the child forms equalled).
 
 // scriptKind selects the op a scriptOp issues.
 type scriptKind uint8
@@ -81,32 +82,35 @@ func addBytes(dst, src []byte) {
 	}
 }
 
-// call issues the op as a child frame of the running machine; ok is
-// false for a poll whose flag has not arrived (nothing was pushed).
+// call issues the op as a child frame of the running machine — its pre
+// step, then the push; ok is false for a poll whose flag has not
+// arrived (nothing was pushed).
 func (op scriptOp) call(c *Core) (st sim.StepStatus, ok bool) {
+	f := &c.opf
 	switch op.kind {
 	case opsPut:
-		return c.CallPutMemToMPB(op.peer, op.x, op.y, op.m), true
+		c.putMemPre(f, op.peer, op.x, op.y, op.m)
 	case opsGetMPB:
-		return c.CallGetMPBToMPB(op.peer, op.x, op.y, op.m), true
+		c.getMPBPre(f, op.peer, op.x, op.y, op.m)
 	case opsGetMem:
-		return c.CallGetMPBToMem(op.peer, op.x, op.y, op.m), true
+		c.getMemPre(f, op.peer, op.x, op.y, op.m)
 	case opsCombine:
-		return c.CallGetMPBCombine(op.peer, op.x, op.y, op.m, addBytes), true
+		c.combinePre(f, op.peer, op.x, op.y, op.m, addBytes)
 	case opsCompute:
-		return c.CallCompute(scriptCompute), true
+		c.computePre(f, scriptCompute)
 	case opsSetFlag:
-		return c.CallSetFlag(op.peer, op.flagLine, op.flagVal), true
+		c.setFlagPre(f, op.peer, op.flagLine, op.flagVal)
 	case opsWaitGE:
-		return c.CallWaitFlagGE(op.flagLine, op.flagVal), true
+		c.waitPre(f, op.flagLine, false, op.flagVal)
 	case opsWaitEQ:
-		return c.CallWaitFlagEQ(op.flagLine, op.flagVal), true
+		c.waitPre(f, op.flagLine, true, op.flagVal)
 	default:
 		if !c.ProbeFlagGE(op.flagLine, op.flagVal) {
 			return 0, false
 		}
-		return c.CallPollFlag(op.flagLine), true
+		c.pollPre(f, op.flagLine)
 	}
+	return c.call(), true
 }
 
 // runBlocking issues the op through its blocking entry point (a poll
@@ -134,7 +138,7 @@ func (op scriptOp) runBlocking(c *Core) {
 	}
 }
 
-// scriptFrame issues a script through the Call* child frames.
+// scriptFrame issues a script as child frames.
 type scriptFrame struct {
 	c   *Core
 	ops []scriptOp

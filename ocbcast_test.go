@@ -267,13 +267,28 @@ func TestPublicModel(t *testing.T) {
 	}
 }
 
+// TestOptionsValidation: New rejects options no chip can run, naming
+// what is wrong. The second case is the layout that uses every line
+// below OC-Bcast's fence flags: its top done flag would share line 252
+// with the MPMD activation descriptor, whose bytes then pass for a
+// consumed chunk (silent corruption, not a panic).
 func TestOptionsValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid options did not panic")
-		}
-	}()
-	ocbcast.New(ocbcast.Options{K: -1})
+	for _, tc := range []struct {
+		opts ocbcast.Options
+		want string
+	}{
+		{ocbcast.Options{K: -1}, "k=-1"},
+		{ocbcast.Options{K: 1, ChunkLines: 251, DisableDoubleBuffer: true}, "MPMD descriptor line"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("New(%+v) panicked with %q, want a panic mentioning %q", tc.opts, msg, tc.want)
+				}
+			}()
+			ocbcast.New(tc.opts)
+		}()
+	}
 }
 
 // TestComputeMisuseNamesTheValue: an unusable Compute argument is caught
