@@ -225,8 +225,10 @@ func protocolCells() []protocolCell {
 	return cells
 }
 
-// run simulates the cell on a fresh chip and digests it.
-func (pc protocolCell) run() protocolDigest {
+// run simulates the cell on a fresh chip and digests it. moves is the
+// chip's count of queued flag writes a bulk write over their line moved
+// to the pending list (mem.PendingStats): not part of the digest.
+func (pc protocolCell) run() (d protocolDigest, moves int64) {
 	chip := rma.NewChipN(scc.DefaultConfig(), pc.n)
 	buf := make([]byte, pc.span)
 	for c := 0; c < pc.n; c++ {
@@ -247,7 +249,7 @@ func (pc protocolCell) run() protocolDigest {
 		h.Write(buf)
 	}
 	fmt.Fprintf(h, "%+v\n", trace.Sum(chip.Counter))
-	return protocolDigest{Cell: pc.name, Hash: fmt.Sprintf("%016x", h.Sum64()), Switches: chip.Engine.Switches()}
+	return protocolDigest{Cell: pc.name, Hash: fmt.Sprintf("%016x", h.Sum64()), Switches: chip.Engine.Switches()}, chip.PendingStats().Moves
 }
 
 func loadProtocolDigests(t *testing.T) []protocolDigest {
@@ -289,7 +291,11 @@ func TestProtocolDigestSchema(t *testing.T) {
 // compares each cell with its committed row exactly. A mismatch prints
 // the row this build produces — it means simulated timing, delivered
 // bytes, op counts or the schedule changed, which is a bug unless
-// proven otherwise.
+// proven otherwise. Each cell logs its queue→list moves (-v shows them):
+// a bulk write landed on a line whose flag writes had not been read.
+// That is legal where protocol families alternate behind a barrier, and
+// it is also what two owners of one line look like at run time, so the
+// count is there to be read, not asserted on.
 func TestProtocolDigests(t *testing.T) {
 	want := map[string]protocolDigest{}
 	for _, r := range loadProtocolDigests(t) {
@@ -302,10 +308,12 @@ func TestProtocolDigests(t *testing.T) {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
 			t.Parallel()
-			if got := pc.run(); got != want[pc.name] {
+			got, moves := pc.run()
+			if got != want[pc.name] {
 				out, _ := json.Marshal(got)
 				t.Errorf("committed %+v, this build produces\n%s", want[pc.name], out)
 			}
+			t.Logf("queue→list moves: %d", moves)
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/scc"
 	"repro/internal/workload"
 )
@@ -80,5 +81,33 @@ func TestSGDReplayGolden(t *testing.T) {
 	const want = 35904.750200000002
 	if got := MeasureApp(cfg, scc.SCC(), sgd.Trace, ""); got != want {
 		t.Errorf("48-core SGD default makespan = %.17g µs, golden %.17g", got, want)
+	}
+}
+
+// TestReplayPendingIndexWork pins the work the MPBs' pending-write
+// indexes do for one kernel replay — deterministic counts, so a
+// regression in scanning work fails here where a wall clock never would.
+// A read that finds unfolded writes on its line should examine little
+// more than one record: queued flag writes are found through their line,
+// not by walking every other line's unread flags (34 records per read on
+// the benchmark's replay before the queues). The shuffle makes no
+// queue→list moves; a kernel that does (sgd's long RCCE payloads land on
+// a finished lane's unread flags, legally, behind a barrier) scans those
+// lines through the list and is logged, not gated.
+func TestReplayPendingIndexWork(t *testing.T) {
+	cfg := scc.DefaultConfig()
+	for _, k := range workload.Kernels(8) {
+		_, st := replayChip(cfg, 8, k.Trace)
+		t.Logf("%s: %+v", k.Name, st)
+		if k.Name != "shuffle" {
+			continue
+		}
+		want := mem.PendingStats{Reads: 6108, Visited: 7607, Queued: 2923, Listed: 458, Moves: 0, Sweeps: 22}
+		if st != want {
+			t.Errorf("shuffle on 8 cores: index work %+v, pinned %+v", st, want)
+		}
+		if 2*st.Visited > 3*st.Reads {
+			t.Errorf("shuffle on 8 cores: %d records visited by %d reads, want ≤ 1.5 per read", st.Visited, st.Reads)
+		}
 	}
 }

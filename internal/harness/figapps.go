@@ -7,6 +7,7 @@ import (
 	"repro/internal/algsel"
 	"repro/internal/collective"
 	occore "repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/occoll"
 	"repro/internal/rcce"
 	"repro/internal/rma"
@@ -147,6 +148,13 @@ func AppsTable(pts []AppPoint) *Table {
 // replay must not reintroduce per-record garbage) and the golden
 // determinism tests rerun. Returns the whole-app makespan in µs.
 func ReplayChip(cfg scc.Config, n int, t *workload.Trace) float64 {
+	us, _ := replayChip(cfg, n, t)
+	return us
+}
+
+// replayChip is ReplayChip that also reports the work the MPBs'
+// pending-write indexes did, read before the chip goes back to the pool.
+func replayChip(cfg scc.Config, n int, t *workload.Trace) (float64, mem.PendingStats) {
 	chip := rma.AcquireChipN(cfg, n)
 	defer rma.ReleaseChip(chip)
 	l := workload.LayoutFor(t, n)
@@ -171,7 +179,7 @@ func ReplayChip(cfg scc.Config, n int, t *workload.Trace) float64 {
 			last = ends[id]
 		}
 	}
-	return last - first
+	return last - first, chip.PendingStats()
 }
 
 // envRunner drives a replay over an algsel environment with the

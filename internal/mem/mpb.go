@@ -11,17 +11,20 @@
 // executes operations in nondecreasing global time order, pending writes
 // can be folded into the backing store lazily.
 //
-// Not-yet-visible writes are tracked as *extents*: one pendingExtent
-// record covers a whole contiguous bulk transfer (base effective time
-// plus a constant per-line stride), so an m-line RMA op costs one pending
-// record instead of m per-line map entries. WriteLines/ReadLinesInto are
-// the bulk entry points; WriteLine/ReadLine remain as the
-// single-line special case.
+// A not-yet-visible bulk transfer is one *extent*: a pendingExtent record
+// covers the whole contiguous write (base effective time plus a constant
+// per-line stride), so an m-line RMA op costs one record in the MPB's
+// pending list instead of m per-line entries. A single-line write — a
+// flag set, five MPB writes in six — is a 48-byte flagWrite in its line's
+// own queue, so a read of one line never walks the unread flags of the
+// others (MPB.pendCnt has the rule). WriteLines/ReadLinesInto are the bulk
+// entry points; WriteLine/ReadLine remain as the single-line special case.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/scc"
@@ -39,33 +42,41 @@ type MPB struct {
 	eng   *sim.Engine
 	// slab is the backing shared with the chip's other MPBs (its own
 	// for an MPB made by NewMPB): data, pendCnt, dirty and sweepBlocked
-	// below are this MPB's windows of it, and fresh extent records and
-	// the first capacity of pending, free and the port ledger come from
-	// it on first use.
+	// below are this MPB's windows of it, the line queues live in its
+	// flagWrite arena, and fresh extent records and the first capacity
+	// of pending, free and the port ledger come from it on first use.
 	slab *Slab
 	data []byte
 
-	// pending holds not-yet-visible write extents in issue order. The
-	// extents covering a given line form that line's write queue:
-	// writes are issued in nondecreasing time order, and each line
-	// folds its own prefix independently.
+	// pending holds the not-yet-visible write extents that pendCnt's rule
+	// sends here, in issue order. The extents covering a given line form
+	// that line's write queue: writes are issued in nondecreasing time
+	// order, and each line folds its own prefix independently.
 	pending []*pendingExtent
 	// free recycles fully folded extents (and the line buffers they have
 	// grown) so the steady-state write path allocates nothing. A record
 	// stays with the MPB that first took it from the slab.
 	free []*pendingExtent
-	// pendCnt counts, per line, the pending extents whose write to that
-	// line has not folded yet — an index over `pending` that lets the
-	// read-side scans (settle, peekU64At, satisfiedAt) skip lines with
-	// no unapplied writes in O(1) instead of walking the whole list.
+	// pendCnt says, per line, where the line's unfolded writes are; they
+	// are always all in one place. 0: there are none, and a read is done
+	// in O(1). queueTag|id: in the line's own queue — flagWrite records
+	// of the slab's arena chained in issue order from record id — and a
+	// read walks only them. Otherwise: in `pending`, and this is the
+	// number of its extents whose write to the line has not folded yet.
+	// The home rule: a single-line write joins its line's queue unless a
+	// list extent still covers the line, and then follows that extent in
+	// the list; a multi-line write goes to the list, after the queued
+	// writes of every line it covers have moved there ahead of it, in
+	// order, as single-line extents.
 	pendCnt []uint32
+	queued  int // writes in the line queues
 	// settledAt is the largest read time settle has folded to — a safe
 	// fold horizon for sweepPending, because the engine executes
 	// operations in nondecreasing global time order, so every future
 	// read happens at or after it.
 	settledAt sim.Time
-	// sweepAt is the pending-list length that triggers the next
-	// sweepPending, doubled after each sweep so a workload whose extents
+	// sweepAt is the number of unfolded writes that triggers the next
+	// sweepPending, doubled after each sweep so a workload whose writes
 	// genuinely cannot fold yet pays amortized O(1) per write.
 	sweepAt int
 	// sweepBlocked is sweepPending's and settleRange's reusable per-line
@@ -90,6 +101,37 @@ type MPB struct {
 	// local polls), so one embedded record suffices; a concurrent second
 	// waiter falls back to a one-shot closure.
 	wait u64Wait
+
+	// Stats counts the pending-write index's work since the last Reset.
+	Stats PendingStats
+}
+
+// PendingStats is the work an MPB's pending-write index has done, in
+// deterministic counts a test can gate on where a wall clock is too noisy.
+// Reads are the scans (settle, peekU64At, settleRange per queued line and
+// per list pass) that found unfolded writes on their line, Visited the
+// write records those examined; Queued and Listed the writes issued to a
+// line queue and to the pending list; Moves the queued writes a multi-line
+// write over their line moved to the list; Sweeps the sweepPending runs.
+type PendingStats struct{ Reads, Visited, Queued, Listed, Moves, Sweeps int64 }
+
+// Add accumulates o into s.
+func (s *PendingStats) Add(o PendingStats) {
+	s.Reads, s.Visited, s.Queued = s.Reads+o.Reads, s.Visited+o.Visited, s.Queued+o.Queued
+	s.Listed, s.Moves, s.Sweeps = s.Listed+o.Listed, s.Moves+o.Moves, s.Sweeps+o.Sweeps
+}
+
+// queueTag marks a pendCnt word that holds a line queue's head id.
+const queueTag uint32 = 1 << 31
+
+// flagWrite is one unfolded single-line write in its line's queue: line
+// becomes visible at eff, and next is the id of the write issued to the
+// same line after it (0: none). Records are pointer-free and live in the
+// slab's arena, which moves as it grows: hold ids across Slab.newFlag.
+type flagWrite struct {
+	eff  sim.Time
+	next uint32
+	line [scc.CacheLine]byte
 }
 
 // Wait-comparison selectors of the flag waits.
@@ -133,9 +175,9 @@ type pendingExtent struct {
 	eff0     sim.Time
 	stride   sim.Duration
 	// data is the n×32 payload bytes: the record's own line for a
-	// single-line extent — a flag write, five extents in six — and a
-	// heap buffer, kept across recycling, once the record has carried a
-	// longer one.
+	// single-line extent (rare: flag writes are queued, see MPB.pendCnt)
+	// and a heap buffer, kept across recycling, once the record has
+	// carried a longer one.
 	data    []byte
 	line    [scc.CacheLine]byte
 	applied []uint64
@@ -246,8 +288,14 @@ func (m *MPB) settle(line int, t sim.Time) {
 	if left == 0 {
 		return
 	}
+	m.Stats.Reads++
+	if left&queueTag != 0 {
+		m.Stats.Visited += m.foldQueue(line, t)
+		return
+	}
 	completed := false
 	for _, x := range m.pending {
+		m.Stats.Visited++
 		if !x.covers(line) || x.isApplied(line) {
 			continue
 		}
@@ -264,6 +312,34 @@ func (m *MPB) settle(line int, t sim.Time) {
 		m.compact()
 	}
 }
+
+// foldQueue is settle for a line whose unfolded writes are queued: the
+// leading writes with effective time ≤ t fold (only the last one's bytes
+// need to reach the backing store) and go back to the arena as one chain.
+// It returns the number of records it examined.
+func (m *MPB) foldQueue(line int, t sim.Time) int64 {
+	flags := m.slab.flags
+	head := m.pendCnt[line] &^ queueTag
+	n, last, id := 0, uint32(0), head
+	for ; id != 0 && flags[id-1].eff <= t; id = flags[id-1].next {
+		n, last = n+1, id
+	}
+	if n > 0 {
+		copy(m.data[line*scc.CacheLine:], flags[last-1].line[:])
+		m.dirty[line/64] |= 1 << (line % 64)
+		m.slab.freeFlags(head, last)
+		m.queued -= n
+	}
+	m.pendCnt[line] = 0
+	if id != 0 {
+		m.pendCnt[line] = queueTag | id
+		n++ // the future write that ended the walk was examined too
+	}
+	return int64(n)
+}
+
+// unfolded is what the sweep trigger counts: the writes not folded yet.
+func (m *MPB) unfolded() int { return len(m.pending) + m.queued }
 
 // rangeClear reports whether no bit in [lo, hi) of the bitmap is set.
 func rangeClear(bits []uint64, lo, hi int) bool {
@@ -343,8 +419,8 @@ func (m *MPB) newExtent(n int) *pendingExtent {
 	if cap(x.data) < need {
 		// Round the buffer up to a power-of-two class so the pool's
 		// buffers converge on sizes that serve every smaller transfer,
-		// instead of churning reallocations when a recycled small-flag
-		// extent is popped for a larger payload write.
+		// instead of churning reallocations when a record that carried a
+		// short extent is popped for a longer one.
 		class := scc.CacheLine
 		for class < need {
 			class <<= 1
@@ -376,6 +452,7 @@ func (m *MPB) newExtent(n int) *pendingExtent {
 // the list (extents genuinely still in the future), keeping the
 // amortized cost per write O(1).
 func (m *MPB) sweepPending() {
+	m.Stats.Sweeps++
 	blocked := m.sweepBlocked
 	clear(blocked)
 	completed := false
@@ -397,14 +474,17 @@ func (m *MPB) sweepPending() {
 	if completed {
 		m.compact()
 	}
-	m.sweepAt = 2 * len(m.pending)
-	if m.sweepAt < sweepMinPending {
-		m.sweepAt = sweepMinPending
+	for line, w := range m.pendCnt {
+		if w&queueTag != 0 {
+			m.foldQueue(line, m.settledAt)
+		}
 	}
+	m.sweepAt = max(2*m.unfolded(), sweepMinPending)
 }
 
-// sweepMinPending is the pending-list length below which sweepPending is
-// never triggered: short lists are cheap to scan and recycle naturally.
+// sweepMinPending is the number of unfolded writes below which
+// sweepPending is never triggered: a few are cheap to scan and recycle
+// naturally.
 const sweepMinPending = 64
 
 // ReadLine returns the 32-byte content of a line as visible at time t.
@@ -449,15 +529,22 @@ func (m *MPB) settleRange(line0, n int, t0 sim.Time, stride sim.Duration) {
 	}
 	todo := 0
 	for i := line0; i < line0+n; i++ {
-		todo += int(m.pendCnt[i])
+		if w := m.pendCnt[i]; w&queueTag != 0 {
+			m.Stats.Reads++
+			m.Stats.Visited += m.foldQueue(i, t0+sim.Duration(i-line0)*stride)
+		} else {
+			todo += int(w)
+		}
 	}
 	if todo == 0 {
 		return
 	}
+	m.Stats.Reads++
 	blocked := m.sweepBlocked
 	clear(blocked)
 	completed := false
 	for _, x := range m.pending {
+		m.Stats.Visited++
 		first, end := int(x.line0), int(x.line0+x.n)
 		lo, hi := first, end
 		if lo < line0 {
@@ -539,6 +626,64 @@ func (m *MPB) WriteLines(line0 int, src []byte, n int, eff0 sim.Time, stride sim
 	}
 	m.checkLine(line0)
 	m.checkLine(line0 + n - 1)
+	if w := m.pendCnt[line0]; n == 1 && (w == 0 || w&queueTag != 0) {
+		m.Stats.Queued++
+		m.enqueue(line0, src, eff0)
+	} else {
+		m.Stats.Listed++
+		for i := line0; i < line0+n; i++ {
+			if m.pendCnt[i]&queueTag != 0 {
+				m.moveToList(i)
+			}
+		}
+		m.listWrite(line0, src, n, eff0, stride)
+	}
+	if u := m.unfolded(); u >= m.sweepAt && u >= sweepMinPending {
+		m.sweepPending()
+	}
+	// One coalesced fan-out for the whole extent: the engine stops the
+	// scan as soon as no process is blocked, so a wide bulk write costs
+	// O(1) instead of n watcher-map probes.
+	m.eng.SignalRange(m.owner, line0, n, eff0, stride)
+}
+
+// enqueue appends a single-line write to its line's queue.
+func (m *MPB) enqueue(line int, src []byte, eff sim.Time) {
+	id := m.slab.newFlag()
+	flags := m.slab.flags // taken after newFlag, which may have moved it
+	flags[id-1].eff, flags[id-1].next = eff, 0
+	copy(flags[id-1].line[:], src[:scc.CacheLine])
+	if w := m.pendCnt[line]; w == 0 {
+		m.pendCnt[line] = queueTag | id
+	} else {
+		tail := w &^ queueTag
+		for flags[tail-1].next != 0 {
+			tail = flags[tail-1].next
+		}
+		flags[tail-1].next = id
+	}
+	m.queued++
+}
+
+// moveToList turns a line's queued writes into single-line extents at the
+// end of the pending list, in order, ahead of a multi-line write about to
+// cover the line; no list extent has an unfolded write to a queued line.
+func (m *MPB) moveToList(line int) {
+	flags := m.slab.flags
+	head := m.pendCnt[line] &^ queueTag
+	m.pendCnt[line] = 0
+	last := head
+	for id := head; id != 0; id = flags[id-1].next {
+		m.listWrite(line, flags[id-1].line[:], 1, flags[id-1].eff, 0)
+		m.queued--
+		m.Stats.Moves++
+		last = id
+	}
+	m.slab.freeFlags(head, last)
+}
+
+// listWrite appends an n-line write to the pending list.
+func (m *MPB) listWrite(line0 int, src []byte, n int, eff0 sim.Time, stride sim.Duration) {
 	x := m.newExtent(n)
 	x.line0 = int32(line0)
 	x.eff0 = eff0
@@ -551,13 +696,6 @@ func (m *MPB) WriteLines(line0 int, src []byte, n int, eff0 sim.Time, stride sim
 	for i := line0; i < line0+n; i++ {
 		m.pendCnt[i]++
 	}
-	if len(m.pending) >= m.sweepAt && len(m.pending) >= sweepMinPending {
-		m.sweepPending()
-	}
-	// One coalesced fan-out for the whole extent: the engine stops the
-	// scan as soon as no process is blocked, so a wide bulk write costs
-	// O(1) instead of n watcher-map probes.
-	m.eng.SignalRange(m.owner, line0, n, eff0, stride)
 }
 
 // PeekU64 reads the first 8 bytes of a line as a little-endian uint64 as
@@ -571,26 +709,44 @@ func (m *MPB) PeekU64(line int, t sim.Time) uint64 {
 
 // peekU64At evaluates what PeekU64 would return at time t WITHOUT
 // settling state — used inside wait predicates, which may be evaluated
-// while earlier-time reads are still possible. It scans pending extents
-// using only a stack buffer (it runs on every Signal delivered to a
-// waiting process, so it must not allocate).
-func (m *MPB) peekU64At(line int, t sim.Time) uint64 {
-	off := line * scc.CacheLine
-	v := binary.LittleEndian.Uint64(m.data[off:])
-	if left := m.pendCnt[line]; left != 0 {
-		for _, x := range m.pending {
-			if !x.covers(line) || x.isApplied(line) {
-				continue
+// while earlier-time reads are still possible. It scans the line's
+// unfolded writes by settle's rule: the value is that of the last write
+// before the first one still in the future at t; blocked reports that
+// there is one, and next its effective time — the next moment the visible
+// value can change. It allocates nothing (it runs on every Signal
+// delivered to a waiting process).
+func (m *MPB) peekU64At(line int, t sim.Time) (v uint64, next sim.Time, blocked bool) {
+	v = binary.LittleEndian.Uint64(m.data[line*scc.CacheLine:])
+	left := m.pendCnt[line]
+	if left == 0 {
+		return v, 0, false
+	}
+	m.Stats.Reads++
+	if left&queueTag != 0 {
+		flags := m.slab.flags
+		for id := left &^ queueTag; id != 0; id = flags[id-1].next {
+			m.Stats.Visited++
+			if flags[id-1].eff > t {
+				return v, flags[id-1].eff, true
 			}
-			if x.effAt(line) <= t {
-				v = binary.LittleEndian.Uint64(x.lineData(line))
-			}
-			if left--; left == 0 {
-				break
-			}
+			v = binary.LittleEndian.Uint64(flags[id-1].line[:])
+		}
+		return v, 0, false
+	}
+	for _, x := range m.pending {
+		m.Stats.Visited++
+		if !x.covers(line) || x.isApplied(line) {
+			continue
+		}
+		if eff := x.effAt(line); eff > t {
+			return v, eff, true
+		}
+		v = binary.LittleEndian.Uint64(x.lineData(line))
+		if left--; left == 0 {
+			break
 		}
 	}
-	return v
+	return v, 0, false
 }
 
 // ProbeU64 evaluates what PeekU64 would return at time t WITHOUT settling
@@ -601,7 +757,8 @@ func (m *MPB) peekU64At(line int, t sim.Time) uint64 {
 // nothing.
 func (m *MPB) ProbeU64(line int, t sim.Time) uint64 {
 	m.checkLine(line)
-	return m.peekU64At(line, t)
+	v, _, _ := m.peekU64At(line, t)
+	return v
 }
 
 // holdsOp evaluates one wait comparison.
@@ -614,30 +771,20 @@ func holdsOp(v uint64, op uint8, val uint64) bool {
 
 // satisfiedAt returns the earliest time ≥ now at which the (op, val)
 // comparison holds for the line's leading uint64, considering the
-// settled state and pending writes in effective-time order. ok is false
-// if no current or pending state satisfies it.
+// settled state and the line's unfolded writes: it looks at now and then
+// at each later moment the visible value changes, in time order. ok is
+// false if no current or pending state satisfies it.
 func (m *MPB) satisfiedAt(line int, now sim.Time, op uint8, val uint64) (sim.Time, bool) {
-	if holdsOp(m.peekU64At(line, now), op, val) {
-		return now, true
-	}
-	left := m.pendCnt[line]
-	if left == 0 {
-		return 0, false
-	}
-	for _, x := range m.pending {
-		if !x.covers(line) || x.isApplied(line) {
-			continue
+	for t := now; ; {
+		v, next, blocked := m.peekU64At(line, t)
+		if holdsOp(v, op, val) {
+			return t, true
 		}
-		eff := x.effAt(line)
-		if eff > now && holdsOp(m.peekU64At(line, eff), op, val) {
-			// eff ≤ now is already folded into peekU64At(now) above.
-			return eff, true
+		if !blocked {
+			return 0, false
 		}
-		if left--; left == 0 {
-			break
-		}
+		t = next
 	}
-	return 0, false
 }
 
 // WaitU64GE blocks process p until the line's leading uint64 is ≥ val,
@@ -679,10 +826,17 @@ func (m *MPB) WaitU64GE(p *sim.Proc, line int, val uint64) {
 // Reset returns the MPB to its freshly constructed state — zeroed lines,
 // no pending writes, idle port, empty access history — while keeping
 // every warm buffer, whether it is a window of the slab or has outgrown
-// one: extent records and their line buffers move to the free list and
-// the access ledger keeps its ring and accessor table, so a pooled
-// chip's next simulation allocates nothing here.
+// one: extent records and their line buffers move to the free list,
+// queued writes back to the slab's arena, and the access ledger keeps its
+// ring and accessor table, so a pooled chip's next simulation allocates
+// nothing here.
 func (m *MPB) Reset() {
+	for line, w := range m.pendCnt {
+		if w&queueTag != 0 {
+			m.foldQueue(line, math.MaxInt64) // frees the queue; the bytes are zeroed below
+		}
+		m.pendCnt[line] = 0
+	}
 	for w, mask := range m.dirty {
 		for mask != 0 {
 			line := w*64 + bits.TrailingZeros64(mask)
@@ -697,9 +851,7 @@ func (m *MPB) Reset() {
 		m.pending[i] = nil
 	}
 	m.pending = m.pending[:0]
-	for i := range m.pendCnt {
-		m.pendCnt[i] = 0
-	}
+	m.Stats = PendingStats{}
 	m.settledAt = 0
 	m.sweepAt = 0
 	m.Port.Reset()

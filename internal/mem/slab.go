@@ -12,10 +12,12 @@ import (
 // chip and its first traffic allocate per chip, not per core. It has two
 // parts. The fixed part is sized at construction and carved into equal
 // per-MPB windows by MPB.Init: every line's bytes, every line's pending
-// count, and the dirty and blocked bitmaps. The demand part hands out,
+// word, and the dirty and blocked bitmaps. The demand part hands out,
 // from blocks allocated as the traffic asks for them, what an MPB takes
 // on first use — fresh extent records, the first window of its pending
-// and free lists, the first ring and accessor table of its port ledger.
+// and free lists, the first ring and accessor table of its port ledger —
+// and holds the one arena of queued single-line writes, which every MPB
+// draws from and returns to record by record.
 // Block sizes follow the number of MPBs sharing the slab and nothing is
 // reserved per MPB ahead of its first use, so a chip whose cores write
 // little pays little, and only the newest block of a kind is ever partly
@@ -32,8 +34,14 @@ type Slab struct {
 	share, recBlock int
 
 	data    []byte   // mpbs × lines × 32 bytes
-	pendCnt []uint32 // mpbs × lines
+	pendCnt []uint32 // mpbs × lines (see MPB.pendCnt)
 	bitmaps []uint64 // mpbs × 2 × ⌈lines/64⌉: dirty, then blocked
+
+	// flags is the arena of the line queues of every MPB on the chip:
+	// record id is flags[id-1] (0 is "none"), flagFree heads the chain of
+	// recycled ones. It grows as a slice does, from a record block's size.
+	flags    []flagWrite
+	flagFree uint32
 
 	recs  block[pendingExtent]
 	lists block[*pendingExtent]
@@ -83,10 +91,28 @@ func NewSlab(mpbs, lines int) *Slab {
 	}
 }
 
-// record returns a fresh extent record. Records come a block at a time
-// (a dozen blocks for the four thousand records of a 384-core broadcast).
+// record returns a fresh extent record; they come a block at a time.
 func (s *Slab) record() *pendingExtent {
 	return &s.recs.take(1, s.recBlock)[0]
+}
+
+// newFlag returns the id of a flagWrite for the caller to fill: a
+// recycled one, or the next of the arena, which may move to make room.
+func (s *Slab) newFlag() uint32 {
+	if id := s.flagFree; id != 0 {
+		s.flagFree = s.flags[id-1].next
+		return id
+	}
+	if s.flags == nil {
+		s.flags = make([]flagWrite, 0, alloc.Fill[flagWrite](s.recBlock))
+	}
+	s.flags = append(s.flags, flagWrite{})
+	return uint32(len(s.flags))
+}
+
+// freeFlags recycles the chain of records running from head to last.
+func (s *Slab) freeFlags(head, last uint32) {
+	s.flags[last-1].next, s.flagFree = s.flagFree, head
 }
 
 // recordsPerBlock sizes a record block: at least one record per MPB and

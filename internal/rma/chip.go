@@ -147,6 +147,18 @@ func (c *Chip) ResourceUsage() []obs.ResUsage {
 	return out
 }
 
+// PendingStats sums the pending-write index counters of the chip's MPBs
+// (reads, records visited, writes queued and listed, moves, sweeps) since
+// construction or the last Reset — Reset zeroes them, so read them before
+// a pooled chip is released.
+func (c *Chip) PendingStats() mem.PendingStats {
+	var sum mem.PendingStats
+	for i := range c.slots {
+		sum.Add(c.slots[i].mpb.Stats)
+	}
+	return sum
+}
+
 // Topo reports the chip's geometry.
 func (c *Chip) Topo() scc.Topology { return c.topo }
 

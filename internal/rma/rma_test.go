@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/scc"
 	"repro/internal/sim"
 )
@@ -289,6 +290,14 @@ func TestCountersTrackTraffic(t *testing.T) {
 	}
 	if c1.FlagWaits != 1 || c1.GetOps != 1 {
 		t.Fatalf("core1 op counts wrong: %v", c1)
+	}
+	// The MPBs' pending-write indexes, summed: the put is one extent of
+	// core 1's list, the flag one write of a line queue.
+	if st := chip.PendingStats(); st.Listed != 1 || st.Queued != 1 || st.Moves != 0 || st.Reads == 0 || st.Visited < st.Reads {
+		t.Fatalf("pending-index counters wrong: %+v", st)
+	}
+	if !chip.Reset() || chip.PendingStats() != (mem.PendingStats{}) {
+		t.Fatalf("pending-index counters survive Reset: %+v", chip.PendingStats())
 	}
 }
 
