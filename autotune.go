@@ -1,14 +1,10 @@
 package ocbcast
 
-import (
-	"fmt"
+import "repro/internal/algsel"
 
-	"repro/internal/algsel"
-	"repro/internal/obs"
-)
-
-// Algorithm selection. Every collective method of Core resolves its
-// implementation through the algorithm registry (internal/algsel), which
+// Algorithm selection. Every collective method of Core is dispatched by
+// the core's stack (algsel.Env), which resolves its implementation
+// through the algorithm registry (internal/algsel). The registry
 // wraps both stacks — the two-sided RCCE baselines and the one-sided OC
 // family — plus the algorithms that exist only through the registry
 // (the Rabenseifner reduce-scatter+allgather allreduce, the one-sided
@@ -46,12 +42,12 @@ type PlanEntry struct {
 // Options.Algorithm "auto" the table is what Run's cores consult; Tune
 // is idempotent and cheap (pure arithmetic, no simulation).
 func (s *System) Tune() []PlanEntry {
-	if s.plan == nil {
-		s.plan = algsel.TuneCached(s.chip.Cfg.Params, s.chip.Topo(), s.chip.NCores, s.occfg)
+	if s.policy.Plan == nil {
+		s.policy.Plan = algsel.TuneCached(s.chip.Cfg.Params, s.chip.Topo(), s.chip.NCores, s.occfg)
 	}
 	var out []PlanEntry
 	for _, op := range algsel.Ops() {
-		for _, b := range s.plan.Bands[op] {
+		for _, b := range s.policy.Plan.Bands[op] {
 			out = append(out, PlanEntry{
 				Op:          string(op),
 				MaxLines:    b.MaxLines,
@@ -63,90 +59,4 @@ func (s *System) Tune() []PlanEntry {
 		}
 	}
 	return out
-}
-
-// resolve returns the algorithm and tunable choice for one call: the
-// named override when it names an algorithm of this op, the plan's pick
-// under "auto", the compat default otherwise.
-func (c *Core) resolve(op algsel.Op, def string, lines int, oneSided bool) (*algsel.Algorithm, algsel.Choice) {
-	ch := algsel.Choice{Alg: def}
-	switch c.algName {
-	case "", "auto":
-		if c.algName == "auto" && c.plan != nil {
-			var planned algsel.Choice
-			var ok bool
-			if oneSided {
-				planned, ok = c.plan.ChooseOneSided(op, lines)
-			} else {
-				planned, ok = c.plan.Choose(op, lines)
-			}
-			if ok {
-				ch = planned
-			}
-		}
-	default:
-		if a, ok := algsel.Lookup(op, c.algName); ok && (!oneSided || a.OneSided) {
-			ch = algsel.Choice{Alg: c.algName}
-		}
-	}
-	a, ok := algsel.Lookup(op, ch.Alg)
-	if !ok {
-		panic(fmt.Sprintf("ocbcast: no registered algorithm %q for %s", ch.Alg, op))
-	}
-	return a, ch
-}
-
-// apiSpan opens the API-level container span for one collective call:
-// cat "api"/"api.issue", named by the op, annotated with the resolved
-// algorithm choice — so algsel decisions are visible on the timeline.
-// It claims no attribution time itself (BucketOther): the leaf rma
-// spans underneath account for where the time actually goes.
-func (c *Core) apiSpan(cat string, op algsel.Op, ch algsel.Choice, a algsel.Args) *obs.Recorder {
-	o := c.rma.Obs()
-	if o != nil {
-		o.Emit(obs.Event{
-			Kind: obs.KindBegin, Bucket: obs.BucketOther,
-			Core: int32(c.ID()), Time: int64(c.Now()),
-			Cat: cat, Name: string(op), Str: ch.String(),
-			A0: obs.Arg{Key: "lines", Val: int64(a.Lines)},
-			A1: obs.Arg{Key: "root", Val: int64(a.Root)},
-		})
-	}
-	return o
-}
-
-// run resolves and executes one blocking collective.
-func (c *Core) run(op algsel.Op, def string, oneSided bool, a algsel.Args) {
-	alg, ch := c.resolve(op, def, a.Lines, oneSided)
-	if o := c.apiSpan("api", op, ch, a); o != nil {
-		alg.Run(c.env, ch, a)
-		o.End(c.ID(), int64(c.Now()))
-		return
-	}
-	alg.Run(c.env, ch, a)
-}
-
-// issue resolves and starts one non-blocking collective. Non-blocking
-// requests always run on the core's default-layout engine (so lane
-// round-robin, Progress and the leak check stay coherent): the resolved
-// algorithm may vary, but its K/chunk are clamped to the configured
-// defaults. An algorithm without a non-blocking twin falls back to def.
-func (c *Core) issue(op algsel.Op, def string, a algsel.Args) *Request {
-	alg, ch := c.resolve(op, def, a.Lines, true)
-	if alg.Issue == nil {
-		var ok bool
-		if alg, ok = algsel.Lookup(op, def); !ok || alg.Issue == nil {
-			panic(fmt.Sprintf("ocbcast: no non-blocking algorithm for %s", op))
-		}
-		ch = algsel.Choice{Alg: def}
-	}
-	if o := c.apiSpan("api.issue", op, ch, a); o != nil {
-		// The sync span covers only issue-time work (lane claim, begin
-		// barrier); the request's own occoll async span runs to protocol
-		// completion.
-		r := alg.Issue(c.env, algsel.Choice{Alg: ch.Alg}, a)
-		o.End(c.ID(), int64(c.Now()))
-		return r
-	}
-	return alg.Issue(c.env, algsel.Choice{Alg: ch.Alg}, a)
 }

@@ -194,11 +194,10 @@ func BenchmarkOCReduceModel(b *testing.B) {
 
 // BenchmarkEngineThroughput measures raw simulator speed: simulated
 // broadcast events per wall second for a 96-CL OC-Bcast on 48 cores.
-// Run with -benchmem: the hot-path contract is under 100 allocs/op —
-// pooled chips with persistent goroutines recycle every per-run
-// structure, so steady state allocates only the handful of result and
-// bookkeeping values outside the simulation proper (budget pinned at
-// 500 by TestAllocsPerBroadcastBudget).
+// Run with -benchmem: pooled chips with persistent goroutines recycle
+// every per-run structure, so steady state allocates only the handful of
+// result and bookkeeping values outside the simulation proper (budget
+// pinned at 18 by TestAllocsPerBroadcastBudget).
 func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		harness.MeanLatency(cfg(), harness.Alg{Name: "oc", K: 7}, scc.NumCores, 96, 1)

@@ -2,14 +2,18 @@ package algsel
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/rcce"
+	"repro/internal/obs"
 	"repro/internal/rma"
 	"repro/internal/scc"
+	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 func TestRegistryShape(t *testing.T) {
@@ -102,11 +106,7 @@ func TestValidChoice(t *testing.T) {
 func runEnv(t *testing.T, n int, body func(e *Env)) *rma.Chip {
 	t.Helper()
 	chip := rma.NewChipN(scc.DefaultConfig(), n)
-	base := core.DefaultConfig()
-	chip.Run(func(c *rma.Core) {
-		port := rcce.NewPort(c)
-		body(NewEnv(collective.NewComm(port), base, nil, nil))
-	})
+	OnChip(chip, core.DefaultConfig(), body)
 	return chip
 }
 
@@ -130,10 +130,8 @@ func TestEveryRegisteredAlgorithmRuns(t *testing.T) {
 					chip.Private(i).Write(0, payloads[i])
 				}
 				args := Args{Root: 0, Addr: 0, Scratch: 1 << 16, Lines: lines, Reduce: collective.SumInt64}
-				base := core.DefaultConfig()
-				chip.Run(func(c *rma.Core) {
-					e := NewEnv(collective.NewComm(rcce.NewPort(c)), base, nil, nil)
-					alg.Run(e, Choice{Alg: alg.Name}, args)
+				OnChip(chip, core.DefaultConfig(), func(e *Env) {
+					e.Exec(alg, Choice{Alg: alg.Name}, args)
 				})
 				verifyOp(t, chip, op, n, lines, payloads)
 			})
@@ -199,8 +197,8 @@ func verifyOp(t *testing.T, chip *rma.Chip, op Op, n, lines int, payloads [][]by
 }
 
 // TestEnvReusesInstances pins the Env caching rules: the base
-// configuration resolves to the attached default engine, per-choice
-// engines are cached, and the non-default path builds a working engine.
+// configuration resolves to the held engine and broadcaster, per-choice
+// ones are cached, and the non-default path builds a working engine.
 func TestEnvReusesInstances(t *testing.T) {
 	runEnv(t, 4, func(e *Env) {
 		a := e.OC(Choice{Alg: "oc"})
@@ -214,12 +212,131 @@ func TestEnvReusesInstances(t *testing.T) {
 		if e.OC(Choice{Alg: "oc", K: 3}) != b {
 			t.Error("k=3 engine not cached")
 		}
+		if x, err := e.Collectives(); err != nil || x != a {
+			t.Errorf("base choice is not the held engine (%v)", err)
+		}
 		bc := e.Bcaster(Choice{})
-		if e.Bcaster(Choice{}) != bc {
-			t.Error("base broadcaster not cached")
+		if bc != &e.BC {
+			t.Error("base choice is not the held broadcaster")
 		}
 		if e.Bcaster(Choice{K: 3}) == bc {
 			t.Error("k=3 broadcaster reused the base one")
 		}
 	})
+}
+
+// TestRecordArgs pins how a record or batch becomes call arguments: the
+// rootless operations take root 0, as their public methods do (a trace
+// may carry any root for them), so the api span names the same root on
+// every path; the rooted ones keep theirs.
+func TestRecordArgs(t *testing.T) {
+	for _, op := range Ops() {
+		a := recordArgs(op, 5, 64, 128, 3)
+		want := 5
+		if op == OpAllReduce || op == OpAllGather {
+			want = 0
+		}
+		if a.Root != want || a.Addr != 64 || a.Scratch != 128 || a.Lines != 3 || a.Reduce == nil {
+			t.Errorf("%s: %+v, want root %d", op, a, want)
+		}
+	}
+}
+
+// TestRecordRunners drives both record adapters end to end on a small
+// chip: a replay mixing blocking and overlapped records of every
+// operation through Replayer, and a two-lane serving run through Server.
+func TestRecordRunners(t *testing.T) {
+	const n = 8
+	cfg := scc.DefaultConfig()
+	tr := &workload.Trace{}
+	for i, op := range workload.Ops() {
+		tr.Records = append(tr.Records,
+			workload.Record{Op: op, Root: i % n, Lines: 2, DeltaUs: 1},
+			workload.Record{Op: op, Root: (i + 3) % n, Lines: 3, ComputeUs: 5})
+	}
+	l := workload.LayoutFor(tr, n)
+	res := make([]workload.Result, n)
+	OnChip(rma.NewChipN(cfg, n), core.DefaultConfig(), func(e *Env) {
+		res[e.Core().ID()] = workload.Replay(Replayer{E: e}, tr, l, workload.ReplayOptions{})
+	})
+	if first, last := workload.Bounds(res); !(last > first) {
+		t.Errorf("replay spans [%v, %v] µs", first, last)
+	}
+
+	scfg := serve.Config{Policy: serve.PolicyWeighted, QueueBound: 8, MaxBatch: 2, MaxBatchLines: 16, Lanes: 2}
+	streams := []serve.Stream{serve.Synthetic(serve.SyntheticParams{
+		Tenant: "a", Weight: 1, Seed: 3, Count: 12, N: n, Ops: workload.Ops(), Lines: []int{1, 2}, MeanGapUs: 5,
+	})}
+	sl := serve.LayoutFor(scfg, streams, n)
+	board := serve.NewBoard(streams)
+	base := core.DefaultConfig()
+	base.Channels, base.BufLines = 2, 16
+	var rep *serve.Sched
+	OnChip(rma.NewChipN(cfg, n), base, func(e *Env) {
+		s := serve.Run(Server{E: e, Ctrl: sl.CtrlAddr}, scfg, streams, sl, board, nil)
+		if e.Core().ID() == 0 {
+			rep = s
+		}
+	})
+	if r := serve.Collect(rep, board); r.Completed == 0 || r.Completed+r.Rejected != r.Offered || r.Batches < 2 {
+		t.Errorf("serving run: %+v", r)
+	}
+}
+
+// TestDispatchSpans pins the api spans of a traced Env: Run and Issue
+// each open one span named by the op, carrying the resolved choice, the
+// call's lines and root.
+func TestDispatchSpans(t *testing.T) {
+	chip := rma.NewChipN(scc.DefaultConfig(), 4)
+	rec := obs.NewRecorder()
+	chip.SetObserver(rec)
+	OnChip(chip, core.DefaultConfig(), func(e *Env) {
+		e.Run(OpBcast, Generic, Args{Root: 2, Lines: 3})
+		e.Issue(OpAllReduce, Args{Lines: 1, Reduce: collective.SumInt64}).Wait()
+	})
+	var got []string
+	for _, ev := range obs.Capture(rec, 4, nil).Events {
+		if ev.Core == 1 && (ev.Cat == "api" || ev.Cat == "api.issue") && ev.Kind == obs.KindBegin {
+			got = append(got, fmt.Sprintf("%s %s %s %s=%d %s=%d", ev.Cat, ev.Name, ev.Str, ev.A0.Key, ev.A0.Val, ev.A1.Key, ev.A1.Val))
+		}
+	}
+	want := []string{"api bcast ocbcast lines=3 root=2", "api.issue allreduce oc lines=1 root=0"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("core 1's api spans %q, want %q", got, want)
+	}
+}
+
+// TestPolicyResolve pins the resolution rules per method: the compat
+// defaults, a named override only within its op and (for the one-sided
+// methods) family, "auto" from the matching band table, and the
+// non-blocking fallback to "oc" for an algorithm without an Issue twin.
+func TestPolicyResolve(t *testing.T) {
+	cfg := scc.DefaultConfig()
+	plan := TuneCached(cfg.Params, cfg.Topology(), 48, core.DefaultConfig())
+	cases := []struct {
+		policy Policy
+		op     Op
+		m      Method
+		want   string
+	}{
+		{Policy{}, OpBcast, Generic, "ocbcast"},
+		{Policy{}, OpAllReduce, Generic, "hybrid"},
+		{Policy{}, OpGather, Generic, "twosided"},
+		{Policy{}, OpGather, OneSided, "oc"},
+		{Policy{}, OpScatter, Nonblocking, "oc"},
+		{Policy{Name: "rabenseifner"}, OpAllReduce, Generic, "rabenseifner"},
+		{Policy{Name: "rabenseifner"}, OpAllReduce, OneSided, "oc"}, // two-sided: not for OC methods
+		{Policy{Name: "rabenseifner"}, OpBcast, Generic, "ocbcast"}, // not registered for bcast
+		{Policy{Name: "ring"}, OpAllGather, Nonblocking, "ring"},
+		{Policy{Name: "ocbcast"}, OpBcast, Nonblocking, "oc"}, // no Issue twin
+		{Policy{Name: "auto", Plan: plan}, OpAllReduce, Generic, plan.Bands[OpAllReduce][0].Choice.String()},
+		{Policy{Name: "auto", Plan: plan}, OpAllReduce, OneSided, plan.OneSidedBands[OpAllReduce][0].Choice.String()},
+		{Policy{Name: "auto", Plan: plan}, OpScatter, Generic, "twosided"}, // no modeled algorithm
+	}
+	for _, tc := range cases {
+		a, ch := tc.policy.Resolve(tc.op, tc.m, 1)
+		if ch.String() != tc.want || a.Name != ch.Alg || a.Op != tc.op {
+			t.Errorf("%+v resolves %s/%d to %s (%s/%s), want %s", tc.policy.Name, tc.op, tc.m, ch, a.Op, a.Name, tc.want)
+		}
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/sim"
@@ -136,12 +135,11 @@ func measureAlg(cfg scc.Config, base core.Config, alg *algsel.Algorithm, ch algs
 	}
 	starts := make([]sim.Time, p)
 	ends := make([]sim.Time, p)
-	chip.Run(func(c *rma.Core) {
-		port := rcce.NewPort(c)
-		e := algsel.NewEnv(collective.NewComm(port), base, nil, nil)
-		port.Barrier()
+	algsel.OnChip(chip, base, func(e *algsel.Env) {
+		c := e.Core()
+		e.Port.Barrier()
 		starts[c.ID()] = c.Now()
-		alg.Run(e, ch, algsel.Args{Root: 0, Addr: 0, Scratch: region, Lines: lines, Reduce: collective.SumInt64})
+		e.Exec(alg, ch, algsel.Args{Root: 0, Addr: 0, Scratch: region, Lines: lines, Reduce: collective.SumInt64})
 		ends[c.ID()] = c.Now()
 	})
 	first, last := starts[0], ends[0]

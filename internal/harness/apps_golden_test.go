@@ -97,7 +97,9 @@ func TestSGDReplayGolden(t *testing.T) {
 func TestReplayPendingIndexWork(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	for _, k := range workload.Kernels(8) {
-		_, st := replayChip(cfg, 8, k.Trace)
+		var w chipWork
+		replayChip(cfg, 8, k.Trace, &w)
+		st := w.pending
 		t.Logf("%s: %+v", k.Name, st)
 		if k.Name != "shuffle" {
 			continue

@@ -3,10 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/algsel"
 	"repro/internal/collective"
 	occore "repro/internal/core"
-	"repro/internal/occoll"
-	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/sim"
@@ -62,59 +61,36 @@ func measureCollective(cfg scc.Config, variant string, k, n, lines, reps int, re
 		returns[it] = make([]sim.Time, n)
 	}
 
-	chip.Run(func(c *rma.Core) {
-		port := rcce.NewPort(c)
-		comm := collective.NewComm(port)
-		occfg := occore.DefaultConfig()
-		occfg.K = k
-		var allreduce func(addr int)
-		switch variant {
-		case VariantOC:
-			x := occoll.New(c, port, occfg)
-			if reduceOnly {
-				allreduce = func(addr int) { x.Reduce(0, addr, lines, collective.SumInt64) }
-			} else {
-				allreduce = func(addr int) { x.AllReduce(addr, lines, collective.SumInt64) }
-			}
-		case VariantTwoSided:
-			allreduce = func(addr int) {
-				comm.Reduce(0, addr, scratchBase, lines, collective.SumInt64)
-				if !reduceOnly {
-					comm.BcastBinomial(0, addr, lines)
-				}
-			}
-		case VariantHybrid:
-			bc := occore.NewBroadcaster(c, occfg)
-			allreduce = func(addr int) {
-				comm.Reduce(0, addr, scratchBase, lines, collective.SumInt64)
-				if !reduceOnly {
-					bc.Bcast(0, addr, lines)
-				}
-			}
-		default:
-			panic(fmt.Sprintf("harness: unknown allreduce variant %q", variant))
+	// Each variant is the registered algorithm of its name; reducing only,
+	// the hybrid's reduction is the two-sided one.
+	op, name := algsel.OpAllReduce, variant
+	if reduceOnly {
+		op = algsel.OpReduce
+		if name == VariantHybrid {
+			name = VariantTwoSided
 		}
+	}
+	a, ok := algsel.Lookup(op, name)
+	if !ok {
+		panic(fmt.Sprintf("harness: unknown allreduce variant %q", variant))
+	}
+	occfg := occore.DefaultConfig()
+	occfg.K = k
+	algsel.OnChip(chip, occfg, func(e *algsel.Env) {
+		c := e.Core()
 		for it := 0; it < reps; it++ {
-			port.Barrier()
+			e.Port.Barrier()
 			starts[it][c.ID()] = c.Now()
-			allreduce(it * msgBytes)
+			e.Exec(a, algsel.Choice{Alg: name}, algsel.Args{
+				Addr: it * msgBytes, Scratch: scratchBase, Lines: lines, Reduce: collective.SumInt64,
+			})
 			returns[it][c.ID()] = c.Now()
 		}
 	})
 
 	out := make([]float64, reps)
 	for it := 0; it < reps; it++ {
-		first := starts[it][0]
-		last := returns[it][0]
-		for id := 1; id < n; id++ {
-			if starts[it][id] < first {
-				first = starts[it][id]
-			}
-			if returns[it][id] > last {
-				last = returns[it][id]
-			}
-		}
-		out[it] = (last - first).Microseconds()
+		out[it] = spanUs(starts[it], returns[it])
 	}
 	return out
 }

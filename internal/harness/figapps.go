@@ -5,14 +5,11 @@ import (
 
 	ocbcast "repro"
 	"repro/internal/algsel"
-	"repro/internal/collective"
 	occore "repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/occoll"
-	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
-	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -148,116 +145,36 @@ func AppsTable(pts []AppPoint) *Table {
 // replay must not reintroduce per-record garbage) and the golden
 // determinism tests rerun. Returns the whole-app makespan in µs.
 func ReplayChip(cfg scc.Config, n int, t *workload.Trace) float64 {
-	us, _ := replayChip(cfg, n, t)
-	return us
+	first, last := workload.Bounds(replayChip(cfg, n, t, nil))
+	return last - first
 }
 
-// replayChip is ReplayChip that also reports the work the MPBs'
-// pending-write indexes did, read before the chip goes back to the pool.
-func replayChip(cfg scc.Config, n int, t *workload.Trace) (float64, mem.PendingStats) {
+// replayChip is ReplayChip's run: each core's result, with what the chip
+// did read into w (when non-nil) before it goes back to the pool.
+func replayChip(cfg scc.Config, n int, t *workload.Trace, w *chipWork) []workload.Result {
+	l := workload.LayoutFor(t, n)
+	res := make([]workload.Result, n)
+	onPooledChip(cfg, n, occore.DefaultConfig(), w, func(e *algsel.Env) {
+		res[e.Core().ID()] = workload.Replay(algsel.Replayer{E: e}, t, l, workload.ReplayOptions{})
+	})
+	return res
+}
+
+// chipWork is what a pooled run did: the summed data-movement counters
+// and the work of the MPBs' pending-write indexes.
+type chipWork struct {
+	counters trace.CoreCounters
+	pending  mem.PendingStats
+}
+
+// onPooledChip runs body on every core of a pooled n-core chip over the
+// core's stack (algsel.OnChip), reading the chip's work into w (when
+// non-nil) before the chip goes back to the pool.
+func onPooledChip(cfg scc.Config, n int, base occore.Config, w *chipWork, body func(e *algsel.Env)) {
 	chip := rma.AcquireChipN(cfg, n)
 	defer rma.ReleaseChip(chip)
-	l := workload.LayoutFor(t, n)
-	base := occore.DefaultConfig()
-	starts := make([]float64, n)
-	ends := make([]float64, n)
-	chip.Run(func(c *rma.Core) {
-		port := rcce.NewPort(c)
-		col := occoll.New(c, port, base)
-		env := algsel.NewEnv(collective.NewComm(port), base, col, occore.NewBroadcaster(c, base))
-		r := envRunner{env: env, col: col}
-		res := workload.Replay(&r, t, l, workload.ReplayOptions{})
-		col.Finish()
-		starts[c.ID()], ends[c.ID()] = res.StartUs, res.FinishUs
-	})
-	first, last := starts[0], ends[0]
-	for id := 1; id < n; id++ {
-		if starts[id] < first {
-			first = starts[id]
-		}
-		if ends[id] > last {
-			last = ends[id]
-		}
+	algsel.OnChip(chip, base, body)
+	if w != nil {
+		*w = chipWork{counters: trace.Sum(chip.Counter), pending: chip.PendingStats()}
 	}
-	return last - first, chip.PendingStats()
-}
-
-// envRunner drives a replay over an algsel environment with the
-// compat-default algorithms — the same mapping the public adapter uses
-// under Options.Algorithm "": bcast→ocbcast, reduce/scatter/gather/
-// allgather→twosided, allreduce→hybrid, and the one-sided "oc" family
-// for the non-blocking path. Algorithm pointers are resolved once at
-// construction so the record loop stays allocation-free.
-type envRunner struct {
-	env *algsel.Env
-	col *occoll.Collectives
-	blk [6]*algsel.Algorithm
-	nbk [6]*algsel.Algorithm
-}
-
-// opIndex maps a record op to a fixed slot of the resolved-algorithm
-// arrays.
-func opIndex(op string) int {
-	switch op {
-	case workload.OpBcast:
-		return 0
-	case workload.OpReduce:
-		return 1
-	case workload.OpAllReduce:
-		return 2
-	case workload.OpScatter:
-		return 3
-	case workload.OpGather:
-		return 4
-	case workload.OpAllGather:
-		return 5
-	}
-	panic(fmt.Sprintf("harness: unknown replay op %q", op))
-}
-
-// compatDefaults mirrors the public methods' def arguments in run()/
-// issue() calls (ocbcast.go, collectives.go).
-var compatDefaults = map[string]string{
-	workload.OpBcast:     "ocbcast",
-	workload.OpReduce:    "twosided",
-	workload.OpAllReduce: "hybrid",
-	workload.OpScatter:   "twosided",
-	workload.OpGather:    "twosided",
-	workload.OpAllGather: "twosided",
-}
-
-func (r *envRunner) lookup(op string, nonblocking bool) *algsel.Algorithm {
-	idx := opIndex(op)
-	cache := &r.blk
-	name := compatDefaults[op]
-	if nonblocking {
-		cache, name = &r.nbk, "oc"
-	}
-	if cache[idx] == nil {
-		a, ok := algsel.Lookup(algsel.Op(op), name)
-		if !ok {
-			panic(fmt.Sprintf("harness: no registered algorithm %s/%s", op, name))
-		}
-		cache[idx] = a
-	}
-	return cache[idx]
-}
-
-func (r *envRunner) args(rec workload.Record, addr, scratch int) algsel.Args {
-	return algsel.Args{
-		Root: rec.Root, Addr: addr, Scratch: scratch,
-		Lines: rec.Lines, Reduce: collective.SumInt64,
-	}
-}
-
-func (r *envRunner) Compute(us float64) { r.env.Core.Compute(sim.Micros(us)) }
-func (r *envRunner) Barrier()           { r.env.Port.Barrier() }
-func (r *envRunner) NowUs() float64     { return r.env.Core.Now().Microseconds() }
-
-func (r *envRunner) Run(rec workload.Record, addr, scratch int) {
-	r.lookup(rec.Op, false).Run(r.env, algsel.Choice{Alg: compatDefaults[rec.Op]}, r.args(rec, addr, scratch))
-}
-
-func (r *envRunner) Issue(rec workload.Record, addr, scratch int) workload.Pending {
-	return r.lookup(rec.Op, true).Issue(r.env, algsel.Choice{Alg: "oc"}, r.args(rec, addr, scratch))
 }

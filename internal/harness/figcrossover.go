@@ -7,7 +7,6 @@ import (
 	"repro/internal/collective"
 	occore "repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/sim"
@@ -54,14 +53,12 @@ func MeasureAlg(cfg scc.Config, a *algsel.Algorithm, ch algsel.Choice, n, lines,
 		returns[it] = make([]sim.Time, n)
 	}
 
-	base := occore.DefaultConfig()
-	chip.Run(func(c *rma.Core) {
-		port := rcce.NewPort(c)
-		e := algsel.NewEnv(collective.NewComm(port), base, nil, nil)
+	algsel.OnChip(chip, occore.DefaultConfig(), func(e *algsel.Env) {
+		c := e.Core()
 		for it := 0; it < reps; it++ {
-			port.Barrier()
+			e.Port.Barrier()
 			starts[it][c.ID()] = c.Now()
-			a.Run(e, ch, algsel.Args{
+			e.Exec(a, ch, algsel.Args{
 				Root:    0,
 				Addr:    it * regionBytes,
 				Scratch: scratchBase,
@@ -74,16 +71,7 @@ func MeasureAlg(cfg scc.Config, a *algsel.Algorithm, ch algsel.Choice, n, lines,
 
 	out := make([]float64, reps)
 	for it := 0; it < reps; it++ {
-		first, last := starts[it][0], returns[it][0]
-		for id := 1; id < n; id++ {
-			if starts[it][id] < first {
-				first = starts[it][id]
-			}
-			if returns[it][id] > last {
-				last = returns[it][id]
-			}
-		}
-		out[it] = (last - first).Microseconds()
+		out[it] = spanUs(starts[it], returns[it])
 	}
 	return out
 }

@@ -3,10 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/algsel"
 	"repro/internal/collective"
 	occore "repro/internal/core"
-	"repro/internal/occoll"
-	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/sim"
@@ -51,14 +50,14 @@ func MeasureOverlap(cfg scc.Config, n int, cell OverlapCell) float64 {
 
 	starts := make([]sim.Time, n)
 	returns := make([]sim.Time, n)
-	chip.Run(func(c *rma.Core) {
-		port := rcce.NewPort(c)
-		x := occoll.New(c, port, occfg)
-		port.Barrier()
+	args := algsel.Args{Lines: cell.Lines, Reduce: collective.SumInt64}
+	algsel.OnChip(chip, occfg, func(e *algsel.Env) {
+		c := e.Core()
+		e.Port.Barrier()
 		starts[c.ID()] = c.Now()
 		switch {
 		case cell.Overlap:
-			r := x.IAllReduce(0, cell.Lines, collective.SumInt64)
+			r := e.Issue(algsel.OpAllReduce, args)
 			rem, done := cell.ComputeUs, false
 			for rem > 0 {
 				g := cell.GrainUs
@@ -75,25 +74,15 @@ func MeasureOverlap(cfg scc.Config, n int, cell OverlapCell) float64 {
 				r.Wait()
 			}
 		default:
-			x.AllReduce(0, cell.Lines, collective.SumInt64)
+			e.Run(algsel.OpAllReduce, algsel.OneSided, args)
 			if cell.ComputeUs > 0 {
 				c.Compute(sim.Micros(cell.ComputeUs))
 			}
 		}
-		x.Finish()
 		returns[c.ID()] = c.Now()
 	})
 
-	first, last := starts[0], returns[0]
-	for id := 1; id < n; id++ {
-		if starts[id] < first {
-			first = starts[id]
-		}
-		if returns[id] > last {
-			last = returns[id]
-		}
-	}
-	return (last - first).Microseconds()
+	return spanUs(starts, returns)
 }
 
 // OverlapGrid evaluates a slice of overlap cells, sharded across CPUs

@@ -1,16 +1,11 @@
 package harness
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	ocbcast "repro"
 	"repro/internal/algsel"
-	"repro/internal/collective"
 	occore "repro/internal/core"
-	"repro/internal/occoll"
-	"repro/internal/rcce"
-	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -264,6 +259,11 @@ func SaturationTable(sats []ServeSaturation) *Table {
 // harness determinism tests rerun. The runtime configuration must name
 // its lanes explicitly (Lanes >= 1).
 func ServeChip(cfg scc.Config, n int, scfg serve.Config, streams []serve.Stream) serve.Result {
+	return serveChip(cfg, n, scfg, streams, nil)
+}
+
+// serveChip is ServeChip reading the chip's work into w (when non-nil).
+func serveChip(cfg scc.Config, n int, scfg serve.Config, streams []serve.Stream, w *chipWork) serve.Result {
 	if scfg.Lanes < 1 {
 		panic("harness: ServeChip needs an explicit Lanes count")
 	}
@@ -273,8 +273,6 @@ func ServeChip(cfg scc.Config, n int, scfg serve.Config, streams []serve.Stream)
 	if err := serve.ValidateStreams(streams, n); err != nil {
 		panic(fmt.Sprintf("harness: ServeChip streams: %v", err))
 	}
-	chip := rma.AcquireChipN(cfg, n)
-	defer rma.ReleaseChip(chip)
 	l := serve.LayoutFor(scfg, streams, n)
 	base := occore.DefaultConfig()
 	if scfg.Lanes > 1 {
@@ -283,58 +281,11 @@ func ServeChip(cfg scc.Config, n int, scfg serve.Config, streams []serve.Stream)
 	}
 	board := serve.NewBoard(streams)
 	var rep *serve.Sched
-	chip.Run(func(c *rma.Core) {
-		port := rcce.NewPort(c)
-		col := occoll.New(c, port, base)
-		env := algsel.NewEnv(collective.NewComm(port), base, col, occore.NewBroadcaster(c, base))
-		r := &serveEnvRunner{envRunner: envRunner{env: env, col: col}, ctrl: l.CtrlAddr}
-		s := serve.Run(r, scfg, streams, l, board, nil)
-		col.Finish()
-		if c.ID() == 0 {
+	onPooledChip(cfg, n, base, w, func(e *algsel.Env) {
+		s := serve.Run(algsel.Server{E: e, Ctrl: l.CtrlAddr}, scfg, streams, l, board, nil)
+		if e.Core().ID() == 0 {
 			rep = s
 		}
 	})
 	return serve.Collect(rep, board)
-}
-
-// serveEnvRunner adapts the pooled-chip algsel environment to the
-// scheduler's Runner surface. It reuses envRunner's resolved-algorithm
-// caches; the op-based Run/Issue shadow the embedded record-based ones.
-// The clock sync stages the core's clock word with the raw private
-// store/load (no time charge) and rides the one-sided non-blocking
-// allreduce — issue immediately followed by Wait, which times
-// identically to the blocking form.
-type serveEnvRunner struct {
-	envRunner
-	ctrl int
-	buf  [scc.CacheLine]byte
-}
-
-func (r *serveEnvRunner) ID() int { return r.env.Core.ID() }
-
-func (r *serveEnvRunner) SyncMaxUs() float64 {
-	c := r.env.Core
-	binary.LittleEndian.PutUint64(r.buf[:8], uint64(int64(c.Now())))
-	priv := c.Chip().Private(c.ID())
-	priv.Write(r.ctrl, r.buf[:])
-	req := r.lookup(workload.OpAllReduce, true).Issue(r.env, algsel.Choice{Alg: "oc"},
-		algsel.Args{Addr: r.ctrl, Lines: 1, Reduce: collective.MaxInt64})
-	req.Wait()
-	priv.Read(r.buf[:8], r.ctrl, 8)
-	return float64(int64(binary.LittleEndian.Uint64(r.buf[:8]))) / 1e6
-}
-
-func (r *serveEnvRunner) Run(op string, root, addr, scratch, lines int) {
-	// Quiesce around a blocking dispatch, mirroring serveCore.Run: drain
-	// non-blocking stragglers first, and flush late OC done-flag writes
-	// before the next lane begin zeroes their lines.
-	r.env.Port.Barrier()
-	r.lookup(op, false).Run(r.env, algsel.Choice{Alg: compatDefaults[op]},
-		algsel.Args{Root: root, Addr: addr, Scratch: scratch, Lines: lines, Reduce: collective.SumInt64})
-	r.env.Port.Barrier()
-}
-
-func (r *serveEnvRunner) Issue(op string, root, addr, lines int) serve.Pending {
-	return r.lookup(op, true).Issue(r.env, algsel.Choice{Alg: "oc"},
-		algsel.Args{Root: root, Addr: addr, Lines: lines, Reduce: collective.SumInt64})
 }

@@ -3,9 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/collective"
+	"repro/internal/algsel"
 	occore "repro/internal/core"
-	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/sim"
@@ -56,40 +55,29 @@ func MeasureBcast(cfg scc.Config, alg Alg, n, lines, reps int) []float64 {
 		returns[it] = make([]sim.Time, n)
 	}
 
-	chip.Run(func(c *rma.Core) {
-		port := rcce.NewPort(c)
-		var bcast func(addr int)
-		switch alg.Name {
-		case "oc":
-			occfg := occore.DefaultConfig()
-			if alg.OCConfig != nil {
-				occfg = *alg.OCConfig
-			} else {
-				occfg.K = alg.K
-			}
-			b := occore.NewBroadcaster(c, occfg)
-			bcast = func(addr int) { b.Bcast(0, addr, lines) }
-		case "binomial":
-			comm := collective.NewComm(port)
-			bcast = func(addr int) { comm.BcastBinomial(0, addr, lines) }
-		case "sag":
-			comm := collective.NewComm(port)
-			bcast = func(addr int) { comm.BcastScatterAllgather(0, addr, lines) }
-		case "sag1s":
-			comm := collective.NewComm(port)
-			bcast = func(addr int) { comm.BcastScatterAllgatherOneSided(0, addr, lines) }
-		case "naive":
-			comm := collective.NewComm(port)
-			bcast = func(addr int) { comm.BcastNaive(0, addr, lines) }
-		default:
-			panic(fmt.Sprintf("harness: unknown algorithm %q", alg.Name))
+	// "oc" is the standalone OC-Bcast, registered as "ocbcast"; the
+	// baselines ignore the one-sided configuration.
+	name, occfg := alg.Name, occore.DefaultConfig()
+	if name == "oc" {
+		name = "ocbcast"
+		if alg.OCConfig != nil {
+			occfg = *alg.OCConfig
+		} else {
+			occfg.K = alg.K
 		}
+	}
+	a, ok := algsel.Lookup(algsel.OpBcast, name)
+	if !ok {
+		panic(fmt.Sprintf("harness: unknown algorithm %q", alg.Name))
+	}
+	algsel.OnChip(chip, occfg, func(e *algsel.Env) {
+		c := e.Core()
 		for it := 0; it < reps; it++ {
-			port.Barrier()
+			e.Port.Barrier()
 			if c.ID() == 0 {
 				starts[it] = c.Now()
 			}
-			bcast(it * msgBytes)
+			e.Exec(a, algsel.Choice{Alg: name}, algsel.Args{Addr: it * msgBytes, Lines: lines})
 			returns[it][c.ID()] = c.Now()
 		}
 	})
@@ -105,6 +93,16 @@ func MeasureBcast(cfg scc.Config, alg Alg, n, lines, reps int) []float64 {
 		out[it] = (last - starts[it]).Microseconds()
 	}
 	return out
+}
+
+// spanUs is one collective's latency across the chip: from the first
+// core's call (starts, per core) to the last core's return, in µs.
+func spanUs(starts, returns []sim.Time) float64 {
+	first, last := starts[0], returns[0]
+	for id := 1; id < len(starts); id++ {
+		first, last = min(first, starts[id]), max(last, returns[id])
+	}
+	return (last - first).Microseconds()
 }
 
 // MeanLatency averages MeasureBcast. It is the one-cell case of

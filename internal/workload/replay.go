@@ -137,6 +137,17 @@ type Result struct {
 	StartUs, FinishUs float64
 }
 
+// Bounds reports a chip's replay in virtual time from its cores'
+// results: the earliest start and the latest finish.
+func Bounds(res []Result) (firstStartUs, lastFinishUs float64) {
+	firstStartUs, lastFinishUs = res[0].StartUs, res[0].FinishUs
+	for _, r := range res[1:] {
+		firstStartUs = min(firstStartUs, r.StartUs)
+		lastFinishUs = max(lastFinishUs, r.FinishUs)
+	}
+	return firstStartUs, lastFinishUs
+}
+
 // Replay executes the trace on one core. Every core of the chip must call
 // it with the same trace, layout and options (it is a chip-wide SPMD
 // operation, like the collectives themselves). The caller is responsible

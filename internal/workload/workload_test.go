@@ -230,6 +230,13 @@ func TestReplayMapping(t *testing.T) {
 	}
 }
 
+func TestBounds(t *testing.T) {
+	first, last := Bounds([]Result{{StartUs: 5, FinishUs: 20}, {StartUs: 3, FinishUs: 9}, {StartUs: 4, FinishUs: 25}})
+	if first != 3 || last != 25 {
+		t.Fatalf("Bounds = (%v, %v), want (3, 25)", first, last)
+	}
+}
+
 func TestReplayDefaultPolls(t *testing.T) {
 	tr := &Trace{Records: []Record{{Op: OpReduce, Root: 0, Lines: 1, ComputeUs: 12}}}
 	f := &fakeRunner{}

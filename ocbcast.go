@@ -37,13 +37,11 @@ import (
 
 	"repro/internal/algsel"
 	"repro/internal/alloc"
-	"repro/internal/collective"
 	occore "repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/occoll"
-	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/sim"
@@ -117,12 +115,11 @@ type Options struct {
 
 // System is a simulated SCC chip plus collective-operation state.
 type System struct {
-	chip  *rma.Chip
-	occfg occore.Config
-	alg   string
-	plan  *algsel.Plan
-	obs   *obs.Recorder // non-nil iff Options.Trace
-	ran   bool          // the single Run is spent
+	chip   *rma.Chip
+	occfg  occore.Config
+	policy algsel.Policy // Options.Algorithm and, under "auto", its plan
+	obs    *obs.Recorder // non-nil iff Options.Trace
+	ran    bool          // the single Run is spent
 }
 
 // errAlreadyRan is what a second Run, Replay or Serve on one System
@@ -201,12 +198,12 @@ func New(opts Options) *System {
 	if opts.Algorithm != "" && opts.Algorithm != "auto" && !algsel.Known(opts.Algorithm) {
 		panic(fmt.Sprintf("ocbcast: unknown algorithm %q (use \"auto\" or a registered name)", opts.Algorithm))
 	}
-	s := &System{chip: rma.NewChipN(cfg, n), occfg: occfg, alg: opts.Algorithm}
+	s := &System{chip: rma.NewChipN(cfg, n), occfg: occfg, policy: algsel.Policy{Name: opts.Algorithm}}
 	if opts.Trace {
 		s.obs = obs.NewRecorder()
 		s.chip.SetObserver(s.obs)
 	}
-	if s.alg == "auto" {
+	if opts.Algorithm == "auto" {
 		s.Tune() // materialize the decision table the cores will consult
 	}
 	return s
@@ -235,21 +232,42 @@ func (s *System) Mesh() (w, h int) {
 
 // WritePrivate stores bytes into core `core`'s private off-chip memory at
 // byte address addr, before or after Run. The range must lie within
-// PrivateMemoryBytes.
+// PrivateMemoryBytes; a core outside the chip panics.
 func (s *System) WritePrivate(core, addr int, data []byte) {
+	s.checkCore("WritePrivate", core)
 	s.chip.Private(core).Write(addr, data)
 }
 
 // ReadPrivate copies n bytes from core `core`'s private memory at addr.
+// A core outside the chip or a negative n panics.
 func (s *System) ReadPrivate(core, addr, n int) []byte {
+	s.checkCore("ReadPrivate", core)
+	checkLen("ReadPrivate", n)
 	out := make([]byte, n)
 	s.chip.Private(core).Read(out, addr, n)
 	return out
 }
 
-// Counters returns core `core`'s data-movement counters.
+// Counters returns core `core`'s data-movement counters; a core outside
+// the chip panics.
 func (s *System) Counters(core int) trace.CoreCounters {
+	s.checkCore("Counters", core)
 	return s.chip.Counter[core]
+}
+
+// checkCore panics at the call site of accessor fn when core is not a
+// core of the chip.
+func (s *System) checkCore(fn string, core int) {
+	if core < 0 || core >= s.N() {
+		panic(fmt.Sprintf("ocbcast: %s: core %d outside the %d-core chip", fn, core, s.N()))
+	}
+}
+
+// checkLen panics at the call site of accessor fn on a negative length.
+func checkLen(fn string, n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("ocbcast: %s: negative length %d", fn, n))
+	}
 }
 
 // Run executes body on every core concurrently in deterministic virtual
@@ -261,64 +279,29 @@ func (s *System) Run(body func(c *Core)) {
 		panic(errAlreadyRan.Error())
 	}
 	s.ran = true
-	colErr := occoll.Validate(s.occfg)
-	// Every core's handle and the protocol state behind it live in one
-	// slice for the run, so starting n cores allocates once, not 7n times.
+	// Every core's handle and its stack live in one slice for the run, so
+	// starting n cores allocates once, not once per core and layer.
 	cores := alloc.Slice[coreState](s.chip.NCores)
 	s.chip.Run(func(rc *rma.Core) {
 		st := &cores[rc.ID()]
-		st.port.Init(rc)
-		st.comm.Init(&st.port)
-		st.bc.Init(rc, s.occfg)
-		c := &st.handle
-		*c = Core{
-			rma:     rc,
-			port:    &st.port,
-			comm:    &st.comm,
-			bc:      &st.bc,
-			colErr:  colErr,
-			env:     &st.env,
-			algName: s.alg,
-			plan:    s.plan,
-		}
-		if colErr == nil {
-			st.col.Init(rc, &st.port, s.occfg)
-			c.col = &st.col
-		}
-		// The registry environment shares the core's collective layer,
-		// engine and broadcaster, so registry-routed calls are
-		// byte-identical to the fixed stacks under the default options.
-		st.env.Init(c.comm, s.occfg, c.col, c.bc)
-		body(c)
-		if c.col != nil {
-			// Leaked non-blocking requests panic descriptively here
-			// instead of corrupting peers' MPB protocol state.
-			c.col.Finish()
-		}
+		st.env.Init(rc, s.occfg, s.policy)
+		st.handle = Core{rma: rc, env: &st.env}
+		body(&st.handle)
+		st.env.Finish()
 	})
 }
 
-// Core is the per-core handle available inside Run.
+// Core is the per-core handle available inside Run: every collective
+// dispatches through the core's stack (algsel.Env).
 type Core struct {
-	rma     *rma.Core
-	port    *rcce.Port
-	comm    *collective.Comm
-	bc      *occore.Broadcaster
-	col     *occoll.Collectives
-	colErr  error
-	env     *algsel.Env
-	algName string
-	plan    *algsel.Plan
+	rma *rma.Core
+	env *algsel.Env
 }
 
-// coreState is one core's slot of a Run: the public handle and, by
-// value, every layer's per-core state the handle points at.
+// coreState is one core's slot of a Run: the public handle and the stack
+// it points at.
 type coreState struct {
 	handle Core
-	port   rcce.Port
-	comm   collective.Comm
-	bc     occore.Broadcaster
-	col    occoll.Collectives
 	env    algsel.Env
 }
 
@@ -327,10 +310,11 @@ type coreState struct {
 // occoll's flag block — OC-Bcast alone admits larger fan-outs than the
 // full one-sided family does.
 func (c *Core) occ() *occoll.Collectives {
-	if c.col == nil {
-		panic(fmt.Sprintf("ocbcast: one-sided collectives unavailable: %v", c.colErr))
+	x, err := c.env.Collectives()
+	if err != nil {
+		panic(fmt.Sprintf("ocbcast: one-sided collectives unavailable: %v", err))
 	}
-	return c.col
+	return x
 }
 
 // ID reports the core id (0..N-1); N reports the core count.
@@ -361,43 +345,43 @@ func (c *Core) Compute(us float64) {
 // named override) the registry may select a different broadcast
 // algorithm — see autotune.go.
 func (c *Core) Broadcast(root, addr, lines int) {
-	c.run(algsel.OpBcast, "ocbcast", false, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.env.Run(algsel.OpBcast, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // BroadcastBinomial runs the RCCE_comm binomial-tree baseline.
 func (c *Core) BroadcastBinomial(root, addr, lines int) {
-	c.comm.BcastBinomial(root, addr, lines)
+	c.env.Comm.BcastBinomial(root, addr, lines)
 }
 
 // BroadcastScatterAllgather runs the RCCE_comm scatter-allgather baseline.
 func (c *Core) BroadcastScatterAllgather(root, addr, lines int) {
-	c.comm.BcastScatterAllgather(root, addr, lines)
+	c.env.Comm.BcastScatterAllgather(root, addr, lines)
 }
 
 // BroadcastScatterAllgatherOneSided runs the §5.4 one-sided adaptation of
 // scatter-allgather (overlapped ring exchanges).
 func (c *Core) BroadcastScatterAllgatherOneSided(root, addr, lines int) {
-	c.comm.BcastScatterAllgatherOneSided(root, addr, lines)
+	c.env.Comm.BcastScatterAllgatherOneSided(root, addr, lines)
 }
 
 // Send/Recv are RCCE-style two-sided point-to-point operations.
-func (c *Core) Send(dst, addr, lines int) { c.port.Send(dst, addr, lines) }
+func (c *Core) Send(dst, addr, lines int) { c.env.Port.Send(dst, addr, lines) }
 
 // Recv receives `lines` cache lines from src into private memory at addr.
-func (c *Core) Recv(src, addr, lines int) { c.port.Recv(src, addr, lines) }
+func (c *Core) Recv(src, addr, lines int) { c.env.Port.Recv(src, addr, lines) }
 
 // Barrier synchronizes all cores.
-func (c *Core) Barrier() { c.port.Barrier() }
+func (c *Core) Barrier() { c.env.Port.Barrier() }
 
 // Announce starts an MPMD broadcast from this core: receivers need not
 // know the arguments — the activation tree delivers a descriptor and an
 // inter-core interrupt to every core (the paper's §7 ongoing work).
-func (c *Core) Announce(addr, lines int) { c.bc.Announce(addr, lines) }
+func (c *Core) Announce(addr, lines int) { c.env.BC.Announce(addr, lines) }
 
 // HandleAnnounce blocks until an MPMD broadcast activates this core,
 // participates, and returns the delivered (root, addr, lines) — what a
 // many-core OS service loop would call.
-func (c *Core) HandleAnnounce() (root, addr, lines int) { return c.bc.HandleAnnounce() }
+func (c *Core) HandleAnnounce() (root, addr, lines int) { return c.env.BC.HandleAnnounce() }
 
 // WriteOwnPrivate stores bytes into this core's private memory at addr
 // without charging communication time (data preparation; charge compute
@@ -406,8 +390,10 @@ func (c *Core) WriteOwnPrivate(addr int, data []byte) {
 	c.rma.Chip().Private(c.ID()).Write(addr, data)
 }
 
-// ReadOwnPrivate copies n bytes from this core's private memory at addr.
+// ReadOwnPrivate copies n bytes from this core's private memory at addr;
+// a negative n panics.
 func (c *Core) ReadOwnPrivate(addr, n int) []byte {
+	checkLen("ReadOwnPrivate", n)
 	out := make([]byte, n)
 	c.rma.Chip().Private(c.ID()).Read(out, addr, n)
 	return out

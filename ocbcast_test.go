@@ -310,6 +310,50 @@ func TestComputeMisuseNamesTheValue(t *testing.T) {
 	}
 }
 
+// TestAccessorMisuseNamesTheValue: a core outside the chip or a negative
+// length given to a System or Core accessor panics at the call, with an
+// ocbcast: message naming the accessor and the value — not a runtime
+// index or makeslice error from inside the simulator.
+func TestAccessorMisuseNamesTheValue(t *testing.T) {
+	cases := []struct {
+		name, want string
+		call       func(sys *ocbcast.System)
+	}{
+		{"ReadPrivate negative length", "ocbcast: ReadPrivate: negative length -1",
+			func(sys *ocbcast.System) { sys.ReadPrivate(0, 0, -1) }},
+		{"ReadPrivate core past the chip", "ocbcast: ReadPrivate: core 4 outside the 4-core chip",
+			func(sys *ocbcast.System) { sys.ReadPrivate(4, 0, 8) }},
+		{"ReadPrivate negative core", "ocbcast: ReadPrivate: core -1 outside the 4-core chip",
+			func(sys *ocbcast.System) { sys.ReadPrivate(-1, 0, 8) }},
+		{"WritePrivate negative core", "ocbcast: WritePrivate: core -1 outside the 4-core chip",
+			func(sys *ocbcast.System) { sys.WritePrivate(-1, 0, []byte{1}) }},
+		{"WritePrivate core past the chip", "ocbcast: WritePrivate: core 4 outside the 4-core chip",
+			func(sys *ocbcast.System) { sys.WritePrivate(4, 0, []byte{1}) }},
+		{"Counters core past the chip", "ocbcast: Counters: core 7 outside the 4-core chip",
+			func(sys *ocbcast.System) { sys.Counters(7) }},
+		{"Counters negative core", "ocbcast: Counters: core -1 outside the 4-core chip",
+			func(sys *ocbcast.System) { sys.Counters(-1) }},
+		{"ReadOwnPrivate negative length", "ocbcast: ReadOwnPrivate: negative length -2",
+			func(sys *ocbcast.System) {
+				sys.Run(func(c *ocbcast.Core) {
+					if c.ID() == 0 {
+						c.ReadOwnPrivate(0, -2)
+					}
+				})
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); msg != tc.want {
+					t.Errorf("panicked with %q, want %q", msg, tc.want)
+				}
+			}()
+			tc.call(ocbcast.New(ocbcast.Options{Cores: 4}))
+		})
+	}
+}
+
 // TestPrivateMemoryLimit: a stray private-memory address is caught at the
 // call — a panic naming the core, the address and the limit — instead of
 // growing the page table to reach it (one byte at 16 GiB took 127 ms and

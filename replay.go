@@ -3,6 +3,7 @@ package ocbcast
 import (
 	"fmt"
 
+	"repro/internal/algsel"
 	"repro/internal/workload"
 )
 
@@ -96,84 +97,13 @@ func (s *System) Replay(t *Trace) (ReplayStats, error) {
 	}
 	res := make([]workload.Result, n)
 	s.Run(func(c *Core) {
-		res[c.ID()] = workload.Replay(replayCore{c}, t, l, workload.ReplayOptions{})
+		res[c.ID()] = workload.Replay(algsel.Replayer{E: c.env}, t, l, workload.ReplayOptions{})
 	})
-	st := ReplayStats{
-		Records:      len(t.Records),
-		FirstStartUs: res[0].StartUs,
-		LastFinishUs: res[0].FinishUs,
-		FinishUs:     make([]float64, n),
-	}
+	st := ReplayStats{Records: len(t.Records), FinishUs: make([]float64, n)}
 	for id, r := range res {
 		st.FinishUs[id] = r.FinishUs
-		if r.StartUs < st.FirstStartUs {
-			st.FirstStartUs = r.StartUs
-		}
-		if r.FinishUs > st.LastFinishUs {
-			st.LastFinishUs = r.FinishUs
-		}
 	}
+	st.FirstStartUs, st.LastFinishUs = workload.Bounds(res)
 	st.MakespanUs = st.LastFinishUs - st.FirstStartUs
 	return st, nil
-}
-
-// replayCore adapts a public Core to the replayer's Runner surface. The
-// record-to-method mapping is part of the replay contract (the
-// conformance suite issues it by hand): blocking records run the public
-// collective of the same name — Broadcast, Reduce, AllReduce, Scatter,
-// Gather, AllGather, each resolving through the algorithm registry per
-// Options.Algorithm — and overlapped records run the one-sided
-// non-blocking twins IBcastOC, IReduceOC, IAllReduceOC, IScatterOC,
-// IGatherOC, IAllGatherOC. Reductions combine with SumInt64.
-type replayCore struct{ c *Core }
-
-// Compute charges local work on the simulated core.
-func (r replayCore) Compute(us float64) { r.c.Compute(us) }
-
-// Barrier joins the chip-wide barrier.
-func (r replayCore) Barrier() { r.c.Barrier() }
-
-// NowUs reports the core's virtual clock in microseconds.
-func (r replayCore) NowUs() float64 { return r.c.NowMicros() }
-
-// Run executes one blocking record via the public collective of the
-// record's name.
-func (r replayCore) Run(rec TraceRecord, addr, scratch int) {
-	switch rec.Op {
-	case workload.OpBcast:
-		r.c.Broadcast(rec.Root, addr, rec.Lines)
-	case workload.OpReduce:
-		r.c.Reduce(rec.Root, addr, scratch, rec.Lines, SumInt64)
-	case workload.OpAllReduce:
-		r.c.AllReduce(addr, scratch, rec.Lines, SumInt64)
-	case workload.OpScatter:
-		r.c.Scatter(rec.Root, addr, rec.Lines)
-	case workload.OpGather:
-		r.c.Gather(rec.Root, addr, rec.Lines)
-	case workload.OpAllGather:
-		r.c.AllGather(addr, rec.Lines)
-	default:
-		panic(fmt.Sprintf("ocbcast: replay of unknown op %q", rec.Op))
-	}
-}
-
-// Issue starts one overlapped record via the non-blocking one-sided
-// twin of the record's operation.
-func (r replayCore) Issue(rec TraceRecord, addr, scratch int) workload.Pending {
-	switch rec.Op {
-	case workload.OpBcast:
-		return r.c.IBcastOC(rec.Root, addr, rec.Lines)
-	case workload.OpReduce:
-		return r.c.IReduceOC(rec.Root, addr, rec.Lines, SumInt64)
-	case workload.OpAllReduce:
-		return r.c.IAllReduceOC(addr, rec.Lines, SumInt64)
-	case workload.OpScatter:
-		return r.c.IScatterOC(rec.Root, addr, rec.Lines)
-	case workload.OpGather:
-		return r.c.IGatherOC(rec.Root, addr, rec.Lines)
-	case workload.OpAllGather:
-		return r.c.IAllGatherOC(addr, rec.Lines)
-	default:
-		panic(fmt.Sprintf("ocbcast: replay of unknown op %q", rec.Op))
-	}
 }

@@ -1,12 +1,11 @@
 package ocbcast
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"repro/internal/algsel"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // The serving runtime: the public face of internal/serve. Where Replay
@@ -109,12 +108,11 @@ func (s *System) Serve(cfg ServeConfig, streams []ServeStream) (ServeStats, erro
 	board := serve.NewBoard(streams)
 	var rep *serve.Sched
 	s.Run(func(c *Core) {
-		sc := &serveCore{c: c, ctrl: l.CtrlAddr}
 		var h *serve.Hooks
 		if s.obs != nil && c.ID() == 0 {
 			h = serveHooks(s.obs, c, streams)
 		}
-		r := serve.Run(sc, cfg, streams, l, board, h)
+		r := serve.Run(algsel.Server{E: c.env, Ctrl: l.CtrlAddr}, cfg, streams, l, board, h)
 		if c.ID() == 0 {
 			rep = r
 			if s.obs != nil {
@@ -123,93 +121,6 @@ func (s *System) Serve(cfg ServeConfig, streams []ServeStream) (ServeStats, erro
 		}
 	})
 	return serve.Collect(rep, board), nil
-}
-
-// serveCore adapts a public Core to the scheduler's Runner surface.
-// Like replayCore, the op-to-method mapping is part of the contract:
-// blocking batches run the public collective of the op's name (full
-// algorithm selection), non-blocking batches the one-sided I* twins.
-// Reductions combine with SumInt64.
-type serveCore struct {
-	c    *Core
-	ctrl int
-	// buf stages the SyncMaxUs clock word; bytes 8..31 stay zero so the
-	// control line's other int64 lanes never affect the max.
-	buf [CacheLineBytes]byte
-}
-
-// ID reports the core's chip-wide rank.
-func (a *serveCore) ID() int { return a.c.ID() }
-
-// NowUs reports the core's virtual clock in microseconds.
-func (a *serveCore) NowUs() float64 { return a.c.NowMicros() }
-
-// Compute charges local work on the simulated core.
-func (a *serveCore) Compute(us float64) { a.c.Compute(us) }
-
-// SyncMaxUs agrees on the round epoch: every core stages its clock in
-// picoseconds as an int64 in its control line and a 1-line MaxInt64
-// all-reduce leaves the chip-wide maximum everywhere — a real
-// control-plane collective, paid for in simulated time. Staging uses
-// the raw private store/load (no time charge, like WriteOwnPrivate);
-// the division by 1e6 is exact common knowledge, the same bits on
-// every core.
-func (a *serveCore) SyncMaxUs() float64 {
-	binary.LittleEndian.PutUint64(a.buf[:8], uint64(int64(a.c.Now())))
-	priv := a.c.rma.Chip().Private(a.c.ID())
-	priv.Write(a.ctrl, a.buf[:])
-	a.c.AllReduceOC(a.ctrl, 1, MaxInt64)
-	priv.Read(a.buf[:8], a.ctrl, 8)
-	return float64(int64(binary.LittleEndian.Uint64(a.buf[:8]))) / 1e6
-}
-
-// Run executes one blocking batch via the public collective of the op's
-// name. A blocking dispatch switches collective families mid-stream, so
-// the chip must quiesce on both sides: before, so stragglers still
-// draining a non-blocking lane (SyncMaxUs rides the occoll path) are
-// done before payload is restaged over live flag lines; after, so an
-// intermediate OC node's late done-flag writes land before the next
-// lane begin zeroes them. Both barriers ride the shared rcce epoch.
-func (a *serveCore) Run(op string, root, addr, scratch, lines int) {
-	a.c.port.Barrier()
-	switch op {
-	case workload.OpBcast:
-		a.c.Broadcast(root, addr, lines)
-	case workload.OpReduce:
-		a.c.Reduce(root, addr, scratch, lines, SumInt64)
-	case workload.OpAllReduce:
-		a.c.AllReduce(addr, scratch, lines, SumInt64)
-	case workload.OpScatter:
-		a.c.Scatter(root, addr, lines)
-	case workload.OpGather:
-		a.c.Gather(root, addr, lines)
-	case workload.OpAllGather:
-		a.c.AllGather(addr, lines)
-	default:
-		panic(fmt.Sprintf("ocbcast: serve dispatch of unknown op %q", op))
-	}
-	a.c.port.Barrier()
-}
-
-// Issue starts one non-blocking batch via the one-sided I* twin of the
-// op's name and returns its completion handle.
-func (a *serveCore) Issue(op string, root, addr, lines int) serve.Pending {
-	switch op {
-	case workload.OpBcast:
-		return a.c.IBcastOC(root, addr, lines)
-	case workload.OpReduce:
-		return a.c.IReduceOC(root, addr, lines, SumInt64)
-	case workload.OpAllReduce:
-		return a.c.IAllReduceOC(addr, lines, SumInt64)
-	case workload.OpScatter:
-		return a.c.IScatterOC(root, addr, lines)
-	case workload.OpGather:
-		return a.c.IGatherOC(root, addr, lines)
-	case workload.OpAllGather:
-		return a.c.IAllGatherOC(addr, lines)
-	default:
-		panic(fmt.Sprintf("ocbcast: serve issue of unknown op %q", op))
-	}
 }
 
 // serveHooks wires the scheduler's observability callbacks to the
