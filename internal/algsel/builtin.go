@@ -117,8 +117,7 @@ func init() {
 	Register(Algorithm{
 		Op: OpAllReduce, Name: "twosided",
 		Run: func(e *Env, ch Choice, a Args) {
-			e.Comm.Reduce(0, a.Addr, a.Scratch, a.Lines, a.Reduce)
-			e.Comm.BcastBinomial(0, a.Addr, a.Lines)
+			e.Comm.AllReduce(a.Addr, a.Scratch, a.Lines, a.Reduce)
 		},
 		Model: func(m model.Model, t scc.Topology, p, lines int, ch Choice) sim.Duration {
 			return m.TwoSidedAllReduceLatency(model.ReduceParamsFor(t, p, 2), lines)

@@ -3,12 +3,19 @@
 // scatter-allgather algorithms built on two-sided send/receive (Chan,
 // 2010) — plus a naive sequential broadcast and, as extensions, further
 // collective operations built on the same machinery (§7's future work).
+//
+// Each algorithm's loops append its calls — sends, receives, turn
+// grants, shape fences, barriers and combines — to the Comm's call
+// schedule, and the Comm runs the schedule as one step program of the
+// core (rma.Core.Run), one call per step through the port's emitters: a
+// collective is one machine section of the core's body.
 package collective
 
 import (
 	"fmt"
 
 	"repro/internal/rcce"
+	"repro/internal/rma"
 	"repro/internal/scc"
 )
 
@@ -16,11 +23,36 @@ import (
 // core inside Chip.Run.
 type Comm struct {
 	port *rcce.Port
-	// combineBuf is the reusable host-side staging buffer for local
-	// reduction combines (grown on demand, never shrunk), keeping the
-	// steady-state collective path allocation-free.
-	combineBuf []byte
+	// sched is the call schedule of the collective being built, kept
+	// across calls; next and round are EmitStep's cursor into it (the
+	// call, and the chunk round of a two-sided one). fold is the reduce
+	// op its combines fold with.
+	sched       []call
+	next, round int
+	fold        ReduceOp
 }
+
+// call is one schedule entry. A two-sided exchange (callXch) sends
+// sendLines lines at sendAddr to dst and receives recvLines lines from
+// src at recvAddr, either side empty when its line count is 0; a turn
+// grant names its peer in dst, a turn wait in src, a shape fence its
+// shape in dst; a combine keeps its data on the send side and its
+// scratch address in recvAddr.
+type call struct {
+	kind                uint8
+	dst, src            int
+	sendAddr, sendLines int
+	recvAddr, recvLines int
+}
+
+const (
+	callXch uint8 = iota
+	callGrant
+	callAwait
+	callBarrier
+	callShape
+	callCombine
+)
 
 // NewComm creates the collective layer over a two-sided port.
 func NewComm(port *rcce.Port) *Comm {
@@ -36,15 +68,64 @@ func (c *Comm) Init(port *rcce.Port) { *c = Comm{port: port} }
 // Port exposes the underlying two-sided port.
 func (c *Comm) Port() *rcce.Port { return c.port }
 
-// combineScratch returns two nbytes-sized staging slices for a local
-// combine, backed by the Comm's reusable buffer. Callers overwrite both
-// slices entirely (private-memory reads) before use.
-func (c *Comm) combineScratch(nbytes int) (mine, theirs []byte) {
-	if cap(c.combineBuf) < 2*nbytes {
-		c.combineBuf = make([]byte, 2*nbytes)
+// add appends one call to the schedule. The first one sizes it for the
+// longest 8-core schedule, so a small chip's collectives never regrow it.
+func (c *Comm) add(x call) {
+	if c.sched == nil {
+		c.sched = make([]call, 0, 20)
 	}
-	b := c.combineBuf[:2*nbytes]
-	return b[:nbytes], b[nbytes:]
+	c.sched = append(c.sched, x)
+}
+
+// sendRecv, send and recv append a two-sided exchange; a side with no
+// lines emits nothing, so callers need not test for empty slices.
+func (c *Comm) sendRecv(dst, sendAddr, sendLines, src, recvAddr, recvLines int) {
+	c.add(call{dst: dst, sendAddr: sendAddr, sendLines: sendLines, src: src, recvAddr: recvAddr, recvLines: recvLines})
+}
+
+func (c *Comm) send(dst, addr, lines int) { c.sendRecv(dst, addr, lines, 0, 0, 0) }
+func (c *Comm) recv(src, addr, lines int) { c.sendRecv(0, 0, 0, src, addr, lines) }
+
+// combine folds `lines` lines at scratch into those at addr with the
+// collective's reduce op.
+func (c *Comm) combine(addr, scratch, lines int) {
+	c.add(call{kind: callCombine, sendAddr: addr, sendLines: lines, recvAddr: scratch})
+}
+
+// EmitStep emits the schedule's next call — one chunk round of it, for
+// a two-sided exchange — and reports whether calls remain.
+func (c *Comm) EmitStep(p *rma.Prog, _ int) (more bool) {
+	x := &c.sched[c.next]
+	switch x.kind {
+	case callXch:
+		if c.port.EmitSendRecv(p, c.round, x.dst, x.sendAddr, x.sendLines, x.src, x.recvAddr, x.recvLines) {
+			c.round++
+			return true
+		}
+	case callGrant:
+		c.port.EmitGrantTurn(p, x.dst)
+	case callAwait:
+		c.port.EmitAwaitTurn(p, x.src)
+	case callBarrier:
+		c.port.EmitBarrier(p)
+	case callShape:
+		c.port.EmitShape(p, x.dst)
+	default: // callCombine
+		p.Fold = c.fold
+		p.CombinePriv(x.sendAddr, x.recvAddr, x.sendLines)
+	}
+	c.next, c.round = c.next+1, 0
+	return c.next < len(c.sched)
+}
+
+// run executes the schedule as one machine section of the core's body
+// and empties it.
+func (c *Comm) run() {
+	if len(c.sched) > 0 {
+		c.next, c.round = 0, 0
+		c.port.Core().Run(c)
+		c.sched = c.sched[:0]
+	}
 }
 
 func (c *Comm) checkBcastArgs(root, addr, lines int) (me, p int) {
@@ -67,31 +148,32 @@ func (c *Comm) checkBcastArgs(root, addr, lines int) (me, p int) {
 // message between node pairs with two-sided send/receive. The message is
 // identified by (addr, lines) in every core's private memory.
 func (c *Comm) BcastBinomial(root, addr, lines int) {
+	c.bcastBinomial(root, addr, lines)
+	c.run()
+}
+
+func (c *Comm) bcastBinomial(root, addr, lines int) {
 	me, p := c.checkBcastArgs(root, addr, lines)
 	if p == 1 {
 		return
 	}
-	c.port.SyncShape(rcce.ShapeTree | root)
+	c.add(call{kind: callShape, dst: rcce.ShapeTree | root})
 	vrank := ((me - root) + p) % p
 
 	// Receive phase: find the bit that links me to my parent.
 	mask := 1
 	for mask < p {
 		if vrank&mask != 0 {
-			src := (vrank - mask + root) % p
-			c.port.Recv(src, addr, lines)
+			c.recv((vrank-mask+root)%p, addr, lines)
 			break
 		}
 		mask <<= 1
 	}
 	// Send phase: peel the mask back down, sending to each subtree.
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vrank+mask < p {
-			dst := (vrank + mask + root) % p
-			c.port.Send(dst, addr, lines)
+			c.send((vrank+mask+root)%p, addr, lines)
 		}
-		mask >>= 1
 	}
 }
 
@@ -103,12 +185,13 @@ func (c *Comm) BcastNaive(root, addr, lines int) {
 	if p == 1 {
 		return
 	}
-	c.port.SyncShape(rcce.ShapeStar | root)
+	c.add(call{kind: callShape, dst: rcce.ShapeStar | root})
 	if me == root {
 		for i := 1; i < p; i++ {
-			c.port.Send((root+i)%p, addr, lines)
+			c.send((root+i)%p, addr, lines)
 		}
 	} else {
-		c.port.Recv(root, addr, lines)
+		c.recv(root, addr, lines)
 	}
+	c.run()
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/rcce"
 	"repro/internal/scc"
-	"repro/internal/sim"
 )
 
 // This file implements the further collective operations the paper's §7
@@ -43,60 +42,55 @@ func MaxInt64(dst, src []byte) {
 // interior nodes. Binomial-tree reduction: the mirror image of
 // BcastBinomial, O(log2 P) levels.
 func (c *Comm) Reduce(root, addr, scratchAddr, lines int, op ReduceOp) {
+	c.reduce(root, addr, scratchAddr, lines, op)
+	c.run()
+}
+
+func (c *Comm) reduce(root, addr, scratchAddr, lines int, op ReduceOp) {
 	me, p := c.checkBcastArgs(root, addr, lines)
+	c.checkReduceArgs(scratchAddr, op)
+	if p == 1 {
+		return
+	}
+	c.add(call{kind: callShape, dst: rcce.ShapeTree | root})
+	vrank := ((me - root) + p) % p
+	for mask := 1; mask < p; mask <<= 1 {
+		if vrank&mask != 0 {
+			// Wait until the parent is ready for THIS child: several
+			// children share the parent's one-line sent channel.
+			dst := (vrank - mask + root) % p
+			c.add(call{kind: callAwait, src: dst})
+			c.send(dst, addr, lines)
+			return
+		}
+		if vrank+mask < p {
+			src := (vrank + mask + root) % p
+			c.add(call{kind: callGrant, dst: src})
+			c.recv(src, scratchAddr, lines)
+			// Combine locally, charged as one compute pass over the data.
+			c.combine(addr, scratchAddr, lines)
+		}
+	}
+}
+
+// checkReduceArgs validates a reduction's scratch area and op, and makes
+// op the one its combines fold with.
+func (c *Comm) checkReduceArgs(scratchAddr int, op ReduceOp) {
 	if scratchAddr%scc.CacheLine != 0 {
 		panic(fmt.Sprintf("collective: scratch address %d not cache-line aligned", scratchAddr))
 	}
 	if op == nil {
 		panic("collective: nil reduce op")
 	}
-	if p == 1 {
-		return
-	}
-	c.port.SyncShape(rcce.ShapeTree | root)
-	core := c.port.Core()
-	chip := core.Chip()
-	vrank := ((me - root) + p) % p
-	nbytes := lines * scc.CacheLine
-
-	for mask := 1; mask < p; mask <<= 1 {
-		if vrank&mask != 0 {
-			dst := (vrank - mask + root) % p
-			// Wait until the parent is ready for THIS child: several
-			// children share the parent's one-line sent channel.
-			c.port.AwaitTurn(dst)
-			c.port.Send(dst, addr, lines)
-			return
-		}
-		if vrank+mask < p {
-			src := (vrank + mask + root) % p
-			c.port.GrantTurn(src)
-			c.port.Recv(src, scratchAddr, lines)
-			// Combine locally. The arithmetic itself is charged as
-			// compute proportional to the data size (one pass).
-			mine, theirs := c.combineScratch(nbytes)
-			chip.Private(me).Read(mine, addr, nbytes)
-			chip.Private(me).Read(theirs, scratchAddr, nbytes)
-			op(mine, theirs)
-			chip.Private(me).Write(addr, mine)
-			core.Compute(CombineCost(lines))
-		}
-	}
-}
-
-// CombineCost is one compute pass over `lines` cache lines of cached data
-// for the reduction arithmetic: ~10 ns per line on a P54C-class core. The
-// one-sided reduction in internal/occoll charges the same pass so the two
-// collective families stay directly comparable.
-func CombineCost(lines int) sim.Duration {
-	return sim.Duration(lines) * 10 * sim.Nanosecond
+	c.fold = op
 }
 
 // AllReduce is Reduce to core 0 followed by a binomial broadcast of the
-// result.
+// result, in one run.
 func (c *Comm) AllReduce(addr, scratchAddr, lines int, op ReduceOp) {
-	c.Reduce(0, addr, scratchAddr, lines, op)
-	c.BcastBinomial(0, addr, lines)
+	c.reduce(0, addr, scratchAddr, lines, op)
+	c.bcastBinomial(0, addr, lines)
+	c.run()
 }
 
 // Gather collects each core's `lines`-line block into the root: core i's
@@ -107,40 +101,33 @@ func (c *Comm) Gather(root, addr, lines int) {
 	if p == 1 {
 		return
 	}
-	c.port.SyncShape(rcce.ShapeTree | root)
+	c.add(call{kind: callShape, dst: rcce.ShapeTree | root})
 	vrank := ((me - root) + p) % p
-	// blockOff maps a rank-space block range to (byte addr, line count):
-	// blocks are stored by ORIGINAL core id so the root's layout is
-	// id-ordered regardless of root rotation.
+	// blockAddr maps a rank-space block to its byte address: blocks are
+	// stored by ORIGINAL core id so the root's layout is id-ordered
+	// regardless of root rotation.
 	blockAddr := func(vr int) int { return addr + ((vr+root)%p)*lines*scc.CacheLine }
 
 	for mask := 1; mask < p; mask <<= 1 {
 		if vrank&mask != 0 {
 			// Send my accumulated range [vrank, vrank+mask) ∩ [0,p),
 			// once the parent grants this child its turn.
-			hi := vrank + mask
-			if hi > p {
-				hi = p
-			}
 			dst := (vrank - mask + root) % p
-			c.port.AwaitTurn(dst)
-			for vr := vrank; vr < hi; vr++ {
-				c.port.Send(dst, blockAddr(vr), lines)
+			c.add(call{kind: callAwait, src: dst})
+			for vr := vrank; vr < min(vrank+mask, p); vr++ {
+				c.send(dst, blockAddr(vr), lines)
 			}
-			return
+			break
 		}
 		if vrank+mask < p {
 			src := (vrank + mask + root) % p
-			hi := vrank + 2*mask
-			if hi > p {
-				hi = p
-			}
-			c.port.GrantTurn(src)
-			for vr := vrank + mask; vr < hi; vr++ {
-				c.port.Recv(src, blockAddr(vr), lines)
+			c.add(call{kind: callGrant, dst: src})
+			for vr := vrank + mask; vr < min(vrank+2*mask, p); vr++ {
+				c.recv(src, blockAddr(vr), lines)
 			}
 		}
 	}
+	c.run()
 }
 
 // Scatter distributes P `lines`-line blocks from the root: core i
@@ -152,7 +139,7 @@ func (c *Comm) Scatter(root, addr, lines int) {
 	if p == 1 {
 		return
 	}
-	c.port.SyncShape(rcce.ShapeTree | root)
+	c.add(call{kind: callShape, dst: rcce.ShapeTree | root})
 	vrank := ((me - root) + p) % p
 	blockAddr := func(vr int) int { return addr + ((vr+root)%p)*lines*scc.CacheLine }
 
@@ -160,31 +147,22 @@ func (c *Comm) Scatter(root, addr, lines int) {
 	for mask < p {
 		if vrank&mask != 0 {
 			src := (vrank - mask + root) % p
-			hi := vrank + mask
-			if hi > p {
-				hi = p
-			}
-			for vr := vrank; vr < hi; vr++ {
-				c.port.Recv(src, blockAddr(vr), lines)
+			for vr := vrank; vr < min(vrank+mask, p); vr++ {
+				c.recv(src, blockAddr(vr), lines)
 			}
 			break
 		}
 		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vrank+mask < p {
 			dst := (vrank + mask + root) % p
-			hi := vrank + 2*mask
-			if hi > p {
-				hi = p
-			}
-			for vr := vrank + mask; vr < hi; vr++ {
-				c.port.Send(dst, blockAddr(vr), lines)
+			for vr := vrank + mask; vr < min(vrank+2*mask, p); vr++ {
+				c.send(dst, blockAddr(vr), lines)
 			}
 		}
-		mask >>= 1
 	}
+	c.run()
 }
 
 // AllGather exchanges every core's `lines`-line block so all cores end up
@@ -197,7 +175,7 @@ func (c *Comm) AllGather(addr, lines int) {
 	if p == 1 {
 		return
 	}
-	c.port.SyncShape(rcce.ShapeRing)
+	c.add(call{kind: callShape, dst: rcce.ShapeRing})
 	blockAddr := func(id int) int { return addr + ((id%p+p)%p)*lines*scc.CacheLine }
 	left, right := (me-1+p)%p, (me+1)%p
 	sendFirst := me%2 == 0
@@ -208,11 +186,12 @@ func (c *Comm) AllGather(addr, lines int) {
 		sendBlock := blockAddr(me + t)
 		recvBlock := blockAddr(me + 1 + t)
 		if sendFirst {
-			c.port.Send(left, sendBlock, lines)
-			c.port.Recv(right, recvBlock, lines)
+			c.send(left, sendBlock, lines)
+			c.recv(right, recvBlock, lines)
 		} else {
-			c.port.Recv(right, recvBlock, lines)
-			c.port.Send(left, sendBlock, lines)
+			c.recv(right, recvBlock, lines)
+			c.send(left, sendBlock, lines)
 		}
 	}
+	c.run()
 }

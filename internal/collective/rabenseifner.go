@@ -1,8 +1,6 @@
 package collective
 
 import (
-	"fmt"
-
 	"repro/internal/rcce"
 	"repro/internal/scc"
 )
@@ -29,16 +27,11 @@ import (
 // matched).
 func (c *Comm) AllReduceRabenseifner(addr, scratchAddr, lines int, op ReduceOp) {
 	me, p := c.checkBcastArgs(0, addr, lines)
-	if scratchAddr%scc.CacheLine != 0 {
-		panic(fmt.Sprintf("collective: scratch address %d not cache-line aligned", scratchAddr))
-	}
-	if op == nil {
-		panic("collective: nil reduce op")
-	}
+	c.checkReduceArgs(scratchAddr, op)
 	if p == 1 {
 		return
 	}
-	c.port.SyncShape(rcce.ShapeRecHalf)
+	c.add(call{kind: callShape, dst: rcce.ShapeRecHalf})
 
 	pof2 := 1
 	for pof2*2 <= p {
@@ -52,10 +45,10 @@ func (c *Comm) AllReduceRabenseifner(addr, scratchAddr, lines int, op ReduceOp) 
 	nr := -1
 	switch {
 	case me < 2*r && me%2 == 1:
-		c.port.Send(me-1, addr, lines)
+		c.send(me-1, addr, lines)
 	case me < 2*r:
-		c.port.Recv(me+1, scratchAddr, lines)
-		c.combine(addr, scratchAddr, lines, op)
+		c.recv(me+1, scratchAddr, lines)
+		c.combine(addr, scratchAddr, lines)
 		nr = me / 2
 	default:
 		nr = me - r
@@ -74,7 +67,7 @@ func (c *Comm) AllReduceRabenseifner(addr, scratchAddr, lines int, op ReduceOp) 
 	// receives the partner's contribution for it (and vice versa).
 	lo, hi := 0, lines
 	for mask := pof2 / 2; mask >= 1; mask /= 2 {
-		c.port.Barrier()
+		c.add(call{kind: callBarrier})
 		if nr < 0 {
 			continue
 		}
@@ -84,11 +77,10 @@ func (c *Comm) AllReduceRabenseifner(addr, scratchAddr, lines int, op ReduceOp) 
 		if nr&mask != 0 {
 			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
 		}
-		c.exchange(partner,
-			addr+sendLo*scc.CacheLine, sendHi-sendLo,
-			scratchAddr+keepLo*scc.CacheLine, keepHi-keepLo)
+		c.sendRecv(partner, addr+sendLo*scc.CacheLine, sendHi-sendLo,
+			partner, scratchAddr+keepLo*scc.CacheLine, keepHi-keepLo)
 		if keepHi > keepLo {
-			c.combine(addr+keepLo*scc.CacheLine, scratchAddr+keepLo*scc.CacheLine, keepHi-keepLo, op)
+			c.combine(addr+keepLo*scc.CacheLine, scratchAddr+keepLo*scc.CacheLine, keepHi-keepLo)
 		}
 		lo, hi = keepLo, keepHi
 	}
@@ -98,15 +90,14 @@ func (c *Comm) AllReduceRabenseifner(addr, scratchAddr, lines int, op ReduceOp) 
 	// owned after the step (segments rejoin in reverse halving order, so
 	// ownership stays contiguous).
 	for mask := 1; mask < pof2; mask *= 2 {
-		c.port.Barrier()
+		c.add(call{kind: callBarrier})
 		if nr < 0 {
 			continue
 		}
 		partner := realRank(nr^mask, r)
 		plo, phi := segment(nr^mask, pof2, mask, lines)
-		c.exchange(partner,
-			addr+lo*scc.CacheLine, hi-lo,
-			addr+plo*scc.CacheLine, phi-plo)
+		c.sendRecv(partner, addr+lo*scc.CacheLine, hi-lo,
+			partner, addr+plo*scc.CacheLine, phi-plo)
 		if plo < lo {
 			lo = plo
 		}
@@ -114,16 +105,17 @@ func (c *Comm) AllReduceRabenseifner(addr, scratchAddr, lines int, op ReduceOp) 
 			hi = phi
 		}
 	}
-	c.port.Barrier()
+	c.add(call{kind: callBarrier})
 
 	// Unfold: even cores of the first 2r pairs return the result to their
 	// odd neighbour.
 	switch {
 	case me < 2*r && me%2 == 1:
-		c.port.Recv(me-1, addr, lines)
+		c.recv(me-1, addr, lines)
 	case me < 2*r:
-		c.port.Send(me+1, addr, lines)
+		c.send(me+1, addr, lines)
 	}
+	c.run()
 }
 
 // realRank maps a power-of-two participant rank back to its core id for a
@@ -150,35 +142,4 @@ func segment(nr, pof2, until, lines int) (lo, hi int) {
 		}
 	}
 	return lo, hi
-}
-
-// exchange swaps segments with a partner, either side possibly empty
-// (both partners compute both sizes, so the pairing stays matched).
-// SendRecv stages the outgoing chunk before blocking on the incoming one,
-// so the symmetric case is deadlock-free; the empty cases degenerate to a
-// plain Send/Recv.
-func (c *Comm) exchange(partner, sendAddr, sendLines, recvAddr, recvLines int) {
-	switch {
-	case sendLines > 0 && recvLines > 0:
-		c.port.SendRecv(partner, sendAddr, sendLines, partner, recvAddr, recvLines)
-	case sendLines > 0:
-		c.port.Send(partner, sendAddr, sendLines)
-	case recvLines > 0:
-		c.port.Recv(partner, recvAddr, recvLines)
-	}
-}
-
-// combine folds the scratch segment into the data segment with op,
-// charging one compute pass like the binomial reduction does.
-func (c *Comm) combine(addr, scratchAddr, lines int, op ReduceOp) {
-	core := c.port.Core()
-	chip := core.Chip()
-	me := core.ID()
-	nbytes := lines * scc.CacheLine
-	mine, theirs := c.combineScratch(nbytes)
-	chip.Private(me).Read(mine, addr, nbytes)
-	chip.Private(me).Read(theirs, scratchAddr, nbytes)
-	op(mine, theirs)
-	chip.Private(me).Write(addr, mine)
-	core.Compute(CombineCost(lines))
 }

@@ -1,7 +1,7 @@
 package model
 
 import (
-	"repro/internal/collective"
+	"repro/internal/rma"
 	"repro/internal/sim"
 )
 
@@ -62,7 +62,7 @@ func (m Model) BinomialReduceLatency(bp BcastParams, n int) sim.Duration {
 		return 0
 	}
 	levels := ceilLog2(bp.P)
-	perLevel := m.twoSidedXfer(bp, n, false) + collective.CombineCost(n)
+	perLevel := m.twoSidedXfer(bp, n, false) + rma.CombineCost(n)
 	if bp.Notification {
 		perLevel += m.flagSet(bp.DMpb) + m.flagPoll() // the grant/await turn
 	}
@@ -117,7 +117,7 @@ func (m Model) RabenseifnerLatency(bp BcastParams, n int) sim.Duration {
 		// Fold: full-vector send into the even partner plus a combine,
 		// and the mirror unfold send of the result at the end. Staging
 		// reads are cold (the combine's raw store bypasses the L1 model).
-		lat += m.twoSidedXfer(bp, n, false) + collective.CombineCost(n) +
+		lat += m.twoSidedXfer(bp, n, false) + rma.CombineCost(n) +
 			m.twoSidedXfer(bp, n, false)
 	}
 	if bp.Notification {
@@ -129,7 +129,7 @@ func (m Model) RabenseifnerLatency(bp BcastParams, n int) sim.Duration {
 		// One halving exchange (send + receive of seg lines, both
 		// directions partially overlapped through SendRecv) + combine,
 		// and the mirror doubling exchange of the same segment size.
-		lat += 2*m.twoSidedXfer(bp, seg, false) + collective.CombineCost(seg)
+		lat += 2*m.twoSidedXfer(bp, seg, false) + rma.CombineCost(seg)
 	}
 	return lat
 }

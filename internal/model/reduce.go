@@ -1,8 +1,8 @@
 package model
 
 import (
-	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/sim"
 )
@@ -49,7 +49,7 @@ func (m Model) occollBegin(bp BcastParams, k int) sim.Duration {
 // pass over the data, ack the child).
 func (m Model) reduceChunkCost(bp BcastParams, mm, k int) sim.Duration {
 	c := m.CMemPut(mm, bp.DMem, 1)
-	perChild := m.CMpbCombine(mm, bp.DMpb) + collective.CombineCost(mm)
+	perChild := m.CMpbCombine(mm, bp.DMpb) + rma.CombineCost(mm)
 	if bp.Notification {
 		perChild += m.flagPoll() + m.flagSet(bp.DMpb)
 	}
@@ -83,7 +83,7 @@ func (m Model) OCReduceLatency(bp BcastParams, n, k int) sim.Duration {
 	if bp.Notification {
 		lat += m.flagSet(bp.DMpb)
 	}
-	perChild := m.CMpbCombine(first, bp.DMpb) + collective.CombineCost(first)
+	perChild := m.CMpbCombine(first, bp.DMpb) + rma.CombineCost(first)
 	if bp.Notification {
 		perChild += m.flagPoll() + m.flagSet(bp.DMpb)
 	}

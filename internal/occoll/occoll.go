@@ -69,10 +69,6 @@ type ReduceOp = collective.ReduceOp
 // the MPMD descriptor line is 252.
 const maxFlagLine = 250
 
-// Every lane line and chunk size rides in a step instruction's 16- and
-// 8-bit fields.
-const _ = uint8(maxFlagLine)
-
 // numBuffers reports the chunk-buffer count per lane: 2 with double
 // buffering, else 1. Every layout computation derives from this one
 // helper so buffer rotation and line layout cannot desynchronize.
@@ -264,23 +260,31 @@ func (x *Collectives) checkArgs(root, addr, lines int) (ok bool) {
 
 // begin quiesces the chip and resets this core's lane flag lines, so
 // per-operation sequence numbers can restart at 1 regardless of what ran
-// before. It returns this core's tree node.
+// before, as one run of the core (EmitStep). It returns this core's tree
+// node.
 func (l *lane) begin(root int) core.Tree {
-	c, x := l.x.core, l.x
-	// Zero my flag lines BEFORE the barrier: at this point nothing is in
-	// flight toward them (the lane's previous occoll operation drained,
-	// and non-occoll writers — e.g. a large RCCE send staging over this
-	// region — complete synchronously), and no peer re-enters the
-	// protocol until it passes the barrier below.
-	var zero [scc.CacheLine]byte
-	for ln := l.flagBase; ln <= l.flagBase+2*x.cfg.K+1; ln++ {
-		c.WriteLocalLine(ln, zero[:])
+	c := l.x.core
+	c.Run(l)
+	return core.TreeFor(c.ID(), root, c.N(), l.x.cfg.K)
+}
+
+// EmitStep is begin's program. Step 0 zeroes my 2K+2 flag lines BEFORE
+// the barrier (16 at K = 7, the run window): at this point nothing is in
+// flight toward them (the lane's previous occoll operation drained, and
+// non-occoll writers — e.g. a large RCCE send staging over this region —
+// complete synchronously), and no peer re-enters the protocol until it
+// passes the barrier. Step 1 is that barrier, which guarantees every
+// core finished all earlier collectives on this lane — no stale reader
+// of this core's lane buffers survives it.
+func (l *lane) EmitStep(p *rma.Prog, step int) (more bool) {
+	if step == 0 {
+		for ln := l.flagBase; ln <= l.flagBase+2*l.x.cfg.K+1; ln++ {
+			p.WriteLocal(ln)
+		}
+		return true
 	}
-	// The barrier guarantees every core finished all earlier collectives
-	// on this lane — no stale reader of this core's lane buffers survives
-	// it.
-	x.port.Barrier()
-	return core.TreeFor(c.ID(), root, c.N(), x.cfg.K)
+	l.x.port.EmitBarrier(p)
+	return false
 }
 
 // chunkSpan returns the line count of chunk ch out of `lines` total.

@@ -1,7 +1,7 @@
 package occoll
 
 import (
-	"repro/internal/collective"
+	"repro/internal/rma"
 	"repro/internal/scc"
 )
 
@@ -75,7 +75,7 @@ func reduceUp(r *Request, ch int) (more bool) {
 	for i, child := range t.Children {
 		p.WaitGE(l.upReadyLine(i), seq)
 		p.Combine(child, buf, m)
-		p.Compute(collective.CombineCost(m))
+		p.Compute(rma.CombineCost(m))
 		p.SetFlag(child, l.upConsumedLine(), seq)
 	}
 	if t.Rank == 0 {

@@ -4,6 +4,11 @@
 // message through the sender's MPB in chunks of at most 251 cache lines
 // (the paper's Mrcce), with a fully synchronous per-chunk handshake — the
 // very structure whose off-chip traffic OC-Bcast eliminates.
+//
+// Every call exists once, as an emitter into a step program (rma.Prog):
+// the blocking Send, Recv, SendRecv and Barrier emit their one call and
+// run it, and internal/collective emits a whole collective's calls into
+// one run.
 package rcce
 
 import (
@@ -33,11 +38,11 @@ const (
 // collectives satisfy by construction.
 type Port struct {
 	core *rma.Core
-	// Monotonic per-pair chunk sequence numbers. Chunk tags never
-	// repeat, so stale flag lines can never satisfy a future wait. Each
-	// table is made by the first call that counts in it (see next): a
-	// port that only runs barriers, or carries one-sided collectives,
-	// never makes one.
+	// Monotonic per-pair chunk sequence numbers, taken at emission in
+	// call order. Chunk tags never repeat, so stale flag lines can never
+	// satisfy a future wait. Each table is made by the first call that
+	// counts in it (see next): a port that only runs barriers, or carries
+	// one-sided collectives, never makes one.
 	sendSeq   map[int]uint64 // per destination
 	recvSeq   map[int]uint64 // per source
 	turnGrant map[int]uint64 // send turns granted, per peer
@@ -45,8 +50,8 @@ type Port struct {
 	epoch     uint64         // barrier epoch
 	shape     int            // root of the last rooted collective, -1 before the first
 
-	// xch is the two-sided call in flight (see exchange.go), which
-	// Send/Recv/SendRecv fill and run.
+	// xch is the blocking two-sided call in flight (see exchange.go),
+	// which Send/Recv/SendRecv fill and run.
 	xch exchange
 }
 
@@ -78,7 +83,7 @@ func next(seqs *map[int]uint64, peer int) uint64 {
 	return (*seqs)[peer]
 }
 
-// Shape classes for SyncShape. Two consecutive collectives may skip the
+// Shape classes for EmitShape. Two consecutive collectives may skip the
 // fence only when their pairing graphs coincide: same class AND same
 // root. The binomial rank-space tree is one class shared by broadcast,
 // reduce, gather and scatter (they pair (vrank, vrank±mask) identically,
@@ -94,24 +99,24 @@ const (
 	ShapeRecHalf
 )
 
-// SyncShape fences consecutive two-sided collectives whose pairing
-// structure differs. The handshake lines (lineSent, lineReady) are
-// single-writer by the RCCE discipline: within one collective a core's
-// partner set is fixed by the pairing graph, and per-pair flow control
-// keeps one writer per line. Across two collectives with DIFFERENT
-// graphs a core's new partner can overwrite a flag its old partner's
-// handshake still needs — a lost wake-up and a deadlock (e.g. Gather(0)
-// directly followed by Gather(1), or a root-0 tree gather followed by
-// the neighbor-ring allgather). Every two-sided collective declares its
-// shape here — a class constant above, OR'd with the root for rooted
-// trees; when the shape changes, the cores run a barrier first, which
-// drains all handshakes before any new-graph flag is written.
-// Back-to-back collectives of the SAME shape — every measurement loop,
-// and reduce+broadcast fusions like AllReduce — pass through untouched,
-// so the fence costs nothing on existing paths.
-func (p *Port) SyncShape(shape int) {
+// EmitShape emits the fence between consecutive two-sided collectives
+// whose pairing structure differs. The handshake lines (lineSent,
+// lineReady) are single-writer by the RCCE discipline: within one
+// collective a core's partner set is fixed by the pairing graph, and
+// per-pair flow control keeps one writer per line. Across two
+// collectives with DIFFERENT graphs a core's new partner can overwrite a
+// flag its old partner's handshake still needs — a lost wake-up and a
+// deadlock (e.g. Gather(0) directly followed by Gather(1), or a root-0
+// tree gather followed by the neighbor-ring allgather). Every two-sided
+// collective declares its shape here — a class constant above, OR'd
+// with the root for rooted trees; when the shape changes, the cores run
+// a barrier first, which drains all handshakes before any new-graph flag
+// is written. Back-to-back collectives of the SAME shape — every
+// measurement loop, and reduce+broadcast fusions like AllReduce — emit
+// nothing, so the fence costs nothing on existing paths.
+func (p *Port) EmitShape(prog *rma.Prog, shape int) {
 	if p.shape >= 0 && p.shape != shape {
-		p.Barrier()
+		p.EmitBarrier(prog)
 	}
 	p.shape = shape
 }
@@ -134,47 +139,46 @@ func tag(peer int, seq uint64) uint64 {
 // The one-line sent channel admits a single in-flight sender per
 // receiver. Tree collectives satisfy this by construction for broadcast
 // and scatter; operations where several children target one parent
-// (reduce, gather) serialize senders with GrantTurn/AwaitTurn.
+// (reduce, gather) serialize senders with turn grants (EmitGrantTurn,
+// EmitAwaitTurn).
 func (p *Port) Send(dst int, addr, lines int) {
-	if dst == p.core.ID() {
-		panic("rcce: send to self")
-	}
-	checkMsg(addr, lines)
-	p.xch = exchange{p: p, dst: dst, sendAddr: addr, sendLines: lines}
-	p.core.Run(&p.xch)
+	p.check("send to", dst, addr, lines)
+	p.run(exchange{dst: dst, sendAddr: addr, sendLines: lines})
 }
 
 // Recv receives `lines` cache lines from core src into this core's
 // private memory at byte address addr. Chunks are pulled from the
 // sender's MPB with a one-sided get, then acked.
 func (p *Port) Recv(src int, addr, lines int) {
-	if src == p.core.ID() {
-		panic("rcce: recv from self")
-	}
-	checkMsg(addr, lines)
-	p.xch = exchange{p: p, src: src, recvAddr: addr, recvLines: lines}
+	p.check("recv from", src, addr, lines)
+	p.run(exchange{src: src, recvAddr: addr, recvLines: lines})
+}
+
+// SendRecv simultaneously sends to dst and receives from src (both
+// nonzero-size). It stages each outgoing chunk and flags the receiver
+// BEFORE blocking on the incoming chunk, which makes ring exchanges (each
+// core sends left, receives right) deadlock-free — the reason MPI
+// provides sendrecv and what the scatter-allgather baseline's exchange
+// rounds need.
+func (p *Port) SendRecv(dst, sendAddr, sendLines, src, recvAddr, recvLines int) {
+	p.check("sendrecv to", dst, sendAddr, sendLines)
+	p.check("sendrecv from", src, recvAddr, recvLines)
+	p.run(exchange{dst: dst, sendAddr: sendAddr, sendLines: sendLines,
+		src: src, recvAddr: recvAddr, recvLines: recvLines})
+}
+
+// run executes one blocking two-sided call: emit it, then Run it.
+func (p *Port) run(x exchange) {
+	p.xch = x
+	p.xch.p = p
 	p.core.Run(&p.xch)
 }
 
-// turnTag marks a turn-grant value, disjoint from data-ack tags.
-func turnTag(peer int, seq uint64) uint64 {
-	return 1<<63 | tag(peer, seq)
-}
-
-// GrantTurn tells peer it may now send to this core. It writes the
-// peer's ready line, which is safe because the granter is also the
-// peer's current ack writer (the parent in reduce/gather), so the line
-// keeps a single writer.
-func (p *Port) GrantTurn(peer int) {
-	p.core.SetFlag(peer, lineReady, turnTag(p.core.ID(), next(&p.turnGrant, peer)))
-}
-
-// AwaitTurn blocks until peer grants this core a send turn.
-func (p *Port) AwaitTurn(peer int) {
-	p.core.WaitFlagEQ(lineReady, turnTag(peer, next(&p.turnWait, peer)))
-}
-
-func checkMsg(addr, lines int) {
+// check validates one side of a blocking call.
+func (p *Port) check(what string, peer, addr, lines int) {
+	if peer == p.core.ID() {
+		panic(fmt.Sprintf("rcce: %s self", what))
+	}
 	if lines <= 0 {
 		panic(fmt.Sprintf("rcce: non-positive message size %d lines", lines))
 	}
@@ -183,37 +187,48 @@ func checkMsg(addr, lines int) {
 	}
 }
 
-// SendRecv simultaneously sends to dst and receives from src (both
-// nonzero-size, both ≤ PayloadLines per chunk round). It stages each
-// outgoing chunk and flags the receiver BEFORE blocking on the incoming
-// chunk, which makes ring exchanges (each core sends left, receives
-// right) deadlock-free — the reason MPI provides sendrecv and what the
-// scatter-allgather baseline's exchange rounds need.
-func (p *Port) SendRecv(dst, sendAddr, sendLines, src, recvAddr, recvLines int) {
-	if dst == p.core.ID() || src == p.core.ID() {
-		panic("rcce: sendrecv with self")
+// peer returns id, panicking unless it names a core of the chip.
+func (p *Port) peer(id int) int {
+	if n := p.core.N(); id < 0 || id >= n {
+		panic(fmt.Sprintf("rcce: core %d outside the %d-core chip", id, n))
 	}
-	checkMsg(sendAddr, sendLines)
-	checkMsg(recvAddr, recvLines)
-	p.xch = exchange{p: p,
-		dst: dst, sendAddr: sendAddr, sendLines: sendLines,
-		src: src, recvAddr: recvAddr, recvLines: recvLines}
-	p.core.Run(&p.xch)
+	return id
+}
+
+// turnTag marks a turn-grant value, disjoint from data-ack tags.
+func turnTag(peer int, seq uint64) uint64 {
+	return 1<<63 | tag(peer, seq)
+}
+
+// EmitGrantTurn emits the grant that tells peer it may now send to this
+// core. It writes the peer's ready line, which is safe because the
+// granter is also the peer's current ack writer (the parent in
+// reduce/gather), so the line keeps a single writer.
+func (p *Port) EmitGrantTurn(prog *rma.Prog, peer int) {
+	prog.SetFlag(p.peer(peer), lineReady, turnTag(p.core.ID(), next(&p.turnGrant, peer)))
+}
+
+// EmitAwaitTurn emits the wait for peer's send-turn grant.
+func (p *Port) EmitAwaitTurn(prog *rma.Prog, peer int) {
+	prog.WaitEQ(lineReady, turnTag(p.peer(peer), next(&p.turnWait, peer)))
 }
 
 // Barrier synchronizes all cores using a binary gather-release tree over
 // MPB flags. Each call uses a fresh epoch value, so flag lines are safely
 // reused across barriers (single writer per line per epoch, waits are ≥).
-func (p *Port) Barrier() {
+func (p *Port) Barrier() { p.core.Run((*barrier)(p)) }
+
+// EmitBarrier emits one barrier at the next epoch: the shared
+// gather-release tree over the port's three barrier lines.
+func (p *Port) EmitBarrier(prog *rma.Prog) {
 	p.epoch++
-	p.core.Run((*barrier)(p))
+	prog.TreeBarrier(p.core.ID(), p.core.N(), lineBarrierChildA, lineBarrierChildB, lineBarrierRelease, p.epoch)
 }
 
-// barrier is Barrier's step program: one step, the shared gather-release
-// tree over the port's three barrier lines at the current epoch.
+// barrier is Barrier's step program: one step, EmitBarrier.
 type barrier Port
 
-func (b *barrier) EmitStep(p *rma.Prog, _ int) (more bool) {
-	p.TreeBarrier(b.core.ID(), b.core.N(), lineBarrierChildA, lineBarrierChildB, lineBarrierRelease, b.epoch)
+func (b *barrier) EmitStep(prog *rma.Prog, _ int) (more bool) {
+	(*Port)(b).EmitBarrier(prog)
 	return false
 }

@@ -213,6 +213,8 @@ func TestSendValidation(t *testing.T) {
 	mustPanic("recv from self", func(p *Port) { p.Recv(0, 0, 1) })
 	mustPanic("zero lines", func(p *Port) { p.Send(1, 0, 0) })
 	mustPanic("misaligned", func(p *Port) { p.Send(1, 3, 1) })
+	mustPanic("send past the chip", func(p *Port) { p.Send(2, 0, 1) })
+	mustPanic("recv from a negative core", func(p *Port) { p.Recv(-1, 0, 1) })
 }
 
 // TestSendCostStructure checks the RCCE cost shape the paper's Formula 14
@@ -266,11 +268,11 @@ func TestBarrierOnlyPortMakesNoMaps(t *testing.T) {
 		case 0:
 			p.Send(1, 0, 1)
 			p.Send(1, 0, 1)
-			p.AwaitTurn(1)
+			c.Run(&turn{p: p, peer: 1})
 		case 1:
 			p.Recv(0, 0, 1)
 			p.Recv(0, 0, 1)
-			p.GrantTurn(0)
+			c.Run(&turn{p: p, peer: 0, grant: true})
 		}
 	})
 	if got := ports[0].sendSeq[1]; got != 2 {
@@ -288,6 +290,23 @@ func TestBarrierOnlyPortMakesNoMaps(t *testing.T) {
 	if got := next(new(map[int]uint64), 5); got != 1 {
 		t.Errorf("first sequence number is %d, want 1", got)
 	}
+}
+
+// turn is a one-step program: a send-turn grant to peer, or the wait
+// for peer's grant.
+type turn struct {
+	p     *Port
+	peer  int
+	grant bool
+}
+
+func (t *turn) EmitStep(prog *rma.Prog, _ int) (more bool) {
+	if t.grant {
+		t.p.EmitGrantTurn(prog, t.peer)
+	} else {
+		t.p.EmitAwaitTurn(prog, t.peer)
+	}
+	return false
 }
 
 // BenchmarkSendRecvPair is one cold two-sided exchange: a fresh 2-core

@@ -1,7 +1,5 @@
 package rma
 
-import "repro/internal/obs"
-
 // Flags are single-cache-line synchronization variables living in MPBs.
 // The SCC guarantees 32 B read/write atomicity, so a flag occupies one
 // line and needs no locking (paper §5.1). Flag values here are uint64
@@ -51,16 +49,4 @@ func (c *Core) ProbeFlagGE(line int, seq uint64) bool {
 	}
 	c.counters().FlagPolls++
 	return false
-}
-
-// WriteLocalLine stores a full line into the core's own MPB, charging a
-// local line write C^mpb_w(1). Used to initialize buffers and flags.
-func (c *Core) WriteLocalLine(line int, data []byte) {
-	o := c.beginSpan("line.write", obs.BucketMPB,
-		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
-	eff := c.Now() + c.LMpbW(1)
-	c.chip.MPB(c.id).WriteLine(line, data, eff)
-	c.proc.Advance(c.CMpbW(1))
-	c.counters().MPBWriteLines++
-	c.endSpan(o)
 }

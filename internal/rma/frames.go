@@ -26,8 +26,8 @@ import (
 // Opcodes: which RMA op an instr of a step program stands for, and
 // which post step (deferred writes + counters) an opFrame runs after
 // the completion-time yield. opWait is the multi-state flag wait (≥ in
-// an instr); opWaitEQ exists in instrs only — its frame is an opWait
-// that compares for equality.
+// an instr); opWaitEQ and opCombinePriv exist in instrs only — their
+// frames are an opWait that compares for equality and an opCompute.
 const (
 	opPutMPB uint8 = iota
 	opPutMem
@@ -36,9 +36,11 @@ const (
 	opCombine
 	opCompute
 	opSetFlag
+	opWriteLocal
 	opPoll
 	opWait
 	opWaitEQ
+	opCombinePriv
 )
 
 // Wait-op program counter values (opFrame.pc when op == opWait).
@@ -167,6 +169,8 @@ func (c *Core) opPost(f *opFrame) {
 		f.dst.WriteLine(f.line, c.flagBuf[:], f.eff0)
 		ctr.MPBWriteLines++
 		ctr.FlagSets++
+	case opWriteLocal:
+		ctr.MPBWriteLines++
 	case opPoll:
 		ctr.MPBReadLines++
 		ctr.FlagWaits++
@@ -224,6 +228,34 @@ func (c *Core) computePre(f *opFrame, d sim.Duration) {
 	}
 	f.completion = c.Now() + d
 }
+
+// combinePrivPre folds `lines` lines of the core's private memory at
+// scratch into those at addr with fold, on the host at issue, then
+// opens the pass's compute charge.
+func (c *Core) combinePrivPre(f *opFrame, addr, scratch, lines int, fold func(dst, src []byte)) {
+	n := lines * scc.CacheLine
+	buf, priv := c.scratchBuf(2*n), c.chip.Private(c.id)
+	mine, theirs := buf[:n], buf[n:]
+	priv.Read(mine, addr, n)
+	priv.Read(theirs, scratch, n)
+	fold(mine, theirs)
+	priv.Write(addr, mine)
+	c.computePre(f, CombineCost(lines))
+}
+
+// writeLocalPre zeroes line `line` of the own MPB at issue, visible
+// after a local write latency and charged a local line write C^mpb_w(1):
+// how a protocol resets its flag lines.
+func (c *Core) writeLocalPre(f *opFrame, line int) {
+	f.c, f.op, f.pc = c, opWriteLocal, 0
+	f.span = c.beginSpan("line.write", obs.BucketMPB,
+		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
+	c.chip.MPB(c.id).WriteLine(line, zeroLine[:], c.Now()+c.LMpbW(1))
+	f.completion = c.Now() + c.CMpbW(1)
+}
+
+// zeroLine is WriteLocal's payload.
+var zeroLine [scc.CacheLine]byte
 
 // setFlagPre is SetFlag up to the completion advance.
 func (c *Core) setFlagPre(f *opFrame, dst, line int, value uint64) {

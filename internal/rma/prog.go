@@ -1,6 +1,8 @@
 package rma
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 )
 
@@ -20,14 +22,14 @@ import (
 
 // instr is one RMA op of a pipeline step, 16 bytes. op is one of the
 // opFrame opcodes (frames.go). Chunk sizes and MPB lines fit the narrow
-// fields: a core's MPB share is 256 lines, and the packages that emit
-// guard their own layout constants at compile time.
+// fields — a core's MPB share is 256 lines — and emit refuses any value
+// that does not.
 type instr struct {
 	op   uint8
 	m    uint8
 	line uint16
 	peer int32
-	arg  uint64 // private byte address, flag value, or compute time in ps
+	arg  uint64 // private byte address, flag value, compute time in ps, or CombinePriv's two addresses
 }
 
 // Prog is an instruction buffer plus the program counter of the
@@ -36,7 +38,7 @@ type instr struct {
 type Prog struct {
 	ins []instr
 	pc  int
-	// Fold is the reduce op Combine instructions fold with.
+	// Fold is the reduce op Combine and CombinePriv instructions fold with.
 	Fold func(dst, src []byte)
 }
 
@@ -55,25 +57,48 @@ func (p *Prog) Reset() { p.ins, p.pc = p.ins[:0], 0 }
 func (p *Prog) Done() bool { return p.pc == len(p.ins) }
 
 func (p *Prog) emit(op uint8, peer, line, m int, arg uint64) {
+	if m>>8 != 0 || line>>16 != 0 || peer != int(int32(peer)) {
+		panic(fmt.Sprintf("rma: instruction operands out of range (peer %d, line %d, %d lines)", peer, line, m))
+	}
 	p.ins = append(p.ins, instr{op: op, m: uint8(m), line: uint16(line), peer: int32(peer), arg: arg})
 }
 
 // The emitters. WaitGE (WaitEQ): this core's flag `line` must reach
 // (equal) val before the program goes on; SetFlag writes val into flag
-// `line` of dst's MPB. PutMem stages m lines of private memory at addr
-// into the own MPB at `line`; GetMem pulls m lines at `line` of src's
-// MPB to private memory at addr; GetMPB pulls them to the same lines of
-// the own MPB; Combine folds them into those lines with Fold (the
-// arithmetic is charged separately, like GetMPBCombine's). Compute
-// advances the clock by d.
+// `line` of dst's MPB; WriteLocal zeroes line `line` of the own MPB.
+// PutMem stages m lines of private memory at addr into the own MPB at
+// `line`; GetMem pulls m lines at `line` of src's MPB to private memory
+// at addr; GetMPB pulls them to the same lines of the own MPB; Combine
+// folds them into those lines with Fold (the arithmetic is charged
+// separately, like GetMPBCombine's). CombinePriv folds `lines` lines of
+// private memory at scratch into those at addr with Fold and charges the
+// pass as CombineCost(lines) of compute. Compute advances the clock by d.
 func (p *Prog) WaitGE(line int, val uint64)       { p.emit(opWait, 0, line, 0, val) }
 func (p *Prog) WaitEQ(line int, val uint64)       { p.emit(opWaitEQ, 0, line, 0, val) }
 func (p *Prog) SetFlag(dst, line int, val uint64) { p.emit(opSetFlag, dst, line, 0, val) }
+func (p *Prog) WriteLocal(line int)               { p.emit(opWriteLocal, 0, line, 0, 0) }
 func (p *Prog) PutMem(line, addr, m int)          { p.emit(opPutMem, 0, line, m, uint64(addr)) }
 func (p *Prog) GetMem(src, line, addr, m int)     { p.emit(opGetMem, src, line, m, uint64(addr)) }
 func (p *Prog) GetMPB(src, line, m int)           { p.emit(opGetMPB, src, line, m, 0) }
 func (p *Prog) Combine(src, line, m int)          { p.emit(opCombine, src, line, m, 0) }
 func (p *Prog) Compute(d sim.Duration)            { p.emit(opCompute, 0, 0, 0, uint64(d)) }
+
+// CombinePriv carries its two private addresses (below 1 GiB, so 32 bits
+// each) in arg and its line count in peer.
+func (p *Prog) CombinePriv(addr, scratch, lines int) {
+	if uint64(addr)>>32 != 0 || uint64(scratch)>>32 != 0 {
+		panic(fmt.Sprintf("rma: CombinePriv addresses %d and %d out of range", addr, scratch))
+	}
+	p.emit(opCombinePriv, lines, 0, 0, uint64(addr)<<32|uint64(scratch))
+}
+
+// CombineCost is one compute pass over `lines` cache lines of cached data
+// for the reduction arithmetic: ~10 ns per line on a P54C-class core. The
+// two- and one-sided reductions charge the same pass so the two
+// collective families stay directly comparable.
+func CombineCost(lines int) sim.Duration {
+	return sim.Duration(lines) * 10 * sim.Nanosecond
+}
 
 // TreeBarrier emits core me's side of one gather-release barrier over
 // the binary tree of cores 0..n-1 in id order (the children of i are
@@ -147,8 +172,12 @@ func (c *Core) CallNext(p *Prog) sim.StepStatus {
 		c.getMPBPre(f, peer, line, line, m)
 	case opCombine:
 		c.combinePre(f, peer, line, line, m, p.Fold)
+	case opCombinePriv:
+		c.combinePrivPre(f, int(in.arg>>32), int(in.arg&(1<<32-1)), peer, p.Fold)
 	case opCompute:
 		c.computePre(f, sim.Duration(in.arg))
+	case opWriteLocal:
+		c.writeLocalPre(f, line)
 	default: // opSetFlag
 		c.setFlagPre(f, peer, line, in.arg)
 	}

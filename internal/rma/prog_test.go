@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/occoll"
 	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
@@ -53,6 +55,64 @@ func TestRunProgramsStayInChipArray(t *testing.T) {
 		if chip.RunProgSpilled(i) {
 			t.Errorf("core %d's run program left the chip array", i)
 		}
+	}
+}
+
+// TestCollectiveStepsStayInChipArray: every two-sided collective runs
+// one call per step, so its steps at up to 251 lines (one RCCE chunk)
+// are at most a sendrecv's six ops, and the k = 7 one-sided lane begin
+// resets its 16 flag lines in one step and barriers in the next — all
+// inside each core's window of the array NewChipN allocated once.
+func TestCollectiveStepsStayInChipArray(t *testing.T) {
+	const n, lines = 48, rcce.PayloadLines
+	chip := rma.NewChipN(scc.DefaultConfig(), n)
+	scratch := n * lines * scc.CacheLine
+	chip.Run(func(c *rma.Core) {
+		port := rcce.NewPort(c)
+		comm := collective.NewComm(port)
+		comm.BcastBinomial(0, 0, lines)
+		comm.BcastNaive(1, 0, lines)
+		comm.BcastScatterAllgather(n-1, 0, lines)
+		comm.BcastScatterAllgatherOneSided(0, 0, lines)
+		comm.Reduce(n/2, 0, scratch, lines, collective.SumInt64)
+		comm.AllReduce(0, scratch, lines, collective.MaxInt64)
+		comm.AllReduceRabenseifner(0, scratch, lines, collective.SumInt64)
+		comm.Gather(n-1, 0, lines)
+		comm.Scatter(0, 0, lines)
+		comm.AllGather(0, lines)
+		x := occoll.New(c, port, core.DefaultConfig())
+		x.AllReduce(0, lines, collective.SumInt64)
+		x.Finish()
+	})
+	for i := 0; i < n; i++ {
+		if chip.RunProgSpilled(i) {
+			t.Errorf("core %d's run program left the chip array", i)
+		}
+	}
+}
+
+// TestEmitRefusesOutOfRangeOperands: an operand that does not fit its
+// instruction field panics at emission instead of being truncated into
+// another line, chunk size or address.
+func TestEmitRefusesOutOfRangeOperands(t *testing.T) {
+	for name, emit := range map[string]func(p *rma.Prog){
+		"chunk of 256 lines":     func(p *rma.Prog) { p.PutMem(0, 0, 256) },
+		"negative chunk":         func(p *rma.Prog) { p.GetMem(1, 0, 0, -1) },
+		"line 65536":             func(p *rma.Prog) { p.SetFlag(1, 1<<16, 1) },
+		"peer past int32":        func(p *rma.Prog) { p.GetMPB(1<<31, 0, 1) },
+		"combine address 4 GiB":  func(p *rma.Prog) { p.CombinePriv(1<<32, 0, 1) },
+		"combine scratch 4 GiB":  func(p *rma.Prog) { p.CombinePriv(0, 1<<32, 1) },
+		"combine of 2^31 lines":  func(p *rma.Prog) { p.CombinePriv(0, 0, 1<<31) },
+		"negative combine lines": func(p *rma.Prog) { p.CombinePriv(0, 0, -1<<40) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: emitted without a panic", name)
+				}
+			}()
+			emit(new(rma.Prog))
+		}()
 	}
 }
 

@@ -90,6 +90,11 @@ type Engine struct {
 	// digests pin it — and the number is the scheduler's wall-clock cost
 	// driver, so benchmarks report it.
 	switches int64
+	// resumes counts control-token deliveries to a body goroutine (see
+	// sendToken): each is one channel handoff that parks the sender and
+	// wakes a goroutine through the Go scheduler. A switch whose next
+	// proc is stepped inline costs none.
+	resumes int64
 
 	panicVal any // re-panicked on Run if a process panicked
 }
@@ -98,6 +103,12 @@ type Engine struct {
 // (not elided by the same-proc fast path) since the engine was created.
 // Reset does not clear it; callers diff before/after a Run.
 func (e *Engine) Switches() int64 { return e.switches }
+
+// Resumes reports the cumulative number of control-token deliveries to a
+// process's body goroutine since the engine was created — the goroutine
+// handoffs the schedule cost, as opposed to the switches stepped inline.
+// Like Switches, it is deterministic and Reset does not clear it.
+func (e *Engine) Resumes() int64 { return e.resumes }
 
 // SetPersistent selects whether process goroutines park between runs
 // (true) or exit after each run (false, the default). Parking makes a
@@ -288,7 +299,7 @@ func (e *Engine) loop() {
 		if p == nil {
 			e.reportDeadlock()
 		}
-		p.resume <- false
+		e.sendToken(p)
 		<-e.engch
 		if e.panicVal != nil {
 			return

@@ -159,6 +159,47 @@ func TestMachineEquivalenceMatrix(t *testing.T) {
 	}
 }
 
+// TestResumesCountGoroutineHandoffs: two procs that each advance three
+// times in lockstep switch six times whichever way their work is
+// written, but a blocking body takes the control token on its goroutine
+// at every switch (8 resumes: the two starts, six switches, the handoff
+// at the first finish), while one Exec'd section per proc is stepped
+// inline by whoever holds the token, so each goroutine is resumed only to
+// start and to leave its section (4).
+func TestResumesCountGoroutineHandoffs(t *testing.T) {
+	for _, tc := range []struct {
+		frame   bool
+		resumes int64
+	}{{false, 8}, {true, 4}} {
+		e := NewEngine(2)
+		frames := make([]advanceFrame, 2)
+		e.Run(func(p *Proc) {
+			if tc.frame {
+				p.Exec(&frames[p.ID()])
+				return
+			}
+			for i := 0; i < 3; i++ {
+				p.Advance(1)
+			}
+		})
+		if e.Switches() != 6 || e.Resumes() != tc.resumes {
+			t.Errorf("frame=%v: %d switches and %d resumes, want 6 and %d", tc.frame, e.Switches(), e.Resumes(), tc.resumes)
+		}
+	}
+}
+
+// advanceFrame advances its proc by 1 three times, yielding each time.
+type advanceFrame struct{ n int }
+
+func (f *advanceFrame) Step(p *Proc) StepStatus {
+	if f.n == 3 {
+		return StepDone
+	}
+	f.n++
+	p.MachineAdvance(1)
+	return StepYield
+}
+
 // TestHandoffDeterminism asserts the handoff scheduler is reproducible
 // run-to-run for the same seed.
 func TestHandoffDeterminism(t *testing.T) {

@@ -193,6 +193,7 @@ func (p *Proc) yieldToken(requeue bool) {
 // panicked.
 func (e *Engine) sendToken(next *Proc) {
 	if next != nil {
+		e.resumes++
 		next.resume <- false
 	} else {
 		e.engch <- struct{}{}

@@ -234,14 +234,14 @@ func (s *System) Mesh() (w, h int) {
 // byte address addr, before or after Run. The range must lie within
 // PrivateMemoryBytes; a core outside the chip panics.
 func (s *System) WritePrivate(core, addr int, data []byte) {
-	s.checkCore("WritePrivate", core)
+	checkCore("WritePrivate", core, s.N())
 	s.chip.Private(core).Write(addr, data)
 }
 
 // ReadPrivate copies n bytes from core `core`'s private memory at addr.
 // A core outside the chip or a negative n panics.
 func (s *System) ReadPrivate(core, addr, n int) []byte {
-	s.checkCore("ReadPrivate", core)
+	checkCore("ReadPrivate", core, s.N())
 	checkLen("ReadPrivate", n)
 	out := make([]byte, n)
 	s.chip.Private(core).Read(out, addr, n)
@@ -251,15 +251,15 @@ func (s *System) ReadPrivate(core, addr, n int) []byte {
 // Counters returns core `core`'s data-movement counters; a core outside
 // the chip panics.
 func (s *System) Counters(core int) trace.CoreCounters {
-	s.checkCore("Counters", core)
+	checkCore("Counters", core, s.N())
 	return s.chip.Counter[core]
 }
 
-// checkCore panics at the call site of accessor fn when core is not a
-// core of the chip.
-func (s *System) checkCore(fn string, core int) {
-	if core < 0 || core >= s.N() {
-		panic(fmt.Sprintf("ocbcast: %s: core %d outside the %d-core chip", fn, core, s.N()))
+// checkCore panics at the call site of fn when core is not a core of
+// the n-core chip.
+func checkCore(fn string, core, n int) {
+	if core < 0 || core >= n {
+		panic(fmt.Sprintf("ocbcast: %s: core %d outside the %d-core chip", fn, core, n))
 	}
 }
 
@@ -364,11 +364,18 @@ func (c *Core) BroadcastScatterAllgatherOneSided(root, addr, lines int) {
 	c.env.Comm.BcastScatterAllgatherOneSided(root, addr, lines)
 }
 
-// Send/Recv are RCCE-style two-sided point-to-point operations.
-func (c *Core) Send(dst, addr, lines int) { c.env.Port.Send(dst, addr, lines) }
+// Send/Recv are RCCE-style two-sided point-to-point operations. A peer
+// outside the chip panics.
+func (c *Core) Send(dst, addr, lines int) {
+	checkCore("Send", dst, c.N())
+	c.env.Port.Send(dst, addr, lines)
+}
 
 // Recv receives `lines` cache lines from src into private memory at addr.
-func (c *Core) Recv(src, addr, lines int) { c.env.Port.Recv(src, addr, lines) }
+func (c *Core) Recv(src, addr, lines int) {
+	checkCore("Recv", src, c.N())
+	c.env.Port.Recv(src, addr, lines)
+}
 
 // Barrier synchronizes all cores.
 func (c *Core) Barrier() { c.env.Port.Barrier() }
@@ -402,23 +409,26 @@ func (c *Core) ReadOwnPrivate(addr, n int) []byte {
 // The one-sided RMA primitives underneath everything (paper §2.2): put
 // and get move cache lines between private memory and MPBs. Line indices
 // address the target MPB (0..255); addresses are 32-byte-aligned private
-// memory byte offsets.
+// memory byte offsets. A peer core outside the chip panics.
 
 // PutToMPB copies `lines` cache lines from this core's private memory at
 // srcAddr into core dst's MPB starting at line dstLine (RCCE put).
 func (c *Core) PutToMPB(dst, dstLine, srcAddr, lines int) {
+	checkCore("PutToMPB", dst, c.N())
 	c.rma.PutMemToMPB(dst, dstLine, srcAddr, lines)
 }
 
 // GetFromMPB copies `lines` cache lines from core src's MPB starting at
 // srcLine into this core's private memory at dstAddr (RCCE get).
 func (c *Core) GetFromMPB(src, srcLine, dstAddr, lines int) {
+	checkCore("GetFromMPB", src, c.N())
 	c.rma.GetMPBToMem(src, srcLine, dstAddr, lines)
 }
 
 // GetToOwnMPB copies `lines` cache lines from core src's MPB into this
 // core's own MPB — the hop OC-Bcast pipelines down its tree.
 func (c *Core) GetToOwnMPB(src, srcLine, dstLine, lines int) {
+	checkCore("GetToOwnMPB", src, c.N())
 	c.rma.GetMPBToMPB(src, srcLine, dstLine, lines)
 }
 

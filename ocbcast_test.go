@@ -354,6 +354,39 @@ func TestAccessorMisuseNamesTheValue(t *testing.T) {
 	}
 }
 
+// TestPeerOutsideChipPanicsAtCall: a two-sided or one-sided call naming
+// a peer core outside the chip panics at the call with an ocbcast:
+// message naming the method and the core — not an index-out-of-range
+// from inside the simulator, nor a deadlock report for a receive nobody
+// can match.
+func TestPeerOutsideChipPanicsAtCall(t *testing.T) {
+	cases := []struct {
+		want string
+		call func(c *ocbcast.Core)
+	}{
+		{"ocbcast: Send: core 4 outside the 4-core chip", func(c *ocbcast.Core) { c.Send(4, 0, 1) }},
+		{"ocbcast: Send: core -1 outside the 4-core chip", func(c *ocbcast.Core) { c.Send(-1, 0, 1) }},
+		{"ocbcast: Recv: core 4 outside the 4-core chip", func(c *ocbcast.Core) { c.Recv(4, 0, 1) }},
+		{"ocbcast: PutToMPB: core 9 outside the 4-core chip", func(c *ocbcast.Core) { c.PutToMPB(9, 0, 0, 1) }},
+		{"ocbcast: GetFromMPB: core -2 outside the 4-core chip", func(c *ocbcast.Core) { c.GetFromMPB(-2, 0, 0, 1) }},
+		{"ocbcast: GetToOwnMPB: core 4 outside the 4-core chip", func(c *ocbcast.Core) { c.GetToOwnMPB(4, 0, 0, 1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.want, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); msg != tc.want {
+					t.Errorf("panicked with %q, want %q", msg, tc.want)
+				}
+			}()
+			ocbcast.New(ocbcast.Options{Cores: 4}).Run(func(c *ocbcast.Core) {
+				if c.ID() == 0 {
+					tc.call(c)
+				}
+			})
+		})
+	}
+}
+
 // TestPrivateMemoryLimit: a stray private-memory address is caught at the
 // call — a panic naming the core, the address and the limit — instead of
 // growing the page table to reach it (one byte at 16 GiB took 127 ms and
