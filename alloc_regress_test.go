@@ -31,14 +31,15 @@ import (
 // stack is one algsel.Env in a per-run slice). Allocations per public-API
 // op are the benchmark's allocs_per_op (bench/README.md).
 func TestAllocsPerBroadcastBudget(t *testing.T) {
-	cfg := scc.DefaultConfig()
-	run := func() {
-		harness.MeanLatency(cfg, harness.Alg{Name: "oc", K: 7}, scc.NumCores, 96, 1)
+	cell := harness.Cell{
+		Cfg: scc.DefaultConfig(), Op: algsel.OpBcast, Choice: algsel.Choice{Alg: "ocbcast"},
+		OC: occore.DefaultConfig(), Lines: 96, Reps: 1,
 	}
+	run := func() { harness.Grid([]harness.Cell{cell}) }
 	run() // warm the chip pool
 	allocs := testing.AllocsPerRun(5, run)
 	if allocs > 18 {
-		t.Errorf("warmed MeasureBcast allocates %.0f times per broadcast, budget 18", allocs)
+		t.Errorf("a warmed broadcast cell allocates %.0f times per broadcast, budget 18", allocs)
 	}
 	t.Logf("allocs per warmed broadcast: %.0f", allocs)
 }
@@ -49,9 +50,11 @@ func TestAllocsPerBroadcastBudget(t *testing.T) {
 // Measured 39 when the budget was set (53 with a port and an engine
 // object per core).
 func TestAllocsPerOverlapRun(t *testing.T) {
-	cfg := scc.DefaultConfig()
-	cell := harness.OverlapCell{K: 7, Lines: 64, Overlap: true}
-	run := func() { harness.MeasureOverlap(cfg, 8, cell) }
+	cell := harness.Cell{
+		Cfg: scc.DefaultConfig(), N: 8, Op: algsel.OpAllReduce, Choice: algsel.Choice{Alg: "oc"},
+		OC: occore.DefaultConfig(), Lines: 64, Reps: 1, Overlap: true,
+	}
+	run := func() { harness.Grid([]harness.Cell{cell}) }
 	run() // warm the chip pool
 	allocs := testing.AllocsPerRun(5, run)
 	if allocs > 49 {

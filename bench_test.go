@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algsel"
+	occore "repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/scc"
@@ -25,7 +27,7 @@ func cfg() scc.Config { return scc.DefaultConfig() }
 func BenchmarkFig3PutGet(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		tbl := harness.Fig3(cfg())
+		tbl := run(b, harness.Fig3, 1)[0]
 		// Last MPB get row at d=9, 16 CL: find it.
 		for _, r := range tbl.Rows {
 			if r[0] == "get mpb->mpb" && r[1] == "16" && r[2] == "9" {
@@ -41,10 +43,7 @@ func BenchmarkFig3PutGet(b *testing.B) {
 func BenchmarkTable1Calibration(b *testing.B) {
 	var lhop float64
 	for i := 0; i < b.N; i++ {
-		tbl, err := harness.Table1(cfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		tbl := run(b, harness.Table1, 1)[0]
 		lhop = parseF(b, tbl.Rows[0][2])
 	}
 	b.ReportMetric(lhop*1000, "ns-Lhop-fitted")
@@ -56,7 +55,7 @@ func BenchmarkTable1Calibration(b *testing.B) {
 func BenchmarkFig4Contention(b *testing.B) {
 	var avg47, spread float64
 	for i := 0; i < b.N; i++ {
-		tbl := harness.Fig4(cfg(), 25)
+		tbl := run(b, harness.Fig4, 1)[0]
 		for _, r := range tbl.Rows {
 			if r[0] == "get 128CL" && r[1] == "47" {
 				avg47 = parseF(b, r[2])
@@ -75,7 +74,7 @@ func BenchmarkFig6Model(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mdl := model.New(cfg().Params)
 		v = mdl.OCBcastLatency(model.DefaultBcastParams(), 96, 7).Microseconds()
-		_ = harness.Fig6(cfg())
+		run(b, harness.Fig6, 1)
 	}
 	b.ReportMetric(v, "µs-model-k7@96CL")
 }
@@ -89,7 +88,7 @@ func BenchmarkTable2Model(b *testing.B) {
 		bp := model.DefaultBcastParams()
 		oc = model.LinesPerSecToMBps(mdl.OCBcastThroughput(bp))
 		sag = model.LinesPerSecToMBps(mdl.SAGThroughput(bp))
-		_ = harness.Table2(cfg())
+		run(b, harness.Table2, 1)
 	}
 	b.ReportMetric(oc, "MB/s-ocbcast")
 	b.ReportMetric(sag, "MB/s-scatterAG")
@@ -101,8 +100,8 @@ func BenchmarkTable2Model(b *testing.B) {
 func BenchmarkFig8aLatency(b *testing.B) {
 	var oc, bin float64
 	for i := 0; i < b.N; i++ {
-		oc = harness.MeanLatency(cfg(), harness.Alg{Name: "oc", K: 7}, scc.NumCores, 1, 3)
-		bin = harness.MeanLatency(cfg(), harness.Alg{Name: "binomial"}, scc.NumCores, 1, 3)
+		lat := harness.Grid([]harness.Cell{bcast("ocbcast", 1, 3), bcast("binomial", 1, 3)})
+		oc, bin = lat[0], lat[1]
 	}
 	b.ReportMetric(oc, "µs-ocbcast-1CL")
 	b.ReportMetric(bin, "µs-binomial-1CL")
@@ -116,10 +115,8 @@ func BenchmarkFig8bThroughput(b *testing.B) {
 	var oc, sag float64
 	for i := 0; i < b.N; i++ {
 		const lines = 8192
-		oc = harness.ThroughputMBps(lines,
-			harness.MeanLatency(cfg(), harness.Alg{Name: "oc", K: 7}, scc.NumCores, lines, 2))
-		sag = harness.ThroughputMBps(lines,
-			harness.MeanLatency(cfg(), harness.Alg{Name: "sag"}, scc.NumCores, lines, 2))
+		lat := harness.Grid([]harness.Cell{bcast("ocbcast", lines, 2), bcast("sag", lines, 2)})
+		oc, sag = harness.ThroughputMBps(lines, lat[0]), harness.ThroughputMBps(lines, lat[1])
 	}
 	b.ReportMetric(oc, "MB/s-ocbcast")
 	b.ReportMetric(sag, "MB/s-scatterAG")
@@ -132,7 +129,7 @@ func BenchmarkFig8bThroughput(b *testing.B) {
 func BenchmarkMeshStress(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		tbl := harness.MeshStress(cfg(), 10)
+		tbl := run(b, harness.MeshStress, 1)[0]
 		free := parseF(b, tbl.Rows[0][1])
 		loaded := parseF(b, tbl.Rows[1][1])
 		ratio = loaded / free
@@ -145,7 +142,7 @@ func BenchmarkMeshStress(b *testing.B) {
 func BenchmarkAblationNotification(b *testing.B) {
 	var bin, seq float64
 	for i := 0; i < b.N; i++ {
-		tbl := harness.AblationNotification(cfg(), 1)
+		tbl := run(b, harness.Ablations, 1)[1]
 		last := len(tbl.Rows) - 1
 		bin = parseF(b, tbl.Rows[last][1])
 		seq = parseF(b, tbl.Rows[last][2])
@@ -158,7 +155,7 @@ func BenchmarkAblationNotification(b *testing.B) {
 func BenchmarkAblationBuffering(b *testing.B) {
 	var double, single float64
 	for i := 0; i < b.N; i++ {
-		tbl := harness.AblationBuffering(cfg(), 1)
+		tbl := run(b, harness.Ablations, 1)[0]
 		double = parseF(b, tbl.Rows[0][1])
 		single = parseF(b, tbl.Rows[1][1])
 	}
@@ -173,8 +170,12 @@ func BenchmarkFigAllReduce(b *testing.B) {
 	var oc, two float64
 	for i := 0; i < b.N; i++ {
 		const lines = 256 // 8 KiB
-		oc = harness.MeanAllReduce(cfg(), harness.VariantOC, 7, scc.NumCores, lines, 2)
-		two = harness.MeanAllReduce(cfg(), harness.VariantTwoSided, 7, scc.NumCores, lines, 2)
+		cell := func(alg string) harness.Cell {
+			return harness.Cell{Cfg: cfg(), Op: algsel.OpAllReduce, Choice: algsel.Choice{Alg: alg},
+				OC: occore.DefaultConfig(), Lines: lines, Reps: 2}
+		}
+		lat := harness.Grid([]harness.Cell{cell("oc"), cell("twosided")})
+		oc, two = lat[0], lat[1]
 	}
 	b.ReportMetric(oc, "µs-oc-allreduce-8KiB")
 	b.ReportMetric(two, "µs-twosided-8KiB")
@@ -199,23 +200,51 @@ func BenchmarkOCReduceModel(b *testing.B) {
 // result and bookkeeping values outside the simulation proper (budget
 // pinned at 18 by TestAllocsPerBroadcastBudget).
 func BenchmarkEngineThroughput(b *testing.B) {
+	cells := []harness.Cell{bcast("ocbcast", 96, 1)}
 	for i := 0; i < b.N; i++ {
-		harness.MeanLatency(cfg(), harness.Alg{Name: "oc", K: 7}, scc.NumCores, 96, 1)
+		harness.Grid(cells)
 	}
 }
 
 // BenchmarkSweepParallel measures the parallel experiment harness: a
 // Fig8a-style (size × algorithm) grid sharded across GOMAXPROCS workers
-// by MeanLatencyGrid, one independent chip per cell. Compare against
+// by harness.Grid, one independent chip per cell. Compare against
 // GOMAXPROCS=1 for the sharding speedup; simulated outputs are identical
-// either way (see harness.TestGoldenSequentialVsParallel).
+// either way (see harness.TestTablesEffort1). The workload is fixed
+// (including its repetition count) so cross-commit comparisons measure
+// hot-path changes only.
 func BenchmarkSweepParallel(b *testing.B) {
-	cells := harness.DefaultSweepCells()
+	var cells []harness.Cell
+	for _, lines := range []int{1, 16, 48, 96} {
+		for _, k := range []int{2, 7, 47} {
+			c := bcast("ocbcast", lines, 2)
+			c.OC.K = k
+			cells = append(cells, c)
+		}
+		cells = append(cells, bcast("binomial", lines, 2))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harness.MeanLatencyGrid(cfg(), scc.NumCores, cells)
+		harness.Grid(cells)
 	}
 	b.ReportMetric(float64(len(cells)), "cells")
+}
+
+// run runs a registered experiment's function on the default chip.
+func run(b *testing.B, exp func(scc.Config, int) ([]*harness.Table, error), effort int) []*harness.Table {
+	b.Helper()
+	tbls, err := exp(cfg(), effort)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tbls
+}
+
+// bcast is a 48-core broadcast cell of a registered algorithm, at the
+// paper's one-sided configuration (k = 7).
+func bcast(alg string, lines, reps int) harness.Cell {
+	return harness.Cell{Cfg: cfg(), Op: algsel.OpBcast, Choice: algsel.Choice{Alg: alg},
+		OC: occore.DefaultConfig(), Lines: lines, Reps: reps}
 }
 
 func parseF(b *testing.B, s string) float64 {

@@ -1,27 +1,32 @@
 package harness
 
 import (
-	"fmt"
-
+	"repro/internal/algsel"
 	occore "repro/internal/core"
 	"repro/internal/scc"
 )
 
-// AblationBuffering compares double buffering (2×96-line chunks) with the
-// single-buffer variant (1×192-line chunks) the paper describes replacing
-// (§4.2): latency at the 192-line buffer-filling point and throughput on
-// a pipeline-filling message.
-func AblationBuffering(cfg scc.Config, reps int) *Table {
-	double := occore.Config{K: 7, BufLines: 96, DoubleBuffer: true}
-	single := occore.Config{K: 7, BufLines: 192, DoubleBuffer: false}
+// Ablations renders the design ablations: double vs single buffering,
+// binary vs sequential notification, the fan-out sweep, the baseline
+// ladder and the two §5.4 optimizations the paper leaves out. Each table
+// is one grid of 48-core broadcasts, root 0.
+func Ablations(cfg scc.Config, effort int) ([]*Table, error) {
+	// ablate measures every row's broadcast at every size: latency cells
+	// at effort repetitions, throughput cells (≥ 4096 CL) at 2.
+	ablate := func(rows []Cell, sizes ...int) [][]float64 {
+		return sweep(len(rows), len(sizes), func(r, c int) Cell {
+			if sizes[c] >= 4096 {
+				return rows[r].sized(sizes[c], 2)
+			}
+			return rows[r].sized(sizes[c], effort)
+		})
+	}
+	oc := func(k int) Cell { return newCell(cfg, algsel.OpBcast, "ocbcast", k) }
+	base := func(alg string) Cell { return newCell(cfg, algsel.OpBcast, alg, 0) }
 
-	latD := MeanLatency(cfg, Alg{Name: "oc", OCConfig: &double}, scc.NumCores, 192, reps)
-	latS := MeanLatency(cfg, Alg{Name: "oc", OCConfig: &single}, scc.NumCores, 192, reps)
-	const big = 4096
-	thD := ThroughputMBps(big, MeanLatency(cfg, Alg{Name: "oc", OCConfig: &double}, scc.NumCores, big, 2))
-	thS := ThroughputMBps(big, MeanLatency(cfg, Alg{Name: "oc", OCConfig: &single}, scc.NumCores, big, 2))
-
-	tbl := &Table{
+	// §4.2: double buffering (2×96-line chunks) against the single-buffer
+	// variant (1×192) the paper describes replacing.
+	buffering := &Table{
 		Title:   "Ablation — double buffering (2×96) vs single buffer (1×192), k = 7",
 		Columns: []string{"variant", "latency @192CL (µs)", "throughput @4096CL (MB/s)"},
 		Notes: []string{
@@ -29,37 +34,36 @@ func AblationBuffering(cfg scc.Config, reps int) *Table {
 			"second half with the children's pull of the first.",
 		},
 	}
-	tbl.AddRow("double buffer", fmt.Sprintf("%.2f", latD), fmt.Sprintf("%.2f", thD))
-	tbl.AddRow("single buffer", fmt.Sprintf("%.2f", latS), fmt.Sprintf("%.2f", thS))
-	return tbl
-}
+	single := oc(7)
+	single.OC.BufLines, single.OC.DoubleBuffer = 192, false
+	lat := ablate([]Cell{oc(7), single}, 192, 4096)
+	buffering.AddRow("double buffer", lat[0][0], ThroughputMBps(4096, lat[0][1]))
+	buffering.AddRow("single buffer", lat[1][0], ThroughputMBps(4096, lat[1][1]))
 
-// AblationNotification compares the binary notification tree with naive
-// sequential notification by the parent (§4.1's design argument: "It can
-// be shown analytically that a binary tree provides the lowest
-// notification latency").
-func AblationNotification(cfg scc.Config, reps int) *Table {
-	tbl := &Table{
+	// §4.1: "It can be shown analytically that a binary tree provides the
+	// lowest notification latency" — against the parent notifying each
+	// child in turn.
+	notification := &Table{
 		Title:   "Ablation — binary notification tree vs sequential notification",
 		Columns: []string{"k", "binary tree (µs)", "sequential (µs)"},
 		Notes:   []string{"1-CL broadcast latency on 48 cores, root 0."},
 	}
-	for _, k := range []int{7, 16, 24, 47} {
-		bin := occore.Config{K: k, BufLines: 96, DoubleBuffer: true}
-		seq := bin
-		seq.SequentialNotify = true
-		lb := MeanLatency(cfg, Alg{Name: "oc", OCConfig: &bin}, scc.NumCores, 1, reps)
-		ls := MeanLatency(cfg, Alg{Name: "oc", OCConfig: &seq}, scc.NumCores, 1, reps)
-		tbl.AddRow(fmt.Sprint(k), fmt.Sprintf("%.2f", lb), fmt.Sprintf("%.2f", ls))
+	ks := []int{7, 16, 24, 47}
+	var rows []Cell
+	for _, k := range ks {
+		seq := oc(k)
+		seq.OC.SequentialNotify = true
+		rows = append(rows, oc(k), seq)
 	}
-	return tbl
-}
+	lat = ablate(rows, 1)
+	for i, k := range ks {
+		notification.AddRow(k, lat[2*i][0], lat[2*i+1][0])
+	}
 
-// KSweep sweeps the fan-out k, the paper's central tuning knob: small-
-// message latency (depth vs polling trade-off) and large-message
-// throughput (contention at high k).
-func KSweep(cfg scc.Config, reps int) *Table {
-	tbl := &Table{
+	// The fan-out k is the paper's central tuning knob: small-message
+	// latency (depth vs polling) and large-message throughput (contention
+	// at high k).
+	kSweep := &Table{
 		Title:   "k sweep — OC-Bcast latency and throughput vs fan-out, P = 48",
 		Columns: []string{"k", "depth", "lat @1CL (µs)", "lat @96CL (µs)", "thr @4096CL (MB/s)"},
 		Notes: []string{
@@ -67,39 +71,28 @@ func KSweep(cfg scc.Config, reps int) *Table {
 			"MPB contention; large k pays root-side polling at small sizes.",
 		},
 	}
-	for _, k := range []int{2, 3, 5, 7, 11, 16, 24, 32, 47} {
-		a := Alg{Name: "oc", K: k}
-		l1 := MeanLatency(cfg, a, scc.NumCores, 1, reps)
-		l96 := MeanLatency(cfg, a, scc.NumCores, 96, reps)
-		th := ThroughputMBps(4096, MeanLatency(cfg, a, scc.NumCores, 4096, 2))
-		tbl.AddRow(fmt.Sprint(k), fmt.Sprint(occore.TreeDepth(scc.NumCores, k)),
-			fmt.Sprintf("%.2f", l1), fmt.Sprintf("%.2f", l96), fmt.Sprintf("%.2f", th))
+	ks = []int{2, 3, 5, 7, 11, 16, 24, 32, 47}
+	rows = nil
+	for _, k := range ks {
+		rows = append(rows, oc(k))
 	}
-	return tbl
-}
+	for i, l := range ablate(rows, 1, 96, 4096) {
+		kSweep.AddRow(ks[i], occore.TreeDepth(scc.NumCores, ks[i]), l[0], l[1], ThroughputMBps(4096, l[2]))
+	}
 
-// AblationNaive adds the linear baseline, quantifying what trees buy.
-func AblationNaive(cfg scc.Config, reps int) *Table {
-	tbl := &Table{
+	// The linear baseline quantifies what trees buy.
+	ladder := &Table{
 		Title:   "Baseline ladder — 16-CL broadcast latency, P = 48",
 		Columns: []string{"algorithm", "latency (µs)"},
 	}
-	for _, a := range []Alg{
-		{Name: "naive"},
-		{Name: "binomial"},
-		{Name: "sag"},
-		{Name: "oc", K: 7},
-	} {
-		tbl.AddRow(a.Label(), fmt.Sprintf("%.2f", MeanLatency(cfg, a, scc.NumCores, 16, reps)))
+	names := []string{"naive", "binomial", "sag", "OC-Bcast k=7"}
+	for i, l := range ablate([]Cell{base("naive"), base("binomial"), base("sag"), oc(7)}, 16) {
+		ladder.AddRow(names[i], l[0])
 	}
-	return tbl
-}
 
-// AblationOneSided quantifies the two §5.4 improvements the paper
-// sketches but leaves out: the one-sided scatter-allgather and the
-// leaf-direct OC-Bcast variant.
-func AblationOneSided(cfg scc.Config, reps int) *Table {
-	tbl := &Table{
+	// §5.4 sketches two improvements: the one-sided scatter-allgather and
+	// the leaf-direct OC-Bcast.
+	oneSided := &Table{
 		Title:   "§5.4 optimizations — one-sided s-ag and leaf-direct OC-Bcast",
 		Columns: []string{"algorithm", "thr @8192CL (MB/s)", "lat @96CL (µs)"},
 		Notes: []string{
@@ -108,22 +101,11 @@ func AblationOneSided(cfg scc.Config, reps int) *Table {
 			"to copy the data to its MPB\" removes one MPB pass per chunk.",
 		},
 	}
-	leafDirect := occore.DefaultConfig()
-	leafDirect.LeafDirect = true
-	for _, a := range []Alg{
-		{Name: "sag"},
-		{Name: "sag1s"},
-		{Name: "oc", K: 7},
-		{Name: "oc", OCConfig: &leafDirect},
-	} {
-		label := a.Label()
-		if a.OCConfig != nil {
-			label = "OC-Bcast k=7 leaf-direct"
-		}
-		const big = 8192
-		thr := ThroughputMBps(big, MeanLatency(cfg, a, scc.NumCores, big, 2))
-		lat := MeanLatency(cfg, a, scc.NumCores, 96, reps)
-		tbl.AddRow(label, fmt.Sprintf("%.2f", thr), fmt.Sprintf("%.2f", lat))
+	leafDirect := oc(7)
+	leafDirect.OC.LeafDirect = true
+	names = []string{"sag", "sag1s", "OC-Bcast k=7", "OC-Bcast k=7 leaf-direct"}
+	for i, l := range ablate([]Cell{base("sag"), base("sag1s"), oc(7), leafDirect}, 8192, 96) {
+		oneSided.AddRow(names[i], ThroughputMBps(8192, l[0]), l[1])
 	}
-	return tbl
+	return []*Table{buffering, notification, kSweep, ladder, oneSided}, nil
 }

@@ -64,28 +64,12 @@ func TestAlgorithmModelsTrackSimulation(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s/%s: no tuned choice", pt.op, pt.name)
 		}
-		sim := mean(MeasureAlg(cfg, alg, ch, p, pt.lines, 1))
+		sim := mean(measure(Cell{Cfg: cfg, Op: pt.op, Choice: ch, OC: base, Lines: pt.lines, Reps: 1}))
 		mod := alg.Model(mdl, topo, p, pt.lines, ch).Microseconds()
 		errPct := 100 * (mod - sim) / sim
 		if math.Abs(errPct) > pt.tolPct {
 			t.Errorf("%s/%s %s at %d CL: sim %.2f µs, model %.2f µs (%+.1f%%, tol %.0f%%)",
 				pt.op, pt.name, ch, pt.lines, sim, mod, errPct, pt.tolPct)
-		}
-	}
-}
-
-// TestMeasureAlgMatchesVariantRunner pins the registry-driven runner to
-// the dedicated allreduce runner: same chip staging, same methodology,
-// same simulated latencies for the variants both can express.
-func TestMeasureAlgMatchesVariantRunner(t *testing.T) {
-	cfg := scc.DefaultConfig()
-	const lines, reps = 32, 2
-	oc, _ := algsel.Lookup(algsel.OpAllReduce, "oc")
-	got := MeasureAlg(cfg, oc, algsel.Choice{Alg: "oc", K: 7, ChunkLines: 96}, scc.NumCores, lines, reps)
-	want := MeasureAllReduce(cfg, VariantOC, 7, scc.NumCores, lines, reps)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("rep %d: MeasureAlg %v µs != MeasureAllReduce %v µs", i, got[i], want[i])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -11,10 +10,11 @@ import (
 
 // Golden determinism tests for the fig-apps replay path: a kernel's
 // whole-application makespan is a pure function of (trace, mesh,
-// algorithm mode) — independent of repetition, of ParallelMap sharding,
-// and of the host's GOMAXPROCS — and the 48-core SGD default is pinned
-// to the exact simulated value so any timing drift in the replay stack
-// surfaces as a diff, not a flake.
+// algorithm mode) — independent of repetition (and, through
+// TestTablesEffort1, of ParallelMap sharding and the host's GOMAXPROCS)
+// — and the 48-core SGD default is pinned to the exact simulated value
+// so any timing drift in the replay stack surfaces as a diff, not a
+// flake.
 
 // TestReplayKernelsDeterministic replays every 48-core kernel twice
 // through the public path and twice through the pooled-chip path: both
@@ -33,38 +33,6 @@ func TestReplayKernelsDeterministic(t *testing.T) {
 	b := ReplayChip(cfg, 8, small.Trace)
 	if a != b {
 		t.Errorf("pooled replay not deterministic: %v vs %v µs", a, b)
-	}
-}
-
-// TestAppsSweepShardingInvariance pins the harness-wide ParallelMap
-// contract for the apps sweep: the sharded sweep's cells equal the same
-// measurements taken sequentially on a single-proc host, bit for bit.
-func TestAppsSweepShardingInvariance(t *testing.T) {
-	cfg := scc.DefaultConfig()
-	par := AppsSweep(cfg, 1)
-	topo := AppsMeshes(1)[0] // the quick tier sweeps one mesh
-
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	for _, p := range par {
-		var tr *workload.Trace
-		if p.Mesh != meshName(topo) || p.Cores != topo.NumCores() {
-			t.Fatalf("sweep cell on %s (%d cores), want %s", p.Mesh, p.Cores, topo)
-		}
-		for _, k := range workload.Kernels(p.Cores) {
-			if k.Name == p.Kernel {
-				tr = k.Trace
-			}
-		}
-		if tr == nil {
-			t.Fatalf("sweep reported unknown kernel %q", p.Kernel)
-		}
-		if seq := MeasureApp(cfg, topo, tr, ""); seq != p.DefaultUs {
-			t.Errorf("%s default: parallel %v vs sequential %v µs", p.Kernel, p.DefaultUs, seq)
-		}
-		if seq := MeasureApp(cfg, topo, tr, "auto"); seq != p.AutoUs {
-			t.Errorf("%s auto: parallel %v vs sequential %v µs", p.Kernel, p.AutoUs, seq)
-		}
 	}
 }
 

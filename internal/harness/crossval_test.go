@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/algsel"
 	"repro/internal/model"
 	"repro/internal/scc"
 )
@@ -17,19 +18,19 @@ func TestModelSimulationCrossValidation(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	mdl := model.New(cfg.Params)
 	bp := model.DefaultBcastParams()
-	var cells []LatencyCell
+	var cells []Cell
 	for _, k := range []int{2, 7} {
 		for _, lines := range []int{1, 16, 96, 192} {
-			cells = append(cells, LatencyCell{Alg: Alg{Name: "oc", K: k}, Lines: lines, Reps: 2})
+			cells = append(cells, newCell(cfg, algsel.OpBcast, "ocbcast", k).sized(lines, 2))
 		}
 	}
-	sims := MeanLatencyGrid(cfg, scc.NumCores, cells)
+	sims := Grid(cells)
 	for i, c := range cells {
-		pred := mdl.OCBcastLatency(bp, c.Lines, c.Alg.K).Microseconds()
+		pred := mdl.OCBcastLatency(bp, c.Lines, c.OC.K).Microseconds()
 		ratio := sims[i] / pred
 		if ratio < 0.9 || ratio > 1.8 {
 			t.Errorf("k=%d m=%d: sim %.2fµs vs model %.2fµs (ratio %.2f outside [0.9,1.8])",
-				c.Alg.K, c.Lines, sims[i], pred, ratio)
+				c.OC.K, c.Lines, sims[i], pred, ratio)
 		}
 	}
 }
@@ -41,7 +42,7 @@ func TestModelSimulationThroughputCrossValidation(t *testing.T) {
 	mdl := model.New(cfg.Params)
 	pred := model.LinesPerSecToMBps(mdl.OCBcastThroughput(model.DefaultBcastParams()))
 	const lines = 8192
-	meas := ThroughputMBps(lines, MeanLatency(cfg, Alg{Name: "oc", K: 7}, scc.NumCores, lines, 2))
+	meas := ThroughputMBps(lines, Grid([]Cell{newCell(cfg, algsel.OpBcast, "ocbcast", 7).sized(lines, 2)})[0])
 	if meas < 0.85*pred || meas > 1.05*pred {
 		t.Errorf("measured peak %.2f MB/s vs Formula 15's %.2f MB/s (outside [0.85,1.05])", meas, pred)
 	}
@@ -55,19 +56,19 @@ func TestOCReduceModelCrossValidation(t *testing.T) {
 	cfg.Contention.Enabled = false
 	mdl := model.New(cfg.Params)
 	rp := model.DefaultReduceParams()
-	var cells []AllReduceCell
+	var cells []Cell
 	for _, k := range []int{2, 3, 7} {
 		for _, lines := range []int{1, 16, 96, 256, 1024} {
-			cells = append(cells, AllReduceCell{Variant: VariantOC, K: k, Lines: lines, Reps: 2, ReduceOnly: true})
+			cells = append(cells, newCell(cfg, algsel.OpReduce, "oc", k).sized(lines, 2))
 		}
 	}
-	sims := MeanAllReduceGrid(cfg, scc.NumCores, cells)
+	sims := Grid(cells)
 	for i, c := range cells {
-		pred := mdl.OCReduceLatency(rp, c.Lines, c.K).Microseconds()
+		pred := mdl.OCReduceLatency(rp, c.Lines, c.OC.K).Microseconds()
 		ratio := sims[i] / pred
 		if ratio < 0.85 || ratio > 1.15 {
 			t.Errorf("reduce k=%d m=%d: sim %.2fµs vs model %.2fµs (ratio %.2f outside [0.85,1.15])",
-				c.K, c.Lines, sims[i], pred, ratio)
+				c.OC.K, c.Lines, sims[i], pred, ratio)
 		}
 	}
 }
@@ -78,19 +79,19 @@ func TestOCAllReduceModelCrossValidation(t *testing.T) {
 	cfg.Contention.Enabled = false
 	mdl := model.New(cfg.Params)
 	rp := model.DefaultReduceParams()
-	var cells []AllReduceCell
+	var cells []Cell
 	for _, k := range []int{2, 3, 7} {
 		for _, lines := range []int{1, 96, 1024} {
-			cells = append(cells, AllReduceCell{Variant: VariantOC, K: k, Lines: lines, Reps: 2})
+			cells = append(cells, newCell(cfg, algsel.OpAllReduce, "oc", k).sized(lines, 2))
 		}
 	}
-	sims := MeanAllReduceGrid(cfg, scc.NumCores, cells)
+	sims := Grid(cells)
 	for i, c := range cells {
-		pred := mdl.OCAllReduceLatency(rp, c.Lines, c.K).Microseconds()
+		pred := mdl.OCAllReduceLatency(rp, c.Lines, c.OC.K).Microseconds()
 		ratio := sims[i] / pred
 		if ratio < 0.85 || ratio > 1.15 {
 			t.Errorf("allreduce k=%d m=%d: sim %.2fµs vs model %.2fµs (ratio %.2f outside [0.85,1.15])",
-				c.K, c.Lines, sims[i], pred, ratio)
+				c.OC.K, c.Lines, sims[i], pred, ratio)
 		}
 	}
 }
@@ -100,13 +101,18 @@ func TestOCAllReduceModelCrossValidation(t *testing.T) {
 // Reduce+Bcast composition for every measured fan-out.
 func TestAllReduceOneSidedBeatsTwoSided(t *testing.T) {
 	cfg := scc.DefaultConfig()
-	for _, lines := range []int{256, 1024} { // 8 KiB, 32 KiB
-		two := MeanAllReduce(cfg, VariantTwoSided, 7, scc.NumCores, lines, 2)
-		for _, k := range []int{2, 3, 7} {
-			oc := MeanAllReduce(cfg, VariantOC, k, scc.NumCores, lines, 2)
-			if oc >= two {
+	sizes, ks := []int{256, 1024}, []int{2, 3, 7} // 8 KiB, 32 KiB
+	lat := sweep(len(sizes), 1+len(ks), func(r, c int) Cell {
+		if c == 0 {
+			return newCell(cfg, algsel.OpAllReduce, "twosided", 0).sized(sizes[r], 2)
+		}
+		return newCell(cfg, algsel.OpAllReduce, "oc", ks[c-1]).sized(sizes[r], 2)
+	})
+	for r, row := range lat {
+		for c, oc := range row[1:] {
+			if oc >= row[0] {
 				t.Errorf("m=%d k=%d: OC-AllReduce %.2fµs not faster than two-sided %.2fµs",
-					lines, k, oc, two)
+					sizes[r], ks[c], oc, row[0])
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func coreAtMPBDistance(d int) (int, bool) {
 // analytic model (Model). MPB↔MPB ops sweep distances 1–9; memory ops
 // sweep memory-controller distances 1–4, operating on the core's own MPB
 // — exactly the paper's four panels.
-func Fig3(cfg scc.Config) *Table {
+func Fig3(cfg scc.Config, effort int) ([]*Table, error) {
 	cfg.Contention.Enabled = false // §3.2 measures contention-free ops
 	cfg.CacheEnabled = false
 	mdl := model.New(cfg.Params)
@@ -118,5 +118,5 @@ func Fig3(cfg scc.Config) *Table {
 			addRow("get mpb->mem", n, d, getT, mdl.CMemGet(n, 1, d))
 		}
 	}
-	return tbl
+	return []*Table{tbl}, nil
 }

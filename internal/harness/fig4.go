@@ -15,13 +15,12 @@ var Fig4Counts = []int{1, 2, 4, 6, 8, 12, 16, 24, 32, 40, 48}
 // Fig4 regenerates Figure 4: average and per-core spread of completion
 // times when N cores concurrently (a) get 128 cache lines from core 0's
 // MPB and (b) put 1 cache line into it, looping `iters` iterations to
-// reach the steady state the paper averages over. The paper's finding:
-// no measurable contention up to ~24 accessors, then a knee, with the
-// slowest core >2× the fastest for gets and >4× for puts at 48.
-func Fig4(cfg scc.Config, iters int) *Table {
-	if iters <= 0 {
-		iters = 50
-	}
+// reach the steady state the paper averages over (25 per unit of
+// effort). The paper's finding: no measurable contention up to ~24
+// accessors, then a knee, with the slowest core >2× the fastest for gets
+// and >4× for puts at 48.
+func Fig4(cfg scc.Config, effort int) ([]*Table, error) {
+	iters := 25 * effort
 	tbl := &Table{
 		Title:   "Figure 4 — MPB contention: concurrent access to core 0's MPB (µs)",
 		Columns: []string{"op", "cores", "avg", "fastest", "slowest", "slow/fast"},
@@ -34,6 +33,7 @@ func Fig4(cfg scc.Config, iters int) *Table {
 
 	// Each (op, accessor-count) cell simulates on its own chip, so the
 	// cells shard across ParallelMap workers; rows keep the sweep order.
+	// With core 0 the target, at most the 47 other cores can access it.
 	type cell struct {
 		op   string
 		n    int
@@ -41,7 +41,7 @@ func Fig4(cfg scc.Config, iters int) *Table {
 	}
 	var cells []cell
 	for _, n := range Fig4Counts {
-		cells = append(cells, cell{"get 128CL", ncoresCap(n), func(c *rma.Core) float64 {
+		cells = append(cells, cell{"get 128CL", min(n, scc.NumCores-1), func(c *rma.Core) float64 {
 			var total float64
 			for it := 0; it < iters; it++ {
 				t0 := c.Now()
@@ -52,7 +52,7 @@ func Fig4(cfg scc.Config, iters int) *Table {
 		}})
 	}
 	for _, n := range Fig4Counts {
-		cells = append(cells, cell{"put 1CL", ncoresCap(n), func(c *rma.Core) float64 {
+		cells = append(cells, cell{"put 1CL", min(n, scc.NumCores-1), func(c *rma.Core) float64 {
 			var total float64
 			for it := 0; it < iters; it++ {
 				t0 := c.Now()
@@ -86,5 +86,5 @@ func Fig4(cfg scc.Config, iters int) *Table {
 			fmt.Sprintf("%.2f", s.Max/s.Min),
 		}
 	})
-	return tbl
+	return []*Table{tbl}, nil
 }

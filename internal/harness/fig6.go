@@ -16,7 +16,7 @@ var Fig6Sizes = []int{1, 4, 8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 1
 // Fig6 regenerates Figure 6 (and its 6b zoom): the *modeled* broadcast
 // latency of OC-Bcast (k = 2, 7, 47) versus the RCCE_comm binomial tree,
 // from the analytical model only — no simulation.
-func Fig6(cfg scc.Config) *Table {
+func Fig6(cfg scc.Config, effort int) ([]*Table, error) {
 	mdl := model.New(cfg.Params)
 	bp := model.DefaultBcastParams()
 
@@ -38,13 +38,13 @@ func Fig6(cfg scc.Config) *Table {
 		row = append(row, fmt.Sprintf("%.2f", mdl.BinomialLatency(bp, n).Microseconds()))
 		tbl.Rows = append(tbl.Rows, row)
 	}
-	return tbl
+	return []*Table{tbl}, nil
 }
 
 // Table2 regenerates the paper's Table 2: modeled peak broadcast
 // throughput in MB/s for OC-Bcast (k-independent, Formula 15) and
 // two-sided scatter-allgather (Formula 16).
-func Table2(cfg scc.Config) *Table {
+func Table2(cfg scc.Config, effort int) ([]*Table, error) {
 	mdl := model.New(cfg.Params)
 	bp := model.DefaultBcastParams()
 	oc := model.LinesPerSecToMBps(mdl.OCBcastThroughput(bp))
@@ -62,5 +62,5 @@ func Table2(cfg scc.Config) *Table {
 	tbl.AddRow("OC-Bcast, k=7", fmt.Sprintf("%.2f", oc))
 	tbl.AddRow("OC-Bcast, k=47", fmt.Sprintf("%.2f", oc))
 	tbl.AddRow("scatter-allgather", fmt.Sprintf("%.2f", sag))
-	return tbl
+	return []*Table{tbl}, nil
 }

@@ -3,17 +3,38 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/algsel"
 	"repro/internal/scc"
 )
+
+// fig8 fills one panel of Figure 8: the paper's OC-Bcast at k = 2, 7 and
+// 47 against a baseline broadcast on 48 cores, root 0, one row per size
+// of value(lines, mean latency).
+func fig8(cfg scc.Config, tbl *Table, baseline string, sizes []int, reps func(lines int) int,
+	value func(lines int, us float64) float64) []*Table {
+	cols := []Cell{
+		newCell(cfg, algsel.OpBcast, "ocbcast", 2), newCell(cfg, algsel.OpBcast, "ocbcast", 7),
+		newCell(cfg, algsel.OpBcast, "ocbcast", 47), newCell(cfg, algsel.OpBcast, baseline, 0),
+	}
+	lat := sweep(len(sizes), len(cols), func(r, c int) Cell { return cols[c].sized(sizes[r], reps(sizes[r])) })
+	for i, lines := range sizes {
+		row := []string{fmt.Sprint(lines)}
+		for _, us := range lat[i] {
+			row = append(row, fmt.Sprintf("%.2f", value(lines, us)))
+		}
+		tbl.Rows = append(tbl.Rows, row)
+	}
+	return []*Table{tbl}
+}
 
 // Fig8aSizes is the x-axis of Figure 8a (small messages, ≤ 2·Moc lines).
 var Fig8aSizes = []int{1, 8, 16, 32, 48, 64, 80, 96, 97, 112, 128, 160, 192}
 
 // Fig8a regenerates Figure 8a: *measured* (simulated) broadcast latency
 // of OC-Bcast (k = 2, 7, 47) versus the RCCE_comm binomial tree on 48
-// cores, root 0.
-func Fig8a(cfg scc.Config, reps int) *Table {
-	tbl := &Table{
+// cores, root 0, at 2 repetitions per unit of effort.
+func Fig8a(cfg scc.Config, effort int) ([]*Table, error) {
+	return fig8(cfg, &Table{
 		Title:   "Figure 8a — measured broadcast latency (µs), P = 48, root 0",
 		Columns: []string{"CL", "k=2", "k=7", "k=47", "binomial"},
 		Notes: []string{
@@ -21,23 +42,7 @@ func Fig8a(cfg scc.Config, reps int) *Table {
 			"on. Paper shape: OC-Bcast wins at every size (>=27% at 1 CL);",
 			"k=7 ~ k=47 (MPB contention erases the model's k=47 edge).",
 		},
-	}
-	algs := []Alg{{Name: "oc", K: 2}, {Name: "oc", K: 7}, {Name: "oc", K: 47}, {Name: "binomial"}}
-	var cells []LatencyCell
-	for _, lines := range Fig8aSizes {
-		for _, a := range algs {
-			cells = append(cells, LatencyCell{Alg: a, Lines: lines, Reps: reps})
-		}
-	}
-	lat := MeanLatencyGrid(cfg, scc.NumCores, cells)
-	for si, lines := range Fig8aSizes {
-		row := []string{fmt.Sprint(lines)}
-		for ai := range algs {
-			row = append(row, fmt.Sprintf("%.2f", lat[si*len(algs)+ai]))
-		}
-		tbl.Rows = append(tbl.Rows, row)
-	}
-	return tbl
+	}, "binomial", Fig8aSizes, func(int) int { return 2 * effort }, func(_ int, us float64) float64 { return us }), nil
 }
 
 // Fig8bSizes is the log-spaced x-axis of Figure 8b (1 CL .. 32768 CL = 1 MiB).
@@ -48,8 +53,14 @@ var Fig8bSizes = []int{1, 4, 16, 64, 96, 97, 128, 256, 512, 1024, 2048, 4096, 81
 // message size. Expected shape: OC-Bcast's curve saturates near the
 // Table 2 prediction (~3× scatter-allgather's peak), with a visible dip
 // at 97 CL (a full 96-line chunk plus a 1-line chunk).
-func Fig8b(cfg scc.Config, reps int) *Table {
-	tbl := &Table{
+func Fig8b(cfg scc.Config, effort int) ([]*Table, error) {
+	reps := func(lines int) int {
+		if lines >= 8192 {
+			return min(1+effort, 2) // large sizes are slow to simulate and low variance
+		}
+		return 1 + effort
+	}
+	return fig8(cfg, &Table{
 		Title:   "Figure 8b — measured broadcast throughput (MB/s), P = 48, root 0",
 		Columns: []string{"CL", "k=2", "k=7", "k=47", "s-ag"},
 		Notes: []string{
@@ -57,40 +68,21 @@ func Fig8b(cfg scc.Config, reps int) *Table {
 			"Paper shape: OC-Bcast peak ~3x scatter-allgather; dip at 97 CL;",
 			"k=47 ~16% below its model prediction (MPB contention).",
 		},
-	}
-	algs := []Alg{{Name: "oc", K: 2}, {Name: "oc", K: 7}, {Name: "oc", K: 47}, {Name: "sag"}}
-	var cells []LatencyCell
-	for _, lines := range Fig8bSizes {
-		r := reps
-		if lines >= 8192 && r > 2 {
-			r = 2 // large sizes are slow to simulate and low variance
-		}
-		for _, a := range algs {
-			cells = append(cells, LatencyCell{Alg: a, Lines: lines, Reps: r})
-		}
-	}
-	lat := MeanLatencyGrid(cfg, scc.NumCores, cells)
-	for si, lines := range Fig8bSizes {
-		row := []string{fmt.Sprint(lines)}
-		for ai := range algs {
-			row = append(row, fmt.Sprintf("%.2f", ThroughputMBps(lines, lat[si*len(algs)+ai])))
-		}
-		tbl.Rows = append(tbl.Rows, row)
-	}
-	return tbl
+	}, "sag", Fig8bSizes, reps, ThroughputMBps), nil
 }
 
 // Headline regenerates the §6.2.1 headline comparison: 1-cache-line
 // broadcast latency, OC-Bcast k=7 versus binomial (paper: 16.6 µs vs
 // 21.6 µs, a 27% improvement), plus the peak-throughput ratio versus
 // scatter-allgather (paper: almost 3×).
-func Headline(cfg scc.Config, reps int) *Table {
+func Headline(cfg scc.Config, effort int) ([]*Table, error) {
 	const large = 8192
-	lat := MeanLatencyGrid(cfg, scc.NumCores, []LatencyCell{
-		{Alg: Alg{Name: "oc", K: 7}, Lines: 1, Reps: reps},
-		{Alg: Alg{Name: "binomial"}, Lines: 1, Reps: reps},
-		{Alg: Alg{Name: "oc", K: 7}, Lines: large, Reps: 2},
-		{Alg: Alg{Name: "sag"}, Lines: large, Reps: 2},
+	oc := newCell(cfg, algsel.OpBcast, "ocbcast", 7)
+	lat := Grid([]Cell{
+		oc.sized(1, 2*effort),
+		newCell(cfg, algsel.OpBcast, "binomial", 0).sized(1, 2*effort),
+		oc.sized(large, 2),
+		newCell(cfg, algsel.OpBcast, "sag", 0).sized(large, 2),
 	})
 	oc1, bin1 := lat[0], lat[1]
 	ocT := ThroughputMBps(large, lat[2])
@@ -106,5 +98,5 @@ func Headline(cfg scc.Config, reps int) *Table {
 	tbl.AddRow("peak throughput OC-Bcast (MB/s)", "~34-36", fmt.Sprintf("%.2f", ocT))
 	tbl.AddRow("peak throughput scatter-allgather (MB/s)", "~13.4", fmt.Sprintf("%.2f", sagT))
 	tbl.AddRow("throughput ratio", "almost 3x", fmt.Sprintf("%.2fx", ocT/sagT))
-	return tbl
+	return []*Table{tbl}, nil
 }

@@ -113,11 +113,8 @@ func AppsSweep(cfg scc.Config, effort int) []AppPoint {
 }
 
 // FigApps renders the application sweep.
-func FigApps(cfg scc.Config, effort int) *Table {
-	if effort < 1 {
-		effort = 1
-	}
-	return AppsTable(AppsSweep(cfg, effort))
+func FigApps(cfg scc.Config, effort int) ([]*Table, error) {
+	return []*Table{AppsTable(AppsSweep(cfg, effort))}, nil
 }
 
 // AppsTable renders already-computed application points (shared by the

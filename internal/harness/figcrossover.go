@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/algsel"
-	"repro/internal/collective"
 	occore "repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/rma"
 	"repro/internal/scc"
-	"repro/internal/sim"
 )
 
 // fig-crossover validates the algorithm registry's model-driven
@@ -20,61 +17,6 @@ import (
 // acceptance target is ≤ 5% regret everywhere: near a crossover the
 // contenders are close by definition, so the model only has to rank
 // correctly where the gap is wide.
-
-// MeasureAlg runs `reps` barrier-separated repetitions of one registered
-// algorithm (at one tunable choice) on n cores and returns per-repetition
-// latencies in microseconds, §6.1-style: each repetition works on a fresh
-// payload region, and latency runs from the first core's call to the
-// last core's return.
-func MeasureAlg(cfg scc.Config, a *algsel.Algorithm, ch algsel.Choice, n, lines, reps int) []float64 {
-	if reps <= 0 {
-		reps = 3
-	}
-	chip := rma.AcquireChipN(cfg, n)
-	defer rma.ReleaseChip(chip)
-
-	// A repetition region holds the op's full working set: n blocks for
-	// the rooted/allgather layouts plus one block of slack.
-	msgBytes := lines * scc.CacheLine
-	regionBytes := (n + 1) * msgBytes
-	for c := 0; c < n; c++ {
-		payload := make([]byte, reps*regionBytes)
-		for i := range payload {
-			payload[i] = byte(i*7 + c*13 + 5)
-		}
-		chip.Private(c).Write(0, payload)
-	}
-	scratchBase := reps * regionBytes
-
-	starts := make([][]sim.Time, reps)
-	returns := make([][]sim.Time, reps)
-	for it := range returns {
-		starts[it] = make([]sim.Time, n)
-		returns[it] = make([]sim.Time, n)
-	}
-
-	algsel.OnChip(chip, occore.DefaultConfig(), func(e *algsel.Env) {
-		c := e.Core()
-		for it := 0; it < reps; it++ {
-			e.Port.Barrier()
-			starts[it][c.ID()] = c.Now()
-			e.Exec(a, ch, algsel.Args{
-				Root:    0,
-				Addr:    it * regionBytes,
-				Scratch: scratchBase,
-				Lines:   lines,
-				Reduce:  collective.SumInt64,
-			})
-			returns[it][c.ID()] = c.Now()
-		}
-	})
-
-	out := make([]float64, reps)
-	for it := 0; it < reps; it++ {
-		out[it] = spanUs(starts[it], returns[it])
-	}
-	return out
-}
 
 // CrossoverPoint is one cell of the crossover sweep. Its json form is
 // the committed schema of BENCH_simperf.json's crossover.cells.
@@ -118,20 +60,22 @@ func CrossoverSizes(effort int) []int {
 	return []int{1, 4, 16, 64, 256}
 }
 
-// CrossoverSweep simulates every (mesh, op, size) cell; cells are
-// sharded across ParallelMap workers and, like every harness sweep, the
-// simulated values are independent of the sharding.
+// CrossoverSweep simulates every (mesh, op, size) point, sharded across
+// ParallelMap workers. A point measures its algorithms one after another,
+// so a worker holds one chip at a time and the sweep's heaviest cells —
+// a 384-core allgather of 256-line blocks writes about 2.4 GB — never run
+// side by side.
 func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
-	type cell struct {
+	type point struct {
 		topo  scc.Topology
 		op    algsel.Op
 		lines int
 	}
-	var cells []cell
+	var pts []point
 	for _, topo := range CrossoverMeshes(effort) {
 		for _, op := range CrossoverOps() {
 			for _, lines := range CrossoverSizes(effort) {
-				cells = append(cells, cell{topo, op, lines})
+				pts = append(pts, point{topo, op, lines})
 			}
 		}
 	}
@@ -141,10 +85,8 @@ func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 	if effort > 1 {
 		reps = 2
 	}
-	return ParallelMap(len(cells), func(i int) CrossoverPoint {
-		c := cells[i]
-		cfg2 := cfg
-		cfg2.Topo = c.topo
+	return ParallelMap(len(pts), func(i int) CrossoverPoint {
+		c := pts[i]
 		p := c.topo.NumCores()
 		plan := algsel.TuneCached(cfg.Params, c.topo, p, base)
 		auto, ok := plan.Choose(c.op, c.lines)
@@ -154,6 +96,11 @@ func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 			panic(fmt.Sprintf("harness: no decision table for swept op %s", c.op))
 		}
 		pt := CrossoverPoint{Mesh: meshName(c.topo), Cores: p, Op: c.op, Lines: c.lines, Auto: auto.String()}
+		simUs := func(ch algsel.Choice) float64 {
+			cell := Cell{Cfg: cfg, Op: c.op, Choice: ch, OC: base, Lines: c.lines, Reps: reps}
+			cell.Cfg.Topo = c.topo
+			return mean(measure(cell))
+		}
 		// Every modeled algorithm is simulated at its tuned choice, in
 		// registry (name) order.
 		for _, a := range algsel.For(c.op) {
@@ -161,12 +108,12 @@ func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 			if !ok {
 				continue
 			}
-			simUs := mean(MeasureAlg(cfg2, a, ch, p, c.lines, reps))
-			if pt.BestUs == 0 || simUs < pt.BestUs {
-				pt.Best, pt.BestUs = ch.String(), simUs
+			us := simUs(ch)
+			if pt.BestUs == 0 || us < pt.BestUs {
+				pt.Best, pt.BestUs = ch.String(), us
 			}
 			if ch == auto {
-				pt.AutoUs = simUs
+				pt.AutoUs = us
 			}
 		}
 		if pt.AutoUs == 0 {
@@ -175,11 +122,7 @@ func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 			// this exact size. Simulate the auto pick itself — regret
 			// must price what auto would actually run, never default to
 			// a silently passing zero.
-			a, found := algsel.Lookup(c.op, auto.Alg)
-			if !found {
-				panic(fmt.Sprintf("harness: plan picked unregistered algorithm %q for %s", auto.Alg, c.op))
-			}
-			pt.AutoUs = mean(MeasureAlg(cfg2, a, auto, p, c.lines, reps))
+			pt.AutoUs = simUs(auto)
 		}
 		pt.RegretPct = 100 * (pt.AutoUs/pt.BestUs - 1)
 		return pt
@@ -188,11 +131,8 @@ func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 
 // FigCrossover renders the crossover sweep: per cell, every algorithm's
 // simulated latency, the auto pick and its regret vs the per-cell best.
-func FigCrossover(cfg scc.Config, effort int) *Table {
-	if effort < 1 {
-		effort = 1
-	}
-	return CrossoverTable(CrossoverSweep(cfg, effort))
+func FigCrossover(cfg scc.Config, effort int) ([]*Table, error) {
+	return []*Table{CrossoverTable(CrossoverSweep(cfg, effort))}, nil
 }
 
 // CrossoverTable renders already-computed crossover points (shared by

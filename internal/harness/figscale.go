@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/algsel"
 	"repro/internal/model"
 	"repro/internal/scc"
 )
@@ -40,37 +41,30 @@ type ScalePoint struct {
 
 // ScaleSweep cross-validates the analytical model against the simulator
 // for OC-Bcast and AllReduceOC on every ScaleMeshes topology, at fan-out
-// k = 7 and a message of `lines` cache lines. Cells are sharded across
-// ParallelMap workers; like every harness sweep, the simulated values
-// are independent of the sharding.
+// k = 7 and a message of `lines` cache lines, in one grid.
 func ScaleSweep(cfg scc.Config, lines, reps int) []ScalePoint {
 	const k = 7
-	type cell struct {
-		topo scc.Topology
-		op   string
-	}
-	var cells []cell
+	var cells []Cell
 	for _, m := range ScaleMeshes() {
-		cells = append(cells, cell{m, "bcast-oc"}, cell{m, "allreduce-oc"})
+		cfg.Topo = m
+		cells = append(cells, newCell(cfg, algsel.OpBcast, "ocbcast", k).sized(lines, reps),
+			newCell(cfg, algsel.OpAllReduce, "oc", k).sized(lines, reps))
 	}
 	mdl := model.New(cfg.Params)
-	return ParallelMap(len(cells), func(i int) ScalePoint {
-		c := cells[i]
-		cfg2 := cfg
-		cfg2.Topo = c.topo
-		n := c.topo.NumCores()
-		pt := ScalePoint{Topo: c.topo, Op: c.op, Lines: lines, K: k}
-		switch c.op {
-		case "bcast-oc":
-			pt.SimUs = mean(MeasureBcast(cfg2, Alg{Name: "oc", K: k}, n, lines, reps))
-			pt.ModelUs = mdl.OCBcastLatency(model.BcastParamsFor(c.topo, n, k), lines, k).Microseconds()
-		case "allreduce-oc":
-			pt.SimUs = mean(MeasureAllReduce(cfg2, VariantOC, k, n, lines, reps))
-			pt.ModelUs = mdl.OCAllReduceLatency(model.ReduceParamsFor(c.topo, n, k), lines, k).Microseconds()
+	var pts []ScalePoint
+	for i, sim := range Grid(cells) {
+		topo := cells[i].Cfg.Topo
+		n := topo.NumCores()
+		pt := ScalePoint{Topo: topo, Op: "bcast-oc", Lines: lines, K: k, SimUs: sim,
+			ModelUs: mdl.OCBcastLatency(model.BcastParamsFor(topo, n, k), lines, k).Microseconds()}
+		if cells[i].Op == algsel.OpAllReduce {
+			pt.Op = "allreduce-oc"
+			pt.ModelUs = mdl.OCAllReduceLatency(model.ReduceParamsFor(topo, n, k), lines, k).Microseconds()
 		}
 		pt.ErrPct = 100 * (pt.ModelUs - pt.SimUs) / pt.SimUs
-		return pt
-	})
+		pts = append(pts, pt)
+	}
+	return pts
 }
 
 // FigScale renders the topology-scaling experiment: simulated vs modeled
@@ -79,13 +73,8 @@ func ScaleSweep(cfg scc.Config, lines, reps int) []ScalePoint {
 // the one real 48-core chip; this table shows the same model, with hop
 // terms derived from each topology, tracking the simulator across 8× the
 // paper's core count.
-func FigScale(cfg scc.Config, effort int) *Table {
-	if effort < 1 {
-		effort = 1
-	}
+func FigScale(cfg scc.Config, effort int) ([]*Table, error) {
 	const lines = 96 // one full Moc chunk
-	pts := ScaleSweep(cfg, lines, 1+effort)
-
 	tbl := &Table{
 		Title:   "fig-scale — model vs simulation across mesh sizes (µs)",
 		Columns: []string{"mesh", "cores", "op", "CL", "sim", "model", "err%"},
@@ -95,14 +84,8 @@ func FigScale(cfg scc.Config, effort int) *Table {
 			"Cross-validation target: |err| <= 15% at every size.",
 		},
 	}
-	for _, p := range pts {
-		tbl.AddRow(
-			meshName(p.Topo), fmt.Sprint(p.Topo.NumCores()), p.Op,
-			fmt.Sprint(p.Lines),
-			fmt.Sprintf("%.2f", p.SimUs),
-			fmt.Sprintf("%.2f", p.ModelUs),
-			fmt.Sprintf("%+.2f", p.ErrPct),
-		)
+	for _, p := range ScaleSweep(cfg, lines, 1+effort) {
+		tbl.AddRow(meshName(p.Topo), p.Topo.NumCores(), p.Op, p.Lines, p.SimUs, p.ModelUs, fmt.Sprintf("%+.2f", p.ErrPct))
 	}
-	return tbl
+	return []*Table{tbl}, nil
 }

@@ -209,12 +209,9 @@ func Saturation(cells []ServeCell) []ServeSaturation {
 
 // FigServing renders the serving sweep: the load/latency cells and the
 // saturation summary the gate reads.
-func FigServing(cfg scc.Config, effort int) []*Table {
-	if effort < 1 {
-		effort = 1
-	}
+func FigServing(cfg scc.Config, effort int) ([]*Table, error) {
 	cells := ServingSweep(cfg, effort)
-	return []*Table{ServingTable(cells), SaturationTable(Saturation(cells))}
+	return []*Table{ServingTable(cells), SaturationTable(Saturation(cells))}, nil
 }
 
 // ServingTable renders already-computed sweep cells (shared by the

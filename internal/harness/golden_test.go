@@ -1,9 +1,9 @@
 package harness
 
 import (
-	"runtime"
 	"testing"
 
+	"repro/internal/algsel"
 	"repro/internal/scc"
 )
 
@@ -27,14 +27,14 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			name: "fig8a/oc-k7-1CL",
 			want: []float64{5.088, 5.088, 5.088},
 			run: func() []float64 {
-				return MeasureBcast(cfg, Alg{Name: "oc", K: 7}, scc.NumCores, 1, 3)
+				return measure(newCell(cfg, algsel.OpBcast, "ocbcast", 7).sized(1, 3))
 			},
 		},
 		{
 			name: "fig8a/binomial-1CL",
 			want: []float64{11.589, 11.589, 11.589},
 			run: func() []float64 {
-				return MeasureBcast(cfg, Alg{Name: "binomial"}, scc.NumCores, 1, 3)
+				return measure(newCell(cfg, algsel.OpBcast, "binomial", 0).sized(1, 3))
 			},
 		},
 		{
@@ -42,7 +42,7 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			want:  []float64{7908.4312, 7908.4312},
 			heavy: true,
 			run: func() []float64 {
-				return MeasureBcast(cfg, Alg{Name: "oc", K: 7}, scc.NumCores, 8192, 2)
+				return measure(newCell(cfg, algsel.OpBcast, "ocbcast", 7).sized(8192, 2))
 			},
 		},
 		{
@@ -50,21 +50,21 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			want:  []float64{20638.362, 20638.362},
 			heavy: true,
 			run: func() []float64 {
-				return MeasureBcast(cfg, Alg{Name: "sag"}, scc.NumCores, 8192, 2)
+				return measure(newCell(cfg, algsel.OpBcast, "sag", 0).sized(8192, 2))
 			},
 		},
 		{
 			name: "allreduce/oc-k7-8KiB",
 			want: []float64{1617.671, 1617.671},
 			run: func() []float64 {
-				return MeasureAllReduce(cfg, VariantOC, 7, scc.NumCores, 256, 2)
+				return measure(newCell(cfg, algsel.OpAllReduce, "oc", 7).sized(256, 2))
 			},
 		},
 		{
 			name: "allreduce/twosided-8KiB",
 			want: []float64{2888.771, 2888.771},
 			run: func() []float64 {
-				return MeasureAllReduce(cfg, VariantTwoSided, 7, scc.NumCores, 256, 2)
+				return measure(newCell(cfg, algsel.OpAllReduce, "twosided", 0).sized(256, 2))
 			},
 		},
 		{
@@ -74,7 +74,7 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			name: "allreduce/oc-k7-8KiB-blocking-via-engine",
 			want: []float64{1617.671},
 			run: func() []float64 {
-				return []float64{MeasureOverlap(cfg, scc.NumCores, OverlapCell{K: 7, Lines: 256})}
+				return measure(newCell(cfg, algsel.OpAllReduce, "oc", 7).sized(256, 1))
 			},
 		},
 		{
@@ -83,7 +83,9 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			name: "allreduce/oc-k7-8KiB-issue-wait",
 			want: []float64{1617.671},
 			run: func() []float64 {
-				return []float64{MeasureOverlap(cfg, scc.NumCores, OverlapCell{K: 7, Lines: 256, Overlap: true})}
+				c := newCell(cfg, algsel.OpAllReduce, "oc", 7).sized(256, 1)
+				c.Overlap = true
+				return measure(c)
 			},
 		},
 	}
@@ -115,53 +117,5 @@ func TestGoldenSimulatedLatencies(t *testing.T) {
 			checkGolden(t, "snapshot", pt.run(), pt.want)
 			checkGolden(t, "run-to-run", pt.run(), pt.want)
 		})
-	}
-}
-
-// TestGoldenSequentialVsParallel asserts that the parallel-sharded grid
-// runner produces byte-identical simulated latencies to plain sequential
-// MeasureBcast/MeasureAllReduce calls, with GOMAXPROCS raised so
-// ParallelMap genuinely runs concurrent workers even on a 1-CPU machine.
-func TestGoldenSequentialVsParallel(t *testing.T) {
-	cfg := scc.DefaultConfig()
-
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	algs := []Alg{{Name: "oc", K: 2}, {Name: "oc", K: 7}, {Name: "binomial"}, {Name: "sag"}}
-	sizes := []int{1, 16, 96}
-	const reps = 2
-
-	var cells []LatencyCell
-	var seq []float64
-	for _, lines := range sizes {
-		for _, a := range algs {
-			cells = append(cells, LatencyCell{Alg: a, Lines: lines, Reps: reps})
-			seq = append(seq, mean(MeasureBcast(cfg, a, scc.NumCores, lines, reps)))
-		}
-	}
-	par := MeanLatencyGrid(cfg, scc.NumCores, cells)
-	for i := range cells {
-		if par[i] != seq[i] {
-			t.Errorf("cell %d (%s, %d CL): parallel %v µs != sequential %v µs",
-				i, cells[i].Alg.Label(), cells[i].Lines, par[i], seq[i])
-		}
-	}
-
-	arCells := []AllReduceCell{
-		{Variant: VariantOC, K: 7, Lines: 32, Reps: reps},
-		{Variant: VariantTwoSided, K: 7, Lines: 32, Reps: reps},
-		{Variant: VariantHybrid, K: 7, Lines: 32, Reps: reps},
-	}
-	var arSeq []float64
-	for _, c := range arCells {
-		arSeq = append(arSeq, mean(MeasureAllReduce(cfg, c.Variant, c.K, scc.NumCores, c.Lines, c.Reps)))
-	}
-	arPar := MeanAllReduceGrid(cfg, scc.NumCores, arCells)
-	for i := range arCells {
-		if arPar[i] != arSeq[i] {
-			t.Errorf("allreduce cell %d (%s): parallel %v µs != sequential %v µs",
-				i, arCells[i].Variant, arPar[i], arSeq[i])
-		}
 	}
 }

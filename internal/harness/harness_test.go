@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algsel"
 	"repro/internal/scc"
 )
 
@@ -15,6 +16,16 @@ func cell(t *testing.T, tbl *Table, row, col int) float64 {
 		t.Fatalf("cell (%d,%d) %q not numeric: %v", row, col, tbl.Rows[row][col], err)
 	}
 	return v
+}
+
+// tables runs an experiment on the default chip at one effort.
+func tables(t *testing.T, run func(scc.Config, int) ([]*Table, error), effort int) []*Table {
+	t.Helper()
+	tbls, err := run(scc.DefaultConfig(), effort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbls
 }
 
 func TestTableRendering(t *testing.T) {
@@ -31,7 +42,7 @@ func TestTableRendering(t *testing.T) {
 // TestFig3ModelAgreement: the simulator and the analytic model must agree
 // almost exactly in contention-free mode (same formulas on both sides).
 func TestFig3ModelAgreement(t *testing.T) {
-	tbl := Fig3(scc.DefaultConfig())
+	tbl := tables(t, Fig3, 1)[0]
 	if len(tbl.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -47,10 +58,7 @@ func TestFig3ModelAgreement(t *testing.T) {
 }
 
 func TestTable1Experiment(t *testing.T) {
-	tbl, err := Table1(scc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tables(t, Table1, 1)[0]
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("Table 1 has %d rows, want 8 parameters", len(tbl.Rows))
 	}
@@ -65,7 +73,7 @@ func TestTable1Experiment(t *testing.T) {
 // TestFig4Shape: the contention knee — no meaningful slowdown at ≤24
 // accessors, clear slowdown and ≥2x (get) / ≥3x (put) spread at 47.
 func TestFig4Shape(t *testing.T) {
-	tbl := Fig4(scc.DefaultConfig(), 20)
+	tbl := tables(t, Fig4, 1)[0]
 	rowFor := func(op string, n int) int {
 		for i, r := range tbl.Rows {
 			if r[0] == op && r[1] == strconv.Itoa(n) {
@@ -103,8 +111,7 @@ func TestFig4Shape(t *testing.T) {
 // at every plotted size; k=7 and k=47 stay within ~20% of each other
 // (contention erases the model's k=47 edge).
 func TestFig8aShape(t *testing.T) {
-	cfg := scc.DefaultConfig()
-	tbl := Fig8a(cfg, 2)
+	tbl := tables(t, Fig8a, 1)[0]
 	for i := range tbl.Rows {
 		k7, bin := cell(t, tbl, i, 2), cell(t, tbl, i, 4)
 		if k7 >= bin {
@@ -133,8 +140,7 @@ func TestFig8aShape(t *testing.T) {
 // TestFig8bShape: measured throughput — ~3x advantage at the peak and the
 // 97-CL dip.
 func TestFig8bShape(t *testing.T) {
-	cfg := scc.DefaultConfig()
-	tbl := Fig8b(cfg, 1)
+	tbl := tables(t, Fig8b, 0)[0] // one repetition per cell
 	byCL := map[string][]float64{}
 	for i, r := range tbl.Rows {
 		byCL[r[0]] = []float64{cell(t, tbl, i, 1), cell(t, tbl, i, 2), cell(t, tbl, i, 3), cell(t, tbl, i, 4)}
@@ -157,7 +163,7 @@ func TestFig8bShape(t *testing.T) {
 // TestMeshStressNoContention: the paper's negative result, reproduced
 // with the detailed NoC model.
 func TestMeshStressNoContention(t *testing.T) {
-	tbl := MeshStress(scc.DefaultConfig(), 10)
+	tbl := tables(t, MeshStress, 1)[0]
 	free, loaded := cell(t, tbl, 0, 1), cell(t, tbl, 1, 1)
 	if loaded > 1.05*free {
 		t.Errorf("mesh contention appeared: loaded %.3f vs free %.3f", loaded, free)
@@ -167,7 +173,7 @@ func TestMeshStressNoContention(t *testing.T) {
 // TestAblationNotification: binary tree must beat sequential notification
 // for large k.
 func TestAblationNotification(t *testing.T) {
-	tbl := AblationNotification(scc.DefaultConfig(), 1)
+	tbl := tables(t, Ablations, 1)[1]
 	last := len(tbl.Rows) - 1 // k = 47
 	bin, seq := cell(t, tbl, last, 1), cell(t, tbl, last, 2)
 	if bin >= seq {
@@ -178,7 +184,7 @@ func TestAblationNotification(t *testing.T) {
 // TestAblationBuffering: double buffering wins latency at the 192-CL
 // point and does not lose throughput.
 func TestAblationBuffering(t *testing.T) {
-	tbl := AblationBuffering(scc.DefaultConfig(), 1)
+	tbl := tables(t, Ablations, 1)[0]
 	latD, thD := cell(t, tbl, 0, 1), cell(t, tbl, 0, 2)
 	latS, thS := cell(t, tbl, 1, 1), cell(t, tbl, 1, 2)
 	if latD >= latS {
@@ -190,7 +196,7 @@ func TestAblationBuffering(t *testing.T) {
 }
 
 func TestHeadline(t *testing.T) {
-	tbl := Headline(scc.DefaultConfig(), 2)
+	tbl := tables(t, Headline, 1)[0]
 	if len(tbl.Rows) != 6 {
 		t.Fatalf("headline rows = %d, want 6", len(tbl.Rows))
 	}
@@ -232,11 +238,13 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestMeasureBcastUnknownAlg(t *testing.T) {
+func TestMeasureUnknownAlg(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unknown algorithm did not panic")
 		}
 	}()
-	MeasureBcast(scc.DefaultConfig(), Alg{Name: "zzz"}, 4, 1, 1)
+	c := newCell(scc.DefaultConfig(), algsel.OpBcast, "zzz", 0).sized(1, 1)
+	c.N = 4
+	measure(c)
 }

@@ -16,11 +16,10 @@ import (
 // measures its get latency from tile (3,2) under this load. The paper's
 // finding — which the detailed NoC model must reproduce — is that the
 // loaded-link latency matches the unloaded latency: at SCC scale the mesh
-// is not a source of contention.
-func MeshStress(cfg scc.Config, iters int) *Table {
-	if iters <= 0 {
-		iters = 20
-	}
+// is not a source of contention. The probe averages 10 gets per unit of
+// effort.
+func MeshStress(cfg scc.Config, effort int) ([]*Table, error) {
+	iters := 10 * effort
 	cfg.NoC = scc.NoCDetailed
 	// Isolate the mesh: MPB port queueing off so only link contention
 	// could show up.
@@ -77,5 +76,5 @@ func MeshStress(cfg scc.Config, iters int) *Table {
 	}
 	tbl.AddRow("unloaded mesh", fmt.Sprintf("%.3f", free))
 	tbl.AddRow("loaded mesh", fmt.Sprintf("%.3f", loaded))
-	return tbl
+	return []*Table{tbl}, nil
 }

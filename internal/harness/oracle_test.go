@@ -28,16 +28,21 @@ func renderAll(t *testing.T) string {
 
 // TestTablesEffort1 pins every registered experiment's effort-1 output
 // byte for byte to testdata/tables_effort1.txt, rendered once on one
-// worker and once on four: the tables are a pure function of the
-// configuration, whatever the sharding of their cells. A differing line
-// means simulated timing, a table's layout or an experiment's cells
-// changed, which is a bug unless proven otherwise.
+// worker and once on four (with -short, as under the race detector, only
+// on four): the tables are a pure function of the configuration, whatever
+// the sharding of their cells. A differing line means simulated timing, a
+// table's layout or an experiment's cells changed, which is a bug unless
+// proven otherwise.
 func TestTablesEffort1(t *testing.T) {
 	raw, err := os.ReadFile("testdata/tables_effort1.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, procs := range []int{1, 4} {
+	workers := []int{1, 4}
+	if testing.Short() {
+		workers = workers[1:]
+	}
+	for _, procs := range workers {
 		prev := runtime.GOMAXPROCS(procs)
 		got := renderAll(t)
 		runtime.GOMAXPROCS(prev)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"runtime"
 	"testing"
 
 	occore "repro/internal/core"
@@ -32,36 +31,6 @@ func TestOverlapSpeedupHeadline(t *testing.T) {
 	}
 	t.Logf("overlap speedup %.2fx (blocking %.1f µs -> overlapped %.1f µs)",
 		p.Speedup, p.BlockingUs, p.OverlapUs)
-}
-
-// TestOverlapGridParallelMatchesSequential shards overlap cells — each
-// one a chip full of non-blocking requests completing inside a worker
-// goroutine — across ParallelMap workers and asserts byte-identical
-// results to sequential evaluation. Run under -race (CI does) this is
-// the stress test for progress-engine state confined per chip.
-func TestOverlapGridParallelMatchesSequential(t *testing.T) {
-	cfg := scc.DefaultConfig()
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	var cells []OverlapCell
-	for _, lines := range []int{8, 32} {
-		for _, grain := range []float64{2.0, 8.0} {
-			cells = append(cells, OverlapCell{K: 7, Lines: lines, ComputeUs: 60, GrainUs: grain, Overlap: true})
-			cells = append(cells, OverlapCell{K: 3, Lines: lines, ComputeUs: 60, GrainUs: grain, Overlap: true})
-		}
-		cells = append(cells, OverlapCell{K: 7, Lines: lines, ComputeUs: 60})
-	}
-	seq := make([]float64, len(cells))
-	for i, c := range cells {
-		seq[i] = MeasureOverlap(cfg, scc.NumCores, c)
-	}
-	par := OverlapGrid(cfg, scc.NumCores, cells)
-	for i := range cells {
-		if par[i] != seq[i] {
-			t.Errorf("cell %d (%+v): parallel %v µs != sequential %v µs", i, cells[i], par[i], seq[i])
-		}
-	}
 }
 
 // TestInterleavedBcastCompletionOrder issues three overlapping IBcasts

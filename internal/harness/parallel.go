@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/scc"
 )
 
 // ParallelMap evaluates fn(0..n-1) across up to GOMAXPROCS worker
@@ -91,63 +89,4 @@ type JobPanic struct {
 
 func (p JobPanic) String() string {
 	return fmt.Sprintf("harness: job %d of %d panicked: %v", p.Job, p.Jobs, p.Val)
-}
-
-// LatencyCell is one point of a broadcast sweep: an algorithm at one
-// message size with a repetition count.
-type LatencyCell struct {
-	Alg   Alg
-	Lines int
-	Reps  int
-}
-
-// MeanLatencyGrid measures every cell on its own independent chip, shards
-// the cells across ParallelMap workers, and returns the mean latency (µs)
-// per cell in input order.
-func MeanLatencyGrid(cfg scc.Config, n int, cells []LatencyCell) []float64 {
-	return ParallelMap(len(cells), func(i int) float64 {
-		return mean(MeasureBcast(cfg, cells[i].Alg, n, cells[i].Lines, cells[i].Reps))
-	})
-}
-
-// AllReduceCell is one point of an allreduce (or, with ReduceOnly,
-// reduce-only) sweep.
-type AllReduceCell struct {
-	Variant    string
-	K          int
-	Lines      int
-	Reps       int
-	ReduceOnly bool
-}
-
-// MeanAllReduceGrid is MeanLatencyGrid for allreduce/reduce variants.
-func MeanAllReduceGrid(cfg scc.Config, n int, cells []AllReduceCell) []float64 {
-	return ParallelMap(len(cells), func(i int) float64 {
-		c := cells[i]
-		return mean(measureCollective(cfg, c.Variant, c.K, n, c.Lines, c.Reps, c.ReduceOnly))
-	})
-}
-
-// DefaultSweepCells is the canonical Fig8a-style (size × algorithm)
-// sweep BenchmarkSweepParallel uses to measure the parallel harness
-// itself. The workload is fixed (including its repetition count) so
-// cross-commit comparisons measure hot-path changes only.
-func DefaultSweepCells() []LatencyCell {
-	algs := []Alg{{Name: "oc", K: 2}, {Name: "oc", K: 7}, {Name: "oc", K: 47}, {Name: "binomial"}}
-	var cells []LatencyCell
-	for _, lines := range []int{1, 16, 48, 96} {
-		for _, a := range algs {
-			cells = append(cells, LatencyCell{Alg: a, Lines: lines, Reps: 2})
-		}
-	}
-	return cells
-}
-
-// ncoresCap clamps an accessor count to the 47 remote cores available
-// when core 0 is the target (Figure 4's x-axis).
-func ncoresCap(n int) int {
-	if n > scc.NumCores-1 {
-		return scc.NumCores - 1
-	}
-	return n
 }

@@ -2,131 +2,38 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/scc"
 )
 
-// Experiment is a named, runnable paper artifact.
+// Experiment is a named, runnable paper artifact. Run renders its tables;
+// effort scales repetition counts (1 = quick, larger = more averaging).
 type Experiment struct {
 	Name string
 	Desc string
 	Run  func(cfg scc.Config, effort int) ([]*Table, error)
 }
 
-// Registry lists every reproducible artifact. effort scales repetition
-// counts (1 = quick, larger = more averaging).
+// Registry lists every reproducible artifact, sorted by name.
 func Registry() []Experiment {
-	exps := []Experiment{
-		{
-			Name: "fig3", Desc: "put/get completion time vs distance (Figure 3)",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{Fig3(cfg)}, nil
-			},
-		},
-		{
-			Name: "table1", Desc: "model parameters via calibration fit (Table 1)",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				t, err := Table1(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{t}, nil
-			},
-		},
-		{
-			Name: "fig4", Desc: "MPB contention under concurrent access (Figure 4)",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{Fig4(cfg, 25*effort)}, nil
-			},
-		},
-		{
-			Name: "fig6", Desc: "modeled broadcast latency (Figure 6a/6b)",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{Fig6(cfg)}, nil
-			},
-		},
-		{
-			Name: "table2", Desc: "modeled peak throughput (Table 2)",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{Table2(cfg)}, nil
-			},
-		},
-		{
-			Name: "fig8a", Desc: "measured broadcast latency (Figure 8a)",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{Fig8a(cfg, 2*effort)}, nil
-			},
-		},
-		{
-			Name: "fig8b", Desc: "measured broadcast throughput (Figure 8b)",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{Fig8b(cfg, 1+effort)}, nil
-			},
-		},
-		{
-			Name: "fig-allreduce", Desc: "allreduce latency: one-sided vs two-sided (§7 extension)",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{FigAllReduce(cfg, effort)}, nil
-			},
-		},
-		{
-			Name: "fig-overlap", Desc: "communication/computation overlap via non-blocking AllReduce",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{FigOverlap(cfg, effort)}, nil
-			},
-		},
-		{
-			Name: "fig-crossover", Desc: "auto-selected algorithm vs best per (mesh, op, size) — regret",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{FigCrossover(cfg, effort)}, nil
-			},
-		},
-		{
-			Name: "fig-apps", Desc: "whole-application kernel replay: paper-default vs auto selection",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{FigApps(cfg, effort)}, nil
-			},
-		},
-		{
-			Name: "fig-serving", Desc: "multi-tenant serving: load vs throughput/latency, default vs auto",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return FigServing(cfg, effort), nil
-			},
-		},
-		{
-			Name: "fig-scale", Desc: "model vs simulation across mesh sizes 48-384 cores",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{FigScale(cfg, effort)}, nil
-			},
-		},
-		{
-			Name: "mesh", Desc: "mesh link stress: no NoC contention (§3.3)",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{MeshStress(cfg, 10*effort)}, nil
-			},
-		},
-		{
-			Name: "headline", Desc: "§6.2 headline numbers: 27% latency, ~3x throughput",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{Headline(cfg, 2*effort)}, nil
-			},
-		},
-		{
-			Name: "ablation", Desc: "design ablations: buffering, notification, k sweep, baseline ladder",
-			Run: func(cfg scc.Config, effort int) ([]*Table, error) {
-				return []*Table{
-					AblationBuffering(cfg, effort),
-					AblationNotification(cfg, effort),
-					KSweep(cfg, effort),
-					AblationNaive(cfg, effort),
-					AblationOneSided(cfg, effort),
-				}, nil
-			},
-		},
+	return []Experiment{
+		{"ablation", "design ablations: buffering, notification, k sweep, baseline ladder", Ablations},
+		{"fig-allreduce", "allreduce latency: one-sided vs two-sided (§7 extension)", FigAllReduce},
+		{"fig-apps", "whole-application kernel replay: paper-default vs auto selection", FigApps},
+		{"fig-crossover", "auto-selected algorithm vs best per (mesh, op, size) — regret", FigCrossover},
+		{"fig-overlap", "communication/computation overlap via non-blocking AllReduce", FigOverlap},
+		{"fig-scale", "model vs simulation across mesh sizes 48-384 cores", FigScale},
+		{"fig-serving", "multi-tenant serving: load vs throughput/latency, default vs auto", FigServing},
+		{"fig3", "put/get completion time vs distance (Figure 3)", Fig3},
+		{"fig4", "MPB contention under concurrent access (Figure 4)", Fig4},
+		{"fig6", "modeled broadcast latency (Figure 6a/6b)", Fig6},
+		{"fig8a", "measured broadcast latency (Figure 8a)", Fig8a},
+		{"fig8b", "measured broadcast throughput (Figure 8b)", Fig8b},
+		{"headline", "§6.2 headline numbers: 27% latency, ~3x throughput", Headline},
+		{"mesh", "mesh link stress: no NoC contention (§3.3)", MeshStress},
+		{"table1", "model parameters via calibration fit (Table 1)", Table1},
+		{"table2", "modeled peak throughput (Table 2)", Table2},
 	}
-	sort.Slice(exps, func(i, j int) bool { return exps[i].Name < exps[j].Name })
-	return exps
 }
 
 // Lookup finds an experiment by name.

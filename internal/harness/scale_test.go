@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/algsel"
 	"repro/internal/scc"
 )
 
@@ -27,30 +28,13 @@ func TestScaleCrossValidation(t *testing.T) {
 	}
 }
 
-// TestScaleDeterminism pins run-to-run determinism beyond 48 cores: the
-// parametric-mesh simulations must produce bit-identical latencies on
-// repeated sweeps, like the 6×4 golden points.
-func TestScaleDeterminism(t *testing.T) {
-	cfg := scc.DefaultConfig()
-	a := ScaleSweep(cfg, 96, 2)
-	b := ScaleSweep(cfg, 96, 2)
-	if len(a) != len(b) {
-		t.Fatalf("sweep lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].SimUs != b[i].SimUs {
-			t.Errorf("%v %s: run 1 = %v µs, run 2 = %v µs", a[i].Topo, a[i].Op, a[i].SimUs, b[i].SimUs)
-		}
-	}
-}
-
 // TestMeshGoldenPoint pins one beyond-SCC simulated latency exactly, the
 // same contract as the 6×4 golden points: future refactors may change
 // wall-clock behaviour but never simulated time.
 func TestMeshGoldenPoint(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	cfg.Topo = scc.Mesh(8, 6)
-	got := MeasureBcast(cfg, Alg{Name: "oc", K: 7}, cfg.Topo.NumCores(), 96, 2)
+	got := measure(newCell(cfg, algsel.OpBcast, "ocbcast", 7).sized(96, 2))
 	want := []float64{193.696, 193.696}
 	checkGolden(t, "mesh-8x6/oc-k7-96CL", got, want)
 }

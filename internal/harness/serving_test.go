@@ -8,39 +8,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The serving harness determinism contract: sweep cells are independent
-// simulations, so sharding them across ParallelMap workers changes only
-// wall-clock time — byte-identical stats either way — and the pooled
-// ServeChip path reproduces itself run over run on a warm chip pool.
-
-// servingTestCells is a small (load, mode) grid at 48 cores.
-var servingTestCells = []struct {
-	load float64
-	mode string
-}{
-	{0.5, ""},
-	{0.5, "auto"},
-	{4, ""},
-	{4, "auto"},
-}
-
-func TestServingSequentialVsParallel(t *testing.T) {
-	cfg := scc.DefaultConfig()
-	seq := make([]string, len(servingTestCells))
-	for i, c := range servingTestCells {
-		seq[i] = MeasureServe(cfg, scc.SCC(), c.load, c.mode).Fingerprint()
-	}
-	par := ParallelMap(len(servingTestCells), func(i int) string {
-		c := servingTestCells[i]
-		return MeasureServe(cfg, scc.SCC(), c.load, c.mode).Fingerprint()
-	})
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("cell %d (load %g, mode %q): sequential and parallel sharding diverge",
-				i, servingTestCells[i].load, servingTestCells[i].mode)
-		}
-	}
-}
+// The serving harness determinism contract: the pooled ServeChip path
+// reproduces itself run over run on a warm chip pool. (Sharding sweep
+// cells across ParallelMap workers is pinned by TestTablesEffort1.)
 
 // serveChipMix is a small synthetic mix for the pooled-chip path.
 func serveChipMix(n int) []serve.Stream {

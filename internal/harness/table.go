@@ -4,13 +4,15 @@
 // Figure 6 (modeled broadcast latency), Table 2 (modeled throughput),
 // Figure 8a/8b (measured broadcast latency/throughput), the §3.3
 // mesh-stress experiment, the §6.2.1 headline numbers, and the design
-// ablations DESIGN.md calls out — plus the repo's beyond-the-paper
-// experiments: fig-allreduce (one-sided vs two-sided allreduce, §7) and
+// ablations of the paper's §4 and §5.4 choices — plus the repo's
+// beyond-the-paper experiments: fig-allreduce (one-sided vs two-sided
+// allreduce, §7), fig-overlap, fig-crossover, fig-apps, fig-serving and
 // fig-scale (model vs simulation on parametric meshes up to 384 cores).
 //
-// Experiments are registered by name in Registry and rendered as Tables;
-// sweeps shard their cells across ParallelMap workers without changing
-// any simulated timing. See ARCHITECTURE.md for how to plug in a new
+// Experiments are registered by name in Registry and rendered as Tables.
+// Every simulated collective point is a Cell, measured by one §6.1 loop
+// and sharded across ParallelMap workers by Grid without changing any
+// simulated timing. See ARCHITECTURE.md for how to plug in a new
 // experiment.
 package harness
 

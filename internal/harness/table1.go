@@ -13,7 +13,7 @@ import (
 // fit the LogP parameters. The "configured" column is the ground truth
 // the simulator was parameterised with (the paper's measured values);
 // "fitted" is what calibration recovers from the microbenchmarks.
-func Table1(cfg scc.Config) (*Table, error) {
+func Table1(cfg scc.Config, effort int) ([]*Table, error) {
 	samples := calibrate.Microbench(cfg, []int{1, 2, 4, 8, 16, 32})
 	fit, err := calibrate.FitParams(samples)
 	if err != nil {
@@ -45,5 +45,5 @@ func Table1(cfg scc.Config) (*Table, error) {
 	row("o^mpb_get", truth.OMpbGet, fit.Params.OMpbGet, "mpbGet")
 	row("o^mem_put", truth.OMemPut, fit.Params.OMemPut, "memPut")
 	row("o^mem_get", truth.OMemGet, fit.Params.OMemGet, "memGet")
-	return tbl, nil
+	return []*Table{tbl}, nil
 }

@@ -24,6 +24,8 @@ type Private struct {
 	// a write beyond that moves it to the heap in one step (see slot).
 	pages      []pageSlot
 	firstPages [8]pageSlot
+	// held counts the data pages allocated, which Reset keeps.
+	held int
 }
 
 // PrivateBytes is the size of one core's private memory: addresses run
@@ -72,6 +74,10 @@ func (p *Private) Init(owner int) {
 
 // Owner reports the core id owning this memory.
 func (p *Private) Owner() int { return p.owner }
+
+// HeldBytes reports the storage the memory holds: every page ever
+// written, since Reset keeps them.
+func (p *Private) HeldBytes() int { return p.held * pageBytes }
 
 func (p *Private) check(addr, n int) {
 	if addr < 0 || n < 0 {
@@ -140,6 +146,7 @@ func (p *Private) Write(addr int, src []byte) {
 		pp := p.slot(pg)
 		if pp.data == nil {
 			pp.data = new(page)
+			p.held++
 		}
 		pp.dirty = true
 		c := copy(pp.data[off:], src)
@@ -177,7 +184,9 @@ type cachePage struct {
 
 // NewCache creates a cache model; when enabled is false every lookup
 // misses, which is the configuration used for OC-Bcast-only studies
-// (OC-Bcast gets no benefit from it either way — see DESIGN.md §4.3).
+// (OC-Bcast gets no benefit from it either way: only its root reads
+// private memory, each payload line once, while the two-sided baselines
+// re-read the chunks they have just received to forward them).
 func NewCache(enabled bool) *Cache {
 	c := new(Cache)
 	c.Init(enabled)

@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/scc"
@@ -21,7 +22,8 @@ import (
 //
 // The pool is safe for concurrent use (ParallelMap shards acquire from
 // it simultaneously) and bounded per key, so sweeps over many topologies
-// cannot hold more than a few warm chips per shape.
+// cannot hold more than a few warm chips per shape, and per chip in the
+// private memory it keeps (poolMaxPrivateBytes).
 
 // chipKey identifies a poolable chip configuration exactly. Topology is
 // reduced to its fingerprint string because it is not comparable; every
@@ -81,9 +83,19 @@ func AcquireChipN(cfg scc.Config, n int) *Chip {
 	return c
 }
 
+// poolMaxPrivateBytes bounds the private memory a parked chip may hold.
+// Reset keeps every page a run wrote, so a chip that ran one large cell
+// would pin that memory for as long as it stays parked: a 384-core
+// allgather of 256-line blocks holds about 2.4 GB. Such a chip is dropped
+// instead; rebuilding one costs little next to the simulation that filled
+// it, while the 48-core chips of the paper's figures (96 MiB after a
+// 1 MiB broadcast repeated twice) stay warm.
+const poolMaxPrivateBytes = 128 << 20
+
 // ReleaseChip resets c and parks it for reuse. A chip that cannot be
-// reset (mid-run or panicked) or that exceeds the per-key bound is
-// dropped instead — never parked dirty.
+// reset (mid-run or panicked), holds more than poolMaxPrivateBytes of
+// private memory or exceeds the per-key bound is dropped instead — never
+// parked dirty.
 func ReleaseChip(c *Chip) {
 	if c == nil {
 		return
@@ -93,15 +105,29 @@ func ReleaseChip(c *Chip) {
 		// arbitrary yield points; abandon the chip as a whole.
 		return
 	}
-	key := poolKeyOf(c.Cfg, c.NCores)
-	chipPool.mu.Lock()
-	if s := chipPool.chips[key]; len(s) < poolPerKey {
-		chipPool.chips[key] = append(s, c)
-		chipPool.mu.Unlock()
-		return
+	held := 0
+	for i := range c.slots {
+		held += c.slots[i].priv.HeldBytes()
 	}
-	chipPool.mu.Unlock()
-	// Over the bound: release the engine's parked goroutines so the
-	// dropped chip is collectable.
+	if held <= poolMaxPrivateBytes {
+		key := poolKeyOf(c.Cfg, c.NCores)
+		chipPool.mu.Lock()
+		if s := chipPool.chips[key]; len(s) < poolPerKey {
+			chipPool.chips[key] = append(s, c)
+			chipPool.mu.Unlock()
+			return
+		}
+		chipPool.mu.Unlock()
+	}
+	// Dropped: release the engine's parked goroutines so the chip is
+	// collectable.
 	c.Engine.Shutdown()
+	if held > poolMaxPrivateBytes {
+		// Hand a big chip's pages back now instead of at whatever
+		// collection the heap's growth schedules next: a sweep's next cell
+		// is often as big, and until then both would be resident. The
+		// caller still holds c, so unlink its memories first.
+		c.slots = nil
+		runtime.GC()
+	}
 }
