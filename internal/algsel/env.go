@@ -19,7 +19,7 @@ import (
 // the one-sided engine — plus the selection policy, and builds further
 // one-sided state lazily per (K, chunk) choice. Init is the only place
 // outside the layers' own packages that assembles them, so every program
-// — the public API, the harness, calibration — runs the same stack.
+// — the public API and the harness — runs the same stack.
 type Env struct {
 	Port rcce.Port
 	Comm collective.Comm

@@ -25,15 +25,15 @@ type Sample struct {
 }
 
 // coreAtDistance finds a core whose tile is exactly d hops from core 0's
-// tile (d in 1..9), preferring the second core of a tile so the target
-// differs from the actor.
-func coreAtDistance(d int) int {
-	for tile := 0; tile < scc.NumTiles; tile++ {
-		if scc.HopDistance(scc.TileCoord(0), scc.TileCoord(tile)) == d {
-			return tile*scc.CoresPerTile + 1
+// tile on the topology (d from 1 up to its diameter + 1), preferring the
+// second core of a tile so the target differs from the actor.
+func coreAtDistance(topo scc.Topology, d int) int {
+	for tile := 0; tile < topo.NumTiles(); tile++ {
+		if scc.HopDistance(topo.TileCoord(0), topo.TileCoord(tile)) == d {
+			return tile*topo.TileCores + 1
 		}
 	}
-	panic(fmt.Sprintf("calibrate: no tile at distance %d", d))
+	panic(fmt.Sprintf("calibrate: no tile at distance %d on the %v", d, topo))
 }
 
 // Microbench runs the four put/get families on a contention-free chip
@@ -59,13 +59,14 @@ func Microbench(cfg scc.Config, sizes []int) []Sample {
 	}
 	chip.Private(0).Write(0, make([]byte, maxLines*scc.CacheLine))
 
-	dmem := scc.MemDistance(0)
+	topo := cfg.Topology()
+	dmem := topo.MemDistance(0)
 	chip.Run(func(c *rma.Core) {
 		if c.ID() != 0 {
 			return
 		}
 		for d := 1; d <= 9; d++ {
-			target := coreAtDistance(d)
+			target := coreAtDistance(topo, d)
 			for _, n := range sizes {
 				t0 := c.Now()
 				c.PutMPBToMPB(target, 0, 0, n)

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/calibrate"
 	"repro/internal/model"
 	"repro/internal/rma"
 	"repro/internal/scc"
@@ -12,21 +13,12 @@ import (
 // Fig3Sizes are the message sizes plotted in Figure 3.
 var Fig3Sizes = []int{1, 4, 8, 16}
 
-// coreWithMemDistance finds a core whose memory-controller distance is d.
-func coreWithMemDistance(d int) (int, bool) {
-	for c := 0; c < scc.NumCores; c++ {
-		if scc.MemDistance(c) == d {
+// coreWithMemDistance finds a core of the topology whose
+// memory-controller distance is d.
+func coreWithMemDistance(topo scc.Topology, d int) (int, bool) {
+	for c := 0; c < topo.NumCores(); c++ {
+		if topo.MemDistance(c) == d {
 			return c, true
-		}
-	}
-	return 0, false
-}
-
-// coreAtMPBDistance finds a core ≠ 0 whose tile is d hops from core 0's.
-func coreAtMPBDistance(d int) (int, bool) {
-	for tile := 0; tile < scc.NumTiles; tile++ {
-		if scc.HopDistance(scc.TileCoord(0), scc.TileCoord(tile)) == d {
-			return tile*scc.CoresPerTile + 1, true
 		}
 	}
 	return 0, false
@@ -34,9 +26,10 @@ func coreAtMPBDistance(d int) (int, bool) {
 
 // Fig3 regenerates Figure 3: completion times of the four put/get
 // families as a function of hop distance, simulated (Exp) versus the
-// analytic model (Model). MPB↔MPB ops sweep distances 1–9; memory ops
-// sweep memory-controller distances 1–4, operating on the core's own MPB
-// — exactly the paper's four panels.
+// analytic model (Model). MPB↔MPB ops sweep distances 1–9 and are Table
+// 1's own microbenchmark samples (calibrate.Microbench, actor core 0);
+// memory ops sweep memory-controller distances 1–4, operating on the
+// actor's own MPB — exactly the paper's four panels.
 func Fig3(cfg scc.Config, effort int) ([]*Table, error) {
 	cfg.Contention.Enabled = false // §3.2 measures contention-free ops
 	cfg.CacheEnabled = false
@@ -50,14 +43,6 @@ func Fig3(cfg scc.Config, effort int) ([]*Table, error) {
 			"memory-controller distances 1-4 (the paper's four panels).",
 		},
 	}
-
-	type probe struct {
-		op   string
-		dist int
-		run  func(c *rma.Core, target, n int) // executed on core `actor`
-		mdl  func(n, d int) sim.Duration
-	}
-
 	addRow := func(op string, n, d int, got sim.Duration, want sim.Duration) {
 		errPct := 100 * (got.Microseconds() - want.Microseconds()) / want.Microseconds()
 		tbl.Rows = append(tbl.Rows, []string{
@@ -68,55 +53,37 @@ func Fig3(cfg scc.Config, effort int) ([]*Table, error) {
 		})
 	}
 
-	// MPB <-> MPB put/get across distances 1..9, actor = core 0.
-	for d := 1; d <= 9; d++ {
-		target, ok := coreAtMPBDistance(d)
-		if !ok {
-			continue
-		}
-		for _, n := range Fig3Sizes {
-			chip := rma.NewChip(cfg)
-			var putT, getT sim.Duration
-			chip.Run(func(c *rma.Core) {
-				if c.ID() != 0 {
-					return
-				}
-				t0 := c.Now()
-				c.PutMPBToMPB(target, 0, 0, n)
-				putT = c.Now() - t0
-				t0 = c.Now()
-				c.GetMPBToMPB(target, 0, 0, n)
-				getT = c.Now() - t0
-			})
-			addRow("put mpb->mpb", n, d, putT, mdl.CMpbPut(n, d))
-			addRow("get mpb->mpb", n, d, getT, mdl.CMpbGet(n, d))
+	for _, s := range calibrate.Microbench(cfg, Fig3Sizes) {
+		switch s.Op {
+		case "mpbPut":
+			addRow("put mpb->mpb", s.Lines, s.Dist, s.Duration, mdl.CMpbPut(s.Lines, s.Dist))
+		case "mpbGet":
+			addRow("get mpb->mpb", s.Lines, s.Dist, s.Duration, mdl.CMpbGet(s.Lines, s.Dist))
 		}
 	}
 
 	// Memory <-> MPB across controller distances 1..4, own MPB (d=1).
+	topo := cfg.Topology()
 	for d := 1; d <= 4; d++ {
-		actor, ok := coreWithMemDistance(d)
+		actor, ok := coreWithMemDistance(topo, d)
 		if !ok {
 			continue
 		}
-		for _, n := range Fig3Sizes {
-			chip := rma.NewChip(cfg)
-			chip.Private(actor).Write(0, make([]byte, n*scc.CacheLine))
-			var putT, getT sim.Duration
-			chip.Run(func(c *rma.Core) {
-				if c.ID() != actor {
-					return
-				}
+		chip := rma.NewChip(cfg)
+		chip.Private(actor).Write(0, make([]byte, Fig3Sizes[len(Fig3Sizes)-1]*scc.CacheLine))
+		chip.Run(func(c *rma.Core) {
+			if c.ID() != actor {
+				return
+			}
+			for _, n := range Fig3Sizes {
 				t0 := c.Now()
 				c.PutMemToMPB(actor, 0, 0, n)
-				putT = c.Now() - t0
+				addRow("put mem->mpb", n, d, c.Now()-t0, mdl.CMemPut(n, d, 1))
 				t0 = c.Now()
 				c.GetMPBToMem(actor, 0, 0, n)
-				getT = c.Now() - t0
-			})
-			addRow("put mem->mpb", n, d, putT, mdl.CMemPut(n, d, 1))
-			addRow("get mpb->mem", n, d, getT, mdl.CMemGet(n, 1, d))
-		}
+				addRow("get mpb->mem", n, d, c.Now()-t0, mdl.CMemGet(n, 1, d))
+			}
+		})
 	}
 	return []*Table{tbl}, nil
 }

@@ -23,14 +23,27 @@ import (
 // ever make an application slower? The acceptance gate (ocbench apps) is
 // auto >= paper-default on every kernel, within noise.
 
-// AppsMeshes bounds the sweep by effort: the quick tier (CI smoke) runs
-// the paper's 48-core chip, the full tier adds the 384-core mesh the
-// acceptance criteria name.
-func AppsMeshes(effort int) []scc.Topology {
+// WorkloadMeshes is the mesh tier fig-apps and fig-serving sweep: the
+// quick tier (CI smoke) runs the paper's 48-core chip, the full tier
+// adds the 384-core mesh the acceptance criteria name.
+func WorkloadMeshes(effort int) []scc.Topology {
 	if effort <= 1 {
 		return []scc.Topology{scc.SCC()}
 	}
 	return []scc.Topology{scc.SCC(), scc.Mesh(16, 12)}
+}
+
+// newSystem builds the fresh public System fig-apps and fig-serving
+// measure on: opts completed with cfg's contention flag and params and
+// the topology's mesh. (The public construction path always models the
+// L1 cache.)
+func newSystem(cfg scc.Config, topo scc.Topology, opts ocbcast.Options) *ocbcast.System {
+	opts.DisableContention = !cfg.Contention.Enabled
+	opts.Params = &cfg.Params
+	if topo.W != scc.SCC().W || topo.H != scc.SCC().H {
+		opts.MeshWidth, opts.MeshHeight = topo.W, topo.H
+	}
+	return ocbcast.New(opts)
 }
 
 // AppPoint is one cell of the application sweep: one kernel on one mesh,
@@ -53,20 +66,9 @@ type AppPoint struct {
 // Options.Algorithm ("", "auto", or a named override). The replay runs
 // through the same public path an application would use — New, staged
 // private memory, System.Replay — so it exercises registry resolution,
-// the decision table and the progress engine end to end. (The public
-// construction path always models the L1 cache; cfg's contention flag
-// and params are honored.)
+// the decision table and the progress engine end to end.
 func MeasureApp(cfg scc.Config, topo scc.Topology, t *workload.Trace, algorithm string) float64 {
-	opts := ocbcast.Options{
-		Algorithm:         algorithm,
-		DisableContention: !cfg.Contention.Enabled,
-		Params:            &cfg.Params,
-	}
-	if topo.W != scc.SCC().W || topo.H != scc.SCC().H {
-		opts.MeshWidth, opts.MeshHeight = topo.W, topo.H
-	}
-	sys := ocbcast.New(opts)
-	st, err := sys.Replay(t)
+	st, err := newSystem(cfg, topo, ocbcast.Options{Algorithm: algorithm}).Replay(t)
 	if err != nil {
 		panic(fmt.Sprintf("harness: kernel replay failed: %v", err))
 	}
@@ -84,7 +86,7 @@ func AppsSweep(cfg scc.Config, effort int) []AppPoint {
 		mode   string
 	}
 	var cells []cell
-	for _, topo := range AppsMeshes(effort) {
+	for _, topo := range WorkloadMeshes(effort) {
 		for _, k := range workload.Kernels(topo.NumCores()) {
 			for _, mode := range []string{"", "auto"} {
 				cells = append(cells, cell{topo, k, mode})

@@ -30,16 +30,6 @@ const (
 	servingChunkLines = 16
 )
 
-// ServingMeshes bounds the sweep by effort: the quick tier (CI smoke)
-// runs the paper's 48-core chip, the full tier adds the 384-core mesh
-// the acceptance criteria name.
-func ServingMeshes(effort int) []scc.Topology {
-	if effort <= 1 {
-		return []scc.Topology{scc.SCC()}
-	}
-	return []scc.Topology{scc.SCC(), scc.Mesh(16, 12)}
-}
-
 // ServingLoads is the offered-load axis (ScaleGaps divisors) by effort
 // tier. The kernels' recorded arrival spans are short relative to their
 // service time, so the knee sits below load 0.1: the low points show
@@ -89,17 +79,11 @@ func ServingMix(n int) []serve.Stream {
 // System.Serve — so it exercises registry resolution, the decision
 // table, batching and the progress engine's lanes end to end.
 func MeasureServe(cfg scc.Config, topo scc.Topology, load float64, algorithm string) serve.Result {
-	opts := ocbcast.Options{
-		Algorithm:         algorithm,
-		Channels:          servingLanes,
-		ChunkLines:        servingChunkLines,
-		DisableContention: !cfg.Contention.Enabled,
-		Params:            &cfg.Params,
-	}
-	if topo.W != scc.SCC().W || topo.H != scc.SCC().H {
-		opts.MeshWidth, opts.MeshHeight = topo.W, topo.H
-	}
-	sys := ocbcast.New(opts)
+	sys := newSystem(cfg, topo, ocbcast.Options{
+		Algorithm:  algorithm,
+		Channels:   servingLanes,
+		ChunkLines: servingChunkLines,
+	})
 	streams := ServingMix(sys.N())
 	for i := range streams {
 		streams[i] = serve.ScaleGaps(streams[i], load)
@@ -153,7 +137,7 @@ func ServingSweep(cfg scc.Config, effort int) []ServeCell {
 		mode string
 	}
 	var jobs []job
-	for _, topo := range ServingMeshes(effort) {
+	for _, topo := range WorkloadMeshes(effort) {
 		for _, load := range ServingLoads(effort) {
 			for _, mode := range []string{"", "auto"} {
 				jobs = append(jobs, job{topo, load, mode})
