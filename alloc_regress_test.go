@@ -114,7 +114,7 @@ func TestAllocsPerReplayBudget(t *testing.T) {
 	resumes, switches := chip.Engine.Resumes()-r0, chip.Engine.Switches()-s0
 	const limit = 73081 * 4 / 10
 	if resumes > limit {
-		t.Errorf("1000-record replay hands the token to a body goroutine %d times, limit %d", resumes, limit)
+		t.Errorf("1000-record replay resumes a body %d times, limit %d", resumes, limit)
 	}
 	t.Logf("resumes per 1000-record replay: %d (%.2f per record), switches %d", resumes, float64(resumes)/records, switches)
 }
@@ -179,9 +179,10 @@ func TestAllocsPerServeBudget(t *testing.T) {
 // port accounting before the ledger) make both ratios grow with the chip
 // (1.09x objects and 1.58x bytes with those tables; 1.01x for both
 // without) — and at either size no more than 20 objects per core (44.0
-// when every core's state was built one `new` at a time; 7.2 since chips
-// are arrays of values over shared backing: a resume channel, a goroutine, a data
-// page, an extent buffer, a scratch buffer, a residency table) nor more
+// when every core's state was built one `new` at a time; 5.2 since chips
+// are arrays of values over shared backing and bodies run on pooled
+// coroutines: a data page, an extent buffer, a scratch buffer, a
+// residency table) nor more
 // than 28 750 bytes per core: 2 % over the 28 190 the one-object-at-a-
 // time construction cost, so that shared backing stays sized by demand.
 // A fixed reserve per core (16 extent records and 64 list slots each,

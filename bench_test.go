@@ -195,7 +195,7 @@ func BenchmarkOCReduceModel(b *testing.B) {
 
 // BenchmarkEngineThroughput measures raw simulator speed: simulated
 // broadcast events per wall second for a 96-CL OC-Bcast on 48 cores.
-// Run with -benchmem: pooled chips with persistent goroutines recycle
+// Run with -benchmem: pooled chips and pooled coroutines recycle
 // every per-run structure, so steady state allocates only the handful of
 // result and bookkeeping values outside the simulation proper (budget
 // pinned at 18 by TestAllocsPerBroadcastBudget).

@@ -15,8 +15,8 @@
 // picoseconds (Time), bit-compatible with sim.Time.
 //
 // Recording discipline: a Recorder is attached to at most one simulated
-// chip, whose engine serializes all cores (exactly one goroutine runs at
-// any instant), so Recorder methods need no locking; every emission site
+// chip, whose engine serializes all cores (exactly one core's code runs
+// at any instant), so Recorder methods need no locking; every emission site
 // guards with a nil check, making a disabled recorder literally one
 // pointer comparison on the hot path. Emitters must keep synchronous
 // Begin/End spans properly nested per core and per-core timestamps

@@ -21,8 +21,8 @@ import (
 // private memories, cache models, optional detailed NoC, and counters.
 // Per-core state is held by value in one array of slots (the MPBs over
 // one shared slab of line storage, see mem.Slab), so building a chip
-// costs a fixed number of allocations plus one channel per core, and
-// what a core's first traffic needs comes from chip-level blocks.
+// costs a fixed number of allocations whatever its core count, and what
+// a core's first traffic needs comes from chip-level blocks.
 type Chip struct {
 	Cfg     scc.Config
 	Engine  *sim.Engine
@@ -218,7 +218,7 @@ func (c *Chip) Reset() bool {
 }
 
 // Core is a per-process handle exposing the RMA primitives. It is only
-// valid inside the body function passed to Chip.Run, on its own goroutine.
+// valid inside the body function passed to Chip.Run, on its own coroutine.
 type Core struct {
 	chip *Chip
 	proc *sim.Proc

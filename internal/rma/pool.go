@@ -8,17 +8,18 @@ import (
 	"repro/internal/sim"
 )
 
-// Chip pool. A fresh chip is cheap in objects — NewChipN makes 15 and a
-// channel per core, and first traffic draws on chip-level blocks — but
-// not in bytes: every core's 8 KiB MPB share is allocated and zeroed up
-// front and its private-memory pages and extent buffers again as the
-// run touches them (28 KB per core for a barrier and one broadcast,
-// 10 MB on a 384-core chip), and every core's goroutine is spawned anew. Harness loops that run thousands of short simulations
-// acquire chips here instead and keep all of that warm. A released chip
-// is Reset — which the equivalence tests pin as observationally
-// identical to a fresh chip — and parked under a key derived from its
-// exact configuration; Acquire returns a parked chip only on a full key
-// match.
+// Chip pool. A fresh chip is cheap in objects — NewChipN makes 15
+// whatever its core count, first traffic draws on chip-level blocks, and
+// its procs' coroutines come from the engine's process-wide idle list —
+// but not in bytes: every core's 8 KiB MPB share is allocated and zeroed
+// up front and its private-memory pages and extent buffers again as the
+// run touches them (28 KB per core for a barrier and one broadcast, 10 MB
+// on a 384-core chip). Harness loops that run thousands of short
+// simulations acquire chips here instead and keep all of that warm. A
+// released chip is Reset — which the equivalence tests pin as
+// observationally identical to a fresh chip — and parked under a key
+// derived from its exact configuration; Acquire returns a parked chip
+// only on a full key match.
 //
 // The pool is safe for concurrent use (ParallelMap shards acquire from
 // it simultaneously) and bounded per key, so sweeps over many topologies
@@ -74,13 +75,7 @@ func AcquireChipN(cfg scc.Config, n int) *Chip {
 		return c
 	}
 	chipPool.mu.Unlock()
-	c := NewChipN(cfg, n)
-	// Pooled chips keep their process goroutines parked between runs
-	// (the pool bounds how many engines exist, so the parked-goroutine
-	// pin is bounded too); ReleaseChip shuts them down before dropping
-	// a chip.
-	c.Engine.SetPersistent(true)
-	return c
+	return NewChipN(cfg, n)
 }
 
 // poolMaxPrivateBytes bounds the private memory a parked chip may hold.
@@ -101,27 +96,14 @@ func ReleaseChip(c *Chip) {
 		return
 	}
 	if !c.Reset() {
-		// Mid-run or panicked: parked goroutines (if any) are stuck at
-		// arbitrary yield points; abandon the chip as a whole.
+		// Mid-run or panicked: its state is wherever the panic left it;
+		// abandon the chip as a whole.
 		return
 	}
 	held := 0
 	for i := range c.slots {
 		held += c.slots[i].priv.HeldBytes()
 	}
-	if held <= poolMaxPrivateBytes {
-		key := poolKeyOf(c.Cfg, c.NCores)
-		chipPool.mu.Lock()
-		if s := chipPool.chips[key]; len(s) < poolPerKey {
-			chipPool.chips[key] = append(s, c)
-			chipPool.mu.Unlock()
-			return
-		}
-		chipPool.mu.Unlock()
-	}
-	// Dropped: release the engine's parked goroutines so the chip is
-	// collectable.
-	c.Engine.Shutdown()
 	if held > poolMaxPrivateBytes {
 		// Hand a big chip's pages back now instead of at whatever
 		// collection the heap's growth schedules next: a sweep's next cell
@@ -129,5 +111,12 @@ func ReleaseChip(c *Chip) {
 		// caller still holds c, so unlink its memories first.
 		c.slots = nil
 		runtime.GC()
+		return
 	}
+	key := poolKeyOf(c.Cfg, c.NCores)
+	chipPool.mu.Lock()
+	if s := chipPool.chips[key]; len(s) < poolPerKey {
+		chipPool.chips[key] = append(s, c)
+	}
+	chipPool.mu.Unlock()
 }

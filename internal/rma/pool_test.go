@@ -1,9 +1,13 @@
 package rma
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/scc"
+	"repro/internal/trace"
 )
 
 // TestReleaseDropsChipsOverPrivateBudget: a released chip is parked and
@@ -34,5 +38,31 @@ func TestReleaseDropsChipsOverPrivateBudget(t *testing.T) {
 	defer ReleaseChip(again)
 	if again == big {
 		t.Fatal("a chip over the private-memory budget was parked")
+	}
+}
+
+// TestCleanRunPinsNoChip: a chip dropped after a clean Run is collected.
+// Its procs' coroutines are back on the engine's idle list by then, and
+// an idle coroutine must reference nothing of the run. The runtime never
+// finalizes an object on a reference cycle, and a chip is one (Run's
+// adapter closure points back at it), so the finalizer goes on the
+// chip's counter table, which only the chip references and which
+// references nothing.
+func TestCleanRunPinsNoChip(t *testing.T) {
+	var freed atomic.Bool
+	func() {
+		c := NewChipN(scc.DefaultConfig(), 8)
+		c.Run(func(core *Core) {
+			core.SetFlag((core.ID()+1)%8, 0, 1)
+			core.WaitFlagGE(0, 1)
+		})
+		runtime.SetFinalizer(&c.Counter[0], func(*trace.CoreCounters) { freed.Store(true) })
+	}()
+	for i := 0; i < 20 && !freed.Load(); i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Error("a chip dropped after a clean Run was not collected")
 	}
 }

@@ -11,47 +11,32 @@ import (
 
 // Engine is a deterministic virtual-time scheduler for a fixed set of
 // processes. It is single-threaded from the simulation's point of view:
-// although each process is a goroutine, exactly one runs at any instant,
-// and the scheduler always picks the runnable process with the smallest
-// virtual clock (ties broken by process id). Writes to simulated memory
-// are therefore applied in global time order.
+// although each process body runs on a coroutine of its own, exactly one
+// runs at any instant, and the scheduler always picks the runnable
+// process with the smallest virtual clock (ties broken by process id).
+// Writes to simulated memory are therefore applied in global time order.
 //
-// Scheduling uses direct handoff: the process that yields picks the next
-// runnable process off the run queue itself and passes the control token
-// in a single channel send, so a switch costs one goroutine wakeup
-// instead of a round-trip through a central goroutine. Protocol sections
-// written as Frames (see Proc.Exec) need no goroutine at all: whoever
-// holds the token steps them inline while picking the next process. The
-// engine goroutine (the caller of Run) only arbitrates the cases a
-// yielding process cannot decide alone: an empty run queue (termination
-// or deadlock) and panic unwinding.
+// One engine loop, on the goroutine that called Run, holds the control
+// token between bodies: a body that yields switches back to the loop,
+// which re-queues it and pops the next process in one fused heap
+// operation and resumes that process's coroutine — two coroutine
+// switches, no channel and no trip through the Go scheduler. Protocol
+// sections written as Frames (see Proc.Exec) need no resume at all: the
+// loop steps them inline, on its own stack, while picking the next
+// process. Coroutines come from a process-wide idle list (see coro), so
+// a Run spawns no goroutine once the list holds enough of them.
 type Engine struct {
 	// procs holds every process by value: one backing array per engine,
 	// with each process's watcher record and first frame-stack slots
-	// inline, so building an engine costs a handful of allocations plus
-	// one resume channel per process instead of several objects each.
+	// inline, so building an engine costs a handful of allocations
+	// whatever its process count.
 	procs     []Proc
 	started   bool
 	completed bool // last Run finished cleanly; required by Reset
 	finished  int
 
-	// persistent makes process goroutines park between runs instead of
-	// exiting after one body (see SetPersistent). Only pooled engines
-	// opt in: a parked goroutine pins its engine in memory forever, so
-	// persistence is safe only under an owner that bounds engine count
-	// and calls Shutdown before dropping one.
-	persistent bool
-	// spawned means persistent goroutines are live (parked on their
-	// resume channels between runs).
-	spawned bool
-
-	// engch returns the control token to the engine goroutine, which
-	// happens only when the run queue is empty (termination/deadlock)
-	// or a process panicked.
-	engch chan struct{}
-
-	// body is the current Run's process body; persistent process
-	// goroutines read it after being resumed.
+	// body is the current Run's process body; each proc's coroutine
+	// reads it when the proc first runs.
 	body func(*Proc)
 
 	// runq holds every runnable process except the one currently
@@ -90,10 +75,11 @@ type Engine struct {
 	// digests pin it — and the number is the scheduler's wall-clock cost
 	// driver, so benchmarks report it.
 	switches int64
-	// resumes counts control-token deliveries to a body goroutine (see
-	// sendToken): each is one channel handoff that parks the sender and
-	// wakes a goroutine through the Go scheduler. A switch whose next
-	// proc is stepped inline costs none.
+	// resumes counts coroutine resumes by the engine loop: each hands
+	// the control token to a body, which costs one coroutine switch there
+	// and one back. A switch whose next proc is stepped inline costs
+	// none; a drain that hands the yielding proc straight back costs one
+	// that no switch counts.
 	resumes int64
 
 	panicVal any // re-panicked on Run if a process panicked
@@ -104,45 +90,12 @@ type Engine struct {
 // Reset does not clear it; callers diff before/after a Run.
 func (e *Engine) Switches() int64 { return e.switches }
 
-// Resumes reports the cumulative number of control-token deliveries to a
-// process's body goroutine since the engine was created — the goroutine
-// handoffs the schedule cost, as opposed to the switches stepped inline.
-// Like Switches, it is deterministic and Reset does not clear it.
+// Resumes reports the cumulative number of times the engine loop resumed
+// a process's body coroutine since the engine was created — the
+// coroutine switches the schedule cost, as opposed to the switches
+// stepped inline. Like Switches, it is deterministic and Reset does not
+// clear it.
 func (e *Engine) Resumes() int64 { return e.resumes }
-
-// SetPersistent selects whether process goroutines park between runs
-// (true) or exit after each run (false, the default). Parking makes a
-// Reset+Run cycle skip 1 goroutine spawn per process, but a parked
-// goroutine is a GC root that pins the whole engine, so only owners
-// that bound how many engines exist — the chip pool — should opt in,
-// and they must call Shutdown before dropping the engine. It must not
-// be called while persistent goroutines are parked (Shutdown first).
-func (e *Engine) SetPersistent(on bool) {
-	if e.spawned && !on {
-		panic("sim: SetPersistent(false) with parked goroutines; call Shutdown first")
-	}
-	e.persistent = on
-}
-
-// Shutdown wakes and exits the parked goroutines of a persistent
-// engine so it can be garbage-collected. It is a no-op if nothing is
-// parked, and refuses (returning false) for an engine abandoned
-// mid-run or after a panic — its goroutines are parked at arbitrary
-// yield points and cannot be released; such an engine must simply be
-// dropped, accepting the pinned memory, as a panicked run already is.
-func (e *Engine) Shutdown() bool {
-	if !e.spawned {
-		return true
-	}
-	if e.started && !e.completed {
-		return false
-	}
-	for i := range e.procs {
-		e.procs[i].resume <- true
-	}
-	e.spawned = false
-	return true
-}
 
 // WatchKey identifies a condition a process can block on. Memory
 // implementations signal the key when a write may have changed the
@@ -186,7 +139,6 @@ type watcherEntry struct {
 // NewEngine creates an engine with n processes whose ids are 0..n-1.
 func NewEngine(n int) *Engine {
 	e := &Engine{
-		engch:    make(chan struct{}),
 		procs:    alloc.Slice[Proc](n),
 		watchers: make([][]watcherEntry, n+1),
 	}
@@ -213,7 +165,9 @@ func (e *Engine) Proc(i int) *Proc { return &e.procs[i] }
 
 // Run executes body(p) on every process concurrently in virtual time and
 // returns when all processes have finished. It panics if the simulation
-// deadlocks (some process blocked forever) or if any process panics.
+// deadlocks (some process blocked forever) or if any process panics;
+// either way every body still parked is unwound first, so a torn-down
+// run strands no goroutine.
 //
 // After a clean Run, Reset re-arms the engine for another; calling Run
 // again without Reset panics.
@@ -223,12 +177,7 @@ func (e *Engine) Run(body func(p *Proc)) {
 	}
 	e.started = true
 	e.body = body
-	if !e.spawned {
-		for i := range e.procs {
-			e.procs[i].spawn()
-		}
-		e.spawned = e.persistent
-	}
+	e.attachCoros()
 	for i := range e.procs {
 		p := &e.procs[i]
 		p.state = stateRunnable
@@ -236,19 +185,21 @@ func (e *Engine) Run(body func(p *Proc)) {
 	}
 	e.loop()
 	e.body = nil
-	if e.panicVal != nil {
-		panic(e.panicVal)
+	if r := e.panicVal; r != nil {
+		e.stopCoros()
+		panic(r)
 	}
+	e.releaseCoros()
 	e.completed = true
 }
 
 // Reset re-arms a cleanly completed engine for another Run, keeping
-// every warm structure — process goroutines (parked on their resume
-// channels), the run-queue array, and the per-space watcher slices
-// (drained in place) — so repeated simulations allocate nothing in the
-// scheduler. It reports false (and does nothing) if the engine is
-// mid-run or its last Run panicked: such an engine has goroutines parked
-// at arbitrary points and must be abandoned.
+// every warm structure — the run-queue array, the frame stacks and the
+// per-space watcher slices (drained in place) — so repeated simulations
+// allocate nothing in the scheduler; the next Run takes its coroutines
+// back from the idle list. It reports false (and does nothing) if the
+// engine is mid-run or its last Run panicked: such an engine's state is
+// wherever the panic left it, and it must be abandoned.
 func (e *Engine) Reset() bool {
 	if e.started && !e.completed {
 		return false
@@ -282,27 +233,31 @@ func (e *Engine) Reset() bool {
 }
 
 // loop drives the scheduler until every process has finished. It picks
-// the next process due a goroutine resume via nextToken — stepping any
-// inline machines on this goroutine along the way — hands it the
-// control token, and waits for the token to come back on engch. The
-// token circulates among the processes themselves and returns only for
-// termination, deadlock arbitration, or panic unwinding.
+// the next process due a resume — stepping inline machines on this
+// goroutine's stack along the way (drainToken) — and resumes its
+// coroutine, which runs the body until it yields the token back or
+// finishes. A proc that yielded still runnable re-enters the queue fused
+// with the next pop. The loop stops at termination, at a panic (a body's
+// or a frame's, recorded in panicVal) or at a deadlock, which it records
+// as the panic Run raises once every parked body is unwound.
 func (e *Engine) loop() {
-	for e.finished < len(e.procs) {
-		p := e.nextToken()
-		if e.panicVal != nil {
-			// Tear down by abandoning; goroutines parked on resume
-			// channels are garbage once the engine is dropped (they
-			// hold no OS resources).
-			return
-		}
+	p := e.nextToken()
+	for e.panicVal == nil {
 		if p == nil {
-			e.reportDeadlock()
+			if e.finished < len(e.procs) {
+				e.panicVal = e.deadlockReport()
+			}
+			return
 		}
-		e.sendToken(p)
-		<-e.engch
+		e.resumes++
+		p.co.next()
 		if e.panicVal != nil {
 			return
+		}
+		if p.state == stateRunnable {
+			p = e.tokenFrom(p)
+		} else {
+			p = e.nextToken()
 		}
 	}
 }
@@ -390,11 +345,11 @@ func (e *Engine) addWatcher(key WatchKey, p *Proc, cond Cond) {
 	e.nWatchers++
 }
 
-// reportDeadlock panics with a description of all blocked processes.
-// When tracing is on, the panic message includes each stuck process's
-// last few timeline events, so the report says what every blocked core
-// was doing — not just that it was blocked.
-func (e *Engine) reportDeadlock() {
+// deadlockReport describes all blocked processes, for Run to panic with.
+// When tracing is on, the message includes each stuck process's last few
+// timeline events, so the report says what every blocked core was doing
+// — not just that it was blocked.
+func (e *Engine) deadlockReport() string {
 	var stuck []int
 	for i := range e.procs {
 		if p := &e.procs[i]; p.state == stateBlocked {
@@ -419,7 +374,7 @@ func (e *Engine) reportDeadlock() {
 		}
 		msg = sb.String()
 	}
-	panic(msg)
+	return msg
 }
 
 // deadlockTailEvents is how many recent events per stuck process a

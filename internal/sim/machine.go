@@ -26,11 +26,11 @@ const (
 
 // Frame is one resumable section of a protocol: a state machine whose
 // Step method runs the code between two resume points and reports how
-// it left the clock. Step always executes on the goroutine holding the
-// control token (the engine's, the proc's own, or another proc's) —
-// never concurrently with any other simulation code — so frame state
-// needs no synchronization, but Step must only touch simulation state
-// through p and the usual token-serialized structures.
+// it left the clock. Step always executes where the control token is
+// (on the proc's own body, for an Exec's first stint, or on the engine
+// loop) — never concurrently with any other simulation code — so frame
+// state needs no synchronization, but Step must only touch simulation
+// state through p and the usual token-serialized structures.
 type Frame interface {
 	Step(p *Proc) StepStatus
 }
@@ -43,10 +43,11 @@ func (p *Proc) Call(f Frame) { p.frames = append(p.frames, f) }
 // It returns when the frame (and every child it Calls) has completed,
 // with the proc's clock wherever the frame left it — exactly as if the
 // body had executed the equivalent blocking code. If the whole section
-// completes without the scheduler choosing another proc, Exec costs
-// zero channel operations; otherwise the body goroutine parks once for
-// the entire section (instead of once per yield) while the section's
-// remaining steps run on whichever goroutine holds the token.
+// completes without the scheduler choosing another proc, Exec costs no
+// coroutine switch; otherwise the body parks once for the entire section
+// (instead of once per yield) while the engine loop steps the section's
+// remaining steps on its own stack, and resumes the body when the last
+// frame completes.
 //
 // Exec must not be called from within a frame — frames nest with Call.
 func (p *Proc) Exec(f Frame) {
@@ -54,19 +55,18 @@ func (p *Proc) Exec(f Frame) {
 		panic("sim: Exec from within a machine; nest frames with Call")
 	}
 	p.frames = append(p.frames, f)
-	st := p.runMachine(true)
-	if st == machineDone {
+	if p.runMachine(true) == machineDone {
 		// Section completed without ever losing the token.
 		return
 	}
-	// The machine yielded or blocked: hand the token onward and park
-	// this goroutine until the machine's last frame completes. From
-	// here on other token holders step the machine via nextToken.
-	p.yieldToken(st == machineYield)
+	// The machine yielded (p is still runnable) or blocked: park the
+	// body until the machine's last frame completes. From here on the
+	// engine loop steps the machine via drainToken.
+	p.park()
 }
 
 // machineStatus is how a runMachine stint ended: the section completed
-// (or a foreign-goroutine panic was accounted), the proc yielded to an
+// (or a panic on the engine loop was accounted), the proc yielded to an
 // earlier proc and must re-enter the run queue, or it blocked on a
 // watch key and will be re-queued by the waking Signal.
 type machineStatus uint8
@@ -81,16 +81,15 @@ const (
 // or the proc must give up the control token. On machineYield the proc
 // is NOT re-queued — the caller fuses the re-queue with its next pop
 // (runQueue.pushPop) — so every non-Done status must be followed by the
-// matching queue operation. own says the calling goroutine is the
-// proc's own body goroutine (the Exec entry path): a panic there
-// propagates so it unwinds through Exec into runBody's deferred
-// recover — identical accounting to a body panic. A panic while
-// stepping a foreign proc's frames cannot reach that proc's (parked)
-// goroutine, so one deferred recover per stint (not per step) accounts
-// it exactly as runBody would: mark the proc done, record the panic for
-// Run to re-raise, and report machineDone so the caller unwinds without
-// touching the dead proc again; the parked goroutine is abandoned, as
-// any panicked run's goroutines are.
+// matching queue operation. own says the caller is the proc's own body
+// (the Exec entry path): a panic there propagates so it unwinds through
+// Exec into runBody's deferred recover — identical accounting to a body
+// panic. A panic while the engine loop steps the frames cannot reach the
+// proc's (parked) body, so one deferred recover per stint (not per step)
+// accounts it exactly as runBody would: mark the proc done, record the
+// panic for Run to re-raise, and report machineDone so the loop stops
+// without touching the dead proc again; Run then unwinds the parked body
+// with the rest of the torn-down run.
 func (p *Proc) runMachine(own bool) (st machineStatus) {
 	if own {
 		return p.machineSteps()
@@ -113,7 +112,7 @@ func (p *Proc) runMachine(own bool) (st machineStatus) {
 func (p *Proc) machineSteps() machineStatus {
 	e := p.eng
 	if p.wokeMachine {
-		// Mirror blockOn's post-wake instant: the goroutine form emits
+		// Mirror blockOn's post-wake instant: the body form emits
 		// it when the proc resumes after a blocking wait.
 		p.wokeMachine = false
 		if o := e.obs; o != nil {
@@ -176,21 +175,19 @@ func (p *Proc) MachineBlock(key WatchKey, cond Cond) {
 	p.wokeMachine = true
 }
 
-// nextToken picks the proc that should run next, draining machine
-// steps inline: popped procs with a non-empty frame stack are stepped
-// on the calling goroutine until one completes its section (its body
-// goroutine must be resumed) or the queue empties. Because stepping
-// never leaves this goroutine while machines yield to each other, every
-// machine proc runnable at the head timestamp executes in one pass with
-// zero channel operations — the same-clock batch. Returns nil when the
-// queue is empty (termination or deadlock, arbitrated by the engine
-// goroutine) or a frame panicked.
+// nextToken picks the proc whose body the engine loop should resume
+// next, draining machine steps inline: popped procs with a non-empty
+// frame stack are stepped on the loop's stack until one completes its
+// section (its body must be resumed) or the queue empties. Because
+// stepping never leaves the loop while machines yield to each other,
+// every machine proc runnable at the head timestamp executes in one pass
+// with no coroutine switch — the same-clock batch. Returns nil when the
+// queue is empty (termination or deadlock) or a frame panicked.
 func (e *Engine) nextToken() *Proc {
 	return e.drainToken(e.runq.pop())
 }
 
-// tokenFrom is nextToken for a token holder whose proc p just yielded
-// while still runnable: p re-enters the queue and the best candidate
+// tokenFrom is nextToken after proc p yielded while still runnable: p re-enters the queue and the best candidate
 // comes out in one fused heap operation (runQueue.pushPop).
 func (e *Engine) tokenFrom(p *Proc) *Proc {
 	return e.drainToken(e.runq.pushPop(p))
@@ -206,8 +203,8 @@ func (e *Engine) drainToken(q *Proc) *Proc {
 			if e.panicVal != nil {
 				return nil
 			}
-			// Section complete: q's body goroutine (parked in Exec)
-			// takes the token and continues after the section.
+			// Section complete: q's body (parked in Exec) takes the
+			// token and continues after the section.
 			return q
 		case machineYield:
 			q = e.runq.pushPop(q)

@@ -161,11 +161,10 @@ func TestMachineEquivalenceMatrix(t *testing.T) {
 
 // TestResumesCountGoroutineHandoffs: two procs that each advance three
 // times in lockstep switch six times whichever way their work is
-// written, but a blocking body takes the control token on its goroutine
-// at every switch (8 resumes: the two starts, six switches, the handoff
-// at the first finish), while one Exec'd section per proc is stepped
-// inline by whoever holds the token, so each goroutine is resumed only to
-// start and to leave its section (4).
+// written, but a blocking body is resumed at every switch (8 resumes:
+// the two starts, six switches, the handoff at the first finish), while
+// one Exec'd section per proc is stepped inline by the engine loop, so
+// each body is resumed only to start and to leave its section (4).
 func TestResumesCountGoroutineHandoffs(t *testing.T) {
 	for _, tc := range []struct {
 		frame   bool
@@ -427,21 +426,19 @@ func TestMachineDeadlock(t *testing.T) {
 	})
 }
 
-// TestMachineExecAllocFree pins the inline hot path: a warmed
-// persistent engine running Exec'd frames allocates nothing per
-// Reset+Run cycle — the frame stack, run queue and watcher buckets all
-// reuse their backing arrays.
+// TestMachineExecAllocFree pins the inline hot path: a warmed engine
+// running Exec'd frames allocates nothing per Reset+Run cycle — the
+// frame stack, run queue and watcher buckets all reuse their backing
+// arrays, and the coroutines come back from the idle list.
 func TestMachineExecAllocFree(t *testing.T) {
 	e := NewEngine(4)
-	e.SetPersistent(true)
-	defer e.Shutdown()
 	count := 0
 	frames := make([]countFrame, 4)
 	body := func(p *Proc) {
 		frames[p.ID()] = countFrame{n: 50, d: Duration(1 + p.ID()%3), count: &count}
 		p.Exec(&frames[p.ID()])
 	}
-	e.Run(body) // warm: spawn goroutines, grow heap and frame stacks
+	e.Run(body) // warm: fill the idle list, grow heap and frame stacks
 	allocs := testing.AllocsPerRun(20, func() {
 		if !e.Reset() {
 			t.Fatal("Reset refused")

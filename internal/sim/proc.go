@@ -11,13 +11,13 @@ const (
 	stateDone
 )
 
-// Proc is one simulated processor: a goroutine whose execution is
-// serialized by the engine in virtual-time order. All methods must be
+// Proc is one simulated processor: a body running on a coroutine that
+// the engine loop resumes in virtual-time order. All methods must be
 // called from within the process's own body function.
 //
-// The goroutine normally exits when the body finishes and is re-spawned
-// by the next Run; on a persistent engine (the chip pool's) it instead
-// parks on the resume channel between runs — see spawn.
+// Each Run takes the proc's coroutine from a process-wide idle list (or
+// makes one) and a clean Run gives it back, so once the list is warm a
+// Run spawns no goroutine — see coro.
 type Proc struct {
 	id    int
 	eng   *Engine
@@ -33,18 +33,16 @@ type Proc struct {
 	// removed from the watcher list exactly when the process wakes.
 	blockRec blockedProc
 
-	// resume delivers the control token to this process: exactly one
-	// process (or the engine goroutine) holds the token at any time, and
-	// whoever holds it sends here to make this process the one running.
-	// The payload is the stop flag: true tells a parked persistent
-	// goroutine to exit (Shutdown) and is carried in the token itself so
-	// no flag read can race with the next run's spawns.
-	resume chan bool
+	// co is the coroutine running this process's body during a Run (nil
+	// outside one). Exactly one body — or the engine loop — holds the
+	// control token at any time: the loop resumes co to hand it over,
+	// and the body gives it back by yielding (park).
+	co *coro
 
 	// frames is the proc's inline state-machine stack (see Exec/Call):
 	// non-empty exactly while the proc is inside a machine section, in
-	// which case schedulers step the top frame directly instead of
-	// resuming the goroutine. It starts on frameSlots — a protocol frame
+	// which case the engine loop steps the top frame directly instead of
+	// resuming the body. It starts on frameSlots — a protocol frame
 	// with an rma op under it, the deepest any layer nests today — and
 	// moves to the heap if a section nests deeper; either way the backing
 	// array is retained across sections and runs, so Exec allocates
@@ -54,7 +52,7 @@ type Proc struct {
 
 	// wokeMachine marks that the machine blocked via MachineBlock and
 	// the next runMachine entry must emit the wake instant blockOn's
-	// goroutine form emits after its park.
+	// body form emits after its park.
 	wokeMachine bool
 }
 
@@ -67,7 +65,6 @@ func (p *Proc) init(e *Engine, id int) {
 		eng:     e,
 		state:   stateNew,
 		heapIdx: -1,
-		resume:  make(chan bool),
 	}
 	p.frames = p.frameSlots[:0]
 }
@@ -81,39 +78,18 @@ func (p *Proc) Now() Time { return p.now }
 // Engine returns the engine driving this process.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// spawn launches the process goroutine. By default it exits when the
-// body finishes rather than parking for the next run: a goroutine
-// blocked on a channel is a GC root that is never collected, so parked
-// procs would pin their engine — and the whole chip hanging off it —
-// in memory for every engine the program ever discards. Run re-spawns
-// instead; the runtime recycles exited goroutines' g structs and
-// stacks, so a spawn costs far less than the leak would.
-//
-// A persistent engine (SetPersistent, used by the bounded chip pool)
-// loops back to park instead, skipping the respawn and the body's
-// first-call stack growth on every pooled rerun; Shutdown wakes the
-// parked goroutines with a true stop token so they can exit.
-func (p *Proc) spawn() {
-	go func() {
-		for {
-			if stop := <-p.resume; stop {
-				return
-			}
-			p.runBody()
-			if !p.eng.persistent {
-				return
-			}
-		}
-	}()
-}
-
-// runBody executes one simulation's body and releases the control token
-// when it finishes (normally or by panic). The done instant, state flip
-// and finished count run in a deferred function so a panicking body is
-// still accounted for before the engine goroutine is notified.
+// runBody executes one simulation's body on the proc's coroutine. The
+// done instant, state flip and finished count run in a deferred function
+// so a panicking body is still accounted for before its coroutine hands
+// the token back (see coro.serve); the engine loop then re-raises the
+// panic on Run's caller. A body unwound by a torn-down run (errStopped)
+// is accounted for nothing: its engine is dead.
 func (p *Proc) runBody() {
 	defer func() {
 		r := recover()
+		if r == errStopped {
+			return
+		}
 		if r != nil {
 			p.eng.panicVal = r
 		}
@@ -124,12 +100,6 @@ func (p *Proc) runBody() {
 		}
 		p.state = stateDone
 		p.eng.finished++
-		if r != nil {
-			// Panic unwinding hands the token to the engine goroutine.
-			p.eng.engch <- struct{}{}
-		} else {
-			p.eng.sendToken(p.eng.nextToken())
-		}
 	}()
 	p.eng.body(p)
 }
@@ -137,8 +107,8 @@ func (p *Proc) runBody() {
 // keepRunning reports whether p — which must be the currently running
 // process — is still strictly first in (clock, id) order among all
 // runnable processes. If so the scheduler would hand control straight
-// back, so the switch is elided entirely: same schedule, zero channel
-// operations. The comparison uses the run queue's cached top key, not
+// back, so the switch is elided entirely: same schedule, no coroutine
+// switch. The comparison uses the run queue's cached top key, not
 // heap[0] itself, so the fast path touches no heap memory.
 func (p *Proc) keepRunning() bool {
 	if p.state != stateRunnable {
@@ -158,45 +128,23 @@ func (p *Proc) doYield() {
 }
 
 // slowYield counts a slow-path switch and gives up the control token
-// (see yieldToken); p re-enters the run queue only if still runnable.
+// (see park).
 func (p *Proc) slowYield() {
 	p.eng.switches++
-	p.yieldToken(p.state == stateRunnable)
+	p.park()
 }
 
-// yieldToken relinquishes the control token and parks until it comes
-// back: the yielding process re-queues itself (if requeue — it is still
-// runnable), picks the next process due a goroutine resume — stepping
-// inline machines along the way, see nextToken — and sends the token
-// straight to it, one channel operation per switch. If the drain hands
-// p itself back (the machine procs ahead of it ran inline, or p's own
-// remaining frames completed), p still holds the token and the park is
-// skipped entirely.
-func (p *Proc) yieldToken(requeue bool) {
-	e := p.eng
-	var next *Proc
-	if requeue {
-		next = e.tokenFrom(p)
-	} else {
-		next = e.nextToken()
-	}
-	if next == p {
-		return
-	}
-	e.sendToken(next)
-	<-p.resume
-}
-
-// sendToken passes the control token to next, or to the engine
-// goroutine when there is no next process: the run queue drained (the
-// engine then arbitrates termination vs deadlock) or a machine frame
-// panicked.
-func (e *Engine) sendToken(next *Proc) {
-	if next != nil {
-		e.resumes++
-		next.resume <- false
-	} else {
-		e.engch <- struct{}{}
+// park hands the control token back to the engine loop and returns when
+// the loop resumes p. The loop reads p.state to decide what follows: a
+// runnable p re-enters the run queue, fused with picking the next proc
+// (runQueue.pushPop), while a blocked or finished one does not. The
+// loop steps inline machines on its own stack, so a body's stack holds
+// only the body's own frames. Should the drain hand p itself straight
+// back, p is resumed at once — one resume that a switch does not count.
+// A false yield means the run was torn down: the body unwinds.
+func (p *Proc) park() {
+	if !p.co.yield(struct{}{}) {
+		panic(errStopped)
 	}
 }
 
@@ -222,7 +170,7 @@ func (p *Proc) AdvanceTo(t Time) {
 // The predicate is evaluated immediately; if it already holds the
 // process yields only when another process is due first — the same fast
 // path doYield uses, so a satisfied wait on an idle schedule costs no
-// channel operations. Otherwise the process sleeps until a Signal on key
+// coroutine switch. Otherwise the process sleeps until a Signal on key
 // finds the predicate true, and resumes no earlier than the signalling
 // write's effective time. Block returns the process's clock after
 // waking.

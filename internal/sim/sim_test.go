@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -347,15 +348,19 @@ func TestRunQueueDoublePushPanics(t *testing.T) {
 	q.push(e.Proc(0))
 }
 
-// TestPersistentEngineReuse pins the pooled-engine lifecycle: parked
-// goroutines across Reset/Run cycles, identical behavior to a fresh
-// engine, and a clean Shutdown.
-func TestPersistentEngineReuse(t *testing.T) {
+// TestEngineResetRunReuse pins the reused-engine lifecycle: Reset+Run
+// cycles behave exactly like the first Run, with each cycle's coroutines
+// taken back from the idle list — no goroutine is created once it is
+// warm.
+func TestEngineResetRunReuse(t *testing.T) {
 	e := NewEngine(5)
-	e.SetPersistent(true)
+	var during int
 	body := func(p *Proc) {
 		for i := 0; i < 10; i++ {
 			p.Advance(Duration(1 + p.ID()))
+		}
+		if p.ID() == 0 {
+			during = runtime.NumGoroutine()
 		}
 	}
 	var finals [3][]Time
@@ -363,9 +368,16 @@ func TestPersistentEngineReuse(t *testing.T) {
 		if run > 0 && !e.Reset() {
 			t.Fatal("Reset refused on a cleanly completed engine")
 		}
+		before := runtime.NumGoroutine()
 		e.Run(body)
+		if run > 0 && during != before {
+			t.Errorf("run %d: %d goroutines inside the run, %d before it", run, during, before)
+		}
 		for i := range e.procs {
 			finals[run] = append(finals[run], e.procs[i].now)
+			if e.procs[i].co != nil {
+				t.Errorf("run %d proc %d still holds its coroutine after a clean Run", run, i)
+			}
 		}
 	}
 	for run := 1; run < 3; run++ {
@@ -375,32 +387,19 @@ func TestPersistentEngineReuse(t *testing.T) {
 			}
 		}
 	}
-	if !e.Shutdown() {
-		t.Error("Shutdown refused on an idle persistent engine")
-	}
-	// After Shutdown the engine spawns fresh goroutines and still works.
-	if !e.Reset() {
-		t.Fatal("Reset refused after Shutdown")
-	}
-	e.Run(body)
-	if !e.Shutdown() {
-		t.Error("second Shutdown refused")
-	}
 }
 
 // TestAdvanceYieldAllocFree pins the scheduler hot path: on a warmed
-// persistent engine, a full Reset+Run cycle of pure Advance traffic
-// performs zero heap allocations.
+// engine, a full Reset+Run cycle of pure Advance traffic performs zero
+// heap allocations.
 func TestAdvanceYieldAllocFree(t *testing.T) {
 	e := NewEngine(4)
-	e.SetPersistent(true)
-	defer e.Shutdown()
 	body := func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			p.Advance(Duration(1 + (p.ID()+i)%3))
 		}
 	}
-	e.Run(body) // warm: spawn goroutines, grow the run-queue heap
+	e.Run(body) // warm: fill the idle list, grow the run-queue heap
 	allocs := testing.AllocsPerRun(20, func() {
 		if !e.Reset() {
 			t.Fatal("Reset refused")
@@ -408,6 +407,6 @@ func TestAdvanceYieldAllocFree(t *testing.T) {
 		e.Run(body)
 	})
 	if allocs > 0 {
-		t.Errorf("Reset+Run of a warmed persistent engine allocates %.1f times per cycle, want 0", allocs)
+		t.Errorf("Reset+Run of a warmed engine allocates %.1f times per cycle, want 0", allocs)
 	}
 }

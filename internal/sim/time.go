@@ -3,7 +3,7 @@
 // barrier-separated repetitions timed with the SCC's global counters) is
 // reproduced exactly rather than statistically.
 //
-// Simulated cores run ordinary Go code inside goroutines; a central
+// Simulated cores run ordinary Go code on coroutines; a central
 // scheduler admits exactly one core at a time — always the runnable core
 // with the smallest virtual clock (ties broken by process id) — so
 // simulation results are fully deterministic and timestamps taken on
@@ -13,8 +13,8 @@
 // The scheduler keeps runnable processes in an indexed binary min-heap
 // keyed on (clock, id), maintained incrementally as processes block,
 // wake and finish, so each scheduling decision is O(log n); a process
-// that remains the earliest runnable continues without a goroutine
-// round-trip. Both are pure wall-clock optimisations: the admission
+// that remains the earliest runnable continues without a coroutine
+// switch. Both are pure wall-clock optimisations: the admission
 // order is identical to scanning every process each step.
 package sim
 
