@@ -39,7 +39,7 @@ var (
 // the root (binomial tree). scratchAddr is same-size private staging the
 // operation may clobber on interior nodes.
 func (c *Core) Reduce(root, addr, scratchAddr, lines int, op ReduceOp) {
-	c.env.Run(algsel.OpReduce, algsel.Generic,
+	c.run(algsel.OpReduce, algsel.Generic,
 		algsel.Args{Root: root, Addr: addr, Scratch: scratchAddr, Lines: lines, Reduce: op})
 }
 
@@ -47,24 +47,24 @@ func (c *Core) Reduce(root, addr, scratchAddr, lines int, op ReduceOp) {
 // broadcasts the result with OC-Bcast — the hybrid composition the
 // paper's §7 suggests. For the fully one-sided version see AllReduceOC.
 func (c *Core) AllReduce(addr, scratchAddr, lines int, op ReduceOp) {
-	c.env.Run(algsel.OpAllReduce, algsel.Generic,
+	c.run(algsel.OpAllReduce, algsel.Generic,
 		algsel.Args{Addr: addr, Scratch: scratchAddr, Lines: lines, Reduce: op})
 }
 
 // Gather collects each core's block (at addr + id·lines·32) onto the root.
 func (c *Core) Gather(root, addr, lines int) {
-	c.env.Run(algsel.OpGather, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(algsel.OpGather, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // Scatter distributes per-core blocks from the root's memory layout
 // (block i at addr + i·lines·32) to each core.
 func (c *Core) Scatter(root, addr, lines int) {
-	c.env.Run(algsel.OpScatter, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(algsel.OpScatter, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // AllGather exchanges every core's block so all cores hold all P blocks.
 func (c *Core) AllGather(addr, lines int) {
-	c.env.Run(algsel.OpAllGather, algsel.Generic, algsel.Args{Addr: addr, Lines: lines})
+	c.run(algsel.OpAllGather, algsel.Generic, algsel.Args{Addr: addr, Lines: lines})
 }
 
 // --- One-sided family (pipelined k-ary trees over MPB RMA) ---
@@ -76,7 +76,7 @@ func (c *Core) AllGather(addr, lines int) {
 // left untouched.
 func (c *Core) ReduceOC(root, addr, lines int, op ReduceOp) {
 	c.occ()
-	c.env.Run(algsel.OpReduce, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines, Reduce: op})
+	c.run(algsel.OpReduce, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines, Reduce: op})
 }
 
 // AllReduceOC is OC-Reduce fused with an OC-Bcast of the result down the
@@ -85,14 +85,14 @@ func (c *Core) ReduceOC(root, addr, lines int, op ReduceOp) {
 // a few hundred bytes up (2.5x and rising at 8 KiB).
 func (c *Core) AllReduceOC(addr, lines int, op ReduceOp) {
 	c.occ()
-	c.env.Run(algsel.OpAllReduce, algsel.OneSided, algsel.Args{Addr: addr, Lines: lines, Reduce: op})
+	c.run(algsel.OpAllReduce, algsel.OneSided, algsel.Args{Addr: addr, Lines: lines, Reduce: op})
 }
 
 // GatherOC collects each core's block (at addr + id·lines·32) onto the
 // root, streamed up the k-ary tree through double-buffered MPB slots.
 func (c *Core) GatherOC(root, addr, lines int) {
 	c.occ()
-	c.env.Run(algsel.OpGather, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(algsel.OpGather, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // ScatterOC distributes per-core blocks from the root's memory layout
@@ -100,7 +100,7 @@ func (c *Core) GatherOC(root, addr, lines int) {
 // store-and-forward.
 func (c *Core) ScatterOC(root, addr, lines int) {
 	c.occ()
-	c.env.Run(algsel.OpScatter, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(algsel.OpScatter, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // AllGatherOC is an OC-Gather onto core 0 fused with an OC-Bcast of the
@@ -108,7 +108,7 @@ func (c *Core) ScatterOC(root, addr, lines int) {
 // core.
 func (c *Core) AllGatherOC(addr, lines int) {
 	c.occ()
-	c.env.Run(algsel.OpAllGather, algsel.OneSided, algsel.Args{Addr: addr, Lines: lines})
+	c.run(algsel.OpAllGather, algsel.OneSided, algsel.Args{Addr: addr, Lines: lines})
 }
 
 // BcastOC broadcasts `lines` cache lines from root's addr to the same
@@ -117,7 +117,7 @@ func (c *Core) AllGatherOC(addr, lines int) {
 // paper-faithful standalone OC-Bcast with its own flag layout.)
 func (c *Core) BcastOC(root, addr, lines int) {
 	c.occ()
-	c.env.Run(algsel.OpBcast, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(algsel.OpBcast, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // --- Non-blocking one-sided family (the progress engine) ---

@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	occore "repro/internal/core"
 )
 
 // The repository's documentation contract, checked over go/parser from
@@ -127,5 +129,27 @@ func TestMarkdownLinks(t *testing.T) {
 				t.Errorf("%s: dangling link %q", md, m[1])
 			}
 		}
+	}
+}
+
+// TestREADMELayout pins README's "MPB layout" block to the default
+// layout table as Layout.String renders it.
+func TestREADMELayout(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n## MPB layout\n")
+	_, block, ok2 := strings.Cut(section, "\n```\n")
+	block, _, ok3 := strings.Cut(block, "```\n")
+	if !ok || !ok2 || !ok3 {
+		t.Fatal(`README.md has no fenced block under "## MPB layout"`)
+	}
+	lay, err := occore.DefaultConfig().Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if block != lay.String() {
+		t.Errorf("README's MPB layout block differs from the default table; it renders as:\n%s", lay)
 	}
 }

@@ -98,6 +98,10 @@ type Algorithm struct {
 	// nil when the algorithm has no non-blocking twin (the two-sided
 	// substrate blocks by construction).
 	Issue func(e *Env, ch Choice, a Args) *occoll.Request
+	// MPB names the protocols whose MPB regions a blocking run uses
+	// besides the one-sided lanes (scc's layout table); an algorithm
+	// with no Issue twin must name at least one.
+	MPB []scc.Owner
 	// Model predicts the latency of the algorithm for `lines` cache
 	// lines on the first p cores of topology t, or is nil when the
 	// algorithm has no closed form (it is then never auto-selected,
@@ -124,6 +128,9 @@ func Register(a Algorithm) {
 	}
 	if a.Name == "" {
 		panic(fmt.Sprintf("algsel: algorithm for %s has no name", a.Op))
+	}
+	if a.Issue == nil && len(a.MPB) == 0 {
+		panic(fmt.Sprintf("algsel: algorithm %s/%s names no MPB owner", a.Op, a.Name))
 	}
 	for _, have := range registry[a.Op] {
 		if have.Name == a.Name {

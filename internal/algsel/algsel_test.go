@@ -70,6 +70,7 @@ func TestRegisterPanics(t *testing.T) {
 	check("duplicate", Algorithm{Op: OpBcast, Name: "oc", Run: func(*Env, Choice, Args) {}})
 	check("no run", Algorithm{Op: OpBcast, Name: "newalg"})
 	check("no name", Algorithm{Op: OpBcast, Run: func(*Env, Choice, Args) {}})
+	check("no MPB owner", Algorithm{Op: OpBcast, Name: "newalg", Run: func(*Env, Choice, Args) {}})
 }
 
 func TestChoiceString(t *testing.T) {

@@ -33,9 +33,10 @@ func BenchmarkDispatch(b *testing.B) {
 				chip := rma.AcquireChipN(cfg, n)
 				defer rma.ReleaseChip(chip)
 				envs := make([]Env, n)
+				lay, _ := base.Layout()
 				chip.Run(func(c *rma.Core) {
 					e := &envs[c.ID()]
-					e.Init(c, base, pc.policy)
+					e.Init(c, base, lay, pc.policy)
 					e.Run(OpAllReduce, Generic, args) // sizes per-run buffers
 					e.Port.Barrier()
 					if timed && c.ID() == 0 {

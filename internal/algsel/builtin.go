@@ -22,6 +22,13 @@ var (
 	ocChunks = []int{48, 96}
 )
 
+// The MPB owners of the blocking-only algorithms.
+var (
+	rcceMPB   = []scc.Owner{scc.OwnerRCCE}
+	ocbMPB    = []scc.Owner{scc.OwnerOCBcast}
+	hybridMPB = []scc.Owner{scc.OwnerRCCE, scc.OwnerOCBcast}
+)
+
 // mocOf resolves a choice's chunk size for the model's Moc parameter.
 func mocOf(ch Choice, bp model.BcastParams) model.BcastParams {
 	if ch.ChunkLines > 0 {
@@ -59,6 +66,7 @@ func init() {
 		// twin, which also has a non-blocking form.
 		Op: OpBcast, Name: "ocbcast", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.Bcaster(ch).Bcast(a.Root, a.Addr, a.Lines) },
+		MPB: ocbMPB,
 	})
 	Register(Algorithm{
 		Op: OpBcast, Name: "binomial",
@@ -66,18 +74,22 @@ func init() {
 		Model: func(m model.Model, t scc.Topology, p, lines int, ch Choice) sim.Duration {
 			return m.BinomialLatency(model.ReduceParamsFor(t, p, 2), lines)
 		},
+		MPB: rcceMPB,
 	})
 	Register(Algorithm{
 		Op: OpBcast, Name: "sag",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.BcastScatterAllgather(a.Root, a.Addr, a.Lines) },
+		MPB: rcceMPB,
 	})
 	Register(Algorithm{
 		Op: OpBcast, Name: "sag1s", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.BcastScatterAllgatherOneSided(a.Root, a.Addr, a.Lines) },
+		MPB: rcceMPB,
 	})
 	Register(Algorithm{
 		Op: OpBcast, Name: "naive",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.BcastNaive(a.Root, a.Addr, a.Lines) },
+		MPB: rcceMPB,
 	})
 
 	// --- Reduce ---
@@ -100,6 +112,7 @@ func init() {
 		Model: func(m model.Model, t scc.Topology, p, lines int, ch Choice) sim.Duration {
 			return m.BinomialReduceLatency(model.ReduceParamsFor(t, p, 2), lines)
 		},
+		MPB: rcceMPB,
 	})
 
 	// --- AllReduce ---
@@ -122,6 +135,7 @@ func init() {
 		Model: func(m model.Model, t scc.Topology, p, lines int, ch Choice) sim.Duration {
 			return m.TwoSidedAllReduceLatency(model.ReduceParamsFor(t, p, 2), lines)
 		},
+		MPB: rcceMPB,
 	})
 	Register(Algorithm{
 		// The §7 composition: two-sided binomial reduce, OC-Bcast of the
@@ -137,6 +151,7 @@ func init() {
 				mocOf(ch, model.BcastParamsFor(t, p, kOf(ch))), lines, kOf(ch))
 		},
 		Ks: treeKs, Chunks: ocChunks,
+		MPB: hybridMPB,
 	})
 	Register(Algorithm{
 		Op: OpAllReduce, Name: "rabenseifner",
@@ -146,6 +161,7 @@ func init() {
 		Model: func(m model.Model, t scc.Topology, p, lines int, ch Choice) sim.Duration {
 			return m.RabenseifnerLatency(model.ReduceParamsFor(t, p, 2), lines)
 		},
+		MPB: rcceMPB,
 	})
 
 	// --- Scatter / Gather --- (no closed forms yet: named overrides
@@ -161,6 +177,7 @@ func init() {
 	Register(Algorithm{
 		Op: OpScatter, Name: "twosided",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.Scatter(a.Root, a.Addr, a.Lines) },
+		MPB: rcceMPB,
 	})
 	Register(Algorithm{
 		Op: OpGather, Name: "oc", OneSided: true,
@@ -173,6 +190,7 @@ func init() {
 	Register(Algorithm{
 		Op: OpGather, Name: "twosided",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.Gather(a.Root, a.Addr, a.Lines) },
+		MPB: rcceMPB,
 	})
 
 	// --- AllGather ---
@@ -204,5 +222,6 @@ func init() {
 		Model: func(m model.Model, t scc.Topology, p, lines int, ch Choice) sim.Duration {
 			return m.TwoSidedRingAllGatherLatency(model.RingParamsFor(t, p), lines)
 		},
+		MPB: rcceMPB,
 	})
 }

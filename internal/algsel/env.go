@@ -10,6 +10,7 @@ import (
 	"repro/internal/occoll"
 	"repro/internal/rcce"
 	"repro/internal/rma"
+	"repro/internal/scc"
 )
 
 // Env is one core's collective stack and the one dispatcher every call
@@ -24,13 +25,13 @@ type Env struct {
 	Port rcce.Port
 	Comm collective.Comm
 	BC   core.Broadcaster
-	// col is the one-sided engine for Base, valid iff colErr is nil:
-	// OC-Bcast alone admits larger fan-outs than the full one-sided family.
-	col    occoll.Collectives
-	colErr error
+	// col is the one-sided engine for Base, valid iff lay has lanes.
+	col occoll.Collectives
 	// Base is the configured one-sided parameter set (Options K, chunk,
-	// channels); choices resolve against it with cfgFor.
+	// channels); choices resolve against it with cfgFor. lay is its MPB
+	// layout.
 	Base   core.Config
+	lay    *scc.Layout
 	policy Policy
 
 	ocs map[ocKey]*occoll.Collectives
@@ -40,32 +41,35 @@ type Env struct {
 // ocKey identifies one resolved one-sided configuration.
 type ocKey struct{ k, chunk int }
 
-// Init makes e core rc's stack in place (e points into itself and must
-// not be copied afterwards). It panics on a base configuration OC-Bcast
-// cannot lay out; a base the one-sided family cannot lay out is kept as
-// the error Collectives reports.
-func (e *Env) Init(rc *rma.Core, base core.Config, policy Policy) {
-	*e = Env{Base: base, policy: policy}
+// Init makes e core rc's stack in place over lay, base's validated
+// layout, shared by every core of the chip (e points into itself and
+// must not be copied afterwards). A layout without lanes leaves the
+// one-sided family unavailable, its error kept for Collectives to
+// report.
+func (e *Env) Init(rc *rma.Core, base core.Config, lay *scc.Layout, policy Policy) {
+	*e = Env{Base: base, lay: lay, policy: policy}
 	e.Port.Init(rc)
 	e.Comm.Init(&e.Port)
-	e.BC.Init(rc, base)
-	// In mixed one-/two-sided programs the broadcaster's private
-	// root-change fence lines alias RCCE's handshake lines; route its
-	// quiesce through the shared barrier epoch (see core.SetFence).
-	e.BC.SetFence(&e.Port)
-	if e.colErr = occoll.Validate(base); e.colErr == nil {
-		e.col.Init(rc, &e.Port, base)
+	e.BC.Init(rc, base, lay)
+	e.BC.SetFence(&e.Port) // the layout's fence/barrier share needs it
+	if e.lay.LaneErr == nil {
+		e.col.Init(rc, &e.Port, base, lay)
 	}
 }
 
 // OnChip runs body on every core of chip over that core's stack — one
 // Env per core, all in one slice, on base under the paper-faithful
-// policy — and finishes each stack when its body returns.
+// policy — and finishes each stack when its body returns. It panics on a
+// base whose layout does not fit.
 func OnChip(chip *rma.Chip, base core.Config, body func(e *Env)) {
+	lay, err := base.Layout()
+	if err != nil {
+		panic(err)
+	}
 	envs := alloc.Slice[Env](chip.NCores)
 	chip.Run(func(c *rma.Core) {
 		e := &envs[c.ID()]
-		e.Init(c, base, Policy{})
+		e.Init(c, base, lay, Policy{})
 		body(e)
 		e.Finish()
 	})
@@ -74,11 +78,14 @@ func OnChip(chip *rma.Chip, base core.Config, body func(e *Env)) {
 // Core returns the underlying RMA core.
 func (e *Env) Core() *rma.Core { return e.Port.Core() }
 
+// Layout returns the base configuration's MPB layout.
+func (e *Env) Layout() *scc.Layout { return e.lay }
+
 // Collectives returns the one-sided engine for the base configuration, or
 // the layout error that leaves the one-sided family no MPB room.
 func (e *Env) Collectives() (*occoll.Collectives, error) {
-	if e.colErr != nil {
-		return nil, e.colErr
+	if e.lay.LaneErr != nil {
+		return nil, e.lay.LaneErr
 	}
 	return &e.col, nil
 }
@@ -86,7 +93,7 @@ func (e *Env) Collectives() (*occoll.Collectives, error) {
 // Finish ends the core's body: leaked non-blocking requests panic
 // descriptively here instead of corrupting peers' MPB protocol state.
 func (e *Env) Finish() {
-	if e.colErr == nil {
+	if e.lay.LaneErr == nil {
 		e.col.Finish()
 	}
 }
@@ -100,7 +107,7 @@ func (e *Env) Finish() {
 // cores still agree on the layout.
 func (e *Env) OC(ch Choice) *occoll.Collectives {
 	cfg := cfgFor(e.Base, ch)
-	if e.colErr == nil && (cfg == e.Base || e.col.Outstanding() > 0) {
+	if e.lay.LaneErr == nil && (cfg == e.Base || e.col.Outstanding() > 0) {
 		return &e.col
 	}
 	key := ocKey{cfg.K, cfg.BufLines}
@@ -138,8 +145,14 @@ func (e *Env) Bcaster(ch Choice) *core.Broadcaster {
 // Run resolves and runs one blocking collective of op called through
 // method m (Generic or OneSided).
 func (e *Env) Run(op Op, m Method, a Args) {
-	alg, ch := e.policy.Resolve(op, m, a.Lines)
+	alg, ch := e.Resolve(op, m, a.Lines)
 	e.Exec(alg, ch, a)
+}
+
+// Resolve returns the algorithm and choice a blocking call of op through
+// method m runs for a message of lines cache lines under the policy.
+func (e *Env) Resolve(op Op, m Method, lines int) (*Algorithm, Choice) {
+	return e.policy.Resolve(op, m, lines)
 }
 
 // Exec runs algorithm alg at choice ch inside an "api" span.

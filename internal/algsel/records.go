@@ -87,13 +87,7 @@ func (s Server) SyncMaxUs() float64 {
 	return float64(int64(binary.LittleEndian.Uint64(buf[:8]))) / 1e6
 }
 
-// Run executes one blocking batch. A blocking dispatch switches
-// collective families mid-stream, so the chip quiesces on both sides:
-// before, so stragglers still draining a non-blocking lane (SyncMaxUs
-// rides the one-sided path) are done before payload is restaged over
-// live flag lines; after, so an intermediate OC node's late done-flag
-// writes land before the next lane begin zeroes them. Both barriers ride
-// the shared rcce epoch.
+// Run executes one blocking batch between two barriers.
 func (s Server) Run(op string, root, addr, scratch, lines int) {
 	s.E.Port.Barrier()
 	s.E.Run(Op(op), Generic, recordArgs(Op(op), root, addr, scratch, lines))

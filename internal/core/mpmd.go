@@ -21,9 +21,8 @@ import (
 // data path. HandleAnnounce is the receiver half: it blocks (as an OS
 // would idle) until interrupted, reads the descriptor, and participates.
 
-// descriptor layout within one 32-byte MPB line.
-const descLine = scc.MPBLinesPerCore - 4 // one line below the fence flags
-
+// The descriptor's bytes within its one 32-byte MPB line (the layout's
+// Descriptor line).
 func encodeDescriptor(root, addr, lines int, base uint64) []byte {
 	b := make([]byte, scc.CacheLine)
 	binary.LittleEndian.PutUint32(b[0:], uint32(root))
@@ -46,7 +45,7 @@ func decodeDescriptor(b []byte) (root, addr, lines int, base uint64) {
 func (b *Broadcaster) activate(t Tree, root, addr, lines int) {
 	desc := encodeDescriptor(root, addr, lines, b.base)
 	for _, child := range t.Children {
-		b.core.PutLine(child, descLine, desc)
+		b.core.PutLine(child, b.lay.Descriptor, desc)
 		b.core.SendIPI(child)
 	}
 }
@@ -79,7 +78,7 @@ func (b *Broadcaster) Announce(addr, lines int) {
 func (b *Broadcaster) HandleAnnounce() (root, addr, lines int) {
 	c := b.core
 	c.WaitIPI()
-	root, addr, lines, base := decodeDescriptor(c.ReadLineBytes(c.ID(), descLine))
+	root, addr, lines, base := decodeDescriptor(c.ReadLineBytes(c.ID(), b.lay.Descriptor))
 	// Adopt the announcer's sequence base so flag values line up even if
 	// this core missed earlier operations.
 	b.base = base

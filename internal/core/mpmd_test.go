@@ -103,24 +103,27 @@ func TestMPMDThenSPMD(t *testing.T) {
 	}
 }
 
-// TestMPMDDescriptorLineReserved: the activation descriptor's line is
-// not part of the broadcast layout. {K: 1, BufLines: 251} used to pass
-// Validate with its done flag on the descriptor line, where the
-// descriptor's first 8 bytes (root | lines<<32) satisfied an interior
-// node's done-wait before its child had consumed the buffer: with one
-// receiver late to HandleAnnounce, every core below it got corrupt
-// bytes and nothing panicked. The largest layouts that do fit must
-// deliver intact in that schedule.
+// TestMPMDDescriptorLineReserved: the activation descriptor shares no
+// line with a flag. {K: 1, BufLines: 251} once passed Validate with its
+// done flag on the descriptor's line, where the descriptor's first 8
+// bytes (root | lines<<32) satisfied an interior node's done-wait before
+// its child had consumed the buffer: with one receiver late to
+// HandleAnnounce, every core below it got corrupt bytes and nothing
+// panicked. The descriptor now sits in OC-Bcast's buffers, and a layout
+// whose flags reach RCCE's barrier line is rejected naming it. The
+// largest layouts that do fit must deliver intact in that schedule.
 func TestMPMDDescriptorLineReserved(t *testing.T) {
-	err := Config{K: 1, BufLines: 251}.Validate()
-	if err == nil || !strings.Contains(err.Error(), "MPMD descriptor line") {
-		t.Fatalf("a layout reaching the descriptor line must be rejected naming it, got %v", err)
+	for _, bad := range []Config{{K: 1, BufLines: 251}, {K: 1, BufLines: 250}} {
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), "collides with rcce barrier") {
+			t.Fatalf("%+v: a layout reaching RCCE's flags must be rejected naming them, got %v", bad, err)
+		}
 	}
 	const lines = 1200
 	payload := pattern(lines*scc.CacheLine, 7)
-	for _, cfg := range []Config{{K: 1, BufLines: 250}, {K: 3, BufLines: 124, DoubleBuffer: true}} {
-		if cfg.notifyLine()+cfg.K != descLine-1 {
-			t.Fatalf("%+v does not end right below the descriptor line", cfg)
+	for _, cfg := range []Config{{K: 1, BufLines: 249}, {K: 4, BufLines: 123, DoubleBuffer: true}} {
+		if lay, err := cfg.Layout(); err != nil || lay.OCNotify+cfg.K != scc.RCCEStaging-1 {
+			t.Fatalf("%+v does not end right below RCCE's flags (%v)", cfg, err)
 		}
 		for _, n := range []int{4, 8} {
 			chip := rma.NewChipN(scc.DefaultConfig(), n)

@@ -34,7 +34,7 @@ type Config struct {
 	// collective family (internal/occoll) lays out, bounding how many
 	// non-blocking collectives can be in flight per core at once. 0 or 1
 	// means a single lane — the classic layout. OC-Bcast itself ignores
-	// the field; occoll.Validate checks that all lanes fit in the MPB.
+	// the field.
 	Channels int
 }
 
@@ -43,46 +43,25 @@ func DefaultConfig() Config {
 	return Config{K: 7, BufLines: 96, DoubleBuffer: true}
 }
 
-// Validate checks that the MPB layout fits: numBuffers·Moc data lines plus
-// 1 notify flag plus k done flags below the four reserved lines at the
-// top of the 256-line MPB.
+// Layout returns the configuration's MPB layout — OC-Bcast's buffers and
+// flags, its fence, the MPMD descriptor, RCCE's lines and the one-sided
+// lanes (scc.LayoutFor) — or why it does not fit.
+func (c Config) Layout() (*scc.Layout, error) {
+	return scc.LayoutFor(scc.LayoutSpec{K: c.K, BufLines: c.BufLines, DoubleBuffer: c.DoubleBuffer, Channels: c.Channels})
+}
+
+// Validate checks that OC-Bcast's part of the MPB layout fits, whatever
+// the lanes need (occoll.Validate checks those).
 func (c Config) Validate() error {
-	if c.K < 1 {
-		return fmt.Errorf("occast: k=%d must be >= 1", c.K)
-	}
-	if c.BufLines < 1 {
-		return fmt.Errorf("occast: BufLines=%d must be >= 1", c.BufLines)
-	}
-	// The top of the MPB is reserved: three flag lines for the
-	// root-change fence barrier and, below them, the MPMD activation
-	// descriptor (mpmd.go) — whose first bytes would otherwise satisfy a
-	// done-flag wait on the same line.
-	if need := c.notifyLine() + 1 + c.K; need > descLine {
-		return fmt.Errorf("occast: layout needs %d MPB lines (buffers %d×%d + %d flags), only the %d below the MPMD descriptor line and the three fence flags are available",
-			need, c.numBuffers(), c.BufLines, c.K+1, descLine)
-	}
-	return nil
+	_, err := c.bcastLayout()
+	return err
 }
 
-// Fence barrier flag lines (fixed, independent of Config so that cores
-// with different configs could still fence together).
-const (
-	fenceChildA  = scc.MPBLinesPerCore - 3
-	fenceChildB  = scc.MPBLinesPerCore - 2
-	fenceRelease = scc.MPBLinesPerCore - 1
-)
-
-// numBuffers reports 2 with double buffering, else 1.
-func (c Config) numBuffers() int {
-	if c.DoubleBuffer {
-		return 2
-	}
-	return 1
+// bcastLayout is the layout with one lane, which OC-Bcast alone needs.
+func (c Config) bcastLayout() (*scc.Layout, error) {
+	c.Channels = 0
+	return c.Layout()
 }
-
-// notifyLine is the notify flag's MPB line: the chunk buffers occupy the
-// lines below it, the K done flags the lines above.
-func (c Config) notifyLine() int { return c.numBuffers() * c.BufLines }
 
 // Broadcaster holds a core's persistent OC-Bcast state. Flag values are
 // chunk sequence numbers offset by a base that advances after every
@@ -91,6 +70,7 @@ func (c Config) notifyLine() int { return c.numBuffers() * c.BufLines }
 type Broadcaster struct {
 	core     *rma.Core
 	cfg      Config
+	lay      *scc.Layout
 	base     uint64
 	lastRoot int
 	fenceSeq uint64
@@ -107,41 +87,33 @@ type Broadcaster struct {
 // rather than a func value so wiring one per core stays allocation-free.
 type Fencer interface{ Barrier() }
 
-// NewBroadcaster prepares OC-Bcast state for one core. The buffer/flag
-// layout (and the fence lines above) anchor at the paper-standard
-// 256-line per-core MPB share; topologies below that cannot host the
-// protocol (the public API rejects them, and a smaller MPB fails fast on
-// the first out-of-range line access).
+// NewBroadcaster prepares OC-Bcast state for one core. It panics on a
+// configuration whose layout does not fit.
 func NewBroadcaster(core *rma.Core, cfg Config) *Broadcaster {
+	lay, err := cfg.bcastLayout()
+	if err != nil {
+		panic(err)
+	}
 	b := new(Broadcaster)
-	b.Init(core, cfg)
+	b.Init(core, cfg, lay)
 	return b
 }
 
-// Init makes b core's OC-Bcast state in place, for callers that hold
-// their per-core state by value. It panics on an invalid configuration.
-func (b *Broadcaster) Init(core *rma.Core, cfg Config) {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	*b = Broadcaster{core: core, cfg: cfg, lastRoot: -1}
+// Init makes b core's OC-Bcast state in place over lay, cfg's validated
+// layout, for callers that hold their per-core state by value.
+func (b *Broadcaster) Init(core *rma.Core, cfg Config, lay *scc.Layout) {
+	*b = Broadcaster{core: core, cfg: cfg, lay: lay, lastRoot: -1}
 }
 
 // SetFence routes the root-change quiesce through f instead of the
-// private fence barrier below. Programs that mix OC-Bcast with the
-// two-sided layer need this: the private fence's flag lines (the top
-// three MPB lines) double as RCCE's handshake lines, and its private
-// sequence numbers alias their values, so when the two layers overlap in
-// time a fence wait can be falsely satisfied by a stale handshake tag —
-// or a fence write can clobber a handshake a peer is still waiting on.
-// Routing every quiesce through one shared primitive (rcce's barrier,
-// which runs the same gather-release tree on disjoint lines with a
-// single monotonic epoch) removes the aliasing. algsel wires this;
+// private fence barrier below, whose lines the layout shares with RCCE's
+// flags: a program that runs the two-sided layer beside OC-Bcast must
+// route every quiesce through RCCE's barrier. algsel wires this;
 // standalone OC-Bcast programs keep the private fence.
 func (b *Broadcaster) SetFence(f Fencer) { b.fencer = f }
 
-// fence is a gather-release binary-tree barrier over three dedicated MPB
-// flag lines. OC-Bcast's per-core notify lines have a single writer only
+// fence is a gather-release binary-tree barrier over the layout's three
+// fence lines. OC-Bcast's per-core notify lines have a single writer only
 // while the tree shape is fixed; when the root changes between
 // broadcasts, a new parent could overwrite a notify flag the old tree has
 // not consumed yet. The fence quiesces the chip before adopting the new
@@ -161,7 +133,7 @@ func (b *Broadcaster) fence() {
 type fenceStep Broadcaster
 
 func (f *fenceStep) EmitStep(p *rma.Prog, _ int) (more bool) {
-	p.TreeBarrier(f.core.ID(), f.core.N(), fenceChildA, fenceChildB, fenceRelease, f.fenceSeq)
+	p.TreeBarrier(f.core.ID(), f.core.N(), f.lay.Fence[0], f.lay.Fence[1], f.lay.Fence[2], f.fenceSeq)
 	return false
 }
 
@@ -203,14 +175,14 @@ func (b *Broadcaster) run(t Tree, addr, lines int) {
 }
 
 // bcastStep is the broadcast's step program: chunk by chunk, the shared
-// §4 pipeline over the standalone layout — buffers from line 0, the
+// §4 pipeline over the layout's OC-Bcast buffers and tagged flags, the
 // monotonic sequence base, leaf-direct as configured, and only the root
 // polls its done flags once more at the end to free its MPB.
 type bcastStep Broadcaster
 
 func (b *bcastStep) EmitStep(p *rma.Prog, ch int) (more bool) {
-	pl := Pipeline{Tree: &b.t, Notify: b.cfg.notifyLine(),
-		NB: b.cfg.numBuffers(), BufLines: b.cfg.BufLines, Base: b.base,
+	pl := Pipeline{Tree: &b.t, Data: b.lay.OCData, Notify: b.lay.OCNotify, Tag: b.lay.OCTag,
+		NB: b.lay.Buffers, BufLines: b.cfg.BufLines, Base: b.base,
 		LeafDirect: b.cfg.LeafDirect, Drain: b.t.Rank == 0,
 		Addr: b.addr, Lines: b.lines}
 	return pl.EmitChunk(p, ch)

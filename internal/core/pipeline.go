@@ -17,12 +17,12 @@ import (
 // down Tree, over an MPB layout: NB chunk buffers of BufLines lines
 // starting at line Data, the notify flag at line Notify and child i's
 // done flag at Notify+1+i. Flags carry Base plus the 1-based chunk
-// number.
+// number under the owner tag Tag.
 type Pipeline struct {
 	Tree         *Tree
 	Data, Notify int
 	NB, BufLines int
-	Base         uint64
+	Base, Tag    uint64
 	// LeafDirect is the §5.4 optimization: a leaf serves nobody, so it
 	// pulls each chunk from its parent's MPB straight into private
 	// memory — one MPB pass saved per chunk.
@@ -32,10 +32,6 @@ type Pipeline struct {
 	Drain       bool
 	Addr, Lines int
 }
-
-// BufLines is a step instruction's 8-bit line count, MPB lines its
-// 16-bit line numbers.
-const _ = uint8(scc.MPBLinesPerCore - 1)
 
 // EmitChunk emits this node's ops for chunk ch (0, 1, …) and reports
 // whether more chunks follow.
@@ -57,7 +53,7 @@ func (pl *Pipeline) EmitChunk(p *rma.Prog, ch int) (more bool) {
 		m = pl.BufLines
 	}
 	chunkAddr := pl.Addr + ch*pl.BufLines*scc.CacheLine
-	buf, seq := pl.Data+(ch%pl.NB)*pl.BufLines, pl.Base+uint64(ch)+1
+	buf, seq := pl.Data+(ch%pl.NB)*pl.BufLines, pl.Tag|(pl.Base+uint64(ch)+1)
 	last := (ch+1)*pl.BufLines >= pl.Lines
 
 	switch {

@@ -353,7 +353,7 @@ func TestMPBSweepPending(t *testing.T) {
 // write to the same line is not visible before that one, to any reader —
 // the side-effect-free peeks of the flag waits follow settle's rule. They
 // used to take the last write with eff ≤ t even behind a future one, so a
-// wait for == 3 below reported satisfied at 300 while PeekU64 read 1. The
+// wait for ≥ 3 below reported satisfied at 300 while PeekU64 read 1. The
 // second round is the same on a line whose writes are in the pending list.
 func TestPeekStopsAtFirstFutureWrite(t *testing.T) {
 	one, three := u64Of(1), u64Of(3)
@@ -363,8 +363,8 @@ func TestPeekStopsAtFirstFutureWrite(t *testing.T) {
 		m.WriteLines(line, lineOf(1), 1, 100, 0)
 		m.WriteLines(line, lineOf(2), 1, 1000, 0)
 		m.WriteLines(line, lineOf(3), 1, 200, 0)
-		if te, ok := m.WaitSatisfiedAt(line, 300, true, three); !ok || te != 1000 {
-			t.Errorf("line %d: wait for == 3 at 300 = (%d, %v), want satisfied at 1000", line, te, ok)
+		if te, ok := m.WaitSatisfiedAt(line, 300, three); !ok || te != 1000 {
+			t.Errorf("line %d: wait for ≥ 3 at 300 = (%d, %v), want satisfied at 1000", line, te, ok)
 		}
 		if probe, peek := m.ProbeU64(line, 300), m.PeekU64(line, 300); probe != one || peek != one {
 			t.Errorf("line %d at 300: ProbeU64 %#x, PeekU64 %#x, want the first write from both", line, probe, peek)
@@ -494,19 +494,15 @@ func (m *listMPB) ProbeU64(line int, t sim.Time) uint64 {
 	return v
 }
 
-func (m *listMPB) WaitSatisfiedAt(line int, now sim.Time, eq bool, val uint64) (sim.Time, bool) {
-	op := waitGE
-	if eq {
-		op = waitEQ
-	}
-	if holdsOp(m.ProbeU64(line, now), op, val) {
+func (m *listMPB) WaitSatisfiedAt(line int, now sim.Time, val uint64) (sim.Time, bool) {
+	if scc.FlagHolds(m.ProbeU64(line, now), val) {
 		return now, true
 	}
 	for _, x := range m.pending {
 		if !x.covers(line) || x.isApplied(line) {
 			continue
 		}
-		if eff := x.effAt(line); eff > now && holdsOp(m.ProbeU64(line, eff), op, val) {
+		if eff := x.effAt(line); eff > now && scc.FlagHolds(m.ProbeU64(line, eff), val) {
 			return eff, true
 		}
 	}
@@ -585,11 +581,13 @@ func TestPendingIndexMatchesList(t *testing.T) {
 					t.Fatalf("%s: ProbeU64(%d, %d) = %#x, oracle %#x", where, line, at, g, w)
 				}
 			case r < 82:
-				eq, val := rng.Intn(2) == 0, uint64(rng.Intn(9))
-				gt, gok := m.WaitSatisfiedAt(line, now, eq, val)
-				wt, wok := ref.WaitSatisfiedAt(line, now, eq, val)
+				// Half the waits carry an owner tag no write matches.
+				tag := uint64(rng.Intn(2)) << 32
+				val := tag | uint64(rng.Intn(9))
+				gt, gok := m.WaitSatisfiedAt(line, now, val)
+				wt, wok := ref.WaitSatisfiedAt(line, now, val)
 				if gt != wt || gok != wok {
-					t.Fatalf("%s: WaitSatisfiedAt(%d, eq=%v, %d) = (%d, %v), oracle (%d, %v)", where, line, eq, val, gt, gok, wt, wok)
+					t.Fatalf("%s: WaitSatisfiedAt(%d, %#x) = (%d, %v), oracle (%d, %v)", where, line, val, gt, gok, wt, wok)
 				}
 			default:
 				n, stride := 1+rng.Intn(min(13, lines-line)), sim.Duration(rng.Intn(3)*rng.Intn(60))

@@ -134,12 +134,6 @@ type flagWrite struct {
 	line [scc.CacheLine]byte
 }
 
-// Wait-comparison selectors of the flag waits.
-const (
-	waitGE uint8 = iota // value ≥ threshold
-	waitEQ              // value == threshold
-)
-
 // u64Wait is an MPB's embedded flag-wait condition. Reusing it across
 // waits keeps the steady-state block path allocation-free; the fields
 // are rewritten per wait and the record is released when the process
@@ -148,13 +142,12 @@ type u64Wait struct {
 	m      *MPB
 	p      *sim.Proc
 	line   int
-	op     uint8
 	val    uint64
 	active bool
 }
 
 func (w *u64Wait) Holds() bool {
-	_, ok := w.m.satisfiedAt(w.line, w.p.Now(), w.op, w.val)
+	_, ok := w.m.satisfiedAt(w.line, w.p.Now(), w.val)
 	return ok
 }
 
@@ -761,23 +754,15 @@ func (m *MPB) ProbeU64(line int, t sim.Time) uint64 {
 	return v
 }
 
-// holdsOp evaluates one wait comparison.
-func holdsOp(v uint64, op uint8, val uint64) bool {
-	if op == waitEQ {
-		return v == val
-	}
-	return v >= val
-}
-
-// satisfiedAt returns the earliest time ≥ now at which the (op, val)
-// comparison holds for the line's leading uint64, considering the
+// satisfiedAt returns the earliest time ≥ now at which the line's leading
+// uint64 satisfies a flag wait for val (scc.FlagHolds), considering the
 // settled state and the line's unfolded writes: it looks at now and then
 // at each later moment the visible value changes, in time order. ok is
 // false if no current or pending state satisfies it.
-func (m *MPB) satisfiedAt(line int, now sim.Time, op uint8, val uint64) (sim.Time, bool) {
+func (m *MPB) satisfiedAt(line int, now sim.Time, val uint64) (sim.Time, bool) {
 	for t := now; ; {
 		v, next, blocked := m.peekU64At(line, t)
-		if holdsOp(v, op, val) {
+		if scc.FlagHolds(v, val) {
 			return t, true
 		}
 		if !blocked {
@@ -787,21 +772,20 @@ func (m *MPB) satisfiedAt(line int, now sim.Time, op uint8, val uint64) (sim.Tim
 	}
 }
 
-// WaitU64GE blocks process p until the line's leading uint64 is ≥ val,
-// and returns with p's clock at (no earlier than) the effective time of
+// WaitU64GE blocks process p until the line's leading uint64 satisfies
+// a flag wait for val (scc.FlagHolds: same high 32 bits, ≥), and returns with p's clock at (no earlier than) the effective time of
 // the write that satisfied it. It is the simulator's flag-poll primitive
 // for a blocking body: the process sleeps instead of burning virtual
 // time spinning — matching the paper's assumption that no time elapses
 // between a flag being set and observed, up to the final poll read the
 // caller charges separately. The whole path is closure-free: the
-// comparison is carried as (op, val) scalars in the MPB's embedded wait
-// record. (rma's flag waits run the same loop as frame steps — see
-// wait_inline.go — and add the == comparison of the RCCE handshake.)
+// wait value rides in the MPB's embedded wait record. (rma's flag waits
+// run the same loop as frame steps — see wait_inline.go.)
 func (m *MPB) WaitU64GE(p *sim.Proc, line int, val uint64) {
 	m.checkLine(line)
 	key := m.watchKey(line)
 	for {
-		if te, ok := m.satisfiedAt(line, p.Now(), waitGE, val); ok {
+		if te, ok := m.satisfiedAt(line, p.Now(), val); ok {
 			p.AdvanceTo(te)
 			return
 		}
@@ -811,12 +795,12 @@ func (m *MPB) WaitU64GE(p *sim.Proc, line int, val uint64) {
 			// embedded record (not a path the RCCE layers take); fall
 			// back to a one-shot condition.
 			p.Block(key, func() bool {
-				_, ok := m.satisfiedAt(line, p.Now(), waitGE, val)
+				_, ok := m.satisfiedAt(line, p.Now(), val)
 				return ok
 			})
 			continue
 		}
-		w.m, w.p, w.line, w.op, w.val = m, p, line, waitGE, val
+		w.m, w.p, w.line, w.val = m, p, line, val
 		w.active = true
 		p.BlockCond(key, w)
 		w.active = false

@@ -502,7 +502,7 @@ func BenchmarkFlagRound(b *testing.B) {
 				now, seq := sim.Time(i)*10, uint64(i+1)
 				binary.LittleEndian.PutUint64(line, seq)
 				m.WriteLines(7, line, 1, now+5, 0)
-				if te, ok := m.WaitSatisfiedAt(7, now, false, seq); !ok || m.PeekU64(7, te) != seq {
+				if te, ok := m.WaitSatisfiedAt(7, now, seq); !ok || m.PeekU64(7, te) != seq {
 					b.Fatalf("round %d: flag not seen", i)
 				}
 			}

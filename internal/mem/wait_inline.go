@@ -6,22 +6,18 @@ import "repro/internal/sim"
 // (sim.Frame) cannot sit in WaitU64GE's blocking loop, so they drive the
 // same satisfiedAt / embedded-record machinery through explicit check /
 // arm / disarm steps and carry the loop in their own program counter.
-// Every flag wait of the protocol stack (rma's WaitFlagGE/EQ, blocking
+// Every flag wait of the protocol stack (rma's WaitFlagGE, blocking
 // or as a child frame) takes these steps; WaitU64GE remains for bodies
 // that wait on a bare MPB without an rma core.
 
 // WaitSatisfiedAt is one wait-loop iteration's satisfaction check:
-// the earliest time ≥ now at which the line's leading uint64 compares
-// ≥ val (or == val when eq), considering pending writes. ok is false
+// the earliest time ≥ now at which the line's leading uint64 satisfies
+// a flag wait for val (scc.FlagHolds), considering pending writes. ok is false
 // if no current or pending state satisfies it, in which case the
 // caller should ArmWait and block.
-func (m *MPB) WaitSatisfiedAt(line int, now sim.Time, eq bool, val uint64) (te sim.Time, ok bool) {
+func (m *MPB) WaitSatisfiedAt(line int, now sim.Time, val uint64) (te sim.Time, ok bool) {
 	m.checkLine(line)
-	op := waitGE
-	if eq {
-		op = waitEQ
-	}
-	return m.satisfiedAt(line, now, op, val)
+	return m.satisfiedAt(line, now, val)
 }
 
 // ArmWait registers p as blocked on the line's watch key with the same
@@ -32,18 +28,14 @@ func (m *MPB) WaitSatisfiedAt(line int, now sim.Time, eq bool, val uint64) (te s
 // wakes, mirroring WaitU64GE's release of the record after BlockCond
 // returns. The caller must have just seen WaitSatisfiedAt report not
 // ok at p.Now() and must return sim.StepBlock from the same Step.
-func (m *MPB) ArmWait(p *sim.Proc, line int, eq bool, val uint64) (embedded bool) {
+func (m *MPB) ArmWait(p *sim.Proc, line int, val uint64) (embedded bool) {
 	key := m.watchKey(line)
-	op := waitGE
-	if eq {
-		op = waitEQ
-	}
 	w := &m.wait
 	if w.active {
-		p.MachineBlock(key, &oneShotWait{m: m, p: p, line: line, op: op, val: val})
+		p.MachineBlock(key, &oneShotWait{m: m, p: p, line: line, val: val})
 		return false
 	}
-	w.m, w.p, w.line, w.op, w.val = m, p, line, op, val
+	w.m, w.p, w.line, w.val = m, p, line, val
 	w.active = true
 	p.MachineBlock(key, w)
 	return true
@@ -65,11 +57,10 @@ type oneShotWait struct {
 	m    *MPB
 	p    *sim.Proc
 	line int
-	op   uint8
 	val  uint64
 }
 
 func (c *oneShotWait) Holds() bool {
-	_, ok := c.m.satisfiedAt(c.line, c.p.Now(), c.op, c.val)
+	_, ok := c.m.satisfiedAt(c.line, c.p.Now(), c.val)
 	return ok
 }

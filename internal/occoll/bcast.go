@@ -36,7 +36,7 @@ func bcastDownAll(r *Request, ch int) bool { return bcastChunk(r, r.lines*r.tree
 func bcastChunk(r *Request, lines, ch int) (more bool) {
 	l, x := r.lane, r.x
 	pl := core.Pipeline{Tree: &r.tree, Data: l.dataBase, Notify: l.dnNotifyLine(),
-		NB: x.numBuffers(), BufLines: x.cfg.BufLines,
+		NB: x.nb, BufLines: x.cfg.BufLines,
 		LeafDirect: true, Drain: true, Addr: r.addr, Lines: lines}
 	return pl.EmitChunk(&l.prog, ch)
 }

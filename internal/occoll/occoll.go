@@ -18,12 +18,8 @@
 //
 // The MPB is laid out in Config.Channels independent *lanes*, each with
 // its own chunk buffers and flag block, so up to Channels collectives can
-// be in flight per core at once. Lane 0 reproduces the classic layout:
-// data chunks live in the same MPB buffer region as OC-Bcast's, and the
-// lane's synchronization flags occupy a dedicated line block placed after
-// OC-Bcast's flags and below the RCCE layer's lines, so the three
-// families can coexist on one chip. Additional lanes stack above lane 0's
-// flag block.
+// be in flight per core at once; where they sit is scc's layout table
+// (Config.Layout).
 //
 // Every operation is a chip-wide collective: all cores must call it with
 // matching arguments and in the same program order (MPI style); lanes are
@@ -55,72 +51,14 @@ type Config = core.Config
 // ReduceOp combines src into dst; see collective.ReduceOp.
 type ReduceOp = collective.ReduceOp
 
-// Flag-line layout. OC-Bcast occupies [0, nb·BufLines) for data plus
-// 1+K flag lines; lane 0's occoll flags follow immediately:
-//
-//	dnNotify            1 line   down direction: chunk available at parent
-//	dnDone[K]           K lines  down direction: child i consumed chunk
-//	upReady[K]          K lines  up direction: child i staged chunk
-//	upConsumed          1 line   up direction: parent consumed my chunk
-//
-// Lane i ≥ 1 stacks nb·BufLines data lines plus the same 2K+2 flag block
-// directly above lane i−1's flags. The whole stack must stay below line
-// 251: the RCCE layer owns 251..255 (barrier + send/recv handshake) and
-// the MPMD descriptor line is 252.
-const maxFlagLine = 250
-
-// numBuffers reports the chunk-buffer count per lane: 2 with double
-// buffering, else 1. Every layout computation derives from this one
-// helper so buffer rotation and line layout cannot desynchronize.
-func numBuffers(c Config) int {
-	if c.DoubleBuffer {
-		return 2
-	}
-	return 1
-}
-
-func flagBase(c Config) int {
-	return numBuffers(c)*c.BufLines + 1 + c.K
-}
-
-// channels reports the configured lane count (0 means 1).
-func channels(c Config) int {
-	if c.Channels < 1 {
-		return 1
-	}
-	return c.Channels
-}
-
-// laneSpan is the number of MPB lines one lane occupies: its chunk
-// buffers plus its 2K+2 flag block.
-func laneSpan(c Config) int {
-	return numBuffers(c)*c.BufLines + 2*c.K + 2
-}
-
-// laneLayout returns lane i's first data line and first flag line. Lane 0
-// shares its data region with OC-Bcast (the classic layout); later lanes
-// stack above lane 0's flag block.
-func laneLayout(c Config, i int) (dataBase, flagBase0 int) {
-	if i == 0 {
-		return 0, flagBase(c)
-	}
-	base := flagBase(c) + 2*c.K + 2 + (i-1)*laneSpan(c)
-	return base, base + numBuffers(c)*c.BufLines
-}
-
-// Validate reports whether the MPB layout fits: OC-Bcast's buffers and
-// flags plus every lane's buffers and 2K+2 flag lines within lines
-// 0..250.
+// Validate reports whether the MPB layout fits OC-Bcast and every lane
+// of the one-sided family.
 func Validate(c Config) error {
-	if err := c.Validate(); err != nil {
+	lay, err := c.Layout()
+	if err != nil {
 		return err
 	}
-	_, fb := laneLayout(c, channels(c)-1)
-	if top := fb + 2*c.K + 1; top > maxFlagLine {
-		return fmt.Errorf("occoll: %d lane(s) need flag lines up to %d, only 0..%d available (reduce Channels, BufLines or K)",
-			channels(c), top, maxFlagLine)
-	}
-	return nil
+	return lay.LaneErr
 }
 
 // Collectives holds a core's one-sided collective state: the lane layout
@@ -131,6 +69,7 @@ type Collectives struct {
 	core *rma.Core
 	port *rcce.Port
 	cfg  Config
+	nb   int // chunk buffers per lane
 	// lanes is the lane table; the classic one-lane layout keeps it on
 	// firstLane instead of allocating.
 	lanes     []lane
@@ -153,32 +92,30 @@ type Collectives struct {
 // configuration whose MPB layout does not fit (a programming error, like
 // core.NewBroadcaster).
 func New(c *rma.Core, port *rcce.Port, cfg Config) *Collectives {
-	x := new(Collectives)
-	x.Init(c, port, cfg)
-	return x
-}
-
-// Init makes x core c's one-sided collective state in place, for callers
-// that hold their per-core state by value (x points into itself and must
-// not be copied afterwards). It panics like New.
-func (x *Collectives) Init(c *rma.Core, port *rcce.Port, cfg Config) {
 	if err := Validate(cfg); err != nil {
 		panic(err)
 	}
-	*x = Collectives{core: c, port: port, cfg: cfg}
-	if n := channels(cfg); n == 1 {
+	lay, _ := cfg.Layout()
+	x := new(Collectives)
+	x.Init(c, port, cfg, lay)
+	return x
+}
+
+// Init makes x core c's one-sided collective state in place over lay,
+// cfg's validated layout with lanes, for callers that hold their per-core
+// state by value (x points into itself and must not be copied
+// afterwards).
+func (x *Collectives) Init(c *rma.Core, port *rcce.Port, cfg Config, lay *scc.Layout) {
+	*x = Collectives{core: c, port: port, cfg: cfg, nb: lay.Buffers}
+	if n := len(lay.Lanes); n == 1 {
 		x.lanes = x.firstLane[:]
 	} else {
 		x.lanes = make([]lane, n)
 	}
-	for i := range x.lanes {
-		db, fb := laneLayout(cfg, i)
-		x.lanes[i] = lane{x: x, idx: i, dataBase: db, flagBase: fb}
+	for i, ln := range lay.Lanes {
+		x.lanes[i] = lane{x: x, idx: i, dataBase: ln.Data, flagBase: ln.Flags}
 	}
 }
-
-// numBuffers reports the lane chunk-buffer count for this core's config.
-func (x *Collectives) numBuffers() int { return numBuffers(x.cfg) }
 
 // Lanes reports the configured lane count.
 func (x *Collectives) Lanes() int { return len(x.lanes) }
@@ -231,12 +168,16 @@ type occupant struct {
 
 // bufLine maps a chunk/transfer index to its MPB slot's first line.
 func (l *lane) bufLine(i int) int {
-	return l.dataBase + (i%l.x.numBuffers())*l.x.cfg.BufLines
+	return l.dataBase + (i%l.x.nb)*l.x.cfg.BufLines
 }
 
 // slotLine maps a buffer-slot index (0..numBuffers-1) to its first line.
 func (l *lane) slotLine(s int) int { return l.dataBase + s*l.x.cfg.BufLines }
 
+// A lane's 2K+2 flag lines, from its flag base: dnNotify (down: chunk
+// available at the parent), dnDone[K] (down: child i consumed it),
+// upReady[K] (up: child i staged its chunk), upConsumed (up: the parent
+// consumed mine).
 func (l *lane) dnNotifyLine() int     { return l.flagBase }
 func (l *lane) dnDoneLine(i int) int  { return l.flagBase + 1 + i }
 func (l *lane) upReadyLine(i int) int { return l.flagBase + 1 + l.x.cfg.K + i }

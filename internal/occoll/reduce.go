@@ -56,7 +56,7 @@ var protoIAllReduce = &protocol{"IAllReduce", []stepFn{reduceUp, bcastDown}}
 func reduceUp(r *Request, ch int) (more bool) {
 	l, t := r.lane, &r.tree
 	x, p := l.x, &l.prog
-	me, nb := x.core.ID(), x.numBuffers()
+	me, nb := x.core.ID(), x.nb
 	m := x.chunkSpan(ch, r.lines)
 	off := r.addr + ch*x.cfg.BufLines*scc.CacheLine
 	buf, seq := l.bufLine(ch), uint64(ch)+1

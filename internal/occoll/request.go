@@ -94,6 +94,12 @@ type Request struct {
 // "IAllReduce"), for error messages and tests.
 func (r *Request) Op() string { return r.proto.name }
 
+// Lane reports the MPB lane the request occupies.
+func (r *Request) Lane() int { return r.lane.idx }
+
+// Completed reports whether Wait or a true Test has completed the request.
+func (r *Request) Completed() bool { return r.consumed }
+
 // issue starts a non-blocking collective: argument validation, lane
 // claim, begin (flag zeroing + barrier), then the protocol, eagerly
 // advanced to its first unsatisfied flag wait so communication starts at
@@ -315,6 +321,11 @@ func (x *Collectives) Progress() {
 		x.compactReqs()
 	}
 }
+
+// Requests returns the core's tracked requests in issue order: every
+// request not yet completed by Wait or a true Test, and completed ones
+// until the next issue drops them. The slice is the engine's own.
+func (x *Collectives) Requests() []*Request { return x.reqs }
 
 // Outstanding reports how many issued requests have not completed their
 // protocol yet.

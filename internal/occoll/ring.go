@@ -47,7 +47,7 @@ func ringAllGather(r *Request, step int) (more bool) {
 	l, x := r.lane, r.x
 	p, n, me := &l.prog, x.core.N(), x.core.ID()
 	left, right := (me-1+n)%n, (me+1)%n
-	nb, nchunks := x.numBuffers(), x.nchunks(r.lines)
+	nb, nchunks := x.nb, x.nchunks(r.lines)
 	blockBytes := r.lines * scc.CacheLine
 
 	// Ring step t moves block me−t out and block me−1−t in, chunk by chunk.

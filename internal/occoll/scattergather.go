@@ -101,7 +101,7 @@ func recvSubtree(r *Request, step int) (more bool) {
 	}
 	tr := uint64(step) + 1
 	p.WaitGE(l.dnNotifyLine(), tr)
-	p.GetMem(t.Parent, l.slotLine(step%l.x.numBuffers()), chunkAddr, m)
+	p.GetMem(t.Parent, l.slotLine(step%l.x.nb), chunkAddr, m)
 	p.SetFlag(t.Parent, l.dnDoneLine(t.ChildIdx), tr)
 	return true
 }
@@ -116,7 +116,7 @@ func streamDown(r *Request, step int) (more bool) {
 	if t.IsLeaf() {
 		return false
 	}
-	nb := l.x.numBuffers()
+	nb := l.x.nb
 	if step == 0 {
 		// The occupancy table is lane-local scratch, reused across
 		// operations so the steady-state down-stream allocates nothing.
@@ -155,7 +155,7 @@ func gatherRecv(r *Request, step int) (more bool) {
 	}
 	child, seq := r.tree.Children[i], uint64(tc)+1
 	p.WaitGE(l.upReadyLine(i), seq)
-	p.GetMem(child, l.slotLine(tc%l.x.numBuffers()), chunkAddr, m)
+	p.GetMem(child, l.slotLine(tc%l.x.nb), chunkAddr, m)
 	p.SetFlag(child, l.upConsumedLine(), seq)
 	return true
 }
@@ -168,7 +168,7 @@ func gatherSend(r *Request, step int) (more bool) {
 	if t.Rank == 0 {
 		return false
 	}
-	nb := l.x.numBuffers()
+	nb := l.x.nb
 	chunkAddr, m, ok := r.chunk(preorder(t.Rank, t.P, t.K), step)
 	if !ok {
 		p.WaitGE(l.upConsumedLine(), uint64(step))

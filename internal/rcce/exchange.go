@@ -36,30 +36,22 @@ func (x *exchange) EmitStep(p *rma.Prog, round int) (more bool) {
 // flagging come BEFORE blocking on the incoming chunk, which is what
 // makes ring exchanges deadlock-free.
 func (pt *Port) EmitSendRecv(p *rma.Prog, round, dst, sendAddr, sendLines, src, recvAddr, recvLines int) (more bool) {
-	me, off := pt.core.ID(), round*PayloadLines
-	sm, rm := chunkLines(sendLines-off), chunkLines(recvLines-off)
+	me, off := pt.core.ID(), round*scc.RCCEStaging
+	sm, rm := min(sendLines-off, scc.RCCEStaging), min(recvLines-off, scc.RCCEStaging)
 	var seq uint64
 	if sm > 0 {
 		seq = next(&pt.sendSeq, pt.peer(dst))
 		p.PutMem(0, sendAddr+off*scc.CacheLine, sm)
-		p.SetFlag(dst, lineSent, tag(me, seq))
+		p.SetFlag(dst, scc.RCCESent, tag(me, seq))
 	}
 	if rm > 0 {
 		rseq := next(&pt.recvSeq, pt.peer(src))
-		p.WaitEQ(lineSent, tag(src, rseq))
+		p.WaitGE(scc.RCCESent, tag(src, rseq))
 		p.GetMem(src, 0, recvAddr+off*scc.CacheLine, rm)
-		p.SetFlag(src, lineReady, tag(me, rseq))
+		p.SetFlag(src, scc.RCCEReady, tag(me, rseq))
 	}
 	if sm > 0 {
-		p.WaitEQ(lineReady, tag(dst, seq))
+		p.WaitGE(scc.RCCEReady, tag(dst, seq))
 	}
-	return sendLines > off+PayloadLines || recvLines > off+PayloadLines
-}
-
-// chunkLines caps one chunk at the RCCE staging-buffer size.
-func chunkLines(rem int) int {
-	if rem > PayloadLines {
-		return PayloadLines
-	}
-	return rem
+	return sendLines > off+scc.RCCEStaging || recvLines > off+scc.RCCEStaging
 }

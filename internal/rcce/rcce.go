@@ -18,19 +18,6 @@ import (
 	"repro/internal/scc"
 )
 
-// MPB line layout used by the RCCE layer (per core).
-const (
-	// PayloadLines is Mrcce: the send/recv staging buffer, lines 0..250.
-	PayloadLines = 251
-	// Barrier tree flag lines.
-	lineBarrierChildA  = 251 // set by left child on arrival
-	lineBarrierChildB  = 252 // set by right child on arrival
-	lineBarrierRelease = 253 // set by parent on release
-	// Two-sided handshake flag lines.
-	lineReady = 254 // written by my current receiver: chunk consumed
-	lineSent  = 255 // written by my current sender: chunk staged
-)
-
 // Port is a per-core handle to the two-sided layer. Create one per core
 // inside Chip.Run. A core has at most one outstanding send and one
 // outstanding receive, and at most one sender may target a given receiver
@@ -55,11 +42,7 @@ type Port struct {
 	xch exchange
 }
 
-// NewPort wraps a core with two-sided communication state. The RCCE line
-// layout above is anchored in the paper-standard 256-line per-core MPB
-// share (scc.MPBLinesPerCore); topologies below that cannot host the
-// protocol — the public API rejects them up front, and a smaller MPB
-// fails fast on the first out-of-range line access.
+// NewPort wraps a core with two-sided communication state.
 func NewPort(core *rma.Core) *Port {
 	p := new(Port)
 	p.Init(core)
@@ -100,8 +83,8 @@ const (
 )
 
 // EmitShape emits the fence between consecutive two-sided collectives
-// whose pairing structure differs. The handshake lines (lineSent,
-// lineReady) are single-writer by the RCCE discipline: within one
+// whose pairing structure differs. The handshake lines (scc.RCCESent,
+// scc.RCCEReady) are single-writer by the RCCE discipline: within one
 // collective a core's partner set is fixed by the pairing graph, and
 // per-pair flow control keeps one writer per line. Across two
 // collectives with DIFFERENT graphs a core's new partner can overwrite a
@@ -124,8 +107,10 @@ func (p *Port) EmitShape(prog *rma.Prog, shape int) {
 // Core returns the underlying RMA core handle.
 func (p *Port) Core() *rma.Core { return p.core }
 
-// tag encodes (peer, seq) into a flag value. Sequence numbers are
-// per-ordered-pair and monotonic, so equality matching is unambiguous.
+// tag encodes (peer, seq) into a flag value. The peer rides in the high
+// 32 bits, the flag wait's tag (scc.FlagHolds), so a wait matches only
+// its peer's writes; sequence numbers are per-ordered-pair and monotonic,
+// and a peer writes its next one only after this core consumed the last.
 func tag(peer int, seq uint64) uint64 {
 	return uint64(peer+1)<<40 | seq
 }
@@ -205,12 +190,12 @@ func turnTag(peer int, seq uint64) uint64 {
 // granter is also the peer's current ack writer (the parent in
 // reduce/gather), so the line keeps a single writer.
 func (p *Port) EmitGrantTurn(prog *rma.Prog, peer int) {
-	prog.SetFlag(p.peer(peer), lineReady, turnTag(p.core.ID(), next(&p.turnGrant, peer)))
+	prog.SetFlag(p.peer(peer), scc.RCCEReady, turnTag(p.core.ID(), next(&p.turnGrant, peer)))
 }
 
 // EmitAwaitTurn emits the wait for peer's send-turn grant.
 func (p *Port) EmitAwaitTurn(prog *rma.Prog, peer int) {
-	prog.WaitEQ(lineReady, turnTag(p.peer(peer), next(&p.turnWait, peer)))
+	prog.WaitGE(scc.RCCEReady, turnTag(p.peer(peer), next(&p.turnWait, peer)))
 }
 
 // Barrier synchronizes all cores using a binary gather-release tree over
@@ -222,7 +207,7 @@ func (p *Port) Barrier() { p.core.Run((*barrier)(p)) }
 // gather-release tree over the port's three barrier lines.
 func (p *Port) EmitBarrier(prog *rma.Prog) {
 	p.epoch++
-	prog.TreeBarrier(p.core.ID(), p.core.N(), lineBarrierChildA, lineBarrierChildB, lineBarrierRelease, p.epoch)
+	prog.TreeBarrier(p.core.ID(), p.core.N(), scc.RCCEBarrierChildA, scc.RCCEBarrierChildB, scc.RCCEBarrierRelease, p.epoch)
 }
 
 // barrier is Barrier's step program: one step, EmitBarrier.

@@ -25,9 +25,8 @@ import (
 
 // Opcodes: which RMA op an instr of a step program stands for, and
 // which post step (deferred writes + counters) an opFrame runs after
-// the completion-time yield. opWait is the multi-state flag wait (≥ in
-// an instr); opWaitEQ and opCombinePriv exist in instrs only — their
-// frames are an opWait that compares for equality and an opCompute.
+// the completion-time yield. opWait is the multi-state flag wait;
+// opCombinePriv exists in instrs only — its frame is an opCompute.
 const (
 	opPutMPB uint8 = iota
 	opPutMem
@@ -39,7 +38,6 @@ const (
 	opWriteLocal
 	opPoll
 	opWait
-	opWaitEQ
 	opCombinePriv
 )
 
@@ -75,7 +73,6 @@ type opFrame struct {
 	stride sim.Duration
 
 	// Flag-wait state (op == opWait).
-	eq       bool
 	val      uint64
 	embedded bool
 	result   uint64
@@ -110,12 +107,12 @@ func (f *opFrame) stepWait(p *sim.Proc) sim.StepStatus {
 		own.DisarmWait(f.embedded)
 		fallthrough
 	case wpCheck:
-		if te, ok := own.WaitSatisfiedAt(f.line, p.Now(), f.eq, f.val); ok {
+		if te, ok := own.WaitSatisfiedAt(f.line, p.Now(), f.val); ok {
 			f.pc = wpPoll
 			p.MachineAdvanceTo(te)
 			return sim.StepYield
 		}
-		f.embedded = own.ArmWait(p, f.line, f.eq, f.val)
+		f.embedded = own.ArmWait(p, f.line, f.val)
 		f.pc = wpWake
 		return sim.StepBlock
 	case wpPoll:
@@ -206,9 +203,9 @@ func (c *Core) pollPre(f *opFrame, line int) {
 
 // waitPre opens a flag wait: the frame's own state loop (stepWait) does
 // the rest.
-func (c *Core) waitPre(f *opFrame, line int, eq bool, val uint64) {
+func (c *Core) waitPre(f *opFrame, line int, val uint64) {
 	f.c, f.op, f.pc = c, opWait, wpCheck
-	f.line, f.eq, f.val = line, eq, val
+	f.line, f.val = line, val
 	// The span opens before the wait so blocked time lands in its
 	// bucket.
 	f.span = c.beginSpan("flag.wait", obs.BucketWait,

@@ -63,8 +63,9 @@ func (p *Prog) emit(op uint8, peer, line, m int, arg uint64) {
 	p.ins = append(p.ins, instr{op: op, m: uint8(m), line: uint16(line), peer: int32(peer), arg: arg})
 }
 
-// The emitters. WaitGE (WaitEQ): this core's flag `line` must reach
-// (equal) val before the program goes on; SetFlag writes val into flag
+// The emitters. WaitGE: this core's flag `line` must satisfy val — carry
+// val's owner tag in its high 32 bits and reach val (scc.FlagHolds) —
+// before the program goes on; SetFlag writes val into flag
 // `line` of dst's MPB; WriteLocal zeroes line `line` of the own MPB.
 // PutMem stages m lines of private memory at addr into the own MPB at
 // `line`; GetMem pulls m lines at `line` of src's MPB to private memory
@@ -74,7 +75,6 @@ func (p *Prog) emit(op uint8, peer, line, m int, arg uint64) {
 // private memory at scratch into those at addr with Fold and charges the
 // pass as CombineCost(lines) of compute. Compute advances the clock by d.
 func (p *Prog) WaitGE(line int, val uint64)       { p.emit(opWait, 0, line, 0, val) }
-func (p *Prog) WaitEQ(line int, val uint64)       { p.emit(opWaitEQ, 0, line, 0, val) }
 func (p *Prog) SetFlag(dst, line int, val uint64) { p.emit(opSetFlag, dst, line, 0, val) }
 func (p *Prog) WriteLocal(line int)               { p.emit(opWriteLocal, 0, line, 0, 0) }
 func (p *Prog) PutMem(line, addr, m int)          { p.emit(opPutMem, 0, line, m, uint64(addr)) }
@@ -133,7 +133,7 @@ func (p *Prog) TreeBarrier(me, n, childA, childB, release int, seq uint64) {
 }
 
 // PendingWait reports the flag line and value the next instruction waits
-// for (≥), if it is such a wait. A protocol that must not park probes
+// for, if it is a wait. A protocol that must not park probes
 // the flag with ProbeFlagGE and either stops there — the program stays
 // on the wait — or, the flag having arrived, calls Polled.
 func (p *Prog) PendingWait() (line int, val uint64, ok bool) {
@@ -159,9 +159,7 @@ func (c *Core) CallNext(p *Prog) sim.StepStatus {
 	f, peer, line, m := &c.opf, int(in.peer), int(in.line), int(in.m)
 	switch in.op {
 	case opWait:
-		c.waitPre(f, line, false, in.arg)
-	case opWaitEQ:
-		c.waitPre(f, line, true, in.arg)
+		c.waitPre(f, line, in.arg)
 	case opPoll:
 		c.pollPre(f, line)
 	case opPutMem:

@@ -64,7 +64,7 @@ func TestRunProgramsStayInChipArray(t *testing.T) {
 // resets its 16 flag lines in one step and barriers in the next — all
 // inside each core's window of the array NewChipN allocated once.
 func TestCollectiveStepsStayInChipArray(t *testing.T) {
-	const n, lines = 48, rcce.PayloadLines
+	const n, lines = 48, scc.RCCEStaging
 	chip := rma.NewChipN(scc.DefaultConfig(), n)
 	scratch := n * lines * scc.CacheLine
 	chip.Run(func(c *rma.Core) {
@@ -144,12 +144,13 @@ func TestWarmedProtocolsAllocFree(t *testing.T) {
 	// across cores), so the per-peer tables are made once.
 	ports := make([]rcce.Port, n)
 	bcs := make([]core.Broadcaster, n)
+	lay, _ := core.DefaultConfig().Layout()
 	inited := false
 	body := func(c *rma.Core) {
 		p, b, me := &ports[c.ID()], &bcs[c.ID()], c.ID()
 		if !inited {
 			p.Init(c)
-			b.Init(c, core.DefaultConfig())
+			b.Init(c, core.DefaultConfig(), lay)
 		}
 		p.Barrier()
 		if me%2 == 0 {

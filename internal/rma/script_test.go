@@ -28,7 +28,6 @@ const (
 	opsCompute
 	opsSetFlag
 	opsWaitGE
-	opsWaitEQ
 	opsPoll // probe, then charge the poll read if the flag arrived
 )
 
@@ -48,12 +47,13 @@ const (
 	scriptAckLine   = 21
 	scriptDstAddr   = 4096
 	scriptCompute   = 1500 * sim.Nanosecond
+	scriptAckTag    = 7<<32 | 100
 )
 
 // opScript is core me's side of a ring exchange that touches every
 // framed op: stage 2+me lines into the own MPB, flag the next core,
 // wait (≥) for the previous core's flag, pull its lines MPB-to-MPB, ack
-// it with an exact tag, wait (==) for the next core's ack, fold the
+// it under an owner tag, wait for the next core's tagged ack, fold the
 // previous core's lines in a second time, compute, poll the ready flag
 // once for a value that arrived and once for one that never does, and
 // drain the doubled lines to private memory. Sizes and hop distances
@@ -66,8 +66,8 @@ func opScript(me, n int) []scriptOp {
 		{kind: opsSetFlag, peer: next, flagLine: scriptReadyLine, flagVal: 1},
 		{kind: opsWaitGE, flagLine: scriptReadyLine, flagVal: 1},
 		{kind: opsGetMPB, peer: prev, x: 0, y: 8, m: pm},
-		{kind: opsSetFlag, peer: prev, flagLine: scriptAckLine, flagVal: 100 + uint64(me)},
-		{kind: opsWaitEQ, flagLine: scriptAckLine, flagVal: 100 + uint64(next)},
+		{kind: opsSetFlag, peer: prev, flagLine: scriptAckLine, flagVal: scriptAckTag + uint64(me)},
+		{kind: opsWaitGE, flagLine: scriptAckLine, flagVal: scriptAckTag + uint64(next)},
 		{kind: opsCombine, peer: prev, x: 0, y: 8, m: pm},
 		{kind: opsCompute},
 		{kind: opsPoll, flagLine: scriptReadyLine, flagVal: 1},
@@ -101,9 +101,7 @@ func (op scriptOp) call(c *Core) (st sim.StepStatus, ok bool) {
 	case opsSetFlag:
 		c.setFlagPre(f, op.peer, op.flagLine, op.flagVal)
 	case opsWaitGE:
-		c.waitPre(f, op.flagLine, false, op.flagVal)
-	case opsWaitEQ:
-		c.waitPre(f, op.flagLine, true, op.flagVal)
+		c.waitPre(f, op.flagLine, op.flagVal)
 	default:
 		if !c.ProbeFlagGE(op.flagLine, op.flagVal) {
 			return 0, false
@@ -131,8 +129,6 @@ func (op scriptOp) runBlocking(c *Core) {
 		c.SetFlag(op.peer, op.flagLine, op.flagVal)
 	case opsWaitGE:
 		c.WaitFlagGE(op.flagLine, op.flagVal)
-	case opsWaitEQ:
-		c.WaitFlagEQ(op.flagLine, op.flagVal)
 	default:
 		c.Exec(&scriptFrame{c: c, ops: []scriptOp{op}})
 	}

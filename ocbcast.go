@@ -117,6 +117,7 @@ type Options struct {
 type System struct {
 	chip   *rma.Chip
 	occfg  occore.Config
+	lay    *scc.Layout   // occfg's MPB layout, shared by every core
 	policy algsel.Policy // Options.Algorithm and, under "auto", its plan
 	obs    *obs.Recorder // non-nil iff Options.Trace
 	ran    bool          // the single Run is spent
@@ -136,7 +137,7 @@ func (s *System) preflight(needOC bool) error {
 		return errAlreadyRan
 	}
 	if needOC {
-		if err := occoll.Validate(s.occfg); err != nil {
+		if err := s.lay.LaneErr; err != nil {
 			return fmt.Errorf("ocbcast: one-sided collectives unavailable: %w", err)
 		}
 	}
@@ -164,12 +165,6 @@ func New(opts Options) *System {
 	if opts.MeshWidth != 0 {
 		cfg.Topo = scc.Mesh(opts.MeshWidth, opts.MeshHeight)
 	}
-	// The RCCE/OC-Bcast MPB line layouts anchor at the paper-standard
-	// 256-line per-core share; reject topologies that cannot host them.
-	if cfg.Topo.MPBLines < scc.MPBLinesPerCore {
-		panic(fmt.Sprintf("ocbcast: MPB share of %d lines is smaller than the %d-line protocol layouts",
-			cfg.Topo.MPBLines, scc.MPBLinesPerCore))
-	}
 	if opts.Params != nil {
 		cfg.Params = *opts.Params
 	}
@@ -192,13 +187,17 @@ func New(opts Options) *System {
 	}
 	occfg.DoubleBuffer = !opts.DisableDoubleBuffer
 	occfg.Channels = opts.Channels
-	if err := occfg.Validate(); err != nil {
+	lay, err := occfg.Layout()
+	if err != nil {
 		panic(err)
+	}
+	if cfg.Topo.MPBLines < lay.Top() {
+		panic(fmt.Sprintf("ocbcast: MPB share of %d lines is smaller than the %d-line protocol layout", cfg.Topo.MPBLines, lay.Top()))
 	}
 	if opts.Algorithm != "" && opts.Algorithm != "auto" && !algsel.Known(opts.Algorithm) {
 		panic(fmt.Sprintf("ocbcast: unknown algorithm %q (use \"auto\" or a registered name)", opts.Algorithm))
 	}
-	s := &System{chip: rma.NewChipN(cfg, n), occfg: occfg, policy: algsel.Policy{Name: opts.Algorithm}}
+	s := &System{chip: rma.NewChipN(cfg, n), occfg: occfg, lay: lay, policy: algsel.Policy{Name: opts.Algorithm}}
 	if opts.Trace {
 		s.obs = obs.NewRecorder()
 		s.chip.SetObserver(s.obs)
@@ -284,7 +283,7 @@ func (s *System) Run(body func(c *Core)) {
 	cores := alloc.Slice[coreState](s.chip.NCores)
 	s.chip.Run(func(rc *rma.Core) {
 		st := &cores[rc.ID()]
-		st.env.Init(rc, s.occfg, s.policy)
+		st.env.Init(rc, s.occfg, s.lay, s.policy)
 		st.handle = Core{rma: rc, env: &st.env}
 		body(&st.handle)
 		st.env.Finish()
@@ -303,6 +302,47 @@ type Core struct {
 type coreState struct {
 	handle Core
 	env    algsel.Env
+}
+
+// The MPB owners of the calls that bypass the algorithm registry.
+var (
+	rcceMPB = []scc.Owner{scc.OwnerRCCE}
+	mpmdMPB = []scc.Owner{scc.OwnerOCBcast, scc.OwnerMPMD}
+)
+
+// exclusive panics when this core starts call (of op, when it is a
+// collective), which runs the protocols owners over their MPB regions,
+// while a non-blocking request it issued is incomplete (not yet
+// completed by Wait or a true Test) on a lane that shares lines with
+// those regions: the call would restage or reflag lines the request's
+// peers still use.
+func (c *Core) exclusive(op algsel.Op, call string, owners []scc.Owner) {
+	x, err := c.env.Collectives()
+	if err != nil {
+		return
+	}
+	for _, r := range x.Requests() {
+		if r.Completed() {
+			continue
+		}
+		if shared := c.env.Layout().Shared(r.Lane(), owners); shared != "" {
+			if op != "" {
+				call = fmt.Sprintf("%s (%s)", op, call)
+			}
+			panic(fmt.Sprintf("ocbcast: core %d: %s while its %s request on lane %d is incomplete: both use MPB lines %s; complete the request with Wait or a true Test first",
+				c.ID(), call, r.Op(), r.Lane(), shared))
+		}
+	}
+}
+
+// run resolves one blocking collective of op called through method m,
+// checks it against the core's incomplete requests and runs it.
+func (c *Core) run(op algsel.Op, m algsel.Method, a algsel.Args) {
+	alg, ch := c.env.Resolve(op, m, a.Lines)
+	if alg.Issue == nil {
+		c.exclusive(op, alg.Name, alg.MPB)
+	}
+	c.env.Exec(alg, ch, a)
 }
 
 // occ returns the one-sided collective state, panicking with the layout
@@ -345,22 +385,25 @@ func (c *Core) Compute(us float64) {
 // named override) the registry may select a different broadcast
 // algorithm — see autotune.go.
 func (c *Core) Broadcast(root, addr, lines int) {
-	c.env.Run(algsel.OpBcast, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(algsel.OpBcast, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // BroadcastBinomial runs the RCCE_comm binomial-tree baseline.
 func (c *Core) BroadcastBinomial(root, addr, lines int) {
+	c.exclusive("", "BroadcastBinomial", rcceMPB)
 	c.env.Comm.BcastBinomial(root, addr, lines)
 }
 
 // BroadcastScatterAllgather runs the RCCE_comm scatter-allgather baseline.
 func (c *Core) BroadcastScatterAllgather(root, addr, lines int) {
+	c.exclusive("", "BroadcastScatterAllgather", rcceMPB)
 	c.env.Comm.BcastScatterAllgather(root, addr, lines)
 }
 
 // BroadcastScatterAllgatherOneSided runs the §5.4 one-sided adaptation of
 // scatter-allgather (overlapped ring exchanges).
 func (c *Core) BroadcastScatterAllgatherOneSided(root, addr, lines int) {
+	c.exclusive("", "BroadcastScatterAllgatherOneSided", rcceMPB)
 	c.env.Comm.BcastScatterAllgatherOneSided(root, addr, lines)
 }
 
@@ -368,27 +411,36 @@ func (c *Core) BroadcastScatterAllgatherOneSided(root, addr, lines int) {
 // outside the chip panics.
 func (c *Core) Send(dst, addr, lines int) {
 	checkCore("Send", dst, c.N())
+	c.exclusive("", "Send", rcceMPB)
 	c.env.Port.Send(dst, addr, lines)
 }
 
 // Recv receives `lines` cache lines from src into private memory at addr.
 func (c *Core) Recv(src, addr, lines int) {
 	checkCore("Recv", src, c.N())
+	c.exclusive("", "Recv", rcceMPB)
 	c.env.Port.Recv(src, addr, lines)
 }
 
-// Barrier synchronizes all cores.
+// Barrier synchronizes all cores. Its lines are RCCE's barrier flags,
+// which no lane shares, so it is legal while requests are incomplete.
 func (c *Core) Barrier() { c.env.Port.Barrier() }
 
 // Announce starts an MPMD broadcast from this core: receivers need not
 // know the arguments — the activation tree delivers a descriptor and an
 // inter-core interrupt to every core (the paper's §7 ongoing work).
-func (c *Core) Announce(addr, lines int) { c.env.BC.Announce(addr, lines) }
+func (c *Core) Announce(addr, lines int) {
+	c.exclusive("", "Announce", mpmdMPB)
+	c.env.BC.Announce(addr, lines)
+}
 
 // HandleAnnounce blocks until an MPMD broadcast activates this core,
 // participates, and returns the delivered (root, addr, lines) — what a
 // many-core OS service loop would call.
-func (c *Core) HandleAnnounce() (root, addr, lines int) { return c.env.BC.HandleAnnounce() }
+func (c *Core) HandleAnnounce() (root, addr, lines int) {
+	c.exclusive("", "HandleAnnounce", mpmdMPB)
+	return c.env.BC.HandleAnnounce()
+}
 
 // WriteOwnPrivate stores bytes into this core's private memory at addr
 // without charging communication time (data preparation; charge compute

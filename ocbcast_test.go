@@ -88,25 +88,32 @@ func TestPublicSendRecvBarrier(t *testing.T) {
 	}
 }
 
+// TestPublicAllReduce runs the default (hybrid: two-sided reduce, then
+// OC-Bcast) AllReduce across sizes that stage over OC-Bcast's flag lines:
+// from 193 lines on, RCCE's staging buffer covers them, and a staged
+// partial sum must not pass for a notify or done flag.
 func TestPublicAllReduce(t *testing.T) {
-	const n, lines = 8, 2
-	sys := ocbcast.New(ocbcast.Options{Cores: n})
-	for i := 0; i < n; i++ {
-		b := make([]byte, lines*ocbcast.CacheLineBytes)
-		for lane := 0; lane*8 < len(b); lane++ {
-			binary.LittleEndian.PutUint64(b[lane*8:], uint64(i+1))
-		}
-		sys.WritePrivate(i, 0, b)
-	}
-	sys.Run(func(c *ocbcast.Core) {
-		c.AllReduce(0, 4096, lines, ocbcast.SumInt64)
-	})
-	want := uint64(n * (n + 1) / 2)
-	for i := 0; i < n; i++ {
-		b := sys.ReadPrivate(i, 0, lines*ocbcast.CacheLineBytes)
-		for lane := 0; lane*8 < len(b); lane++ {
-			if got := binary.LittleEndian.Uint64(b[lane*8:]); got != want {
-				t.Fatalf("core %d lane %d = %d, want %d", i, lane, got, want)
+	for _, n := range []int{8, 48} {
+		for _, lines := range []int{2, 192, 193, 256, 512} {
+			sys := ocbcast.New(ocbcast.Options{Cores: n})
+			for i := 0; i < n; i++ {
+				b := make([]byte, lines*ocbcast.CacheLineBytes)
+				for lane := 0; lane*8 < len(b); lane++ {
+					binary.LittleEndian.PutUint64(b[lane*8:], uint64(i+1))
+				}
+				sys.WritePrivate(i, 0, b)
+			}
+			sys.Run(func(c *ocbcast.Core) {
+				c.AllReduce(0, 1<<20, lines, ocbcast.SumInt64)
+			})
+			want := uint64(n * (n + 1) / 2)
+			for i := 0; i < n; i++ {
+				b := sys.ReadPrivate(i, 0, lines*ocbcast.CacheLineBytes)
+				for lane := 0; lane*8 < len(b); lane++ {
+					if got := binary.LittleEndian.Uint64(b[lane*8:]); got != want {
+						t.Fatalf("n=%d lines=%d: core %d lane %d = %d, want %d", n, lines, i, lane, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -268,17 +275,18 @@ func TestPublicModel(t *testing.T) {
 }
 
 // TestOptionsValidation: New rejects options no chip can run, naming
-// what is wrong. The second case is the layout that uses every line
-// below OC-Bcast's fence flags: its top done flag would share line 252
-// with the MPMD activation descriptor, whose bytes then pass for a
-// consumed chunk (silent corruption, not a panic).
+// what is wrong. The second case is a layout whose done flags would
+// share lines with RCCE's barrier flags, where either family's write
+// clobbers the other's (silent corruption or a lost wake-up, not a
+// panic). The third asks for three lanes that do not fit.
 func TestOptionsValidation(t *testing.T) {
 	for _, tc := range []struct {
 		opts ocbcast.Options
 		want string
 	}{
 		{ocbcast.Options{K: -1}, "k=-1"},
-		{ocbcast.Options{K: 1, ChunkLines: 251, DisableDoubleBuffer: true}, "MPMD descriptor line"},
+		{ocbcast.Options{K: 1, ChunkLines: 251, DisableDoubleBuffer: true}, "ocbcast notify+done 251..252 collides with rcce barrier 251..253"},
+		{ocbcast.Options{Cores: 4, Channels: 3}, "occoll lane 1 buffers 216..407 collides with"},
 	} {
 		func() {
 			defer func() {

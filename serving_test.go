@@ -214,11 +214,12 @@ func TestServeValidation(t *testing.T) {
 
 // TestRunConsumersReturnErrors: Replay and Serve promise an error, so
 // the misuses that would otherwise escape as panics from inside Run — an
-// MPB lane layout only the one-sided family rejects, a second
-// Run-consuming call on one System, a layout that reaches past private
-// memory — must come back as errors.
+// MPB layout only the one-sided family rejects, a second Run-consuming
+// call on one System, a layout that reaches past private memory — must
+// come back as errors. (Lanes asked for with Channels that do not fit
+// are rejected earlier, by New: see TestOptionsValidation.)
 func TestRunConsumersReturnErrors(t *testing.T) {
-	threeLanes := ocbcast.Options{Cores: 4, Channels: 3} // New accepts it; occoll's flag block does not fit
+	wideTree := ocbcast.Options{Cores: 4, K: 24} // New accepts it; occoll's flag block does not fit
 	overlapped, err := ocbcast.ParseTrace([]byte("octrace v1\nallreduce 0 8 0 10\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +248,8 @@ func TestRunConsumersReturnErrors(t *testing.T) {
 		call  func(*ocbcast.System) error
 		want  string
 	}{
-		{"replay with a compute gap on an unfit lane layout", threeLanes, nil, replay, "one-sided collectives unavailable"},
-		{"serve on an unfit lane layout", threeLanes, nil, serve, "one-sided collectives unavailable"},
+		{"replay with a compute gap on an unfit lane layout", wideTree, nil, replay, "one-sided collectives unavailable"},
+		{"serve on an unfit lane layout", wideTree, nil, serve, "one-sided collectives unavailable"},
 		{"second replay", ocbcast.Options{Cores: 4}, replay, replay, "System already ran"},
 		{"second serve", ocbcast.Options{Cores: 4}, serve, serve, "System already ran"},
 		{"replay of a layout larger than private memory", ocbcast.Options{Cores: 8}, nil, replayHuge, "bytes of private memory per core"},
@@ -275,8 +276,8 @@ func TestRunConsumersReturnErrors(t *testing.T) {
 
 	// The unfit layout only matters to calls that use the one-sided
 	// family: a gap-free trace still replays on it.
-	if _, err := ocbcast.New(threeLanes).Replay(blocking); err != nil {
-		t.Errorf("gap-free replay on the three-lane chip: %v", err)
+	if _, err := ocbcast.New(wideTree).Replay(blocking); err != nil {
+		t.Errorf("gap-free replay on the wide-tree chip: %v", err)
 	}
 	// Run has no error to return; it panics with the same text.
 	sys := ocbcast.New(ocbcast.Options{Cores: 4})
