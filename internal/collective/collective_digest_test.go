@@ -248,10 +248,10 @@ func TestCollectiveDigestSchema(t *testing.T) {
 
 // TestCollectiveDigests runs the grid (under -short, every fifth cell
 // and the first of each (algorithm, lines) class, so every size — the
-// multi-chunk 503-line cells too — keeps a cell) and compares each cell with its committed row exactly. A mismatch
-// prints the row this build produces: simulated timing, delivered bytes,
-// op counts or the schedule changed, which is a bug unless proven
-// otherwise.
+// multi-chunk 503-line cells too — keeps a cell) and compares each cell
+// with its committed row exactly. A mismatch prints the row this build
+// produces: simulated timing, delivered bytes, op counts or the schedule
+// changed, which is a bug unless proven otherwise.
 func TestCollectiveDigests(t *testing.T) {
 	want := map[string]collectiveDigest{}
 	for _, r := range loadCollectiveDigests(t) {

@@ -773,14 +773,15 @@ func (m *MPB) satisfiedAt(line int, now sim.Time, val uint64) (sim.Time, bool) {
 }
 
 // WaitU64GE blocks process p until the line's leading uint64 satisfies
-// a flag wait for val (scc.FlagHolds: same high 32 bits, ≥), and returns with p's clock at (no earlier than) the effective time of
-// the write that satisfied it. It is the simulator's flag-poll primitive
-// for a blocking body: the process sleeps instead of burning virtual
-// time spinning — matching the paper's assumption that no time elapses
+// a flag wait for val (scc.FlagHolds: same high 32 bits, ≥), and
+// returns with p's clock at (no earlier than) the effective time of the
+// write that satisfied it. It is the simulator's flag-poll primitive for
+// a blocking body: the process sleeps instead of burning virtual time
+// spinning — matching the paper's assumption that no time elapses
 // between a flag being set and observed, up to the final poll read the
-// caller charges separately. The whole path is closure-free: the
-// wait value rides in the MPB's embedded wait record. (rma's flag waits
-// run the same loop as frame steps — see wait_inline.go.)
+// caller charges separately. The whole path is closure-free: the wait
+// value rides in the MPB's embedded wait record. (rma's flag waits run
+// the same loop as frame steps — see wait_inline.go.)
 func (m *MPB) WaitU64GE(p *sim.Proc, line int, val uint64) {
 	m.checkLine(line)
 	key := m.watchKey(line)

@@ -12,8 +12,8 @@ import "repro/internal/sim"
 
 // WaitSatisfiedAt is one wait-loop iteration's satisfaction check:
 // the earliest time ≥ now at which the line's leading uint64 satisfies
-// a flag wait for val (scc.FlagHolds), considering pending writes. ok is false
-// if no current or pending state satisfies it, in which case the
+// a flag wait for val (scc.FlagHolds), considering pending writes. ok is
+// false if no current or pending state satisfies it, in which case the
 // caller should ArmWait and block.
 func (m *MPB) WaitSatisfiedAt(line int, now sim.Time, val uint64) (te sim.Time, ok bool) {
 	m.checkLine(line)

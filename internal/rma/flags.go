@@ -33,12 +33,12 @@ func (c *Core) WaitFlagGE(line int, seq uint64) uint64 {
 }
 
 // ProbeFlagGE reports whether the flag in this core's own MPB line
-// already satisfies seq as WaitFlagGE compares, charging no virtual time either way (and with no memory
-// side effects at all), matching the modelling assumption that flag
-// checking overlaps the wait. It is the primitive under the non-blocking
-// collectives' Test/Progress path: a false result counts as a failed
-// poll; after a true one the caller charges the successful poll read
-// (Prog.Polled).
+// already satisfies seq as WaitFlagGE compares, charging no virtual time
+// either way (and with no memory side effects at all), matching the
+// modelling assumption that flag checking overlaps the wait. It is the
+// primitive under the non-blocking collectives' Test/Progress path: a
+// false result counts as a failed poll; after a true one the caller
+// charges the successful poll read (Prog.Polled).
 func (c *Core) ProbeFlagGE(line int, seq uint64) bool {
 	if scc.FlagHolds(c.chip.MPB(c.id).ProbeU64(line, c.Now()), seq) {
 		return true
