@@ -32,7 +32,7 @@ import (
 // op are the benchmark's allocs_per_op (bench/README.md).
 func TestAllocsPerBroadcastBudget(t *testing.T) {
 	cell := harness.Cell{
-		Cfg: scc.DefaultConfig(), Op: algsel.OpBcast, Choice: algsel.Choice{Alg: "ocbcast"},
+		Cfg: scc.DefaultConfig(), Op: workload.OpBcast, Choice: algsel.Choice{Alg: "ocbcast"},
 		OC: occore.DefaultConfig(), Lines: 96, Reps: 1,
 	}
 	run := func() { harness.Grid([]harness.Cell{cell}) }
@@ -51,7 +51,7 @@ func TestAllocsPerBroadcastBudget(t *testing.T) {
 // object per core).
 func TestAllocsPerOverlapRun(t *testing.T) {
 	cell := harness.Cell{
-		Cfg: scc.DefaultConfig(), N: 8, Op: algsel.OpAllReduce, Choice: algsel.Choice{Alg: "oc"},
+		Cfg: scc.DefaultConfig(), N: 8, Op: workload.OpAllReduce, Choice: algsel.Choice{Alg: "oc"},
 		OC: occore.DefaultConfig(), Lines: 64, Reps: 1, Overlap: true,
 	}
 	run := func() { harness.Grid([]harness.Cell{cell}) }

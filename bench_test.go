@@ -17,6 +17,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 func cfg() scc.Config { return scc.DefaultConfig() }
@@ -171,7 +172,7 @@ func BenchmarkFigAllReduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		const lines = 256 // 8 KiB
 		cell := func(alg string) harness.Cell {
-			return harness.Cell{Cfg: cfg(), Op: algsel.OpAllReduce, Choice: algsel.Choice{Alg: alg},
+			return harness.Cell{Cfg: cfg(), Op: workload.OpAllReduce, Choice: algsel.Choice{Alg: alg},
 				OC: occore.DefaultConfig(), Lines: lines, Reps: 2}
 		}
 		lat := harness.Grid([]harness.Cell{cell("oc"), cell("twosided")})
@@ -243,7 +244,7 @@ func run(b *testing.B, exp func(scc.Config, int) ([]*harness.Table, error), effo
 // bcast is a 48-core broadcast cell of a registered algorithm, at the
 // paper's one-sided configuration (k = 7).
 func bcast(alg string, lines, reps int) harness.Cell {
-	return harness.Cell{Cfg: cfg(), Op: algsel.OpBcast, Choice: algsel.Choice{Alg: alg},
+	return harness.Cell{Cfg: cfg(), Op: workload.OpBcast, Choice: algsel.Choice{Alg: alg},
 		OC: occore.DefaultConfig(), Lines: lines, Reps: reps}
 }
 

@@ -4,6 +4,7 @@ import (
 	"repro/internal/algsel"
 	"repro/internal/collective"
 	"repro/internal/occoll"
+	"repro/internal/workload"
 )
 
 // This file surfaces the extension collectives (the paper's §7 future
@@ -36,10 +37,12 @@ var (
 // --- Two-sided family (RCCE send/recv substrate) ---
 
 // Reduce combines every core's `lines` cache lines at addr with op into
-// the root (binomial tree). scratchAddr is same-size private staging the
-// operation may clobber on interior nodes.
+// the root (binomial tree). scratchAddr is same-size private staging.
+// Only the root's result is guaranteed: on a core that is not the root,
+// the two-sided form may overwrite the whole region and the scratch with
+// partial sums.
 func (c *Core) Reduce(root, addr, scratchAddr, lines int, op ReduceOp) {
-	c.run(algsel.OpReduce, algsel.Generic,
+	c.run(workload.OpReduce, algsel.Generic,
 		algsel.Args{Root: root, Addr: addr, Scratch: scratchAddr, Lines: lines, Reduce: op})
 }
 
@@ -47,24 +50,28 @@ func (c *Core) Reduce(root, addr, scratchAddr, lines int, op ReduceOp) {
 // broadcasts the result with OC-Bcast — the hybrid composition the
 // paper's §7 suggests. For the fully one-sided version see AllReduceOC.
 func (c *Core) AllReduce(addr, scratchAddr, lines int, op ReduceOp) {
-	c.run(algsel.OpAllReduce, algsel.Generic,
+	c.run(workload.OpAllReduce, algsel.Generic,
 		algsel.Args{Addr: addr, Scratch: scratchAddr, Lines: lines, Reduce: op})
 }
 
-// Gather collects each core's block (at addr + id·lines·32) onto the root.
+// Gather collects each core's block (at addr + id·lines·32) onto the
+// root. On a core that is not the root, the two-sided form may overwrite
+// the rest of its region with the blocks it relays; its own block stays.
 func (c *Core) Gather(root, addr, lines int) {
-	c.run(algsel.OpGather, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(workload.OpGather, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // Scatter distributes per-core blocks from the root's memory layout
-// (block i at addr + i·lines·32) to each core.
+// (block i at addr + i·lines·32) to each core. On a core that is not the
+// root, the two-sided form may overwrite the rest of its region with the
+// blocks it relays; only its own block i is guaranteed.
 func (c *Core) Scatter(root, addr, lines int) {
-	c.run(algsel.OpScatter, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(workload.OpScatter, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // AllGather exchanges every core's block so all cores hold all P blocks.
 func (c *Core) AllGather(addr, lines int) {
-	c.run(algsel.OpAllGather, algsel.Generic, algsel.Args{Addr: addr, Lines: lines})
+	c.run(workload.OpAllGather, algsel.Generic, algsel.Args{Addr: addr, Lines: lines})
 }
 
 // --- One-sided family (pipelined k-ary trees over MPB RMA) ---
@@ -76,7 +83,7 @@ func (c *Core) AllGather(addr, lines int) {
 // left untouched.
 func (c *Core) ReduceOC(root, addr, lines int, op ReduceOp) {
 	c.occ()
-	c.run(algsel.OpReduce, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines, Reduce: op})
+	c.run(workload.OpReduce, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines, Reduce: op})
 }
 
 // AllReduceOC is OC-Reduce fused with an OC-Bcast of the result down the
@@ -85,14 +92,14 @@ func (c *Core) ReduceOC(root, addr, lines int, op ReduceOp) {
 // a few hundred bytes up (2.5x and rising at 8 KiB).
 func (c *Core) AllReduceOC(addr, lines int, op ReduceOp) {
 	c.occ()
-	c.run(algsel.OpAllReduce, algsel.OneSided, algsel.Args{Addr: addr, Lines: lines, Reduce: op})
+	c.run(workload.OpAllReduce, algsel.OneSided, algsel.Args{Addr: addr, Lines: lines, Reduce: op})
 }
 
 // GatherOC collects each core's block (at addr + id·lines·32) onto the
 // root, streamed up the k-ary tree through double-buffered MPB slots.
 func (c *Core) GatherOC(root, addr, lines int) {
 	c.occ()
-	c.run(algsel.OpGather, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(workload.OpGather, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // ScatterOC distributes per-core blocks from the root's memory layout
@@ -100,7 +107,7 @@ func (c *Core) GatherOC(root, addr, lines int) {
 // store-and-forward.
 func (c *Core) ScatterOC(root, addr, lines int) {
 	c.occ()
-	c.run(algsel.OpScatter, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(workload.OpScatter, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // AllGatherOC is an OC-Gather onto core 0 fused with an OC-Bcast of the
@@ -108,7 +115,7 @@ func (c *Core) ScatterOC(root, addr, lines int) {
 // core.
 func (c *Core) AllGatherOC(addr, lines int) {
 	c.occ()
-	c.run(algsel.OpAllGather, algsel.OneSided, algsel.Args{Addr: addr, Lines: lines})
+	c.run(workload.OpAllGather, algsel.OneSided, algsel.Args{Addr: addr, Lines: lines})
 }
 
 // BcastOC broadcasts `lines` cache lines from root's addr to the same
@@ -117,7 +124,7 @@ func (c *Core) AllGatherOC(addr, lines int) {
 // paper-faithful standalone OC-Bcast with its own flag layout.)
 func (c *Core) BcastOC(root, addr, lines int) {
 	c.occ()
-	c.run(algsel.OpBcast, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(workload.OpBcast, algsel.OneSided, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // --- Non-blocking one-sided family (the progress engine) ---
@@ -143,37 +150,37 @@ type Request = occoll.Request
 // IBcastOC starts a non-blocking BcastOC and returns its handle.
 func (c *Core) IBcastOC(root, addr, lines int) *Request {
 	c.occ()
-	return c.env.Issue(algsel.OpBcast, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	return c.env.Issue(workload.OpBcast, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // IReduceOC starts a non-blocking ReduceOC and returns its handle.
 func (c *Core) IReduceOC(root, addr, lines int, op ReduceOp) *Request {
 	c.occ()
-	return c.env.Issue(algsel.OpReduce, algsel.Args{Root: root, Addr: addr, Lines: lines, Reduce: op})
+	return c.env.Issue(workload.OpReduce, algsel.Args{Root: root, Addr: addr, Lines: lines, Reduce: op})
 }
 
 // IAllReduceOC starts a non-blocking AllReduceOC and returns its handle.
 func (c *Core) IAllReduceOC(addr, lines int, op ReduceOp) *Request {
 	c.occ()
-	return c.env.Issue(algsel.OpAllReduce, algsel.Args{Addr: addr, Lines: lines, Reduce: op})
+	return c.env.Issue(workload.OpAllReduce, algsel.Args{Addr: addr, Lines: lines, Reduce: op})
 }
 
 // IScatterOC starts a non-blocking ScatterOC and returns its handle.
 func (c *Core) IScatterOC(root, addr, lines int) *Request {
 	c.occ()
-	return c.env.Issue(algsel.OpScatter, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	return c.env.Issue(workload.OpScatter, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // IGatherOC starts a non-blocking GatherOC and returns its handle.
 func (c *Core) IGatherOC(root, addr, lines int) *Request {
 	c.occ()
-	return c.env.Issue(algsel.OpGather, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	return c.env.Issue(workload.OpGather, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // IAllGatherOC starts a non-blocking AllGatherOC and returns its handle.
 func (c *Core) IAllGatherOC(addr, lines int) *Request {
 	c.occ()
-	return c.env.Issue(algsel.OpAllGather, algsel.Args{Addr: addr, Lines: lines})
+	return c.env.Issue(workload.OpAllGather, algsel.Args{Addr: addr, Lines: lines})
 }
 
 // Progress advances every outstanding non-blocking request as far as it

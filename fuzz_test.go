@@ -2,10 +2,13 @@ package ocbcast_test
 
 import (
 	"bytes"
-	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	ocbcast "repro"
+	"repro/internal/algsel"
+	"repro/internal/workload"
 )
 
 // FuzzCollectivePayload round-trips fuzz-derived payloads through
@@ -62,9 +65,9 @@ func FuzzCollectivePayload(f *testing.F) {
 // the collective families — a Send/Recv pair, Broadcast, the default
 // (hybrid) AllReduce, AllReduceOC and Gather — at 1..600 lines of nonzero
 // payload, a Barrier between calls, and checks every core's bytes against
-// a reference computed on the host. Each call owns a disjoint address
-// region, so the reference of one call does not depend on the others:
-// any difference is one family's MPB lines corrupting another's.
+// the host reference. Each call owns a disjoint address region, so the
+// reference of one call does not depend on the others: any difference is
+// one family's MPB lines corrupting another's.
 //
 // prog holds three bytes per call: the call kind, then the line count
 // (1 + a 16-bit value mod 600); the kind byte's high bits also pick the
@@ -74,6 +77,8 @@ func FuzzMixedFamilies(f *testing.F) {
 	f.Add(uint8(6), []byte{2, 0, 255, 2, 1, 255})                         // AllReduce at 256 and 512 lines
 	f.Add(uint8(2), []byte{0, 1, 43, 3, 0, 63, 4, 0, 200})                // Send/Recv 300, AllReduceOC, Gather
 	f.Add(uint8(0), []byte{0x24, 2, 87, 0x31, 0, 9, 0x13, 1, 0, 2, 0, 1}) // 600-line Gather, rooted calls off core 0
+	// The op each call kind runs; kind 0 is the Send/Recv pair.
+	kindOp := []string{"", workload.OpBcast, workload.OpAllReduce, workload.OpAllReduce, workload.OpGather}
 	f.Fuzz(func(t *testing.T, nB uint8, prog []byte) {
 		n := 2 + int(nB)%7
 		type call struct{ kind, lines, a, b int }
@@ -91,8 +96,8 @@ func FuzzMixedFamilies(f *testing.F) {
 		for j, c := range calls {
 			in[j] = make([][]byte, n)
 			size := c.lines * ocbcast.CacheLineBytes
-			if c.kind == 4 {
-				size *= n
+			if op := workload.OpOf(kindOp[c.kind]); op != nil {
+				size = op.Region(n, c.lines) * ocbcast.CacheLineBytes
 			}
 			for i := range in[j] {
 				b := make([]byte, size)
@@ -127,39 +132,118 @@ func FuzzMixedFamilies(f *testing.F) {
 			}
 		})
 		for j, cl := range calls {
-			size := cl.lines * ocbcast.CacheLineBytes
-			for i := 0; i < n; i++ {
-				want, at := in[j][i], j*region
-				switch cl.kind {
-				case 0:
-					if i == cl.b {
-						want = in[j][cl.a]
-					}
-				case 1:
-					want = in[j][cl.a]
-				case 2, 3:
-					want = make([]byte, size)
-					for _, src := range in[j] {
-						for k := 0; k < size; k += 8 {
-							binary.LittleEndian.PutUint64(want[k:], binary.LittleEndian.Uint64(want[k:])+binary.LittleEndian.Uint64(src[k:]))
-						}
-					}
-				case 4:
-					// The root holds every block; another core's own block
-					// stays (the rest of its region is tree staging).
-					want = make([]byte, 0, size*n)
-					for src := 0; src < n; src++ {
-						want = append(want, in[j][src][src*size:(src+1)*size]...)
-					}
-					if i != cl.a {
-						want = want[i*size : (i+1)*size]
-						at += i * size
-					}
+			want := make([][]span, n)
+			if op := workload.OpOf(kindOp[cl.kind]); op != nil {
+				want = reference(op, n, cl.a, cl.lines, in[j])
+			} else { // Send/Recv: the receiver holds the sender's bytes, every other core its own
+				for i := range want {
+					want[i] = []span{{0, in[j][i]}}
 				}
-				if got := sys.ReadPrivate(i, at, len(want)); !bytes.Equal(got, want) {
-					t.Fatalf("n=%d calls %+v: call %d leaves core %d with wrong bytes", n, calls, j, i)
+				want[cl.b] = []span{{0, in[j][cl.a]}}
+			}
+			checkReference(t, sys, want, j*region, fmt.Sprintf("n=%d calls %+v: call %d", n, calls, j))
+		}
+	})
+}
+
+// FuzzFootprint holds every registered collective algorithm to the op
+// table (workload.Op): it runs one call — an op, one of its registered
+// algorithms through Options.Algorithm and the generic method, or one of
+// the three Broadcast* baselines — on n = 2..12 cores at 1..600 lines,
+// with distinct nonzero bytes staged in each core's region, its scratch
+// and a guard block on each side of both. The guaranteed result must
+// equal the host reference, and no byte outside the region and the
+// scratch may change on any core.
+func FuzzFootprint(f *testing.F) {
+	for o, op := range workload.Ops() {
+		for a := range footprintAlgs(op) {
+			f.Add(uint8(o), uint8(a), uint8(6), uint8(3), uint16(2)) // n 8, 3 lines, root 3
+		}
+		f.Add(uint8(o), uint8(0), uint8(3), uint8(4), uint16(502)) // n 5, 503 lines (multi-chunk), root 4
+	}
+	f.Fuzz(func(t *testing.T, opB, algB, nB, rootB uint8, linesB uint16) {
+		name := workload.Ops()[int(opB)%len(workload.Ops())]
+		op := workload.OpOf(name)
+		algs := footprintAlgs(name)
+		alg := algs[int(algB)%len(algs)]
+		n := 2 + int(nB)%11
+		root := int(rootB) % n
+		lines := 1 + int(linesB)%600
+
+		// Each core's memory: guard | region | guard | scratch | guard.
+		guard := lines * ocbcast.CacheLineBytes
+		size := op.Region(n, lines) * ocbcast.CacheLineBytes
+		scratchSize := 0 // the reductions' same-size scratch
+		if name == workload.OpReduce || name == workload.OpAllReduce {
+			scratchSize = guard
+		}
+		addr, scratch := guard, 2*guard+size
+		total := scratch + scratchSize + guard
+		changeable := func(p int) bool {
+			return p >= addr && p < addr+size || p >= scratch && p < scratch+scratchSize
+		}
+		opts := ocbcast.Options{Cores: n}
+		if !strings.HasPrefix(alg, "Broadcast") {
+			opts.Algorithm = alg
+		}
+		sys := ocbcast.New(opts)
+		staged := make([][]byte, n)
+		region := make([][]byte, n)
+		rng := uint64(n)<<32 ^ uint64(lines)<<8 ^ uint64(opB)
+		for id := range staged {
+			b := make([]byte, total)
+			for k := range b {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				b[k] = byte(rng>>56) | 1
+			}
+			staged[id], region[id] = b, b[addr:addr+size]
+			sys.WritePrivate(id, 0, b)
+		}
+		sys.Run(func(c *ocbcast.Core) {
+			switch {
+			case alg == "BroadcastBinomial":
+				c.BroadcastBinomial(root, addr, lines)
+			case alg == "BroadcastScatterAllgather":
+				c.BroadcastScatterAllgather(root, addr, lines)
+			case alg == "BroadcastScatterAllgatherOneSided":
+				c.BroadcastScatterAllgatherOneSided(root, addr, lines)
+			case name == workload.OpBcast:
+				c.Broadcast(root, addr, lines)
+			case name == workload.OpReduce:
+				c.Reduce(root, addr, scratch, lines, ocbcast.SumInt64)
+			case name == workload.OpAllReduce:
+				c.AllReduce(addr, scratch, lines, ocbcast.SumInt64)
+			case name == workload.OpScatter:
+				c.Scatter(root, addr, lines)
+			case name == workload.OpGather:
+				c.Gather(root, addr, lines)
+			case name == workload.OpAllGather:
+				c.AllGather(addr, lines)
+			}
+		})
+		what := fmt.Sprintf("%s %s n=%d root=%d lines=%d", name, alg, n, root, lines)
+		for id := range staged {
+			got := sys.ReadPrivate(id, 0, total)
+			for p := range got {
+				if got[p] != staged[id][p] && !changeable(p) {
+					t.Fatalf("%s: core %d changed byte %d outside its region [%d, %d) and scratch [%d, %d)",
+						what, id, p, addr, addr+size, scratch, scratch+scratchSize)
 				}
 			}
 		}
+		checkReference(t, sys, reference(op, n, root, lines, region), addr, what)
 	})
+}
+
+// footprintAlgs lists what FuzzFootprint may run for op: every registered
+// algorithm by name, and for bcast the three Broadcast* baselines.
+func footprintAlgs(op string) []string {
+	var out []string
+	for _, a := range algsel.For(op) {
+		out = append(out, a.Name)
+	}
+	if op == workload.OpBcast {
+		out = append(out, "BroadcastBinomial", "BroadcastScatterAllgather", "BroadcastScatterAllgatherOneSided")
+	}
+	return out
 }

@@ -35,19 +35,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Op identifies one collective operation.
-type Op string
-
-// The six collective operations the registry covers.
-const (
-	OpBcast     Op = "bcast"
-	OpReduce    Op = "reduce"
-	OpAllReduce Op = "allreduce"
-	OpScatter   Op = "scatter"
-	OpGather    Op = "gather"
-	OpAllGather Op = "allgather"
-)
-
 // Args are one collective call's arguments, the union across operations:
 // ops without a root (allreduce, allgather) ignore Root, one-sided
 // algorithms ignore Scratch, and only the reductions use Reduce.
@@ -86,7 +73,7 @@ func (c Choice) String() string {
 // Algorithm is one named implementation of a collective operation.
 type Algorithm struct {
 	// Op and Name identify the entry; (Op, Name) is unique.
-	Op   Op
+	Op   string
 	Name string
 	// OneSided marks implementations built on MPB RMA only (the OC
 	// family); false means the two-sided RCCE substrate.
@@ -117,7 +104,7 @@ type Algorithm struct {
 // registry maps each op to its registered algorithms, kept sorted by
 // name so iteration order (and therefore tuner tie-breaking) is
 // deterministic.
-var registry = map[Op][]*Algorithm{}
+var registry = map[string][]*Algorithm{}
 
 // Register adds an algorithm to the registry. It panics on a duplicate
 // (Op, Name) or a missing Run — registration is init-time wiring, so
@@ -145,12 +132,12 @@ func Register(a Algorithm) {
 }
 
 // For returns the algorithms registered for an operation, sorted by name.
-func For(op Op) []*Algorithm {
+func For(op string) []*Algorithm {
 	return registry[op]
 }
 
 // Lookup finds an algorithm by operation and name.
-func Lookup(op Op, name string) (*Algorithm, bool) {
+func Lookup(op string, name string) (*Algorithm, bool) {
 	for _, a := range registry[op] {
 		if a.Name == name {
 			return a, true
@@ -174,8 +161,8 @@ func Known(name string) bool {
 
 // Ops lists the operations with at least one registered algorithm,
 // sorted.
-func Ops() []Op {
-	out := make([]Op, 0, len(registry))
+func Ops() []string {
+	out := make([]string, 0, len(registry))
 	for op := range registry {
 		out = append(out, op)
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 func TestRegistryShape(t *testing.T) {
-	wantOps := []Op{OpAllGather, OpAllReduce, OpBcast, OpGather, OpReduce, OpScatter}
+	wantOps := []string{workload.OpAllGather, workload.OpAllReduce, workload.OpBcast, workload.OpGather, workload.OpReduce, workload.OpScatter}
 	got := Ops()
 	if len(got) != len(wantOps) {
 		t.Fatalf("Ops() = %v, want %v", got, wantOps)
@@ -36,15 +36,15 @@ func TestRegistryShape(t *testing.T) {
 		for _, a := range For(op) {
 			names = append(names, a.Name)
 		}
-		if !strings.Contains(strings.Join(names, ","), "twosided") && op != OpBcast {
+		if !strings.Contains(strings.Join(names, ","), "twosided") && op != workload.OpBcast {
 			t.Errorf("%s: no two-sided entry (have %v)", op, names)
 		}
 	}
 	// The new algorithms that prove the interface generalizes.
-	if _, ok := Lookup(OpAllReduce, "rabenseifner"); !ok {
+	if _, ok := Lookup(workload.OpAllReduce, "rabenseifner"); !ok {
 		t.Error("allreduce: rabenseifner not registered")
 	}
-	if _, ok := Lookup(OpAllGather, "ring"); !ok {
+	if _, ok := Lookup(workload.OpAllGather, "ring"); !ok {
 		t.Error("allgather: ring not registered")
 	}
 	// Registered names resolve through Known; unknown ones don't.
@@ -67,10 +67,10 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		Register(a)
 	}
-	check("duplicate", Algorithm{Op: OpBcast, Name: "oc", Run: func(*Env, Choice, Args) {}})
-	check("no run", Algorithm{Op: OpBcast, Name: "newalg"})
-	check("no name", Algorithm{Op: OpBcast, Run: func(*Env, Choice, Args) {}})
-	check("no MPB owner", Algorithm{Op: OpBcast, Name: "newalg", Run: func(*Env, Choice, Args) {}})
+	check("duplicate", Algorithm{Op: workload.OpBcast, Name: "oc", Run: func(*Env, Choice, Args) {}})
+	check("no run", Algorithm{Op: workload.OpBcast, Name: "newalg"})
+	check("no name", Algorithm{Op: workload.OpBcast, Run: func(*Env, Choice, Args) {}})
+	check("no MPB owner", Algorithm{Op: workload.OpBcast, Name: "newalg", Run: func(*Env, Choice, Args) {}})
 }
 
 func TestChoiceString(t *testing.T) {
@@ -89,7 +89,7 @@ func TestChoiceString(t *testing.T) {
 
 func TestValidChoice(t *testing.T) {
 	base := core.DefaultConfig()
-	oc, _ := Lookup(OpAllReduce, "oc")
+	oc, _ := Lookup(workload.OpAllReduce, "oc")
 	if !ValidChoice(base, oc, Choice{Alg: "oc", K: 7, ChunkLines: 96}) {
 		t.Error("paper default rejected")
 	}
@@ -97,7 +97,7 @@ func TestValidChoice(t *testing.T) {
 	if ValidChoice(base, oc, Choice{Alg: "oc", K: 47, ChunkLines: 96}) {
 		t.Error("k=47 with 96-line chunks accepted (cannot fit occoll flags)")
 	}
-	ts, _ := Lookup(OpAllReduce, "twosided")
+	ts, _ := Lookup(workload.OpAllReduce, "twosided")
 	if !ValidChoice(base, ts, Choice{Alg: "twosided", K: 47, ChunkLines: 9999}) {
 		t.Error("two-sided choice rejected (has no MPB layout)")
 	}
@@ -141,7 +141,7 @@ func TestEveryRegisteredAlgorithmRuns(t *testing.T) {
 }
 
 // verifyOp checks an operation's defining postcondition.
-func verifyOp(t *testing.T, chip *rma.Chip, op Op, n, lines int, payloads [][]byte) {
+func verifyOp(t *testing.T, chip *rma.Chip, op string, n, lines int, payloads [][]byte) {
 	t.Helper()
 	nbytes := lines * scc.CacheLine
 	read := func(core, addr, nb int) []byte {
@@ -150,13 +150,13 @@ func verifyOp(t *testing.T, chip *rma.Chip, op Op, n, lines int, payloads [][]by
 		return b
 	}
 	switch op {
-	case OpBcast:
+	case workload.OpBcast:
 		for i := 0; i < n; i++ {
 			if !bytes.Equal(read(i, 0, nbytes), payloads[0][:nbytes]) {
 				t.Fatalf("core %d: broadcast payload mismatch", i)
 			}
 		}
-	case OpReduce:
+	case workload.OpReduce:
 		want := append([]byte(nil), payloads[0][:nbytes]...)
 		for i := 1; i < n; i++ {
 			collective.SumInt64(want, payloads[i][:nbytes])
@@ -164,7 +164,7 @@ func verifyOp(t *testing.T, chip *rma.Chip, op Op, n, lines int, payloads [][]by
 		if !bytes.Equal(read(0, 0, nbytes), want) {
 			t.Fatal("root: reduce result mismatch")
 		}
-	case OpAllReduce:
+	case workload.OpAllReduce:
 		want := append([]byte(nil), payloads[0][:nbytes]...)
 		for i := 1; i < n; i++ {
 			collective.SumInt64(want, payloads[i][:nbytes])
@@ -174,19 +174,19 @@ func verifyOp(t *testing.T, chip *rma.Chip, op Op, n, lines int, payloads [][]by
 				t.Fatalf("core %d: allreduce result mismatch", i)
 			}
 		}
-	case OpScatter:
+	case workload.OpScatter:
 		for i := 1; i < n; i++ {
 			if !bytes.Equal(read(i, i*nbytes, nbytes), payloads[0][i*nbytes:(i+1)*nbytes]) {
 				t.Fatalf("core %d: scatter block mismatch", i)
 			}
 		}
-	case OpGather:
+	case workload.OpGather:
 		for i := 0; i < n; i++ {
 			if !bytes.Equal(read(0, i*nbytes, nbytes), payloads[i][i*nbytes:(i+1)*nbytes]) {
 				t.Fatalf("root: gathered block %d mismatch", i)
 			}
 		}
-	case OpAllGather:
+	case workload.OpAllGather:
 		for i := 0; i < n; i++ {
 			for b := 0; b < n; b++ {
 				if !bytes.Equal(read(i, b*nbytes, nbytes), payloads[b][b*nbytes:(b+1)*nbytes]) {
@@ -234,11 +234,14 @@ func TestRecordArgs(t *testing.T) {
 	for _, op := range Ops() {
 		a := recordArgs(op, 5, 64, 128, 3)
 		want := 5
-		if op == OpAllReduce || op == OpAllGather {
+		if op == workload.OpAllReduce || op == workload.OpAllGather {
 			want = 0
 		}
 		if a.Root != want || a.Addr != 64 || a.Scratch != 128 || a.Lines != 3 || a.Reduce == nil {
 			t.Errorf("%s: %+v, want root %d", op, a, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { recordArgs(op, 5, 64, 128, 3) }); allocs != 0 {
+			t.Errorf("%s: recordArgs allocates %v objects per call", op, allocs)
 		}
 	}
 }
@@ -292,8 +295,8 @@ func TestDispatchSpans(t *testing.T) {
 	rec := obs.NewRecorder()
 	chip.SetObserver(rec)
 	OnChip(chip, core.DefaultConfig(), func(e *Env) {
-		e.Run(OpBcast, Generic, Args{Root: 2, Lines: 3})
-		e.Issue(OpAllReduce, Args{Lines: 1, Reduce: collective.SumInt64}).Wait()
+		e.Run(workload.OpBcast, Generic, Args{Root: 2, Lines: 3})
+		e.Issue(workload.OpAllReduce, Args{Lines: 1, Reduce: collective.SumInt64}).Wait()
 	})
 	var got []string
 	for _, ev := range obs.Capture(rec, 4, nil).Events {
@@ -316,23 +319,23 @@ func TestPolicyResolve(t *testing.T) {
 	plan := TuneCached(cfg.Params, cfg.Topology(), 48, core.DefaultConfig())
 	cases := []struct {
 		policy Policy
-		op     Op
+		op     string
 		m      Method
 		want   string
 	}{
-		{Policy{}, OpBcast, Generic, "ocbcast"},
-		{Policy{}, OpAllReduce, Generic, "hybrid"},
-		{Policy{}, OpGather, Generic, "twosided"},
-		{Policy{}, OpGather, OneSided, "oc"},
-		{Policy{}, OpScatter, Nonblocking, "oc"},
-		{Policy{Name: "rabenseifner"}, OpAllReduce, Generic, "rabenseifner"},
-		{Policy{Name: "rabenseifner"}, OpAllReduce, OneSided, "oc"}, // two-sided: not for OC methods
-		{Policy{Name: "rabenseifner"}, OpBcast, Generic, "ocbcast"}, // not registered for bcast
-		{Policy{Name: "ring"}, OpAllGather, Nonblocking, "ring"},
-		{Policy{Name: "ocbcast"}, OpBcast, Nonblocking, "oc"}, // no Issue twin
-		{Policy{Name: "auto", Plan: plan}, OpAllReduce, Generic, plan.Bands[OpAllReduce][0].Choice.String()},
-		{Policy{Name: "auto", Plan: plan}, OpAllReduce, OneSided, plan.OneSidedBands[OpAllReduce][0].Choice.String()},
-		{Policy{Name: "auto", Plan: plan}, OpScatter, Generic, "twosided"}, // no modeled algorithm
+		{Policy{}, workload.OpBcast, Generic, "ocbcast"},
+		{Policy{}, workload.OpAllReduce, Generic, "hybrid"},
+		{Policy{}, workload.OpGather, Generic, "twosided"},
+		{Policy{}, workload.OpGather, OneSided, "oc"},
+		{Policy{}, workload.OpScatter, Nonblocking, "oc"},
+		{Policy{Name: "rabenseifner"}, workload.OpAllReduce, Generic, "rabenseifner"},
+		{Policy{Name: "rabenseifner"}, workload.OpAllReduce, OneSided, "oc"}, // two-sided: not for OC methods
+		{Policy{Name: "rabenseifner"}, workload.OpBcast, Generic, "ocbcast"}, // not registered for bcast
+		{Policy{Name: "ring"}, workload.OpAllGather, Nonblocking, "ring"},
+		{Policy{Name: "ocbcast"}, workload.OpBcast, Nonblocking, "oc"}, // no Issue twin
+		{Policy{Name: "auto", Plan: plan}, workload.OpAllReduce, Generic, plan.Bands[workload.OpAllReduce][0].Choice.String()},
+		{Policy{Name: "auto", Plan: plan}, workload.OpAllReduce, OneSided, plan.OneSidedBands[workload.OpAllReduce][0].Choice.String()},
+		{Policy{Name: "auto", Plan: plan}, workload.OpScatter, Generic, "twosided"}, // no modeled algorithm
 	}
 	for _, tc := range cases {
 		a, ch := tc.policy.Resolve(tc.op, tc.m, 1)

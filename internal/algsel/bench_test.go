@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/rma"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // BenchmarkDispatch is the selection layer's microbenchmark: one 1-line
@@ -37,13 +38,13 @@ func BenchmarkDispatch(b *testing.B) {
 				chip.Run(func(c *rma.Core) {
 					e := &envs[c.ID()]
 					e.Init(c, base, lay, pc.policy)
-					e.Run(OpAllReduce, Generic, args) // sizes per-run buffers
+					e.Run(workload.OpAllReduce, Generic, args) // sizes per-run buffers
 					e.Port.Barrier()
 					if timed && c.ID() == 0 {
 						b.ResetTimer()
 					}
 					for i := 0; i < iters; i++ {
-						e.Run(OpAllReduce, Generic, args)
+						e.Run(workload.OpAllReduce, Generic, args)
 					}
 					e.Port.Barrier()
 					if timed && c.ID() == 0 {

@@ -5,6 +5,7 @@ import (
 	"repro/internal/occoll"
 	"repro/internal/scc"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // The built-in algorithm entries: wrappers over the two existing stacks
@@ -49,7 +50,7 @@ func kOf(ch Choice) int {
 func init() {
 	// --- Broadcast ---
 	Register(Algorithm{
-		Op: OpBcast, Name: "oc", OneSided: true,
+		Op: workload.OpBcast, Name: "oc", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.OC(ch).Bcast(a.Root, a.Addr, a.Lines) },
 		Issue: func(e *Env, ch Choice, a Args) *occoll.Request {
 			return e.OC(ch).IBcast(a.Root, a.Addr, a.Lines)
@@ -64,12 +65,12 @@ func init() {
 		// the Core.Broadcast compat default). Timing-wise it matches
 		// "oc", so it registers no model — auto prefers the lane-based
 		// twin, which also has a non-blocking form.
-		Op: OpBcast, Name: "ocbcast", OneSided: true,
+		Op: workload.OpBcast, Name: "ocbcast", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.Bcaster(ch).Bcast(a.Root, a.Addr, a.Lines) },
 		MPB: ocbMPB,
 	})
 	Register(Algorithm{
-		Op: OpBcast, Name: "binomial",
+		Op: workload.OpBcast, Name: "binomial",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.BcastBinomial(a.Root, a.Addr, a.Lines) },
 		Model: func(m model.Model, t scc.Topology, p, lines int, ch Choice) sim.Duration {
 			return m.BinomialLatency(model.ReduceParamsFor(t, p, 2), lines)
@@ -77,24 +78,24 @@ func init() {
 		MPB: rcceMPB,
 	})
 	Register(Algorithm{
-		Op: OpBcast, Name: "sag",
+		Op: workload.OpBcast, Name: "sag",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.BcastScatterAllgather(a.Root, a.Addr, a.Lines) },
 		MPB: rcceMPB,
 	})
 	Register(Algorithm{
-		Op: OpBcast, Name: "sag1s", OneSided: true,
+		Op: workload.OpBcast, Name: "sag1s", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.BcastScatterAllgatherOneSided(a.Root, a.Addr, a.Lines) },
 		MPB: rcceMPB,
 	})
 	Register(Algorithm{
-		Op: OpBcast, Name: "naive",
+		Op: workload.OpBcast, Name: "naive",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.BcastNaive(a.Root, a.Addr, a.Lines) },
 		MPB: rcceMPB,
 	})
 
 	// --- Reduce ---
 	Register(Algorithm{
-		Op: OpReduce, Name: "oc", OneSided: true,
+		Op: workload.OpReduce, Name: "oc", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.OC(ch).Reduce(a.Root, a.Addr, a.Lines, a.Reduce) },
 		Issue: func(e *Env, ch Choice, a Args) *occoll.Request {
 			return e.OC(ch).IReduce(a.Root, a.Addr, a.Lines, a.Reduce)
@@ -105,7 +106,7 @@ func init() {
 		Ks: treeKs, Chunks: ocChunks,
 	})
 	Register(Algorithm{
-		Op: OpReduce, Name: "twosided",
+		Op: workload.OpReduce, Name: "twosided",
 		Run: func(e *Env, ch Choice, a Args) {
 			e.Comm.Reduce(a.Root, a.Addr, a.Scratch, a.Lines, a.Reduce)
 		},
@@ -117,7 +118,7 @@ func init() {
 
 	// --- AllReduce ---
 	Register(Algorithm{
-		Op: OpAllReduce, Name: "oc", OneSided: true,
+		Op: workload.OpAllReduce, Name: "oc", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.OC(ch).AllReduce(a.Addr, a.Lines, a.Reduce) },
 		Issue: func(e *Env, ch Choice, a Args) *occoll.Request {
 			return e.OC(ch).IAllReduce(a.Addr, a.Lines, a.Reduce)
@@ -128,7 +129,7 @@ func init() {
 		Ks: treeKs, Chunks: ocChunks,
 	})
 	Register(Algorithm{
-		Op: OpAllReduce, Name: "twosided",
+		Op: workload.OpAllReduce, Name: "twosided",
 		Run: func(e *Env, ch Choice, a Args) {
 			e.Comm.AllReduce(a.Addr, a.Scratch, a.Lines, a.Reduce)
 		},
@@ -140,7 +141,7 @@ func init() {
 	Register(Algorithm{
 		// The §7 composition: two-sided binomial reduce, OC-Bcast of the
 		// result (the public AllReduce's compat default).
-		Op: OpAllReduce, Name: "hybrid",
+		Op: workload.OpAllReduce, Name: "hybrid",
 		Run: func(e *Env, ch Choice, a Args) {
 			e.Comm.Reduce(0, a.Addr, a.Scratch, a.Lines, a.Reduce)
 			e.Bcaster(ch).Bcast(0, a.Addr, a.Lines)
@@ -154,7 +155,7 @@ func init() {
 		MPB: hybridMPB,
 	})
 	Register(Algorithm{
-		Op: OpAllReduce, Name: "rabenseifner",
+		Op: workload.OpAllReduce, Name: "rabenseifner",
 		Run: func(e *Env, ch Choice, a Args) {
 			e.Comm.AllReduceRabenseifner(a.Addr, a.Scratch, a.Lines, a.Reduce)
 		},
@@ -167,7 +168,7 @@ func init() {
 	// --- Scatter / Gather --- (no closed forms yet: named overrides
 	// only; contention-aware models are a ROADMAP open item)
 	Register(Algorithm{
-		Op: OpScatter, Name: "oc", OneSided: true,
+		Op: workload.OpScatter, Name: "oc", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.OC(ch).Scatter(a.Root, a.Addr, a.Lines) },
 		Issue: func(e *Env, ch Choice, a Args) *occoll.Request {
 			return e.OC(ch).IScatter(a.Root, a.Addr, a.Lines)
@@ -175,12 +176,12 @@ func init() {
 		Ks: treeKs, Chunks: ocChunks,
 	})
 	Register(Algorithm{
-		Op: OpScatter, Name: "twosided",
+		Op: workload.OpScatter, Name: "twosided",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.Scatter(a.Root, a.Addr, a.Lines) },
 		MPB: rcceMPB,
 	})
 	Register(Algorithm{
-		Op: OpGather, Name: "oc", OneSided: true,
+		Op: workload.OpGather, Name: "oc", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.OC(ch).Gather(a.Root, a.Addr, a.Lines) },
 		Issue: func(e *Env, ch Choice, a Args) *occoll.Request {
 			return e.OC(ch).IGather(a.Root, a.Addr, a.Lines)
@@ -188,14 +189,14 @@ func init() {
 		Ks: treeKs, Chunks: ocChunks,
 	})
 	Register(Algorithm{
-		Op: OpGather, Name: "twosided",
+		Op: workload.OpGather, Name: "twosided",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.Gather(a.Root, a.Addr, a.Lines) },
 		MPB: rcceMPB,
 	})
 
 	// --- AllGather ---
 	Register(Algorithm{
-		Op: OpAllGather, Name: "oc", OneSided: true,
+		Op: workload.OpAllGather, Name: "oc", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.OC(ch).AllGather(a.Addr, a.Lines) },
 		Issue: func(e *Env, ch Choice, a Args) *occoll.Request {
 			return e.OC(ch).IAllGather(a.Addr, a.Lines)
@@ -206,7 +207,7 @@ func init() {
 		Ks: treeKs, Chunks: ocChunks,
 	})
 	Register(Algorithm{
-		Op: OpAllGather, Name: "ring", OneSided: true,
+		Op: workload.OpAllGather, Name: "ring", OneSided: true,
 		Run: func(e *Env, ch Choice, a Args) { e.OC(ch).AllGatherRing(a.Addr, a.Lines) },
 		Issue: func(e *Env, ch Choice, a Args) *occoll.Request {
 			return e.OC(ch).IAllGatherRing(a.Addr, a.Lines)
@@ -217,7 +218,7 @@ func init() {
 		Chunks: ocChunks,
 	})
 	Register(Algorithm{
-		Op: OpAllGather, Name: "twosided",
+		Op: workload.OpAllGather, Name: "twosided",
 		Run: func(e *Env, ch Choice, a Args) { e.Comm.AllGather(a.Addr, a.Lines) },
 		Model: func(m model.Model, t scc.Topology, p, lines int, ch Choice) sim.Duration {
 			return m.TwoSidedRingAllGatherLatency(model.RingParamsFor(t, p), lines)

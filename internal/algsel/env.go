@@ -11,6 +11,7 @@ import (
 	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // Env is one core's collective stack and the one dispatcher every call
@@ -144,14 +145,14 @@ func (e *Env) Bcaster(ch Choice) *core.Broadcaster {
 
 // Run resolves and runs one blocking collective of op called through
 // method m (Generic or OneSided).
-func (e *Env) Run(op Op, m Method, a Args) {
+func (e *Env) Run(op string, m Method, a Args) {
 	alg, ch := e.Resolve(op, m, a.Lines)
 	e.Exec(alg, ch, a)
 }
 
 // Resolve returns the algorithm and choice a blocking call of op through
 // method m runs for a message of lines cache lines under the policy.
-func (e *Env) Resolve(op Op, m Method, lines int) (*Algorithm, Choice) {
+func (e *Env) Resolve(op string, m Method, lines int) (*Algorithm, Choice) {
 	return e.policy.Resolve(op, m, lines)
 }
 
@@ -172,7 +173,7 @@ func (e *Env) Exec(alg *Algorithm, ch Choice, a Args) {
 // configured defaults. The span covers only issue-time work (lane claim,
 // begin barrier); the request's own occoll async span runs to protocol
 // completion.
-func (e *Env) Issue(op Op, a Args) *occoll.Request {
+func (e *Env) Issue(op string, a Args) *occoll.Request {
 	alg, ch := e.policy.Resolve(op, Nonblocking, a.Lines)
 	if o := e.apiSpan("api.issue", op, ch, a); o != nil {
 		r := alg.Issue(e, Choice{Alg: ch.Alg}, a)
@@ -187,7 +188,7 @@ func (e *Env) Issue(op Op, a Args) *occoll.Request {
 // algorithm choice — so selection decisions are visible on the timeline.
 // It claims no attribution time itself (BucketOther): the leaf rma spans
 // underneath account for where the time actually goes.
-func (e *Env) apiSpan(cat string, op Op, ch Choice, a Args) *obs.Recorder {
+func (e *Env) apiSpan(cat string, op string, ch Choice, a Args) *obs.Recorder {
 	c := e.Core()
 	o := c.Obs()
 	if o != nil {
@@ -231,20 +232,20 @@ const (
 
 // compat is the algorithm each generic method runs under the
 // paper-faithful policy; the one-sided and non-blocking methods run "oc".
-var compat = map[Op]string{
-	OpBcast:     "ocbcast",
-	OpReduce:    "twosided",
-	OpAllReduce: "hybrid",
-	OpScatter:   "twosided",
-	OpGather:    "twosided",
-	OpAllGather: "twosided",
+var compat = map[string]string{
+	workload.OpBcast:     "ocbcast",
+	workload.OpReduce:    "twosided",
+	workload.OpAllReduce: "hybrid",
+	workload.OpScatter:   "twosided",
+	workload.OpGather:    "twosided",
+	workload.OpAllGather: "twosided",
 }
 
 // Resolve returns the algorithm and choice a call of op through method
 // m runs for a message of lines cache lines: the named override when it
 // names an algorithm of this op and family, the plan's pick under
 // "auto", the paper-faithful default otherwise.
-func (p Policy) Resolve(op Op, m Method, lines int) (*Algorithm, Choice) {
+func (p Policy) Resolve(op string, m Method, lines int) (*Algorithm, Choice) {
 	def := "oc"
 	if m == Generic {
 		def = compat[op]

@@ -22,8 +22,8 @@ import (
 
 // recordArgs are the call arguments of a record or batch: the rootless
 // ops take root 0, as their methods do.
-func recordArgs(op Op, root, addr, scratch, lines int) Args {
-	if op == OpAllReduce || op == OpAllGather {
+func recordArgs(op string, root, addr, scratch, lines int) Args {
+	if !workload.OpOf(op).Rooted {
 		root = 0
 	}
 	return Args{Root: root, Addr: addr, Scratch: scratch, Lines: lines, Reduce: collective.SumInt64}
@@ -43,14 +43,12 @@ func (r Replayer) NowUs() float64 { return r.E.Core().Now().Microseconds() }
 
 // Run executes one blocking record.
 func (r Replayer) Run(rec workload.Record, addr, scratch int) {
-	op := Op(rec.Op)
-	r.E.Run(op, Generic, recordArgs(op, rec.Root, addr, scratch, rec.Lines))
+	r.E.Run(rec.Op, Generic, recordArgs(rec.Op, rec.Root, addr, scratch, rec.Lines))
 }
 
 // Issue starts one overlapped record.
 func (r Replayer) Issue(rec workload.Record, addr, scratch int) workload.Pending {
-	op := Op(rec.Op)
-	return r.E.Issue(op, recordArgs(op, rec.Root, addr, scratch, rec.Lines))
+	return r.E.Issue(rec.Op, recordArgs(rec.Op, rec.Root, addr, scratch, rec.Lines))
 }
 
 // Server is an Env as the serving scheduler's runner (serve.Runner);
@@ -82,7 +80,7 @@ func (s Server) SyncMaxUs() float64 {
 	binary.LittleEndian.PutUint64(buf[:8], uint64(int64(c.Now())))
 	priv := c.Chip().Private(c.ID())
 	priv.Write(s.Ctrl, buf[:])
-	s.E.Run(OpAllReduce, OneSided, Args{Addr: s.Ctrl, Lines: 1, Reduce: collective.MaxInt64})
+	s.E.Run(workload.OpAllReduce, OneSided, Args{Addr: s.Ctrl, Lines: 1, Reduce: collective.MaxInt64})
 	priv.Read(buf[:8], s.Ctrl, 8)
 	return float64(int64(binary.LittleEndian.Uint64(buf[:8]))) / 1e6
 }
@@ -90,11 +88,11 @@ func (s Server) SyncMaxUs() float64 {
 // Run executes one blocking batch between two barriers.
 func (s Server) Run(op string, root, addr, scratch, lines int) {
 	s.E.Port.Barrier()
-	s.E.Run(Op(op), Generic, recordArgs(Op(op), root, addr, scratch, lines))
+	s.E.Run(op, Generic, recordArgs(op, root, addr, scratch, lines))
 	s.E.Port.Barrier()
 }
 
 // Issue starts one non-blocking batch.
 func (s Server) Issue(op string, root, addr, lines int) serve.Pending {
-	return s.E.Issue(Op(op), recordArgs(Op(op), root, addr, 0, lines))
+	return s.E.Issue(op, recordArgs(op, root, addr, 0, lines))
 }

@@ -42,8 +42,8 @@ type Plan struct {
 	P             int
 	Params        scc.Params
 	Base          core.Config
-	Bands         map[Op][]Band
-	OneSidedBands map[Op][]Band
+	Bands         map[string][]Band
+	OneSidedBands map[string][]Band
 }
 
 // candidate is one (algorithm, choice) pair the tuner scores.
@@ -54,7 +54,7 @@ type candidate struct {
 
 // candidatesFor enumerates the valid tunable choices of every modeled
 // algorithm of an operation under the base configuration.
-func candidatesFor(op Op, base core.Config) []candidate {
+func candidatesFor(op string, base core.Config) []candidate {
 	var out []candidate
 	for _, a := range For(op) {
 		if a.Model == nil {
@@ -147,7 +147,7 @@ func tuneGrid() []int {
 func Tune(params scc.Params, topo scc.Topology, p int, base core.Config) *Plan {
 	plan := &Plan{
 		Topo: topo, P: p, Params: params, Base: base,
-		Bands: map[Op][]Band{}, OneSidedBands: map[Op][]Band{},
+		Bands: map[string][]Band{}, OneSidedBands: map[string][]Band{},
 	}
 	m := model.New(params)
 	for _, op := range Ops() {
@@ -249,13 +249,8 @@ func TuneCached(params scc.Params, topo scc.Topology, p int, base core.Config) *
 // Choose looks up the planned choice for an operation at a message size.
 // ok is false when the operation has no decision table (no modeled
 // algorithms); sizes beyond MaxTuneLines use the last band.
-func (p *Plan) Choose(op Op, lines int) (Choice, bool) {
+func (p *Plan) Choose(op string, lines int) (Choice, bool) {
 	return chooseBand(p.Bands[op], lines)
-}
-
-// ChooseOneSided is Choose restricted to the one-sided (OC) family.
-func (p *Plan) ChooseOneSided(op Op, lines int) (Choice, bool) {
-	return chooseBand(p.OneSidedBands[op], lines)
 }
 
 func chooseBand(bands []Band, lines int) (Choice, bool) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 func defaultPlan(t *testing.T) *Plan {
@@ -51,7 +52,7 @@ func TestTuneBandsWellFormed(t *testing.T) {
 		}
 	}
 	// Ops with no modeled algorithms must have no table.
-	if _, ok := plan.Choose(OpScatter, 96); ok {
+	if _, ok := plan.Choose(workload.OpScatter, 96); ok {
 		t.Error("scatter has a decision table despite having no models")
 	}
 }
@@ -62,14 +63,14 @@ func TestTuneBandsWellFormed(t *testing.T) {
 // last band.
 func TestTunePicksCrossover(t *testing.T) {
 	plan := defaultPlan(t)
-	small, ok := plan.Choose(OpAllReduce, 1)
+	small, ok := plan.Choose(workload.OpAllReduce, 1)
 	if !ok {
 		t.Fatal("no allreduce decision")
 	}
 	if small.Alg == "rabenseifner" {
 		t.Errorf("1-line allreduce picked %s; reduce-scatter cannot win at 1 line", small)
 	}
-	mid, _ := plan.Choose(OpAllReduce, 96)
+	mid, _ := plan.Choose(workload.OpAllReduce, 96)
 	if mid.Alg != "rabenseifner" {
 		t.Errorf("96-line allreduce picked %s, want rabenseifner", mid)
 	}
@@ -77,17 +78,17 @@ func TestTunePicksCrossover(t *testing.T) {
 	// wins (less serial combining per node than k=7, no barrier tax) —
 	// confirmed against simulation: oc k=2 beats rabenseifner by ~20%
 	// at 4096 lines.
-	big, _ := plan.Choose(OpAllReduce, 4096)
+	big, _ := plan.Choose(workload.OpAllReduce, 4096)
 	if big.Alg != "oc" || big.K > 3 {
 		t.Errorf("4096-line allreduce picked %s, want a deep oc tree", big)
 	}
-	beyond, _ := plan.Choose(OpAllReduce, MaxTuneLines*4)
+	beyond, _ := plan.Choose(workload.OpAllReduce, MaxTuneLines*4)
 	if beyond != big {
 		t.Errorf("beyond-table size picked %s, want last band's %s", beyond, big)
 	}
 	// The one-sided ring should own allgather on the 48-core chip (it
 	// beats tree and two-sided at every size in both model and sim).
-	ag, _ := plan.Choose(OpAllGather, 96)
+	ag, _ := plan.Choose(workload.OpAllGather, 96)
 	if ag.Alg != "ring" {
 		t.Errorf("allgather picked %s, want ring", ag)
 	}
@@ -116,7 +117,7 @@ func TestTuneRespectsLayout(t *testing.T) {
 func TestBestChoiceFor(t *testing.T) {
 	m := model.New(scc.Table1())
 	base := core.DefaultConfig()
-	oc, _ := Lookup(OpAllReduce, "oc")
+	oc, _ := Lookup(workload.OpAllReduce, "oc")
 	ch, ok := BestChoiceFor(m, scc.SCC(), scc.NumCores, base, oc, 256)
 	if !ok {
 		t.Fatal("no best choice for modeled algorithm")
@@ -124,7 +125,7 @@ func TestBestChoiceFor(t *testing.T) {
 	if ch.Alg != "oc" || ch.K == 0 || ch.ChunkLines == 0 {
 		t.Errorf("best oc choice %s missing tuned parameters", ch)
 	}
-	sag, _ := Lookup(OpBcast, "sag")
+	sag, _ := Lookup(workload.OpBcast, "sag")
 	if _, ok := BestChoiceFor(m, scc.SCC(), scc.NumCores, base, sag, 256); ok {
 		t.Error("unmodeled algorithm returned a best choice")
 	}
@@ -148,7 +149,7 @@ func TestTuneScalesWithTopology(t *testing.T) {
 	if plan.P != 384 {
 		t.Fatalf("plan.P = %d", plan.P)
 	}
-	bands := plan.Bands[OpAllReduce]
+	bands := plan.Bands[workload.OpAllReduce]
 	if len(bands) < 3 {
 		t.Fatalf("384-core allreduce table has %d bands, want the full crossover ladder", len(bands))
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/scc"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // meshes are the chips calibration must see through: the paper's 6×4
@@ -101,7 +102,7 @@ func TestFitThenTune(t *testing.T) {
 		p := topo.NumCores()
 		truth := algsel.Tune(cfg.Params, topo, p, base)
 		fitted := algsel.Tune(fit.Params, topo, p, base)
-		for _, tables := range [][2]map[algsel.Op][]algsel.Band{
+		for _, tables := range [][2]map[string][]algsel.Band{
 			{truth.Bands, fitted.Bands},
 			{truth.OneSidedBands, fitted.OneSidedBands},
 		} {
@@ -133,7 +134,7 @@ func TestFitThenTuneThresholds(t *testing.T) {
 	topo := cfg.Topology()
 	plan := algsel.Tune(fit.Params, topo, topo.NumCores(), core.DefaultConfig())
 	choose := func(lines int) algsel.Choice {
-		c, ok := plan.Choose(algsel.OpAllReduce, lines)
+		c, ok := plan.Choose(workload.OpAllReduce, lines)
 		if !ok {
 			t.Fatalf("no allreduce decision at %d lines", lines)
 		}

@@ -1,9 +1,9 @@
 package harness
 
 import (
-	"repro/internal/algsel"
 	occore "repro/internal/core"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // Ablations renders the design ablations: double vs single buffering,
@@ -21,8 +21,8 @@ func Ablations(cfg scc.Config, effort int) ([]*Table, error) {
 			return rows[r].sized(sizes[c], effort)
 		})
 	}
-	oc := func(k int) Cell { return newCell(cfg, algsel.OpBcast, "ocbcast", k) }
-	base := func(alg string) Cell { return newCell(cfg, algsel.OpBcast, alg, 0) }
+	oc := func(k int) Cell { return newCell(cfg, workload.OpBcast, "ocbcast", k) }
+	base := func(alg string) Cell { return newCell(cfg, workload.OpBcast, alg, 0) }
 
 	// §4.2: double buffering (2×96-line chunks) against the single-buffer
 	// variant (1×192) the paper describes replacing.

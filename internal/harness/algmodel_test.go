@@ -9,6 +9,7 @@ import (
 	occore "repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // Cross-validation of the registry algorithms' closed-form latencies
@@ -19,7 +20,7 @@ import (
 
 // algPoint identifies one cross-validation cell.
 type algPoint struct {
-	op     algsel.Op
+	op     string
 	name   string
 	lines  int
 	tolPct float64
@@ -39,21 +40,21 @@ func TestAlgorithmModelsTrackSimulation(t *testing.T) {
 	// simulator charges their analytic costs almost directly), the
 	// pipelined one-sided ones carry fill/drain approximations.
 	pts := []algPoint{
-		{algsel.OpAllReduce, "twosided", 32, 10},
-		{algsel.OpAllReduce, "twosided", 256, 10},
-		{algsel.OpAllReduce, "hybrid", 32, 10},
-		{algsel.OpAllReduce, "hybrid", 256, 12},
-		{algsel.OpAllReduce, "rabenseifner", 32, 15},
-		{algsel.OpAllReduce, "rabenseifner", 256, 15},
-		{algsel.OpAllReduce, "oc", 32, 15},
-		{algsel.OpAllReduce, "oc", 256, 15},
-		{algsel.OpAllGather, "ring", 16, 20},
-		{algsel.OpAllGather, "ring", 64, 20},
-		{algsel.OpAllGather, "oc", 16, 20},
-		{algsel.OpAllGather, "twosided", 16, 15},
-		{algsel.OpBcast, "oc", 1, 20},
-		{algsel.OpBcast, "oc", 96, 15},
-		{algsel.OpBcast, "binomial", 96, 15},
+		{workload.OpAllReduce, "twosided", 32, 10},
+		{workload.OpAllReduce, "twosided", 256, 10},
+		{workload.OpAllReduce, "hybrid", 32, 10},
+		{workload.OpAllReduce, "hybrid", 256, 12},
+		{workload.OpAllReduce, "rabenseifner", 32, 15},
+		{workload.OpAllReduce, "rabenseifner", 256, 15},
+		{workload.OpAllReduce, "oc", 32, 15},
+		{workload.OpAllReduce, "oc", 256, 15},
+		{workload.OpAllGather, "ring", 16, 20},
+		{workload.OpAllGather, "ring", 64, 20},
+		{workload.OpAllGather, "oc", 16, 20},
+		{workload.OpAllGather, "twosided", 16, 15},
+		{workload.OpBcast, "oc", 1, 20},
+		{workload.OpBcast, "oc", 96, 15},
+		{workload.OpBcast, "binomial", 96, 15},
 	}
 	for _, pt := range pts {
 		alg, ok := algsel.Lookup(pt.op, pt.name)
@@ -80,12 +81,12 @@ func TestAlgorithmModelsTrackSimulation(t *testing.T) {
 func TestCrossoverTableRendering(t *testing.T) {
 	pts := []CrossoverPoint{
 		{
-			Mesh: "6x4", Cores: 48, Op: algsel.OpAllReduce, Lines: 16,
+			Mesh: "6x4", Cores: 48, Op: workload.OpAllReduce, Lines: 16,
 			Auto: "rabenseifner", AutoUs: 122.4,
 			Best: "rabenseifner", BestUs: 122.4, RegretPct: 0,
 		},
 		{
-			Mesh: meshName(scc.Mesh(16, 12)), Cores: 384, Op: algsel.OpBcast, Lines: 1,
+			Mesh: meshName(scc.Mesh(16, 12)), Cores: 384, Op: workload.OpBcast, Lines: 1,
 			Auto: algsel.Choice{Alg: "oc", K: 7, ChunkLines: 48}.String(), AutoUs: 11.85,
 			Best: "binomial", BestUs: 11.59, RegretPct: 2.29,
 		},

@@ -325,7 +325,7 @@ func pooledServe(cfg scc.Config, n int, scfg serve.Config, streams []serve.Strea
 
 // resolveChoice is the choice policy p resolves a call of op through
 // dispatchMethods[m] to.
-func resolveChoice(p string, plan *algsel.Plan, op algsel.Op, m, lines int) algsel.Choice {
+func resolveChoice(p string, plan *algsel.Plan, op string, m, lines int) algsel.Choice {
 	_, ch := algsel.Policy{Name: p, Plan: plan}.Resolve(op, algsel.Method(m), lines)
 	return ch
 }

@@ -3,8 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/algsel"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // fig8 fills one panel of Figure 8: the paper's OC-Bcast at k = 2, 7 and
@@ -13,8 +13,8 @@ import (
 func fig8(cfg scc.Config, tbl *Table, baseline string, sizes []int, reps func(lines int) int,
 	value func(lines int, us float64) float64) []*Table {
 	cols := []Cell{
-		newCell(cfg, algsel.OpBcast, "ocbcast", 2), newCell(cfg, algsel.OpBcast, "ocbcast", 7),
-		newCell(cfg, algsel.OpBcast, "ocbcast", 47), newCell(cfg, algsel.OpBcast, baseline, 0),
+		newCell(cfg, workload.OpBcast, "ocbcast", 2), newCell(cfg, workload.OpBcast, "ocbcast", 7),
+		newCell(cfg, workload.OpBcast, "ocbcast", 47), newCell(cfg, workload.OpBcast, baseline, 0),
 	}
 	lat := sweep(len(sizes), len(cols), func(r, c int) Cell { return cols[c].sized(sizes[r], reps(sizes[r])) })
 	for i, lines := range sizes {
@@ -77,12 +77,12 @@ func Fig8b(cfg scc.Config, effort int) ([]*Table, error) {
 // scatter-allgather (paper: almost 3×).
 func Headline(cfg scc.Config, effort int) ([]*Table, error) {
 	const large = 8192
-	oc := newCell(cfg, algsel.OpBcast, "ocbcast", 7)
+	oc := newCell(cfg, workload.OpBcast, "ocbcast", 7)
 	lat := Grid([]Cell{
 		oc.sized(1, 2*effort),
-		newCell(cfg, algsel.OpBcast, "binomial", 0).sized(1, 2*effort),
+		newCell(cfg, workload.OpBcast, "binomial", 0).sized(1, 2*effort),
 		oc.sized(large, 2),
-		newCell(cfg, algsel.OpBcast, "sag", 0).sized(large, 2),
+		newCell(cfg, workload.OpBcast, "sag", 0).sized(large, 2),
 	})
 	oc1, bin1 := lat[0], lat[1]
 	ocT := ThroughputMBps(large, lat[2])

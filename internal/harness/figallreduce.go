@@ -3,8 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/algsel"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // FigAllReduce measures allreduce latency across payload sizes and
@@ -29,9 +29,9 @@ func FigAllReduce(cfg scc.Config, effort int) ([]*Table, error) {
 	}
 	sizes := []int{1, 8, 32, 96, 256, 512, 1024}
 	cols := []Cell{
-		newCell(cfg, algsel.OpAllReduce, "oc", 2), newCell(cfg, algsel.OpAllReduce, "oc", 3),
-		newCell(cfg, algsel.OpAllReduce, "oc", 7), newCell(cfg, algsel.OpAllReduce, "twosided", 0),
-		newCell(cfg, algsel.OpAllReduce, "hybrid", 0),
+		newCell(cfg, workload.OpAllReduce, "oc", 2), newCell(cfg, workload.OpAllReduce, "oc", 3),
+		newCell(cfg, workload.OpAllReduce, "oc", 7), newCell(cfg, workload.OpAllReduce, "twosided", 0),
+		newCell(cfg, workload.OpAllReduce, "hybrid", 0),
 	}
 	lat := sweep(len(sizes), len(cols), func(r, c int) Cell { return cols[c].sized(sizes[r], 1+effort) })
 	for i, lines := range sizes {

@@ -7,6 +7,7 @@ import (
 	occore "repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // fig-crossover validates the algorithm registry's model-driven
@@ -21,10 +22,10 @@ import (
 // CrossoverPoint is one cell of the crossover sweep. Its json form is
 // the committed schema of BENCH_simperf.json's crossover.cells.
 type CrossoverPoint struct {
-	Mesh  string    `json:"mesh"`
-	Cores int       `json:"cores"`
-	Op    algsel.Op `json:"op"`
-	Lines int       `json:"lines"`
+	Mesh  string `json:"mesh"`
+	Cores int    `json:"cores"`
+	Op    string `json:"op"`
+	Lines int    `json:"lines"`
 	// Auto is the plan's pick and Best the cell's fastest algorithm, both
 	// at their tuned choice (algsel.Choice.String); AutoUs and BestUs
 	// their simulated latencies; RegretPct = 100·(AutoUs/BestUs − 1).
@@ -37,8 +38,8 @@ type CrossoverPoint struct {
 
 // CrossoverOps are the operations the sweep covers: the ones with at
 // least two modeled algorithms, so auto-selection has a real decision.
-func CrossoverOps() []algsel.Op {
-	return []algsel.Op{algsel.OpBcast, algsel.OpAllReduce, algsel.OpAllGather}
+func CrossoverOps() []string {
+	return []string{workload.OpBcast, workload.OpAllReduce, workload.OpAllGather}
 }
 
 // CrossoverMeshes and CrossoverSizes bound the sweep by effort: the
@@ -68,7 +69,7 @@ func CrossoverSizes(effort int) []int {
 func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 	type point struct {
 		topo  scc.Topology
-		op    algsel.Op
+		op    string
 		lines int
 	}
 	var pts []point

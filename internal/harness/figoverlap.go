@@ -3,8 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/algsel"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // fig-overlap measures what the paper's one-sided decoupling actually
@@ -37,7 +37,7 @@ type OverlapPoint struct {
 // approaching 1 + W/T.
 func OverlapSweep(cfg scc.Config, n, k int, sizes []int, ratios, grains []float64) []OverlapPoint {
 	cell := func(lines int) Cell {
-		c := newCell(cfg, algsel.OpAllReduce, "oc", k).sized(lines, 1)
+		c := newCell(cfg, workload.OpAllReduce, "oc", k).sized(lines, 1)
 		c.N = n
 		return c
 	}

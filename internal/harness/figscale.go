@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/algsel"
 	"repro/internal/model"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // ScaleMeshes is the fig-scale topology sweep: the real 48-core SCC and
@@ -47,8 +47,8 @@ func ScaleSweep(cfg scc.Config, lines, reps int) []ScalePoint {
 	var cells []Cell
 	for _, m := range ScaleMeshes() {
 		cfg.Topo = m
-		cells = append(cells, newCell(cfg, algsel.OpBcast, "ocbcast", k).sized(lines, reps),
-			newCell(cfg, algsel.OpAllReduce, "oc", k).sized(lines, reps))
+		cells = append(cells, newCell(cfg, workload.OpBcast, "ocbcast", k).sized(lines, reps),
+			newCell(cfg, workload.OpAllReduce, "oc", k).sized(lines, reps))
 	}
 	mdl := model.New(cfg.Params)
 	var pts []ScalePoint
@@ -57,7 +57,7 @@ func ScaleSweep(cfg scc.Config, lines, reps int) []ScalePoint {
 		n := topo.NumCores()
 		pt := ScalePoint{Topo: topo, Op: "bcast-oc", Lines: lines, K: k, SimUs: sim,
 			ModelUs: mdl.OCBcastLatency(model.BcastParamsFor(topo, n, k), lines, k).Microseconds()}
-		if cells[i].Op == algsel.OpAllReduce {
+		if cells[i].Op == workload.OpAllReduce {
 			pt.Op = "allreduce-oc"
 			pt.ModelUs = mdl.OCAllReduceLatency(model.ReduceParamsFor(topo, n, k), lines, k).Microseconds()
 		}

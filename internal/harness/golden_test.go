@@ -3,8 +3,8 @@ package harness
 import (
 	"testing"
 
-	"repro/internal/algsel"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // goldenPoint pins the exact simulated per-repetition latencies (µs) of a
@@ -27,14 +27,14 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			name: "fig8a/oc-k7-1CL",
 			want: []float64{5.088, 5.088, 5.088},
 			run: func() []float64 {
-				return measure(newCell(cfg, algsel.OpBcast, "ocbcast", 7).sized(1, 3))
+				return measure(newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(1, 3))
 			},
 		},
 		{
 			name: "fig8a/binomial-1CL",
 			want: []float64{11.589, 11.589, 11.589},
 			run: func() []float64 {
-				return measure(newCell(cfg, algsel.OpBcast, "binomial", 0).sized(1, 3))
+				return measure(newCell(cfg, workload.OpBcast, "binomial", 0).sized(1, 3))
 			},
 		},
 		{
@@ -42,7 +42,7 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			want:  []float64{7908.4312, 7908.4312},
 			heavy: true,
 			run: func() []float64 {
-				return measure(newCell(cfg, algsel.OpBcast, "ocbcast", 7).sized(8192, 2))
+				return measure(newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(8192, 2))
 			},
 		},
 		{
@@ -50,21 +50,21 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			want:  []float64{20638.362, 20638.362},
 			heavy: true,
 			run: func() []float64 {
-				return measure(newCell(cfg, algsel.OpBcast, "sag", 0).sized(8192, 2))
+				return measure(newCell(cfg, workload.OpBcast, "sag", 0).sized(8192, 2))
 			},
 		},
 		{
 			name: "allreduce/oc-k7-8KiB",
 			want: []float64{1617.671, 1617.671},
 			run: func() []float64 {
-				return measure(newCell(cfg, algsel.OpAllReduce, "oc", 7).sized(256, 2))
+				return measure(newCell(cfg, workload.OpAllReduce, "oc", 7).sized(256, 2))
 			},
 		},
 		{
 			name: "allreduce/twosided-8KiB",
 			want: []float64{2888.771, 2888.771},
 			run: func() []float64 {
-				return measure(newCell(cfg, algsel.OpAllReduce, "twosided", 0).sized(256, 2))
+				return measure(newCell(cfg, workload.OpAllReduce, "twosided", 0).sized(256, 2))
 			},
 		},
 		{
@@ -74,7 +74,7 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			name: "allreduce/oc-k7-8KiB-blocking-via-engine",
 			want: []float64{1617.671},
 			run: func() []float64 {
-				return measure(newCell(cfg, algsel.OpAllReduce, "oc", 7).sized(256, 1))
+				return measure(newCell(cfg, workload.OpAllReduce, "oc", 7).sized(256, 1))
 			},
 		},
 		{
@@ -83,7 +83,7 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 			name: "allreduce/oc-k7-8KiB-issue-wait",
 			want: []float64{1617.671},
 			run: func() []float64 {
-				c := newCell(cfg, algsel.OpAllReduce, "oc", 7).sized(256, 1)
+				c := newCell(cfg, workload.OpAllReduce, "oc", 7).sized(256, 1)
 				c.Overlap = true
 				return measure(c)
 			},

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/algsel"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 func cell(t *testing.T, tbl *Table, row, col int) float64 {
@@ -244,7 +244,7 @@ func TestMeasureUnknownAlg(t *testing.T) {
 			t.Fatal("unknown algorithm did not panic")
 		}
 	}()
-	c := newCell(scc.DefaultConfig(), algsel.OpBcast, "zzz", 0).sized(1, 1)
+	c := newCell(scc.DefaultConfig(), workload.OpBcast, "zzz", 0).sized(1, 1)
 	c.N = 4
 	measure(c)
 }

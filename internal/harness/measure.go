@@ -9,6 +9,7 @@ import (
 	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Cell is one measured point of a simulated experiment: a registered
@@ -17,7 +18,7 @@ import (
 type Cell struct {
 	Cfg scc.Config // the simulated chip
 	N   int        // cores taking part; 0 means every core of Cfg's topology
-	Op  algsel.Op
+	Op  string
 	// Choice names the registered algorithm and its tunables; OC is the
 	// one-sided base configuration the choice resolves against (OC-Bcast's
 	// fan-out, buffering and notification ablations live here).
@@ -36,7 +37,7 @@ type Cell struct {
 // newCell is a cell of op on cfg's whole chip running the registered
 // algorithm alg over the paper's one-sided configuration at fan-out k (0
 // keeps the paper's k = 7). Sweeps set Lines and Reps with sized.
-func newCell(cfg scc.Config, op algsel.Op, alg string, k int) Cell {
+func newCell(cfg scc.Config, op string, alg string, k int) Cell {
 	oc := occore.DefaultConfig()
 	if k > 0 {
 		oc.K = k
@@ -75,9 +76,9 @@ func sweep(rows, cols int, cell func(r, c int) Cell) [][]float64 {
 
 // measure runs a cell by the paper's §6.1 method and returns each
 // repetition's latency in µs. Repetitions are separated by barriers, each
-// works on a fresh (uncached) payload region — one block of Lines cache
-// lines for a broadcast or reduction, n+1 for the block operations — and
-// each is timed from the first core's call to the last core's return.
+// works on a fresh (uncached) payload region — the op table's region
+// (workload.Op) — and each is timed from the first core's call to the
+// last core's return.
 func measure(c Cell) []float64 {
 	a, ok := algsel.Lookup(c.Op, c.Choice.Alg)
 	if !ok || c.Overlap && a.Issue == nil {
@@ -90,33 +91,23 @@ func measure(c Cell) []float64 {
 	chip := rma.AcquireChipN(c.Cfg, n)
 	defer rma.ReleaseChip(chip)
 
-	block := c.Lines * scc.CacheLine
-	stride := block
-	switch c.Op {
-	case algsel.OpScatter, algsel.OpGather, algsel.OpAllGather:
-		stride *= n + 1
-	}
-	// Stage what each repetition's call reads, one block per core: its own
-	// contribution (block id of a gather or allgather, block 0 of a
-	// reduction) or, for a broadcast or scatter, the root's first block.
-	// The protocols are data-independent and nothing reads the bytes back,
-	// so the rest of a region is left to the collective to write.
-	payload := make([]byte, block)
+	op := workload.OpOf(c.Op)
+	stride := op.Region(n, c.Lines) * scc.CacheLine
+	// Stage the first block of each repetition's input on every core that
+	// supplies one (the cells root at core 0). The protocols are
+	// data-independent and nothing reads the bytes back, so the rest of a
+	// region is left to the collective to write.
+	payload := make([]byte, c.Lines*scc.CacheLine)
 	for i := range payload {
 		payload[i] = byte(i*7 + 13)
 	}
 	for id := 0; id < n; id++ {
-		b := 0
-		switch c.Op {
-		case algsel.OpBcast, algsel.OpScatter:
-			if id > 0 {
-				continue
-			}
-		case algsel.OpGather, algsel.OpAllGather:
-			b = id
+		off, count := op.InputAt(n, id, 0, c.Lines)
+		if count == 0 {
+			continue
 		}
 		for it := 0; it < reps; it++ {
-			chip.Private(id).Write(it*stride+b*block, payload)
+			chip.Private(id).Write(it*stride+off*scc.CacheLine, payload)
 		}
 	}
 

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/algsel"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // TestScaleCrossValidation is the fig-scale acceptance gate: the
@@ -34,7 +34,7 @@ func TestScaleCrossValidation(t *testing.T) {
 func TestMeshGoldenPoint(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	cfg.Topo = scc.Mesh(8, 6)
-	got := measure(newCell(cfg, algsel.OpBcast, "ocbcast", 7).sized(96, 2))
+	got := measure(newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(96, 2))
 	want := []float64{193.696, 193.696}
 	checkGolden(t, "mesh-8x6/oc-k7-96CL", got, want)
 }

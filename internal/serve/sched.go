@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // The scheduler replica. Every core of the chip runs Run with the same
@@ -84,33 +85,21 @@ type Layout struct {
 	ScratchAddr, CtrlAddr int
 }
 
-// LayoutFor computes the serving layout of a tenant mix on an n-core
-// chip. Region sizing is worst-case over what batching can build: a
-// batch's summed payload is bounded by max(largest single request,
-// MaxBatchLines) — an oversized request dispatches alone but still
-// needs its region — and the block operations amplify by the chip's
-// core count. Private memory is demand-paged, so an over-generous
-// region costs address space, not bytes.
+// LayoutFor computes the serving layout of a valid tenant mix on an
+// n-core chip. Region sizing is worst-case over what batching can
+// build: a batch's summed payload is bounded by max(largest single
+// request, MaxBatchLines) — an oversized request dispatches alone but
+// still needs its region — so the region is the largest op-table region
+// (workload.Op.Region) of any request at that bound. Private memory is
+// demand-paged, so an over-generous region costs address space, not
+// bytes.
 func LayoutFor(cfg Config, streams []Stream, n int) Layout {
-	linear, block := 0, 0
-	for _, s := range streams {
-		for _, r := range s.Reqs {
-			if blockOp(r.Op) {
-				if r.Lines > block {
-					block = r.Lines
-				}
-			} else if r.Lines > linear {
-				linear = r.Lines
-			}
-		}
-	}
 	batchCap := cfg.maxBatchLines()
 	region := 1
-	if linear > 0 {
-		region = max(linear, batchCap)
-	}
-	if block > 0 {
-		region = max(region, n*max(block, batchCap))
+	for _, s := range streams {
+		for _, r := range s.Reqs {
+			region = max(region, workload.OpOf(r.Op).Region(n, max(r.Lines, batchCap)))
+		}
 	}
 	slot := region * scc.CacheLine
 	// At most `lanes` batches are in flight at once; one spare region
@@ -481,7 +470,7 @@ func (s *Sched) buildBatch(bi, t int) {
 		u := (t + i) % T
 		for s.q[u].n > 0 && len(bt.members) < maxReqs {
 			cand := s.reqOf(s.q[u].peek())
-			if cand.Op != bt.op || (rootedOp(bt.op) && cand.Root != bt.root) ||
+			if cand.Op != bt.op || (workload.OpOf(bt.op).Rooted && cand.Root != bt.root) ||
 				bt.lines+cand.Lines > maxLines {
 				break
 			}
@@ -549,24 +538,6 @@ func (s *Sched) EndUs() float64 { return s.endClockUs }
 // DoneOrder returns the global request ids in this replica's completion
 // order (test hook: within a tenant the order must match stream order).
 func (s *Sched) DoneOrder() []int32 { return s.doneOrder }
-
-// State reports a request's final lifecycle state as a string (test
-// hook): "pending", "queued", "rejected" or "done".
-func (s *Sched) State(id int) string {
-	switch s.state[id] {
-	case stQueued:
-		return "queued"
-	case stRejected:
-		return "rejected"
-	case stDone:
-		return "done"
-	default:
-		return "pending"
-	}
-}
-
-// Offset reports tenant t's global id offset.
-func (s *Sched) Offset(t int) int { return s.off[t] }
 
 // sanity panics if internal invariants broke (debug hook for tests).
 func (s *Sched) sanity() {

@@ -38,7 +38,7 @@ func newFakeRunner() *fakeRunner {
 		syncUs: 1,
 		latUs: func(op string, lines int) float64 {
 			base := 5.0
-			if blockOp(op) {
+			if workload.OpOf(op).Blocks {
 				base = 8
 			}
 			return base + float64(lines)*0.25
@@ -195,7 +195,7 @@ func randomStream(rng *rand.Rand, tenant string, weight, n int) Stream {
 	for i := range s.Reqs {
 		op := ops[rng.Intn(len(ops))]
 		r := Req{Op: op, Lines: 1 + rng.Intn(64)}
-		if rootedOp(op) {
+		if workload.OpOf(op).Rooted {
 			r.Root = rng.Intn(8)
 		}
 		if rng.Intn(3) > 0 { // bursts: two thirds arrive back-to-back

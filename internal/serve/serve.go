@@ -186,7 +186,7 @@ type Req struct {
 
 // Validate checks one request's invariants (workload trace bounds).
 func (r Req) Validate() error {
-	if !workload.ValidOp(r.Op) {
+	if workload.OpOf(r.Op) == nil {
 		return fmt.Errorf("unknown op %q", r.Op)
 	}
 	if r.Root < 0 || r.Root > workload.MaxRoot {
@@ -202,26 +202,6 @@ func (r Req) Validate() error {
 		return fmt.Errorf("gap %v out of range [0, %g]", r.GapUs, workload.MaxGapUs)
 	}
 	return nil
-}
-
-// rootedOp reports whether the operation addresses Req.Root; batches
-// of rooted operations must share the root to be compatible.
-func rootedOp(op string) bool {
-	switch op {
-	case workload.OpBcast, workload.OpReduce, workload.OpScatter, workload.OpGather:
-		return true
-	}
-	return false
-}
-
-// blockOp reports whether the operation addresses n per-core blocks
-// (layout sizing).
-func blockOp(op string) bool {
-	switch op {
-	case workload.OpScatter, workload.OpGather, workload.OpAllGather:
-		return true
-	}
-	return false
 }
 
 // Stream is one tenant's job queue: its identity, fairness weight and
@@ -289,7 +269,7 @@ func ValidateStreams(streams []Stream, n int) error {
 			if err := r.Validate(); err != nil {
 				return fmt.Errorf("serve: tenant %q request %d: %w", s.Tenant, i, err)
 			}
-			if rootedOp(r.Op) && r.Root >= n {
+			if workload.OpOf(r.Op).Rooted && r.Root >= n {
 				return fmt.Errorf("serve: tenant %q request %d: root %d outside the %d-core chip", s.Tenant, i, r.Root, n)
 			}
 		}

@@ -74,7 +74,7 @@ func Synthetic(p SyntheticParams) Stream {
 	for i := range s.Reqs {
 		op := p.Ops[rng.Intn(len(p.Ops))]
 		r := Req{Op: op, Lines: p.Lines[rng.Intn(len(p.Lines))]}
-		if rootedOp(op) {
+		if o := workload.OpOf(op); o != nil && o.Rooted {
 			r.Root = rng.Intn(p.N)
 		}
 		gap := p.MeanGapUs * rng.ExpFloat64()

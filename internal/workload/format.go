@@ -82,7 +82,7 @@ func parseRecord(line string) (Record, error) {
 		return Record{}, fmt.Errorf("want 5 fields (op root lines delta compute), got %d", len(f))
 	}
 	rec := Record{Op: f[0]}
-	if !ValidOp(rec.Op) {
+	if OpOf(rec.Op) == nil {
 		return Record{}, fmt.Errorf("unknown op %q", truncate(rec.Op))
 	}
 	var err error

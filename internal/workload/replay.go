@@ -63,9 +63,8 @@ type Pending interface {
 type Layout struct {
 	// N is the chip's core count the layout was computed for.
 	N int
-	// SlotBytes is the size of one record region: the largest working
-	// set of any record (block ops hold N per-core blocks), cache-line
-	// aligned.
+	// SlotBytes is the size of one record region: the largest
+	// Op.Region of any record, cache-line aligned.
 	SlotBytes int
 	// Slots is the number of rotating record regions.
 	Slots int
@@ -79,24 +78,12 @@ type Layout struct {
 // idle for a full extra round as margin.
 const layoutSlots = 4
 
-// regionLines is the working set of one record in cache lines: block
-// operations (scatter, gather, allgather) address n per-core blocks of
-// Lines each at addr; the others address one Lines-sized buffer.
-func regionLines(r Record, n int) int {
-	switch r.Op {
-	case OpScatter, OpGather, OpAllGather:
-		return n * r.Lines
-	}
-	return r.Lines
-}
-
-// LayoutFor computes the replay layout of a trace on an n-core chip.
+// LayoutFor computes the replay layout of a valid trace on an n-core
+// chip.
 func LayoutFor(t *Trace, n int) Layout {
 	maxRegion := 1
 	for _, r := range t.Records {
-		if rl := regionLines(r, n); rl > maxRegion {
-			maxRegion = rl
-		}
+		maxRegion = max(maxRegion, OpOf(r.Op).Region(n, r.Lines))
 	}
 	slot := maxRegion * scc.CacheLine
 	return Layout{

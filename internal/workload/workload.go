@@ -28,9 +28,8 @@ import (
 	"math"
 )
 
-// The collective operations a trace record may name. They match the
-// operation names of the algorithm registry (internal/algsel); bcast,
-// reduce and scatter address a root, allreduce and allgather ignore it.
+// The collective operations a trace record may name. They are also the
+// operation names of the algorithm registry (internal/algsel).
 const (
 	OpBcast     = "bcast"
 	OpReduce    = "reduce"
@@ -40,18 +39,86 @@ const (
 	OpAllGather = "allgather"
 )
 
-// Ops lists the valid record operations in canonical order.
-func Ops() []string {
-	return []string{OpBcast, OpReduce, OpAllReduce, OpScatter, OpGather, OpAllGather}
+// Op is one collective operation's entry in the op table: what a call
+// of it addresses in each core's private memory. The entry is a contract
+// every registered algorithm of the operation keeps (FuzzFootprint in
+// the root package checks it), so drivers size and stage regions from it
+// before a policy picks the algorithm. A call changes no byte outside
+// its region — Region lines at addr — and, for the reductions, a
+// same-size scratch. Only the operation's result is guaranteed: on a
+// core that is not the root, the two-sided reduce, scatter and gather
+// stage what they relay in the region (reduce in the scratch too).
+type Op struct {
+	Name string
+	// Rooted ops address a root; the others ignore Record.Root.
+	Rooted bool
+	// Blocks ops address n per-core blocks of Lines each, the others
+	// one buffer of Lines.
+	Blocks bool
+	// input is which cores supply input, and where (see InputAt).
+	input input
 }
 
-// ValidOp reports whether op names a collective a record may carry.
-func ValidOp(op string) bool {
-	switch op {
-	case OpBcast, OpReduce, OpAllReduce, OpScatter, OpGather, OpAllGather:
-		return true
+// input is where a call's input sits.
+type input uint8
+
+const (
+	fromRoot     input = iota // the root's region (bcast, scatter)
+	fromEach                  // every core's block 0 (the reductions)
+	fromOwnBlock              // every core's block id (gather, allgather)
+)
+
+// ops is the op table, in canonical order.
+var ops = [...]Op{
+	{Name: OpBcast, Rooted: true, input: fromRoot},
+	{Name: OpReduce, Rooted: true, input: fromEach},
+	{Name: OpAllReduce, input: fromEach},
+	{Name: OpScatter, Rooted: true, Blocks: true, input: fromRoot},
+	{Name: OpGather, Rooted: true, Blocks: true, input: fromOwnBlock},
+	{Name: OpAllGather, Blocks: true, input: fromOwnBlock},
+}
+
+// Ops lists the valid record operations in canonical order.
+func Ops() []string {
+	out := make([]string, len(ops))
+	for i := range ops {
+		out[i] = ops[i].Name
 	}
-	return false
+	return out
+}
+
+// OpOf returns the table entry of the named operation (read-only), nil
+// when no operation has that name.
+func OpOf(name string) *Op {
+	for i := range ops {
+		if ops[i].Name == name {
+			return &ops[i]
+		}
+	}
+	return nil
+}
+
+// Region is the size in lines of a call's region on an n-core chip.
+func (o *Op) Region(n, lines int) int {
+	if o.Blocks {
+		return n * lines
+	}
+	return lines
+}
+
+// InputAt returns where core id's input sits in its region, in lines
+// from addr; count is 0 on a core that supplies none.
+func (o *Op) InputAt(n, id, root, lines int) (off, count int) {
+	switch o.input {
+	case fromRoot:
+		if id == root {
+			return 0, o.Region(n, lines)
+		}
+		return 0, 0
+	case fromOwnBlock:
+		return id * lines, lines
+	}
+	return 0, lines
 }
 
 // Record bounds keep every arithmetic downstream of a parsed trace (layout
@@ -92,7 +159,7 @@ type Record struct {
 // Validate checks one record's invariants — a known op, bounded
 // non-negative fields, finite gaps.
 func (r Record) Validate() error {
-	if !ValidOp(r.Op) {
+	if OpOf(r.Op) == nil {
 		return fmt.Errorf("unknown op %q", r.Op)
 	}
 	if r.Root < 0 || r.Root > MaxRoot {
@@ -146,20 +213,11 @@ func (t *Trace) ValidateFor(n int) error {
 		return err
 	}
 	for i, r := range t.Records {
-		if rooted(r.Op) && r.Root >= n {
+		if OpOf(r.Op).Rooted && r.Root >= n {
 			return fmt.Errorf("workload: record %d: root %d outside the %d-core chip", i, r.Root, n)
 		}
 	}
 	return nil
-}
-
-// rooted reports whether the operation addresses Record.Root.
-func rooted(op string) bool {
-	switch op {
-	case OpBcast, OpReduce, OpScatter, OpGather:
-		return true
-	}
-	return false
 }
 
 // MaxLines reports the largest record payload, 0 for an empty trace.
@@ -171,24 +229,4 @@ func (t *Trace) MaxLines() int {
 		}
 	}
 	return max
-}
-
-// OpCounts tallies records by operation, keyed by op name.
-func (t *Trace) OpCounts() map[string]int {
-	out := make(map[string]int, 6)
-	for _, r := range t.Records {
-		out[r.Op]++
-	}
-	return out
-}
-
-// DurationUs sums the trace's recorded application time — every issue
-// delta and compute gap — the lower bound a replay's makespan approaches
-// when the collectives are free.
-func (t *Trace) DurationUs() float64 {
-	var sum float64
-	for _, r := range t.Records {
-		sum += r.DeltaUs + r.ComputeUs
-	}
-	return sum
 }

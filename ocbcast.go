@@ -304,7 +304,7 @@ type coreState struct {
 	env    algsel.Env
 }
 
-// The MPB owners of the calls that bypass the algorithm registry.
+// The MPB owners of the calls that are not collectives.
 var (
 	rcceMPB = []scc.Owner{scc.OwnerRCCE}
 	mpmdMPB = []scc.Owner{scc.OwnerOCBcast, scc.OwnerMPMD}
@@ -316,7 +316,7 @@ var (
 // completed by Wait or a true Test) on a lane that shares lines with
 // those regions: the call would restage or reflag lines the request's
 // peers still use.
-func (c *Core) exclusive(op algsel.Op, call string, owners []scc.Owner) {
+func (c *Core) exclusive(op string, call string, owners []scc.Owner) {
 	x, err := c.env.Collectives()
 	if err != nil {
 		return
@@ -335,14 +335,27 @@ func (c *Core) exclusive(op algsel.Op, call string, owners []scc.Owner) {
 	}
 }
 
-// run resolves one blocking collective of op called through method m,
-// checks it against the core's incomplete requests and runs it.
-func (c *Core) run(op algsel.Op, m algsel.Method, a algsel.Args) {
+// run resolves one blocking collective of op called through method m
+// and executes it.
+func (c *Core) run(op string, m algsel.Method, a algsel.Args) {
 	alg, ch := c.env.Resolve(op, m, a.Lines)
+	c.exec(alg, ch, a)
+}
+
+// exec is the one collective dispatch: it checks algorithm alg against
+// the core's incomplete requests and runs it at choice ch.
+func (c *Core) exec(alg *algsel.Algorithm, ch algsel.Choice, a algsel.Args) {
 	if alg.Issue == nil {
-		c.exclusive(op, alg.Name, alg.MPB)
+		c.exclusive(alg.Op, alg.Name, alg.MPB)
 	}
 	c.env.Exec(alg, ch, a)
+}
+
+// bcastWith runs the registered broadcast algorithm name whatever
+// Options.Algorithm says — the Broadcast* baselines.
+func (c *Core) bcastWith(name string, root, addr, lines int) {
+	alg, _ := algsel.Lookup(workload.OpBcast, name)
+	c.exec(alg, algsel.Choice{Alg: name}, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // occ returns the one-sided collective state, panicking with the layout
@@ -385,26 +398,21 @@ func (c *Core) Compute(us float64) {
 // named override) the registry may select a different broadcast
 // algorithm — see autotune.go.
 func (c *Core) Broadcast(root, addr, lines int) {
-	c.run(algsel.OpBcast, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
+	c.run(workload.OpBcast, algsel.Generic, algsel.Args{Root: root, Addr: addr, Lines: lines})
 }
 
 // BroadcastBinomial runs the RCCE_comm binomial-tree baseline.
-func (c *Core) BroadcastBinomial(root, addr, lines int) {
-	c.exclusive("", "BroadcastBinomial", rcceMPB)
-	c.env.Comm.BcastBinomial(root, addr, lines)
-}
+func (c *Core) BroadcastBinomial(root, addr, lines int) { c.bcastWith("binomial", root, addr, lines) }
 
 // BroadcastScatterAllgather runs the RCCE_comm scatter-allgather baseline.
 func (c *Core) BroadcastScatterAllgather(root, addr, lines int) {
-	c.exclusive("", "BroadcastScatterAllgather", rcceMPB)
-	c.env.Comm.BcastScatterAllgather(root, addr, lines)
+	c.bcastWith("sag", root, addr, lines)
 }
 
 // BroadcastScatterAllgatherOneSided runs the §5.4 one-sided adaptation of
 // scatter-allgather (overlapped ring exchanges).
 func (c *Core) BroadcastScatterAllgatherOneSided(root, addr, lines int) {
-	c.exclusive("", "BroadcastScatterAllgatherOneSided", rcceMPB)
-	c.env.Comm.BcastScatterAllgatherOneSided(root, addr, lines)
+	c.bcastWith("sag1s", root, addr, lines)
 }
 
 // Send/Recv are RCCE-style two-sided point-to-point operations. A peer
