@@ -4,8 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	ocbcast "repro"
+	"repro/internal/workload"
 )
 
 // The trace subcommand runs one collective with the observability layer
@@ -18,7 +20,7 @@ import (
 // simulation. args are the arguments after "trace".
 func runTrace(args []string, noContention bool) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	op := fs.String("op", "bcast", "collective to trace: bcast | reduce | allreduce | scatter | gather | allgather | ibcast-overlap")
+	op := fs.String("op", workload.OpBcast, "collective to trace: "+strings.Join(append(workload.Ops(), traceOverlap), " | "))
 	lines := fs.Int("lines", 256, "message size in 32-byte cache lines")
 	cores := fs.Int("cores", 0, "simulated cores (0 = all 48)")
 	algorithm := fs.String("algorithm", "", `algorithm selection: "" (paper default), "auto", or a registered name`)
@@ -40,7 +42,7 @@ func runTrace(args []string, noContention bool) error {
 		DisableContention: noContention,
 		Trace:             true,
 	}
-	if *op == "ibcast-overlap" && *channels > 1 {
+	if *op == traceOverlap && *channels > 1 {
 		// Extra lanes need a smaller chunk to fit the MPB layout.
 		opts.ChunkLines = 48
 	}
@@ -78,32 +80,42 @@ func runTrace(args []string, noContention bool) error {
 	return tl.WriteSummary(os.Stdout, *topN)
 }
 
-// traceBody returns the SPMD body for the chosen collective.
+// traceOverlap names the one traced body that is not an op of the op
+// table: a non-blocking broadcast overlapped with compute slices.
+const traceOverlap = "ibcast-overlap"
+
+// traceBody returns the SPMD body for the chosen collective, rooted at
+// core 0: an op of the op table (workload.Ops), or traceOverlap. bcast
+// runs the paper's protocol, Core.Broadcast (OC-Bcast by
+// core.Broadcaster, with its root-change fence), not the one-sided
+// family's BcastOC: a trace of it shows what the paper's figures and the
+// benchmark measure. The other five ops have no protocol in the paper,
+// so they trace their one-sided OC forms.
 func traceBody(op string, lines int) (func(c *ocbcast.Core), error) {
-	switch op {
-	case "bcast":
-		return func(c *ocbcast.Core) { c.Broadcast(0, 0, lines) }, nil
-	case "reduce":
-		return func(c *ocbcast.Core) { c.ReduceOC(0, 0, lines, ocbcast.SumInt64) }, nil
-	case "allreduce":
-		return func(c *ocbcast.Core) { c.AllReduceOC(0, lines, ocbcast.SumInt64) }, nil
-	case "scatter":
-		return func(c *ocbcast.Core) { c.ScatterOC(0, 0, lines) }, nil
-	case "gather":
-		return func(c *ocbcast.Core) { c.GatherOC(0, 0, lines) }, nil
-	case "allgather":
-		return func(c *ocbcast.Core) { c.AllGatherOC(0, lines) }, nil
-	case "ibcast-overlap":
-		// Non-blocking broadcast overlapped with compute slices — the
-		// trace shows the async request span riding under the compute
-		// spans, with progress.resume instants where flags arrive.
-		return func(c *ocbcast.Core) {
-			r := c.IBcastOC(0, 0, lines)
-			for !r.Test() {
-				c.Compute(5)
-			}
-		}, nil
-	default:
-		return nil, fmt.Errorf("trace: unknown -op %q (want bcast, reduce, allreduce, scatter, gather, allgather or ibcast-overlap)", op)
+	if op != traceOverlap && workload.OpOf(op) == nil {
+		return nil, fmt.Errorf("trace: unknown -op %q (want %s or %s)", op, strings.Join(workload.Ops(), ", "), traceOverlap)
 	}
+	switch op {
+	case workload.OpBcast:
+		return func(c *ocbcast.Core) { c.Broadcast(0, 0, lines) }, nil
+	case workload.OpReduce:
+		return func(c *ocbcast.Core) { c.ReduceOC(0, 0, lines, ocbcast.SumInt64) }, nil
+	case workload.OpAllReduce:
+		return func(c *ocbcast.Core) { c.AllReduceOC(0, lines, ocbcast.SumInt64) }, nil
+	case workload.OpScatter:
+		return func(c *ocbcast.Core) { c.ScatterOC(0, 0, lines) }, nil
+	case workload.OpGather:
+		return func(c *ocbcast.Core) { c.GatherOC(0, 0, lines) }, nil
+	case workload.OpAllGather:
+		return func(c *ocbcast.Core) { c.AllGatherOC(0, lines) }, nil
+	}
+	// Non-blocking broadcast overlapped with compute slices — the trace
+	// shows the async request span riding under the compute spans, with
+	// progress.resume instants where flags arrive.
+	return func(c *ocbcast.Core) {
+		r := c.IBcastOC(0, 0, lines)
+		for !r.Test() {
+			c.Compute(5)
+		}
+	}, nil
 }

@@ -34,10 +34,12 @@ func BenchmarkDispatch(b *testing.B) {
 				chip := rma.AcquireChipN(cfg, n)
 				defer rma.ReleaseChip(chip)
 				envs := make([]Env, n)
+				var sh Shared
+				sh.Init(n)
 				lay, _ := base.Layout()
 				chip.Run(func(c *rma.Core) {
 					e := &envs[c.ID()]
-					e.Init(c, base, lay, pc.policy)
+					e.Init(c, base, lay, pc.policy, &sh)
 					e.Run(workload.OpAllReduce, Generic, args) // sizes per-run buffers
 					e.Port.Barrier()
 					if timed && c.ID() == 0 {

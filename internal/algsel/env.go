@@ -42,19 +42,36 @@ type Env struct {
 // ocKey identifies one resolved one-sided configuration.
 type ocKey struct{ k, chunk int }
 
+// Shared is the storage the stacks of one chip's run grow in: the ports'
+// sequence tables, the call schedules, and the one-sided engines' request
+// frames, request lists and lane programs come from it in blocks, so a
+// run's per-core growth is per chip.
+type Shared struct {
+	port rcce.Store
+	comm collective.Store
+	oc   occoll.Store
+}
+
+// Init sizes s for the stacks of `cores` cores.
+func (s *Shared) Init(cores int) {
+	s.port.Init(cores)
+	s.comm.Init(cores)
+	s.oc.Init(cores)
+}
+
 // Init makes e core rc's stack in place over lay, base's validated
-// layout, shared by every core of the chip (e points into itself and
-// must not be copied afterwards). A layout without lanes leaves the
-// one-sided family unavailable, its error kept for Collectives to
-// report.
-func (e *Env) Init(rc *rma.Core, base core.Config, lay *scc.Layout, policy Policy) {
+// layout, shared by every core of the chip, growing in sh, which the
+// stacks of the chip's run share (e points into itself and must not be
+// copied afterwards). A layout without lanes leaves the one-sided family
+// unavailable, its error kept for Collectives to report.
+func (e *Env) Init(rc *rma.Core, base core.Config, lay *scc.Layout, policy Policy, sh *Shared) {
 	*e = Env{Base: base, lay: lay, policy: policy}
-	e.Port.Init(rc)
-	e.Comm.Init(&e.Port)
+	e.Port.Init(rc, &sh.port)
+	e.Comm.Init(&e.Port, &sh.comm)
 	e.BC.Init(rc, base, lay)
 	e.BC.SetFence(&e.Port) // the layout's fence/barrier share needs it
 	if e.lay.LaneErr == nil {
-		e.col.Init(rc, &e.Port, base, lay)
+		e.col.Init(rc, &e.Port, base, lay, &sh.oc)
 	}
 }
 
@@ -68,9 +85,11 @@ func OnChip(chip *rma.Chip, base core.Config, body func(e *Env)) {
 		panic(err)
 	}
 	envs := alloc.Slice[Env](chip.NCores)
+	var sh Shared
+	sh.Init(chip.NCores)
 	chip.Run(func(c *rma.Core) {
 		e := &envs[c.ID()]
-		e.Init(c, base, lay, Policy{})
+		e.Init(c, base, lay, Policy{}, &sh)
 		body(e)
 		e.Finish()
 	})

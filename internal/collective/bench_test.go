@@ -34,12 +34,16 @@ func BenchmarkCollective(b *testing.B) {
 			chip := rma.AcquireChipN(scc.DefaultConfig(), n)
 			defer rma.ReleaseChip(chip)
 			ports, comms := make([]rcce.Port, n), make([]Comm, n)
+			var ps rcce.Store
+			var cs Store
+			ps.Init(n)
+			cs.Init(n)
 			iters := 1
 			body := func(core *rma.Core) {
 				p, c := &ports[core.ID()], &comms[core.ID()]
 				if c.port == nil {
-					p.Init(core)
-					c.Init(p)
+					p.Init(core, &ps)
+					c.Init(p, &cs)
 				}
 				for i := 0; i < iters; i++ {
 					bc.call(c)

@@ -14,6 +14,7 @@ package collective
 import (
 	"fmt"
 
+	"repro/internal/alloc"
 	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
@@ -28,6 +29,7 @@ type Comm struct {
 	// call, and the chunk round of a two-sided one). fold is the reduce
 	// op its combines fold with.
 	sched       []call
+	calls       *alloc.Arena[call]
 	next, round int
 	fold        ReduceOp
 }
@@ -54,28 +56,34 @@ const (
 	callCombine
 )
 
-// NewComm creates the collective layer over a two-sided port.
+// Store is the storage the call schedules of one chip's run grow in, in
+// blocks, so their growth is per chip. The first window of a schedule
+// holds the longest 8-core one, so a small chip's collectives never
+// regrow it.
+type Store struct{ calls alloc.Arena[call] }
+
+// Init sizes s for the schedules of `cores` cores.
+func (s *Store) Init(cores int) { s.calls = alloc.Arena[call]{Per: alloc.Share(cores), Min: 20} }
+
+// NewComm creates the collective layer over a two-sided port, over a
+// store of its own.
 func NewComm(port *rcce.Port) *Comm {
 	c := new(Comm)
-	c.Init(port)
+	st := new(Store)
+	st.Init(1)
+	c.Init(port, st)
 	return c
 }
 
-// Init makes c the collective layer over port in place, for callers
-// that hold their per-core state by value.
-func (c *Comm) Init(port *rcce.Port) { *c = Comm{port: port} }
+// Init makes c the collective layer over port in place, growing its
+// schedule in s, for callers that hold their per-core state by value.
+func (c *Comm) Init(port *rcce.Port, s *Store) { *c = Comm{port: port, calls: &s.calls} }
 
 // Port exposes the underlying two-sided port.
 func (c *Comm) Port() *rcce.Port { return c.port }
 
-// add appends one call to the schedule. The first one sizes it for the
-// longest 8-core schedule, so a small chip's collectives never regrow it.
-func (c *Comm) add(x call) {
-	if c.sched == nil {
-		c.sched = make([]call, 0, 20)
-	}
-	c.sched = append(c.sched, x)
-}
+// add appends one call to the schedule.
+func (c *Comm) add(x call) { c.sched = c.calls.Append(c.sched, x) }
 
 // sendRecv, send and recv append a two-sided exchange; a side with no
 // lines emits nothing, so callers need not test for empty slices.

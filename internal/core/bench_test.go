@@ -29,7 +29,7 @@ func BenchmarkBcast48(b *testing.B) {
 					}
 				})
 			}
-			bcast(1) // warm scratch buffers, extents, watcher lists
+			bcast(1) // warm payload buffers, extents, watcher lists
 			if !chip.Reset() {
 				b.Fatal("Reset refused")
 			}

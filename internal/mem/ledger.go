@@ -54,18 +54,16 @@ func (l *portLedger) expire(t sim.Time, window sim.Duration) {
 
 // note records an access by core at time t and returns that core's
 // in-window access count (this one included) and the number of distinct
-// in-window accessors. The first ring and accessor table are windows of
-// the owning MPB's slab s; past them both grow by doubling.
+// in-window accessors. The ring and accessor table are windows of the
+// owning MPB's slab s, which both grow by doubling.
 func (l *portLedger) note(core int, t sim.Time, window sim.Duration, s *Slab) (recent, active int) {
 	l.expire(t, window)
-	switch {
-	case l.ring == nil:
-		l.ring, l.live = s.ring(), s.live()
-	case l.n == len(l.ring):
-		ring := make([]portAccess, 2*len(l.ring))
+	if l.n == len(l.ring) {
+		ring := s.rings.Take(max(2*len(l.ring), ringWindow))
 		for i := 0; i < l.n; i++ {
 			ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
 		}
+		s.rings.Give(l.ring)
 		l.ring, l.head = ring, 0
 	}
 	l.ring[(l.head+l.n)&(len(l.ring)-1)] = portAccess{t, core}
@@ -76,6 +74,6 @@ func (l *portLedger) note(core int, t sim.Time, window sim.Duration, s *Slab) (r
 			return a.count, len(l.live)
 		}
 	}
-	l.live = append(l.live, liveAccessor{core, 1})
+	l.live = s.lives.Append(l.live, liveAccessor{core, 1})
 	return 1, len(l.live)
 }

@@ -43,8 +43,8 @@ type MPB struct {
 	// slab is the backing shared with the chip's other MPBs (its own
 	// for an MPB made by NewMPB): data, pendCnt, dirty and sweepBlocked
 	// below are this MPB's windows of it, the line queues live in its
-	// flagWrite arena, and fresh extent records and the first capacity
-	// of pending, free and the port ledger come from it on first use.
+	// flagWrite arena, and extent records, payload buffers and the
+	// windows of pending, free and the port ledger come from it.
 	slab *Slab
 	data []byte
 
@@ -53,9 +53,9 @@ type MPB struct {
 	// that line's write queue: writes are issued in nondecreasing time
 	// order, and each line folds its own prefix independently.
 	pending []*pendingExtent
-	// free recycles fully folded extents (and the line buffers they have
-	// grown) so the steady-state write path allocates nothing. A record
-	// stays with the MPB that first took it from the slab.
+	// free recycles fully folded extents so the steady-state write path
+	// allocates nothing. A record stays with the MPB that first took it
+	// from the slab; its payload buffer goes back to the slab.
 	free []*pendingExtent
 	// pendCnt says, per line, where the line's unfolded writes are; they
 	// are always all in one place. 0: there are none, and a read is done
@@ -168,9 +168,9 @@ type pendingExtent struct {
 	eff0     sim.Time
 	stride   sim.Duration
 	// data is the n×32 payload bytes: the record's own line for a
-	// single-line extent (rare: flag writes are queued, see MPB.pendCnt)
-	// and a heap buffer, kept across recycling, once the record has
-	// carried a longer one.
+	// single-line extent (rare: flag writes are queued, see MPB.pendCnt),
+	// else a buffer of the slab's, which goes back when the record is
+	// recycled.
 	data    []byte
 	line    [scc.CacheLine]byte
 	applied []uint64
@@ -384,20 +384,19 @@ func (m *MPB) recycle(x *pendingExtent) {
 	for i := range x.applied {
 		x.applied[i] = 0
 	}
+	if x.n > 1 {
+		m.slab.bufs.Give(x.data)
+	}
+	x.data = nil
 	x.nApplied = 0
 	x.n = 0
-	if m.free == nil {
-		m.free = m.slab.list()
-	}
-	m.free = append(m.free, x)
+	m.free = m.slab.lists.Append(m.free, x)
 }
 
-// newExtent returns a recycled extent with room for n lines, or a fresh
-// one from the slab when the MPB has none to recycle. A fresh record
-// costs no allocation of its own (the slab makes them a block at a
-// time), and none at all when it carries a single line; the data buffer
-// a longer extent needs and the applied bitmap are recycled with the
-// record, so the steady-state write path allocates nothing.
+// newExtent returns a recycled extent record for n lines, or a fresh one
+// from the slab when the MPB has none to recycle (the slab makes them a
+// block at a time); the applied bitmap is recycled with the record, so
+// the steady-state write path allocates nothing. The caller sets data.
 func (m *MPB) newExtent(n int) *pendingExtent {
 	var x *pendingExtent
 	if k := len(m.free); k > 0 {
@@ -406,21 +405,7 @@ func (m *MPB) newExtent(n int) *pendingExtent {
 		m.free = m.free[:k-1]
 	} else {
 		x = m.slab.record()
-		x.data = x.line[:]
 	}
-	need := n * scc.CacheLine
-	if cap(x.data) < need {
-		// Round the buffer up to a power-of-two class so the pool's
-		// buffers converge on sizes that serve every smaller transfer,
-		// instead of churning reallocations when a record that carried a
-		// short extent is popped for a longer one.
-		class := scc.CacheLine
-		for class < need {
-			class <<= 1
-		}
-		x.data = make([]byte, need, class)
-	}
-	x.data = x.data[:need]
 	words := (n + 63) / 64
 	switch {
 	case words <= len(x.appliedArr):
@@ -495,16 +480,22 @@ func (m *MPB) ReadLine(line int, t sim.Time) []byte {
 // the per-line read times of a bulk RMA op whose per-line cost is
 // constant. It allocates nothing.
 func (m *MPB) ReadLinesInto(dst []byte, line0, n int, t0 sim.Time, stride sim.Duration) {
+	copy(dst[:n*scc.CacheLine], m.SettledLines(line0, n, t0, stride))
+}
+
+// SettledLines is ReadLinesInto without the copy: the n lines as read at
+// those times, in the MPB's own storage. The slice is valid, and must be
+// left unmodified, until the MPB's next read or write.
+func (m *MPB) SettledLines(line0, n int, t0 sim.Time, stride sim.Duration) []byte {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem: MPB[%d] non-positive read extent %d", m.owner, n))
 	}
 	m.checkLine(line0)
 	m.checkLine(line0 + n - 1)
 	// Settling a line only writes that line's bytes, so settling the
-	// whole range first and copying once is identical to interleaving —
-	// and replaces n 32-byte copies with a single memmove.
+	// whole range first and reading once is identical to interleaving.
 	m.settleRange(line0, n, t0, stride)
-	copy(dst[:n*scc.CacheLine], m.data[line0*scc.CacheLine:(line0+n)*scc.CacheLine])
+	return m.data[line0*scc.CacheLine : (line0+n)*scc.CacheLine]
 }
 
 // settleRange folds pending writes visible to a bulk read of n lines
@@ -611,6 +602,28 @@ func (m *MPB) WriteLine(line int, src []byte, eff sim.Time) {
 // carried by a single pending record (recycled across operations), so the
 // steady-state cost is O(1) allocations regardless of n.
 func (m *MPB) WriteLines(line0 int, src []byte, n int, eff0 sim.Time, stride sim.Duration) {
+	m.write(line0, src, n, eff0, stride, false)
+}
+
+// Stage returns a buffer for n lines of payload from the slab the MPB
+// shares, its contents unspecified: an RMA op reads its payload into it
+// whole when it is issued and hands it to WriteStaged (or Release) when
+// it completes.
+func (m *MPB) Stage(n int) []byte { return m.slab.bufs.Buffer(n * scc.CacheLine) }
+
+// Release gives back a buffer from Stage that is not written.
+func (m *MPB) Release(buf []byte) { m.slab.bufs.Give(buf) }
+
+// WriteStaged is WriteLines over a buffer from Stage, which it takes
+// over: the record carrying a multi-line write holds it until the write
+// has folded, instead of a copy.
+func (m *MPB) WriteStaged(line0 int, buf []byte, n int, eff0 sim.Time, stride sim.Duration) {
+	m.write(line0, buf, n, eff0, stride, true)
+}
+
+// write is WriteLines and WriteStaged; staged says src is a Stage buffer
+// to take over.
+func (m *MPB) write(line0 int, src []byte, n int, eff0 sim.Time, stride sim.Duration, staged bool) {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem: MPB[%d] non-positive write extent %d", m.owner, n))
 	}
@@ -629,7 +642,10 @@ func (m *MPB) WriteLines(line0 int, src []byte, n int, eff0 sim.Time, stride sim
 				m.moveToList(i)
 			}
 		}
-		m.listWrite(line0, src, n, eff0, stride)
+		m.listWrite(line0, src, n, eff0, stride, staged)
+	}
+	if staged && n == 1 {
+		m.Release(src) // a single line is copied into its record
 	}
 	if u := m.unfolded(); u >= m.sweepAt && u >= sweepMinPending {
 		m.sweepPending()
@@ -667,7 +683,7 @@ func (m *MPB) moveToList(line int) {
 	m.pendCnt[line] = 0
 	last := head
 	for id := head; id != 0; id = flags[id-1].next {
-		m.listWrite(line, flags[id-1].line[:], 1, flags[id-1].eff, 0)
+		m.listWrite(line, flags[id-1].line[:], 1, flags[id-1].eff, 0, false)
 		m.queued--
 		m.Stats.Moves++
 		last = id
@@ -675,17 +691,25 @@ func (m *MPB) moveToList(line int) {
 	m.slab.freeFlags(head, last)
 }
 
-// listWrite appends an n-line write to the pending list.
-func (m *MPB) listWrite(line0 int, src []byte, n int, eff0 sim.Time, stride sim.Duration) {
+// listWrite appends an n-line write to the pending list. A multi-line
+// write's record carries src itself if it is staged, a copy in a buffer
+// of the slab's else; a single line is copied into the record.
+func (m *MPB) listWrite(line0 int, src []byte, n int, eff0 sim.Time, stride sim.Duration, staged bool) {
 	x := m.newExtent(n)
 	x.line0 = int32(line0)
 	x.eff0 = eff0
 	x.stride = stride
-	copy(x.data, src[:n*scc.CacheLine])
-	if m.pending == nil {
-		m.pending = m.slab.list()
+	switch {
+	case n == 1:
+		x.data = x.line[:]
+		copy(x.data, src[:scc.CacheLine])
+	case staged:
+		x.data = src[:n*scc.CacheLine]
+	default:
+		x.data = m.Stage(n)
+		copy(x.data, src[:n*scc.CacheLine])
 	}
-	m.pending = append(m.pending, x)
+	m.pending = m.slab.lists.Append(m.pending, x)
 	for i := line0; i < line0+n; i++ {
 		m.pendCnt[i]++
 	}
@@ -810,11 +834,10 @@ func (m *MPB) WaitU64GE(p *sim.Proc, line int, val uint64) {
 
 // Reset returns the MPB to its freshly constructed state — zeroed lines,
 // no pending writes, idle port, empty access history — while keeping
-// every warm buffer, whether it is a window of the slab or has outgrown
-// one: extent records and their line buffers move to the free list,
-// queued writes back to the slab's arena, and the access ledger keeps its
-// ring and accessor table, so a pooled chip's next simulation allocates
-// nothing here.
+// every warm buffer: extent records move to the free list, queued writes
+// back to the slab's arena, payload buffers back to the slab, and the
+// access ledger keeps its ring and accessor table, so a pooled chip's
+// next simulation allocates nothing here.
 func (m *MPB) Reset() {
 	for line, w := range m.pendCnt {
 		if w&queueTag != 0 {

@@ -14,17 +14,17 @@ import (
 //
 // Storage grows on demand in pages so large broadcast payloads (up to
 // 1 MiB per the paper's Figure 8b) don't force a full-size allocation on
-// every core of the chip.
+// every core of the chip. Pages and page tables come from the slab the
+// chip's cores share.
 type Private struct {
 	owner int
+	slab  *Slab
 	// pages is indexed by page number (nil data = never written, reads
 	// as zeros). A flat slice keeps the per-op page lookup off the map
-	// hash path. It starts on firstPages, which covers a 64 KiB
-	// footprint with no allocation beyond the data pages themselves, and
-	// a write beyond that moves it to the heap in one step (see slot).
-	pages      []pageSlot
-	firstPages [8]pageSlot
-	// held counts the data pages allocated, which Reset keeps.
+	// hash path. Its first window covers a 64 KiB footprint, and a write
+	// beyond that moves it to a larger one in one step (see slot).
+	pages []pageSlot
+	// held counts the data pages taken, which Reset keeps.
 	held int
 }
 
@@ -57,20 +57,18 @@ type pageSlot struct {
 	dirty bool
 }
 
-// NewPrivate creates core owner's private memory. A chip holds its
-// cores' memories by value and runs Init on each.
+// NewPrivate creates core owner's private memory over a slab of its own.
+// A chip holds its cores' memories by value and runs Init on each over
+// one shared slab.
 func NewPrivate(owner int) *Private {
 	p := new(Private)
-	p.Init(owner)
+	p.Init(owner, NewSlab(1, 1))
 	return p
 }
 
-// Init makes p core owner's (empty) private memory in place. p points
-// into itself and must not be copied afterwards.
-func (p *Private) Init(owner int) {
-	*p = Private{owner: owner}
-	p.pages = p.firstPages[:0]
-}
+// Init makes p core owner's (empty) private memory in place, drawing its
+// pages and page table from slab s.
+func (p *Private) Init(owner int, s *Slab) { *p = Private{owner: owner, slab: s} }
 
 // Owner reports the core id owning this memory.
 func (p *Private) Owner() int { return p.owner }
@@ -92,24 +90,12 @@ func (p *Private) check(addr, n int) {
 // slot returns page pg's slot for writing, extending the table to reach
 // it in one step: to pg+1 slots, or double the current capacity if that
 // is more, so a sequential fill stays amortised O(1) per page and a jump
-// to a far page costs one allocation of the size it needs.
+// to a far page takes one window of the size it needs.
 func (p *Private) slot(pg int) *pageSlot {
 	if pg >= len(p.pages) {
-		p.pages = growTo(p.pages, pg+1, 0)
+		p.pages = p.slab.slots.Grow(p.pages, pg+1)
 	}
 	return &p.pages[pg]
-}
-
-// growTo extends s, which never shrinks, to n elements (n > len(s)), the
-// new ones zero, reallocating at most once: to at least double the old
-// capacity and at least floor elements. (slices.Grow would do, but
-// allocates a temporary of the same size when built without
-// optimisation, as under -race.)
-func growTo[T any](s []T, n, floor int) []T {
-	if n > cap(s) {
-		s = append(make([]T, 0, max(n, 2*cap(s), floor)), s...)
-	}
-	return s[:n]
 }
 
 // Read copies n bytes starting at addr into dst.
@@ -145,7 +131,7 @@ func (p *Private) Write(addr int, src []byte) {
 		pg, off := addr/pageBytes, addr%pageBytes
 		pp := p.slot(pg)
 		if pp.data == nil {
-			pp.data = new(page)
+			pp.data = p.slab.page()
 			p.held++
 		}
 		pp.dirty = true
@@ -168,8 +154,9 @@ func (p *Private) Write(addr int, src []byte) {
 // every address marked before.
 type Cache struct {
 	enabled bool
+	slab    *Slab
 	// pages is indexed by residency-page number and extended like
-	// Private.pages; its first allocation covers a 64 KiB footprint.
+	// Private.pages, from the same slab.
 	pages []cachePage
 	n     int
 }
@@ -189,12 +176,13 @@ type cachePage struct {
 // re-read the chunks they have just received to forward them).
 func NewCache(enabled bool) *Cache {
 	c := new(Cache)
-	c.Init(enabled)
+	c.Init(enabled, NewSlab(1, 1))
 	return c
 }
 
-// Init makes c an empty cache model in place.
-func (c *Cache) Init(enabled bool) { *c = Cache{enabled: enabled} }
+// Init makes c an empty cache model in place, drawing its residency
+// table from slab s.
+func (c *Cache) Init(enabled bool, s *Slab) { *c = Cache{enabled: enabled, slab: s} }
 
 // page returns the residency page covering a line, extending the table
 // to reach it in one step. Lines past the private memory's end panic,
@@ -206,7 +194,7 @@ func (c *Cache) page(line int) *cachePage {
 			panic(fmt.Sprintf("mem: cache line at address %d is past the %d-byte private memory",
 				line*scc.CacheLine, PrivateBytes))
 		}
-		c.pages = growTo(c.pages, i+1, 8) // first allocation: 64 KiB of addresses
+		c.pages = c.slab.resid.Grow(c.pages, i+1)
 	}
 	return &c.pages[i]
 }

@@ -8,30 +8,37 @@ import (
 	"repro/internal/scc"
 )
 
-// Slab is the storage the MPBs of one chip share, so that building a
-// chip and its first traffic allocate per chip, not per core. It has two
-// parts. The fixed part is sized at construction and carved into equal
-// per-MPB windows by MPB.Init: every line's bytes, every line's pending
-// word, and the dirty and blocked bitmaps. The demand part hands out,
-// from blocks allocated as the traffic asks for them, what an MPB takes
-// on first use — fresh extent records, the first window of its pending
-// and free lists, the first ring and accessor table of its port ledger —
-// and holds the one arena of queued single-line writes, which every MPB
-// draws from and returns to record by record.
-// Block sizes follow the number of MPBs sharing the slab and nothing is
-// reserved per MPB ahead of its first use, so a chip whose cores write
-// little pays little, and only the newest block of a kind is ever partly
-// unused. What an MPB has taken it keeps (Reset recycles it in place); a
-// list or ring that outgrows its window moves to a heap array of its
-// own, by doubling, exactly as a nil slice would.
+// Slab is the storage one chip's MPBs, private memories and cache models
+// share, so that building a chip and running it allocate per chip, not
+// per core. It has two parts. The fixed part is sized at construction
+// and carved into equal per-MPB windows by MPB.Init: every line's bytes,
+// every line's pending word, and the dirty and blocked bitmaps. The
+// demand part hands out, from blocks allocated as the traffic asks for
+// them, everything a core's state takes or grows as it runs:
+//   - extent records and the MPBs' pending and free lists;
+//   - the port ledgers' rings and accessor tables;
+//   - payload buffers: the lines an RMA op reads at issue and writes
+//     later (Stage), which the extent record carrying the write then
+//     holds until it folds, and a two-sided combine's operands;
+//   - private-memory pages and page tables, and cache residency tables;
+//   - the one arena of queued single-line writes, which every MPB draws
+//     from and returns to record by record.
 //
-// Every window is capped at its own length (a three-index slice), so an
-// append past it can never run into a neighbour's window.
+// Block sizes follow the number of MPBs sharing the slab — pages, page
+// and residency tables a block of one per MPB at a time, the rest one
+// per eight (lists and ledger tables at least four, alloc.Share) — and
+// nothing is reserved per MPB ahead of its first use, so a chip whose
+// cores write little pays little, and only the newest block of a kind (of
+// a capacity class, for the tables and buffers: alloc.Arena) is ever
+// partly unused. A table that outgrows its window takes one of twice the
+// capacity and gives the old one back for the next taker; a payload
+// buffer goes back when its write has folded. What a core's state has
+// taken otherwise it keeps (Reset recycles it in place).
 type Slab struct {
 	lines int // per MPB
-	// share and recBlock size the demand blocks: windows come a block
-	// of one per eight MPBs at a time, records recordsPerBlock(mpbs).
-	share, recBlock int
+	// mpbs and recBlock size the fixed-size blocks: pages come mpbs at a
+	// time, records recordsPerBlock(mpbs).
+	mpbs, recBlock int
 
 	data    []byte   // mpbs × lines × 32 bytes
 	pendCnt []uint32 // mpbs × lines (see MPB.pendCnt)
@@ -44,19 +51,26 @@ type Slab struct {
 	flagFree uint32
 
 	recs  block[pendingExtent]
-	lists block[*pendingExtent]
-	rings block[portAccess]
-	lives block[liveAccessor]
+	pages block[page]
+
+	lists alloc.Arena[*pendingExtent]
+	rings alloc.Arena[portAccess]
+	lives alloc.Arena[liveAccessor]
+	bufs  alloc.Arena[byte]
+	slots alloc.Arena[pageSlot]
+	resid alloc.Arena[cachePage]
 }
 
 // First-use capacities taken from the slab, in elements. A list window
 // holds an MPB's pending (or recycled) extents of one OC-Bcast chunk
 // round without regrowth; a ring and accessor table fit an OC-Bcast
-// parent's port (k = 7 children, a few accesses each per window).
+// parent's port (k = 7 children, a few accesses each per window); a page
+// table and a residency table cover a 64 KiB footprint.
 const (
-	listWindow = 16
-	ringWindow = 32
-	liveWindow = 8
+	listWindow  = 16
+	ringWindow  = 32
+	liveWindow  = 8
+	tableWindow = 8
 )
 
 // block hands out equal windows of T from the unissued tail of its
@@ -74,20 +88,29 @@ func (b *block[T]) take(k, windows int) []T {
 	return w
 }
 
-// NewSlab creates the storage for `mpbs` MPBs of `lines` cache lines
-// each; MPB.Init takes them from it, one window per MPB.
+// NewSlab creates the storage for `mpbs` cores' MPBs of `lines` cache
+// lines each; MPB.Init takes them from it, one window per MPB, and the
+// cores' private memories and cache models (Private.Init, Cache.Init)
+// draw on its demand part.
 func NewSlab(mpbs, lines int) *Slab {
 	if lines < 1 {
 		panic(fmt.Sprintf("mem: MPB capacity %d lines must be positive", lines))
 	}
 	words := (lines + 63) / 64
+	share := alloc.Share(mpbs)
 	return &Slab{
 		lines:    lines,
-		share:    max(mpbs/8, 1),
+		mpbs:     mpbs,
 		recBlock: recordsPerBlock(mpbs),
 		data:     make([]byte, mpbs*lines*scc.CacheLine),
 		pendCnt:  make([]uint32, mpbs*lines),
 		bitmaps:  make([]uint64, mpbs*2*words),
+		lists:    alloc.Arena[*pendingExtent]{Per: share, Min: listWindow},
+		rings:    alloc.Arena[portAccess]{Per: share, Min: ringWindow},
+		lives:    alloc.Arena[liveAccessor]{Per: share, Min: liveWindow},
+		bufs:     alloc.Arena[byte]{Per: max(mpbs/8, 1)},
+		slots:    alloc.Arena[pageSlot]{Per: mpbs, Min: tableWindow},
+		resid:    alloc.Arena[cachePage]{Per: mpbs, Min: tableWindow},
 	}
 }
 
@@ -122,13 +145,6 @@ func recordsPerBlock(mpbs int) int {
 	return alloc.Fill[pendingExtent](max(mpbs, 2048/int(unsafe.Sizeof(pendingExtent{}))))
 }
 
-// list returns an empty extent list with listWindow slots behind it.
-func (s *Slab) list() []*pendingExtent {
-	return s.lists.take(listWindow, s.share)[:0]
-}
-
-// ring and live return a port ledger's first ring and (empty) accessor
-// table.
-func (s *Slab) ring() []portAccess { return s.rings.take(ringWindow, s.share) }
-
-func (s *Slab) live() []liveAccessor { return s.lives.take(liveWindow, s.share)[:0] }
+// page returns a zeroed private-memory page; they come a block of one
+// per MPB at a time.
+func (s *Slab) page() *page { return &s.pages.take(1, s.mpbs)[0] }

@@ -61,10 +61,9 @@ func TestFlagExtentsNeedNoBuffer(t *testing.T) {
 }
 
 // TestFlagNeverTakesBulkRecord: flag writes take no extent record, so the
-// free list holds only records that have carried a bulk write and kept
-// its buffer — a flag can no longer be handed a bulk record's buffer, nor
-// a bulk write a flag's bufferless record to regrow — and after one
-// warm-up round a flag+bulk round allocates nothing.
+// free list holds only records that have carried a bulk write, whose
+// buffers went back to the slab when it folded, and after one warm-up
+// round a flag+bulk round allocates nothing.
 func TestFlagNeverTakesBulkRecord(t *testing.T) {
 	_, m := newTestMPB()
 	bulk := append(append(lineOf(2), lineOf(3)...), lineOf(4)...)
@@ -80,8 +79,8 @@ func TestFlagNeverTakesBulkRecord(t *testing.T) {
 	if !bytes.Equal(got[:], bulk) {
 		t.Fatalf("bulk write reads back %x", got[:8])
 	}
-	if len(m.free) != 1 || cap(m.free[0].data) < len(bulk) {
-		t.Fatalf("after one flag and one bulk write the free list holds %d records, want the bulk write's, with its buffer", len(m.free))
+	if len(m.free) != 1 || m.free[0].data != nil {
+		t.Fatalf("after one flag and one bulk write the free list holds %d records, want the bulk write's, its buffer back in the slab", len(m.free))
 	}
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Fatalf("warm flag+bulk round allocates %.1f objects, want 0", allocs)
@@ -432,32 +431,51 @@ func TestPrivateFarAddress(t *testing.T) {
 	c.Touch(PrivateBytes)
 }
 
-// TestPrivateInlineTableHoldsEightPages: a 64 KiB footprint costs its
-// data pages and nothing else, and the step beyond moves the table to
-// the heap once.
-func TestPrivateInlineTableHoldsEightPages(t *testing.T) {
+// TestPrivatePagesPerChipNotPerCore: a chip's private memories take
+// their pages and page tables from the slab they share, a block of one
+// per core at a time, so a page written on every core costs the same
+// handful of objects on 2 cores as on 384; a write far beyond a table's
+// window moves it to a larger window of the slab, and what it reads back
+// is what was written.
+func TestPrivatePagesPerChipNotPerCore(t *testing.T) {
 	buf := make([]byte, pageBytes)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
 	var ps []Private
-	fill := func(beyond bool) func() {
+	fill := func(n int) func() {
 		return func() {
-			ps = make([]Private, 2)
-			ps[0].Init(0)
-			ps[1].Init(1)
-			for pg := 0; pg < len(ps[1].firstPages); pg++ {
-				ps[1].Write(pg*pageBytes, buf)
-			}
-			if beyond {
-				ps[1].Write(20*pageBytes, buf)
+			slab := NewSlab(n, 1)
+			ps = make([]Private, n)
+			for i := range ps {
+				ps[i].Init(i, slab)
+				ps[i].Write(0, buf)
 			}
 		}
 	}
-	if objects := testing.AllocsPerRun(5, fill(false)); objects > 9 {
-		t.Fatalf("two memories and 8 pages cost %.0f objects, want 9 (the slice and the data pages)", objects)
+	for _, n := range []int{2, 48, 384} {
+		// The slab (4), the slice, one page block, and one table block
+		// with its class's entry in the slab.
+		if objects := testing.AllocsPerRun(5, fill(n)); objects != 8 {
+			t.Errorf("%d memories writing a page each cost %.0f objects, want 8", n, objects)
+		}
+		if held := ps[n-1].HeldBytes(); held != pageBytes {
+			t.Errorf("memory %d holds %d bytes, want one page", n-1, held)
+		}
 	}
-	if objects := testing.AllocsPerRun(5, fill(true)); objects > 11 {
-		t.Fatalf("with a page beyond the inline table that is %.0f objects, want 11 (+ table + page)", objects)
+	ps[1].Write(20*pageBytes, buf)
+	if len(ps[0].pages) != 1 || len(ps[1].pages) != 21 || cap(ps[1].pages) != 32 {
+		t.Fatalf("tables of %d and %d slots (cap %d), want 1 and 21 (cap 32)", len(ps[0].pages), len(ps[1].pages), cap(ps[1].pages))
 	}
-	if ps[0].Owner() != 0 || ps[1].Owner() != 1 || len(ps[0].pages) != 0 || len(ps[1].pages) != 21 {
+	got := make([]byte, pageBytes)
+	for _, addr := range []int{0, 20 * pageBytes} {
+		ps[1].Read(got, addr, pageBytes)
+		if !bytes.Equal(got, buf) {
+			t.Fatalf("page at %d does not read back", addr)
+		}
+	}
+	ps[0].Read(got, 0, pageBytes)
+	if !bytes.Equal(got, buf) {
 		t.Fatal("neighbouring memory disturbed")
 	}
 }

@@ -36,9 +36,9 @@ func (m Model) CMpbW(d int) sim.Duration { return m.P.OMpb + sim.Duration(2*d)*m
 // CMpbR is Formula 3: read one line from an MPB at distance d.
 func (m Model) CMpbR(d int) sim.Duration { return m.P.OMpb + sim.Duration(2*d)*m.P.Lhop }
 
-// LMemW is Formula 4: the latency of writing one line to off-chip memory
-// at controller distance d.
-func (m Model) LMemW(d int) sim.Duration { return m.P.OMemW + sim.Duration(d)*m.P.Lhop }
+// Formula 4, the latency of a write to off-chip memory, has no term
+// here: nothing observes a private-memory write before its completion
+// (Formula 5), which is all the model and the simulator charge.
 
 // CMemW is Formula 5: the completion time of that write.
 func (m Model) CMemW(d int) sim.Duration { return m.P.OMemW + sim.Duration(2*d)*m.P.Lhop }

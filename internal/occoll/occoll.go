@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/alloc"
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/rcce"
@@ -71,7 +72,7 @@ type Collectives struct {
 	cfg  Config
 	nb   int // chunk buffers per lane
 	// lanes is the lane table; the classic one-lane layout keeps it on
-	// firstLane instead of allocating.
+	// firstLane, a multi-lane one takes a window of the store.
 	lanes     []lane
 	firstLane [1]lane
 
@@ -84,36 +85,58 @@ type Collectives struct {
 	finished bool
 
 	// freeReqs recycles completed request frames so a loop of
-	// collectives stops allocating per issue.
+	// collectives stops taking frames per issue.
 	freeReqs []*Request
+	store    *Store
 }
 
-// New prepares one-sided collective state for one core. It panics on a
-// configuration whose MPB layout does not fit (a programming error, like
-// core.NewBroadcaster).
+// Store is the storage the one-sided engines of one chip's run grow in,
+// in blocks, so their growth is per chip: request frames, the request
+// lists, multi-lane lane tables and the lanes' step programs.
+type Store struct {
+	frames alloc.Arena[Request]
+	lists  alloc.Arena[*Request]
+	lanes  alloc.Arena[lane]
+	progs  rma.Progs
+}
+
+// Init sizes s for the engines of `cores` cores.
+func (s *Store) Init(cores int) {
+	per := alloc.Share(cores)
+	s.frames = alloc.Arena[Request]{Per: cores}
+	s.lists = alloc.Arena[*Request]{Per: per, Min: 4}
+	s.lanes = alloc.Arena[lane]{Per: per}
+	s.progs.Init(cores)
+}
+
+// New prepares one-sided collective state for one core, over a store of
+// its own. It panics on a configuration whose MPB layout does not fit (a
+// programming error, like core.NewBroadcaster).
 func New(c *rma.Core, port *rcce.Port, cfg Config) *Collectives {
 	if err := Validate(cfg); err != nil {
 		panic(err)
 	}
 	lay, _ := cfg.Layout()
-	x := new(Collectives)
-	x.Init(c, port, cfg, lay)
+	x, st := new(Collectives), new(Store)
+	st.Init(1)
+	x.Init(c, port, cfg, lay, st)
 	return x
 }
 
 // Init makes x core c's one-sided collective state in place over lay,
-// cfg's validated layout with lanes, for callers that hold their per-core
-// state by value (x points into itself and must not be copied
-// afterwards).
-func (x *Collectives) Init(c *rma.Core, port *rcce.Port, cfg Config, lay *scc.Layout) {
-	*x = Collectives{core: c, port: port, cfg: cfg, nb: lay.Buffers}
+// cfg's validated layout with lanes, growing in s, for callers that hold
+// their per-core state by value (x points into itself and must not be
+// copied afterwards).
+func (x *Collectives) Init(c *rma.Core, port *rcce.Port, cfg Config, lay *scc.Layout, s *Store) {
+	*x = Collectives{core: c, port: port, cfg: cfg, nb: lay.Buffers, store: s}
 	if n := len(lay.Lanes); n == 1 {
 		x.lanes = x.firstLane[:]
 	} else {
-		x.lanes = make([]lane, n)
+		x.lanes = s.lanes.Take(n)
 	}
 	for i, ln := range lay.Lanes {
 		x.lanes[i] = lane{x: x, idx: i, dataBase: ln.Data, flagBase: ln.Flags}
+		x.lanes[i].prog.Bind(&s.progs)
 	}
 }
 
@@ -154,9 +177,9 @@ type lane struct {
 	// own rather than the core's run program, so a stopped request keeps
 	// its step while the core runs other protocols.
 	prog rma.Prog
-	// dnUsed is streamDown's reusable slot-occupancy table, one entry
-	// per chunk buffer (numBuffers is at most 2).
-	dnUsed *[2]occupant
+	// dnUsed is streamDown's slot-occupancy table, one entry per chunk
+	// buffer (numBuffers is at most 2).
+	dnUsed [2]occupant
 }
 
 // occupant records which child's transfer last staged into an MPB slot,

@@ -138,7 +138,7 @@ func (x *Collectives) issue(proto *protocol, root, addr, lines int, rop ReduceOp
 	l.prog.Fold = rop
 	r.tree = l.begin(root)
 	x.compactReqs() // keep the list bounded by in-flight requests
-	x.reqs = append(x.reqs, r)
+	x.reqs = x.store.lists.Append(x.reqs, r)
 	r.exec(false)
 	if o := x.core.Obs(); o != nil {
 		o.Counter(x.core.ID(), int64(x.core.Now()), "occoll", "inflight", int64(x.Outstanding()))
@@ -147,7 +147,8 @@ func (x *Collectives) issue(proto *protocol, root, addr, lines int, rop ReduceOp
 }
 
 // newRequest returns a recycled request frame when one is free, else a
-// fresh one; either way zeroed. The caller fills x/proto/lane.
+// fresh one from the store; either way zeroed. The caller fills
+// x/proto/lane.
 func (x *Collectives) newRequest() *Request {
 	if n := len(x.freeReqs); n > 0 {
 		r := x.freeReqs[n-1]
@@ -156,12 +157,12 @@ func (x *Collectives) newRequest() *Request {
 		*r = Request{}
 		return r
 	}
-	return &Request{}
+	return &x.store.frames.Take(1)[0]
 }
 
 // reqFreeListMax bounds the free list; a serial issue/Wait loop keeps it
 // at one or two entries, so anything beyond a few lanes' worth is churn
-// from an unusual burst and is left to the garbage collector.
+// from an unusual burst, and is dropped.
 const reqFreeListMax = 16
 
 // compactReqs drops fully finished requests — protocol done AND handle
@@ -181,7 +182,7 @@ func (x *Collectives) compactReqs() {
 		if !r.done || !r.consumed {
 			live = append(live, r)
 		} else if len(x.freeReqs) < reqFreeListMax {
-			x.freeReqs = append(x.freeReqs, r)
+			x.freeReqs = x.store.lists.Append(x.freeReqs, r)
 		}
 	}
 	for i := len(live); i < len(x.reqs); i++ {

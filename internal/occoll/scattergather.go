@@ -118,12 +118,7 @@ func streamDown(r *Request, step int) (more bool) {
 	}
 	nb := l.x.nb
 	if step == 0 {
-		// The occupancy table is lane-local scratch, reused across
-		// operations so the steady-state down-stream allocates nothing.
-		if l.dnUsed == nil {
-			l.dnUsed = new([2]occupant)
-		}
-		*l.dnUsed = [2]occupant{}
+		l.dnUsed = [2]occupant{}
 	}
 	used := l.dnUsed[:nb]
 	i, tc, chunkAddr, m, ok := r.childTransfer(step)

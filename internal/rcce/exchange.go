@@ -40,12 +40,12 @@ func (pt *Port) EmitSendRecv(p *rma.Prog, round, dst, sendAddr, sendLines, src, 
 	sm, rm := min(sendLines-off, scc.RCCEStaging), min(recvLines-off, scc.RCCEStaging)
 	var seq uint64
 	if sm > 0 {
-		seq = next(&pt.sendSeq, pt.peer(dst))
+		seq = next(&pt.row(pt.peer(dst)).send)
 		p.PutMem(0, sendAddr+off*scc.CacheLine, sm)
 		p.SetFlag(dst, scc.RCCESent, tag(me, seq))
 	}
 	if rm > 0 {
-		rseq := next(&pt.recvSeq, pt.peer(src))
+		rseq := next(&pt.row(pt.peer(src)).recv)
 		p.WaitGE(scc.RCCESent, tag(src, rseq))
 		p.GetMem(src, 0, recvAddr+off*scc.CacheLine, rm)
 		p.SetFlag(src, scc.RCCEReady, tag(me, rseq))

@@ -14,6 +14,7 @@ package rcce
 import (
 	"fmt"
 
+	"repro/internal/alloc"
 	"repro/internal/rma"
 	"repro/internal/scc"
 )
@@ -25,45 +26,70 @@ import (
 // collectives satisfy by construction.
 type Port struct {
 	core *rma.Core
-	// Monotonic per-pair chunk sequence numbers, taken at emission in
-	// call order. Chunk tags never repeat, so stale flag lines can never
-	// satisfy a future wait. Each table is made by the first call that
-	// counts in it (see next): a port that only runs barriers, or carries
-	// one-sided collectives, never makes one.
-	sendSeq   map[int]uint64 // per destination
-	recvSeq   map[int]uint64 // per source
-	turnGrant map[int]uint64 // send turns granted, per peer
-	turnWait  map[int]uint64 // send turns awaited, per peer
-	epoch     uint64         // barrier epoch
-	shape     int            // root of the last rooted collective, -1 before the first
+	// seqs holds the monotonic per-pair sequence numbers, taken at
+	// emission in call order, one row per peer the port has counted for,
+	// in first-use order (see row). Chunk tags never repeat, so stale
+	// flag lines can never satisfy a future wait. The table is a window
+	// of rows, taken by the first call that counts in it: a port that
+	// only runs barriers, or carries one-sided collectives, takes none.
+	seqs  []peerSeqs
+	rows  *alloc.Arena[peerSeqs]
+	epoch uint64 // barrier epoch
+	shape int    // root of the last rooted collective, -1 before the first
 
 	// xch is the blocking two-sided call in flight (see exchange.go),
 	// which Send/Recv/SendRecv fill and run.
 	xch exchange
 }
 
-// NewPort wraps a core with two-sided communication state.
+// peerSeqs is one peer's row of a port's sequence table: chunks sent to
+// and received from it, and send turns granted to it and awaited from it.
+type peerSeqs struct {
+	peer                    int
+	send, recv, grant, wait uint64
+}
+
+// Store is the storage the ports of one chip's run take their sequence
+// tables from, in blocks, so the ports' growth is per chip.
+type Store struct{ rows alloc.Arena[peerSeqs] }
+
+// Init sizes s for the ports of `cores` cores.
+func (s *Store) Init(cores int) { s.rows = alloc.Arena[peerSeqs]{Per: alloc.Share(cores), Min: 4} }
+
+// NewPort wraps a core with two-sided communication state, over a store
+// of its own.
 func NewPort(core *rma.Core) *Port {
-	p := new(Port)
-	p.Init(core)
+	p, st := new(Port), new(Store)
+	st.Init(1)
+	p.Init(core, st)
 	return p
 }
 
-// Init makes p core's port in place, for callers that hold their ports
-// by value (one slice per chip) instead of allocating each with NewPort.
-func (p *Port) Init(core *rma.Core) {
-	*p = Port{core: core, shape: -1}
+// Init makes p core's port in place, taking its sequence table from s,
+// for callers that hold their ports by value (one slice per chip)
+// instead of allocating each with NewPort.
+func (p *Port) Init(core *rma.Core, s *Store) {
+	*p = Port{core: core, rows: &s.rows, shape: -1}
 }
 
-// next advances peer's counter in one of the port's per-peer sequence
-// tables — making the table on its first use — and returns the new
-// value: sequence numbers start at 1.
-func next(seqs *map[int]uint64, peer int) uint64 {
-	if *seqs == nil {
-		*seqs = make(map[int]uint64)
+// row returns peer's row of the sequence table, adding it on the
+// peer's first use. A port counts for a handful of peers (a tree's
+// parent and children, a ring's neighbours), so a scan is all it needs.
+func (p *Port) row(peer int) *peerSeqs {
+	for i := range p.seqs {
+		if p.seqs[i].peer == peer {
+			return &p.seqs[i]
+		}
 	}
-	(*seqs)[peer]++
-	return (*seqs)[peer]
+	p.seqs = p.rows.Append(p.seqs, peerSeqs{peer: peer})
+	return &p.seqs[len(p.seqs)-1]
+}
+
+// next advances a counter of a row and returns the new value: sequence
+// numbers start at 1.
+func next(seq *uint64) uint64 {
+	*seq++
+	return *seq
 }
 
 // Shape classes for EmitShape. Two consecutive collectives may skip the
@@ -190,12 +216,12 @@ func turnTag(peer int, seq uint64) uint64 {
 // granter is also the peer's current ack writer (the parent in
 // reduce/gather), so the line keeps a single writer.
 func (p *Port) EmitGrantTurn(prog *rma.Prog, peer int) {
-	prog.SetFlag(p.peer(peer), scc.RCCEReady, turnTag(p.core.ID(), next(&p.turnGrant, peer)))
+	prog.SetFlag(p.peer(peer), scc.RCCEReady, turnTag(p.core.ID(), next(&p.row(peer).grant)))
 }
 
 // EmitAwaitTurn emits the wait for peer's send-turn grant.
 func (p *Port) EmitAwaitTurn(prog *rma.Prog, peer int) {
-	prog.WaitGE(scc.RCCEReady, turnTag(p.peer(peer), next(&p.turnWait, peer)))
+	prog.WaitGE(scc.RCCEReady, turnTag(p.peer(peer), next(&p.row(peer).wait)))
 }
 
 // Barrier synchronizes all cores using a binary gather-release tree over

@@ -248,21 +248,24 @@ func TestSendCostStructure(t *testing.T) {
 	}
 }
 
-// TestBarrierOnlyPortMakesNoMaps: the four per-peer sequence tables are
-// made by the first call that counts in them, so a port that only runs
-// barriers — or carries a one-sided collective — never allocates one,
-// while Send/Recv and the turn grants still number from 1.
+// TestBarrierOnlyPortMakesNoMaps: a port's per-peer sequence table is
+// taken by the first call that counts in it, so a port that only runs
+// barriers — or carries a one-sided collective — never takes one, while
+// Send/Recv and the turn grants still number from 1, per peer and
+// direction.
 func TestBarrierOnlyPortMakesNoMaps(t *testing.T) {
 	chip := rma.NewChipN(scc.DefaultConfig(), 4)
 	ports := make([]Port, 4)
+	var store Store
+	store.Init(4)
 	chip.Private(0).Write(0, fill(scc.CacheLine, 7))
 	chip.Run(func(c *rma.Core) {
 		p := &ports[c.ID()]
-		p.Init(c)
+		p.Init(c, &store)
 		p.Barrier()
 		p.Barrier()
-		if p.sendSeq != nil || p.recvSeq != nil || p.turnGrant != nil || p.turnWait != nil {
-			t.Errorf("core %d: a barrier-only port made a sequence table", c.ID())
+		if p.seqs != nil {
+			t.Errorf("core %d: a barrier-only port took a sequence table", c.ID())
 		}
 		switch c.ID() {
 		case 0:
@@ -275,20 +278,14 @@ func TestBarrierOnlyPortMakesNoMaps(t *testing.T) {
 			c.Run(&turn{p: p, peer: 0, grant: true})
 		}
 	})
-	if got := ports[0].sendSeq[1]; got != 2 {
-		t.Errorf("two sends to core 1 left sequence number %d, want 2 (numbering starts at 1)", got)
+	if got := ports[0].seqs; len(got) != 1 || got[0] != (peerSeqs{peer: 1, send: 2, wait: 1}) {
+		t.Errorf("core 0's table is %+v, want one row for core 1: two sends, one turn awaited (numbering starts at 1)", got)
 	}
-	if got := ports[1].recvSeq[0]; got != 2 {
-		t.Errorf("two receives from core 0 left sequence number %d, want 2", got)
+	if got := ports[1].seqs; len(got) != 1 || got[0] != (peerSeqs{peer: 0, recv: 2, grant: 1}) {
+		t.Errorf("core 1's table is %+v, want one row for core 0: two receives, one turn granted", got)
 	}
-	if ports[0].turnWait[1] != 1 || ports[1].turnGrant[0] != 1 {
-		t.Errorf("turn tables read wait=%d grant=%d after one grant, want 1 and 1", ports[0].turnWait[1], ports[1].turnGrant[0])
-	}
-	if ports[0].recvSeq != nil || ports[1].sendSeq != nil || ports[2].sendSeq != nil || ports[3].recvSeq != nil {
-		t.Error("a port made a table for a direction it never used")
-	}
-	if got := next(new(map[int]uint64), 5); got != 1 {
-		t.Errorf("first sequence number is %d, want 1", got)
+	if ports[2].seqs != nil || ports[3].seqs != nil {
+		t.Error("a port that never counted took a table")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // TestBulkExtentAllocFree pins the bulk RMA data path: on a warmed
 // pooled chip, a full Reset+Run cycle of put/get traffic — extents,
-// scratch staging, port reservations, flag signals — performs zero heap
+// payload staging, port reservations, flag signals — performs zero heap
 // allocations.
 func TestBulkExtentAllocFree(t *testing.T) {
 	cfg := scc.DefaultConfig()
@@ -29,7 +29,7 @@ func TestBulkExtentAllocFree(t *testing.T) {
 			c.WaitFlagGE(40, 4)
 		}
 	}
-	chip.Run(body) // warm scratch buffers, extents, watcher list
+	chip.Run(body) // warm payload buffers, extents, watcher list
 	allocs := testing.AllocsPerRun(20, func() {
 		if !chip.Reset() {
 			t.Fatal("Reset refused")
@@ -68,9 +68,11 @@ func BenchmarkColdChip(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				chip := rma.NewChipN(cfg, n)
 				ports := make([]rcce.Port, n)
+				var st rcce.Store
+				st.Init(n)
 				chip.Run(func(c *rma.Core) {
 					p := &ports[c.ID()]
-					p.Init(c)
+					p.Init(c, &st)
 					p.Barrier()
 				})
 			}

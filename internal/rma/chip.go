@@ -19,10 +19,11 @@ import (
 
 // Chip is a fully assembled simulated SCC: engine, per-core MPBs and
 // private memories, cache models, optional detailed NoC, and counters.
-// Per-core state is held by value in one array of slots (the MPBs over
-// one shared slab of line storage, see mem.Slab), so building a chip
-// costs a fixed number of allocations whatever its core count, and what
-// a core's first traffic needs comes from chip-level blocks.
+// Per-core state is held by value in one array of slots (the MPBs,
+// private memories and caches over one shared slab, see mem.Slab), so
+// building a chip costs a fixed number of allocations whatever its core
+// count, and what a core's traffic takes or grows — pages, payload
+// buffers, tables, step programs — comes from chip-level blocks.
 type Chip struct {
 	Cfg     scc.Config
 	Engine  *sim.Engine
@@ -44,6 +45,11 @@ type Chip struct {
 	coords  []scc.Coord
 	memDist []int
 
+	// progs and runs are the storage the cores' step programs and
+	// PutMemToMPB's run lists grow in.
+	progs Progs
+	runs  alloc.Arena[writeRun]
+
 	// obs, when non-nil, receives the op-level timeline (put/get/flag
 	// spans, compute spans). Nil means tracing is off.
 	obs *obs.Recorder
@@ -60,7 +66,7 @@ type coreSlot struct {
 	cache mem.Cache
 	// core is the reusable per-proc handle Run passes to its body,
 	// re-pointed each Run, so a reset chip's next simulation reuses the
-	// core's scratch and run-list buffers.
+	// core's program and run-list buffers.
 	core Core
 	ipi  ipiState
 }
@@ -93,16 +99,14 @@ func NewChipN(cfg scc.Config, n int) *Chip {
 		memDist: make([]int, n),
 	}
 	slab := mem.NewSlab(n, topo.MPBLines)
-	// One array holds every core's run-program window; the windows are
-	// capped so that a longer step moves that core's buffer to the heap
-	// instead of running into its neighbour's.
-	progs := make([]instr, n*progWindow)
+	c.progs.Init(n)
+	c.runs = alloc.Arena[writeRun]{Per: alloc.Share(n), Min: 4}
 	for i := range c.slots {
 		s := &c.slots[i]
-		s.core.run.prog.ins = progs[i*progWindow : i*progWindow : (i+1)*progWindow]
+		s.core.run.prog.Bind(&c.progs)
 		s.mpb.Init(c.Engine, i, cfg.Contention.ReadSvc, slab, i)
-		s.priv.Init(i)
-		s.cache.Init(cfg.CacheEnabled)
+		s.priv.Init(i, slab)
+		s.cache.Init(cfg.CacheEnabled, slab)
 		c.coords[i] = topo.CoreCoord(i)
 		c.memDist[i] = topo.MemDistance(i)
 	}
@@ -224,11 +228,8 @@ type Core struct {
 	proc *sim.Proc
 	id   int
 
-	// scratch is the core's reusable line-staging buffer: every bulk RMA
-	// op reads source lines into it and hands it to MPB.WriteLines (which
-	// copies), so the steady-state data path allocates nothing per line.
-	scratch []byte
-	// runs is PutMemToMPB's reusable uniform-stride sub-extent list.
+	// runs is PutMemToMPB's reusable uniform-stride sub-extent list, a
+	// window of the chip's.
 	runs []writeRun
 
 	// opf is the core's reusable RMA-op state machine (see frames.go):
@@ -240,16 +241,6 @@ type Core struct {
 	// flagBuf stages SetFlag's one-line payload between the op's pre
 	// and post steps.
 	flagBuf [scc.CacheLine]byte
-}
-
-// scratchBuf returns the core's scratch buffer sized to n bytes, growing
-// it if needed. The contents are unspecified; only one RMA op uses it at
-// a time (ops never nest).
-func (c *Core) scratchBuf(n int) []byte {
-	if cap(c.scratch) < n {
-		c.scratch = make([]byte, n)
-	}
-	return c.scratch[:n]
 }
 
 // ID reports the core id.

@@ -63,8 +63,9 @@ type opFrame struct {
 	completion sim.Time
 	delay      sim.Duration
 
-	// Deferred-write parameters for the post step. dst is nil when the
-	// op writes nothing after the yield (GetMPBToMem).
+	// Deferred-write parameters for the post step: buf is the payload
+	// staged at issue (mem.MPB.Stage). dst is nil when the op writes
+	// nothing after the yield (GetMPBToMem).
 	dst    *mem.MPB
 	line   int
 	m      int
@@ -136,20 +137,20 @@ func (c *Core) opPost(f *opFrame) {
 	ctr := c.counters()
 	switch f.op {
 	case opPutMPB:
-		f.dst.WriteLines(f.line, f.buf, f.m, f.eff0, f.stride)
+		f.dst.WriteStaged(f.line, f.buf, f.m, f.eff0, f.stride)
 		ctr.MPBReadLines += int64(f.m)
 		ctr.MPBWriteLines += int64(f.m)
 		ctr.PutOps++
 	case opPutMem:
-		off := 0
-		for _, r := range c.runs {
-			f.dst.WriteLines(r.line0, f.buf[off:], r.n, r.eff0+f.delay, r.stride)
-			off += r.n * scc.CacheLine
+		for i := range c.runs {
+			r := &c.runs[i]
+			f.dst.WriteStaged(r.line0, r.buf, r.n, r.eff0+f.delay, r.stride)
+			r.buf = nil
 		}
 		ctr.MPBWriteLines += int64(f.m)
 		ctr.PutOps++
 	case opGetMPB:
-		f.dst.WriteLines(f.line, f.buf, f.m, f.eff0, f.stride)
+		f.dst.WriteStaged(f.line, f.buf, f.m, f.eff0, f.stride)
 		ctr.MPBReadLines += int64(f.m)
 		ctr.MPBWriteLines += int64(f.m)
 		ctr.GetOps++
@@ -158,7 +159,7 @@ func (c *Core) opPost(f *opFrame) {
 		ctr.MemWriteLines += int64(f.m)
 		ctr.GetOps++
 	case opCombine:
-		f.dst.WriteLines(f.line, f.buf, f.m, f.eff0, f.stride)
+		f.dst.WriteStaged(f.line, f.buf, f.m, f.eff0, f.stride)
 		ctr.MPBReadLines += int64(2 * f.m)
 		ctr.MPBWriteLines += int64(f.m)
 		ctr.GetOps++
@@ -227,16 +228,18 @@ func (c *Core) computePre(f *opFrame, d sim.Duration) {
 }
 
 // combinePrivPre folds `lines` lines of the core's private memory at
-// scratch into those at addr with fold, on the host at issue, then
-// opens the pass's compute charge.
+// scratch into those at addr with fold, on the host at issue, over a
+// buffer from the chip's slab, then opens the pass's compute charge.
 func (c *Core) combinePrivPre(f *opFrame, addr, scratch, lines int, fold func(dst, src []byte)) {
 	n := lines * scc.CacheLine
-	buf, priv := c.scratchBuf(2*n), c.chip.Private(c.id)
+	own, priv := c.chip.MPB(c.id), c.chip.Private(c.id)
+	buf := own.Stage(2 * lines)
 	mine, theirs := buf[:n], buf[n:]
 	priv.Read(mine, addr, n)
 	priv.Read(theirs, scratch, n)
 	fold(mine, theirs)
 	priv.Write(addr, mine)
+	own.Release(buf)
 	c.computePre(f, CombineCost(lines))
 }
 

@@ -181,7 +181,7 @@ func (c *Core) putMPBPre(f *opFrame, dst, dstLine, srcLine, m int) {
 	// constant stride — the whole transfer is one extent.
 	step := c.CMpbR(1) + c.CMpbW(d)
 	read0 := t0 + p.OMpbPut + c.CMpbR(1)
-	buf := c.scratchBuf(m * scc.CacheLine)
+	buf := rem.Stage(m)
 	own.ReadLinesInto(buf, srcLine, m, read0, step)
 	t := t0 + p.OMpbPut + sim.Duration(m)*step
 	port := srcPort
@@ -203,7 +203,7 @@ func (c *Core) PutMemToMPB(dst, dstLine, srcAddr, m int) {
 }
 
 // putMemPre is PutMemToMPB up to the completion advance; the post step
-// replays c.runs shifted by the contention delay.
+// writes c.runs shifted by the contention delay.
 func (c *Core) putMemPre(f *opFrame, dst, dstLine, srcAddr, m int) {
 	checkLines(m)
 	checkAlign(srcAddr)
@@ -218,9 +218,6 @@ func (c *Core) putMemPre(f *opFrame, dst, dstLine, srcAddr, m int) {
 
 	dstPort := c.reservePort(dst, t0, m, true)
 	mesh := c.meshTraverse(t0, c.coord(), c.coordOf(dst), m)
-
-	buf := c.scratchBuf(m * scc.CacheLine)
-	priv.Read(buf, srcAddr, m*scc.CacheLine)
 
 	// Visibility times advance by C^mpb_w(d) per line, plus C^mem_r(dm)
 	// for lines that miss the L1 model — so a run of lines with the same
@@ -245,23 +242,32 @@ func (c *Core) putMemPre(f *opFrame, dst, dstLine, srcAddr, m int) {
 			cur.n++
 		} else {
 			if cur.n > 0 {
-				runs = append(runs, cur)
+				runs = c.chip.runs.Append(runs, cur)
 			}
 			cur = writeRun{line0: dstLine + i, n: 1, eff0: eff, stride: stride}
 		}
 	}
-	runs = append(runs, cur)
+	runs = c.chip.runs.Append(runs, cur)
+	// Each run's payload is read now, into the buffer its write will
+	// carry.
+	for i := range runs {
+		r := &runs[i]
+		r.buf = rem.Stage(r.n)
+		priv.Read(r.buf, srcAddr+(r.line0-dstLine)*scc.CacheLine, r.n*scc.CacheLine)
+	}
 	c.runs = runs
 	f.completion, f.delay = c.opCompletion(t, dstPort, sim.Duration(d)*p.Lhop, mesh)
-	f.dst, f.m, f.buf = rem, m, buf
+	f.dst, f.m = rem, m
 }
 
 // writeRun is one uniform-stride sub-extent of a bulk write whose
-// per-line costs vary (PutMemToMPB's cache hits vs misses).
+// per-line costs vary (PutMemToMPB's cache hits vs misses), with the
+// staged payload it carries.
 type writeRun struct {
 	line0, n int
 	eff0     sim.Time
 	stride   sim.Duration
+	buf      []byte
 }
 
 // GetMPBToMPB copies m cache lines from core src's MPB into this core's
@@ -289,7 +295,7 @@ func (c *Core) getMPBPre(f *opFrame, src, srcLine, dstLine, m int) {
 
 	step := c.CMpbR(d) + c.CMpbW(1)
 	read0 := t0 + p.OMpbGet + c.CMpbR(d)
-	buf := c.scratchBuf(m * scc.CacheLine)
+	buf := own.Stage(m)
 	rem.ReadLinesInto(buf, srcLine, m, read0, step)
 	t := t0 + p.OMpbGet + sim.Duration(m)*step
 	port := srcPort
@@ -308,7 +314,9 @@ func (c *Core) getMPBPre(f *opFrame, src, srcLine, dstLine, m int) {
 // accumulator read C^mpb_r(1) and a local write-back C^mpb_w(1). The
 // reduction arithmetic itself is NOT charged here; callers account for it
 // separately (one compute pass over the data), keeping the primitive's
-// cost purely communicational like the other ops.
+// cost purely communicational like the other ops. src's lines are folded
+// from where they are settled, so with src the calling core itself the
+// two ranges must not overlap.
 func (c *Core) GetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src []byte)) {
 	c.combinePre(&c.opf, src, srcLine, dstLine, m, combine)
 	c.proc.Exec(&c.opf)
@@ -339,9 +347,8 @@ func (c *Core) combinePre(f *opFrame, src, srcLine, dstLine, m int, combine func
 	step := c.CMpbR(d) + c.CMpbR(1) + c.CMpbW(1)
 	remRead0 := t0 + p.OMpbGet + c.CMpbR(d)
 	ownRead0 := remRead0 + c.CMpbR(1)
-	buf := c.scratchBuf(2 * m * scc.CacheLine)
-	theirs, mine := buf[:m*scc.CacheLine], buf[m*scc.CacheLine:]
-	rem.ReadLinesInto(theirs, srcLine, m, remRead0, step)
+	mine := own.Stage(m)
+	theirs := rem.SettledLines(srcLine, m, remRead0, step)
 	own.ReadLinesInto(mine, dstLine, m, ownRead0, step)
 	for i := 0; i < m; i++ {
 		o := i * scc.CacheLine
@@ -372,8 +379,9 @@ func (c *Core) GetMPBToMem(src, srcLine, dstAddr, m int) {
 }
 
 // getMemPre is GetMPBToMem up to the completion advance; the post step
-// is counters and the span close only (the private-memory write and L1
-// touch happen here, before the yield, as they always have).
+// is counters and the span close only (the private-memory write, straight
+// from the settled MPB lines, and the L1 touch happen here, before the
+// yield, as they always have).
 func (c *Core) getMemPre(f *opFrame, src, srcLine, dstAddr, m int) {
 	checkLines(m)
 	checkAlign(dstAddr)
@@ -391,9 +399,7 @@ func (c *Core) getMemPre(f *opFrame, src, srcLine, dstAddr, m int) {
 
 	step := c.CMpbR(d) + c.CMemW(dm)
 	read0 := t0 + p.OMemGet + c.CMpbR(d)
-	buf := c.scratchBuf(m * scc.CacheLine)
-	rem.ReadLinesInto(buf, srcLine, m, read0, step)
-	priv.Write(dstAddr, buf)
+	priv.Write(dstAddr, rem.SettledLines(srcLine, m, read0, step))
 	cache.TouchRange(dstAddr, m)
 	t := t0 + p.OMemGet + sim.Duration(m)*step
 	f.completion, f.delay = c.opCompletion(t, srcPort, sim.Duration(d)*p.Lhop, mesh)

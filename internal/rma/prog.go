@@ -3,6 +3,7 @@ package rma
 import (
 	"fmt"
 
+	"repro/internal/alloc"
 	"repro/internal/sim"
 )
 
@@ -34,19 +35,32 @@ type instr struct {
 
 // Prog is an instruction buffer plus the program counter of the
 // instruction to run next. The zero Prog is empty and ready to emit
-// into; the buffer grows on demand and is kept across Resets.
+// into; the buffer grows on demand, in the storage Bind names (or on its
+// own without one), and is kept across Resets.
 type Prog struct {
-	ins []instr
-	pc  int
+	ins  []instr
+	pc   int
+	from *alloc.Arena[instr]
 	// Fold is the reduce op Combine and CombinePriv instructions fold with.
 	Fold func(dst, src []byte)
 }
+
+// Progs is the storage the step programs of one chip's cores grow in:
+// the chip's run programs, or one run's lane programs (occoll).
+type Progs struct{ ins alloc.Arena[instr] }
+
+// Init sizes s for the programs of `per` cores: their windows come in
+// blocks of per.
+func (s *Progs) Init(per int) { s.ins = alloc.Arena[instr]{Per: per, Min: progWindow} }
+
+// Bind makes p grow in s.
+func (p *Prog) Bind(s *Progs) { p.from = &s.ins }
 
 // Grow makes room for n instructions, so that a protocol whose longest
 // step is known emits without regrowing the buffer.
 func (p *Prog) Grow(n int) {
 	if cap(p.ins) < n {
-		p.ins = append(make([]instr, 0, n), p.ins...)
+		p.ins = p.from.Grow(p.ins, n)[:len(p.ins)]
 	}
 }
 
@@ -60,7 +74,7 @@ func (p *Prog) emit(op uint8, peer, line, m int, arg uint64) {
 	if m>>8 != 0 || line>>16 != 0 || peer != int(int32(peer)) {
 		panic(fmt.Sprintf("rma: instruction operands out of range (peer %d, line %d, %d lines)", peer, line, m))
 	}
-	p.ins = append(p.ins, instr{op: op, m: uint8(m), line: uint16(line), peer: int32(peer), arg: arg})
+	p.ins = p.from.Append(p.ins, instr{op: op, m: uint8(m), line: uint16(line), peer: int32(peer), arg: arg})
 }
 
 // The emitters. WaitGE: this core's flag `line` must satisfy val — carry
@@ -200,11 +214,10 @@ type runFrame struct {
 	prog Prog
 }
 
-// progWindow is how many instructions of a core's run program live in
-// the chip-wide array NewChipN carves up — enough for the longest step
-// of the paper's k = 7 configuration (an interior node's chunk: 15
-// ops). A longer step (k = 47's root polls 47 done flags) moves that
-// core's buffer to the heap, once.
+// progWindow is the smallest buffer a program takes from its storage —
+// enough for the longest step of the paper's k = 7 configuration (an
+// interior node's chunk: 15 ops). A longer step (k = 47's root polls 47
+// done flags) moves that core's buffer to a larger window, once.
 const progWindow = 16
 
 // Run executes the protocol s emits as a machine section of this core's

@@ -143,13 +143,15 @@ func TestWarmedProtocolsAllocFree(t *testing.T) {
 	// Protocol state outlives a run (its sequence numbers stay aligned
 	// across cores), so the per-peer tables are made once.
 	ports := make([]rcce.Port, n)
+	var st rcce.Store
+	st.Init(n)
 	bcs := make([]core.Broadcaster, n)
 	lay, _ := core.DefaultConfig().Layout()
 	inited := false
 	body := func(c *rma.Core) {
 		p, b, me := &ports[c.ID()], &bcs[c.ID()], c.ID()
 		if !inited {
-			p.Init(c)
+			p.Init(c, &st)
 			b.Init(c, core.DefaultConfig(), lay)
 		}
 		p.Barrier()

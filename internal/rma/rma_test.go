@@ -371,3 +371,40 @@ func BenchmarkReservePort(b *testing.B) {
 		})
 	}
 }
+
+// TestStagedPayloadIsReadAtIssue: a put carries its source lines as they
+// read when it is issued. Core 1, on core 0's tile, overwrites the source
+// lines in core 0's MPB while core 0's put of them to the far core 47 is
+// in flight — the overwrite lands before the put completes, most of its
+// lines visible before the put's own per-line read times — yet core 47
+// receives what core 0's MPB held at issue.
+func TestStagedPayloadIsReadAtIssue(t *testing.T) {
+	const lines, far = 8, 47
+	chip := NewChip(contentionFreeCfg())
+	old, overwrite := bytes.Repeat([]byte{0xA5}, lines*scc.CacheLine), bytes.Repeat([]byte{0x5A}, lines*scc.CacheLine)
+	chip.MPB(0).WriteLines(0, old, lines, 0, 0)
+	chip.MPB(1).WriteLines(0, overwrite, lines, 0, 0)
+	var putDone, overwritten sim.Time
+	chip.Run(func(c *Core) {
+		switch c.ID() {
+		case 0:
+			c.PutMPBToMPB(far, 0, 0, lines)
+			putDone = c.Now()
+		case 1:
+			c.PutMPBToMPB(0, 0, 0, lines)
+			overwritten = c.Now()
+		}
+	})
+	if overwritten >= putDone {
+		t.Fatalf("the overwrite completed at %v, not before the put at %v", overwritten, putDone)
+	}
+	got := make([]byte, lines*scc.CacheLine)
+	chip.MPB(far).ReadLinesInto(got, 0, lines, 1<<62, 0)
+	if !bytes.Equal(got, old) {
+		t.Fatalf("core %d received %x…, want the issue-time bytes %x…", far, got[:4], old[:4])
+	}
+	chip.MPB(0).ReadLinesInto(got, 0, lines, 1<<62, 0)
+	if !bytes.Equal(got, overwrite) {
+		t.Fatal("the overwrite did not land in core 0's MPB")
+	}
+}

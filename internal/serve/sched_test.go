@@ -359,3 +359,30 @@ func TestConfigAndStreamValidation(t *testing.T) {
 		t.Fatalf("good streams rejected: %v", err)
 	}
 }
+
+// BenchmarkServeRound is the scheduler's own host cost per round, on
+// the in-memory fake chip: the epoch sync, admission, batch selection
+// over two lanes, dispatch and completion accounting of a 240-request
+// two-tenant mix. It reports ns per round; the round count is checked
+// to repeat exactly.
+func BenchmarkServeRound(b *testing.B) {
+	cfg := Config{Policy: PolicyWeighted, QueueBound: 16, MaxBatch: 4, MaxBatchLines: 64, Lanes: 2}
+	streams := []Stream{
+		Synthetic(SyntheticParams{Tenant: "a", Weight: 3, Seed: 1, Count: 120, N: 48,
+			Ops: workload.Ops(), Lines: []int{1, 4, 8}, MeanGapUs: 40}),
+		Synthetic(SyntheticParams{Tenant: "b", Weight: 1, Seed: 2, Count: 120, N: 48,
+			Ops: []string{workload.OpBcast, workload.OpAllReduce}, Lines: []int{2, 16}, MeanGapUs: 25}),
+	}
+	l := LayoutFor(cfg, streams, 48)
+	rounds := -1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := Run(newFakeRunner(), cfg, streams, l, NewBoard(streams), nil)
+		if r := s.rounds + s.idleRounds; rounds < 0 {
+			rounds = r
+		} else if r != rounds {
+			b.Fatalf("run %d took %d rounds, the first %d", i, r, rounds)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
+}

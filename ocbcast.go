@@ -279,11 +279,14 @@ func (s *System) Run(body func(c *Core)) {
 	}
 	s.ran = true
 	// Every core's handle and its stack live in one slice for the run, so
-	// starting n cores allocates once, not once per core and layer.
+	// starting n cores allocates once, not once per core and layer, and
+	// what the stacks grow comes from one store.
 	cores := alloc.Slice[coreState](s.chip.NCores)
+	var sh algsel.Shared
+	sh.Init(s.chip.NCores)
 	s.chip.Run(func(rc *rma.Core) {
 		st := &cores[rc.ID()]
-		st.env.Init(rc, s.occfg, s.lay, s.policy)
+		st.env.Init(rc, s.occfg, s.lay, s.policy, &sh)
 		st.handle = Core{rma: rc, env: &st.env}
 		body(&st.handle)
 		st.env.Finish()
