@@ -115,11 +115,11 @@ func (x *Collectives) issue(proto *protocol, root, addr, lines int, rop ReduceOp
 	l := &x.lanes[int(x.nissued)%len(x.lanes)]
 	x.nissued++
 	l.issues++
-	if l.req != nil && !l.req.done {
-		// The lane's previous collective is still in flight: drive it to
-		// local completion before reusing the lane. Deterministic and
-		// symmetric — every core drives its own previous request at the
-		// same issue index — so all cores still agree on lane contents.
+	if l.req != nil && l.req.lane == l && !l.req.done {
+		// The lane's previous collective (not a recycled frame reissued on
+		// another lane) is still in flight: drive it to local completion
+		// before reusing the lane. Deterministic and symmetric — every core
+		// drives its own previous request at the same issue index.
 		l.req.exec(true)
 	}
 	r := x.newRequest()

@@ -373,3 +373,45 @@ func TestValidateChannels(t *testing.T) {
 		t.Fatal("2 paper-sized lanes cannot fit in 256 lines; want error")
 	}
 }
+
+// TestIssueDrivesOnlyItsOwnLane: an issue drives its lane's previous
+// request and no other. A completed request's frame is recycled and
+// reissued on another lane while the first lane still points at it; the
+// next issue on the first lane must leave that other lane's request in
+// flight instead of waiting for it.
+func TestIssueDrivesOnlyItsOwnLane(t *testing.T) {
+	const n, lines = 8, 64
+	cfg := Config{K: 2, BufLines: 2, DoubleBuffer: true, Channels: 3}
+	nbytes := lines * scc.CacheLine
+	chip := rma.NewChipN(scc.DefaultConfig(), n)
+	pay := make([]byte, 4*nbytes)
+	for j := range pay {
+		pay[j] = byte(j*5 + 1)
+	}
+	chip.Private(0).Write(0, pay)
+	chip.Run(func(c *rma.Core) {
+		x := New(c, rcce.NewPort(c), cfg)
+		a := x.IBcast(0, 0, lines) // lane 0
+		a.Wait()
+		b := x.IBcast(0, nbytes, lines)   // lane 1; recycles a's frame
+		r := x.IBcast(0, 2*nbytes, lines) // lane 2, in a's frame
+		if r != a || r.lane.idx != 2 {
+			t.Fatalf("core %d: the third request did not reuse the first one's frame on lane 2", c.ID())
+		}
+		d := x.IBcast(0, 3*nbytes, lines) // lane 0 again
+		if r.done {
+			t.Errorf("core %d: issuing on lane 0 drove lane 2's request to completion", c.ID())
+		}
+		b.Wait()
+		r.Wait()
+		d.Wait()
+		x.Finish()
+	})
+	got := make([]byte, len(pay))
+	for core := 0; core < n; core++ {
+		chip.Private(core).Read(got, 0, len(got))
+		if !bytes.Equal(got, pay) {
+			t.Fatalf("core %d: payloads corrupted", core)
+		}
+	}
+}
