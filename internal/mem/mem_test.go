@@ -170,7 +170,7 @@ func TestPrivateReadWrite(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	addr := pageBytes - 1500
+	addr := PageBytes - 1500
 	p.Write(addr, data)
 	got := make([]byte, len(data))
 	p.Read(got, addr, len(got))
@@ -620,8 +620,8 @@ func TestPendingIndexMatchesList(t *testing.T) {
 // TestPageIsExactlyPageBytes: a page must not carry bookkeeping, or the
 // allocator rounds it up to the next size class (9472 B for 8193).
 func TestPageIsExactlyPageBytes(t *testing.T) {
-	if got := unsafe.Sizeof(page{}); got != pageBytes {
-		t.Fatalf("sizeof(page) = %d, want %d", got, pageBytes)
+	if got := unsafe.Sizeof(page{}); got != PageBytes {
+		t.Fatalf("sizeof(page) = %d, want %d", got, PageBytes)
 	}
 }
 

@@ -12,20 +12,22 @@ import (
 // paper's no-shared-memory configuration there is no cross-core
 // interference on private memory (§3.3), so Private needs no port model.
 //
-// Storage grows on demand in pages so large broadcast payloads (up to
-// 1 MiB per the paper's Figure 8b) don't force a full-size allocation on
-// every core of the chip. Pages and page tables come from the slab the
-// chip's cores share.
+// Storage grows on demand in pages, and the pages are shared by content:
+// a memory is a table of page ids, and the pages are values the slab's
+// pool holds once per chip however many cores point at them (see
+// Slab). The paper's collectives end with the same bytes at the same
+// address on every core, so a broadcast's payload is stored once, not
+// once per core; a page whose content is all zero is no page at all.
 type Private struct {
 	owner int
 	slab  *Slab
-	// pages is indexed by page number (nil data = never written, reads
-	// as zeros). A flat slice keeps the per-op page lookup off the map
-	// hash path. Its first window covers a 64 KiB footprint, and a write
-	// beyond that moves it to a larger one in one step (see slot).
-	pages []pageSlot
-	// held counts the data pages taken, which Reset keeps.
-	held int
+	// pages is indexed by page number and holds ids of the slab's pages
+	// (0: never written, or all zero — reads as zeros). A flat slice of
+	// 4-byte ids keeps the page lookup off the map hash path and a table
+	// reaching the last page at 2 MiB. Its first window covers a 64 KiB
+	// footprint, and a write beyond that moves it to a larger one in one
+	// step (see slot).
+	pages []uint32
 }
 
 // PrivateBytes is the size of one core's private memory: addresses run
@@ -38,24 +40,24 @@ type Private struct {
 // limit the table is 2 MiB and a cache model's residency bitmap 4 MiB.
 const PrivateBytes = 1 << 30
 
-// pageBytes is the demand-allocation granularity. 8 KiB keeps the
-// zero-fill cost of a fresh chip proportional to the bytes actually
-// touched (a broadcast payload staging area is a few KiB per core), which
-// matters because harness sweeps construct thousands of chips.
-const pageBytes = 8 * 1024
+// PageBytes is the granularity private memory is allocated and shared
+// at. A broadcast's chunks land at line offsets that split pages, and
+// every page a chunk ends inside passes through a partly written state
+// that the cores further down the tree have not reached yet, so smaller
+// pages keep fewer bytes in flight (OC-Bcast's benchmark payload of 1 026
+// lines peaks at 12 distinct 8 KiB pages, 96 KiB, and at 40 of 1 KiB).
+// 2 KiB is the smallest page whose table of 4-byte ids still reaches the
+// last address in 2 MiB; a compare, a copy-on-write or a zero fill costs
+// at most one page per page a write touches.
+const PageBytes = 2 << 10
 
-// page is exactly pageBytes — one byte more would land in the 9472-byte
-// size class — so the dirty mark lives in its slot.
-type page [pageBytes]byte
+// page is exactly PageBytes; what the pool knows of a page is beside it,
+// in its pageRec.
+type page [PageBytes]byte
 
-type pageSlot struct {
-	data *page
-	// dirty marks the page as written since construction or the last
-	// Reset, so Reset zeroes only the bytes a run actually touched
-	// instead of every page ever allocated (a pooled chip accumulates
-	// pages from all its past runs).
-	dirty bool
-}
+// slotWindow is the first capacity of a page table, in pages: a 64 KiB
+// footprint.
+const slotWindow = 64 << 10 / PageBytes
 
 // NewPrivate creates core owner's private memory over a slab of its own.
 // A chip holds its cores' memories by value and runs Init on each over
@@ -66,16 +68,12 @@ func NewPrivate(owner int) *Private {
 	return p
 }
 
-// Init makes p core owner's (empty) private memory in place, drawing its
-// pages and page table from slab s.
+// Init makes p core owner's (empty) private memory in place, sharing the
+// pages and drawing the page table of slab s.
 func (p *Private) Init(owner int, s *Slab) { *p = Private{owner: owner, slab: s} }
 
 // Owner reports the core id owning this memory.
 func (p *Private) Owner() int { return p.owner }
-
-// HeldBytes reports the storage the memory holds: every page ever
-// written, since Reset keeps them.
-func (p *Private) HeldBytes() int { return p.held * pageBytes }
 
 func (p *Private) check(addr, n int) {
 	if addr < 0 || n < 0 {
@@ -91,32 +89,31 @@ func (p *Private) check(addr, n int) {
 // it in one step: to pg+1 slots, or double the current capacity if that
 // is more, so a sequential fill stays amortised O(1) per page and a jump
 // to a far page takes one window of the size it needs.
-func (p *Private) slot(pg int) *pageSlot {
+func (p *Private) slot(pg int) *uint32 {
 	if pg >= len(p.pages) {
 		p.pages = p.slab.slots.Grow(p.pages, pg+1)
 	}
 	return &p.pages[pg]
 }
 
+// id returns the id of page pg (0: reads as zeros).
+func (p *Private) id(pg int) uint32 {
+	if pg < len(p.pages) {
+		return p.pages[pg]
+	}
+	return 0
+}
+
 // Read copies n bytes starting at addr into dst.
 func (p *Private) Read(dst []byte, addr, n int) {
 	p.check(addr, n)
 	for n > 0 {
-		pg, off := addr/pageBytes, addr%pageBytes
-		c := pageBytes - off
-		if c > n {
-			c = n
-		}
-		var pp *page
-		if pg < len(p.pages) {
-			pp = p.pages[pg].data
-		}
-		if pp != nil {
-			copy(dst[:c], pp[off:off+c])
+		pg, off := addr/PageBytes, addr%PageBytes
+		c := min(PageBytes-off, n)
+		if id := p.id(pg); id != 0 {
+			copy(dst[:c], p.slab.rec(id).data[off:off+c])
 		} else {
-			for i := 0; i < c; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:c])
 		}
 		dst = dst[c:]
 		addr += c
@@ -128,16 +125,78 @@ func (p *Private) Read(dst []byte, addr, n int) {
 func (p *Private) Write(addr int, src []byte) {
 	p.check(addr, len(src))
 	for len(src) > 0 {
-		pg, off := addr/pageBytes, addr%pageBytes
-		pp := p.slot(pg)
-		if pp.data == nil {
-			pp.data = p.slab.page()
-			p.held++
-		}
-		pp.dirty = true
-		c := copy(pp.data[off:], src)
+		pg, off := addr/PageBytes, addr%PageBytes
+		c := min(PageBytes-off, len(src))
+		p.writePage(pg, off, src[:c])
 		src = src[c:]
 		addr += c
+	}
+}
+
+// writePage writes src at byte off of page pg. The page's new content
+// hash follows from the words the write covers (from src alone when it
+// covers the page); then, in order: content all zero drops the page, a
+// live page of equal content — found by hash, confirmed byte for byte —
+// is shared, a page this memory holds alone is written in place, and
+// anything else gets a page of its own.
+func (p *Private) writePage(pg, off int, src []byte) {
+	s, id := p.slab, p.id(pg)
+	old, sum := &zeroPage, uint64(0)
+	var r *pageRec
+	if id != 0 {
+		r = s.rec(id)
+		old, sum = &r.data, r.sum
+	} else if isZero(src) {
+		return
+	}
+	if len(src) == PageBytes {
+		sum = hashWords(src, 0)
+	} else {
+		sum += hashDelta(old, off, src)
+	}
+	end := off + len(src)
+	switch q := s.lookup(sum); {
+	case sum == 0 && isZero(src) && isZero(old[:off]) && isZero(old[end:]):
+		p.repoint(pg, id, 0)
+	case q != 0 && s.holds(q, old, off, src):
+		p.repoint(pg, id, q)
+	case r != nil && r.ref == 1:
+		copy(old[off:], src)
+		s.rehash(id, r, sum)
+	default:
+		q, nr := s.newPage(sum)
+		copy(nr.data[:off], old[:off])
+		copy(nr.data[off:end], src)
+		copy(nr.data[end:], old[end:])
+		p.repoint(pg, id, q)
+	}
+}
+
+// repoint points page pg's slot, which points at page id, at page q
+// instead (0: no page), moving a reference from id to q.
+func (p *Private) repoint(pg int, id, q uint32) {
+	if q == id {
+		return
+	}
+	if q != 0 {
+		p.slab.rec(q).ref++
+	}
+	if id != 0 {
+		p.slab.release(id)
+	}
+	*p.slot(pg) = q
+}
+
+// Reset empties the memory: it drops its references to the slab's pages
+// (a page no memory points at any more goes back to the pool) and keeps
+// its page table, so a reset memory is indistinguishable from a fresh one
+// and a pooled chip's next simulation reuses the table and the pages.
+func (p *Private) Reset() {
+	for i, id := range p.pages {
+		if id != 0 {
+			p.slab.release(id)
+			p.pages[i] = 0
+		}
 	}
 }
 
@@ -162,8 +221,8 @@ type Cache struct {
 }
 
 // cacheLinesPerPage is the number of cache lines covered by one residency
-// bitmap page (mirrors Private's pageBytes granularity).
-const cacheLinesPerPage = pageBytes / scc.CacheLine
+// bitmap page: 8 KiB of addresses, a 32-byte page of bits.
+const cacheLinesPerPage = 256
 
 type cachePage struct {
 	bits [cacheLinesPerPage / 64]uint64
@@ -263,19 +322,3 @@ func (c *Cache) Flush() {
 
 // Len reports the number of resident lines (for tests).
 func (c *Cache) Len() int { return c.n }
-
-// Reset zeroes the memory while keeping the demand-allocated pages: a
-// read of a never-written address yields zero either way, so a reset
-// memory is indistinguishable from a fresh one, and a pooled chip's
-// next simulation reuses the pages instead of faulting them back in.
-// Only pages written since the last Reset are zeroed (the rest are
-// already all-zero), so the cost scales with the run's footprint, not
-// the chip's high-water mark.
-func (p *Private) Reset() {
-	for i := range p.pages {
-		if pp := &p.pages[i]; pp.dirty {
-			*pp.data = page{}
-			pp.dirty = false
-		}
-	}
-}

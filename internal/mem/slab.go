@@ -20,13 +20,16 @@ import (
 //   - payload buffers: the lines an RMA op reads at issue and writes
 //     later (Stage), which the extent record carrying the write then
 //     holds until it folds, and a two-sided combine's operands;
-//   - private-memory pages and page tables, and cache residency tables;
+//   - private-memory pages (the page pool, which holds each distinct
+//     page once for the chip, see pagePool), page tables and cache
+//     residency tables;
 //   - the one arena of queued single-line writes, which every MPB draws
 //     from and returns to record by record.
 //
-// Block sizes follow the number of MPBs sharing the slab — pages, page
-// and residency tables a block of one per MPB at a time, the rest one
-// per eight (lists and ledger tables at least four, alloc.Share) — and
+// Block sizes follow the number of MPBs sharing the slab — page and
+// residency tables a block of one per MPB at a time, pages one per MPB
+// and then twice the block before, the rest one per eight (lists and
+// ledger tables at least four, alloc.Share) — and
 // nothing is reserved per MPB ahead of its first use, so a chip whose
 // cores write little pays little, and only the newest block of a kind (of
 // a capacity class, for the tables and buffers: alloc.Arena) is ever
@@ -36,9 +39,8 @@ import (
 // taken otherwise it keeps (Reset recycles it in place).
 type Slab struct {
 	lines int // per MPB
-	// mpbs and recBlock size the fixed-size blocks: pages come mpbs at a
-	// time, records recordsPerBlock(mpbs).
-	mpbs, recBlock int
+	// recBlock sizes the record blocks: recordsPerBlock(mpbs).
+	recBlock int
 
 	data    []byte   // mpbs × lines × 32 bytes
 	pendCnt []uint32 // mpbs × lines (see MPB.pendCnt)
@@ -50,27 +52,28 @@ type Slab struct {
 	flags    []flagWrite
 	flagFree uint32
 
-	recs  block[pendingExtent]
-	pages block[page]
+	recs block[pendingExtent]
+	pool pagePool
 
 	lists alloc.Arena[*pendingExtent]
 	rings alloc.Arena[portAccess]
 	lives alloc.Arena[liveAccessor]
 	bufs  alloc.Arena[byte]
-	slots alloc.Arena[pageSlot]
+	slots alloc.Arena[uint32]
 	resid alloc.Arena[cachePage]
 }
 
 // First-use capacities taken from the slab, in elements. A list window
 // holds an MPB's pending (or recycled) extents of one OC-Bcast chunk
 // round without regrowth; a ring and accessor table fit an OC-Bcast
-// parent's port (k = 7 children, a few accesses each per window); a page
-// table and a residency table cover a 64 KiB footprint.
+// parent's port (k = 7 children, a few accesses each per window); a
+// residency table, like a page table (slotWindow), covers a 64 KiB
+// footprint.
 const (
 	listWindow  = 16
 	ringWindow  = 32
 	liveWindow  = 8
-	tableWindow = 8
+	residWindow = 8
 )
 
 // block hands out equal windows of T from the unissued tail of its
@@ -100,8 +103,8 @@ func NewSlab(mpbs, lines int) *Slab {
 	share := alloc.Share(mpbs)
 	return &Slab{
 		lines:    lines,
-		mpbs:     mpbs,
 		recBlock: recordsPerBlock(mpbs),
+		pool:     pagePool{perBlock: uint32(mpbs)},
 		data:     make([]byte, mpbs*lines*scc.CacheLine),
 		pendCnt:  make([]uint32, mpbs*lines),
 		bitmaps:  make([]uint64, mpbs*2*words),
@@ -109,8 +112,8 @@ func NewSlab(mpbs, lines int) *Slab {
 		rings:    alloc.Arena[portAccess]{Per: share, Min: ringWindow},
 		lives:    alloc.Arena[liveAccessor]{Per: share, Min: liveWindow},
 		bufs:     alloc.Arena[byte]{Per: max(mpbs/8, 1)},
-		slots:    alloc.Arena[pageSlot]{Per: mpbs, Min: tableWindow},
-		resid:    alloc.Arena[cachePage]{Per: mpbs, Min: tableWindow},
+		slots:    alloc.Arena[uint32]{Per: mpbs, Min: slotWindow},
+		resid:    alloc.Arena[cachePage]{Per: mpbs, Min: residWindow},
 	}
 }
 
@@ -144,7 +147,3 @@ func (s *Slab) freeFlags(head, last uint32) {
 func recordsPerBlock(mpbs int) int {
 	return alloc.Fill[pendingExtent](max(mpbs, 2048/int(unsafe.Sizeof(pendingExtent{}))))
 }
-
-// page returns a zeroed private-memory page; they come a block of one
-// per MPB at a time.
-func (s *Slab) page() *page { return &s.pages.take(1, s.mpbs)[0] }

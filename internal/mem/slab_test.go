@@ -370,17 +370,17 @@ func TestSlabWindowsAreIndependent(t *testing.T) {
 
 // TestPrivateFarAddress: one byte at the last address of private memory
 // costs the page it lands on plus one page-table step sized by that
-// page's index (2 MiB at the limit — the table grew one slot at a time
-// before, reallocating to 164 MiB for an address of 16 GiB, and had no
-// limit at all), and any access that reaches past PrivateBytes panics
-// naming the core, the address and the limit. The cache model has the
-// same table and the same limit.
+// page's index — at most 2 MiB + 64 KiB, the bound of the 8 KiB pages
+// this table once had (it grew one slot at a time before that,
+// reallocating to 164 MiB for an address of 16 GiB, and had no limit at
+// all) — and any access that reaches past PrivateBytes panics naming the
+// core, the address and the limit. The cache model has the same limit,
+// and its residency table step stays within 5 MiB.
 func TestPrivateFarAddress(t *testing.T) {
 	p := NewPrivate(5)
 	last := PrivateBytes - 1
-	table := uint64(PrivateBytes / pageBytes * 16)
 	got := allocatedBytes(func() { p.Write(last, []byte{0xAB}) })
-	if limit := table + 8*pageBytes; got > limit {
+	if limit := uint64(2<<20 + 64<<10); got > limit {
 		t.Fatalf("one byte at address %d allocated %d bytes, want ≤ %d (one table step + one page)", last, got, limit)
 	}
 	var b [1]byte
@@ -389,8 +389,8 @@ func TestPrivateFarAddress(t *testing.T) {
 		t.Fatalf("byte at %d reads %#x", last, b[0])
 	}
 	// A second far write into the grown table costs its page only.
-	if got := allocatedBytes(func() { p.Write(PrivateBytes/2, []byte{1}) }); got > 8*pageBytes {
-		t.Fatalf("a write inside the grown table allocated %d bytes, want one page", got)
+	if got := allocatedBytes(func() { p.Write(PrivateBytes/2, []byte{1}) }); got > 64<<10 {
+		t.Fatalf("a write inside the grown table allocated %d bytes, want ≤ 64 KiB (a page block)", got)
 	}
 	p.Reset()
 	p.Read(b[:], last, 1)
@@ -417,7 +417,7 @@ func TestPrivateFarAddress(t *testing.T) {
 
 	c := NewCache(true)
 	got = allocatedBytes(func() { c.Touch(last) })
-	if limit := uint64(PrivateBytes / pageBytes * 32 * 5 / 4); got > limit {
+	if limit := uint64(5 << 20); got > limit {
 		t.Fatalf("touching the last line allocated %d bytes, want ≤ %d (one residency-table step)", got, limit)
 	}
 	if !c.Hit(last) || c.Len() != 1 {
@@ -432,49 +432,69 @@ func TestPrivateFarAddress(t *testing.T) {
 }
 
 // TestPrivatePagesPerChipNotPerCore: a chip's private memories take
-// their pages and page tables from the slab they share, a block of one
-// per core at a time, so a page written on every core costs the same
-// handful of objects on 2 cores as on 384; a write far beyond a table's
+// their pages and page tables from the slab they share, the pages from a
+// first block of one per core, so a distinct page written on every core
+// costs the same handful of objects on 2 cores as on 384, and one page
+// written on every core is held once; a write far beyond a table's
 // window moves it to a larger window of the slab, and what it reads back
 // is what was written.
 func TestPrivatePagesPerChipNotPerCore(t *testing.T) {
-	buf := make([]byte, pageBytes)
+	buf := make([]byte, PageBytes)
 	for i := range buf {
 		buf[i] = byte(i)
 	}
+	var slab *Slab
 	var ps []Private
-	fill := func(n int) func() {
+	fill := func(n int, distinct bool) func() {
 		return func() {
-			slab := NewSlab(n, 1)
+			slab = NewSlab(n, 1)
 			ps = make([]Private, n)
 			for i := range ps {
 				ps[i].Init(i, slab)
+				if distinct {
+					binary.LittleEndian.PutUint32(buf, uint32(i))
+				}
 				ps[i].Write(0, buf)
 			}
 		}
 	}
 	for _, n := range []int{2, 48, 384} {
-		// The slab (4), the slice, one page block, and one table block
-		// with its class's entry in the slab.
-		if objects := testing.AllocsPerRun(5, fill(n)); objects != 8 {
-			t.Errorf("%d memories writing a page each cost %.0f objects, want 8", n, objects)
-		}
-		if held := ps[n-1].HeldBytes(); held != pageBytes {
-			t.Errorf("memory %d holds %d bytes, want one page", n-1, held)
+		// The slab (4), the slice, the first page block and the content
+		// table, and one page-table block with its class's entry in the
+		// slab.
+		for _, distinct := range []bool{true, false} {
+			objects := testing.AllocsPerRun(5, fill(n, distinct))
+			if objects != 9 {
+				t.Errorf("%d memories writing a page each (distinct %v) cost %.0f objects, want 9", n, distinct, objects)
+			}
+			want := PageBytes
+			if distinct {
+				want *= n
+			}
+			if held := slab.HeldBytes(); held != want {
+				t.Errorf("%d memories writing a page each (distinct %v) hold %d bytes, want %d", n, distinct, held, want)
+			}
 		}
 	}
-	ps[1].Write(20*pageBytes, buf)
-	if len(ps[0].pages) != 1 || len(ps[1].pages) != 21 || cap(ps[1].pages) != 32 {
-		t.Fatalf("tables of %d and %d slots (cap %d), want 1 and 21 (cap 32)", len(ps[0].pages), len(ps[1].pages), cap(ps[1].pages))
+	ps[1].Write(20*PageBytes, buf)
+	if len(ps[0].pages) != 1 || len(ps[1].pages) != 21 || cap(ps[1].pages) != slotWindow {
+		t.Fatalf("tables of %d and %d slots (cap %d), want 1 and 21 (cap %d)", len(ps[0].pages), len(ps[1].pages), cap(ps[1].pages), slotWindow)
 	}
-	got := make([]byte, pageBytes)
-	for _, addr := range []int{0, 20 * pageBytes} {
-		ps[1].Read(got, addr, pageBytes)
+	ps[1].Write(40*PageBytes, buf)
+	if len(ps[1].pages) != 41 || cap(ps[1].pages) != 2*slotWindow {
+		t.Fatalf("table of %d slots (cap %d), want 41 (cap %d)", len(ps[1].pages), cap(ps[1].pages), 2*slotWindow)
+	}
+	if held := slab.HeldBytes(); held != PageBytes {
+		t.Fatalf("one page written at three addresses holds %d bytes, want one page", held)
+	}
+	got := make([]byte, PageBytes)
+	for _, addr := range []int{0, 20 * PageBytes, 40 * PageBytes} {
+		ps[1].Read(got, addr, PageBytes)
 		if !bytes.Equal(got, buf) {
 			t.Fatalf("page at %d does not read back", addr)
 		}
 	}
-	ps[0].Read(got, 0, pageBytes)
+	ps[0].Read(got, 0, PageBytes)
 	if !bytes.Equal(got, buf) {
 		t.Fatal("neighbouring memory disturbed")
 	}

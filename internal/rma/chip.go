@@ -30,6 +30,7 @@ type Chip struct {
 	NCores  int
 	topo    scc.Topology
 	slots   []coreSlot
+	slab    *mem.Slab
 	mesh    *noc.Mesh
 	Counter []trace.CoreCounters
 
@@ -99,6 +100,7 @@ func NewChipN(cfg scc.Config, n int) *Chip {
 		memDist: make([]int, n),
 	}
 	slab := mem.NewSlab(n, topo.MPBLines)
+	c.slab = slab
 	c.progs.Init(n)
 	c.runs = alloc.Arena[writeRun]{Per: alloc.Share(n), Min: 4}
 	for i := range c.slots {
@@ -171,6 +173,10 @@ func (c *Chip) MPB(i int) *mem.MPB { return &c.slots[i].mpb }
 
 // Private returns core i's private memory.
 func (c *Chip) Private(i int) *mem.Private { return &c.slots[i].priv }
+
+// HeldBytes reports the private-memory pages the chip holds, each
+// distinct page once (mem.Slab.HeldBytes); Reset keeps them.
+func (c *Chip) HeldBytes() int { return c.slab.HeldBytes() }
 
 // Cache returns core i's L1 model.
 func (c *Chip) Cache(i int) *mem.Cache { return &c.slots[i].cache }

@@ -12,9 +12,9 @@ import (
 // whatever its core count, first traffic draws on chip-level blocks, and
 // its procs' coroutines come from the engine's process-wide idle list —
 // but not in bytes: every core's 8 KiB MPB share is allocated and zeroed
-// up front and its private-memory pages and extent buffers again as the
-// run touches them (28 KB per core for a barrier and one broadcast, 10 MB
-// on a 384-core chip). Harness loops that run thousands of short
+// up front, and extent buffers and the chip's private-memory pages again
+// as the run touches them (17 KB per core for a barrier and one
+// broadcast, 6.4 MB on a 384-core chip). Harness loops that run thousands of short
 // simulations acquire chips here instead and keep all of that warm. A
 // released chip is Reset — which the equivalence tests pin as
 // observationally identical to a fresh chip — and parked under a key
@@ -79,18 +79,19 @@ func AcquireChipN(cfg scc.Config, n int) *Chip {
 }
 
 // poolMaxPrivateBytes bounds the private memory a parked chip may hold.
-// Reset keeps every page a run wrote, so a chip that ran one large cell
-// would pin that memory for as long as it stays parked: a 384-core
-// allgather of 256-line blocks holds about 2.4 GB. Such a chip is dropped
-// instead; rebuilding one costs little next to the simulation that filled
-// it, while the 48-core chips of the paper's figures (96 MiB after a
-// 1 MiB broadcast repeated twice) stay warm.
+// Reset keeps the page pool's pages, so a chip that ran one large cell
+// would pin them for as long as it stays parked. The pool holds each
+// distinct page once (Chip.HeldBytes): a 384-core allgather of 256-line
+// blocks peaks near 4 MB (2.4 GB while every core kept its own pages),
+// and a 1 MiB broadcast about 1 MiB on any chip, so a chip is dropped
+// only after a cell whose cores hold over 128 MiB of distinct data;
+// rebuilding one costs little next to the simulation that filled it.
 const poolMaxPrivateBytes = 128 << 20
 
 // ReleaseChip resets c and parks it for reuse. A chip that cannot be
 // reset (mid-run or panicked), holds more than poolMaxPrivateBytes of
-// private memory or exceeds the per-key bound is dropped instead — never
-// parked dirty.
+// private-memory pages or exceeds the per-key bound is dropped instead —
+// never parked dirty.
 func ReleaseChip(c *Chip) {
 	if c == nil {
 		return
@@ -100,11 +101,7 @@ func ReleaseChip(c *Chip) {
 		// abandon the chip as a whole.
 		return
 	}
-	held := 0
-	for i := range c.slots {
-		held += c.slots[i].priv.HeldBytes()
-	}
-	if held > poolMaxPrivateBytes {
+	if c.HeldBytes() > poolMaxPrivateBytes {
 		// Hand a big chip's pages back now instead of at whatever
 		// collection the heap's growth schedules next: a sweep's next cell
 		// is often as big, and until then both would be resident. The

@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -12,8 +13,9 @@ import (
 
 // TestReleaseDropsChipsOverPrivateBudget: a released chip is parked and
 // handed out again while its private memory holds at most
-// poolMaxPrivateBytes, and dropped once a run has written more than that —
-// Reset keeps every page, so a parked chip would pin them.
+// poolMaxPrivateBytes, and dropped once a run has written more distinct
+// pages than that — Reset keeps the pool's pages, so a parked chip would
+// pin them.
 func TestReleaseDropsChipsOverPrivateBudget(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	const n = 3 // a pool key no other test uses
@@ -26,12 +28,13 @@ func TestReleaseDropsChipsOverPrivateBudget(t *testing.T) {
 		t.Fatal("a chip within the private-memory budget was not parked")
 	}
 
-	// One byte per 8 KiB page, up to just past the budget.
-	for addr := 0; addr <= poolMaxPrivateBytes; addr += 8 << 10 {
-		big.Private(2).Write(addr, []byte{1})
+	// A distinct word on every 2 KiB page, up to just past the budget:
+	// pages of equal content would be held once.
+	for addr := 0; addr <= poolMaxPrivateBytes; addr += 2 << 10 {
+		big.Private(2).Write(addr, binary.LittleEndian.AppendUint32(nil, uint32(addr)+1))
 	}
-	if held := big.Private(2).HeldBytes(); held <= poolMaxPrivateBytes {
-		t.Fatalf("core 2 holds %d bytes after the writes, want more than the %d-byte budget", held, poolMaxPrivateBytes)
+	if held := big.HeldBytes(); held <= poolMaxPrivateBytes {
+		t.Fatalf("the chip holds %d bytes after the writes, want more than the %d-byte budget", held, poolMaxPrivateBytes)
 	}
 	ReleaseChip(big)
 	again := AcquireChipN(cfg, n)
