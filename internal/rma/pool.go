@@ -14,12 +14,12 @@ import (
 // but not in bytes: every core's 8 KiB MPB share is allocated and zeroed
 // up front, and extent buffers and the chip's private-memory pages again
 // as the run touches them (17 KB per core for a barrier and one
-// broadcast, 6.4 MB on a 384-core chip). Harness loops that run thousands of short
-// simulations acquire chips here instead and keep all of that warm. A
-// released chip is Reset — which the equivalence tests pin as
-// observationally identical to a fresh chip — and parked under a key
-// derived from its exact configuration; Acquire returns a parked chip
-// only on a full key match.
+// broadcast, 6.4 MB on a 384-core chip). Harness loops that run
+// thousands of short simulations acquire chips here instead and keep all
+// of that warm. A released chip is Reset — which the equivalence tests
+// pin as observationally identical to a fresh chip — and parked under a
+// key derived from its exact configuration; Acquire returns a parked
+// chip only on a full key match.
 //
 // The pool is safe for concurrent use (ParallelMap shards acquire from
 // it simultaneously) and bounded per key, so sweeps over many topologies
