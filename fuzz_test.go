@@ -8,6 +8,7 @@ import (
 
 	ocbcast "repro"
 	"repro/internal/algsel"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -132,14 +133,14 @@ func FuzzMixedFamilies(f *testing.F) {
 			}
 		})
 		for j, cl := range calls {
-			want := make([][]span, n)
+			want := make([][]oracle.Span, n)
 			if op := workload.OpOf(kindOp[cl.kind]); op != nil {
-				want = reference(op, n, cl.a, cl.lines, in[j])
+				want = oracle.Reference(op, n, cl.a, cl.lines, 0, in[j], ocbcast.SumInt64)
 			} else { // Send/Recv: the receiver holds the sender's bytes, every other core its own
 				for i := range want {
-					want[i] = []span{{0, in[j][i]}}
+					want[i] = []oracle.Span{{Want: in[j][i]}}
 				}
-				want[cl.b] = []span{{0, in[j][cl.a]}}
+				want[cl.b] = []oracle.Span{{Want: in[j][cl.a]}}
 			}
 			checkReference(t, sys, want, j*region, fmt.Sprintf("n=%d calls %+v: call %d", n, calls, j))
 		}
@@ -188,7 +189,6 @@ func FuzzFootprint(f *testing.F) {
 		}
 		sys := ocbcast.New(opts)
 		staged := make([][]byte, n)
-		region := make([][]byte, n)
 		rng := uint64(n)<<32 ^ uint64(lines)<<8 ^ uint64(opB)
 		for id := range staged {
 			b := make([]byte, total)
@@ -196,7 +196,7 @@ func FuzzFootprint(f *testing.F) {
 				rng = rng*6364136223846793005 + 1442695040888963407
 				b[k] = byte(rng>>56) | 1
 			}
-			staged[id], region[id] = b, b[addr:addr+size]
+			staged[id] = b
 			sys.WritePrivate(id, 0, b)
 		}
 		sys.Run(func(c *ocbcast.Core) {
@@ -231,7 +231,7 @@ func FuzzFootprint(f *testing.F) {
 				}
 			}
 		}
-		checkReference(t, sys, reference(op, n, root, lines, region), addr, what)
+		checkReference(t, sys, oracle.Reference(op, n, root, lines, addr, staged, ocbcast.SumInt64), 0, what)
 	})
 }
 

@@ -8,9 +8,11 @@ import (
 
 	"repro/internal/collective"
 	occore "repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
+	"repro/internal/workload"
 )
 
 // run executes body on an n-core chip with per-core occoll state.
@@ -36,14 +38,6 @@ func fillPayload(chip *rma.Chip, n, addr, nbytes, salt int) [][]byte {
 	return payloads
 }
 
-func sumRef(payloads [][]byte) []byte {
-	ref := append([]byte(nil), payloads[0]...)
-	for _, p := range payloads[1:] {
-		collective.SumInt64(ref, p)
-	}
-	return ref
-}
-
 func TestReduceMatchesReference(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 7} {
 		for _, db := range []bool{true, false} {
@@ -60,7 +54,8 @@ func TestReduceMatchesReference(t *testing.T) {
 					})
 					got := make([]byte, nbytes)
 					chip.Private(root).Read(got, 0, nbytes)
-					if !bytes.Equal(got, sumRef(payloads)) {
+					want := oracle.Reference(workload.OpOf(workload.OpReduce), n, root, lines, 0, payloads, collective.SumInt64)
+					if !bytes.Equal(got, want[root][0].Want) {
 						t.Fatalf("k=%d db=%v n=%d root=%d: reduce result mismatch", k, db, n, root)
 					}
 					// Non-root contributions must be untouched.
@@ -191,7 +186,7 @@ func TestMixedFamilies(t *testing.T) {
 		x.Reduce(1, 0, lines, collective.SumInt64)
 	})
 
-	ref := sumRef(payloads)
+	ref := oracle.Reference(workload.OpOf(workload.OpAllReduce), n, 0, lines, 0, payloads, collective.SumInt64)[0][0].Want
 	for i := 0; i < n; i++ {
 		got := make([]byte, nbytes)
 		chip.Private(i).Read(got, 1<<16, nbytes)

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/collective"
+	"repro/internal/oracle"
 	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // mustPanic asserts fn panics with a message containing want.
@@ -156,7 +158,7 @@ func TestProgressOverlapsCompute(t *testing.T) {
 	blocking, _, _ := runOnce(false)
 	overlapped, chip, payloads := runOnce(true)
 
-	ref := sumRef(payloads)
+	ref := oracle.Reference(workload.OpOf(workload.OpAllReduce), n, 0, lines, 0, payloads, collective.SumInt64)[0][0].Want
 	for core := 0; core < n; core++ {
 		got := make([]byte, nbytes)
 		chip.Private(core).Read(got, 0, nbytes)
