@@ -129,13 +129,11 @@ func requestCells() []oracle.Cell {
 						x.Finish()
 					},
 					Want: func(staged [][]byte) [][]oracle.Span {
-						want := make([][]oracle.Span, n)
+						var parts [][][]oracle.Span
 						for r := 0; r < st.reqs; r++ {
-							for id, s := range oracle.Reference(op, n, digestRoot, lines, r*stride, staged, collective.SumInt64) {
-								want[id] = append(want[id], s...)
-							}
+							parts = append(parts, oracle.Reference(op, n, digestRoot, lines, r*stride, staged, collective.SumInt64))
 						}
-						return want
+						return oracle.Join(parts...)
 					},
 				})
 			}

@@ -64,6 +64,18 @@ func Reference(op *workload.Op, n, root, lines, addr int, staged [][]byte, fold 
 	return out
 }
 
+// Join is the reference of calls on disjoint regions: each core's spans
+// from every part.
+func Join(parts ...[][]Span) [][]Span {
+	out := make([][]Span, len(parts[0]))
+	for _, p := range parts {
+		for id, spans := range p {
+			out[id] = append(out[id], spans...)
+		}
+	}
+	return out
+}
+
 // Cell is one run of a digest file: Body runs on N cores of Chip (zero:
 // the paper's SCC) after Stage(id) is written at address 0 of core id's
 // private memory. -short keeps at least one cell of each Class. Want is
