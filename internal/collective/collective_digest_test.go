@@ -26,40 +26,35 @@ import (
 const digestFile = "testdata/collective_digests.json"
 
 // algorithm is one collective of the grid: op is its row of the op
-// table and fold its reduction, span is the private memory it touches
-// per core (in lines) and call runs it on a Comm; scratch areas sit
-// above the n·lines data region.
+// table, fold its reduction and call runs it on a Comm; a reduction's
+// scratch area of n·lines sits above its region.
 type algorithm struct {
 	name string
 	op   string
 	fold collective.ReduceOp
-	span func(n, lines int) int
 	call func(c *collective.Comm, n, root, lines int)
 }
 
 func scratch(n, lines int) int { return n * lines * scc.CacheLine }
 
 var (
-	oneMessage = func(_, lines int) int { return lines }
-	withSlack  = func(n, lines int) int { return (n + 1) * lines }
-	perCore    = func(n, lines int) int { return n * lines }
-	sum        = collective.SumInt64
+	sum = collective.SumInt64
 
 	gridAlgorithms = []algorithm{
-		{"binomial", workload.OpBcast, nil, oneMessage, func(c *collective.Comm, _, root, lines int) { c.BcastBinomial(root, 0, lines) }},
-		{"naive", workload.OpBcast, nil, oneMessage, func(c *collective.Comm, _, root, lines int) { c.BcastNaive(root, 0, lines) }},
-		{"sag", workload.OpBcast, nil, oneMessage, func(c *collective.Comm, _, root, lines int) { c.BcastScatterAllgather(root, 0, lines) }},
-		{"sag1s", workload.OpBcast, nil, oneMessage, func(c *collective.Comm, _, root, lines int) { c.BcastScatterAllgatherOneSided(root, 0, lines) }},
-		{"reduce", workload.OpReduce, sum, withSlack, func(c *collective.Comm, n, root, lines int) {
+		{"binomial", workload.OpBcast, nil, func(c *collective.Comm, _, root, lines int) { c.BcastBinomial(root, 0, lines) }},
+		{"naive", workload.OpBcast, nil, func(c *collective.Comm, _, root, lines int) { c.BcastNaive(root, 0, lines) }},
+		{"sag", workload.OpBcast, nil, func(c *collective.Comm, _, root, lines int) { c.BcastScatterAllgather(root, 0, lines) }},
+		{"sag1s", workload.OpBcast, nil, func(c *collective.Comm, _, root, lines int) { c.BcastScatterAllgatherOneSided(root, 0, lines) }},
+		{"reduce", workload.OpReduce, sum, func(c *collective.Comm, n, root, lines int) {
 			c.Reduce(root, 0, scratch(n, lines), lines, sum)
 		}},
-		{"gather", workload.OpGather, nil, perCore, func(c *collective.Comm, _, root, lines int) { c.Gather(root, 0, lines) }},
-		{"scatter", workload.OpScatter, nil, perCore, func(c *collective.Comm, _, root, lines int) { c.Scatter(root, 0, lines) }},
-		{"allreduce", workload.OpAllReduce, collective.MaxInt64, withSlack, func(c *collective.Comm, n, _, lines int) {
+		{"gather", workload.OpGather, nil, func(c *collective.Comm, _, root, lines int) { c.Gather(root, 0, lines) }},
+		{"scatter", workload.OpScatter, nil, func(c *collective.Comm, _, root, lines int) { c.Scatter(root, 0, lines) }},
+		{"allreduce", workload.OpAllReduce, collective.MaxInt64, func(c *collective.Comm, n, _, lines int) {
 			c.AllReduce(0, scratch(n, lines), lines, collective.MaxInt64)
 		}},
-		{"allgather", workload.OpAllGather, nil, perCore, func(c *collective.Comm, _, _, lines int) { c.AllGather(0, lines) }},
-		{"rabenseifner", workload.OpAllReduce, sum, withSlack, func(c *collective.Comm, n, _, lines int) {
+		{"allgather", workload.OpAllGather, nil, func(c *collective.Comm, _, _, lines int) { c.AllGather(0, lines) }},
+		{"rabenseifner", workload.OpAllReduce, sum, func(c *collective.Comm, n, _, lines int) {
 			c.AllReduceRabenseifner(0, scratch(n, lines), lines, sum)
 		}},
 	}
@@ -166,7 +161,11 @@ func collectiveCells() []oracle.Cell {
 					if op.Rooted {
 						name = fmt.Sprintf("%s/root%d/l%d/n%d", a.name, root, lines, n)
 					}
-					c := cell(name, fmt.Sprintf("%s/l%d", a.name, lines), n, a.span(n, lines),
+					span := op.Region(n, lines)
+					if a.fold != nil {
+						span += n * lines
+					}
+					c := cell(name, fmt.Sprintf("%s/l%d", a.name, lines), n, span,
 						func(c *collective.Comm) { a.call(c, n, root, lines) })
 					c.Want = func(staged [][]byte) [][]oracle.Span {
 						return oracle.Reference(op, n, root, lines, 0, staged, a.fold)
@@ -181,7 +180,7 @@ func collectiveCells() []oracle.Cell {
 			for _, n := range []int{3, 8} {
 				s, n, lines := s, n, lines
 				c := cell(fmt.Sprintf("seq/%s/l%d/n%d", s.name, lines, n), fmt.Sprintf("seq/%s/l%d", s.name, lines),
-					n, withSlack(n, lines), func(c *collective.Comm) { s.run(c, n, lines) })
+					n, (n+1)*lines, func(c *collective.Comm) { s.run(c, n, lines) })
 				if s.want != nil {
 					c.Want = func(staged [][]byte) [][]oracle.Span { return s.want(n, lines, staged) }
 				}
@@ -192,8 +191,7 @@ func collectiveCells() []oracle.Cell {
 	return cells
 }
 
-// TestCollectiveDigestSchema pins the committed file's shape (oracle.Load)
-// so a truncated file cannot make the comparison vacuous.
+// TestCollectiveDigestSchema: a truncated file cannot make the comparison vacuous.
 func TestCollectiveDigestSchema(t *testing.T) {
 	if _, err := oracle.Load(digestFile, collectiveCells()); err != nil {
 		t.Fatal(err)

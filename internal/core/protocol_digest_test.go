@@ -113,11 +113,8 @@ func protocolCells() []oracle.Cell {
 								}
 							})
 						c.Want = func(staged [][]byte) [][]oracle.Span {
-							var parts [][][]oracle.Span
-							for i, root := range roots {
-								parts = append(parts, bcast(n, root, lines, i*lines*scc.CacheLine, staged))
-							}
-							return oracle.Join(parts...)
+							call := func(i int) [][]oracle.Span { return bcast(n, roots[i], lines, i*lines*scc.CacheLine, staged) }
+							return oracle.Join(call(0), call(1), call(2))
 						}
 						cells = append(cells, c)
 					}
@@ -161,10 +158,7 @@ func protocolCells() []oracle.Cell {
 	// its peer's there: r lines on an even core, s on an odd one.
 	for _, sr := range gridPairs {
 		s, r := sr[0], sr[1]
-		big := s
-		if r > big {
-			big = r
-		}
+		big := max(s, r)
 		recvAddr := big * scc.CacheLine
 		received := func(peer func(me int) int) func(staged [][]byte) [][]oracle.Span {
 			return func(staged [][]byte) [][]oracle.Span {
@@ -240,8 +234,7 @@ func protocolCells() []oracle.Cell {
 	return cells
 }
 
-// TestProtocolDigestSchema pins the committed file's shape (oracle.Load)
-// so a truncated or -short-tier file cannot make the comparison vacuous.
+// TestProtocolDigestSchema: a truncated file cannot make the comparison vacuous.
 func TestProtocolDigestSchema(t *testing.T) {
 	if _, err := oracle.Load(digestFile, protocolCells()); err != nil {
 		t.Fatal(err)

@@ -142,8 +142,7 @@ func requestCells() []oracle.Cell {
 	return cells
 }
 
-// TestRequestDigestSchema pins the committed file's shape (oracle.Load)
-// so a truncated or -short-tier file cannot make the comparison vacuous.
+// TestRequestDigestSchema: a truncated file cannot make the comparison vacuous.
 func TestRequestDigestSchema(t *testing.T) {
 	if _, err := oracle.Load(digestFile, requestCells()); err != nil {
 		t.Fatal(err)
