@@ -196,8 +196,15 @@ func TestPrivateRoundTripProperty(t *testing.T) {
 	}
 }
 
+// newCache returns a cache model drawing on a slab of its own.
+func newCache(enabled bool) *Cache {
+	c := new(Cache)
+	c.Init(enabled, NewSlab(1, 1))
+	return c
+}
+
 func TestCacheModel(t *testing.T) {
-	c := NewCache(true)
+	c := newCache(true)
 	if c.Hit(1000) {
 		t.Fatal("cold cache hit")
 	}
@@ -208,8 +215,8 @@ func TestCacheModel(t *testing.T) {
 	if !c.Hit(1001) {
 		t.Fatal("same-line access missed")
 	}
-	// Touch populates.
-	c.Touch(64 * scc.CacheLine)
+	// TouchRange populates.
+	c.TouchRange(64*scc.CacheLine, 1)
 	if !c.Hit(64 * scc.CacheLine) {
 		t.Fatal("touched line missed")
 	}
@@ -223,8 +230,8 @@ func TestCacheModel(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(false)
-	c.Touch(0)
+	c := newCache(false)
+	c.TouchRange(0, 1)
 	if c.Hit(0) || c.Hit(0) {
 		t.Fatal("disabled cache must always miss")
 	}

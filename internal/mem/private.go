@@ -228,19 +228,12 @@ type cachePage struct {
 	bits [cacheLinesPerPage / 64]uint64
 }
 
-// NewCache creates a cache model; when enabled is false every lookup
-// misses, which is the configuration used for OC-Bcast-only studies
-// (OC-Bcast gets no benefit from it either way: only its root reads
-// private memory, each payload line once, while the two-sided baselines
-// re-read the chunks they have just received to forward them).
-func NewCache(enabled bool) *Cache {
-	c := new(Cache)
-	c.Init(enabled, NewSlab(1, 1))
-	return c
-}
-
 // Init makes c an empty cache model in place, drawing its residency
-// table from slab s.
+// table from slab s. When enabled is false every lookup misses, which is
+// the configuration used for OC-Bcast-only studies (OC-Bcast gets no
+// benefit from it either way: only its root reads private memory, each
+// payload line once, while the two-sided baselines re-read the chunks
+// they have just received to forward them).
 func (c *Cache) Init(enabled bool, s *Slab) { *c = Cache{enabled: enabled, slab: s} }
 
 // page returns the residency page covering a line, extending the table
@@ -258,13 +251,8 @@ func (c *Cache) page(line int) *cachePage {
 	return &c.pages[i]
 }
 
-// Touch marks the cache line containing addr as resident.
-func (c *Cache) Touch(addr int) {
-	c.Hit(addr)
-}
-
 // TouchRange marks the n consecutive cache lines starting at addr as
-// resident — equivalent to n Touch calls, but it holds each residency
+// resident — equivalent to n Hit calls, but it holds each residency
 // page once and sets whole bitmap words, so a bulk RMA op's write
 // allocation costs a handful of word ORs instead of n lookups.
 func (c *Cache) TouchRange(addr, n int) {

@@ -415,20 +415,20 @@ func TestPrivateFarAddress(t *testing.T) {
 	mustPanic("read past the end", func() { p.Read(b[:], 1<<40, 1) })
 	mustPanic("length overflow", func() { p.Read(nil, 8, int(^uint(0)>>1)) })
 
-	c := NewCache(true)
-	got = allocatedBytes(func() { c.Touch(last) })
+	c := newCache(true)
+	got = allocatedBytes(func() { c.TouchRange(last, 1) })
 	if limit := uint64(5 << 20); got > limit {
 		t.Fatalf("touching the last line allocated %d bytes, want ≤ %d (one residency-table step)", got, limit)
 	}
 	if !c.Hit(last) || c.Len() != 1 {
-		t.Fatal("last line not resident after Touch")
+		t.Fatal("last line not resident after TouchRange")
 	}
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprint(PrivateBytes)) {
 			t.Fatalf("cache touch past the end: panic %q does not name the limit", msg)
 		}
 	}()
-	c.Touch(PrivateBytes)
+	c.TouchRange(PrivateBytes, 1)
 }
 
 // TestPrivatePagesPerChipNotPerCore: a chip's private memories take

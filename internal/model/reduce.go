@@ -26,7 +26,7 @@ func DefaultReduceParams() BcastParams {
 }
 
 // CMpbCombine is the combining get of n lines from an MPB at distance
-// dSrc into the local MPB (rma.GetMPBCombine): per line one remote read,
+// dSrc into the local MPB (rma.Prog.Combine): per line one remote read,
 // one local accumulator read and one local write-back.
 func (m Model) CMpbCombine(n, dSrc int) sim.Duration {
 	return m.P.OMpbGet + sim.Duration(n)*(m.CMpbR(dSrc)+m.CMpbR(1)+m.CMpbW(1))

@@ -5,7 +5,7 @@
 // internal/collective pay a synchronous flag handshake and an off-chip
 // round trip per hop, every operation here moves data with one-sided
 // puts/gets between MPBs and combines reduction chunks directly in the
-// MPBs (rma.GetMPBCombine), the same way OC-Bcast forwards broadcast
+// MPBs (rma.Prog.Combine), the same way OC-Bcast forwards broadcast
 // chunks.
 //
 // All operations share one propagation tree (core.BuildTree) and are
@@ -143,19 +143,6 @@ func (x *Collectives) Init(c *rma.Core, port *rcce.Port, cfg Config, lay *scc.La
 // Lanes reports the configured lane count.
 func (x *Collectives) Lanes() int { return len(x.lanes) }
 
-// LaneIssues reports how many non-blocking collectives each MPB lane has
-// carried on this core, indexed by lane. Lanes are claimed round-robin
-// by issue order, so the counts differ by at most one; multi-lane
-// clients (the serving runtime spreads concurrent batches over lanes)
-// assert their dispatch really used the fan-out they configured.
-func (x *Collectives) LaneIssues() []uint64 {
-	out := make([]uint64, len(x.lanes))
-	for i := range x.lanes {
-		out[i] = x.lanes[i].issues
-	}
-	return out
-}
-
 // lane is one independent slice of the MPB layout: chunk buffers plus a
 // flag block. All cores use identical lane layouts, so a lane's line
 // numbers address the same protocol slot on every peer. The lane also
@@ -169,7 +156,7 @@ type lane struct {
 	flagBase int
 	req      *Request // current/last request occupying the lane
 	// issues counts the non-blocking collectives this lane has carried
-	// (LaneIssues aggregates it for allocation accounting).
+	// (the tests' LaneIssues reads it).
 	issues uint64
 	// prog is the current pipeline step's instructions — and, while the
 	// request is stopped on a flag, that wait — sized at the lane's first

@@ -264,3 +264,14 @@ func TestLaneIssueAccounting(t *testing.T) {
 		t.Errorf("lane issues sum to %d, want %d", total, issues)
 	}
 }
+
+// LaneIssues reports how many non-blocking collectives each MPB lane has
+// carried on this core, indexed by lane. Lanes are claimed round-robin
+// by issue order, so the counts differ by at most one.
+func (x *Collectives) LaneIssues() []uint64 {
+	out := make([]uint64, len(x.lanes))
+	for i := range x.lanes {
+		out[i] = x.lanes[i].issues
+	}
+	return out
+}

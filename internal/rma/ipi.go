@@ -63,19 +63,6 @@ func (c *Core) WaitIPI() sim.Time {
 	}
 }
 
-// PendingIPIs reports how many delivered-but-unconsumed interrupts the
-// core has at its current virtual time (a non-blocking poll).
-func (c *Core) PendingIPIs() int {
-	st := &c.chip.slots[c.id].ipi
-	n := 0
-	for i := st.consumed; i < len(st.deliveries); i++ {
-		if st.deliveries[i] <= c.Now() {
-			n++
-		}
-	}
-	return n
-}
-
 // ipiState tracks one core's interrupt deliveries in delivery order.
 // It doubles as the owning core's wait condition (sim.Cond).
 type ipiState struct {

@@ -88,3 +88,16 @@ func TestPutLineReadLineBytes(t *testing.T) {
 		t.Fatalf("descriptor round trip failed: %q", got)
 	}
 }
+
+// PendingIPIs reports how many delivered-but-unconsumed interrupts the
+// core has at its current virtual time (a non-blocking poll).
+func (c *Core) PendingIPIs() int {
+	st := &c.chip.slots[c.id].ipi
+	n := 0
+	for i := st.consumed; i < len(st.deliveries); i++ {
+		if st.deliveries[i] <= c.Now() {
+			n++
+		}
+	}
+	return n
+}

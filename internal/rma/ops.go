@@ -307,23 +307,18 @@ func (c *Core) getMPBPre(f *opFrame, src, srcLine, dstLine, m int) {
 	f.eff0, f.stride = read0+c.LMpbW(1)+f.delay, step
 }
 
-// GetMPBCombine reads m cache lines from core src's MPB starting at
-// srcLine and folds them into the same-size region of this core's own MPB
-// at dstLine via combine(dst, src) — the reduction analogue of Formula
-// 11's get: each line costs a remote read C^mpb_r(dsrc), a local
-// accumulator read C^mpb_r(1) and a local write-back C^mpb_w(1). The
-// reduction arithmetic itself is NOT charged here; callers account for it
+// combinePre starts the combining get (Prog.Combine) up to the
+// completion advance; the folded lines are written back by the post
+// step. It reads m cache lines from core src's MPB starting at srcLine
+// and folds them into the same-size region of this core's own MPB at
+// dstLine via combine(dst, src) — the reduction analogue of Formula 11's
+// get: each line costs a remote read C^mpb_r(dsrc), a local accumulator
+// read C^mpb_r(1) and a local write-back C^mpb_w(1). The reduction
+// arithmetic itself is NOT charged here; callers account for it
 // separately (one compute pass over the data), keeping the primitive's
 // cost purely communicational like the other ops. src's lines are folded
 // from where they are settled, so with src the calling core itself the
 // two ranges must not overlap.
-func (c *Core) GetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src []byte)) {
-	c.combinePre(&c.opf, src, srcLine, dstLine, m, combine)
-	c.proc.Exec(&c.opf)
-}
-
-// combinePre is GetMPBCombine up to the completion advance: the folded
-// lines are written back by the post step.
 func (c *Core) combinePre(f *opFrame, src, srcLine, dstLine, m int, combine func(dst, src []byte)) {
 	checkLines(m)
 	f.c, f.op, f.pc = c, opCombine, 0

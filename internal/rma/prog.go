@@ -85,7 +85,7 @@ func (p *Prog) emit(op uint8, peer, line, m int, arg uint64) {
 // `line`; GetMem pulls m lines at `line` of src's MPB to private memory
 // at addr; GetMPB pulls them to the same lines of the own MPB; Combine
 // folds them into those lines with Fold (the arithmetic is charged
-// separately, like GetMPBCombine's). CombinePriv folds `lines` lines of
+// separately, like every combining get's). CombinePriv folds `lines` lines of
 // private memory at scratch into those at addr with Fold and charges the
 // pass as CombineCost(lines) of compute. Compute advances the clock by d.
 func (p *Prog) WaitGE(line int, val uint64)       { p.emit(opWait, 0, line, 0, val) }

@@ -111,6 +111,13 @@ func (op scriptOp) call(c *Core) (st sim.StepStatus, ok bool) {
 	return c.call(), true
 }
 
+// GetMPBCombine is the combining get's blocking entry point; protocols
+// issue it as a step program's Combine instruction.
+func (c *Core) GetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src []byte)) {
+	c.combinePre(&c.opf, src, srcLine, dstLine, m, combine)
+	c.proc.Exec(&c.opf)
+}
+
 // runBlocking issues the op through its blocking entry point (a poll
 // has none: it is a one-op machine section).
 func (op scriptOp) runBlocking(c *Core) {

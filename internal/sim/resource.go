@@ -70,9 +70,6 @@ func (r *Resource) reserve(t Time, service Duration, units int64) (finish Time) 
 	return finish
 }
 
-// NextFree reports when the server next becomes idle.
-func (r *Resource) NextFree() Time { return r.free }
-
 // Stats reports cumulative usage counters: number of reservations, units
 // served, total busy time, and total time requests spent queued.
 func (r *Resource) Stats() (reservations, units int64, busy, queued Duration) {

@@ -275,8 +275,8 @@ func TestResourceReserveDur(t *testing.T) {
 		t.Fatalf("zero-unit reserve should be free, got %v", got)
 	}
 	r.Reset()
-	if got := r.NextFree(); got != 0 {
-		t.Fatalf("NextFree after Reset = %v, want 0", got)
+	if got := r.free; got != 0 {
+		t.Fatalf("next free time after Reset = %v, want 0", got)
 	}
 }
 

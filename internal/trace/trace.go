@@ -33,10 +33,6 @@ func (c *CoreCounters) Add(other CoreCounters) {
 	c.GetOps += other.GetOps
 }
 
-// OffChipLines reports total off-chip traffic (reads + writes), the
-// quantity the paper argues OC-Bcast minimizes on the critical path.
-func (c CoreCounters) OffChipLines() int64 { return c.MemReadLines + c.MemWriteLines }
-
 // String summarizes the counters.
 func (c CoreCounters) String() string {
 	return fmt.Sprintf("mpbR=%d mpbW=%d memR=%d memW=%d l1hit=%d flagSet=%d flagWait=%d flagPoll=%d put=%d get=%d",

@@ -20,9 +20,6 @@ func TestAddAndSum(t *testing.T) {
 	if total.MemReadLines != 3 || total.MemWriteLines != 3 {
 		t.Fatalf("Sum wrong: %+v", total)
 	}
-	if total.OffChipLines() != 6 {
-		t.Fatalf("OffChipLines = %d, want 6", total.OffChipLines())
-	}
 }
 
 func TestString(t *testing.T) {
