@@ -46,8 +46,8 @@ func sendCell(name string, corrupt bool) Cell {
 	}
 }
 
-// TestCorruptByteFailsVerdict: a row recorded from the corrupting run
-// would match that run exactly, and its verdict still fails.
+// TestCorruptByteFailsVerdict: a file recorded from the corrupting run
+// loads and matches that run exactly, and its verdict still fails.
 func TestCorruptByteFailsVerdict(t *testing.T) {
 	good, _, err := Run(sendCell("send", false))
 	if err != nil {
@@ -57,8 +57,14 @@ func TestCorruptByteFailsVerdict(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "core 1's bytes [0, 32) differ") {
 		t.Fatalf("corrupted run's verdict = %v, want core 1's line to differ", err)
 	}
-	if again, _, _ := Run(sendCell("send", true)); again != bad {
-		t.Fatalf("the corrupted run does not repeat: %+v then %+v", bad, again)
+	file := filepath.Join(t.TempDir(), "bad.json")
+	b, _ := json.Marshal([]Row{bad})
+	if err := os.WriteFile(file, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Load(file, []Cell{sendCell("send", true)})
+	if again, _, _ := Run(sendCell("send", true)); err != nil || rows[0] != again {
+		t.Fatalf("the corrupted run's own row does not load and repeat (%v): %+v then %+v", err, rows, again)
 	}
 	if bad.Bytes == good.Bytes || bad.Clocks != good.Clocks {
 		t.Fatalf("the flip should move only the byte hash: %+v against %+v", bad, good)
