@@ -167,7 +167,7 @@ func Load(file string, cells []Cell) ([]Row, error) {
 	dec.DisallowUnknownFields()
 	var rows []Row
 	if err := dec.Decode(&rows); err != nil {
-		return nil, fmt.Errorf("%s: %v", file, err)
+		return nil, fmt.Errorf("%s: %w", file, err)
 	}
 	if len(rows) != len(cells) {
 		return nil, fmt.Errorf("%s: %d rows, want %d", file, len(rows), len(cells))
