@@ -48,9 +48,9 @@ var protoIAllReduce = &protocol{"IAllReduce", []stepFn{reduceUp, bcastDown}}
 
 // reduceUp is one step — chunk ch — of the reduction pipeline toward the
 // root. Per chunk, a node stages its own contribution into its MPB slot,
-// folds in each child's staged chunk with a combining get
-// (rma.Prog.Combine; waiting on the child's upReady flag, acking with
-// the child's upConsumed flag), then flags its own parent. The root instead drains the fully combined
+// folds in each child's staged chunk with rma.Prog.Combine (waiting on
+// the child's upReady flag, acking with the child's upConsumed flag),
+// then flags its own parent. The root instead drains the fully combined
 // chunk to private memory. Flags carry 1-based chunk sequence numbers;
 // slots are reused double-buffered like OC-Bcast (§4.2).
 func reduceUp(r *Request, ch int) (more bool) {
