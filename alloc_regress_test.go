@@ -33,7 +33,7 @@ import (
 func TestAllocsPerBroadcastBudget(t *testing.T) {
 	cell := harness.Cell{
 		Cfg: scc.DefaultConfig(), Op: workload.OpBcast, Choice: algsel.Choice{Alg: "ocbcast"},
-		OC: occore.DefaultConfig(), Lines: 96, Reps: 1,
+		OC: occore.DefaultConfig(), Lines: 96,
 	}
 	run := func() { harness.Grid([]harness.Cell{cell}) }
 	run() // warm the chip pool
@@ -53,7 +53,7 @@ func TestAllocsPerBroadcastBudget(t *testing.T) {
 func TestAllocsPerOverlapRun(t *testing.T) {
 	cell := harness.Cell{
 		Cfg: scc.DefaultConfig(), N: 8, Op: workload.OpAllReduce, Choice: algsel.Choice{Alg: "oc"},
-		OC: occore.DefaultConfig(), Lines: 64, Reps: 1, Overlap: true,
+		OC: occore.DefaultConfig(), Lines: 64, Overlap: true,
 	}
 	run := func() { harness.Grid([]harness.Cell{cell}) }
 	run() // warm the chip pool

@@ -101,7 +101,7 @@ func BenchmarkTable2Model(b *testing.B) {
 func BenchmarkFig8aLatency(b *testing.B) {
 	var oc, bin float64
 	for i := 0; i < b.N; i++ {
-		lat := harness.Grid([]harness.Cell{bcast("ocbcast", 1, 3), bcast("binomial", 1, 3)})
+		lat := harness.Grid([]harness.Cell{bcast("ocbcast", 1), bcast("binomial", 1)})
 		oc, bin = lat[0], lat[1]
 	}
 	b.ReportMetric(oc, "µs-ocbcast-1CL")
@@ -116,7 +116,7 @@ func BenchmarkFig8bThroughput(b *testing.B) {
 	var oc, sag float64
 	for i := 0; i < b.N; i++ {
 		const lines = 8192
-		lat := harness.Grid([]harness.Cell{bcast("ocbcast", lines, 2), bcast("sag", lines, 2)})
+		lat := harness.Grid([]harness.Cell{bcast("ocbcast", lines), bcast("sag", lines)})
 		oc, sag = harness.ThroughputMBps(lines, lat[0]), harness.ThroughputMBps(lines, lat[1])
 	}
 	b.ReportMetric(oc, "MB/s-ocbcast")
@@ -173,7 +173,7 @@ func BenchmarkFigAllReduce(b *testing.B) {
 		const lines = 256 // 8 KiB
 		cell := func(alg string) harness.Cell {
 			return harness.Cell{Cfg: cfg(), Op: workload.OpAllReduce, Choice: algsel.Choice{Alg: alg},
-				OC: occore.DefaultConfig(), Lines: lines, Reps: 2}
+				OC: occore.DefaultConfig(), Lines: lines}
 		}
 		lat := harness.Grid([]harness.Cell{cell("oc"), cell("twosided")})
 		oc, two = lat[0], lat[1]
@@ -201,7 +201,7 @@ func BenchmarkOCReduceModel(b *testing.B) {
 // result and bookkeeping values outside the simulation proper (budget
 // pinned at 18 by TestAllocsPerBroadcastBudget).
 func BenchmarkEngineThroughput(b *testing.B) {
-	cells := []harness.Cell{bcast("ocbcast", 96, 1)}
+	cells := []harness.Cell{bcast("ocbcast", 96)}
 	for i := 0; i < b.N; i++ {
 		harness.Grid(cells)
 	}
@@ -211,18 +211,17 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // Fig8a-style (size × algorithm) grid sharded across GOMAXPROCS workers
 // by harness.Grid, one independent chip per cell. Compare against
 // GOMAXPROCS=1 for the sharding speedup; simulated outputs are identical
-// either way (see harness.TestTablesEffort1). The workload is fixed
-// (including its repetition count) so cross-commit comparisons measure
-// hot-path changes only.
+// either way (see harness.TestTablesEffort1). The workload is fixed so
+// cross-commit comparisons measure hot-path changes only.
 func BenchmarkSweepParallel(b *testing.B) {
 	var cells []harness.Cell
 	for _, lines := range []int{1, 16, 48, 96} {
 		for _, k := range []int{2, 7, 47} {
-			c := bcast("ocbcast", lines, 2)
+			c := bcast("ocbcast", lines)
 			c.OC.K = k
 			cells = append(cells, c)
 		}
-		cells = append(cells, bcast("binomial", lines, 2))
+		cells = append(cells, bcast("binomial", lines))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -243,9 +242,9 @@ func run(b *testing.B, exp func(scc.Config, int) ([]*harness.Table, error), effo
 
 // bcast is a 48-core broadcast cell of a registered algorithm, at the
 // paper's one-sided configuration (k = 7).
-func bcast(alg string, lines, reps int) harness.Cell {
+func bcast(alg string, lines int) harness.Cell {
 	return harness.Cell{Cfg: cfg(), Op: workload.OpBcast, Choice: algsel.Choice{Alg: alg},
-		OC: occore.DefaultConfig(), Lines: lines, Reps: reps}
+		OC: occore.DefaultConfig(), Lines: lines}
 }
 
 func parseF(b *testing.B, s string) float64 {

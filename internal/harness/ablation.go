@@ -11,15 +11,9 @@ import (
 // ladder and the two §5.4 optimizations the paper leaves out. Each table
 // is one grid of 48-core broadcasts, root 0.
 func Ablations(cfg scc.Config, effort int) ([]*Table, error) {
-	// ablate measures every row's broadcast at every size: latency cells
-	// at effort repetitions, throughput cells (≥ 4096 CL) at 2.
+	// ablate measures every row's broadcast at every size.
 	ablate := func(rows []Cell, sizes ...int) [][]float64 {
-		return sweep(len(rows), len(sizes), func(r, c int) Cell {
-			if sizes[c] >= 4096 {
-				return rows[r].sized(sizes[c], 2)
-			}
-			return rows[r].sized(sizes[c], effort)
-		})
+		return sweep(len(rows), len(sizes), func(r, c int) Cell { return rows[r].sized(sizes[c]) })
 	}
 	oc := func(k int) Cell { return newCell(cfg, workload.OpBcast, "ocbcast", k) }
 	base := func(alg string) Cell { return newCell(cfg, workload.OpBcast, alg, 0) }

@@ -65,7 +65,7 @@ func TestAlgorithmModelsTrackSimulation(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s/%s: no tuned choice", pt.op, pt.name)
 		}
-		sim := mean(measure(Cell{Cfg: cfg, Op: pt.op, Choice: ch, OC: base, Lines: pt.lines, Reps: 1}))
+		sim := measure(Cell{Cfg: cfg, Op: pt.op, Choice: ch, OC: base, Lines: pt.lines})
 		mod := alg.Model(mdl, topo, p, pt.lines, ch).Microseconds()
 		errPct := 100 * (mod - sim) / sim
 		if math.Abs(errPct) > pt.tolPct {

@@ -21,7 +21,7 @@ func TestModelSimulationCrossValidation(t *testing.T) {
 	var cells []Cell
 	for _, k := range []int{2, 7} {
 		for _, lines := range []int{1, 16, 96, 192} {
-			cells = append(cells, newCell(cfg, workload.OpBcast, "ocbcast", k).sized(lines, 2))
+			cells = append(cells, newCell(cfg, workload.OpBcast, "ocbcast", k).sized(lines))
 		}
 	}
 	sims := Grid(cells)
@@ -42,7 +42,7 @@ func TestModelSimulationThroughputCrossValidation(t *testing.T) {
 	mdl := model.New(cfg.Params)
 	pred := model.LinesPerSecToMBps(mdl.OCBcastThroughput(model.DefaultBcastParams()))
 	const lines = 8192
-	meas := ThroughputMBps(lines, Grid([]Cell{newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(lines, 2)})[0])
+	meas := ThroughputMBps(lines, Grid([]Cell{newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(lines)})[0])
 	if meas < 0.85*pred || meas > 1.05*pred {
 		t.Errorf("measured peak %.2f MB/s vs Formula 15's %.2f MB/s (outside [0.85,1.05])", meas, pred)
 	}
@@ -59,7 +59,7 @@ func TestOCReduceModelCrossValidation(t *testing.T) {
 	var cells []Cell
 	for _, k := range []int{2, 3, 7} {
 		for _, lines := range []int{1, 16, 96, 256, 1024} {
-			cells = append(cells, newCell(cfg, workload.OpReduce, "oc", k).sized(lines, 2))
+			cells = append(cells, newCell(cfg, workload.OpReduce, "oc", k).sized(lines))
 		}
 	}
 	sims := Grid(cells)
@@ -82,7 +82,7 @@ func TestOCAllReduceModelCrossValidation(t *testing.T) {
 	var cells []Cell
 	for _, k := range []int{2, 3, 7} {
 		for _, lines := range []int{1, 96, 1024} {
-			cells = append(cells, newCell(cfg, workload.OpAllReduce, "oc", k).sized(lines, 2))
+			cells = append(cells, newCell(cfg, workload.OpAllReduce, "oc", k).sized(lines))
 		}
 	}
 	sims := Grid(cells)
@@ -104,9 +104,9 @@ func TestAllReduceOneSidedBeatsTwoSided(t *testing.T) {
 	sizes, ks := []int{256, 1024}, []int{2, 3, 7} // 8 KiB, 32 KiB
 	lat := sweep(len(sizes), 1+len(ks), func(r, c int) Cell {
 		if c == 0 {
-			return newCell(cfg, workload.OpAllReduce, "twosided", 0).sized(sizes[r], 2)
+			return newCell(cfg, workload.OpAllReduce, "twosided", 0).sized(sizes[r])
 		}
-		return newCell(cfg, workload.OpAllReduce, "oc", ks[c-1]).sized(sizes[r], 2)
+		return newCell(cfg, workload.OpAllReduce, "oc", ks[c-1]).sized(sizes[r])
 	})
 	for r, row := range lat {
 		for c, oc := range row[1:] {

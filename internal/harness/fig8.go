@@ -9,14 +9,14 @@ import (
 
 // fig8 fills one panel of Figure 8: the paper's OC-Bcast at k = 2, 7 and
 // 47 against a baseline broadcast on 48 cores, root 0, one row per size
-// of value(lines, mean latency).
-func fig8(cfg scc.Config, tbl *Table, baseline string, sizes []int, reps func(lines int) int,
+// of value(lines, latency).
+func fig8(cfg scc.Config, tbl *Table, baseline string, sizes []int,
 	value func(lines int, us float64) float64) []*Table {
 	cols := []Cell{
 		newCell(cfg, workload.OpBcast, "ocbcast", 2), newCell(cfg, workload.OpBcast, "ocbcast", 7),
 		newCell(cfg, workload.OpBcast, "ocbcast", 47), newCell(cfg, workload.OpBcast, baseline, 0),
 	}
-	lat := sweep(len(sizes), len(cols), func(r, c int) Cell { return cols[c].sized(sizes[r], reps(sizes[r])) })
+	lat := sweep(len(sizes), len(cols), func(r, c int) Cell { return cols[c].sized(sizes[r]) })
 	for i, lines := range sizes {
 		row := []string{fmt.Sprint(lines)}
 		for _, us := range lat[i] {
@@ -32,7 +32,7 @@ var Fig8aSizes = []int{1, 8, 16, 32, 48, 64, 80, 96, 97, 112, 128, 160, 192}
 
 // Fig8a regenerates Figure 8a: *measured* (simulated) broadcast latency
 // of OC-Bcast (k = 2, 7, 47) versus the RCCE_comm binomial tree on 48
-// cores, root 0, at 2 repetitions per unit of effort.
+// cores, root 0.
 func Fig8a(cfg scc.Config, effort int) ([]*Table, error) {
 	return fig8(cfg, &Table{
 		Title:   "Figure 8a — measured broadcast latency (µs), P = 48, root 0",
@@ -40,9 +40,10 @@ func Fig8a(cfg scc.Config, effort int) ([]*Table, error) {
 		Notes: []string{
 			"Simulated on the SCC model with the contention and cache models",
 			"on. Paper shape: OC-Bcast wins at every size (>=27% at 1 CL);",
-			"k=7 ~ k=47 (MPB contention erases the model's k=47 edge).",
+			"k=7 ~ k=47. Here k=47 is 2.5-6.6% below k=7 at 8-96 CL, 1.00x at 97",
+			"CL, 1.54x at 192 CL (MPB contention past the knee), worst at 1 CL.",
 		},
-	}, "binomial", Fig8aSizes, func(int) int { return 2 * effort }, func(_ int, us float64) float64 { return us }), nil
+	}, "binomial", Fig8aSizes, func(_ int, us float64) float64 { return us }), nil
 }
 
 // Fig8bSizes is the log-spaced x-axis of Figure 8b (1 CL .. 32768 CL = 1 MiB).
@@ -54,21 +55,15 @@ var Fig8bSizes = []int{1, 4, 16, 64, 96, 97, 128, 256, 512, 1024, 2048, 4096, 81
 // Table 2 prediction (~3× scatter-allgather's peak), with a visible dip
 // at 97 CL (a full 96-line chunk plus a 1-line chunk).
 func Fig8b(cfg scc.Config, effort int) ([]*Table, error) {
-	reps := func(lines int) int {
-		if lines >= 8192 {
-			return min(1+effort, 2) // large sizes are slow to simulate and low variance
-		}
-		return 1 + effort
-	}
 	return fig8(cfg, &Table{
 		Title:   "Figure 8b — measured broadcast throughput (MB/s), P = 48, root 0",
 		Columns: []string{"CL", "k=2", "k=7", "k=47", "s-ag"},
 		Notes: []string{
 			"Throughput = message bytes / measured latency.",
 			"Paper shape: OC-Bcast peak ~3x scatter-allgather; dip at 97 CL;",
-			"k=47 ~16% below its model prediction (MPB contention).",
+			"k=47 peaks at 20.13 MB/s (96 CL), 0.56x Table 2's 36.22; 10.75 at 1 MiB.",
 		},
-	}, "sag", Fig8bSizes, reps, ThroughputMBps), nil
+	}, "sag", Fig8bSizes, ThroughputMBps), nil
 }
 
 // Headline regenerates the §6.2.1 headline comparison: 1-cache-line
@@ -79,10 +74,10 @@ func Headline(cfg scc.Config, effort int) ([]*Table, error) {
 	const large = 8192
 	oc := newCell(cfg, workload.OpBcast, "ocbcast", 7)
 	lat := Grid([]Cell{
-		oc.sized(1, 2*effort),
-		newCell(cfg, workload.OpBcast, "binomial", 0).sized(1, 2*effort),
-		oc.sized(large, 2),
-		newCell(cfg, workload.OpBcast, "sag", 0).sized(large, 2),
+		oc.sized(1),
+		newCell(cfg, workload.OpBcast, "binomial", 0).sized(1),
+		oc.sized(large),
+		newCell(cfg, workload.OpBcast, "sag", 0).sized(large),
 	})
 	oc1, bin1 := lat[0], lat[1]
 	ocT := ThroughputMBps(large, lat[2])

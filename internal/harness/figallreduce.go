@@ -8,9 +8,8 @@ import (
 )
 
 // FigAllReduce measures allreduce latency across payload sizes and
-// fan-outs — the paper's §7 extension evaluated with §6.1's methodology,
-// at 1+effort repetitions per cell. The registered allreduce algorithms
-// it compares:
+// fan-outs — the paper's §7 extension evaluated with §6.1's methodology.
+// The registered allreduce algorithms it compares:
 //
 //	oc        one-sided OC-AllReduce (internal/occoll), fan-out k = 2, 3, 7
 //	twosided  binomial two-sided Reduce + binomial two-sided Bcast
@@ -33,7 +32,7 @@ func FigAllReduce(cfg scc.Config, effort int) ([]*Table, error) {
 		newCell(cfg, workload.OpAllReduce, "oc", 7), newCell(cfg, workload.OpAllReduce, "twosided", 0),
 		newCell(cfg, workload.OpAllReduce, "hybrid", 0),
 	}
-	lat := sweep(len(sizes), len(cols), func(r, c int) Cell { return cols[c].sized(sizes[r], 1+effort) })
+	lat := sweep(len(sizes), len(cols), func(r, c int) Cell { return cols[c].sized(sizes[r]) })
 	for i, lines := range sizes {
 		oc, ts, hy := lat[i][:3], lat[i][3], lat[i][4]
 		best := min(oc[0], oc[1], oc[2])

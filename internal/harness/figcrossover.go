@@ -82,10 +82,6 @@ func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 	}
 	base := occore.DefaultConfig()
 	mdl := model.New(cfg.Params)
-	reps := 1
-	if effort > 1 {
-		reps = 2
-	}
 	return ParallelMap(len(pts), func(i int) CrossoverPoint {
 		c := pts[i]
 		p := c.topo.NumCores()
@@ -98,9 +94,9 @@ func CrossoverSweep(cfg scc.Config, effort int) []CrossoverPoint {
 		}
 		pt := CrossoverPoint{Mesh: meshName(c.topo), Cores: p, Op: c.op, Lines: c.lines, Auto: auto.String()}
 		simUs := func(ch algsel.Choice) float64 {
-			cell := Cell{Cfg: cfg, Op: c.op, Choice: ch, OC: base, Lines: c.lines, Reps: reps}
+			cell := Cell{Cfg: cfg, Op: c.op, Choice: ch, OC: base, Lines: c.lines}
 			cell.Cfg.Topo = c.topo
-			return mean(measure(cell))
+			return measure(cell)
 		}
 		// Every modeled algorithm is simulated at its tuned choice, in
 		// registry (name) order.

@@ -37,7 +37,7 @@ type OverlapPoint struct {
 // approaching 1 + W/T.
 func OverlapSweep(cfg scc.Config, n, k int, sizes []int, ratios, grains []float64) []OverlapPoint {
 	cell := func(lines int) Cell {
-		c := newCell(cfg, workload.OpAllReduce, "oc", k).sized(lines, 1)
+		c := newCell(cfg, workload.OpAllReduce, "oc", k).sized(lines)
 		c.N = n
 		return c
 	}

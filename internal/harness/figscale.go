@@ -34,7 +34,7 @@ type ScalePoint struct {
 	Op      string // "bcast-oc" or "allreduce-oc"
 	Lines   int
 	K       int
-	SimUs   float64 // simulated mean latency, µs
+	SimUs   float64 // simulated latency, µs
 	ModelUs float64 // closed-form prediction, µs
 	ErrPct  float64 // 100·(model−sim)/sim
 }
@@ -42,13 +42,13 @@ type ScalePoint struct {
 // ScaleSweep cross-validates the analytical model against the simulator
 // for OC-Bcast and AllReduceOC on every ScaleMeshes topology, at fan-out
 // k = 7 and a message of `lines` cache lines, in one grid.
-func ScaleSweep(cfg scc.Config, lines, reps int) []ScalePoint {
+func ScaleSweep(cfg scc.Config, lines int) []ScalePoint {
 	const k = 7
 	var cells []Cell
 	for _, m := range ScaleMeshes() {
 		cfg.Topo = m
-		cells = append(cells, newCell(cfg, workload.OpBcast, "ocbcast", k).sized(lines, reps),
-			newCell(cfg, workload.OpAllReduce, "oc", k).sized(lines, reps))
+		cells = append(cells, newCell(cfg, workload.OpBcast, "ocbcast", k).sized(lines),
+			newCell(cfg, workload.OpAllReduce, "oc", k).sized(lines))
 	}
 	mdl := model.New(cfg.Params)
 	var pts []ScalePoint
@@ -84,7 +84,7 @@ func FigScale(cfg scc.Config, effort int) ([]*Table, error) {
 			"Cross-validation target: |err| <= 15% at every size.",
 		},
 	}
-	for _, p := range ScaleSweep(cfg, lines, 1+effort) {
+	for _, p := range ScaleSweep(cfg, lines) {
 		tbl.AddRow(meshName(p.Topo), p.Topo.NumCores(), p.Op, p.Lines, p.SimUs, p.ModelUs, fmt.Sprintf("%+.2f", p.ErrPct))
 	}
 	return []*Table{tbl}, nil

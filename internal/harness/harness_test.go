@@ -244,7 +244,7 @@ func TestMeasureUnknownAlg(t *testing.T) {
 			t.Fatal("unknown algorithm did not panic")
 		}
 	}()
-	c := newCell(scc.DefaultConfig(), workload.OpBcast, "zzz", 0).sized(1, 1)
+	c := newCell(scc.DefaultConfig(), workload.OpBcast, "zzz", 0).sized(1)
 	c.N = 4
 	measure(c)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/algsel"
 	"repro/internal/collective"
@@ -25,7 +26,6 @@ type Cell struct {
 	Choice algsel.Choice
 	OC     occore.Config
 	Lines  int
-	Reps   int
 	// Overlap issues the collective non-blocking and spends ComputeUs of
 	// local work in GrainUs slices (0: one slice), testing the request
 	// between slices; otherwise the blocking collective runs first and
@@ -36,7 +36,7 @@ type Cell struct {
 
 // newCell is a cell of op on cfg's whole chip running the registered
 // algorithm alg over the paper's one-sided configuration at fan-out k (0
-// keeps the paper's k = 7). Sweeps set Lines and Reps with sized.
+// keeps the paper's k = 7). Sweeps set Lines with sized.
 func newCell(cfg scc.Config, op string, alg string, k int) Cell {
 	oc := occore.DefaultConfig()
 	if k > 0 {
@@ -45,20 +45,20 @@ func newCell(cfg scc.Config, op string, alg string, k int) Cell {
 	return Cell{Cfg: cfg, Op: op, Choice: algsel.Choice{Alg: alg}, OC: oc}
 }
 
-func (c Cell) sized(lines, reps int) Cell {
-	c.Lines, c.Reps = lines, reps
+func (c Cell) sized(lines int) Cell {
+	c.Lines = lines
 	return c
 }
 
 // Grid measures every cell on its own pooled chip, shards the cells
-// across ParallelMap workers, and returns each cell's mean latency in µs,
-// in input order.
+// across ParallelMap workers, and returns each cell's latency in µs, in
+// input order.
 func Grid(cells []Cell) []float64 {
-	return ParallelMap(len(cells), func(i int) float64 { return mean(measure(cells[i])) })
+	return ParallelMap(len(cells), func(i int) float64 { return measure(cells[i]) })
 }
 
 // sweep measures cell(r, c) for every row r and column c in one grid and
-// returns the mean latencies (µs) row by row.
+// returns the latencies (µs) row by row.
 func sweep(rows, cols int, cell func(r, c int) Cell) [][]float64 {
 	cells := make([]Cell, 0, rows*cols)
 	for r := 0; r < rows; r++ {
@@ -74,17 +74,21 @@ func sweep(rows, cols int, cell func(r, c int) Cell) [][]float64 {
 	return out
 }
 
-// measure runs a cell by the paper's §6.1 method and returns each
-// repetition's latency in µs. Repetitions are separated by barriers, each
-// works on a fresh (uncached) payload region — the op table's region
-// (workload.Op) — and each is timed from the first core's call to the
-// last core's return.
-func measure(c Cell) []float64 {
+// measure runs a cell once by the paper's §6.1 method — one call between
+// two barriers on a fresh (uncached) payload region, the op table's
+// (workload.Op), timed from the first core's call to the last core's
+// return — and returns its latency in µs. §6.1 averages repetitions of a
+// noisy measurement; the simulator has no noise, and a released pooled
+// chip is as good as a fresh one, so a cell is its *isolated* latency:
+// the first call on a chip with no earlier traffic. Repeating a call past
+// the MPB contention knee only inherits the first call's penalty ramp, in
+// a sequence with no clean cycle (k = 47 at 97 CL: 159, 407, 345, 407 µs).
+func measure(c Cell) float64 {
 	a, ok := algsel.Lookup(c.Op, c.Choice.Alg)
 	if !ok || c.Overlap && a.Issue == nil {
 		panic(fmt.Sprintf("harness: no %s algorithm %q to measure", c.Op, c.Choice.Alg))
 	}
-	n, reps := c.N, max(c.Reps, 1)
+	n := c.N
 	if n == 0 {
 		n = c.Cfg.Topology().NumCores()
 	}
@@ -92,76 +96,49 @@ func measure(c Cell) []float64 {
 	defer rma.ReleaseChip(chip)
 
 	op := workload.OpOf(c.Op)
-	stride := op.Region(n, c.Lines) * scc.CacheLine
-	// Stage the first block of each repetition's input on every core that
-	// supplies one (the cells root at core 0). The protocols are
-	// data-independent and nothing reads the bytes back, so the rest of a
-	// region is left to the collective to write.
+	// Stage the input's first block on every core that supplies one; the
+	// protocols are data-independent, so the collective writes the rest.
 	payload := make([]byte, c.Lines*scc.CacheLine)
 	for i := range payload {
 		payload[i] = byte(i*7 + 13)
 	}
 	for id := 0; id < n; id++ {
-		off, count := op.InputAt(n, id, 0, c.Lines)
-		if count == 0 {
-			continue
-		}
-		for it := 0; it < reps; it++ {
-			chip.Private(id).Write(it*stride+off*scc.CacheLine, payload)
+		if off, count := op.InputAt(n, id, 0, c.Lines); count > 0 {
+			chip.Private(id).Write(off*scc.CacheLine, payload)
 		}
 	}
 
-	starts := make([]sim.Time, reps*n)
-	returns := make([]sim.Time, reps*n)
+	first, last := sim.Time(math.MaxInt64), sim.Time(0)
 	algsel.OnChip(chip, c.OC, func(e *algsel.Env) {
 		core := e.Core()
-		args := algsel.Args{Scratch: reps * stride, Lines: c.Lines, Reduce: collective.SumInt64}
-		for it := 0; it < reps; it++ {
-			args.Addr = it * stride
-			e.Port.Barrier()
-			starts[it*n+core.ID()] = core.Now()
-			if c.Overlap {
-				r := a.Issue(e, c.Choice, args)
-				done := false
-				for rem := c.ComputeUs; rem > 0; {
-					g := rem
-					if c.GrainUs > 0 {
-						g = min(g, c.GrainUs)
-					}
-					core.Compute(sim.Micros(g))
-					rem -= g
-					done = done || r.Test()
+		args := algsel.Args{Scratch: op.Region(n, c.Lines) * scc.CacheLine, Lines: c.Lines, Reduce: collective.SumInt64}
+		e.Port.Barrier()
+		first = min(first, core.Now())
+		if c.Overlap {
+			r := a.Issue(e, c.Choice, args)
+			done := false
+			for rem := c.ComputeUs; rem > 0; {
+				g := rem
+				if c.GrainUs > 0 {
+					g = min(g, c.GrainUs)
 				}
-				if !done {
-					r.Wait()
-				}
-			} else {
-				e.Exec(a, c.Choice, args)
-				if c.ComputeUs > 0 {
-					core.Compute(sim.Micros(c.ComputeUs))
-				}
+				core.Compute(sim.Micros(g))
+				rem -= g
+				done = done || r.Test()
 			}
-			returns[it*n+core.ID()] = core.Now()
+			if !done {
+				r.Wait()
+			}
+		} else {
+			e.Exec(a, c.Choice, args)
+			if c.ComputeUs > 0 {
+				core.Compute(sim.Micros(c.ComputeUs))
+			}
 		}
+		last = max(last, core.Now())
+		e.Port.Barrier() // early returners' barrier traffic overlaps the last cores' tail
 	})
-
-	out := make([]float64, reps)
-	for it := range out {
-		first, last := starts[it*n], returns[it*n]
-		for id := 1; id < n; id++ {
-			first, last = min(first, starts[it*n+id]), max(last, returns[it*n+id])
-		}
-		out[it] = (last - first).Microseconds()
-	}
-	return out
-}
-
-func mean(ls []float64) float64 {
-	var sum float64
-	for _, l := range ls {
-		sum += l
-	}
-	return sum / float64(len(ls))
+	return (last - first).Microseconds()
 }
 
 // ThroughputMBps converts a broadcast of `lines` cache lines completing

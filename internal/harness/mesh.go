@@ -16,10 +16,9 @@ import (
 // measures its get latency from tile (3,2) under this load. The paper's
 // finding — which the detailed NoC model must reproduce — is that the
 // loaded-link latency matches the unloaded latency: at SCC scale the mesh
-// is not a source of contention. The probe averages 10 gets per unit of
-// effort.
+// is not a source of contention. The probe averages 10 gets.
 func MeshStress(cfg scc.Config, effort int) ([]*Table, error) {
-	iters := 10 * effort
+	const iters = 10
 	cfg.NoC = scc.NoCDetailed
 	// Isolate the mesh: MPB port queueing off so only link contention
 	// could show up.

@@ -7,7 +7,8 @@ import (
 )
 
 // Experiment is a named, runnable paper artifact. Run renders its tables;
-// effort scales repetition counts (1 = quick, larger = more averaging).
+// effort picks the grid tier of the sweeps that have one (1 = quick, 2 =
+// full) and changes no measured value.
 type Experiment struct {
 	Name string
 	Desc string

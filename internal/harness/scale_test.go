@@ -16,7 +16,7 @@ import (
 func TestScaleCrossValidation(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	for _, lines := range []int{96, 256} {
-		for _, p := range ScaleSweep(cfg, lines, 2) {
+		for _, p := range ScaleSweep(cfg, lines) {
 			if math.Abs(p.ErrPct) > 15 {
 				t.Errorf("%v %s %d CL: sim %.2f µs, model %.2f µs, err %+.2f%% exceeds 15%%",
 					p.Topo, p.Op, p.Lines, p.SimUs, p.ModelUs, p.ErrPct)
@@ -34,7 +34,7 @@ func TestScaleCrossValidation(t *testing.T) {
 func TestMeshGoldenPoint(t *testing.T) {
 	cfg := scc.DefaultConfig()
 	cfg.Topo = scc.Mesh(8, 6)
-	got := measure(newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(96, 2))
-	want := []float64{193.696, 193.696}
-	checkGolden(t, "mesh-8x6/oc-k7-96CL", got, want)
+	run := func() float64 { return measure(newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(96)) }
+	checkGolden(t, "mesh-8x6/oc-k7-96CL snapshot", run(), 193.696)
+	checkGolden(t, "mesh-8x6/oc-k7-96CL run-to-run", run(), 193.696)
 }
