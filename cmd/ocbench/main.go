@@ -19,7 +19,7 @@
 //
 // Flags:
 //
-//	-effort N        scale repetition counts (default 2)
+//	-effort 1|2      grid tier of the sweeps that have one: 1 quick, 2 full (default 2)
 //	-verify          tune/apps/serving: gate the checked-in table, simulate nothing
 //	-no-contention   disable the MPB-port contention model
 //	-no-cache        disable the L1 model for private-memory reads
@@ -91,7 +91,7 @@ func startProfiles(cpuProfile, memProfile string) func() {
 }
 
 func main() {
-	effort := flag.Int("effort", 2, "repetition-count multiplier (>=1)")
+	effort := flag.Int("effort", 2, "grid tier of the sweeps that have one: 1 quick, 2 full; no measured value depends on it")
 	noContention := flag.Bool("no-contention", false, "disable the MPB contention model")
 	noCache := flag.Bool("no-cache", false, "disable the L1 cache model")
 	verify := flag.Bool("verify", false, "tune/apps/serving: gate the checked-in BENCH_simperf.json table without simulating")
@@ -103,15 +103,12 @@ func main() {
 	stopProfiles = startProfiles(*cpuProfile, *memProfile)
 	defer stopProfiles()
 
-	if *effort < 1 {
-		*effort = 1
-	}
 	cfg := scc.DefaultConfig()
 	cfg.Contention.Enabled = !*noContention
 	cfg.CacheEnabled = !*noCache
 
 	args := flag.Args()
-	if len(args) == 0 {
+	if len(args) == 0 || *effort != 1 && *effort != 2 {
 		usage()
 		exit(2)
 	}

@@ -108,7 +108,7 @@ type pinned struct {
 	what     string // the gated value, for messages
 	gate     float64
 	atLeast  bool // a row passes at value ≥ gate; otherwise at value ≤ gate
-	rows     int  // gated rows of the full (effort ≥ 2) sweep, which is what is committed
+	rows     int  // gated rows of the full (effort 2) sweep, which is what is committed
 	empty    func() table
 	// sweep simulates the table at the given effort and prints it.
 	sweep func(cfg scc.Config, effort int) table

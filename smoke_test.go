@@ -49,6 +49,12 @@ func TestSmokeOcbench(t *testing.T) {
 	if !strings.Contains(out, "## ") {
 		t.Fatalf("ocbench produced no tables:\n%s", out)
 	}
+	// -effort names a grid tier, 1 or 2; any other value is a usage
+	// error (status 2), not a silent clamp.
+	bad, err := exec.Command("go", "run", "./cmd/ocbench", "-effort", "3", "list").CombinedOutput()
+	if err == nil || !strings.Contains(string(bad), "usage: ocbench") || !strings.Contains(string(bad), "exit status 2") {
+		t.Fatalf("ocbench -effort 3 was not refused with status 2 (%v):\n%s", err, bad)
+	}
 }
 
 func TestSmokeOcbenchTrace(t *testing.T) {
