@@ -108,8 +108,8 @@ func TestFig4Shape(t *testing.T) {
 }
 
 // TestFig8aShape: measured latency — OC-Bcast k=7 wins ≥20% at 1 CL and
-// at every plotted size; k=7 and k=47 stay within ~20% of each other
-// (contention erases the model's k=47 edge).
+// at every plotted size; k=7 and k=47 stay within 10% of each other at
+// one full chunk (96 CL).
 func TestFig8aShape(t *testing.T) {
 	tbl := tables(t, Fig8a, 1)[0]
 	for i := range tbl.Rows {
@@ -122,16 +122,15 @@ func TestFig8aShape(t *testing.T) {
 	if imp := (bin1 - k7_1) / bin1; imp < 0.20 {
 		t.Errorf("1-CL improvement %.0f%%, paper reports 27%%", imp*100)
 	}
-	// k=7 vs k=47 at 96 lines: close. The paper's curves overlap; our
-	// contention model leaves a small residual penalty on k=47 (see
-	// EXPERIMENTS.md), so allow up to ~45%.
+	// k=7 vs k=47 at 96 lines: close. The paper's curves overlap; the
+	// simulated k=47 is 2.5% below k=7 (0.975).
 	for i := range tbl.Rows {
 		if tbl.Rows[i][0] != "96" {
 			continue
 		}
 		k7, k47 := cell(t, tbl, i, 2), cell(t, tbl, i, 3)
 		ratio := k47 / k7
-		if ratio < 0.75 || ratio > 1.45 {
+		if ratio < 0.9 || ratio > 1.1 {
 			t.Errorf("k=47/k=7 at 96 CL = %.2f, expect rough parity (paper: curves overlap)", ratio)
 		}
 	}
@@ -140,7 +139,7 @@ func TestFig8aShape(t *testing.T) {
 // TestFig8bShape: measured throughput — ~3x advantage at the peak and the
 // 97-CL dip.
 func TestFig8bShape(t *testing.T) {
-	tbl := tables(t, Fig8b, 0)[0] // one repetition per cell
+	tbl := tables(t, Fig8b, 1)[0]
 	byCL := map[string][]float64{}
 	for i, r := range tbl.Rows {
 		byCL[r[0]] = []float64{cell(t, tbl, i, 1), cell(t, tbl, i, 2), cell(t, tbl, i, 3), cell(t, tbl, i, 4)}

@@ -9,21 +9,48 @@ import (
 	"repro/internal/scc"
 )
 
+// render renders one experiment's tables at an effort, exactly as
+// `ocbench -effort <effort> <name>` prints them.
+func render(t *testing.T, e Experiment, effort int) string {
+	t.Helper()
+	tables, err := e.Run(scc.DefaultConfig(), effort)
+	if err != nil {
+		t.Fatalf("%s: %v", e.Name, err)
+	}
+	var sb strings.Builder
+	for _, tbl := range tables {
+		tbl.Fprint(&sb)
+	}
+	return sb.String()
+}
+
 // renderAll renders every registered experiment at effort 1, in registry
 // order, exactly as `ocbench -effort 1 all` prints them.
 func renderAll(t *testing.T) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, e := range Registry() {
-		tables, err := e.Run(scc.DefaultConfig(), 1)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		for _, tbl := range tables {
-			tbl.Fprint(&sb)
-		}
+		sb.WriteString(render(t, e, 1))
 	}
 	return sb.String()
+}
+
+// TestEffortSizesGridsOnly: effort picks the grid tier of the sweeps that
+// have one and changes no measured value, so every other experiment
+// renders the same bytes at the quick and the full tier.
+func TestEffortSizesGridsOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every experiment without a grid tier twice")
+	}
+	gridTier := map[string]bool{"fig-apps": true, "fig-crossover": true, "fig-overlap": true, "fig-serving": true}
+	for _, e := range Registry() {
+		if gridTier[e.Name] {
+			continue
+		}
+		if render(t, e, 1) != render(t, e, 2) {
+			t.Errorf("%s renders differently at effort 1 and 2", e.Name)
+		}
+	}
 }
 
 // TestTablesEffort1 pins every registered experiment's effort-1 output
