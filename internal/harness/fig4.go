@@ -15,9 +15,9 @@ var Fig4Counts = []int{1, 2, 4, 6, 8, 12, 16, 24, 32, 40, 48}
 // Fig4 regenerates Figure 4: average and per-core spread of completion
 // times when N cores concurrently (a) get 128 cache lines from core 0's
 // MPB and (b) put 1 cache line into it, looping 25 iterations to reach
-// the steady state the paper averages over. The paper's finding: no measurable contention up to ~24
-// accessors, then a knee, with the slowest core >2× the fastest for gets
-// and >4× for puts at 48.
+// the steady state the paper averages over. The paper's finding: no
+// measurable contention up to ~24 accessors, then a knee, with the
+// slowest core >2× the fastest for gets and >4× for puts at 48.
 func Fig4(cfg scc.Config, effort int) ([]*Table, error) {
 	const iters = 25
 	tbl := &Table{

@@ -27,11 +27,11 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 	return []goldenPoint{
 		{name: "fig8a/oc-k7-1CL", want: 5.088, cell: newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(1)},
 		{name: "fig8a/binomial-1CL", want: 11.589, cell: newCell(cfg, workload.OpBcast, "binomial", 0).sized(1)},
-		// Over the contention knee: 47 readers on root's MPB port. Pinned
-		// when the harness dropped repetitions; the run-to-run check
-		// measures it again on a recycled pooled chip, so it pins that a
-		// cell does not depend on the pool's history — an over-knee cell
-		// is the isolated first call.
+		// Over the contention knee (47 readers on root's MPB port) and
+		// recorded after the overhaul. Its run-to-run check measures it
+		// again on a recycled pooled chip, so it pins that a cell does not
+		// depend on the pool's history: an over-knee cell is the isolated
+		// first call.
 		{name: "fig8a/oc-k47-1CL", want: 8.74158, cell: newCell(cfg, workload.OpBcast, "ocbcast", 47).sized(1)},
 		{name: "fig8b/oc-k7-8192CL", want: 7908.4312, heavy: true, cell: newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(8192)},
 		{name: "fig8b/sag-8192CL", want: 20638.362, heavy: true, cell: newCell(cfg, workload.OpBcast, "sag", 0).sized(8192)},

@@ -108,7 +108,7 @@ func measure(c Cell) float64 {
 		}
 	}
 
-	first, last := sim.Time(math.MaxInt64), sim.Time(0)
+	first, last := sim.Time(math.MaxInt64), sim.Time(0) // the engine runs one core at a time
 	algsel.OnChip(chip, c.OC, func(e *algsel.Env) {
 		core := e.Core()
 		args := algsel.Args{Scratch: op.Region(n, c.Lines) * scc.CacheLine, Lines: c.Lines, Reduce: collective.SumInt64}
