@@ -35,12 +35,11 @@ func goldenPoints(cfg scc.Config) []goldenPoint {
 		{name: "fig8a/oc-k47-1CL", want: 8.74158, cell: newCell(cfg, workload.OpBcast, "ocbcast", 47).sized(1)},
 		{name: "fig8b/oc-k7-8192CL", want: 7908.4312, heavy: true, cell: newCell(cfg, workload.OpBcast, "ocbcast", 7).sized(8192)},
 		{name: "fig8b/sag-8192CL", want: 20638.362, heavy: true, cell: newCell(cfg, workload.OpBcast, "sag", 0).sized(8192)},
+		// The blocking collectives are issue + immediate Wait on the
+		// progress engine; this point pins that rewrite to the
+		// pre-engine snapshot value.
 		{name: "allreduce/oc-k7-8KiB", want: 1617.671, cell: newCell(cfg, workload.OpAllReduce, "oc", 7).sized(256)},
 		{name: "allreduce/twosided-8KiB", want: 2888.771, cell: newCell(cfg, workload.OpAllReduce, "twosided", 0).sized(256)},
-		// The blocking collectives are now issue + immediate Wait on the
-		// progress engine; this point pins that rewrite to the same
-		// pre-engine snapshot value as allreduce/oc-k7-8KiB.
-		{name: "allreduce/oc-k7-8KiB-blocking-via-engine", want: 1617.671, cell: newCell(cfg, workload.OpAllReduce, "oc", 7).sized(256)},
 		// IAllReduce + immediate Wait must be byte-identical to the
 		// blocking call — the progress engine's headline contract.
 		{name: "allreduce/oc-k7-8KiB-issue-wait", want: 1617.671, cell: issueWait},

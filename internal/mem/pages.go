@@ -19,6 +19,21 @@ import (
 // page carries and every write keeps up to date from the words it
 // covers. A hash only proposes a page; sharing it takes a byte-for-byte
 // compare, so a collision costs a missed share and nothing else.
+//
+// Before the hash, a write asks a memo of recent page transitions. The
+// paper's collectives end with the same bytes at the same address on
+// every core, so the cores of a broadcast make the same writes to the
+// same old pages one after the other, and the first core's write already
+// made the page the others need. Every page carries a version, new each
+// time its content changes (rehash); a memo entry says that writing n
+// bytes at off to page src at version v gave page res at version w. When
+// the entry matches a write, res is still live at version w, src is still
+// at v, and res holds the written bytes (a compare of n bytes), then res
+// holds exactly what the write makes: outside the write it holds what
+// src held when the entry was made, which is what src holds now, and
+// inside the write the compare says so. The write shares res without
+// hashing or comparing the rest of the page; anything else takes the
+// hash path and remembers the transition it made.
 type pagePool struct {
 	// perBlock is the first block's page count; block b holds
 	// perBlock<<b pages, and page id i (1-based) is the i-th of them in
@@ -34,7 +49,25 @@ type pagePool struct {
 	// to a power of two), comes with that block and never grows. An entry whose page was released or
 	// rewritten since is stale: lookup skips it and rehash reuses it first.
 	table []tableEntry
+	// memo is the direct-mapped transition memo: one entry per page of
+	// the first block, rounded up to a power of two and at least 64. It
+	// comes with that block, like table, so a chip that never writes a
+	// page pays nothing for it.
+	memo []memoEntry
+
+	stats PageStats // the page writes so far (Slab.PageStats)
 }
+
+// memoEntry is a memo entry: writing n bytes at byte off of page src at
+// version srcVer made page res, at version resVer (n = 0: empty). Page 0,
+// the zero page, is always at version 0.
+type memoEntry struct {
+	src, srcVer, res, resVer uint32
+	off, n                   uint16
+}
+
+// memoMin is the smallest memo, in entries.
+const memoMin = 64
 
 // tableEntry is a table entry: page id, tagged with the low 32 bits of
 // the content hash it was indexed under.
@@ -52,12 +85,14 @@ const tableWays = 4
 
 // pageRec is a page and what the pool knows of it, side by side in a
 // block (one allocation per block): its content hash, or the next free
-// id while it is free, and the number of page-table slots that point at
-// it (0: free).
+// id while it is free, the number of page-table slots that point at it
+// (0: free), and its version, which every new content of the page
+// changes (see rehash; it wraps after 2³² of them).
 type pageRec struct {
 	data page
 	sum  uint64
 	ref  uint32
+	ver  uint32
 }
 
 // hashMul is the odd constant of the content hash; hashStep is twice it,
@@ -145,6 +180,7 @@ func (s *Slab) newPage(sum uint64) (uint32, *pageRec) {
 			pp.blocks[b] = make([]pageRec, pp.perBlock<<b)
 			if b == 0 {
 				pp.table = make([]tableEntry, tableWays<<bits.Len32(max(8*pp.perBlock, 16)-1))
+				pp.memo = make([]memoEntry, 1<<bits.Len32(max(pp.perBlock, memoMin)-1))
 			}
 		}
 	}
@@ -153,10 +189,11 @@ func (s *Slab) newPage(sum uint64) (uint32, *pageRec) {
 	return id, r
 }
 
-// rehash records page id's new content hash and indexes it under that
-// hash.
+// rehash records page id's new content: it gives the page a new
+// version, and records its content hash and indexes it under that hash.
 func (s *Slab) rehash(id uint32, r *pageRec, sum uint64) {
 	r.sum = sum
+	r.ver++
 	set := s.set(sum)
 	k := tableWays - 1 // the oldest entry, unless one is stale
 	for i, e := range set {
@@ -198,6 +235,39 @@ func (s *Slab) lookup(sum uint64) uint32 {
 	return 0
 }
 
+// memoSlot returns the memo entry a write of n bytes at byte off of page
+// id maps to, or nil while there is no memo. The version is not part of
+// the slot: only the page's current version can match, so a transition
+// from it replaces any from an older one.
+func (s *Slab) memoSlot(id uint32, off, n int) *memoEntry {
+	m := s.pool.memo
+	if m == nil {
+		return nil
+	}
+	k := uint64(id) ^ uint64(off)<<32 ^ uint64(n)<<48
+	return &m[(k*hashMul)>>(64-bits.Len(uint(len(m)-1)))]
+}
+
+// recall returns the page the memo says writing src at byte off of page
+// id at version ver makes, confirmed as the pagePool comment says, or 0.
+func (s *Slab) recall(id, ver uint32, off int, src []byte) uint32 {
+	e := s.memoSlot(id, off, len(src))
+	if e == nil || e.src != id || e.srcVer != ver || int(e.off) != off || int(e.n) != len(src) {
+		return 0
+	}
+	r := s.rec(e.res)
+	if r.ref == 0 || r.ver != e.resVer || !bytes.Equal(r.data[off:off+len(src)], src) {
+		return 0
+	}
+	return e.res
+}
+
+// remember records in the memo that writing n bytes at byte off of page
+// id at version ver made page q (not 0).
+func (s *Slab) remember(id, ver uint32, off, n int, q uint32) {
+	*s.memoSlot(id, off, n) = memoEntry{id, ver, q, s.rec(q).ver, uint16(off), uint16(n)}
+}
+
 // holds reports whether page q holds what a page of content old holds
 // once src is written at byte off.
 func (s *Slab) holds(q uint32, old *page, off int, src []byte) bool {
@@ -213,6 +283,19 @@ func (s *Slab) release(id uint32) {
 		r.sum, s.pool.free = uint64(s.pool.free), id
 	}
 }
+
+// PageStats counts a slab's private-memory page writes since it was
+// made: a Write makes one per page it touches.
+type PageStats struct {
+	// Writes counts the page writes and Written the bytes they carried.
+	Writes, Written int
+	// Hits counts the writes the transition memo settled, and Hashed the
+	// bytes of those the content hash had to.
+	Hits, Hashed int
+}
+
+// PageStats reports the slab's page-write counts.
+func (s *Slab) PageStats() PageStats { return s.pool.stats }
 
 // HeldBytes reports the private-memory storage the slab holds: every
 // page its pool has handed out, live or recycled — the most distinct

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -20,6 +21,14 @@ func FuzzPrivateSharing(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 8, 1, 1, 0, 0, 8, 1, 2, 0, 0, 8, 1})
 	f.Add([]byte{0, 3, 0, 20, 2, 1, 3, 0, 20, 2, 0, 5, 1, 7, 0, 1, 5, 1, 7, 3})
 	f.Add([]byte{2, 0, 200, 255, 1, 3, 0, 200, 255, 1, 2, 1, 0, 9, 0, 3, 0, 0, 0, 4})
+	// One sequence of four writes replayed on all three memories, write
+	// by write (as a broadcast's chunks land) and memory by memory: each
+	// memory after the first repeats the first one's page transitions,
+	// which the memo settles.
+	f.Add([]byte{0, 0, 0, 120, 1, 1, 0, 0, 120, 1, 2, 0, 0, 120, 1, 0, 96, 9, 120, 1, 1, 96, 9, 120, 1, 2, 96, 9, 120, 1,
+		0, 192, 18, 60, 2, 1, 192, 18, 60, 2, 2, 192, 18, 60, 2, 0, 44, 1, 5, 3, 1, 44, 1, 5, 3, 2, 44, 1, 5, 3})
+	f.Add([]byte{0, 0, 0, 120, 1, 0, 96, 9, 120, 1, 0, 192, 18, 60, 2, 0, 44, 1, 5, 3, 1, 0, 0, 120, 1, 1, 96, 9, 120, 1,
+		1, 192, 18, 60, 2, 1, 44, 1, 5, 3, 2, 0, 0, 120, 1, 2, 96, 9, 120, 1, 2, 192, 18, 60, 2, 2, 44, 1, 5, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const mems, space, maxSteps = 3, 4 * PageBytes, 48
 		slab := NewSlab(2, 1) // a small first block, so pages span blocks
@@ -140,5 +149,151 @@ func TestSharingConfirmsBytes(t *testing.T) {
 		if !bytes.Equal(got, tc.y) || a.pages[0] == b.pages[0] {
 			t.Fatalf("memory 1 reads %v, want %v: it took memory 0's page of equal hash", got, tc.y)
 		}
+	}
+}
+
+// memoMems returns three memories on a fresh slab and a page-sized
+// pattern with no zero byte.
+func memoMems() (*Slab, []Private, []byte) {
+	slab := NewSlab(3, 1)
+	ps := make([]Private, 3)
+	for i := range ps {
+		ps[i].Init(i, slab)
+	}
+	buf := make([]byte, PageBytes)
+	for i := range buf {
+		buf[i] = byte(i%251 + 1)
+	}
+	return slab, ps, buf
+}
+
+// readsAs fails t unless memory p's first page reads as want, padded
+// with zeros.
+func readsAs(t *testing.T, p *Private, want []byte) {
+	t.Helper()
+	got, full := make([]byte, PageBytes), make([]byte, PageBytes)
+	copy(full, want)
+	p.Read(got, 0, PageBytes)
+	if !bytes.Equal(got, full) {
+		t.Fatalf("memory %d does not read back what it wrote: it took a page by a transition that no longer holds", p.Owner())
+	}
+}
+
+// TestMemoHitNeedsEqualBytes: a memory that writes other bytes at the
+// offset and length of a remembered transition does not take the page
+// that transition made, while one that writes the same bytes does.
+func TestMemoHitNeedsEqualBytes(t *testing.T) {
+	slab, ps, buf := memoMems()
+	ps[0].Write(0, buf[:100]) // zero page → Q, remembered
+	ps[1].Write(0, buf[:100])
+	if hits := slab.PageStats().Hits; hits != 1 || ps[1].pages[0] != ps[0].pages[0] {
+		t.Fatalf("memory 1 repeating memory 0's write took %d memo hits, want 1 and memory 0's page", hits)
+	}
+	other := bytes.Clone(buf[:100])
+	other[50] ^= 0xff
+	ps[2].Write(0, other)
+	readsAs(t, &ps[2], other)
+	if hits := slab.PageStats().Hits; hits != 1 {
+		t.Fatalf("memory 2 writing other bytes took %d memo hits, want none", hits-1)
+	}
+}
+
+// TestMemoMissesRewrittenSource: a transition from a page misses once
+// that page was written in place, even where the page it made holds the
+// written bytes.
+func TestMemoMissesRewrittenSource(t *testing.T) {
+	slab, ps, buf := memoMems()
+	ps[0].Write(0, buf) // page P
+	ps[1].Write(0, buf) // shares P
+	patch := []byte{0, 0, 0, 1}
+	ps[0].Write(100, patch) // P → Q, remembered; memory 1 holds P alone
+	ps[1].Write(200, patch) // P rewritten in place
+	hits := slab.PageStats().Hits
+	ps[1].Write(100, patch) // Q holds these bytes, but not the ones at 200
+	want := bytes.Clone(buf)
+	copy(want[100:], patch)
+	copy(want[200:], patch)
+	readsAs(t, &ps[1], want)
+	if got := slab.PageStats().Hits - hits; got != 0 {
+		t.Fatalf("memory 1 took %d memo hits from a page rewritten since, want none", got)
+	}
+}
+
+// TestMemoMissesRecycledResult: a transition misses while the page it
+// made is free, and once that page was handed out again, even when its
+// new content holds the written bytes at the same offset.
+func TestMemoMissesRecycledResult(t *testing.T) {
+	slab, ps, buf := memoMems()
+	ps[0].Write(0, buf[:100]) // zero page → Q, remembered
+	ps[0].Reset()             // Q is free
+	ps[1].Write(0, buf[:100])
+	checkPool(t, slab, ps)
+	q := ps[1].pages[0]
+	ps[1].Reset() // Q is free again
+	other := bytes.Clone(buf)
+	other[1000] ^= 0xff
+	ps[0].Write(0, other) // recycles Q, which holds buf[:100] again
+	if ps[0].pages[0] != q {
+		t.Fatal("memory 0's write did not recycle the released page; rework the test")
+	}
+	ps[2].Write(0, buf[:100])
+	readsAs(t, &ps[2], buf[:100])
+	if hits := slab.PageStats().Hits; hits != 0 {
+		t.Fatalf("%d memo hits on a released or recycled page, want none", hits)
+	}
+	checkPool(t, slab, ps)
+}
+
+// BenchmarkPrivateBroadcastWrites is how a broadcast's payload lands on a
+// 48-core chip: every memory on one slab writes a 1 026-line payload in
+// the 96-line chunks of OC-Bcast's pipeline, chunk by chunk. Every memory
+// after the first repeats the first one's page transitions, which the
+// memo settles by a compare of the written bytes. It checks that each
+// memory reads the payload back and that the pool holds it once, plus
+// the one partly written page a chunk boundary adds at its peak.
+func BenchmarkPrivateBroadcastWrites(b *testing.B) {
+	const mems, payloadBytes, chunk = 48, 1026 * 32, 96 * 32
+	slab := NewSlab(mems, 1)
+	ps := make([]Private, mems)
+	for i := range ps {
+		ps[i].Init(i, slab)
+	}
+	payload := make([]byte, payloadBytes)
+	for i := range payload {
+		payload[i] = byte(i*131 + i>>11)
+	}
+	land := func() {
+		for m := range ps {
+			ps[m].Reset()
+		}
+		for off := 0; off < payloadBytes; off += chunk {
+			for m := range ps {
+				ps[m].Write(off, payload[off:min(off+chunk, payloadBytes)])
+			}
+		}
+	}
+	land() // the pool's first block, the tables and the memo come now
+	b.ReportAllocs()
+	b.SetBytes(mems * payloadBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		land()
+	}
+	b.StopTimer()
+	got := make([]byte, payloadBytes)
+	for m := range ps {
+		ps[m].Read(got, 0, payloadBytes)
+		if !bytes.Equal(got, payload) {
+			b.Fatalf("memory %d does not read back the payload", m)
+		}
+	}
+	pages := (payloadBytes + PageBytes - 1) / PageBytes
+	for m := range ps {
+		if !slices.Equal(ps[m].pages[:pages], ps[0].pages[:pages]) {
+			b.Fatalf("memory %d does not share memory 0's pages", m)
+		}
+	}
+	if held := slab.HeldBytes(); held > (pages+1)*PageBytes {
+		b.Fatalf("the pool holds %d bytes of pages, want ≤ %d", held, (pages+1)*PageBytes)
 	}
 }

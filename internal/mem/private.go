@@ -133,22 +133,32 @@ func (p *Private) Write(addr int, src []byte) {
 	}
 }
 
-// writePage writes src at byte off of page pg. The page's new content
+// writePage writes src at byte off of page pg. A transition the memo
+// remembers settles it (see pagePool). Otherwise the page's new content
 // hash follows from the words the write covers (from src alone when it
 // covers the page); then, in order: content all zero drops the page, a
 // live page of equal content — found by hash, confirmed byte for byte —
 // is shared, a page this memory holds alone is written in place, and
-// anything else gets a page of its own.
+// anything else gets a page of its own, which the memo remembers.
 func (p *Private) writePage(pg, off int, src []byte) {
 	s, id := p.slab, p.id(pg)
-	old, sum := &zeroPage, uint64(0)
+	st := &s.pool.stats
+	st.Writes++
+	st.Written += len(src)
+	old, sum, ver := &zeroPage, uint64(0), uint32(0)
 	var r *pageRec
 	if id != 0 {
 		r = s.rec(id)
-		old, sum = &r.data, r.sum
+		old, sum, ver = &r.data, r.sum, r.ver
 	} else if isZero(src) {
 		return
 	}
+	if q := s.recall(id, ver, off, src); q != 0 {
+		st.Hits++
+		p.repoint(pg, id, q)
+		return
+	}
+	st.Hashed += len(src)
 	if len(src) == PageBytes {
 		sum = hashWords(src, 0)
 	} else {
@@ -160,7 +170,10 @@ func (p *Private) writePage(pg, off int, src []byte) {
 		p.repoint(pg, id, 0)
 	case q != 0 && s.holds(q, old, off, src):
 		p.repoint(pg, id, q)
+		s.remember(id, ver, off, len(src), q)
 	case r != nil && r.ref == 1:
+		// No other slot holds the old version: the transition is
+		// nobody else's to repeat.
 		copy(old[off:], src)
 		s.rehash(id, r, sum)
 	default:
@@ -169,6 +182,7 @@ func (p *Private) writePage(pg, off int, src []byte) {
 		copy(nr.data[off:end], src)
 		copy(nr.data[end:], old[end:])
 		p.repoint(pg, id, q)
+		s.remember(id, ver, off, len(src), q)
 	}
 }
 

@@ -459,13 +459,13 @@ func TestPrivatePagesPerChipNotPerCore(t *testing.T) {
 		}
 	}
 	for _, n := range []int{2, 48, 384} {
-		// The slab (4), the slice, the first page block and the content
-		// table, and one page-table block with its class's entry in the
-		// slab.
+		// The slab (4), the slice, the first page block, the content
+		// table and the transition memo, and one page-table block with
+		// its class's entry in the slab.
 		for _, distinct := range []bool{true, false} {
 			objects := testing.AllocsPerRun(5, fill(n, distinct))
-			if objects != 9 {
-				t.Errorf("%d memories writing a page each (distinct %v) cost %.0f objects, want 9", n, distinct, objects)
+			if objects != 10 {
+				t.Errorf("%d memories writing a page each (distinct %v) cost %.0f objects, want 10", n, distinct, objects)
 			}
 			want := PageBytes
 			if distinct {

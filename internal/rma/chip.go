@@ -178,6 +178,10 @@ func (c *Chip) Private(i int) *mem.Private { return &c.slots[i].priv }
 // distinct page once (mem.Slab.HeldBytes); Reset keeps them.
 func (c *Chip) HeldBytes() int { return c.slab.HeldBytes() }
 
+// PageStats reports the chip's private-memory page-write counts
+// (mem.Slab.PageStats).
+func (c *Chip) PageStats() mem.PageStats { return c.slab.PageStats() }
+
 // Cache returns core i's L1 model.
 func (c *Chip) Cache(i int) *mem.Cache { return &c.slots[i].cache }
 

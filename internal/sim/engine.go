@@ -142,7 +142,7 @@ func NewEngine(n int) *Engine {
 		procs:    alloc.Slice[Proc](n),
 		watchers: make([][]watcherEntry, n+1),
 	}
-	e.runq.heap = make([]*Proc, 0, n)
+	e.runq.heap = make([]runEntry, 0, n)
 	slots := make([]watcherEntry, n+1)
 	for i := range e.watchers {
 		e.watchers[i] = slots[i : i : i+1]
@@ -220,7 +220,7 @@ func (e *Engine) Reset() bool {
 		p := &e.procs[i]
 		p.now = 0
 		p.state = stateNew
-		p.heapIdx = -1
+		p.queued = false
 		p.blockRec.cond = nil
 		p.blockRec.wake = 0
 		for i := range p.frames {

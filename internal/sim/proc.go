@@ -24,9 +24,9 @@ type Proc struct {
 	now   Time
 	state procState
 
-	// heapIdx is the process's position in the engine's run queue, or
-	// -1 when not queued (running, blocked, or done).
-	heapIdx int
+	// queued reports whether the process is in the engine's run queue
+	// (not running, blocked, or done).
+	queued bool
 
 	// blockRec is the process's reusable watcher record: a process
 	// blocks on at most one watch key at a time, and the entry is
@@ -61,10 +61,9 @@ type Proc struct {
 // must never be copied afterwards.
 func (p *Proc) init(e *Engine, id int) {
 	*p = Proc{
-		id:      id,
-		eng:     e,
-		state:   stateNew,
-		heapIdx: -1,
+		id:    id,
+		eng:   e,
+		state: stateNew,
 	}
 	p.frames = p.frameSlots[:0]
 }
@@ -108,14 +107,14 @@ func (p *Proc) runBody() {
 // process — is still strictly first in (clock, id) order among all
 // runnable processes. If so the scheduler would hand control straight
 // back, so the switch is elided entirely: same schedule, no coroutine
-// switch. The comparison uses the run queue's cached top key, not
-// heap[0] itself, so the fast path touches no heap memory.
+// switch. The comparison reads the top entry's inline key, not its
+// Proc.
 func (p *Proc) keepRunning() bool {
 	if p.state != stateRunnable {
 		return false
 	}
-	q := &p.eng.runq
-	return len(q.heap) == 0 || p.now < q.topNow || (p.now == q.topNow && p.id < q.topID)
+	h := p.eng.runq.heap
+	return len(h) == 0 || p.now < h[0].now || (p.now == h[0].now && p.id < h[0].id)
 }
 
 // doYield returns control to the scheduler and waits to be resumed,

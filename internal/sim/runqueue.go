@@ -1,49 +1,50 @@
 package sim
 
-// runQueue is an indexed binary min-heap of runnable processes keyed on
-// (clock, id). It gives the scheduler O(log n) step cost instead of the
-// former O(n) scan over all processes. The index (Proc.heapIdx) lets the
-// engine assert membership invariants cheaply: a process is in the queue
-// iff it is runnable and not currently executing its step.
+// runQueue is a binary min-heap of runnable processes keyed on (clock, id). It
+// gives the scheduler O(log n) step cost instead of the former O(n) scan
+// over all processes.
 //
-// No decrease-key operation is needed: a process's clock only changes
+// Each heap entry carries its process's key inline, beside the pointer,
+// so ordering the heap reads only the heap's own array and never a Proc:
+// a sift compares keys in contiguous entries and moves entries, and no
+// Proc is written while it is queued. A process's clock only changes
 // while it is outside the queue (it advances its own clock while running,
-// and unblock adjusts the clock before the process is pushed back).
+// and unblock adjusts the clock before the process is pushed back), so an
+// inline key never goes stale and no decrease-key operation is needed.
+// Proc.queued flags membership, so the engine can assert cheaply that a
+// process is in the queue iff it is runnable and not currently executing
+// its step.
+//
+// Keys are unique (ids are), so the pop order is one total order and
+// schedules are byte-identical to the former linear scan's tie-breaking.
 type runQueue struct {
-	heap []*Proc
-
-	// topNow/topID mirror heap[0]'s (clock, id) key whenever the heap is
-	// non-empty. The yield fast path compares against these two scalars
-	// instead of chasing the heap[0] pointer, keeping the hottest branch
-	// free of heap-memory loads.
-	topNow Time
-	topID  int
+	heap []runEntry
 }
 
-// cacheTop refreshes the cached top key after a mutation.
-func (q *runQueue) cacheTop() {
-	if len(q.heap) > 0 {
-		q.topNow = q.heap[0].now
-		q.topID = q.heap[0].id
-	}
+// runEntry is a queued process and its (clock, id) key.
+type runEntry struct {
+	now Time
+	id  int
+	p   *Proc
 }
 
-// less orders the heap by (clock, id) — identical to the former linear
-// scan's tie-breaking, so schedules are byte-identical.
-func (q *runQueue) less(a, b *Proc) bool {
+// entry returns p's heap entry.
+func entry(p *Proc) runEntry { return runEntry{p.now, p.id, p} }
+
+// before reports whether key a comes before key b in (clock, id) order.
+func (a *runEntry) before(b *runEntry) bool {
 	return a.now < b.now || (a.now == b.now && a.id < b.id)
 }
 
 // push inserts p. It panics if p is already queued — that would mean the
 // scheduler lost track of who is running.
 func (q *runQueue) push(p *Proc) {
-	if p.heapIdx >= 0 {
+	if p.queued {
 		panic("sim: process pushed onto run queue twice")
 	}
-	p.heapIdx = len(q.heap)
-	q.heap = append(q.heap, p)
-	q.siftUp(p.heapIdx)
-	q.cacheTop()
+	p.queued = true
+	q.heap = append(q.heap, entry(p))
+	q.siftUp(len(q.heap) - 1)
 }
 
 // pushPop is push(p) followed by pop(), fused: it returns the minimum
@@ -53,18 +54,18 @@ func (q *runQueue) push(p *Proc) {
 // with a single siftDown, instead of a push's siftUp plus a pop's
 // siftDown. The machine drain loop (Engine.nextToken) lives on this.
 func (q *runQueue) pushPop(p *Proc) *Proc {
-	if p.heapIdx >= 0 {
+	if p.queued {
 		panic("sim: process pushed onto run queue twice")
 	}
-	if len(q.heap) == 0 || q.less(p, q.heap[0]) {
+	e := entry(p)
+	if len(q.heap) == 0 || e.before(&q.heap[0]) {
 		return p
 	}
-	res := q.heap[0]
-	res.heapIdx = -1
-	q.heap[0] = p
-	p.heapIdx = 0
+	res := q.heap[0].p
+	res.queued = false
+	p.queued = true
+	q.heap[0] = e
 	q.siftDown(0)
-	q.cacheTop()
 	return res
 }
 
@@ -74,52 +75,52 @@ func (q *runQueue) pop() *Proc {
 	if len(q.heap) == 0 {
 		return nil
 	}
-	p := q.heap[0]
+	p := q.heap[0].p
 	last := len(q.heap) - 1
 	q.heap[0] = q.heap[last]
-	q.heap[0].heapIdx = 0
-	q.heap[last] = nil
+	q.heap[last] = runEntry{}
 	q.heap = q.heap[:last]
 	if last > 0 {
 		q.siftDown(0)
 	}
-	p.heapIdx = -1
-	q.cacheTop()
+	p.queued = false
 	return p
 }
 
+// siftUp moves the entry at i up to its place, shifting the parents it
+// passes down one level each.
 func (q *runQueue) siftUp(i int) {
+	h := q.heap
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(q.heap[i], q.heap[parent]) {
-			return
+		if !e.before(&h[parent]) {
+			break
 		}
-		q.swap(i, parent)
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
+// siftDown moves the entry at i down to its place, shifting the least
+// child it passes up one level each time.
 func (q *runQueue) siftDown(i int) {
-	n := len(q.heap)
+	h, n := q.heap, len(q.heap)
+	e := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.less(q.heap[l], q.heap[min]) {
-			min = l
+		m := 2*i + 1
+		if m >= n {
+			break
 		}
-		if r < n && q.less(q.heap[r], q.heap[min]) {
-			min = r
+		if r := m + 1; r < n && h[r].before(&h[m]) {
+			m = r
 		}
-		if min == i {
-			return
+		if !h[m].before(&e) {
+			break
 		}
-		q.swap(i, min)
-		i = min
+		h[i] = h[m]
+		i = m
 	}
-}
-
-func (q *runQueue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].heapIdx = i
-	q.heap[j].heapIdx = j
+	h[i] = e
 }

@@ -439,9 +439,10 @@ func BenchmarkRunQueuePushPop(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			for _, p := range q.heap {
-				if q.less(p, cur) {
-					b.Fatalf("proc %d at %d is queued ahead of the popped proc %d at %d", p.id, p.now, cur.id, cur.now)
+			last := entry(cur)
+			for _, e := range q.heap {
+				if e.before(&last) || e.p.now != e.now || e.p.id != e.id || !e.p.queued {
+					b.Fatalf("proc %d at %d (entry key %d, %d) is queued ahead of the popped proc %d at %d", e.p.id, e.p.now, e.now, e.id, cur.id, cur.now)
 				}
 			}
 		})

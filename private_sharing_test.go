@@ -3,6 +3,7 @@ package ocbcast_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	ocbcast "repro"
@@ -31,6 +32,69 @@ func TestBroadcastPayloadHeldOnce(t *testing.T) {
 	t.Logf("%d bytes of pages held, limit %d", held, limit)
 	if held > limit {
 		t.Errorf("a %d-core broadcast of %d bytes holds %d bytes of pages, want ≤ %d", sys.N(), len(data), held, limit)
+	}
+}
+
+// TestBroadcastPayloadLandsByCompare: in the benchmark's broadcast
+// sequence — eight broadcasts of 1, 32, 96 and 384 lines twice over, 1 026
+// lines from eight roots spread over the chip, at consecutive addresses —
+// every receiving core makes the page writes the first one made, so the
+// page pool's transition memo settles nearly all of them and the content
+// hash sees a small share of the bytes written. The counts are exact, so
+// they must repeat at any GOMAXPROCS.
+func TestBroadcastPayloadLandsByCompare(t *testing.T) {
+	run := func(opts ocbcast.Options) mem.PageStats {
+		sizes := [4]int{1, 32, 96, 384}
+		sys := ocbcast.New(opts)
+		n := sys.N()
+		roots := [8]int{n / 2, n - 1, 0, n/4 + 1, 3 * n / 4, 1, n / 8, 5*n/8 + 1}
+		var addrs, lines [8]int
+		end := 0
+		for i := range roots {
+			addrs[i], lines[i] = end, sizes[i%len(sizes)]
+			end += lines[i] * 32
+		}
+		rng := rand.New(rand.NewSource(1))
+		image := make([]byte, end)
+		rng.Read(image)
+		skew := make([]float64, n)
+		for c := range skew {
+			skew[c] = 4 * rng.Float64()
+		}
+		for i := range roots {
+			sys.WritePrivate(roots[i], addrs[i], image[addrs[i]:addrs[i]+lines[i]*32])
+		}
+		sys.Run(func(c *ocbcast.Core) {
+			c.Compute(skew[c.ID()])
+			for i := range roots {
+				c.Barrier()
+				c.Broadcast(roots[i], addrs[i], lines[i])
+			}
+		})
+		for core := 0; core < n; core++ {
+			if !bytes.Equal(sys.ReadPrivate(core, 0, end), image) {
+				t.Fatalf("%d cores: core %d does not hold the payloads", n, core)
+			}
+		}
+		return ocbcast.PageStats(sys)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	stats := func(opts ocbcast.Options) mem.PageStats {
+		runtime.GOMAXPROCS(1)
+		st := run(opts)
+		runtime.GOMAXPROCS(4)
+		if again := run(opts); again != st {
+			t.Errorf("page counts %+v at GOMAXPROCS 1, %+v at 4", st, again)
+		}
+		t.Logf("%+v", st)
+		return st
+	}
+	if st := stats(ocbcast.Options{}); st.Hashed*10 > st.Written || st.Hits*10 < 9*st.Writes {
+		t.Errorf("48 cores: %d of %d bytes written were hashed (want ≤ 10 %%), the memo settled %d of %d page writes (want ≥ 90 %%)",
+			st.Hashed, st.Written, st.Hits, st.Writes)
+	}
+	if st := stats(ocbcast.Options{MeshWidth: 16, MeshHeight: 12}); st.Hashed > 1_300_000 {
+		t.Errorf("384 cores: %d of %d bytes written were hashed, want ≤ 1 300 000", st.Hashed, st.Written)
 	}
 }
 
